@@ -30,10 +30,16 @@ func (ns *nodeState) enqueue(req *request) {
 	ns.inbox.Put(req)
 }
 
-// chtLoop is the Communication Helper Thread: it serves one request at a
+// chtStep is the Communication Helper Thread: it serves one request at a
 // time on behalf of every process on the node. Handling cost grows with the
 // number of distinct upstream peers currently pending (the CHT polls one
 // buffer set per connected peer) and with the bytes it moves.
+//
+// It is a sim step function (the CHT owns no goroutine): each call finishes
+// the request whose service time just elapsed, if any, then takes requests
+// off the inbox until one starts service or the inbox is empty. The request
+// in hand lives in ns.cur across calls; ns.curSvc < 0 marks one dequeued
+// under an injected stall whose service has not started.
 //
 // When the request's target lives elsewhere, the CHT hands it to the
 // downstream egress and moves on — it never blocks on buffer credits. A
@@ -42,100 +48,122 @@ func (ns *nodeState) enqueue(req *request) {
 // order and stay acyclic, while the CHT keeps draining every other buffer
 // class. This non-blocking structure is what the paper's deadlock-freedom
 // argument quietly requires.
-func (ns *nodeState) chtLoop(p *sim.Proc) {
-	rt := ns.rt
-	for {
-		req := ns.inbox.Get(p)
+func (ns *nodeState) chtStep(p *sim.Proc) {
+	fi := ns.rt.faultInj // nil when fault injection is off; its queries are nil-safe
+	req := ns.cur
+	if req != nil && ns.curSvc >= 0 {
+		ns.cur = nil
+		ns.serve(req)
+		req = nil
+	}
+	for req == nil {
+		var ok bool
+		if req, ok = ns.inbox.Poll(p); !ok {
+			return
+		}
 		// A crashed node's CHT serves nothing: whatever reaches the inbox
 		// while the node is down dies with it (no response, no forward, no
 		// credit return). The daemon itself keeps draining so traffic after
 		// a recovery is served again.
-		if fi := rt.faultInj; fi != nil && fi.NodeDown(ns.id) {
-			continue
+		if fi.NodeDown(ns.id) {
+			req = nil
 		}
-		// An injected CHT stall freezes the helper thread between requests:
-		// the inbox keeps filling (buffers are the flow control, not the
-		// thread) until the fault repairs. Permanent stalls park the daemon
-		// forever; origin-side timeouts recover the traffic.
-		if fi := rt.faultInj; fi != nil && fi.CHTStalled(ns.id) {
-			fi.AwaitRepair(ns.id, p)
-		}
-		targetNode := req.target / rt.cfg.PPN
-		moved := ns.serviceBytes(req, targetNode)
-		srcs := ns.pendingSrcs
-		if srcs > rt.cfg.CHTPollCap {
-			srcs = rt.cfg.CHTPollCap
-		}
-		svc := rt.cfg.CHTBaseOverhead +
-			sim.Time(srcs)*rt.cfg.CHTPollPerSource +
-			sim.Time(float64(moved)*rt.cfg.CHTPerByte)
-		if targetNode != ns.id {
-			svc += rt.cfg.CHTForwardOverhead
-		} else if req.kind == opBatch {
-			// Unpacking a batch costs far less per sub-op than a full
-			// dequeue-poll-dispatch cycle; that gap is the hot-node win.
-			svc += sim.Time(len(req.subs)-1) * rt.cfg.Agg.OpOverhead
-		}
-		start := p.Now()
-		p.Sleep(svc)
-		if rt.obs != nil {
-			rt.obs.noteService(ns.id, req, targetNode != ns.id, start, svc)
-		}
-
-		if targetNode != ns.id {
-			// A target this node's membership view has confirmed dead gets
-			// failed back to its origin immediately — forwarding it would
-			// strand a credit on an edge no ack will ever return over.
-			if rt.healArmed && ns.mv.isDead(targetNode) {
-				rt.st(ns.id).NodeAborts++
-				ns.fail(req, &NodeFailedError{Node: targetNode})
-				continue
-			}
-			next := rt.nextHop(ns.id, targetNode)
-			eg, err := rt.egressFor(ns.id, next)
-			if err != nil {
-				rt.st(ns.id).NoRoutes++
-				ns.fail(req, err)
-				continue
-			}
-			rt.st(ns.id).Forwards++
-			// When the request leaves this node (transmission, possibly after
-			// parking on a credit), finish(req, prev) frees its buffer here.
-			eg.submitForward(req, ns, req.prevNode)
-			continue
-		}
-		if req.kind == opBatch {
-			// Unpack at the target: sub-ops apply back-to-back in rid
-			// (issue) order — atomically in virtual time, since the CHT
-			// is serial — with dedup per sub. The whole batch occupied
-			// one buffer, so one finish returns one credit. A CE mark on
-			// the batch packet marks every sub: they all crossed the
-			// congested port together.
-			for _, sub := range req.subs {
-				if req.ce {
-					sub.ce = true
-				}
-				ns.deliver(p, sub)
-			}
-			ns.finish(req, req.prevNode)
-			continue
-		}
-		ns.deliver(p, req)
-		ns.finish(req, req.prevNode)
 	}
+	// An injected CHT stall freezes the helper thread between requests: the
+	// inbox keeps filling (buffers are the flow control, not the thread)
+	// until the fault repairs. Permanent stalls park the daemon forever;
+	// origin-side timeouts recover the traffic.
+	if !fi.AwaitRepair(ns.id, p) {
+		ns.cur, ns.curSvc = req, -1
+		return
+	}
+	ns.cur, ns.curStart, ns.curSvc = req, p.Now(), ns.serviceTime(req)
+	p.Sleep(ns.curSvc)
+}
+
+// serviceTime is how long the CHT is busy with req, given the buffers pending
+// right now.
+func (ns *nodeState) serviceTime(req *request) sim.Time {
+	rt := ns.rt
+	targetNode := req.target / rt.cfg.PPN
+	moved := ns.serviceBytes(req, targetNode)
+	srcs := ns.pendingSrcs
+	if srcs > rt.cfg.CHTPollCap {
+		srcs = rt.cfg.CHTPollCap
+	}
+	svc := rt.cfg.CHTBaseOverhead +
+		sim.Time(srcs)*rt.cfg.CHTPollPerSource +
+		sim.Time(float64(moved)*rt.cfg.CHTPerByte)
+	if targetNode != ns.id {
+		svc += rt.cfg.CHTForwardOverhead
+	} else if req.kind == opBatch {
+		// Unpacking a batch costs far less per sub-op than a full
+		// dequeue-poll-dispatch cycle; that gap is the hot-node win.
+		svc += sim.Time(len(req.subs)-1) * rt.cfg.Agg.OpOverhead
+	}
+	return svc
+}
+
+// serve completes req once its service time has elapsed: forward it toward
+// its target node, or apply it here.
+func (ns *nodeState) serve(req *request) {
+	rt := ns.rt
+	targetNode := req.target / rt.cfg.PPN
+	if rt.obs != nil {
+		rt.obs.noteService(ns.id, req, targetNode != ns.id, ns.curStart, ns.curSvc)
+	}
+	if targetNode != ns.id {
+		// A target this node's membership view has confirmed dead gets
+		// failed back to its origin immediately — forwarding it would
+		// strand a credit on an edge no ack will ever return over.
+		if rt.healArmed && ns.mv.isDead(targetNode) {
+			rt.st(ns.id).NodeAborts++
+			ns.fail(req, &NodeFailedError{Node: targetNode})
+			return
+		}
+		next := rt.nextHop(ns.id, targetNode)
+		eg, err := rt.egressFor(ns.id, next)
+		if err != nil {
+			rt.st(ns.id).NoRoutes++
+			ns.fail(req, err)
+			return
+		}
+		rt.st(ns.id).Forwards++
+		// When the request leaves this node (transmission, possibly after
+		// parking on a credit), finish(req, prev) frees its buffer here.
+		eg.submitForward(req, ns, req.prevNode)
+		return
+	}
+	if req.kind == opBatch {
+		// Unpack at the target: sub-ops apply back-to-back in rid
+		// (issue) order — atomically in virtual time, since the CHT
+		// is serial — with dedup per sub. The whole batch occupied
+		// one buffer, so one finish returns one credit. A CE mark on
+		// the batch packet marks every sub: they all crossed the
+		// congested port together.
+		for _, sub := range req.subs {
+			if req.ce {
+				sub.ce = true
+			}
+			ns.deliver(sub)
+		}
+	} else {
+		ns.deliver(req)
+	}
+	ns.finish(req, req.prevNode)
 }
 
 // deliver applies one request (or batch sub-operation) at its target node,
 // deduplicating retransmissions by request id first.
-func (ns *nodeState) deliver(p *sim.Proc, req *request) {
+func (ns *nodeState) deliver(req *request) {
 	if ns.rids != nil && req.rid != 0 {
 		if rec, ok := ns.rids[req.rid]; ok {
-			ns.handleDup(p, req, rec)
+			ns.handleDup(req, rec)
 			return
 		}
 		ns.rids[req.rid] = dupState{}
 	}
-	ns.handle(p, req)
+	ns.handle(req)
 }
 
 // handleDup serves a retransmitted request whose original already reached
@@ -144,11 +172,11 @@ func (ns *nodeState) deliver(p *sim.Proc, req *request) {
 // the original has responded, only the completion is re-sent (with the
 // remembered rmw old value), otherwise the original is still in flight here
 // and the duplicate is simply dropped.
-func (ns *nodeState) handleDup(p *sim.Proc, req *request, rec dupState) {
+func (ns *nodeState) handleDup(req *request, rec dupState) {
 	ns.rt.st(ns.id).DupDrops++
 	switch req.kind {
 	case opGet, opGetV:
-		ns.handle(p, req)
+		ns.handle(req)
 	default:
 		if rec.responded {
 			ns.respond(req, nil, rec.old)
@@ -229,7 +257,7 @@ func (ns *nodeState) serviceBytes(req *request, targetNode int) int {
 // handle applies a request that has reached its target node and issues the
 // response directly back to the origin (responses bypass request buffers,
 // as in ARMCI).
-func (ns *nodeState) handle(p *sim.Proc, req *request) {
+func (ns *nodeState) handle(req *request) {
 	rt := ns.rt
 	switch req.kind {
 	case opPut:

@@ -118,14 +118,13 @@ func (ns *nodeState) monitorTick() {
 	}
 	now := rt.eng.NowOn(ns.id)
 	st := rt.cfg.Heal.SuspicionTimeout
-	for _, peer := range ns.mv.nbrs {
-		peer := peer
+	for i, peer := range ns.mv.nbrs {
 		// Probe unconditionally — heartbeats to a dead-view peer double as
 		// rejoin detection the moment it comes back. A dead receiver's NIC
-		// drops the probe in the fabric.
-		rt.net.Send(ns.id, peer, heartbeatBytes, func() {
-			rt.nodes[peer].heard(ns.id)
-		})
+		// drops the probe in the fabric. The edge's egress record rides along
+		// as the argument (mv.nbrs is indexed like ns.nbrs), so a probe
+		// allocates no closure.
+		rt.net.SendArg(ns.id, peer, heartbeatBytes, rt.probeFn, ns.egAt(i))
 		gap := now - ns.mv.lastHeard[peer]
 		switch ns.mv.state[peer] {
 		case memberAlive:

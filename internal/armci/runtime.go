@@ -85,6 +85,7 @@ type Runtime struct {
 	ackFn       func(arg any, ce bool) // credit ack arrives back at the sender
 	respFn      func(arg any, ce bool) // response arrives at the origin node
 	respLocalFn func(arg any)          // same-node response (no heard/onAck)
+	probeFn     func(arg any, ce bool) // heartbeat probe arrives at a neighbor
 }
 
 // Stats aggregates runtime-level counters used by tests and reports.
@@ -162,7 +163,12 @@ type nodeState struct {
 	// set per connected peer).
 	pendingBySrc []int32
 	pendingSrcs  int
-	chtProc      *sim.Proc
+	// cur is the request the CHT holds between steps (see chtStep): in
+	// service since curStart for curSvc, or, with curSvc < 0, waiting out an
+	// injected stall.
+	cur      *request
+	curStart sim.Time
+	curSvc   sim.Time
 	// rids deduplicates retransmitted requests at the target (allocated
 	// only when request timeouts are enabled). Entries survive the node's
 	// own crash/recovery: a rebooted node keeping its dedup table is the
@@ -422,6 +428,11 @@ func (rt *Runtime) bindDispatch() {
 		rt.nodes[eg.from].heard(eg.to)
 		eg.release()
 	}
+	// Heartbeat probe over the edge eg.from -> eg.to (see monitorTick).
+	rt.probeFn = func(arg any, ce bool) {
+		eg := arg.(*egress)
+		rt.nodes[eg.to].heard(eg.from)
+	}
 	// Response arrival at the origin node: completion bookkeeping plus the
 	// congestion echo into the origin's pacer (see respond).
 	rt.respFn = func(arg any, ce bool) {
@@ -662,8 +673,8 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 	return rt.eng.Run()
 }
 
-// Shutdown releases the goroutines of all parked simulated processes (CHT
-// daemons and any still-blocked ranks). Call after Run in programs that
+// Shutdown releases the goroutines the engine holds (still-blocked ranks and
+// pooled carriers; CHT daemons own none). Call after Run in programs that
 // create many runtimes.
 func (rt *Runtime) Shutdown() { rt.eng.Shutdown() }
 
@@ -674,7 +685,7 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	// owner, so in sharded mode all of a node's activity runs on one shard.
 	for i := range rt.nodes {
 		ns := &rt.nodes[i]
-		ns.chtProc = rt.eng.SpawnDaemonOn(ns.id, fmt.Sprintf("cht%d", ns.id), ns.chtLoop)
+		rt.eng.SpawnStepOn(ns.id, fmt.Sprintf("cht%d", ns.id), ns.chtStep)
 	}
 	rt.liveRanks = len(rt.ranks)
 	for i := range rt.ranks {

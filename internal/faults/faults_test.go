@@ -285,33 +285,51 @@ func TestInjectorStormBursts(t *testing.T) {
 func TestInjectorCHTStallAndRepair(t *testing.T) {
 	eng := sim.New()
 	in := NewInjector(eng, 9, MustParseSpec("cht:2@t=1ms@for=3ms"))
-	var resumedAt sim.Time
-	eng.Spawn("waiter", func(p *sim.Proc) {
-		p.Sleep(2 * sim.Millisecond) // mid-stall
-		if !in.CHTStalled(2) {
-			t.Error("CHT 2 not stalled at t=2ms")
+	if !in.AwaitRepair(2, nil) {
+		t.Error("AwaitRepair reported a stall on a healthy CHT")
+	}
+	// A step process, as the CHT is: it asks mid-stall, is parked on the
+	// repair, and asks again when resumed.
+	idle := sim.NewQueue[int](eng, "idle")
+	started := false
+	var refusedAt, releasedAt sim.Time
+	eng.SpawnStepOn(2, "cht2", func(p *sim.Proc) {
+		if !started {
+			started = true
+			p.Sleep(2 * sim.Millisecond)
+			return
 		}
-		in.AwaitRepair(2, p)
-		resumedAt = p.Now()
+		if !in.AwaitRepair(2, p) {
+			refusedAt = p.Now()
+			return
+		}
+		releasedAt = p.Now()
+		idle.Poll(p)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if resumedAt != 4*sim.Millisecond {
-		t.Errorf("AwaitRepair released at %v, want 4ms", resumedAt)
+	if refusedAt != 2*sim.Millisecond || releasedAt != 4*sim.Millisecond {
+		t.Errorf("AwaitRepair refused at %v and released at %v, want 2ms and 4ms", refusedAt, releasedAt)
 	}
 }
 
 func TestInjectorPermanentStallParksForever(t *testing.T) {
 	eng := sim.New()
 	in := NewInjector(eng, 4, MustParseSpec("cht:1@t=0s"))
-	eng.SpawnDaemon("cht1", func(p *sim.Proc) {
-		p.Sleep(sim.Microsecond)
-		in.AwaitRepair(1, p)
-		t.Error("permanent stall released its waiter")
+	calls := 0
+	eng.SpawnStepOn(1, "cht1", func(p *sim.Proc) {
+		if calls++; calls == 1 {
+			p.Sleep(sim.Microsecond)
+		} else if in.AwaitRepair(1, p) {
+			t.Error("permanent stall released its waiter")
+		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("daemon parked on a permanent stall must not fail the run: %v", err)
+	}
+	if calls != 2 {
+		t.Errorf("step ran %d times, want 2 (start, then parked for good)", calls)
 	}
 	eng.Shutdown()
 }

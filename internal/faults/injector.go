@@ -319,18 +319,18 @@ func (in *Injector) CHTStalled(node int) bool {
 	return in.chtDown[node] > 0
 }
 
-// AwaitRepair parks p until node's CHT stall clears, returning immediately
-// when healthy. A permanent stall parks p forever — CHTs are daemons, so
-// this does not keep the simulation alive, and the origin-side timeout
-// machinery recovers the traffic.
-func (in *Injector) AwaitRepair(node int, p *sim.Proc) {
-	for in.CHTStalled(node) {
-		ev := in.repair[node]
-		if ev == nil {
-			return
-		}
-		ev.Wait(p)
+// AwaitRepair reports whether node's CHT is free of stalls; while one is
+// active it first registers p (the CHT's step process) on the stall's repair
+// event and parks it, so p is resumed — and should ask again — at the repair.
+// A permanent stall parks p forever: CHTs are daemons, so this does not keep
+// the simulation alive, and the origin-side timeout machinery recovers the
+// traffic.
+func (in *Injector) AwaitRepair(node int, p *sim.Proc) bool {
+	if !in.CHTStalled(node) {
+		return true
 	}
+	ev := in.repair[node]
+	return ev == nil || ev.Poll(p)
 }
 
 // Active returns the number of currently active faults.

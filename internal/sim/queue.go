@@ -64,11 +64,24 @@ func (q *Queue[T]) blockLabel(int64) string { return "queue " + q.name }
 
 // Get dequeues the oldest item, blocking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
+	for {
+		if x, ok := q.Poll(p); ok {
+			return x
+		}
+	}
+}
+
+// Poll dequeues the oldest item if there is one; otherwise it registers p as
+// a waiter, parks it and reports false once p has been woken. It is the wait
+// of a step process, whose park returns at once: the step function returns on
+// false and polls again when resumed.
+func (q *Queue[T]) Poll(p *Proc) (x T, ok bool) {
+	if q.Len() == 0 {
 		q.waiters = append(q.waiters, p)
 		p.parkOn(q, 0)
+		return x, false
 	}
-	x := q.items[q.head]
+	x = q.items[q.head]
 	var zero T
 	q.items[q.head] = zero // release reference for GC
 	q.head++
@@ -76,7 +89,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 		q.items = append(q.items[:0], q.items[q.head:]...)
 		q.head = 0
 	}
-	return x
+	return x, true
 }
 
 // Clear drops every buffered item and returns how many were dropped.
@@ -258,10 +271,18 @@ func (ev *Event) Fire() {
 
 // Wait blocks p until the event fires (returns immediately if already fired).
 func (ev *Event) Wait(p *Proc) {
-	for !ev.fired {
+	for !ev.Poll(p) {
+	}
+}
+
+// Poll reports whether the event has fired; if not, it first registers p as
+// a waiter and parks it. Like Queue.Poll it is the wait of a step process.
+func (ev *Event) Poll(p *Proc) bool {
+	if !ev.fired {
 		ev.waiters = append(ev.waiters, p)
 		p.parkOn(ev, 0)
 	}
+	return ev.fired
 }
 
 func (ev *Event) blockLabel(int64) string { return "event " + ev.name }

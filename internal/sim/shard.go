@@ -33,9 +33,9 @@ import (
 const maxTime = Time(math.MaxInt64)
 
 // lane is one shard's execution context: a private event heap, clock, and
-// cooperative-scheduling channel pair, plus outboxes for events leaving the
-// shard. Only its worker goroutine touches these fields during a window;
-// the coordinator touches them only while the worker is quiesced.
+// carrier free list, plus outboxes for events leaving the shard. Only its
+// worker goroutine touches these fields during a window; the coordinator
+// touches them only while the worker is quiesced.
 type lane struct {
 	e   *Engine
 	idx int
@@ -49,9 +49,8 @@ type lane struct {
 	end Time
 	// ctxOwner is the owner of the event currently executing on this lane.
 	ctxOwner int
-	current  *Proc
-	// parked receives control back from a process this lane resumed.
-	parked chan struct{}
+	// idle holds the carriers free for this lane's worker to borrow.
+	idle []*carrier
 	// dispatch carries the window edge from the coordinator to the worker.
 	dispatch chan Time
 	// outCross[d] buffers events created on this lane for shard d.
@@ -61,6 +60,9 @@ type lane struct {
 	// resumes/executed are folded into the engine totals at each barrier.
 	resumes  uint64
 	executed uint64
+	// panicked carries a panic out of the worker to the coordinator, which
+	// re-raises it from Run at the barrier.
+	panicked any
 }
 
 // shardState is the engine's sharding extension, embedded in Engine.
@@ -159,7 +161,6 @@ func (e *Engine) ConfigureShards(shards, owners int, shardOf func(owner int) int
 			e:        e,
 			idx:      i,
 			ctxOwner: GlobalOwner,
-			parked:   make(chan struct{}),
 			dispatch: make(chan Time),
 			outCross: make([][]event, shards),
 		}
@@ -210,15 +211,24 @@ func (e *Engine) stopWorkers() {
 // dispatched window edge, then reports back to the coordinator.
 func (ln *lane) work() {
 	for end := range ln.dispatch {
-		for ln.heap.Len() > 0 && ln.heap[0].t < end {
-			ev := ln.heap.popEvent()
-			ln.now = ev.t
-			ln.ctxOwner = int(ev.owner)
-			ln.executed++
-			ln.e.exec(&ev)
-		}
-		ln.ctxOwner = GlobalOwner
+		ln.runTo(end)
 		ln.e.laneDone <- ln
+	}
+}
+
+// runTo executes the lane's events below end. A panic (a process body's, say)
+// is handed to the coordinator instead of killing the program from here.
+func (ln *lane) runTo(end Time) {
+	defer func() {
+		ln.ctxOwner = GlobalOwner
+		ln.panicked = recover()
+	}()
+	for ln.heap.Len() > 0 && ln.heap[0].t < end {
+		ev := ln.heap.popEvent()
+		ln.now = ev.t
+		ln.ctxOwner = int(ev.owner)
+		ln.executed++
+		ln.e.exec(&ev)
 	}
 }
 
@@ -347,6 +357,9 @@ func (e *Engine) runWindow(end Time) {
 	}
 	e.windowActive.Store(false)
 	for _, ln := range e.lanes {
+		if r := ln.panicked; r != nil {
+			panic(r)
+		}
 		e.resumes += ln.resumes
 		ln.resumes = 0
 		e.executed += ln.executed

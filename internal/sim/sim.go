@@ -1,10 +1,13 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are goroutines that are cooperatively scheduled by the
-// Engine: in serial mode exactly one goroutine (either the engine's Run loop
-// or a single process) executes at any moment, and control is handed over
-// explicitly at blocking points (Sleep, Queue.Get, Resource.Acquire, ...).
+// Simulated processes are cooperatively scheduled by the Engine: in serial
+// mode exactly one of them (or the engine's Run loop) executes at any moment,
+// and control is handed over explicitly at blocking points (Sleep, Queue.Get,
+// Resource.Acquire, ...). A process is either a body function running on a
+// coroutine carrier (carrier.go) — the runner switches to it directly, with no
+// scheduler, channel or futex in between — or a step function (SpawnStepOn)
+// the runner simply calls, which owns no goroutine at all.
 //
 // Events are ordered by the three-part key (time, seq, origin), where origin
 // is the owner id of the context that created the event and seq is a
@@ -173,15 +176,17 @@ const (
 // process's own body function; they are not safe to call from other
 // goroutines or from engine-context callbacks.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	// parkedTo is the channel of whichever runner (coordinator or shard
-	// worker) last resumed the process; park and the exit path signal it to
-	// hand control back.
-	parkedTo chan struct{}
-	state    procState
+	e    *Engine
+	id   int
+	name string
+	// Exactly one of body and step is set. A body runs on the carrier co,
+	// borrowed at the first resume and returned when the body exits; a step
+	// function is called by the runner on every resume and returns at its
+	// next wait (see SpawnStepOn).
+	body  func(p *Proc)
+	step  func(p *Proc)
+	co    *carrier
+	state procState
 	// blockedOn is the static blocking-point label (cold paths); hot-path
 	// primitives park with a lazy blocker+blockArg pair instead, so a park
 	// formats no string unless a deadlock report or tracer reads one.
@@ -190,7 +195,6 @@ type Proc struct {
 	blockArg    int64
 	daemon      bool
 	wakePending bool
-	killed      bool
 	// owner pins the process to a scheduling owner: its resume events carry
 	// this owner, so in sharded mode the process always runs on the owner's
 	// shard (or on the coordinator during serial instants).
@@ -239,10 +243,11 @@ type Engine struct {
 	// component of the ordering key; index is origin+1 so GlobalOwner maps
 	// to slot 0. Distinct origins never share a slot, so shard workers
 	// advance their owners' counters without contention.
-	seqs    []uint64
-	parked  chan struct{}
-	procs   []*Proc
-	current *Proc
+	seqs  []uint64
+	procs []*Proc
+	// idle holds the carriers free for the serial loop and the coordinator to
+	// borrow (each shard lane has its own list).
+	idle []*carrier
 	// ctxOwner is the owner of the event the coordinator (or serial loop) is
 	// currently executing; events created from that context inherit it as
 	// their origin and default placement.
@@ -303,7 +308,6 @@ func newCountingSource(seed int64) *countingSource {
 // New creates an engine with virtual time 0 and a deterministic RNG.
 func New() *Engine {
 	e := &Engine{
-		parked:   make(chan struct{}),
 		ctxOwner: GlobalOwner,
 		seqs:     make([]uint64, 1),
 	}
@@ -545,32 +549,32 @@ func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) *Pro
 	return e.spawnAt(owner, t, name, body, false)
 }
 
+// SpawnStepOn creates a daemon process pinned to owner that owns no goroutine:
+// the runner calls step on every resume, and step runs to its next wait and
+// returns. It may wait once per call, through Sleep, Queue.Poll or Event.Poll,
+// which for a step process register the wake-up and return immediately; what
+// the blocking form would keep on its stack, step keeps in its own state.
+func (e *Engine) SpawnStepOn(owner int, name string, step func(p *Proc)) *Proc {
+	p := e.spawnAt(owner, e.now, name, nil, true)
+	p.step = step
+	return p
+}
+
 func (e *Engine) spawnAt(owner int, t Time, name string, body func(p *Proc), daemon bool) *Proc {
 	if e.windowActive.Load() {
 		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")
 	}
 	p := &Proc{
-		e:        e,
-		id:       len(e.procs),
-		name:     name,
-		resume:   make(chan struct{}),
-		parkedTo: e.parked,
-		state:    procNew,
-		daemon:   daemon,
-		owner:    owner,
+		e:      e,
+		id:     len(e.procs),
+		name:   name,
+		body:   body,
+		state:  procNew,
+		daemon: daemon,
+		owner:  owner,
 	}
 	e.procs = append(e.procs, p)
 	e.trace(TraceSpawn, p, "")
-	go func() {
-		<-p.resume
-		if !p.killed {
-			runBody(body, p)
-		}
-		p.state = procDone
-		p.blockedOn, p.blockedAt = "", nil
-		e.trace(TraceExit, p, "")
-		p.parkedTo <- struct{}{}
-	}()
 	e.scheduleProc(nil, e.now, e.ctxOwner, owner, t, evSwitch, p)
 	return p
 }
@@ -579,51 +583,59 @@ func (e *Engine) spawnAt(owner int, t Time, name string, body func(p *Proc), dae
 // Shutdown; runBody swallows it and nothing else.
 type killSignal struct{}
 
-func runBody(body func(p *Proc), p *Proc) {
+// runBody runs p's body to completion on the calling carrier. Any other panic
+// continues through the carrier into the runner that resumed p, and so out of
+// Engine.Run on its caller's goroutine.
+func runBody(p *Proc) {
 	defer func() {
+		p.exit()
 		if r := recover(); r != nil {
 			if _, ok := r.(killSignal); !ok {
 				panic(r)
 			}
 		}
 	}()
-	body(p)
+	p.body(p)
 }
 
-// switchTo hands control to p and blocks until p parks or finishes. It must
+func (p *Proc) exit() {
+	p.state = procDone
+	p.blockedOn, p.blockedAt = "", nil
+	p.e.trace(TraceExit, p, "")
+}
+
+// switchTo hands control to p and returns when p parks or finishes. It must
 // be invoked from a runner context (inside an event callback): the serial
 // loop, the coordinator during an instant, or the shard worker owning p.
 func (e *Engine) switchTo(p *Proc) {
 	if p.state == procDone || p.state == procRunning {
 		return
 	}
+	idle := &e.idle
 	if e.windowActive.Load() {
 		ln := e.lanes[e.shardOf[p.owner]]
-		prev := ln.current
-		ln.current = p
-		p.state = procRunning
-		p.blockedOn, p.blockedAt = "", nil
 		ln.resumes++
-		p.parkedTo = ln.parked
-		p.resume <- struct{}{}
-		<-ln.parked
-		ln.current = prev
-		return
+		idle = &ln.idle
+	} else {
+		e.resumes++
+		e.trace(TraceResume, p, "")
 	}
-	prev := e.current
-	e.current = p
 	p.state = procRunning
 	p.blockedOn, p.blockedAt = "", nil
-	e.resumes++
-	e.trace(TraceResume, p, "")
-	p.parkedTo = e.parked
-	p.resume <- struct{}{}
-	<-e.parked
-	e.current = prev
+	if p.step == nil {
+		p.resumeBody(idle)
+		return
+	}
+	p.step(p)
+	if p.state == procRunning {
+		panic("sim: step function of " + p.name + " returned without waiting")
+	}
 }
 
 // park is called from process context: it returns control to the current
-// runner and blocks until the process is resumed by a future switchTo.
+// runner and blocks until the process is resumed by a future switchTo. For a
+// step process it only records the blocking point; the step function returns
+// control itself.
 func (p *Proc) park(label string) {
 	p.blockedOn, p.blockedAt = label, nil
 	p.parkWait(label)
@@ -642,12 +654,16 @@ func (p *Proc) parkOn(b blocker, arg int64) {
 }
 
 func (p *Proc) parkWait(traceLabel string) {
+	if p.state == procBlocked {
+		panic("sim: step process " + p.name + " waited twice in one step (blocking call from a step function?)")
+	}
 	p.state = procBlocked
 	p.e.trace(TracePark, p, traceLabel)
-	p.parkedTo <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{})
+	if p.step != nil {
+		return
+	}
+	if !p.co.yield(struct{}{}) {
+		panic(killSignal{}) // the carrier was stopped: Shutdown is unwinding this body
 	}
 	p.state = procRunning
 	p.blockedOn, p.blockedAt = "", nil
@@ -668,7 +684,8 @@ func (p *Proc) wake() {
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
-// treated as zero (the process still yields, preserving FIFO fairness).
+// treated as zero (the process still yields, preserving FIFO fairness). A
+// step function must return right after calling it.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
@@ -772,22 +789,29 @@ func (e *Engine) blockedNonDaemons() []string {
 	return blocked
 }
 
-// Shutdown terminates every parked or not-yet-started process, releasing
-// their goroutines, and stops any shard workers. Call it after Run (or after
-// abandoning a simulation) in long-lived programs that create many engines;
-// the engine must not be running. Processes are unwound via a recovered
-// panic, so their deferred functions still execute.
+// Shutdown terminates every parked or not-yet-started process, stops the
+// pooled carriers and any shard workers, releasing every goroutine the engine
+// holds. Call it after Run (or after abandoning a simulation) in long-lived
+// programs that create many engines; the engine must not be running. A body
+// parked mid-way is unwound via a recovered panic, so its deferred functions
+// still execute; never-started processes and step daemons own no goroutine.
 func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while engine is running")
 	}
 	for _, p := range e.procs {
-		if p.state == procBlocked || p.state == procNew {
-			p.killed = true
-			p.parkedTo = e.parked
-			p.resume <- struct{}{}
-			<-e.parked
+		if p.state != procBlocked && p.state != procNew {
+			continue
 		}
+		if p.co != nil {
+			p.co.stop() // parked mid-body: its yield reports false and the body unwinds
+		} else {
+			p.exit()
+		}
+	}
+	stopCarriers(&e.idle)
+	for _, ln := range e.lanes {
+		stopCarriers(&ln.idle)
 	}
 	e.events = nil
 	e.stopWorkers()

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func mustRun(t *testing.T, e *Engine) {
@@ -750,32 +749,42 @@ func TestPropertyResourceInvariants(t *testing.T) {
 }
 
 func TestShutdownReleasesParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := New()
-	q := NewQueue[int](e, "never")
-	deferRan := 0
-	for i := 0; i < 20; i++ {
-		e.SpawnDaemon(fmt.Sprintf("d%d", i), func(p *Proc) {
-			defer func() { deferRan++ }()
-			q.Get(p)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Shutdown()
-	if deferRan != 20 {
-		t.Errorf("deferred cleanups ran %d times, want 20", deferRan)
-	}
-	// Goroutines are released (allow slack for the test runtime).
-	for i := 0; i < 50; i++ {
-		if runtime.NumGoroutine() <= before+2 {
-			break
+	for _, shards := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		e := New()
+		e.ConfigureShards(shards, 4, func(o int) int { return o * shards / 4 }, 10)
+		deferRan, lateRan := 0, 0
+		for i := 0; i < 20; i++ {
+			q := NewQueue[int](e, "never")
+			e.SpawnDaemonOn(i%4, fmt.Sprintf("d%d", i), func(p *Proc) {
+				defer func() { deferRan++ }() // runs in Shutdown, on the test's goroutine
+				q.Get(p)
+			})
+			// Step daemons and processes that never start own no goroutine.
+			e.SpawnStepOn(i%4, fmt.Sprintf("s%d", i), func(p *Proc) { q.Poll(p) })
+			e.GoAtOn(i%4, 1000, fmt.Sprintf("late%d", i), func(p *Proc) { lateRan++ })
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before+2 {
-		t.Errorf("goroutines leaked: %d before, %d after shutdown", before, got)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("shards=%d: spawning created %d goroutines", shards, n-before)
+		}
+		if _, ok := e.RunUntil(500).(*TimeLimitError); !ok {
+			t.Fatalf("shards=%d: expected the late starts to outlive the horizon", shards)
+		}
+		// One carrier per parked body, plus the shard workers.
+		held := 20
+		if shards > 1 {
+			held += shards
+		}
+		if n := runtime.NumGoroutine(); n > before+held {
+			t.Errorf("shards=%d: engine holds %d goroutines, want at most %d", shards, n-before, held)
+		}
+		e.Shutdown()
+		if deferRan != 20 || lateRan != 0 {
+			t.Errorf("shards=%d: %d deferred cleanups ran (want 20), %d never-started bodies ran (want 0)", shards, deferRan, lateRan)
+		}
+		if got := waitGoroutines(before); got > before {
+			t.Errorf("shards=%d: goroutines leaked: %d before, %d after shutdown", shards, before, got)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package sweep
 import (
 	"fmt"
 	"testing"
+
+	"armcivt/internal/sim"
 )
 
 // tinyGrid is a real (simulating) contention grid small enough for unit
@@ -102,8 +104,9 @@ func TestFailedResultsAreNotCached(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: one panicking point becomes its own Result.Err; the
-// sweep still completes and every other point succeeds.
+// TestPanicIsolation: a panicking point becomes its own Result.Err — whether
+// the executor itself panics or a simulated process does, deep inside
+// Engine.Run — and the sweep still completes with every other point intact.
 func TestPanicIsolation(t *testing.T) {
 	var points []Point
 	for i := 0; i < 6; i++ {
@@ -114,11 +117,20 @@ func TestPanicIsolation(t *testing.T) {
 		if p.Index == 2 {
 			panic("simulated executor bug")
 		}
+		if p.Index == 4 {
+			eng := sim.New()
+			defer eng.Shutdown()
+			eng.Spawn("rank0", func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond)
+				panic("simulated rank bug")
+			})
+			_ = eng.Run()
+		}
 		return Result{Point: p, Label: p.Label(), Value: float64(p.Index)}
 	}}
 	results, st := r.Run(points)
-	if st.Failures != 1 {
-		t.Fatalf("failures = %d, want 1", st.Failures)
+	if st.Failures != 2 {
+		t.Fatalf("failures = %d, want 2", st.Failures)
 	}
 	for i, res := range results {
 		if res.Point.Index != i {
@@ -127,6 +139,12 @@ func TestPanicIsolation(t *testing.T) {
 		if i == 2 {
 			if res.Err == "" || res.Err != "panic: simulated executor bug" {
 				t.Fatalf("panic not captured: %q", res.Err)
+			}
+			continue
+		}
+		if i == 4 {
+			if res.Err != "panic: simulated rank bug" {
+				t.Fatalf("process-body panic not captured: %q", res.Err)
 			}
 			continue
 		}
