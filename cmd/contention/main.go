@@ -34,10 +34,9 @@
 // ladder — see docs/OVERLOAD.md); the pacing_* and shed_* counters appear in
 // the -metrics snapshot.
 //
-// With -ckpt-dir, every run snapshots itself at quiescent virtual-time
-// boundaries (interval -ckpt-every) into the directory, and -resume restores
-// runs an earlier interrupted invocation left mid-flight — output stays
-// byte-identical to an uninterrupted run (see docs/CHECKPOINT.md).
+// An interrupted invocation is recovered by running it again with the same
+// -cache: finished points come back from the cache and the rest run fresh,
+// deterministically, so the output is byte-identical to an uninterrupted run.
 //
 // Usage:
 //
@@ -46,7 +45,6 @@
 //	           [-j N] [-cache DIR] [-csv] [-metrics]
 //	           [-trace FILE [-trace-sched]] [-faults SPEC] [-heal]
 //	           [-window N] [-agg] [-adaptive] [-overload]
-//	           [-ckpt-dir DIR] [-ckpt-every DUR] [-ckpt-retain K] [-resume]
 package main
 
 import (
@@ -56,9 +54,7 @@ import (
 
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
-	"armcivt/internal/figures"
 	"armcivt/internal/obs"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 	"armcivt/internal/sweep"
 )
@@ -84,16 +80,7 @@ func main() {
 	heal := flag.Bool("heal", false, "enable heartbeat membership and topology self-healing (no-op without node: faults)")
 	overload := flag.Bool("overload", false, "enable the overload-protection layer: congestion marking, AIMD injection pacing and the degradation ladder (see docs/OVERLOAD.md)")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
-	ckptDir := flag.String("ckpt-dir", "", "mid-run checkpoint + journal directory ('' disables; see docs/CHECKPOINT.md)")
-	ckptEvery := flag.Duration("ckpt-every", 0, "virtual-time capture interval (1ns of wall spec = 1ns virtual; 0 = default 1ms)")
-	ckptRetain := flag.Int("ckpt-retain", 0, "snapshots retained per run (0 = default 3)")
-	resume := flag.Bool("resume", false, "restore runs interrupted mid-flight from their newest snapshot in -ckpt-dir")
 	flag.Parse()
-
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "contention: -resume needs -ckpt-dir")
-		os.Exit(2)
-	}
 
 	if *faultSpec != "" {
 		if _, err := faults.ParseSpec(*faultSpec); err != nil {
@@ -165,15 +152,8 @@ func main() {
 	if *traceFile != "" {
 		tracer = obs.NewTracer()
 	}
-	runner := &sweep.Runner{Workers: *jobs, CacheDir: *cacheDir, Trace: tracer, Shards: *shards,
-		Ckpt: sweep.CkptOptions{Dir: *ckptDir, Every: sim.Time(*ckptEvery), Retain: *ckptRetain, Resume: *resume}}
-	if tracer != nil && *traceSched {
-		// The generic executor doesn't know about scheduler slices; run
-		// those through a thin wrapper that switches the flag on.
-		runner.Exec = func(p sweep.Point, opts sweep.ExecOptions) sweep.Result {
-			return executeWithSched(p, opts)
-		}
-	}
+	runner := &sweep.Runner{Workers: *jobs, CacheDir: *cacheDir,
+		ExecOptions: sweep.ExecOptions{Trace: tracer, TraceSched: *traceSched, Shards: *shards}}
 	results, _ := runner.Run(points)
 
 	for _, g := range sweep.Groups(results) {
@@ -244,40 +224,4 @@ func onOff(b bool) string {
 		return "on"
 	}
 	return "off"
-}
-
-// executeWithSched mirrors sweep.Execute for the -trace-sched path: it
-// rebuilds the contention config with scheduler-slice tracing enabled.
-func executeWithSched(p sweep.Point, opts sweep.ExecOptions) sweep.Result {
-	spec, err := core.ParseSpec(p.Topo)
-	if err != nil {
-		return sweep.Result{Point: p, Label: p.Label(), Err: err.Error()}
-	}
-	cfg := figures.ContentionConfig{
-		Kind: spec.Kind, Topo: spec, Nodes: p.Nodes, PPN: p.PPN, Iters: p.Iters,
-		ContenderEvery: p.ContenderEvery, VecSegs: p.VecSegs,
-		VecSegLen: p.MsgSize, SampleEvery: p.SampleEvery,
-		StreamLimit: p.StreamLimit, Seed: p.EffectiveSeed(),
-		Window: p.Window, Aggregation: p.Agg == "on", AdaptiveCredits: p.Adapt == "on",
-		Heal: p.Heal == "on", Overload: p.Overload == "on",
-		Trace: opts.Trace, TracePID: p.Index, TraceSched: true,
-	}
-	if p.Op == "fadd" {
-		cfg.Op = figures.OpFetchAdd
-	}
-	if p.Faults != "" {
-		fspec, err := faults.ParseSpec(p.Faults)
-		if err != nil {
-			return sweep.Result{Point: p, Label: p.Label(), Err: err.Error()}
-		}
-		cfg.Faults = fspec
-	}
-	res := sweep.Result{Point: p, Label: p.Label()}
-	s, err := figures.Contention(cfg)
-	if err != nil {
-		res.Err = err.Error()
-		return res
-	}
-	res.X, res.Y = s.X, s.Y
-	return res
 }

@@ -42,21 +42,16 @@
 // snapshots and the sweep engine's own progress metrics; -trace writes all
 // runs into one Chrome-trace file (forces -j 1, bypasses the cache).
 //
-// Usage:
-//
-// Crash resilience (docs/CHECKPOINT.md): -ckpt-dir DIR makes every executed
-// point snapshot itself at quiescent virtual-time boundaries and journals
-// point lifecycles into DIR; after an interruption (SIGKILL, OOM, power
-// loss), re-running the same grid with -resume restores finished points
-// from the cache and mid-flight points from their snapshots, producing
-// byte-identical output to an uninterrupted sweep.
+// An interrupted sweep (SIGKILL, OOM, power loss) is recovered by running
+// the same command again with the same -cache: finished points are cache
+// hits, unfinished ones run fresh and deterministically, and the output is
+// byte-identical to an uninterrupted sweep (docs/SWEEP.md).
 //
 // Usage:
 //
 //	sweep [-preset fig5|fig6|fig7|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci|overload|overload-ci]
 //	      [-grid SPEC] [-j N]
 //	      [-cache DIR] [-bench FILE] [-csv] [-metrics] [-trace FILE]
-//	      [-ckpt-dir DIR] [-ckpt-every DUR] [-ckpt-retain K] [-resume]
 //	      [-progress] [-list] [-assert-agg]
 package main
 
@@ -68,7 +63,6 @@ import (
 	"time"
 
 	"armcivt/internal/obs"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 	"armcivt/internal/sweep"
 )
@@ -119,10 +113,6 @@ func main() {
 	list := flag.Bool("list", false, "print the expanded points and cache keys without running")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	assertAgg := flag.Bool("assert-agg", false, "compare aggregation off/on pairs and fail if aggregation regressed latency (needs agg=off,on in the grid)")
-	ckptDir := flag.String("ckpt-dir", "", "mid-point checkpoint + journal directory ('' disables; see docs/CHECKPOINT.md)")
-	ckptEvery := flag.Duration("ckpt-every", 0, "virtual-time capture interval (1ns of wall spec = 1ns virtual; 0 = default 1ms)")
-	ckptRetain := flag.Int("ckpt-retain", 0, "snapshots retained per point (0 = default 3)")
-	resume := flag.Bool("resume", false, "restore points interrupted mid-flight from their newest snapshot in -ckpt-dir")
 	flag.Parse()
 
 	spec := *gridSpec
@@ -170,28 +160,12 @@ func main() {
 	if *traceFile != "" {
 		tracer = obs.NewTracer()
 	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -resume needs -ckpt-dir (where the interrupted run left its snapshots)")
-		os.Exit(2)
-	}
 	reg := obs.NewRegistry()
 	runner := &sweep.Runner{
-		Workers:  *j,
-		CacheDir: *cacheDir,
-		Metrics:  reg,
-		Trace:    tracer,
-		Shards:   *shards,
-		Ckpt: sweep.CkptOptions{
-			Dir:    *ckptDir,
-			Every:  sim.Time(*ckptEvery),
-			Retain: *ckptRetain,
-			Resume: *resume,
-		},
-	}
-	if *resume {
-		if inflight, err := sweep.InFlight(*ckptDir); err == nil && len(inflight) > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: journal shows %d point(s) interrupted mid-flight; resuming from snapshots where possible\n", len(inflight))
-		}
+		Workers:     *j,
+		CacheDir:    *cacheDir,
+		Metrics:     reg,
+		ExecOptions: sweep.ExecOptions{Trace: tracer, Shards: *shards},
 	}
 	if *progress {
 		runner.Progress = func(done, total int, st sweep.Stats, eta time.Duration) {
@@ -240,9 +214,8 @@ func main() {
 		"sweep: %d points in %s with %d workers: %d executed, %d cached (%.0f%% hit rate), %d failed, speedup vs serial %.2fx\n",
 		st.Points, st.Wall.Round(time.Millisecond), st.Workers, st.Executed,
 		st.CacheHits, 100*st.CacheHitRate(), st.Failures, st.SpeedupVsSerial())
-	if st.Resumed > 0 || st.CacheCorrupt > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: recovery: %d point(s) resumed from mid-point snapshots, %d corrupt cache entr(ies) evicted and re-executed\n",
-			st.Resumed, st.CacheCorrupt)
+	if st.CacheCorrupt > 0 {
+		fmt.Fprintf(os.Stderr, "sweep: recovery: %d corrupt cache entr(ies) evicted and re-executed\n", st.CacheCorrupt)
 	}
 
 	if *benchPath != "" {

@@ -186,7 +186,7 @@ func main() {
 		}
 	}
 	sweep.Reindex(points)
-	runner := &sweep.Runner{Workers: *jobs, Trace: tracer, Shards: *shards}
+	runner := &sweep.Runner{Workers: *jobs, ExecOptions: sweep.ExecOptions{Trace: tracer, Shards: *shards}}
 	results, _ := runner.Run(points)
 
 	for _, sec := range sections {

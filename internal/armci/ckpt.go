@@ -1,179 +1,10 @@
 package armci
 
 import (
-	"fmt"
-	"path/filepath"
 	"sort"
 
 	"armcivt/internal/ckpt"
-	"armcivt/internal/sim"
 )
-
-// Checkpoint defaults (CkptConfig zero-value fills).
-const (
-	// DefaultCkptEvery is the default capture interval in virtual time. At
-	// the paper's microsecond-scale operation latencies a 1 ms boundary
-	// lands every few tens of thousands of protocol events — frequent
-	// enough that an interrupted run loses little (the figure workloads
-	// span single-digit milliseconds of virtual time), rare enough that
-	// digesting the arenas stays below the 10% overhead budget at the
-	// 16k-node scale point (BENCH_ckpt.json).
-	DefaultCkptEvery = sim.Millisecond
-	// DefaultCkptRetain keeps the last K snapshots on disk.
-	DefaultCkptRetain = 3
-)
-
-// CkptConfig arms periodic checkpointing on a runtime (Config.Ckpt).
-//
-// The design is a verified replay cursor, not a state dump: Go cannot
-// serialize the parked goroutine stacks that embody simulated processes, so
-// a snapshot records *where* the run was (boundary index and time) plus a
-// byte-comparable digest of every layer's state at that quiescent instant.
-// Restore rebuilds the runtime from the same Config, replays
-// deterministically to the cursor, proves the replayed state matches the
-// captured digests byte-for-byte, and continues. Because captures are
-// passive, an armed run is bit-identical to an unarmed one — which is what
-// makes the proof sound. See docs/CHECKPOINT.md.
-type CkptConfig struct {
-	// Dir is where snapshots are written (atomic write-then-rename,
-	// retain-last-K). Empty disables persistence: captures still run and
-	// CkptStatus still fills, which is what the in-process kill-and-resume
-	// harness uses.
-	Dir string
-	// Every is the virtual-time capture interval (default DefaultCkptEvery).
-	// Ignored on resume: the captured run's interval is authoritative.
-	Every sim.Time
-	// Retain caps how many snapshots Dir keeps (default DefaultCkptRetain).
-	Retain int
-	// RunKey names this run's snapshot family inside Dir and must match on
-	// resume (sweep uses the point's cache key). Default "run".
-	RunKey string
-	// Resume, when non-nil, switches the runtime to verify mode: the run
-	// replays from t=0 and at Resume.Index compares every layer's digest
-	// against the snapshot. A mismatch halts the run with *ckpt.CorruptError
-	// — never a silent partial restore.
-	Resume *ckpt.Snapshot
-	// KillAtIndex, when positive, halts the run with *ckpt.KilledError right
-	// after capturing boundary KillAtIndex — the in-process stand-in for
-	// SIGKILL that figures.Recover uses to test mid-flight interruption.
-	KillAtIndex int64
-}
-
-// CkptStatus reports what the checkpoint layer did during a run.
-type CkptStatus struct {
-	Captures  int   // boundaries captured (including the verified one)
-	Verified  bool  // resume verification passed at Resume.Index
-	LastIndex int64 // most recent boundary index captured
-	LastAt    int64 // ... and its virtual time (ns)
-	BytesLast int   // encoded size of the most recent snapshot
-}
-
-// ckptState is the runtime side-car driving captures (see armCkpt).
-type ckptState struct {
-	rt     *Runtime
-	cfg    CkptConfig
-	status CkptStatus
-}
-
-// armCkpt installs the engine checkpoint callback. Called from New after
-// ConfigureShards, before any workload runs.
-func (rt *Runtime) armCkpt() {
-	cs := &ckptState{rt: rt, cfg: *rt.cfg.Ckpt}
-	rt.ckpt = cs
-	rt.eng.ConfigureCheckpoints(cs.cfg.Every, cs.capture)
-}
-
-// CkptStatus returns a copy of the checkpoint layer's status (zero value when
-// checkpointing is not armed).
-func (rt *Runtime) CkptStatus() CkptStatus {
-	if rt.ckpt == nil {
-		return CkptStatus{}
-	}
-	return rt.ckpt.status
-}
-
-// snapshot assembles the four layer sections at the current quiescent
-// boundary.
-func (cs *ckptState) snapshot(at sim.Time, index int64) *ckpt.Snapshot {
-	rt := cs.rt
-	return &ckpt.Snapshot{
-		RunKey: cs.cfg.RunKey,
-		Every:  int64(cs.cfg.Every),
-		Index:  index,
-		At:     int64(at),
-		Shards: rt.cfg.Shards,
-		Sections: []ckpt.Section{
-			{Name: "sim", Data: rt.eng.CheckpointSection()},
-			{Name: "fabric", Data: rt.net.CheckpointSection()},
-			{Name: "faults", Data: rt.faultInj.CheckpointSection()},
-			{Name: "armci", Data: rt.checkpointSection()},
-		},
-	}
-}
-
-// capture is the engine callback: it runs in coordinator context with every
-// shard quiesced and must stay passive (no events, no RNG draws). In normal
-// mode it persists the snapshot; in verify mode (Resume set) it proves the
-// replayed state matches the captured digests at the cursor.
-func (cs *ckptState) capture(at sim.Time, index int64) {
-	rt := cs.rt
-	if res := cs.cfg.Resume; res != nil {
-		if index < res.Index {
-			return // still replaying toward the cursor
-		}
-		if index > res.Index {
-			// The replay skipped past the cursor: boundary indices diverged,
-			// which only happens when the runs are not the same run.
-			rt.eng.Halt(&ckpt.CorruptError{Section: "cursor",
-				Reason: fmt.Sprintf("replay reached boundary %d without passing the snapshot's %d", index, res.Index)})
-			return
-		}
-		snap := cs.snapshot(at, index)
-		if int64(at) != res.At {
-			rt.eng.Halt(&ckpt.CorruptError{Section: "cursor",
-				Reason: fmt.Sprintf("boundary %d replayed at t=%d, snapshot captured t=%d", index, at, res.At)})
-			return
-		}
-		for _, sec := range snap.Sections {
-			if string(sec.Data) != string(res.Section(sec.Name)) {
-				rt.eng.Halt(&ckpt.CorruptError{Section: sec.Name, Reason: "replay divergence"})
-				return
-			}
-		}
-		cs.status.Verified = true
-		cs.status.Captures++
-		cs.status.LastIndex, cs.status.LastAt = index, int64(at)
-		cs.cfg.Resume = nil // verified: continue in normal capture mode
-		if rt.cfg.Metrics != nil {
-			rt.cfg.Metrics.Counter("ckpt_verified_total").Inc()
-		}
-		return
-	}
-
-	snap := cs.snapshot(at, index)
-	enc := snap.Encode()
-	cs.status.Captures++
-	cs.status.LastIndex, cs.status.LastAt = index, int64(at)
-	cs.status.BytesLast = len(enc)
-	if rt.cfg.Metrics != nil {
-		rt.cfg.Metrics.Counter("ckpt_captures_total").Inc()
-		rt.cfg.Metrics.Gauge("ckpt_bytes_last").Set(float64(len(enc)))
-	}
-	if cs.cfg.Dir != "" {
-		path := filepath.Join(cs.cfg.Dir, ckpt.FileName(cs.cfg.RunKey, index))
-		if err := ckpt.WriteFileAtomic(path, enc, 0o644); err != nil {
-			rt.eng.Halt(fmt.Errorf("armci: checkpoint write failed: %w", err))
-			return
-		}
-		if err := ckpt.Retain(cs.cfg.Dir, cs.cfg.RunKey, cs.cfg.Retain); err != nil {
-			rt.eng.Halt(fmt.Errorf("armci: checkpoint retention failed: %w", err))
-			return
-		}
-	}
-	if cs.cfg.KillAtIndex > 0 && index >= cs.cfg.KillAtIndex {
-		rt.eng.Halt(&ckpt.KilledError{Index: index, At: int64(at)})
-	}
-}
 
 // checkpointSection digests the ARMCI layer's state at a quiescent boundary:
 // per-node protocol counters, the egress arena (credits, parked sends,

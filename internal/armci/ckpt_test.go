@@ -1,0 +1,106 @@
+package armci
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"armcivt/internal/core"
+	"armcivt/internal/faults"
+	"armcivt/internal/sim"
+)
+
+// armedChaosSections runs the fully armed chaos mix — two crash-stops with
+// healing, an ejection storm on node 0, overload protection, timeouts and
+// retries — on a 32x2 MFCG, and returns the sim, fabric, faults and armci
+// sections digested at every checkpoint boundary the run passes.
+func armedChaosSections(t *testing.T, shards int) [][]byte {
+	t.Helper()
+	const (
+		nodes, ppn = 32, 2
+		seed       = 1
+		horizon    = 2 * sim.Millisecond
+	)
+	eng := sim.New()
+	eng.Seed(seed)
+	schedule := faults.RandomNodeFaults(seed, nodes, 2, horizon)
+	victim := map[int]bool{}
+	for _, f := range schedule {
+		victim[f.A] = true
+	}
+	storm := faults.MustParseSpec("storm:0@t=100us@for=300us@bw=0.25@period=50us")
+	inj := faults.NewInjector(eng, nodes, &faults.Spec{Faults: append(schedule, storm.Faults...)})
+
+	cfg := DefaultConfig(nodes, ppn)
+	cfg.Topology = core.MustNew(core.MFCG, nodes)
+	cfg.Faults = inj
+	cfg.Heal.Enabled = true
+	cfg.Overload.Enabled = true
+	cfg.RequestTimeout = 200 * sim.Microsecond
+	cfg.MaxRetries = 4
+	cfg.CreditTimeout = 400 * sim.Microsecond
+	cfg.Shards = shards
+	sim.NewWatchdog(eng, 0, 0).Start()
+	rt, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+
+	var sections [][]byte
+	eng.ConfigureCheckpoints(250*sim.Microsecond, func(at sim.Time, index int64) {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "%d@%d;", index, at)
+		for _, sec := range [][]byte{eng.CheckpointSection(), rt.net.CheckpointSection(),
+			inj.CheckpointSection(), rt.checkpointSection()} {
+			b.Write(sec)
+		}
+		sections = append(sections, b.Bytes())
+	})
+
+	n := rt.NRanks()
+	var survivors []int
+	for rank := 0; rank < n; rank++ {
+		if !victim[rank/ppn] {
+			survivors = append(survivors, rank)
+		}
+	}
+	rt.Alloc("ledger", 8*n)
+	runAll(t, rt, func(r *Rank) {
+		if victim[r.Node()] {
+			r.Sleep(2 * horizon)
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(r.Rank())))
+		for i := 0; i < 8; i++ {
+			r.Wait(r.NbAcc(survivors[rng.Intn(len(survivors))], "ledger", 8*r.Rank(), 1.0, []float64{1}))
+			r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
+		}
+	})
+	if s := rt.Stats(); s.Confirms == 0 || s.Completions == 0 {
+		t.Fatalf("shards=%d: the mix never confirmed a crash or completed an op: %+v", shards, s)
+	}
+	return sections
+}
+
+// Every layer's state digest must match byte for byte at every boundary,
+// whether the armed mix runs serially or on eight shards: the per-boundary
+// form of the bit-identity contract, which also localizes a divergence to
+// its first boundary.
+func TestArmedChaosSectionsMatchAcrossShards(t *testing.T) {
+	serial := armedChaosSections(t, 1)
+	if len(serial) < 2 {
+		t.Fatalf("run passed only %d boundaries; want at least 2", len(serial))
+	}
+	t.Logf("%d boundaries", len(serial))
+	sharded := armedChaosSections(t, 8)
+	if len(sharded) != len(serial) {
+		t.Fatalf("shards=8 passed %d boundaries, serial %d", len(sharded), len(serial))
+	}
+	for i := range serial {
+		if !bytes.Equal(serial[i], sharded[i]) {
+			t.Fatalf("boundary %d: shards=8 sections differ from serial", i)
+		}
+	}
+}

@@ -1,17 +1,14 @@
-// Package ckpt defines the versioned, checksummed binary snapshot format
-// the checkpoint/restore subsystem stores on disk, plus the small set of
-// file-handling helpers every layer shares: atomic write-then-rename,
-// retain-last-K retention, and newest-snapshot discovery.
+// Package ckpt holds the byte-comparable state-digest helpers every layer
+// shares, plus the atomic file writer the sweep cache and the BENCH_*.json
+// records use.
 //
-// A snapshot is a header (run key, capture interval, boundary index, virtual
-// capture instant, shard count at capture) followed by one named section per
-// layer (sim kernel, fabric, fault injector, armci runtime). Section payloads
-// are byte-comparable state digests produced at a quiescent boundary of the
-// conservative-parallel kernel: because the kernel is bit-identical at every
-// shard count, a restore replays the run deterministically and byte-compares
-// the recomputed sections against the snapshot at the capture cursor — any
-// divergence is a *CorruptError, never a silent partial restore. Format,
-// quiescence rule and determinism argument: docs/CHECKPOINT.md.
+// Each simulation layer (sim kernel, fabric, fault injector, armci runtime)
+// exposes a CheckpointSection: a digest of its state at a quiescent boundary
+// of the conservative-parallel kernel (sim.Engine.ConfigureCheckpoints).
+// Because the kernel is bit-identical at every shard count, two runs of the
+// same workload produce byte-equal sections at every boundary; tests use them
+// as the determinism oracle. Quiescence rule and section contents:
+// docs/CHECKPOINT.md.
 //
 // The package is a pure-stdlib leaf: sim, fabric, faults, armci and sweep all
 // import it, so it must import none of them.
@@ -19,108 +16,14 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
-// Format constants. Bump Version whenever the encoding or the meaning of any
-// section changes incompatibly: Decode rejects other versions with a typed
-// *IncompatibleError before reading anything else, so a snapshot can never be
-// partially restored under the wrong semantics.
-const (
-	magic   = "AVCK"
-	Version = 1
-	// Ext is the snapshot file extension.
-	Ext = ".ckpt"
-)
-
-// Section is one layer's named state digest.
-type Section struct {
-	Name string
-	Data []byte
-}
-
-// Snapshot is a decoded checkpoint: the capture cursor plus the per-layer
-// sections taken at it.
-type Snapshot struct {
-	// RunKey identifies the run the snapshot belongs to (a sweep point's
-	// cache key, or a command-chosen label). Restore refuses a snapshot
-	// whose RunKey differs from the run being resumed.
-	RunKey string
-	// Every is the capture interval in virtual nanoseconds.
-	Every int64
-	// Index is the boundary index: the capture fired at virtual time
-	// Index*Every, at the first quiescent point past it.
-	Index int64
-	// At is the boundary's virtual time in nanoseconds (Index*Every).
-	At int64
-	// Shards is the kernel shard count at capture time. Informational only:
-	// sections digest no shard-dependent state, so a restore may run at a
-	// different shard count.
-	Shards int
-	// Sections holds the per-layer digests in capture order.
-	Sections []Section
-}
-
-// Section returns the named section's payload (nil if absent).
-func (s *Snapshot) Section(name string) []byte {
-	for _, sec := range s.Sections {
-		if sec.Name == name {
-			return sec.Data
-		}
-	}
-	return nil
-}
-
-// IncompatibleError reports a snapshot written by a different format version.
-type IncompatibleError struct {
-	Path    string
-	Version uint16
-}
-
-func (e *IncompatibleError) Error() string {
-	return fmt.Sprintf("ckpt: %s is format version %d, this build reads version %d",
-		e.Path, e.Version, Version)
-}
-
-// CorruptError reports a snapshot that failed an integrity check: a damaged
-// file (checksum, truncation, framing) or — with Section set — a layer whose
-// recomputed state diverged from the snapshot during restore replay.
-type CorruptError struct {
-	Path    string
-	Section string
-	Reason  string
-}
-
-func (e *CorruptError) Error() string {
-	where := e.Path
-	if e.Section != "" {
-		where += " section " + strconv.Quote(e.Section)
-	}
-	return fmt.Sprintf("ckpt: %s corrupt: %s", where, e.Reason)
-}
-
-// KilledError is the run-abort error the KillAtIndex test hook raises after
-// writing the given checkpoint: the in-process stand-in for a SIGKILL that
-// the kill-and-resume harness recovers from.
-type KilledError struct {
-	Index int64
-	At    int64
-}
-
-func (e *KilledError) Error() string {
-	return fmt.Sprintf("ckpt: run killed after checkpoint %d (t=%dns) by the kill-and-resume harness", e.Index, e.At)
-}
-
-// Enc is a little-endian append encoder. The layers build their snapshot
+// Enc is a little-endian append encoder. The layers build their state
 // sections with it so every value has one canonical byte form and sections
-// stay byte-comparable across capture and restore.
+// stay byte-comparable across runs.
 type Enc struct{ buf []byte }
 
 // U8 appends one byte.
@@ -149,7 +52,7 @@ func (e *Enc) Bytes() []byte { return e.buf }
 
 // Word-at-a-time mixing helpers. The layers fold large arrays (arenas,
 // heaps, link state) into fixed-size running digests instead of dumping
-// them raw, which keeps snapshots bounded at 64k-node scale while staying
+// them raw, which keeps sections bounded at 64k-node scale while staying
 // byte-comparable; one labeled digest per structure localizes a divergence
 // to its layer.
 //
@@ -208,178 +111,9 @@ func MixBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
-// Encode renders the snapshot in the on-disk format:
-//
-//	magic "AVCK" | u16 version | u16 reserved
-//	str runKey | i64 every | i64 index | i64 at | u32 shards | u32 nsections
-//	per section: str name | u32 len | u32 crc32(data) | data
-//	u32 crc32 over everything above
-//
-// All integers little-endian; strings length-prefixed. The per-section CRC
-// localizes corruption to a layer; the whole-file CRC catches truncation and
-// header damage.
-func (s *Snapshot) Encode() []byte {
-	var e Enc
-	e.buf = append(e.buf, magic...)
-	e.U32(uint32(Version)) // u16 version + u16 reserved, packed LE
-	e.Str(s.RunKey)
-	e.I64(s.Every)
-	e.I64(s.Index)
-	e.I64(s.At)
-	e.U32(uint32(s.Shards))
-	e.U32(uint32(len(s.Sections)))
-	for _, sec := range s.Sections {
-		e.Str(sec.Name)
-		e.U32(uint32(len(sec.Data)))
-		e.U32(crc32.ChecksumIEEE(sec.Data))
-		e.buf = append(e.buf, sec.Data...)
-	}
-	e.U32(crc32.ChecksumIEEE(e.buf))
-	return e.buf
-}
-
-// dec is the bounds-checked counterpart of Enc.
-type dec struct {
-	buf  []byte
-	off  int
-	path string
-}
-
-func (d *dec) fail(reason string) error {
-	return &CorruptError{Path: d.path, Reason: reason}
-}
-
-func (d *dec) u32(what string) (uint32, error) {
-	if d.off+4 > len(d.buf) {
-		return 0, d.fail("truncated reading " + what)
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v, nil
-}
-
-func (d *dec) i64(what string) (int64, error) {
-	if d.off+8 > len(d.buf) {
-		return 0, d.fail("truncated reading " + what)
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return int64(v), nil
-}
-
-func (d *dec) str(what string) (string, error) {
-	n, err := d.u32(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if d.off+int(n) > len(d.buf) {
-		return "", d.fail("truncated reading " + what)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// Decode parses and integrity-checks an encoded snapshot. Errors are typed:
-// *IncompatibleError for a version mismatch (checked before anything else, so
-// future formats are rejected whole), *CorruptError for bad magic, damaged
-// checksums, truncation or framing violations.
-func Decode(data []byte) (*Snapshot, error) { return decode(data, "snapshot") }
-
-func decode(data []byte, path string) (*Snapshot, error) {
-	d := &dec{buf: data, path: path}
-	if len(data) < len(magic)+4 {
-		return nil, d.fail(fmt.Sprintf("only %d bytes", len(data)))
-	}
-	if string(data[:len(magic)]) != magic {
-		return nil, d.fail("bad magic (not a checkpoint file)")
-	}
-	d.off = len(magic)
-	ver, _ := d.u32("version")
-	if v := uint16(ver & 0xffff); v != Version {
-		return nil, &IncompatibleError{Path: path, Version: v}
-	}
-	// Whole-file checksum next, so every later framing read operates on
-	// bytes already known good (a flipped byte anywhere is caught here).
-	if len(data) < d.off+4 {
-		return nil, d.fail("truncated before file checksum")
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, d.fail("file checksum mismatch")
-	}
-	d.buf = body
-	s := &Snapshot{}
-	var err error
-	if s.RunKey, err = d.str("run key"); err != nil {
-		return nil, err
-	}
-	if s.Every, err = d.i64("interval"); err != nil {
-		return nil, err
-	}
-	if s.Index, err = d.i64("index"); err != nil {
-		return nil, err
-	}
-	if s.At, err = d.i64("instant"); err != nil {
-		return nil, err
-	}
-	shards, err := d.u32("shard count")
-	if err != nil {
-		return nil, err
-	}
-	s.Shards = int(shards)
-	nsec, err := d.u32("section count")
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nsec; i++ {
-		var sec Section
-		if sec.Name, err = d.str("section name"); err != nil {
-			return nil, err
-		}
-		n, err := d.u32("section length")
-		if err != nil {
-			return nil, err
-		}
-		want, err := d.u32("section checksum")
-		if err != nil {
-			return nil, err
-		}
-		if d.off+int(n) > len(d.buf) {
-			return nil, &CorruptError{Path: path, Section: sec.Name, Reason: "truncated section payload"}
-		}
-		sec.Data = append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-		d.off += int(n)
-		if crc32.ChecksumIEEE(sec.Data) != want {
-			return nil, &CorruptError{Path: path, Section: sec.Name, Reason: "section checksum mismatch"}
-		}
-		s.Sections = append(s.Sections, sec)
-	}
-	if d.off != len(d.buf) {
-		return nil, d.fail(fmt.Sprintf("%d trailing bytes after last section", len(d.buf)-d.off))
-	}
-	return s, nil
-}
-
-// Load reads and decodes the snapshot at path.
-func Load(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decode(data, path)
-}
-
-// WriteAtomic encodes the snapshot and writes it to path atomically
-// (temp-file + rename in the destination directory), so a crash mid-write can
-// never leave a truncated snapshot under the final name.
-func (s *Snapshot) WriteAtomic(path string) error {
-	return WriteFileAtomic(path, s.Encode(), 0o644)
-}
-
 // WriteFileAtomic writes data to path via a same-directory temp file and
-// rename. It is the shared atomic-write helper: checkpoint files, sweep cache
-// entries and BENCH_*.json records all go through it, so an interrupted
+// rename. It is the shared atomic-write helper: sweep cache entries and
+// BENCH_*.json records both go through it, so an interrupted
 // writer leaves either the old file or the new one, never a torn mix.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
@@ -406,95 +140,6 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
 		return err
-	}
-	return nil
-}
-
-// sanitizeKey maps a run key to a filesystem-safe filename fragment.
-func sanitizeKey(key string) string {
-	if key == "" {
-		return "run"
-	}
-	var b strings.Builder
-	for _, r := range key {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// FileName returns the snapshot filename for (runKey, index):
-// "<key>-<index>.ckpt" with the index zero-padded so lexical order is
-// boundary order.
-func FileName(runKey string, index int64) string {
-	return fmt.Sprintf("%s-%010d%s", sanitizeKey(runKey), index, Ext)
-}
-
-// files returns the run's snapshot paths in ascending boundary order.
-func files(dir, runKey string) ([]string, error) {
-	pattern := filepath.Join(dir, sanitizeKey(runKey)+"-*"+Ext)
-	matches, err := filepath.Glob(pattern)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(matches) // zero-padded indices: lexical == numeric
-	return matches, nil
-}
-
-// Latest returns the newest snapshot of the run in dir, or ("", nil, nil)
-// when the run has none. A newest file that fails to decode is returned as
-// its typed error with the path filled in, so callers can report it, discard
-// the run's snapshots and start fresh — corruption is never silently trusted.
-func Latest(dir, runKey string) (string, *Snapshot, error) {
-	matches, err := files(dir, runKey)
-	if err != nil || len(matches) == 0 {
-		return "", nil, err
-	}
-	path := matches[len(matches)-1]
-	snap, err := Load(path)
-	if err != nil {
-		return path, nil, err
-	}
-	if snap.RunKey != runKey {
-		return path, nil, &CorruptError{Path: path, Reason: fmt.Sprintf("run key %q does not match %q", snap.RunKey, runKey)}
-	}
-	return path, snap, nil
-}
-
-// Retain deletes all but the newest keep snapshots of the run in dir.
-func Retain(dir, runKey string, keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	matches, err := files(dir, runKey)
-	if err != nil {
-		return err
-	}
-	for len(matches) > keep {
-		if err := os.Remove(matches[0]); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		matches = matches[1:]
-	}
-	return nil
-}
-
-// Purge deletes every snapshot of the run in dir (a completed run's
-// checkpoints have served their purpose).
-func Purge(dir, runKey string) error {
-	matches, err := files(dir, runKey)
-	if err != nil {
-		return err
-	}
-	for _, m := range matches {
-		if err := os.Remove(m); err != nil && !os.IsNotExist(err) {
-			return err
-		}
 	}
 	return nil
 }

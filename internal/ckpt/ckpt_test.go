@@ -1,180 +1,10 @@
 package ckpt
 
 import (
-	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-func sample() *Snapshot {
-	return &Snapshot{
-		RunKey: "abc123",
-		Every:  100_000,
-		Index:  7,
-		At:     700_000,
-		Shards: 8,
-		Sections: []Section{
-			{Name: "sim", Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
-			{Name: "fabric", Data: []byte("fabric-digest")},
-			{Name: "armci", Data: nil},
-		},
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	s := sample()
-	got, err := Decode(s.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RunKey != s.RunKey || got.Every != s.Every || got.Index != s.Index ||
-		got.At != s.At || got.Shards != s.Shards || len(got.Sections) != len(s.Sections) {
-		t.Fatalf("header mismatch: %+v != %+v", got, s)
-	}
-	for i, sec := range got.Sections {
-		if sec.Name != s.Sections[i].Name || string(sec.Data) != string(s.Sections[i].Data) {
-			t.Fatalf("section %d mismatch: %+v != %+v", i, sec, s.Sections[i])
-		}
-	}
-	if string(got.Section("fabric")) != "fabric-digest" {
-		t.Fatalf("Section lookup failed: %q", got.Section("fabric"))
-	}
-	if got.Section("nope") != nil {
-		t.Fatal("Section lookup of a missing name returned data")
-	}
-}
-
-// Every flipped byte anywhere in the file must surface as a typed error —
-// *IncompatibleError when it lands in the version field, *CorruptError
-// everywhere else — never a silently wrong snapshot.
-func TestFlippedByteIsTyped(t *testing.T) {
-	enc := sample().Encode()
-	for i := range enc {
-		bad := append([]byte(nil), enc...)
-		bad[i] ^= 0x40
-		_, err := Decode(bad)
-		if err == nil {
-			t.Fatalf("flipping byte %d went undetected", i)
-		}
-		var ce *CorruptError
-		var ie *IncompatibleError
-		if !errors.As(err, &ce) && !errors.As(err, &ie) {
-			t.Fatalf("flipping byte %d: untyped error %v", i, err)
-		}
-	}
-}
-
-func TestVersionMismatch(t *testing.T) {
-	enc := sample().Encode()
-	binary.LittleEndian.PutUint32(enc[4:], Version+1)
-	_, err := Decode(enc)
-	var ie *IncompatibleError
-	if !errors.As(err, &ie) {
-		t.Fatalf("want *IncompatibleError, got %v", err)
-	}
-	if ie.Version != Version+1 {
-		t.Fatalf("reported version %d, want %d", ie.Version, Version+1)
-	}
-}
-
-func TestTruncation(t *testing.T) {
-	enc := sample().Encode()
-	for _, n := range []int{0, 3, 7, len(enc) / 2, len(enc) - 1} {
-		_, err := Decode(enc[:n])
-		var ce *CorruptError
-		if !errors.As(err, &ce) {
-			t.Fatalf("truncation to %d bytes: want *CorruptError, got %v", n, err)
-		}
-	}
-}
-
-func TestBadMagic(t *testing.T) {
-	enc := sample().Encode()
-	enc[0] = 'X'
-	_, err := Decode(enc)
-	var ce *CorruptError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CorruptError, got %v", err)
-	}
-}
-
-func TestWriteLoadLatestRetainPurge(t *testing.T) {
-	dir := t.TempDir()
-	const key = "point/one:two" // exercises filename sanitization
-	for idx := int64(1); idx <= 5; idx++ {
-		s := sample()
-		s.RunKey, s.Index, s.At = key, idx, idx*s.Every
-		if err := s.WriteAtomic(filepath.Join(dir, FileName(key, idx))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path, snap, err := Latest(dir, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil || snap.Index != 5 {
-		t.Fatalf("Latest returned %v (path %s), want index 5", snap, path)
-	}
-	if err := Retain(dir, key, 2); err != nil {
-		t.Fatal(err)
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "*"+Ext))
-	if len(matches) != 2 {
-		t.Fatalf("Retain kept %d files, want 2: %v", len(matches), matches)
-	}
-	_, snap, err = Latest(dir, key)
-	if err != nil || snap == nil || snap.Index != 5 {
-		t.Fatalf("Latest after Retain: %v, %v", snap, err)
-	}
-	if err := Purge(dir, key); err != nil {
-		t.Fatal(err)
-	}
-	if path, snap, err = Latest(dir, key); err != nil || snap != nil || path != "" {
-		t.Fatalf("Latest after Purge: %q, %v, %v", path, snap, err)
-	}
-}
-
-// A tampered newest snapshot must come back from Latest as a typed error
-// with the path filled in, so callers can discard and restart fresh.
-func TestLatestReportsCorruptNewest(t *testing.T) {
-	dir := t.TempDir()
-	const key = "k"
-	s := sample()
-	s.RunKey = key
-	path := filepath.Join(dir, FileName(key, 3))
-	if err := s.WriteAtomic(path); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gotPath, snap, err := Latest(dir, key)
-	var ce *CorruptError
-	if !errors.As(err, &ce) || snap != nil || gotPath != path {
-		t.Fatalf("Latest on tampered file: path %q snap %v err %v", gotPath, snap, err)
-	}
-}
-
-// A run-key mismatch inside a structurally valid file is corruption too: the
-// snapshot must never be applied to a different run.
-func TestLatestRejectsForeignRunKey(t *testing.T) {
-	dir := t.TempDir()
-	s := sample()
-	s.RunKey = "other"
-	// Written under key "mine"'s filename, claiming to be "other" inside.
-	if err := s.WriteAtomic(filepath.Join(dir, FileName("mine", 1))); err != nil {
-		t.Fatal(err)
-	}
-	_, snap, err := Latest(dir, "mine")
-	var ce *CorruptError
-	if !errors.As(err, &ce) || snap != nil {
-		t.Fatalf("want *CorruptError for foreign run key, got %v, %v", snap, err)
-	}
-}
 
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()

@@ -72,11 +72,6 @@ type ChaosConfig struct {
 	// Trace is set.
 	Shards int
 
-	// Ckpt arms periodic checkpointing on the run (armci.Config.Ckpt). The
-	// kill-and-resume harness (figures.Recover) drives chaos runs through
-	// capture, in-process kill, and verified resume with it.
-	Ckpt *armci.CkptConfig
-
 	// Metrics/Trace/TracePID attach observability exactly as in
 	// ContentionConfig.
 	Metrics  *obs.Registry
@@ -101,11 +96,9 @@ type ChaosResult struct {
 	Stats       armci.Stats
 	// Fingerprint folds the per-rank ledgers, the per-rank outcome counters
 	// and the final clock into one value: two runs with equal fingerprints
-	// finished in the same end-to-end state. It is the oracle the
-	// kill-and-resume harness compares resumed runs against.
+	// finished in the same end-to-end state. It is the oracle runs at
+	// different shard counts are compared against.
 	Fingerprint uint64
-	// Ckpt reports what the checkpoint layer did (zero unless Ckpt was set).
-	Ckpt armci.CkptStatus
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -167,7 +160,6 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	cfg.Faults = inj
 	cfg.Heal.Enabled = c.Heal
 	cfg.Overload.Enabled = c.Overload
-	cfg.Ckpt = c.Ckpt
 	// Fast retry constants scaled to the horizon. The doubling retries from
 	// 200us put attempts at +200us/600us/1.4ms/3ms after issue — the last
 	// two comfortably past worst-case detection (2*SuspicionTimeout +
@@ -312,7 +304,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	// The ledger fingerprint: every rank's outcome counters plus the full
 	// applied matrix plus the final clock. This is the bit-identity oracle —
-	// a resumed run must reproduce it exactly (figures.Recover).
+	// every shard count must reproduce it exactly.
 	h := ckpt.MixInit
 	for o := 0; o < n; o++ {
 		h = ckpt.Mix(h, uint64(issued[o]))
@@ -325,6 +317,5 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	h = ckpt.Mix(h, uint64(res.Elapsed))
 	res.Fingerprint = h
-	res.Ckpt = rt.CkptStatus()
 	return res, nil
 }

@@ -50,6 +50,40 @@ func TestFamilyContentionShardDeterminism(t *testing.T) {
 	}
 }
 
+// allFamilySpecs covers all six topology families: the paper's four plus the
+// two parameterized families of the spec grammar.
+var allFamilySpecs = []string{
+	"fcg",
+	"mfcg",
+	"cfcg",
+	"hypercube",
+	"hyperx:4x4x2",
+	"dragonfly:g=8,a=4,h=2",
+}
+
+// chaosShardIdentical runs one chaos configuration at every shard count and
+// fails unless each result equals the serial one field for field.
+func chaosShardIdentical(t *testing.T, c ChaosConfig) {
+	t.Helper()
+	var base string
+	for _, shards := range shardCounts {
+		c.Shards = shards
+		res, err := Chaos(c)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.Issued == 0 || res.Completed == 0 {
+			t.Fatalf("shards=%d: degenerate workload %+v", shards, res)
+		}
+		got := fmt.Sprintf("%+v", *res)
+		if shards == shardCounts[0] {
+			base = got
+		} else if got != base {
+			t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
+		}
+	}
+}
+
 // TestFamilyChaos runs the crash/recover harness — with its internal ledger,
 // credit and detection-latency invariants — on both new families, with and
 // without healing, across shard counts. Healing exercises ReplacementHop on
@@ -62,23 +96,28 @@ func TestFamilyChaos(t *testing.T) {
 		}
 		for _, heal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/heal=%v", specStr, heal), func(t *testing.T) {
-				var base string
-				for _, shards := range shardCounts {
-					res, err := Chaos(ChaosConfig{
-						Topo: spec, Nodes: 32, PPN: 2, Heal: heal, Shards: shards,
-					})
-					if err != nil {
-						t.Fatalf("shards=%d: %v", shards, err)
-					}
-					got := fmt.Sprintf("%+v", *res)
-					if shards == shardCounts[0] {
-						base = got
-					} else if got != base {
-						t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-					}
-				}
+				chaosShardIdentical(t, ChaosConfig{Topo: spec, Nodes: 32, PPN: 2, Heal: heal})
 			})
 		}
+	}
+}
+
+// TestRecoverBitIdentityAcrossFamiliesAndShards stacks every crash/recover
+// chaos feature at once (crashes, a storm, overload protection, healing) on
+// all six families and requires each shard count to reproduce the serial
+// result field for field.
+func TestRecoverBitIdentityAcrossFamiliesAndShards(t *testing.T) {
+	for _, specStr := range allFamilySpecs {
+		spec, err := core.ParseSpec(specStr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(specStr, func(t *testing.T) {
+			chaosShardIdentical(t, ChaosConfig{
+				Topo: spec, Nodes: 32, PPN: 2, OpsPerRank: 8,
+				Crashes: 2, Storms: 1, Overload: true, Heal: true,
+			})
+		})
 	}
 }
 

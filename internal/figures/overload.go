@@ -91,10 +91,6 @@ type OverloadConfig struct {
 	// bit-identical for every value. Forced serial when Trace is set.
 	Shards int
 
-	// Ckpt arms periodic checkpointing on the run (armci.Config.Ckpt);
-	// captures are passive, so results are bit-identical either way.
-	Ckpt *armci.CkptConfig
-
 	// Metrics/Trace/TracePID attach observability exactly as in
 	// ContentionConfig.
 	Metrics  *obs.Registry
@@ -118,8 +114,6 @@ type OverloadResult struct {
 	WindowP99 float64
 	Elapsed   sim.Time
 	Stats     armci.Stats
-	// Ckpt reports what the checkpoint layer did (zero unless Ckpt was set).
-	Ckpt armci.CkptStatus
 }
 
 // Goodput returns completed operations per millisecond of virtual time.
@@ -238,7 +232,6 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 		// paced arrival and the port never escapes.
 		cfg.Overload.PaceFloor = 128 * sim.Microsecond
 	}
-	cfg.Ckpt = c.Ckpt
 	cfg.Metrics = c.Metrics
 	cfg.Trace = c.Trace
 	cfg.TracePID = c.TracePID
@@ -352,7 +345,6 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 	res := &OverloadResult{
 		TenantCompleted: make([]int, c.Tenants),
 		Stats:           rt.Stats(),
-		Ckpt:            rt.CkptStatus(),
 	}
 	// Elapsed is the workload makespan (last rank's finish), not eng.Now():
 	// the engine clock at Run's return is quantized by the watchdog's check

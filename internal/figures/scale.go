@@ -43,10 +43,6 @@ type ScaleConfig struct {
 	// Shards runs the kernel conservatively in parallel (bit-identical
 	// per the docs/PARALLELISM.md contract; Fingerprint witnesses it).
 	Shards int
-	// Ckpt arms periodic checkpointing on the run (armci.Config.Ckpt);
-	// captures are passive, so Fingerprint is bit-identical either way —
-	// the property BENCH_ckpt.json's overhead record relies on.
-	Ckpt *armci.CkptConfig
 	// Seed reseeds the engine's deterministic RNG (0 keeps the default).
 	Seed int64
 	// Measure takes runtime.MemStats snapshots around the measured phase
@@ -109,8 +105,6 @@ type ScaleResult struct {
 	// companion number the simulation's own footprint is compared against
 	// in docs/SCALING.md.
 	MasterRSS int64
-	// Ckpt reports what the checkpoint layer did (zero unless Ckpt was set).
-	Ckpt armci.CkptStatus
 }
 
 // Scale runs the scaling harness: Actives ranks incast windowed vectored
@@ -130,7 +124,6 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 	cfg := armci.DefaultConfig(c.Nodes, 1)
 	cfg.Topology = topo
 	cfg.Shards = c.Shards
-	cfg.Ckpt = c.Ckpt
 	rt, err := armci.New(eng, cfg)
 	if err != nil {
 		return nil, err
@@ -210,7 +203,6 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 		Ops:         c.Actives * c.Iters,
 		VirtualTime: eng.Now(),
 		MasterRSS:   armci.MasterRSSFor(cfg, topo, 0),
-		Ckpt:        rt.CkptStatus(),
 	}
 	if c.Measure {
 		res.MallocsDelta = after.Mallocs - before.Mallocs

@@ -3,13 +3,13 @@ package obs_test
 // Documentation-drift check: docs/OBSERVABILITY.md (baseline metrics),
 // docs/FAULTS.md (fault-injection and resilience metrics),
 // docs/PARALLELISM.md (sharded-kernel execution counters),
-// docs/OVERLOAD.md (congestion signaling, pacing and shed-ledger counters)
-// and docs/CHECKPOINT.md (checkpoint capture and restore-verification set)
-// are together the schema of record for every metric the repository emits. This test runs an
-// instrumented workload that exercises every emitting layer (armci runtime +
-// fabric via FillMetrics, a faulted run for the resilience counters, plus
-// the core analysis gauges cmd/topoviz publishes) and fails if any
-// registered metric name is missing from both documents.
+// and docs/OVERLOAD.md (congestion signaling, pacing and shed-ledger
+// counters) are together the schema of record for every metric the
+// repository emits. This test runs an instrumented workload that exercises
+// every emitting layer (armci runtime + fabric via FillMetrics, a faulted run
+// for the resilience counters, plus the core analysis gauges cmd/topoviz
+// publishes) and fails if any registered metric name is missing from every
+// document.
 //
 // It lives in package obs_test so it can import internal/armci, which
 // itself imports internal/obs.
@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"armcivt/internal/armci"
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
 	"armcivt/internal/obs"
@@ -131,38 +130,6 @@ func allLayersRegistry(t *testing.T) *obs.Registry {
 	ort.FillMetrics()
 	ort.Shutdown()
 
-	// A checkpoint-armed run and its resume add the ckpt_* names (schema in
-	// docs/CHECKPOINT.md): passive captures at quiescent boundaries, then a
-	// replay verified byte-for-byte against the snapshot cursor.
-	ckdir := t.TempDir()
-	ckRun := func(res *ckpt.Snapshot) {
-		ceng := sim.New()
-		ccfg := armci.DefaultConfig(9, 1)
-		ccfg.Topology = core.MustNew(core.MFCG, 9)
-		ccfg.Metrics = reg
-		ccfg.Ckpt = &armci.CkptConfig{
-			Dir: ckdir, Every: 10 * sim.Microsecond, RunKey: "obs", Resume: res,
-		}
-		crt := armci.MustNew(ceng, ccfg)
-		crt.Alloc("c", 1024)
-		if err := crt.Run(func(r *armci.Rank) {
-			r.Sleep(50 * sim.Microsecond) // guarantee several capture boundaries
-			r.Put(0, "c", 0, make([]byte, 64))
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if res != nil && !crt.CkptStatus().Verified {
-			t.Fatal("resumed run never verified the snapshot cursor")
-		}
-		crt.Shutdown()
-	}
-	ckRun(nil)
-	_, snap, err := ckpt.Latest(ckdir, "obs")
-	if err != nil || snap == nil {
-		t.Fatalf("checkpoint-armed run left no snapshot: %v", err)
-	}
-	ckRun(snap)
-
 	// The core analysis gauges, exactly as cmd/topoviz publishes them.
 	tl := obs.L("topo", core.MFCG.String())
 	reg.Gauge("core_diameter_hops", tl).Set(float64(core.Diameter(topo)))
@@ -176,7 +143,7 @@ func allLayersRegistry(t *testing.T) *obs.Registry {
 
 func TestEveryEmittedMetricIsDocumented(t *testing.T) {
 	var docs string
-	for _, path := range []string{"../../docs/OBSERVABILITY.md", "../../docs/FAULTS.md", "../../docs/PARALLELISM.md", "../../docs/OVERLOAD.md", "../../docs/CHECKPOINT.md"} {
+	for _, path := range []string{"../../docs/OBSERVABILITY.md", "../../docs/FAULTS.md", "../../docs/PARALLELISM.md", "../../docs/OVERLOAD.md"} {
 		doc, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +157,7 @@ func TestEveryEmittedMetricIsDocumented(t *testing.T) {
 	}
 	for _, name := range names {
 		if !strings.Contains(docs, "`"+name+"`") {
-			t.Errorf("metric %q is emitted but documented in none of docs/OBSERVABILITY.md, docs/FAULTS.md, docs/PARALLELISM.md, docs/OVERLOAD.md, docs/CHECKPOINT.md", name)
+			t.Errorf("metric %q is emitted but documented in none of docs/OBSERVABILITY.md, docs/FAULTS.md, docs/PARALLELISM.md, docs/OVERLOAD.md", name)
 		}
 	}
 }
@@ -215,7 +182,6 @@ func TestWorkloadCoversDocumentedTables(t *testing.T) {
 		"armci_heal_replays_total", "fabric_node_drops_total",
 		"fabric_ce_marks_total", "armci_overload_ce_acks_total",
 		"armci_pacing_waits_total", "armci_shed_total",
-		"ckpt_captures_total", "ckpt_bytes_last", "ckpt_verified_total",
 	} {
 		if !have[want] {
 			t.Errorf("documented metric %q not emitted by the all-layers workload", want)

@@ -17,8 +17,8 @@ import (
 //
 // The callback is passive: it must not schedule events, spawn processes, or
 // draw from the engine RNG (it may call Halt). Under that contract an armed
-// run is bit-identical to an unarmed one, which is what makes captures
-// verifiable against a deterministic replay (docs/CHECKPOINT.md).
+// run is bit-identical to an unarmed one, which is what lets tests compare
+// two runs' layer digests boundary by boundary (docs/CHECKPOINT.md).
 //
 // When several boundaries fall inside one event gap, fn fires once, at the
 // latest boundary passed. Must be called before Run.

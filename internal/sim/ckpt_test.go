@@ -131,8 +131,8 @@ func TestCheckpointBoundarySemantics(t *testing.T) {
 	}
 }
 
-// Halt from inside the capture callback stops the run before the next event —
-// the mechanism the kill-and-resume harness uses for in-process SIGKILL.
+// Halt from inside the capture callback stops the run before the next event,
+// so a callback that finds a divergence can stop the run at that boundary.
 func TestCheckpointCallbackMayHalt(t *testing.T) {
 	eng := New()
 	errStop := errors.New("stop")

@@ -68,8 +68,7 @@ func TestSweepDocsCoverEmittedNames(t *testing.T) {
 		"sweep_workers", "sweep_points_total", "sweep_executed_total",
 		"sweep_cache_hits_total", "sweep_failures_total",
 		"sweep_point_wall_us", "sweep_eta_seconds", "sweep_cache_hit_rate",
-		"sweep_cache_corrupt_total", "sweep_resumed_total",
-		"sweep_ckpt_corrupt_total",
+		"sweep_cache_corrupt_total",
 	} {
 		if !have[want] {
 			t.Errorf("documented metric %q not emitted by the drift workload", want)

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"armcivt/internal/armci"
-	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
 	"armcivt/internal/figures"
@@ -29,19 +27,10 @@ type Result struct {
 	WallNS   int64        `json:"wall_ns"`
 	Err      string       `json:"err,omitempty"`
 	Cached   bool         `json:"-"`
-	// Resumed marks a point whose execution was restored from a mid-point
-	// snapshot left by an interrupted sweep. Never serialized: a cache
-	// entry's bytes are identical whether or not the run was resumed,
-	// because checkpointing may not change a point's result.
-	Resumed bool `json:"-"`
 	// CacheCorrupt marks a point whose cache entry existed but was damaged
 	// (truncated, torn, unparseable). The entry was evicted and the point
 	// re-executed; the runner counts these as sweep_cache_corrupt_total.
 	CacheCorrupt bool `json:"-"`
-	// CkptCorrupt marks a point whose mid-point snapshot was damaged on disk
-	// or failed replay verification. The snapshots were purged and the point
-	// ran fresh; the runner counts these as sweep_ckpt_corrupt_total.
-	CkptCorrupt bool `json:"-"`
 }
 
 // Series converts a series-valued result into a labeled stats.Series.
@@ -57,37 +46,15 @@ type ExecOptions struct {
 	// used as the trace process id. Tracing implies a serial pool (the
 	// tracer is not goroutine-safe), which Runner.Run enforces.
 	Trace *obs.Tracer
+	// TraceSched additionally records every simulated process's scheduler
+	// run-slices into Trace (verbose). Only contention points honor it.
+	TraceSched bool
 	// Shards is the simulation kernel's conservative-parallel shard count
 	// for every executed point (<= 1 serial). Results are bit-identical for
 	// every value — the sharded-kernel determinism contract
 	// (docs/PARALLELISM.md) — which is why cached results stay valid across
 	// shard counts.
 	Shards int
-	// Ckpt arms mid-point checkpointing on executed points
-	// (docs/CHECKPOINT.md): each in-flight run snapshots itself at quiescent
-	// boundaries so an interrupted sweep resumes from a mix of cached points
-	// and mid-point snapshots. This honors the contract above — captures are
-	// passive and verified restores bit-identical — so cache keys and
-	// results are untouched.
-	Ckpt CkptOptions
-}
-
-// CkptOptions configures mid-point checkpointing for a sweep's executed
-// points. The zero value disables it.
-type CkptOptions struct {
-	// Dir holds the per-point snapshots (keyed by Point.Key()) and the sweep
-	// journal. Empty disables checkpointing.
-	Dir string
-	// Every is the capture interval in virtual time (default
-	// armci.DefaultCkptEvery).
-	Every sim.Time
-	// Retain bounds the snapshots kept per point (default
-	// armci.DefaultCkptRetain).
-	Retain int
-	// Resume restores each executed point from its newest surviving snapshot
-	// before running. A damaged snapshot or a replay divergence never fails
-	// the point: the snapshots are purged and the point runs fresh.
-	Resume bool
 }
 
 // failErr renders an execution error for Result.Err, expanding watchdog
@@ -98,53 +65,6 @@ func failErr(err error) string {
 		return werr.Report.String()
 	}
 	return err.Error()
-}
-
-// runCheckpointed drives one simulating experiment under the sweep's
-// mid-point checkpoint policy. run executes the experiment with the given
-// arming (nil when checkpointing is disabled); it is re-invoked at most
-// once, fresh, if a resumed attempt failed replay verification. On success
-// the point's snapshots are purged — from here the result cache takes over.
-func runCheckpointed(p Point, opts ExecOptions, res *Result, run func(ck *armci.CkptConfig) error) {
-	ck := opts.Ckpt
-	if ck.Dir == "" {
-		if err := run(nil); err != nil {
-			res.Err = failErr(err)
-		}
-		return
-	}
-	key := p.Key()
-	cfg := &armci.CkptConfig{Dir: ck.Dir, Every: ck.Every, Retain: ck.Retain, RunKey: key}
-	if ck.Resume {
-		if _, snap, err := ckpt.Latest(ck.Dir, key); err != nil {
-			// A damaged snapshot never fails the point: evict it and run
-			// fresh. The typed errors (Corrupt/Incompatible) matter to the
-			// recover harness; here recovery is always "re-simulate".
-			ckpt.Purge(ck.Dir, key)
-			res.CkptCorrupt = true
-		} else if snap != nil {
-			cfg.Resume = snap
-		}
-	}
-	err := run(cfg)
-	if cfg.Resume != nil {
-		var cerr *ckpt.CorruptError
-		if errors.As(err, &cerr) {
-			// Replay divergence: the snapshot does not describe this point's
-			// deterministic history (a stale grid definition, doctored
-			// digests). Purge it and run once more from scratch.
-			ckpt.Purge(ck.Dir, key)
-			res.CkptCorrupt = true
-			err = run(&armci.CkptConfig{Dir: ck.Dir, Every: ck.Every, Retain: ck.Retain, RunKey: key})
-		} else if err == nil {
-			res.Resumed = true
-		}
-	}
-	if err != nil {
-		res.Err = failErr(err)
-		return
-	}
-	ckpt.Purge(ck.Dir, key)
 }
 
 // Execute runs one point to completion and returns its result. It is a pure
@@ -159,9 +79,14 @@ func Execute(p Point, opts ExecOptions) Result {
 		res.Err = err.Error()
 		return res
 	}
+	var reg *obs.Registry
+	if p.Metrics {
+		reg = obs.NewRegistry()
+	}
+	var caption string
 	switch p.Experiment {
 	case ExpChaos:
-		cc := figures.ChaosConfig{
+		cres, err := figures.Chaos(figures.ChaosConfig{
 			Kind:       spec.Kind,
 			Topo:       spec,
 			Nodes:      p.Nodes,
@@ -170,37 +95,22 @@ func Execute(p Point, opts ExecOptions) Result {
 			Crashes:    p.Crashes,
 			Seed:       p.EffectiveSeed(),
 			Heal:       p.Heal == "on",
-		}
-		if opts.Trace != nil {
-			cc.Trace = opts.Trace
-			cc.TracePID = p.Index
-		}
-		var reg *obs.Registry
-		var cres *figures.ChaosResult
-		runCheckpointed(p, opts, &res, func(ck *armci.CkptConfig) error {
-			if p.Metrics {
-				// A fresh registry per attempt: a fresh rerun after a
-				// divergent resume must not double-count.
-				reg = obs.NewRegistry()
-				cc.Metrics = reg
-			}
-			cc.Ckpt = ck
-			var err error
-			cres, err = figures.Chaos(cc)
-			return err
+			Shards:     opts.Shards,
+			Metrics:    reg,
+			Trace:      opts.Trace,
+			TracePID:   p.Index,
 		})
-		if res.Err != "" {
+		if err != nil {
+			res.Err = failErr(err)
 			return res
 		}
 		// The scalar of a chaos point is its failed-operation count: zero
 		// (barring partitions) with healing on, the lost-path count with it
 		// off — the pair the merged table compares.
 		res.Value = float64(cres.Failed)
-		if reg != nil {
-			res.Snapshot = reg.Snapshot(fmt.Sprintf("metrics: chaos %s, %d crashes, heal %s", p.Topo, p.Crashes, onOff(p.Heal)))
-		}
+		caption = fmt.Sprintf("metrics: chaos %s, %d crashes, heal %s", p.Topo, p.Crashes, onOff(p.Heal))
 	case ExpOverload:
-		oc := figures.OverloadConfig{
+		ores, err := figures.Overload(figures.OverloadConfig{
 			Kind:       spec.Kind,
 			Topo:       spec,
 			Nodes:      p.Nodes,
@@ -211,34 +121,20 @@ func Execute(p Point, opts ExecOptions) Result {
 			Seed:       p.EffectiveSeed(),
 			Protect:    p.Overload == "on",
 			Shards:     opts.Shards,
-		}
-		if opts.Trace != nil {
-			oc.Trace = opts.Trace
-			oc.TracePID = p.Index
-		}
-		var reg *obs.Registry
-		var ores *figures.OverloadResult
-		runCheckpointed(p, opts, &res, func(ck *armci.CkptConfig) error {
-			if p.Metrics {
-				reg = obs.NewRegistry()
-				oc.Metrics = reg
-			}
-			oc.Ckpt = ck
-			var err error
-			ores, err = figures.Overload(oc)
-			return err
+			Metrics:    reg,
+			Trace:      opts.Trace,
+			TracePID:   p.Index,
 		})
-		if res.Err != "" {
+		if err != nil {
+			res.Err = failErr(err)
 			return res
 		}
 		// The scalar of an overload point is its goodput (completed ops per
 		// virtual millisecond): the protected/unprotected pair at each storm
 		// intensity is the collapse comparison the merged table shows.
 		res.Value = ores.Goodput()
-		if reg != nil {
-			res.Snapshot = reg.Snapshot(fmt.Sprintf("metrics: overload %s, %d storms, %d tenants, protection %s",
-				p.Topo, p.Storms, p.Tenants, onOff(p.Overload)))
-		}
+		caption = fmt.Sprintf("metrics: overload %s, %d storms, %d tenants, protection %s",
+			p.Topo, p.Storms, p.Tenants, onOff(p.Overload))
 	case ExpMemscale:
 		v, err := figures.Fig5PointSpec(p.Procs, p.PPN, spec)
 		if err != nil {
@@ -265,6 +161,10 @@ func Execute(p Point, opts ExecOptions) Result {
 			Heal:            p.Heal == "on",
 			Overload:        p.Overload == "on",
 			Shards:          opts.Shards,
+			Metrics:         reg,
+			Trace:           opts.Trace,
+			TracePID:        p.Index,
+			TraceSched:      opts.TraceSched,
 		}
 		if p.Op == "fadd" {
 			cfg.Op = figures.OpFetchAdd
@@ -277,31 +177,19 @@ func Execute(p Point, opts ExecOptions) Result {
 			}
 			cfg.Faults = fspec
 		}
-		if opts.Trace != nil {
-			cfg.Trace = opts.Trace
-			cfg.TracePID = p.Index
-		}
-		var reg *obs.Registry
-		var s *stats.Series
-		runCheckpointed(p, opts, &res, func(ck *armci.CkptConfig) error {
-			if p.Metrics {
-				reg = obs.NewRegistry()
-				cfg.Metrics = reg
-			}
-			cfg.Ckpt = ck
-			var err error
-			s, err = figures.Contention(cfg)
-			return err
-		})
-		if res.Err != "" {
+		s, err := figures.Contention(cfg)
+		if err != nil {
+			res.Err = failErr(err)
 			return res
 		}
 		res.X, res.Y = s.X, s.Y
-		if reg != nil {
-			res.Snapshot = reg.Snapshot(fmt.Sprintf("metrics: %s, %s", p.Topo, LevelName(p.Level)))
-		}
+		caption = fmt.Sprintf("metrics: %s, %s", p.Topo, LevelName(p.Level))
 	default:
 		res.Err = fmt.Sprintf("sweep: unknown experiment %q", p.Experiment)
+		return res
+	}
+	if reg != nil && caption != "" {
+		res.Snapshot = reg.Snapshot(caption)
 	}
 	return res
 }

@@ -38,9 +38,6 @@ type Stats struct {
 	// contribute nothing): what a -j 1 run of the executed points would
 	// cost, the denominator-free baseline for SpeedupVsSerial.
 	SerialWall time.Duration
-	// Resumed counts executed points restored from a mid-point snapshot left
-	// by an interrupted sweep (docs/CHECKPOINT.md).
-	Resumed int
 	// CacheCorrupt counts cache entries that existed but were damaged; each
 	// was evicted and its point re-executed.
 	CacheCorrupt int
@@ -85,23 +82,12 @@ type Runner struct {
 	// Progress, when non-nil, is called after every completed point with
 	// the running tally and an ETA extrapolated from throughput so far.
 	Progress func(done, total int, st Stats, eta time.Duration)
-	// Trace forwards every run's spans into one tracer. The tracer is not
-	// goroutine-safe, so a non-nil Trace forces a serial pool and, because
-	// a cache hit would silently drop the run's spans, bypasses the cache.
-	Trace *obs.Tracer
-	// Shards is the per-point simulation kernel shard count, forwarded to
-	// the executor via ExecOptions (<= 1 serial). It multiplies with
-	// Workers: Workers points run concurrently, each on Shards lanes.
-	// Results and cache keys are unaffected (bit-identical contract).
-	Shards int
-	// Ckpt arms crash-resilient execution (docs/CHECKPOINT.md): with a
-	// non-"" Dir every executed point checkpoints itself at quiescent
-	// boundaries and the run appends to Dir's journal; with Resume set,
-	// points interrupted mid-flight restore from their newest snapshot.
-	// Like Shards, none of it can change a point's result — checkpointing
-	// is passive and restores are verified bit-identical — so cache keys
-	// are unaffected.
-	Ckpt CkptOptions
+	// ExecOptions is forwarded to the executor for every point. Shards
+	// multiplies with Workers: Workers points run concurrently, each on
+	// Shards lanes. Trace is not goroutine-safe, so a non-nil Trace forces a
+	// serial pool and, because a cache hit would silently drop the run's
+	// spans, bypasses the cache. Results and cache keys are unaffected.
+	ExecOptions
 	// Exec overrides the point executor (tests); nil uses Execute.
 	Exec func(Point, ExecOptions) Result
 }
@@ -125,21 +111,13 @@ func (r *Runner) Run(points []Point) ([]Result, Stats) {
 		return results, st
 	}
 
-	// The journal (errors non-fatal: it is a progress record, not a
-	// correctness layer) lives next to the snapshots it indexes.
-	var jl *Journal
-	if r.Ckpt.Dir != "" {
-		jl, _ = OpenJournal(r.Ckpt.Dir)
-		defer jl.Close()
-	}
-
 	start := time.Now()
 	jobs := make(chan Point)
 	done := make(chan Result)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for p := range jobs {
-				done <- r.runPoint(p, jl)
+				done <- r.runPoint(p)
 			}
 		}()
 	}
@@ -153,12 +131,10 @@ func (r *Runner) Run(points []Point) ([]Result, Stats) {
 	m := r.Metrics
 	m.Gauge("sweep_workers").Set(float64(workers))
 	m.Counter("sweep_points_total").Add(float64(len(points)))
-	// The recovery counters register up front (at zero) so the metric
-	// surface is identical whether or not a run exercises them — the
+	// The corruption counter registers up front (at zero) so the metric
+	// surface is identical whether or not a run exercises it — the
 	// docs-drift tests depend on the full name set appearing every run.
 	m.Counter("sweep_cache_corrupt_total").Add(0)
-	m.Counter("sweep_ckpt_corrupt_total").Add(0)
-	m.Counter("sweep_resumed_total").Add(0)
 	for completed := 0; completed < len(points); completed++ {
 		res := <-done
 		results[res.Point.Index] = res
@@ -176,16 +152,9 @@ func (r *Runner) Run(points []Point) ([]Result, Stats) {
 			st.Failures++
 			m.Counter("sweep_failures_total").Inc()
 		}
-		if res.Resumed {
-			st.Resumed++
-			m.Counter("sweep_resumed_total").Inc()
-		}
 		if res.CacheCorrupt {
 			st.CacheCorrupt++
 			m.Counter("sweep_cache_corrupt_total").Inc()
-		}
-		if res.CkptCorrupt {
-			m.Counter("sweep_ckpt_corrupt_total").Inc()
 		}
 		st.Wall = time.Since(start)
 		var eta time.Duration
@@ -202,13 +171,12 @@ func (r *Runner) Run(points []Point) ([]Result, Stats) {
 	return results, st
 }
 
-// runPoint executes one point in a worker: cache lookup, journaled and
-// isolated execution, cache store. A panic anywhere in the simulation stack
-// becomes the point's Err.
-func (r *Runner) runPoint(p Point, jl *Journal) (res Result) {
+// runPoint executes one point in a worker: cache lookup, isolated
+// execution, cache store. A panic anywhere in the simulation stack becomes
+// the point's Err.
+func (r *Runner) runPoint(p Point) (res Result) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			jl.Record(EvFail, p.Key(), p.Label())
 			res = Result{Point: p, Label: p.Label(), Err: fmt.Sprintf("panic: %v", rec)}
 		}
 	}()
@@ -225,16 +193,10 @@ func (r *Runner) runPoint(p Point, jl *Journal) (res Result) {
 	if exec == nil {
 		exec = Execute
 	}
-	jl.Record(EvStart, p.Key(), p.Label())
 	start := time.Now()
-	res = exec(p, ExecOptions{Trace: r.Trace, Shards: r.Shards, Ckpt: r.Ckpt})
+	res = exec(p, r.ExecOptions)
 	res.WallNS = time.Since(start).Nanoseconds()
 	res.CacheCorrupt = res.CacheCorrupt || corrupt
-	if res.Err != "" {
-		jl.Record(EvFail, p.Key(), p.Label())
-	} else {
-		jl.Record(EvDone, p.Key(), p.Label())
-	}
 	if useCache && res.Err == "" {
 		r.cacheStore(res)
 	}

@@ -2,8 +2,11 @@ package sweep
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"armcivt/internal/obs"
 	"armcivt/internal/sim"
 )
 
@@ -101,6 +104,51 @@ func TestFailedResultsAreNotCached(t *testing.T) {
 	}}
 	if _, st := ok.Run(points); st.CacheHits != 0 || executed != 1 {
 		t.Fatalf("failed result was served from cache (hits=%d executed=%d)", st.CacheHits, executed)
+	}
+}
+
+// A cache entry that exists but is damaged must be treated as a miss (the
+// point re-executes and rewrites it), evicted from disk, and counted as
+// sweep_cache_corrupt_total — never parsed into a wrong result and never able
+// to poison later runs.
+func TestCorruptCacheEntryEvictedAndRecounted(t *testing.T) {
+	points := []Point{{Experiment: ExpContention, Topo: "FCG", Nodes: 4, PPN: 1}}
+	Reindex(points)
+	dir := t.TempDir()
+	executed := 0
+	r := func() *Runner {
+		return &Runner{Workers: 1, CacheDir: dir, Metrics: obs.NewRegistry(),
+			Exec: func(p Point, _ ExecOptions) Result {
+				executed++
+				return Result{Point: p, Label: p.Label(), Value: 7}
+			}}
+	}
+	if _, st := r().Run(points); st.Executed != 1 {
+		t.Fatalf("seeding run executed %d points", st.Executed)
+	}
+
+	// Truncate the entry on purpose: the crash/torn-write signature.
+	path := filepath.Join(dir, points[0].Key()+".json")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	run2 := r()
+	_, st := run2.Run(points)
+	if st.Executed != 1 || st.CacheHits != 0 || st.CacheCorrupt != 1 || executed != 2 {
+		t.Fatalf("corrupt entry not re-executed: %+v (executed %d)", st, executed)
+	}
+	if got := run2.Metrics.Counter("sweep_cache_corrupt_total").Value(); got != 1 {
+		t.Fatalf("sweep_cache_corrupt_total = %v, want 1", got)
+	}
+
+	// The re-execution rewrote a healthy entry: third run is a pure hit.
+	if _, st := r().Run(points); st.CacheHits != 1 || st.CacheCorrupt != 0 {
+		t.Fatalf("entry not healed: %+v", st)
 	}
 }
 

@@ -61,7 +61,8 @@ func LevelName(level string) string {
 // value expands to the paper's default Fig 6 grid; ParseGrid fills one from
 // the textual grammar documented in docs/SWEEP.md.
 type Grid struct {
-	// Experiment selects the executor: "contention" (default) or "memscale".
+	// Experiment selects the executor: "contention" (default), "memscale",
+	// "chaos" or "overload".
 	Experiment string
 	// Spec preserves the textual form the grid was parsed from, for
 	// provenance in BENCH_sweep.json ("" when constructed in code).
