@@ -34,13 +34,13 @@
 //	sweep -grid 'exp=contention;topos=fcg,mfcg;nodes=64;ppn=2;iters=5;\
 //	             msgsize=128,256,1024;levels=20;faults=none|cht:1@t=1ms' -j 8
 //
-// Results land in three places: merged figure-compatible tables on stdout
-// (-csv for CSV), a BENCH_sweep.json perf record (wall-clock per point,
-// speedup vs serial, cache hit rate — schema in docs/SWEEP.md), and the
-// content-addressed cache, so re-running a sweep re-executes only points
-// whose configuration changed. -metrics appends per-run observability
-// snapshots and the sweep engine's own progress metrics; -trace writes all
-// runs into one Chrome-trace file (forces -j 1, bypasses the cache).
+// Results land in merged figure-compatible tables on stdout (-csv for CSV)
+// and in the content-addressed cache, so re-running a sweep re-executes
+// only points whose configuration changed; a one-line summary on stderr
+// counts executed, cached and failed points. -metrics appends per-run
+// observability snapshots and the sweep engine's own progress metrics;
+// -trace writes all runs into one Chrome-trace file (forces -j 1, bypasses
+// the cache), and -trace-sched adds scheduler run-slices to it.
 //
 // An interrupted sweep (SIGKILL, OOM, power loss) is recovered by running
 // the same command again with the same -cache: finished points are cache
@@ -51,7 +51,7 @@
 //
 //	sweep [-preset fig5|fig6|fig7|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci|overload|overload-ci]
 //	      [-grid SPEC] [-j N]
-//	      [-cache DIR] [-bench FILE] [-csv] [-metrics] [-trace FILE]
+//	      [-cache DIR] [-csv] [-metrics] [-trace FILE [-trace-sched]]
 //	      [-progress] [-list] [-assert-agg]
 package main
 
@@ -105,15 +105,19 @@ func main() {
 	gridSpec := flag.String("grid", "", "grid spec (see docs/SWEEP.md); overrides -preset")
 	j := flag.Int("j", runtime.NumCPU(), "worker-pool size (1 = serial)")
 	cacheDir := flag.String("cache", ".sweep-cache", "result cache directory ('' disables caching)")
-	benchPath := flag.String("bench", "BENCH_sweep.json", "perf-record output path ('' disables)")
 	csv := flag.Bool("csv", false, "emit CSV tables")
 	metrics := flag.Bool("metrics", false, "append per-run observability snapshots and sweep engine metrics")
 	traceFile := flag.String("trace", "", "write all runs as one Chrome-trace JSON file (forces -j 1, bypasses cache)")
+	traceSched := flag.Bool("trace-sched", false, "with -trace: include scheduler run-slices of contention points (verbose)")
 	progress := flag.Bool("progress", false, "report per-point progress and ETA on stderr")
 	list := flag.Bool("list", false, "print the expanded points and cache keys without running")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	assertAgg := flag.Bool("assert-agg", false, "compare aggregation off/on pairs and fail if aggregation regressed latency (needs agg=off,on in the grid)")
 	flag.Parse()
+	if *traceSched && *traceFile == "" {
+		fmt.Fprintln(os.Stderr, "-trace-sched needs -trace")
+		os.Exit(2)
+	}
 
 	spec := *gridSpec
 	if spec == "" {
@@ -165,7 +169,7 @@ func main() {
 		Workers:     *j,
 		CacheDir:    *cacheDir,
 		Metrics:     reg,
-		ExecOptions: sweep.ExecOptions{Trace: tracer, Shards: *shards},
+		ExecOptions: sweep.ExecOptions{Trace: tracer, TraceSched: *traceSched, Shards: *shards},
 	}
 	if *progress {
 		runner.Progress = func(done, total int, st sweep.Stats, eta time.Duration) {
@@ -218,13 +222,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sweep: recovery: %d corrupt cache entr(ies) evicted and re-executed\n", st.CacheCorrupt)
 	}
 
-	if *benchPath != "" {
-		if err := sweep.NewBench(spec, results, st).Write(*benchPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sweep: wrote perf record to %s\n", *benchPath)
-	}
 	if tracer != nil {
 		f, err := os.Create(*traceFile)
 		if err != nil {

@@ -14,18 +14,13 @@
 // With -metrics, each contention run (Figs 6-7) appends its observability
 // snapshot to the report; with -trace FILE all contention runs are written
 // into one Chrome-trace JSON file, one trace process per run (see
-// docs/OBSERVABILITY.md; forces -j 1). With -faults SPEC, the contention
-// runs execute under the given fault schedule (grammar in docs/FAULTS.md),
-// exercising the timeout/retry/reroute machinery; -heal arms heartbeat
-// membership and topology self-healing for those runs (a bit-identical
-// no-op unless the schedule contains node: crash-stop faults); -overload
-// arms the overload-protection layer (congestion marking, AIMD injection
-// pacing and the degradation ladder — see docs/OVERLOAD.md).
+// docs/OBSERVABILITY.md; forces -j 1). The report runs the paper's
+// fault-free configurations; fault schedules, healing and overload
+// protection are the faults=, heal= and overload= keys of a cmd/sweep grid.
 //
 // Usage:
 //
-//	vtreport [-quick|-full] [-j N] [-metrics] [-trace FILE] [-faults SPEC]
-//	         [-heal] [-overload] > report.md
+//	vtreport [-quick|-full] [-j N] [-metrics] [-trace FILE] [-shards K] > report.md
 package main
 
 import (
@@ -39,7 +34,6 @@ import (
 	"armcivt/internal/apps/dft"
 	"armcivt/internal/apps/lu"
 	"armcivt/internal/core"
-	"armcivt/internal/faults"
 	"armcivt/internal/figures"
 	"armcivt/internal/obs"
 	"armcivt/internal/sim"
@@ -106,9 +100,6 @@ func main() {
 	jobs := flag.Int("j", 1, "worker-pool size for the contention grid (Figs 6-7)")
 	metrics := flag.Bool("metrics", false, "append observability snapshots to the contention sections")
 	traceFile := flag.String("trace", "", "write contention runs as one Chrome-trace JSON file (forces -j 1)")
-	faultSpec := flag.String("faults", "", "fault schedule for the contention runs (see docs/FAULTS.md)")
-	heal := flag.Bool("heal", false, "enable heartbeat membership and topology self-healing (no-op without node: faults)")
-	overload := flag.Bool("overload", false, "enable the overload-protection layer for the contention runs (see docs/OVERLOAD.md)")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	flag.Parse()
 	s := quickScale()
@@ -116,12 +107,6 @@ func main() {
 	if *full {
 		s = fullScale()
 		mode = "full"
-	}
-	if *faultSpec != "" {
-		if _, err := faults.ParseSpec(*faultSpec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	}
 	var tracer *obs.Tracer
 	if *traceFile != "" {
@@ -138,6 +123,7 @@ func main() {
 	ss, err := figures.Fig5(s.memProcs, s.memPPN)
 	check(err)
 	stats.SeriesTable("memory (MBytes)", "processes", ss).Write(w)
+	fig5Increments(w, s.memProcs[len(s.memProcs)-1], s.memPPN)
 
 	// Build the whole contention grid (3 levels x {Fig 6 vput, Fig 7 fadd} x
 	// topologies) as one sweep point list, so -j parallelizes across every
@@ -175,9 +161,6 @@ func main() {
 					Iters:          s.contention.Iters,
 					SampleEvery:    s.contention.SampleEvery,
 					StreamLimit:    s.contention.StreamLimit,
-					Faults:         *faultSpec,
-					Heal:           toggle(*heal),
-					Overload:       toggle(*overload),
 					Metrics:        *metrics,
 				})
 			}
@@ -240,14 +223,24 @@ func main() {
 
 func section(w io.Writer, title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
 
-// toggle renders a boolean flag (-heal, -overload) as the Point's canonical
-// toggle value: "on" or, for off, the empty string that keeps pre-existing
-// cache keys.
-func toggle(b bool) string {
-	if b {
-		return "on"
+// fig5Increments prints the buffer-driven RSS increment over the base
+// footprint at the largest process count, and each sparse topology's
+// reduction against FCG: the paper's headline Fig 5 numbers.
+func fig5Increments(w io.Writer, procs, ppn int) {
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Buffer-driven RSS increment over the base footprint (paper: FCG +812 MB at 12,288 procs,")
+	fmt.Fprintln(w, "cut 7.5x / 16.6x / 45x by MFCG / CFCG / Hypercube):")
+	fcgInc, err := figures.Fig5Increment(procs, ppn, core.FCG)
+	check(err)
+	fmt.Fprintf(w, "  FCG        +%7.1f MB\n", fcgInc)
+	for _, kind := range []core.Kind{core.MFCG, core.CFCG, core.Hypercube} {
+		inc, err := figures.Fig5Increment(procs, ppn, kind)
+		if err != nil {
+			fmt.Fprintf(w, "  %-10s n/a (%v)\n", kind, err)
+			continue
+		}
+		fmt.Fprintf(w, "  %-10s +%7.1f MB  (%.1fx reduction)\n", kind, inc, fcgInc/inc)
 	}
-	return ""
 }
 
 func check(err error) {

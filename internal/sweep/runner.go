@@ -25,8 +25,8 @@ var wallBuckets = func() []float64 {
 	return out
 }()
 
-// Stats summarizes one Runner.Run invocation for progress reporting and the
-// BENCH_sweep.json perf record.
+// Stats summarizes one Runner.Run invocation for progress reporting and
+// cmd/sweep's stderr summary line.
 type Stats struct {
 	Points    int           // points requested
 	Executed  int           // points actually simulated this run

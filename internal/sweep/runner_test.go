@@ -201,25 +201,3 @@ func TestPanicIsolation(t *testing.T) {
 		}
 	}
 }
-
-// TestBenchRecord: the perf record carries the schema id and per-point
-// wall-clocks for every point.
-func TestBenchRecord(t *testing.T) {
-	points := mustExpand(t, tinyGrid())
-	results, st := (&Runner{Workers: 2}).Run(points)
-	b := NewBench("spec-under-test", results, st)
-	if b.Schema != BenchSchema || b.Grid != "spec-under-test" {
-		t.Fatalf("schema/grid = %q/%q", b.Schema, b.Grid)
-	}
-	if b.Points != len(points) || len(b.PointWalls) != len(points) {
-		t.Fatalf("points = %d, walls = %d", b.Points, len(b.PointWalls))
-	}
-	if b.Executed+b.CacheHits != b.Points {
-		t.Fatalf("executed %d + cached %d != points %d", b.Executed, b.CacheHits, b.Points)
-	}
-	for _, pw := range b.PointWalls {
-		if pw.Key == "" || pw.Label == "" {
-			t.Fatalf("incomplete point record: %+v", pw)
-		}
-	}
-}

@@ -10,10 +10,10 @@
 // order regardless of completion order, so the merged output of a sweep is
 // byte-identical at any worker count — a property the tests assert.
 //
-// The grammar of grid specs, the cache-key semantics, the emitted sweep_*
-// metrics and the BENCH_sweep.json schema are documented in docs/SWEEP.md;
-// a drift test fails if the two diverge. The overall data flow of a sweep
-// run is diagrammed in docs/ARCHITECTURE.md.
+// The grammar of grid specs, the cache-key semantics and the emitted sweep_*
+// metrics are documented in docs/SWEEP.md; a drift test fails if the metric
+// names and the document diverge. The overall data flow of a sweep run is
+// diagrammed in docs/ARCHITECTURE.md.
 package sweep
 
 import (
@@ -21,6 +21,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -59,29 +61,28 @@ func LevelName(level string) string {
 // Grid is a declarative sweep specification. Every slice field is one axis
 // of the cross-product; scalar fields are shared by all points. The zero
 // value expands to the paper's default Fig 6 grid; ParseGrid fills one from
-// the textual grammar documented in docs/SWEEP.md.
+// the textual grammar documented in docs/SWEEP.md. A field's grid tag names
+// the grid key that sets it; Expand rejects a grid that moves a key its
+// experiment does not read (expKeys) off that key's default.
 type Grid struct {
 	// Experiment selects the executor: "contention" (default), "memscale",
 	// "chaos" or "overload".
 	Experiment string
-	// Spec preserves the textual form the grid was parsed from, for
-	// provenance in BENCH_sweep.json ("" when constructed in code).
-	Spec string
 
-	Topos  []string // topology kinds; default all four
-	Levels []string // contention levels: none, 11, 20
-	Nodes  []int    // node counts (contention); default 256
-	Sizes  []int    // vectored-put segment lengths in bytes; default 256
-	Faults []string // fault specs (docs/FAULTS.md grammar); "none" = fault-free
-	Seeds  []int64  // engine RNG seeds; default 1 (the engine's own default)
-	Procs  []int    // process counts (memscale); default paper's five
+	Topos  []string `grid:"topos"`   // topology kinds; default all four
+	Levels []string `grid:"levels"`  // contention levels: none, 11, 20
+	Nodes  []int    `grid:"nodes"`   // node counts (contention); default 256
+	Sizes  []int    `grid:"msgsize"` // vectored-put segment lengths in bytes; default 256
+	Faults []string `grid:"faults"`  // fault specs (docs/FAULTS.md grammar); "none" = fault-free
+	Seeds  []int64  `grid:"seeds"`   // engine RNG seeds; default 1 (the engine's own default)
+	Procs  []int    `grid:"procs"`   // process counts (memscale); default paper's five
 
 	// Aggs and Adapts toggle the runtime protocol under the workload:
 	// small-op aggregation and adaptive credit management. Values are
 	// "off" (default) and "on"; listing both makes the protocol an axis,
 	// so agg=off,on runs every cell twice for a paired comparison.
-	Aggs   []string
-	Adapts []string
+	Aggs   []string `grid:"agg"`
+	Adapts []string `grid:"adapt"`
 
 	// Crashes and Heals drive the chaos experiment: how many nodes
 	// crash-stop per run and whether membership + self-healing is armed.
@@ -89,8 +90,8 @@ type Grid struct {
 	// (healing on: only partitions fail; off: dead forwarders lose paths).
 	// Heals also applies to contention grids, where arming healing without
 	// node faults is a documented no-op (bit-identical results).
-	Crashes []int    // crash counts; default 3
-	Heals   []string // "off"/"on"; default on for chaos, off otherwise
+	Crashes []int    `grid:"crashes"` // crash counts; default 3
+	Heals   []string `grid:"heal"`    // "off"/"on"; default on for chaos, off otherwise
 
 	// Storms, Tenants and Overloads drive the overload experiment: the
 	// storm-intensity axis (ejection-bandwidth bursts against the hot node),
@@ -101,19 +102,54 @@ type Grid struct {
 	// an uncongested workload leaves results unchanged in substance (pacing
 	// only engages on CE marks) but not bit-identically — unlike heal=on,
 	// the fabric occupancy tracking does observe the marking threshold.
-	Storms    []int    // storm burst counts; default 2
-	Tenants   []int    // tenant counts; default 2
-	Overloads []string // "off"/"on"; default off,on for overload grids, off otherwise
+	Storms    []int    `grid:"storm"`    // storm burst counts; default 2
+	Tenants   []int    `grid:"tenants"`  // tenant counts; default 2
+	Overloads []string `grid:"overload"` // "off"/"on"; default off,on for overload grids, off otherwise
 
-	Op          string // contention op: vput (default) or fadd
-	PPN         int    // processes per node; default 4 (memscale 12)
-	Iters       int    // iterations per measured process; default 20
-	SampleEvery int    // measure every k-th rank; default 8
-	StreamLimit int    // NIC stream-limit override; 0 = fabric default
-	VecSegs     int    // vectored-put segment count; default 32
-	Window      int    // nonblocking pipeline window per process; 0 = blocking
-	Reps        int    // repetitions per point; rep r perturbs the seed
+	Op          string `grid:"op"`     // contention op: vput (default) or fadd
+	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale 12)
+	Iters       int    `grid:"iters"`  // iterations per measured process; default 20
+	SampleEvery int    `grid:"sample"` // measure every k-th rank; default 8
+	StreamLimit int    `grid:"stream"` // NIC stream-limit override; 0 = fabric default
+	VecSegs     int    `grid:"segs"`   // vectored-put segment count; default 32
+	Window      int    `grid:"window"` // nonblocking pipeline window per process; 0 = blocking
+	Reps        int    `grid:"reps"`   // repetitions per point; rep r perturbs the seed
 	Metrics     bool   // collect a per-point observability snapshot
+}
+
+// expKeys lists the grid keys each experiment reads besides exp.
+var expKeys = map[string][]string{
+	ExpContention: {"topos", "levels", "nodes", "msgsize", "faults", "seeds", "agg", "adapt",
+		"heal", "overload", "op", "ppn", "iters", "sample", "stream", "segs", "window", "reps"},
+	ExpMemscale: {"topos", "procs", "ppn"},
+	ExpChaos:    {"topos", "nodes", "seeds", "crashes", "heal", "ppn", "iters", "reps"},
+	ExpOverload: {"topos", "nodes", "seeds", "storm", "tenants", "overload", "ppn", "iters", "reps"},
+}
+
+// checkKeys rejects an unknown experiment, and a defaulted grid that moves
+// a key its experiment ignores off the default: such a key would otherwise
+// vanish from the expanded points without a word.
+func (g Grid) checkKeys() error {
+	used, ok := expKeys[g.Experiment]
+	if !ok {
+		return fmt.Errorf("sweep: unknown experiment %q", g.Experiment)
+	}
+	v := reflect.ValueOf(g)
+	def := reflect.ValueOf(Grid{Experiment: g.Experiment}.withDefaults())
+	var ignored []string
+	for i := 0; i < v.NumField(); i++ {
+		key := v.Type().Field(i).Tag.Get("grid")
+		if key == "" || slices.Contains(used, key) {
+			continue
+		}
+		if !reflect.DeepEqual(v.Field(i).Interface(), def.Field(i).Interface()) {
+			ignored = append(ignored, key)
+		}
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("sweep: exp=%s does not use grid key(s) %s", g.Experiment, strings.Join(ignored, ", "))
+	}
+	return nil
 }
 
 // ParseGrid parses the textual grid grammar: semicolon-separated key=value
@@ -122,7 +158,7 @@ type Grid struct {
 //
 //	exp=contention;op=vput;topos=fcg,mfcg;nodes=64;ppn=2;levels=none,20;seeds=1,2
 func ParseGrid(spec string) (*Grid, error) {
-	g := &Grid{Spec: spec}
+	g := &Grid{}
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -449,9 +485,13 @@ func (p Point) EffectiveSeed() int64 {
 // powers of two — the same cells the paper skips). The order is the render
 // order of the merged output: for contention, level × message size × nodes
 // × fault × seed × rep with topologies innermost; for memscale, topology ×
-// process count.
+// process count. A key the experiment does not read, set off its default,
+// is an error naming the key.
 func (g Grid) Expand() ([]Point, error) {
 	g = g.withDefaults()
+	if err := g.checkKeys(); err != nil {
+		return nil, err
+	}
 	var points []Point
 	add := func(p Point) {
 		p.Index = len(points)
@@ -605,8 +645,6 @@ func (g Grid) Expand() ([]Point, error) {
 				}
 			}
 		}
-	default:
-		return nil, fmt.Errorf("sweep: unknown experiment %q", g.Experiment)
 	}
 	return points, nil
 }

@@ -118,6 +118,40 @@ func TestExpandMemscale(t *testing.T) {
 	}
 }
 
+// TestExpandRejectsUnusedKeys: a grid key the experiment does not read,
+// set off its default, fails the expansion with an error naming the key
+// instead of vanishing from the points; the same keys at their defaults
+// are accepted.
+func TestExpandRejectsUnusedKeys(t *testing.T) {
+	for spec, want := range map[string]string{
+		"exp=chaos;topos=mfcg;nodes=16;agg=on;overload=on;window=8;faults=cht:1@t=1ms": "exp=chaos does not use grid key(s) faults, agg, overload, window",
+		"exp=memscale;levels=20;iters=5":                                               "exp=memscale does not use grid key(s) levels, iters",
+		"exp=overload;heal=on;crashes=1":                                               "exp=overload does not use grid key(s) crashes, heal",
+		"exp=contention;storm=4;procs=96":                                              "exp=contention does not use grid key(s) procs, storm",
+	} {
+		g, err := ParseGrid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Expand(%q) error = %v, want %q", spec, err, want)
+		}
+	}
+	for _, spec := range []string{
+		"exp=chaos;topos=mfcg;nodes=16;agg=off;overload=off;window=0;faults=none",
+		"exp=memscale;topos=fcg;procs=96;seeds=1;reps=1;heal=off",
+		"exp=overload;topos=fcg;nodes=16;heal=off;crashes=3",
+	} {
+		g, err := ParseGrid(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Expand(); err != nil {
+			t.Errorf("Expand(%q): %v", spec, err)
+		}
+	}
+}
+
 func TestKeyIsContentAddressed(t *testing.T) {
 	base := Point{Experiment: ExpContention, Topo: "MFCG", Nodes: 64, PPN: 2, Op: "vput",
 		Level: "20", ContenderEvery: 5, Iters: 5, SampleEvery: 8, VecSegs: 32, MsgSize: 256}
@@ -333,9 +367,9 @@ func TestExecuteChaosPoint(t *testing.T) {
 	}
 }
 
-// TestContentionHealToggleGolden pins the -heal contract cmd/contention and
-// cmd/vtreport rely on: arming healing on a fault-free contention point
-// changes the series label and the cache key, but the simulation output is
+// TestContentionHealToggleGolden pins the contract of the heal= grid key on
+// contention grids: arming healing on a fault-free contention point changes
+// the series label and the cache key, but the simulation output is
 // bit-identical — membership and self-healing only engage under node:
 // crash-stop faults.
 func TestContentionHealToggleGolden(t *testing.T) {
