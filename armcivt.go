@@ -116,10 +116,10 @@ type Seg = armci.Seg
 // retries, aggregation batches, ...). See armci.Stats for every field.
 type Stats = armci.Stats
 
-// AggregationConfig tunes small-op aggregation (see armci.AggregationConfig).
+// AggregationConfig switches small-op aggregation (see armci.AggregationConfig).
 type AggregationConfig = armci.AggregationConfig
 
-// AdaptiveConfig tunes adaptive credit management (see armci.AdaptiveConfig).
+// AdaptiveConfig switches adaptive credit management (see armci.AdaptiveConfig).
 type AdaptiveConfig = armci.AdaptiveConfig
 
 // TimeoutError reports a one-sided operation abandoned after exhausting its

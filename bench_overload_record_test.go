@@ -3,7 +3,7 @@ package armcivt_test
 // BENCH_overload.json is the committed collapse-comparison record of the
 // overload-protection layer (docs/OVERLOAD.md): the incast-storm harness
 // measured across storm intensities with protection off and on. Unlike the
-// wall-clock records (BENCH_shards.json, BENCH_sweep.json), every number
+// wall-clock record (BENCH_shards.json), every number
 // here is *virtual* time — goodput in completed ops per virtual
 // millisecond, latency in virtual microseconds — so the record is exactly
 // reproducible on any host. Two claims are on record:

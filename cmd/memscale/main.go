@@ -74,7 +74,10 @@ func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut b
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		enc.Encode(row)
+		if err := enc.Encode(row); err != nil {
+			fmt.Fprintln(os.Stderr, "memscale:", err)
+			os.Exit(1)
+		}
 	} else {
 		fmt.Printf("scale point: %d nodes, %d actives, %d ops (Hypercube, shards=%d)\n",
 			res.Nodes, res.Actives, res.Ops, shards)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	naslu [-procs 192,384,768,1536] [-ppn 12] [-nx 408] [-iters 12] [-csv]
+//	naslu [-procs 192,384,768,1536] [-ppn 12] [-nx 2040] [-iters 12] [-csv]
 package main
 
 import (

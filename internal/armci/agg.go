@@ -1,6 +1,10 @@
 package armci
 
-import "sort"
+import (
+	"sort"
+
+	"armcivt/internal/sim"
+)
 
 // Small-op aggregation (Config.Agg): batchable same-target requests coalesce
 // into opBatch packets that consume one buffer credit, one NIC injection and
@@ -9,21 +13,35 @@ import "sort"
 // size/Wait/Fence/Barrier, and egress-side coalescing of sends parked for a
 // credit (see egress.gather). The CHT unpacks batches in cht.go.
 
+// Aggregation model constants.
+const (
+	// aggThreshold is the largest payload (bytes) an operation may carry
+	// and still be batchable. Larger operations always travel as their own
+	// request packets.
+	aggThreshold = 4096
+	// aggMaxOps caps the sub-operations per batch packet.
+	aggMaxOps = 16
+	// aggOpOverhead is the CHT's extra service cost per additional sub-op
+	// in a batch: unpacking and dispatch are much cheaper than a full
+	// per-request poll cycle, which is where the hot-node win comes from.
+	aggOpOverhead = 150 * sim.Nanosecond
+)
+
 // batchable reports whether req may travel inside an opBatch packet: a
 // write-style operation (no response payload to route) whose payload fits
 // under the aggregation threshold.
-func (c *Config) batchable(req *request) bool {
+func batchable(req *request) bool {
 	switch req.kind {
 	case opPut, opPutV, opAcc, opAccV, opRmw:
-		return req.wire-headerBytes <= c.Agg.Threshold
+		return req.wire-headerBytes <= aggThreshold
 	}
 	return false
 }
 
 // coalescable is batchable extended to existing batches, which may merge
-// with further same-target sends at an egress (bounded by MaxOps/BufSize).
-func coalescable(c *Config, req *request) bool {
-	return req.kind == opBatch || c.batchable(req)
+// with further same-target sends at an egress (bounded by aggMaxOps/BufSize).
+func coalescable(req *request) bool {
+	return req.kind == opBatch || batchable(req)
 }
 
 // subWireOf is req's wire contribution inside a batch: payload plus segment
@@ -91,7 +109,7 @@ func (r *Rank) submit(reqs []*request, h *Handle) {
 	}
 	for i, req := range reqs {
 		req.h, req.chunk = h, i
-		if rt.cfg.Agg.Enabled && rt.cfg.batchable(req) {
+		if rt.cfg.Agg.Enabled && batchable(req) {
 			tn := req.target / rt.cfg.PPN
 			r.aggAdd(req, tn)
 		} else {
@@ -101,7 +119,7 @@ func (r *Rank) submit(reqs []*request, h *Handle) {
 }
 
 // aggAdd buffers a batchable request for its target node, flushing first if
-// the addition would cross the MaxOps or BufSize boundary.
+// the addition would cross the aggMaxOps or BufSize boundary.
 func (r *Rank) aggAdd(req *request, targetNode int) {
 	cfg := &r.rt.cfg
 	if r.agg == nil {

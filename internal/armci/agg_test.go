@@ -222,7 +222,7 @@ func TestAggDisabledIsBitIdentical(t *testing.T) {
 
 // TestAdaptiveShiftsUnderHotSpot drives a hot-spot pattern with adaptive
 // credits on: shifts must occur, totals must stay invariant per node, and
-// every edge must respect Floor/Ceiling.
+// every edge must stay within adaptBounds.
 func TestAdaptiveShiftsUnderHotSpot(t *testing.T) {
 	eng := sim.New()
 	cfg := DefaultConfig(8, 4)
@@ -246,7 +246,7 @@ func TestAdaptiveShiftsUnderHotSpot(t *testing.T) {
 		t.Fatalf("no credit shifts under hot spot (stats: %+v)", s)
 	}
 	pool := cfg.PPN * cfg.BufsPerProc
-	ac := rt.Config().Adaptive
+	floor, ceiling := rt.cfg.adaptBounds()
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
 		if ns.inCap == nil {
@@ -255,9 +255,9 @@ func TestAdaptiveShiftsUnderHotSpot(t *testing.T) {
 		total := 0
 		for i, cap := range ns.inCap {
 			total += cap
-			if cap < ac.Floor || cap > ac.Ceiling {
+			if cap < floor || cap > ceiling {
 				t.Errorf("node %d in-edge %d capacity %d outside [%d,%d]",
-					ns.id, ns.nbrs[i], cap, ac.Floor, ac.Ceiling)
+					ns.id, ns.nbrs[i], cap, floor, ceiling)
 			}
 		}
 		if want := len(ns.nbrs) * pool; total != want {
@@ -348,33 +348,29 @@ func TestAggDeterminism(t *testing.T) {
 	}
 }
 
-// TestAggConfigDefaultsAndValidation covers the new knobs' defaulting and
-// rejection paths.
+// TestAggConfigDefaultsAndValidation covers the switches' defaulting: a
+// zero-valued config leaves both engines off, enabling them validates with
+// the defaulted pool, and the adaptive bounds follow PPN*BufsPerProc — half
+// the pool (at least one buffer) to twice it.
 func TestAggConfigDefaultsAndValidation(t *testing.T) {
-	cfg := DefaultConfig(4, 2)
-	cfg.Agg.Enabled = true
-	cfg.Adaptive.Enabled = true
+	off, err := DefaultConfig(4, 2).withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Agg.Enabled || off.Adaptive.Enabled {
+		t.Errorf("zero-valued switches armed an engine: agg %v, adaptive %v", off.Agg.Enabled, off.Adaptive.Enabled)
+	}
+	cfg := Config{Nodes: 4, PPN: 2, Agg: AggregationConfig{Enabled: true}, Adaptive: AdaptiveConfig{Enabled: true}}
 	c, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Agg.Threshold != DefaultAggThreshold || c.Agg.MaxOps != DefaultAggMaxOps ||
-		c.Agg.OpOverhead != DefaultAggOpOverhead {
-		t.Errorf("Agg defaults not applied: %+v", c.Agg)
+	if floor, ceiling := c.adaptBounds(); floor != 4 || ceiling != 16 {
+		t.Errorf("adaptive bounds with the default pool of 8 = [%d,%d], want [4,16]", floor, ceiling)
 	}
-	pool := c.PPN * c.BufsPerProc
-	if c.Adaptive.MinFree != DefaultAdaptMinFree || c.Adaptive.Floor != max(1, pool/2) ||
-		c.Adaptive.Ceiling != 2*pool || c.Adaptive.Cooldown != DefaultAdaptCooldown {
-		t.Errorf("Adaptive defaults not applied: %+v", c.Adaptive)
-	}
-	bad := []Config{
-		{Nodes: 4, PPN: 2, Agg: AggregationConfig{Threshold: -1}},
-		{Nodes: 4, PPN: 2, Adaptive: AdaptiveConfig{MinFree: -2}},
-		{Nodes: 4, PPN: 2, Adaptive: AdaptiveConfig{Enabled: true, Floor: 9, Ceiling: 3}},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted: %+v", i, c)
-		}
+	c.BufsPerProc = 1
+	c.PPN = 1
+	if floor, ceiling := c.adaptBounds(); floor != 1 || ceiling != 2 {
+		t.Errorf("adaptive bounds with a one-buffer pool = [%d,%d], want [1,2]", floor, ceiling)
 	}
 }

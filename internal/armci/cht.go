@@ -99,7 +99,7 @@ func (ns *nodeState) serviceTime(req *request) sim.Time {
 	} else if req.kind == opBatch {
 		// Unpacking a batch costs far less per sub-op than a full
 		// dequeue-poll-dispatch cycle; that gap is the hot-node win.
-		svc += sim.Time(len(req.subs)-1) * rt.cfg.Agg.OpOverhead
+		svc += sim.Time(len(req.subs)-1) * aggOpOverhead
 	}
 	return svc
 }

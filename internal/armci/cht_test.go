@@ -47,7 +47,7 @@ func (rt *Runtime) startRef(body func(r *Rank)) {
 	if rt.healArmed {
 		for i := range rt.nodes {
 			ns := &rt.nodes[i]
-			rt.eng.AfterOn(ns.id, rt.cfg.Heal.HeartbeatInterval, ns.monitorTick)
+			rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
 		}
 	}
 }
@@ -74,7 +74,7 @@ type chtScenario struct {
 //     waiting, and still serve the traffic that follows.
 func runCHTScenario(t *testing.T, ref bool) chtScenario {
 	t.Helper()
-	eng, rt := healedRuntime(t, core.MFCG, 9, 1, "cht:4@t=20us@for=150us,node:2@t=60us@for=500us", nil)
+	eng, rt := healedRuntime(t, core.MFCG, 9, 1, "cht:4@t=20us@for=150us,node:2@t=60us@for=1ms", nil)
 	var out chtScenario
 	eng.SetTracer(sim.TracerFunc(func(r sim.TraceRecord) { out.trace = append(out.trace, r) }))
 	rt.Alloc("counter", 64)
@@ -97,7 +97,7 @@ func runCHTScenario(t *testing.T, ref bool) chtScenario {
 				r.Wait(r.NbPut(dst, "counter", 8, []byte{byte(i), byte(r.Rank())}))
 			}
 		}
-		r.Sleep(sim.Millisecond) // keep the monitors running past the reboot
+		r.Sleep(2 * sim.Millisecond) // keep the monitors running past the reboot
 	}
 	if ref {
 		rt.startRef(body)

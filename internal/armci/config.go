@@ -140,18 +140,14 @@ type Config struct {
 	// semantics survive both lost requests and lost responses.
 	RequestTimeout sim.Time
 	// MaxRetries bounds retransmissions per chunk; the chunk then fails
-	// with a TimeoutError on its Handle rather than wedging the rank.
+	// with a TimeoutError on its Handle rather than wedging the rank. Each
+	// retransmission doubles the timeout (retryBackoff).
 	MaxRetries int
-	// RetryBackoff is the multiplicative backoff applied to RequestTimeout
-	// after every retransmission (values < 1 are invalid; 0 selects
-	// DefaultRetryBackoff).
-	RetryBackoff float64
 	// CreditTimeout is how long an egress with parked sends may go without
 	// transmitting before it assumes a credit ack was lost on a failed
-	// link and regenerates one credit (0 disables; defaults to
-	// DefaultCreditTimeout when Faults is set). Late real acks are
-	// swallowed against the regeneration debt so the pool never exceeds
-	// its capacity.
+	// link and regenerates one credit (0 disables; defaults to 2 ms when
+	// Faults is set). Late real acks are swallowed against the regeneration
+	// debt so the pool never exceeds its capacity.
 	CreditTimeout sim.Time
 
 	// Heal configures heartbeat membership and online topology self-healing
@@ -196,7 +192,7 @@ type Config struct {
 	TracePID int
 }
 
-// AggregationConfig parameterizes the small-op aggregation engine.
+// AggregationConfig switches the small-op aggregation engine.
 //
 // Aggregation reshapes hot-spot traffic before it reaches shared buffers:
 // small Put/PutV/Acc/AccV/FetchAdd requests bound for the same target node
@@ -208,7 +204,7 @@ type Config struct {
 //     service per batch instead of per op). Uncontended edges transmit
 //     immediately and never aggregate, so the uncontended latency floor is
 //     unchanged.
-//   - Size boundary: a batch never exceeds MaxOps sub-operations or one
+//   - Size boundary: a batch never exceeds aggMaxOps sub-operations or one
 //     request buffer (BufSize) on the wire — the same M-bounded buffer
 //     rule that caps forwarding depth (D <= M) caps re-aggregation at
 //     intermediate hops, so a forwarded batch always fits the next edge's
@@ -223,25 +219,15 @@ type Config struct {
 // The CHT unpacks a batch at its target and applies the sub-operations
 // back-to-back in rid order — atomically in virtual time, since the helper
 // thread is serial — so at-most-once dedup (per-sub request ids) and LDF
-// forwarding semantics are exactly those of unaggregated traffic.
+// forwarding semantics are exactly those of unaggregated traffic. The
+// engine's tuning values are model constants in agg.go.
 type AggregationConfig struct {
 	// Enabled turns aggregation on. Off (the default) is bit-identical to
 	// the pre-aggregation protocol.
 	Enabled bool
-	// Threshold is the largest payload (bytes) an operation may carry and
-	// still be batchable (default 4096). Larger operations always travel
-	// as their own request packets.
-	Threshold int
-	// MaxOps caps the sub-operations per batch packet (default 16).
-	MaxOps int
-	// OpOverhead is the CHT's extra service cost per additional sub-op in
-	// a batch, in virtual time (default 150 ns): unpacking and dispatch
-	// are much cheaper than a full per-request poll cycle, which is where
-	// the hot-node win comes from.
-	OpOverhead sim.Time
 }
 
-// AdaptiveConfig parameterizes adaptive per-edge credit management.
+// AdaptiveConfig switches adaptive per-edge credit management.
 //
 // Every node dedicates PPN * BufsPerProc request buffers to each in-edge of
 // the virtual topology. Under a hot spot, the in-edges carrying contended
@@ -251,31 +237,19 @@ type AggregationConfig struct {
 // most free buffers: a revoke message shrinks the donor sender's credit
 // pool and a grant message grows the hot sender's. The node's total buffer
 // count is invariant, so the FCG/MFCG/CFCG memory scaling of Figure 5 is
-// unchanged, and every edge keeps at least Floor buffers, preserving the
-// LDF deadlock-freedom argument (buffer classes still drain independently).
+// unchanged, and every edge keeps at least half its configured pool,
+// preserving the LDF deadlock-freedom argument (buffer classes still drain
+// independently). The shift rule's constants are in credits.go.
 type AdaptiveConfig struct {
 	// Enabled turns adaptive credit shifting on.
 	Enabled bool
-	// MinFree is how many free buffers a donor in-edge must have beyond
-	// the one it gives up (default 2), the hysteresis that keeps two busy
-	// edges from thrashing buffers back and forth.
-	MinFree int
-	// Floor is the minimum capacity any in-edge may be shrunk to
-	// (default: half the configured pool, at least 1).
-	Floor int
-	// Ceiling caps a hot in-edge's capacity (default: twice the
-	// configured pool), bounding how lopsided a node's pools can get.
-	Ceiling int
-	// Cooldown is the minimum virtual time between shifts touching the
-	// same in-edge (default 10 us), rate-limiting the control traffic.
-	Cooldown sim.Time
 }
 
 // OverloadConfig parameterizes the overload-protection layer.
 //
 // The fabric stamps an ECN-style congestion-experienced (CE) mark on any
 // message whose queue delay at a link or ejection-port reservation reaches
-// CongestionThreshold, and the target echoes the mark on the operation's
+// congestionThreshold, and the target echoes the mark on the operation's
 // response. Each origin node keeps one AIMD pacer per destination node: a
 // marked response multiplies the pacer's inter-op gap (additive-increase /
 // multiplicative-decrease in rate terms), a clean response shrinks it
@@ -287,9 +261,9 @@ type AdaptiveConfig struct {
 //
 //	rung 0  gap == 0            healthy; admit untouched
 //	rung 1  gap > 0             pace: delay injection by the gap
-//	rung 2  gap >= CoalesceAt   coalesce harder: aggregation batches up to
-//	                            4x Agg.MaxOps sub-ops toward this node
-//	rung 3  gap >= ShedAt       shed: reject ops of priority class > 0
+//	rung 2  gap >= coalesceAt   coalesce harder: aggregation batches up to
+//	                            4x aggMaxOps sub-ops toward this node
+//	rung 3  gap >= shedAt       shed: reject ops of priority class > 0
 //
 // Independent of the ladder, admission control rejects any op when the
 // rank's incomplete-handle count reaches Budget, and — when the rank set a
@@ -302,94 +276,36 @@ type AdaptiveConfig struct {
 // pair would wedge the mutex holder, and mutex traffic is not part of the
 // data-plane storms this layer protects against.
 //
-// Enabling overload protection arms aggregation with its defaults if it was
-// off — the ladder's coalesce rung rides the existing aggregation engine —
-// and propagates CongestionThreshold to the fabric.
+// Enabling overload protection arms aggregation if it was off — the
+// ladder's coalesce rung rides the existing aggregation engine — and hands
+// congestionThreshold to the fabric. The pacer's other constants are in
+// overload.go; Budget and PaceFloor stay settable because the incast
+// harness and the contention runs need different values.
 type OverloadConfig struct {
 	// Enabled turns overload protection on. Off (the default) is
 	// bit-identical to the unprotected protocol.
 	Enabled bool
-	// CongestionThreshold is the fabric queue delay that stamps a CE mark
-	// (default 10 us), or the occupancy signal of an ejection port past
-	// half its stream limit. The default sits just above the serialization
-	// of a few back-to-back aggregated batches: early marks are the whole
-	// game, because fabric ports price each message's serialization at
-	// arrival — backlog admitted before the first cut stays priced at the
-	// congested rate no matter how hard origins back off afterwards.
-	// Propagated to fabric.Config.CongestionThreshold.
-	CongestionThreshold sim.Time
 	// PaceFloor is both a fresh pacer's starting gap (slow-start pacing: an
 	// unknown destination is paced gently until its first responses prove
 	// the path clean) and the gap a fully decayed pacer reopens to on a CE
-	// mark (default 1 us).
+	// mark (default 1 us; must not exceed the 5 ms pace ceiling).
 	PaceFloor sim.Time
-	// PaceCeil caps the gap (default 5 ms). The ceiling bounds the worst
-	// per-destination backoff; it must be deep enough that the whole origin
-	// population backed off to it injects below the congested port's drain
-	// rate, or pacing cannot clear a standing backlog.
-	PaceCeil sim.Time
-	// PaceDecay is the additive gap shrink per clean response (default
-	// 250 ns) — the counterpart of TCP's additive increase; deeply
-	// backed-off pacers recover through DecayHalflife instead.
-	PaceDecay sim.Time
-	// PaceBackoff is the multiplicative gap growth applied on a CE-marked
-	// response, at most once per gap interval so one congestion episode does
-	// not compound through every ack it marked (default 2.0; must be >= 1).
-	PaceBackoff float64
-	// SlamRTT is the round-trip delay past which a CE-marked response is
-	// treated as evidence of a standing backlog rather than transient
-	// contention: the pacer jumps straight to PaceCeil instead of doubling
-	// toward it. Doubling converges in a few steps, but each step costs one
-	// round trip *through the backlog being reported* — multi-millisecond
-	// when a port has collapsed — so gradual backoff discovers the
-	// drain-capable gap long after the run is lost (the pacing analogue of
-	// TCP collapsing its window on a retransmission timeout). The default,
-	// 50 us, is 2x the CE marking threshold: it must sit just above the
-	// healthy round trip, because a port's stream penalty can engage at a
-	// queue depth whose delay is far smaller than the backlog the penalty
-	// then builds.
-	SlamRTT sim.Time
-	// DecayHalflife halves a pacer's gap per elapsed interval of virtual
-	// time since the last backoff, independent of response arrivals
-	// (default 500 us). Clean-response decay alone cannot
-	// recover a deeply backed-off pacer promptly: at a multi-millisecond
-	// gap it sees one response per gap, so recovery would take a geometric
-	// sum of gaps. Time-based decay re-probes a slammed destination within
-	// a few halflives regardless of how little traffic is flowing.
-	DecayHalflife sim.Time
 	// Budget caps a rank's incomplete operation handles; ops beyond it are
 	// shed with reason "budget" (default 256).
 	Budget int
-	// CoalesceAt is the gap at which the ladder's coalesce rung engages
-	// (default PaceCeil/4).
-	CoalesceAt sim.Time
-	// ShedAt is the gap at which class shedding engages (default
-	// PaceCeil/2).
-	ShedAt sim.Time
 }
 
-// Overload defaults, applied when Overload.Enabled is set.
-const (
-	DefaultCongestionThreshold = 10 * sim.Microsecond
-	DefaultPaceFloor           = 1 * sim.Microsecond
-	DefaultPaceCeil            = 5 * sim.Millisecond
-	DefaultPaceDecay           = 250 * sim.Nanosecond
-	DefaultPaceBackoff         = 2.0
-	DefaultSlamRTT             = 50 * sim.Microsecond
-	DefaultDecayHalflife       = 500 * sim.Microsecond
-	DefaultOverloadBudget      = 256
-)
-
-// HealConfig parameterizes crash-stop failure detection and recovery.
+// HealConfig switches crash-stop failure detection and recovery.
 //
 // Detection is a heartbeat membership service: every node's monitor sends a
 // small creditless heartbeat to each virtual-topology neighbor every
-// HeartbeatInterval, and tracks the last instant it heard from each
+// heartbeatInterval, and tracks the last instant it heard from each
 // neighbor — heartbeats plus every piggybacked protocol message (request
 // arrivals, credit acks, adaptive grant/revoke control traffic) count. A
-// neighbor silent for SuspicionTimeout is suspected; silent for twice that,
-// it is confirmed dead. Hearing from a confirmed-dead neighbor again means
-// it recovered: the survivor reinstates it with a fresh credit pool.
+// neighbor silent for suspicionTimeout is suspected; silent for twice that,
+// it is confirmed dead, within DetectionBound of its crash. Hearing from a
+// confirmed-dead neighbor again means it recovered: the survivor reinstates
+// it with a fresh credit pool.
 //
 // On confirmation each survivor heals locally, with no extra protocol
 // round: sends parked on the dead edge are replayed through a
@@ -403,39 +319,16 @@ type HealConfig struct {
 	// Enabled arms the membership monitor and self-healing when the fault
 	// schedule contains node: faults. Off (the default) changes nothing.
 	Enabled bool
-	// HeartbeatInterval is the monitor's probe period (default 100 us).
-	HeartbeatInterval sim.Time
-	// SuspicionTimeout is how long a neighbor may stay silent before it is
-	// suspected (default 300 us); confirmation takes twice this. Worst-case
-	// detection latency is therefore 2*SuspicionTimeout plus one heartbeat
-	// round.
-	SuspicionTimeout sim.Time
 }
 
-// Heal defaults, applied when Heal.Enabled is set.
-const (
-	DefaultHeartbeatInterval = 100 * sim.Microsecond
-	DefaultSuspicionTimeout  = 300 * sim.Microsecond
-	// heartbeatBytes is the wire size of one membership probe.
-	heartbeatBytes = 16
-)
-
-// Aggregation and adaptive-credit defaults, applied when the respective
-// Enabled flag is set.
-const (
-	DefaultAggThreshold  = 4096
-	DefaultAggMaxOps     = 16
-	DefaultAggOpOverhead = 150 * sim.Nanosecond
-	DefaultAdaptMinFree  = 2
-	DefaultAdaptCooldown = 10 * sim.Microsecond
-)
-
-// Resilience defaults, applied when Config.Faults is set.
+// Resilience and overload defaults for the settable knobs, applied when
+// Config.Faults is set or Overload.Enabled is.
 const (
 	DefaultRequestTimeout = 2 * sim.Millisecond
-	DefaultMaxRetries     = 6
-	DefaultRetryBackoff   = 2.0
-	DefaultCreditTimeout  = 2 * sim.Millisecond
+	defaultMaxRetries     = 6
+	defaultCreditTimeout  = 2 * sim.Millisecond
+	defaultPaceFloor      = 1 * sim.Microsecond
+	defaultOverloadBudget = 256
 )
 
 // DefaultConfig returns the calibration used throughout the repository:
@@ -463,8 +356,9 @@ func DefaultConfig(nodes, ppn int) Config {
 }
 
 // Validate checks the configuration for values no defaulting can repair:
-// non-positive extents, negative costs or budgets, and a topology that does
-// not cover the node count. Zero fields are legal (they select defaults);
+// non-positive extents, negative costs or budgets, a pace floor above the
+// pace ceiling, and a topology that does not cover the node count. Zero
+// fields are legal (they select defaults);
 // New and MustNew call Validate after defaulting, and callers building
 // configurations programmatically can invoke it early for a better error.
 func (c Config) Validate() error {
@@ -491,21 +385,12 @@ func (c Config) Validate() error {
 		{"BarrierStep", c.BarrierStep},
 		{"RequestTimeout", c.RequestTimeout},
 		{"CreditTimeout", c.CreditTimeout},
-		{"Heal.HeartbeatInterval", c.Heal.HeartbeatInterval},
-		{"Heal.SuspicionTimeout", c.Heal.SuspicionTimeout},
 		{"Fabric.HopLatency", c.Fabric.HopLatency},
 		{"Fabric.SoftwareOverhead", c.Fabric.SoftwareOverhead},
 		{"Fabric.CongestionThreshold", c.Fabric.CongestionThreshold},
 		{"Fabric.LinkRetry", c.Fabric.LinkRetry},
 		{"Fabric.LinkStallLimit", c.Fabric.LinkStallLimit},
-		{"Overload.CongestionThreshold", c.Overload.CongestionThreshold},
 		{"Overload.PaceFloor", c.Overload.PaceFloor},
-		{"Overload.PaceCeil", c.Overload.PaceCeil},
-		{"Overload.PaceDecay", c.Overload.PaceDecay},
-		{"Overload.SlamRTT", c.Overload.SlamRTT},
-		{"Overload.DecayHalflife", c.Overload.DecayHalflife},
-		{"Overload.CoalesceAt", c.Overload.CoalesceAt},
-		{"Overload.ShedAt", c.Overload.ShedAt},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("armci: %s must not be negative, got %v", f.name, f.v)
@@ -521,12 +406,9 @@ func (c Config) Validate() error {
 	if c.Overload.Budget < 0 {
 		return fmt.Errorf("armci: Overload.Budget must not be negative, got %d", c.Overload.Budget)
 	}
-	if c.Overload.PaceBackoff != 0 && c.Overload.PaceBackoff < 1 {
-		return fmt.Errorf("armci: Overload.PaceBackoff must be >= 1, got %g", c.Overload.PaceBackoff)
-	}
-	if c.Overload.CoalesceAt != 0 && c.Overload.ShedAt != 0 && c.Overload.CoalesceAt > c.Overload.ShedAt {
-		return fmt.Errorf("armci: Overload.CoalesceAt %v exceeds ShedAt %v (the ladder's rungs must be ordered)",
-			c.Overload.CoalesceAt, c.Overload.ShedAt)
+	if c.Overload.PaceFloor > paceCeil {
+		return fmt.Errorf("armci: Overload.PaceFloor %v exceeds the pace ceiling %v (a CE mark would shrink the gap)",
+			c.Overload.PaceFloor, paceCeil)
 	}
 	if c.CHTPerByte < 0 || c.LocalPerByte < 0 {
 		return fmt.Errorf("armci: per-byte costs must not be negative (CHTPerByte=%g, LocalPerByte=%g)",
@@ -545,20 +427,6 @@ func (c Config) Validate() error {
 	if c.BaseRSSBytes < 0 || c.ConnBytes < 0 {
 		return fmt.Errorf("armci: memory-model bytes must not be negative (BaseRSSBytes=%d, ConnBytes=%d)",
 			c.BaseRSSBytes, c.ConnBytes)
-	}
-	if c.RetryBackoff != 0 && c.RetryBackoff < 1 {
-		return fmt.Errorf("armci: RetryBackoff must be >= 1, got %g", c.RetryBackoff)
-	}
-	if c.Agg.Threshold < 0 || c.Agg.MaxOps < 0 || c.Agg.OpOverhead < 0 {
-		return fmt.Errorf("armci: Agg knobs must not be negative (Threshold=%d, MaxOps=%d, OpOverhead=%v)",
-			c.Agg.Threshold, c.Agg.MaxOps, c.Agg.OpOverhead)
-	}
-	if c.Adaptive.MinFree < 0 || c.Adaptive.Floor < 0 || c.Adaptive.Ceiling < 0 || c.Adaptive.Cooldown < 0 {
-		return fmt.Errorf("armci: Adaptive knobs must not be negative (MinFree=%d, Floor=%d, Ceiling=%d, Cooldown=%v)",
-			c.Adaptive.MinFree, c.Adaptive.Floor, c.Adaptive.Ceiling, c.Adaptive.Cooldown)
-	}
-	if c.Adaptive.Enabled && c.Adaptive.Floor != 0 && c.Adaptive.Ceiling != 0 && c.Adaptive.Floor > c.Adaptive.Ceiling {
-		return fmt.Errorf("armci: Adaptive.Floor %d exceeds Ceiling %d", c.Adaptive.Floor, c.Adaptive.Ceiling)
 	}
 	if c.Topology != nil && c.Topology.Nodes() != c.Nodes {
 		return fmt.Errorf("armci: topology covers %d nodes, runtime has %d", c.Topology.Nodes(), c.Nodes)
@@ -624,89 +492,26 @@ func (c Config) withDefaults() (Config, error) {
 			c.RequestTimeout = DefaultRequestTimeout
 		}
 		if c.CreditTimeout == 0 {
-			c.CreditTimeout = DefaultCreditTimeout
+			c.CreditTimeout = defaultCreditTimeout
 		}
 	}
-	if c.RequestTimeout > 0 {
-		if c.MaxRetries == 0 {
-			c.MaxRetries = DefaultMaxRetries
-		}
-		if c.RetryBackoff == 0 {
-			c.RetryBackoff = DefaultRetryBackoff
-		}
+	if c.RequestTimeout > 0 && c.MaxRetries == 0 {
+		c.MaxRetries = defaultMaxRetries
 	}
 	if c.Overload.Enabled {
-		if c.Overload.CongestionThreshold == 0 {
-			c.Overload.CongestionThreshold = DefaultCongestionThreshold
-		}
 		if c.Overload.PaceFloor == 0 {
-			c.Overload.PaceFloor = DefaultPaceFloor
-		}
-		if c.Overload.PaceCeil == 0 {
-			c.Overload.PaceCeil = DefaultPaceCeil
-		}
-		if c.Overload.PaceDecay == 0 {
-			c.Overload.PaceDecay = DefaultPaceDecay
-		}
-		if c.Overload.PaceBackoff == 0 {
-			c.Overload.PaceBackoff = DefaultPaceBackoff
-		}
-		if c.Overload.SlamRTT == 0 {
-			c.Overload.SlamRTT = DefaultSlamRTT
-		}
-		if c.Overload.DecayHalflife == 0 {
-			c.Overload.DecayHalflife = DefaultDecayHalflife
+			c.Overload.PaceFloor = defaultPaceFloor
 		}
 		if c.Overload.Budget == 0 {
-			c.Overload.Budget = DefaultOverloadBudget
-		}
-		if c.Overload.CoalesceAt == 0 {
-			c.Overload.CoalesceAt = c.Overload.PaceCeil / 4
-		}
-		if c.Overload.ShedAt == 0 {
-			c.Overload.ShedAt = c.Overload.PaceCeil / 2
+			c.Overload.Budget = defaultOverloadBudget
 		}
 		// The ladder's coalesce rung rides the aggregation engine; arm it
-		// with defaults when the caller left it off.
+		// when the caller left it off.
 		c.Agg.Enabled = true
 		// CE marks originate in the fabric; hand it the threshold unless the
 		// caller tuned the fabric directly.
 		if c.Fabric.CongestionThreshold == 0 {
-			c.Fabric.CongestionThreshold = c.Overload.CongestionThreshold
-		}
-	}
-	if c.Agg.Enabled {
-		if c.Agg.Threshold == 0 {
-			c.Agg.Threshold = DefaultAggThreshold
-		}
-		if c.Agg.MaxOps == 0 {
-			c.Agg.MaxOps = DefaultAggMaxOps
-		}
-		if c.Agg.OpOverhead == 0 {
-			c.Agg.OpOverhead = DefaultAggOpOverhead
-		}
-	}
-	if c.Heal.Enabled {
-		if c.Heal.HeartbeatInterval == 0 {
-			c.Heal.HeartbeatInterval = DefaultHeartbeatInterval
-		}
-		if c.Heal.SuspicionTimeout == 0 {
-			c.Heal.SuspicionTimeout = DefaultSuspicionTimeout
-		}
-	}
-	if c.Adaptive.Enabled {
-		pool := c.PPN * c.BufsPerProc
-		if c.Adaptive.MinFree == 0 {
-			c.Adaptive.MinFree = DefaultAdaptMinFree
-		}
-		if c.Adaptive.Floor == 0 {
-			c.Adaptive.Floor = max(1, pool/2)
-		}
-		if c.Adaptive.Ceiling == 0 {
-			c.Adaptive.Ceiling = 2 * pool
-		}
-		if c.Adaptive.Cooldown == 0 {
-			c.Adaptive.Cooldown = DefaultAdaptCooldown
+			c.Fabric.CongestionThreshold = congestionThreshold
 		}
 	}
 	return c, nil

@@ -244,7 +244,7 @@ func (eg *egress) drain() {
 
 // gather collects head plus any later parked sends that can ride in the
 // same batch packet: batchable, bound for the same final target node, and
-// within the MaxOps/BufSize bounds — the same M-bounded buffer rule that
+// within the aggMaxOps/BufSize bounds — the same M-bounded buffer rule that
 // caps forwarding depth caps the merged packet, so it always fits one
 // request buffer downstream. The first same-target send that does not fit
 // stops the scan (per-target FIFO order is preserved); sends for other
@@ -252,7 +252,7 @@ func (eg *egress) drain() {
 func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	cfg := &eg.rt.cfg
 	group := []*pendingSend{head}
-	if !cfg.Agg.Enabled || len(eg.pending) == 0 || !coalescable(cfg, head.req) {
+	if !cfg.Agg.Enabled || len(eg.pending) == 0 || !coalescable(head.req) {
 		return group
 	}
 	tn := head.req.target / cfg.PPN
@@ -263,7 +263,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 		if ps.req.target/cfg.PPN != tn {
 			continue
 		}
-		if !coalescable(cfg, ps.req) ||
+		if !coalescable(ps.req) ||
 			ops+subCount(ps.req) > eg.rt.effMaxOps(eg.from, tn) ||
 			wire+subWireOf(ps.req) > cfg.BufSize {
 			break

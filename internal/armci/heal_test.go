@@ -12,13 +12,11 @@ import (
 )
 
 // healedRuntime is faultedRuntime with membership + healing armed and fast
-// detector/retry constants suited to microsecond-scale tests.
+// retry constants suited to microsecond-scale tests.
 func healedRuntime(t *testing.T, kind core.Kind, nodes, ppn int, spec string, tweak func(*Config)) (*sim.Engine, *Runtime) {
 	t.Helper()
 	return faultedRuntime(t, kind, nodes, ppn, spec, func(c *Config) {
 		c.Heal.Enabled = true
-		c.Heal.HeartbeatInterval = 50 * sim.Microsecond
-		c.Heal.SuspicionTimeout = 150 * sim.Microsecond
 		c.RequestTimeout = 100 * sim.Microsecond
 		c.MaxRetries = 10
 		c.CreditTimeout = 200 * sim.Microsecond
@@ -42,11 +40,8 @@ func TestMembershipDetectsCrashWithinBound(t *testing.T) {
 	if want := uint64(rt.Topology().Degree(victim)); s.Confirms != want {
 		t.Errorf("confirms = %d, want one per neighbor = %d", s.Confirms, want)
 	}
-	// Worst-case detection: 2*SuspicionTimeout plus two heartbeat rounds of
-	// tick quantization slack.
-	bound := 2*rt.Config().Heal.SuspicionTimeout + 2*rt.Config().Heal.HeartbeatInterval
-	if s.MaxDetectLatency <= 0 || s.MaxDetectLatency > bound {
-		t.Errorf("detection latency %v outside (0, %v]", s.MaxDetectLatency, bound)
+	if s.MaxDetectLatency <= 0 || s.MaxDetectLatency > DetectionBound {
+		t.Errorf("detection latency %v outside (0, %v]", s.MaxDetectLatency, DetectionBound)
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 // Heartbeat membership and online topology self-healing (Config.Heal).
 //
 // Detection is fully decentralized: every node's monitor probes its
-// virtual-topology neighbors each HeartbeatInterval with a small creditless
+// virtual-topology neighbors each heartbeatInterval with a small creditless
 // heartbeat, and every protocol message arriving from a neighbor — request,
 // credit ack, adaptive grant/revoke, heartbeat — refreshes that neighbor's
 // last-heard instant (the piggybacking that keeps detection nearly free on
-// busy edges). A neighbor silent for SuspicionTimeout is suspected; for
+// busy edges). A neighbor silent for suspicionTimeout is suspected; for
 // twice that, confirmed dead. Survivors learn of failures only through this
 // service — never from the fault injector, whose ground truth is reserved
 // for metrics (detection latency).
@@ -29,6 +29,22 @@ import (
 // overflow the pool. In-flight chunks heal through their origin timeouts,
 // which recompute the route (now avoiding the confirmed-dead node) on every
 // retransmission.
+
+// Failure-detector constants.
+const (
+	// heartbeatInterval is the monitor's probe period.
+	heartbeatInterval = 100 * sim.Microsecond
+	// suspicionTimeout is how long a neighbor may stay silent before it is
+	// suspected; confirmation takes twice this.
+	suspicionTimeout = 300 * sim.Microsecond
+	// heartbeatBytes is the wire size of one membership probe.
+	heartbeatBytes = 16
+)
+
+// DetectionBound is the worst-case latency from a node's crash to a
+// neighbor's confirmation of it: 2*suspicionTimeout of silence plus two
+// heartbeat rounds of tick quantization slack (800 us).
+const DetectionBound = 2*suspicionTimeout + 2*heartbeatInterval
 
 // memberState is one neighbor's status in a node's local membership view.
 type memberState uint8
@@ -112,12 +128,12 @@ func (ns *nodeState) monitorTick() {
 	if rt.liveRanks == 0 {
 		return
 	}
-	rt.eng.AfterOn(ns.id, rt.cfg.Heal.HeartbeatInterval, ns.monitorTick)
+	rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
 	if fi := rt.faultInj; fi != nil && fi.NodeDown(ns.id) {
 		return // a crashed node probes and judges nothing until it reboots
 	}
 	now := rt.eng.NowOn(ns.id)
-	st := rt.cfg.Heal.SuspicionTimeout
+	st := suspicionTimeout
 	for i, peer := range ns.mv.nbrs {
 		// Probe unconditionally — heartbeats to a dead-view peer double as
 		// rejoin detection the moment it comes back. A dead receiver's NIC

@@ -20,6 +20,58 @@ import (
 // gated on Runtime.overloadArmed, so disabled runs are bit-identical to the
 // seed protocol.
 
+// Overload-protection model constants. Only the pace floor and the pending-op
+// budget are settable (OverloadConfig).
+const (
+	// congestionThreshold is the fabric queue delay that stamps a CE mark,
+	// or the occupancy signal of an ejection port past half its stream
+	// limit; New hands it to fabric.Config.CongestionThreshold. It sits just
+	// above the serialization of a few back-to-back aggregated batches:
+	// early marks are the whole game, because fabric ports price each
+	// message's serialization at arrival — backlog admitted before the first
+	// cut stays priced at the congested rate no matter how hard origins back
+	// off afterwards.
+	congestionThreshold = 10 * sim.Microsecond
+	// paceCeil caps the gap. The ceiling bounds the worst per-destination
+	// backoff; it must be deep enough that the whole origin population
+	// backed off to it injects below the congested port's drain rate, or
+	// pacing cannot clear a standing backlog.
+	paceCeil = 5 * sim.Millisecond
+	// paceDecay is the additive gap shrink per clean response — the
+	// counterpart of TCP's additive increase; deeply backed-off pacers
+	// recover through decayHalflife instead.
+	paceDecay = 250 * sim.Nanosecond
+	// paceBackoff is the multiplicative gap growth applied on a CE-marked
+	// response, at most once per gap interval so one congestion episode
+	// does not compound through every ack it marked.
+	paceBackoff = 2.0
+	// slamRTT is the round-trip delay past which a CE-marked response is
+	// treated as evidence of a standing backlog rather than transient
+	// contention: the pacer jumps straight to paceCeil instead of doubling
+	// toward it. Doubling converges in a few steps, but each step costs one
+	// round trip *through the backlog being reported* — multi-millisecond
+	// when a port has collapsed — so gradual backoff discovers the
+	// drain-capable gap long after the run is lost (the pacing analogue of
+	// TCP collapsing its window on a retransmission timeout). At 50 us it
+	// is 5x the CE marking threshold: it must sit just above the healthy
+	// round trip, because a port's stream penalty can engage at a queue
+	// depth whose delay is far smaller than the backlog the penalty then
+	// builds.
+	slamRTT = 50 * sim.Microsecond
+	// decayHalflife halves a pacer's gap per elapsed interval of virtual
+	// time since the last backoff, independent of response arrivals.
+	// Clean-response decay alone cannot recover a deeply backed-off pacer
+	// promptly: at a multi-millisecond gap it sees one response per gap, so
+	// recovery would take a geometric sum of gaps. Time-based decay
+	// re-probes a slammed destination within a few halflives regardless of
+	// how little traffic is flowing.
+	decayHalflife = 500 * sim.Microsecond
+	// coalesceAt is the gap at which the ladder's coalesce rung engages.
+	coalesceAt = paceCeil / 4
+	// shedAt is the gap at which class shedding engages.
+	shedAt = paceCeil / 2
+)
+
 // pacer is one origin node's AIMD injection state toward one destination
 // node. Both updates (response arrivals, onAck) and reads (admission, pace)
 // run in the origin node's owner context, so no lock is needed and sharded
@@ -35,23 +87,20 @@ type pacer struct {
 	// likewise must not cut more than once). Initialized to -1 so requests
 	// issued at t=0 still register as fresher than "never cut".
 	lastCut sim.Time
-	// lastDecay anchors the time-based halving of the gap (DecayHalflife);
+	// lastDecay anchors the time-based halving of the gap (decayHalflife);
 	// advanced lazily in whole halflives so the remainder carries over.
 	lastDecay sim.Time
 }
 
 // decayTo applies the time-based gap decay up to now: the gap halves once
-// per elapsed DecayHalflife since the last backoff (or the last applied
+// per elapsed decayHalflife since the last backoff (or the last applied
 // halving). Integer halving keeps the schedule exact and deterministic.
-func (pc *pacer) decayTo(now sim.Time, ov *OverloadConfig) {
-	if ov.DecayHalflife <= 0 {
-		return
-	}
+func (pc *pacer) decayTo(now sim.Time) {
 	if pc.gap == 0 {
 		pc.lastDecay = now
 		return
 	}
-	n := (now - pc.lastDecay) / ov.DecayHalflife
+	n := (now - pc.lastDecay) / decayHalflife
 	if n <= 0 {
 		return
 	}
@@ -60,7 +109,7 @@ func (pc *pacer) decayTo(now sim.Time, ov *OverloadConfig) {
 	} else {
 		pc.gap >>= uint(n)
 	}
-	pc.lastDecay += n * ov.DecayHalflife
+	pc.lastDecay += n * decayHalflife
 }
 
 // Degradation-ladder rungs, in escalation order. rungOf positions a pacer
@@ -68,18 +117,17 @@ func (pc *pacer) decayTo(now sim.Time, ov *OverloadConfig) {
 // compare the gap against the thresholds directly.
 const (
 	rungClear    = iota // gap == 0: no protection active
-	rungPace            // 0 < gap < CoalesceAt: AIMD pacing only
-	rungCoalesce        // CoalesceAt <= gap < ShedAt: pacing + 4x aggregation
-	rungShed            // gap >= ShedAt: pacing + coalescing + class shedding
+	rungPace            // 0 < gap < coalesceAt: AIMD pacing only
+	rungCoalesce        // coalesceAt <= gap < shedAt: pacing + 4x aggregation
+	rungShed            // gap >= shedAt: pacing + coalescing + class shedding
 )
 
 // rungOf maps a pacer gap to its degradation-ladder rung.
-func (rt *Runtime) rungOf(gap sim.Time) int {
-	ov := &rt.cfg.Overload
+func rungOf(gap sim.Time) int {
 	switch {
-	case gap >= ov.ShedAt:
+	case gap >= shedAt:
 		return rungShed
-	case gap >= ov.CoalesceAt:
+	case gap >= coalesceAt:
 		return rungCoalesce
 	case gap > 0:
 		return rungPace
@@ -112,7 +160,7 @@ func (ns *nodeState) pacerFor(dst int, now sim.Time) *pacer {
 		}
 		ns.pacers[dst] = pc
 	}
-	pc.decayTo(now, &ns.rt.cfg.Overload)
+	pc.decayTo(now)
 	// A decayed gap takes effect immediately: an injection slot reserved
 	// under a wider gap would otherwise keep the origin silent long after
 	// the backoff has relaxed.
@@ -134,9 +182,9 @@ func (ns *nodeState) phase(gap sim.Time) sim.Time {
 
 // onAck folds one end-to-end response from peer into this origin node's
 // pacer: a CE-marked response (the request or the response crossed a
-// congested port) opens the gap to PaceFloor or widens it by PaceBackoff up
-// to PaceCeil — or jumps straight to PaceCeil when the response's round trip
-// exceeded SlamRTT, the signature of a standing backlog that gradual
+// congested port) opens the gap to PaceFloor or widens it by paceBackoff up
+// to paceCeil — or jumps straight to paceCeil when the response's round trip
+// exceeded slamRTT, the signature of a standing backlog that gradual
 // doubling would chase one queue-delayed round trip at a time. A clean
 // response decays the gap toward zero. issuedAt is the acked request's issue
 // instant — marks from requests issued before the last cut carry
@@ -148,7 +196,6 @@ func (ns *nodeState) onAck(peer int, ce bool, issuedAt sim.Time) {
 	if !rt.overloadArmed {
 		return
 	}
-	ov := &rt.cfg.Overload
 	now := rt.eng.NowOn(ns.id)
 	pc := ns.pacerFor(peer, now)
 	before := pc.gap
@@ -164,19 +211,15 @@ func (ns *nodeState) onAck(peer int, ce bool, issuedAt sim.Time) {
 		// backlog is still standing, not a leftover of the pre-cut flood —
 		// without this, one premature decay lets traffic refill a port
 		// whose reservation tail is still minutes of serialization deep.
-		case ov.SlamRTT > 0 && delay > ov.SlamRTT &&
-			issuedAt+delay/2 > pc.lastCut && pc.gap < ov.PaceCeil:
+		case delay > slamRTT && issuedAt+delay/2 > pc.lastCut && pc.gap < paceCeil:
 			st.PaceSlams++
-			cut = ov.PaceCeil
+			cut = paceCeil
 		case pc.gap == 0:
 			st.PaceBackoffs++
-			cut = ov.PaceFloor
+			cut = rt.cfg.Overload.PaceFloor
 		case issuedAt > pc.lastCut:
 			st.PaceBackoffs++
-			cut = sim.Time(float64(pc.gap) * ov.PaceBackoff)
-			if cut > ov.PaceCeil {
-				cut = ov.PaceCeil
-			}
+			cut = min(sim.Time(float64(pc.gap)*paceBackoff), paceCeil)
 		}
 		if cut >= 0 {
 			pc.gap = cut
@@ -201,12 +244,9 @@ func (ns *nodeState) onAck(peer int, ce bool, issuedAt sim.Time) {
 		// would raise the injection rate multiplicatively per ack and
 		// overshoot straight back past the marking point every cycle; deep
 		// gaps recover through the time-based halving instead (decayTo).
-		pc.gap -= ov.PaceDecay
-		if pc.gap < 0 {
-			pc.gap = 0
-		}
+		pc.gap = max(pc.gap-paceDecay, 0)
 	}
-	if rt.rungOf(before) != rt.rungOf(pc.gap) {
+	if rungOf(before) != rungOf(pc.gap) {
 		rt.notePace(ns.id, peer, before, pc.gap)
 	}
 }
@@ -243,7 +283,6 @@ func (r *Rank) pace(targetNode int) {
 // budget slot. Lock/Unlock never pass through here (see OverloadConfig).
 func (r *Rank) admit(reqs []*request, h *Handle) bool {
 	rt := r.rt
-	ov := &rt.cfg.Overload
 	targetNode := reqs[0].target / rt.cfg.PPN
 	pc := rt.nodes[r.node].pacerFor(targetNode, r.proc.Now())
 
@@ -263,26 +302,24 @@ func (r *Rank) admit(reqs []*request, h *Handle) bool {
 
 	// Bounded pending-op budget: prune handles that have since completed,
 	// then refuse to grow the pending set past the budget.
-	if ov.Budget > 0 {
-		live := r.outstanding[:0]
-		for _, o := range r.outstanding {
-			if !o.Done() {
-				live = append(live, o)
-			}
+	live := r.outstanding[:0]
+	for _, o := range r.outstanding {
+		if !o.Done() {
+			live = append(live, o)
 		}
-		for i := len(live); i < len(r.outstanding); i++ {
-			r.outstanding[i] = nil
-		}
-		r.outstanding = live
-		if len(r.outstanding) >= ov.Budget {
-			r.shed(reqs, h, "budget", pc.gap)
-			return false
-		}
+	}
+	for i := len(live); i < len(r.outstanding); i++ {
+		r.outstanding[i] = nil
+	}
+	r.outstanding = live
+	if len(r.outstanding) >= rt.cfg.Overload.Budget {
+		r.shed(reqs, h, "budget", pc.gap)
+		return false
 	}
 
 	// Ladder top rung: deprioritized classes are shed outright while the
-	// destination's gap sits at or above ShedAt.
-	if pc.gap >= ov.ShedAt && r.opClass > 0 {
+	// destination's gap sits at or above shedAt.
+	if pc.gap >= shedAt && r.opClass > 0 {
 		r.shed(reqs, h, "class", pc.gap)
 		return false
 	}
@@ -319,26 +356,25 @@ func (r *Rank) shed(reqs []*request, h *Handle, reason string, gap sim.Time) {
 	rt.eng.AfterOn(r.node, rt.cfg.LocalLatency, func() { h.failAll(err) })
 }
 
-// effMaxOps returns the aggregation MaxOps bound in effect for traffic from
-// node toward targetNode: the configured bound, quadrupled at the ladder's
+// effMaxOps returns the aggregation batch bound in effect for traffic from
+// node toward targetNode: aggMaxOps, quadrupled at the ladder's
 // coalesce rung so a congested destination drains its backlog in fewer,
 // larger packets. The BufSize wire bound still applies unchanged, so merged
 // packets always fit one request buffer downstream.
 func (rt *Runtime) effMaxOps(node, targetNode int) int {
-	maxOps := rt.cfg.Agg.MaxOps
 	if !rt.overloadArmed {
-		return maxOps
+		return aggMaxOps
 	}
-	if pc := rt.nodes[node].pacers[targetNode]; pc != nil && pc.gap >= rt.cfg.Overload.CoalesceAt {
-		return 4 * maxOps
+	if pc := rt.nodes[node].pacers[targetNode]; pc != nil && pc.gap >= coalesceAt {
+		return 4 * aggMaxOps
 	}
-	return maxOps
+	return aggMaxOps
 }
 
 // SetOpClass sets the priority class stamped on operations this rank issues
 // from now on. Class 0 (the default) is never shed by the ladder's class
 // rung; higher values mark lower-priority traffic, shed first when a
-// destination's pacer reaches ShedAt. The class is origin-local — it never
+// destination's pacer reaches shedAt. The class is origin-local — it never
 // travels on the wire — and is ignored when overload protection is off.
 func (r *Rank) SetOpClass(class int) { r.opClass = class }
 
@@ -359,7 +395,7 @@ func (rt *Runtime) notePace(node, peer int, before, after sim.Time) {
 	o.tr.Instant(fmt.Sprintf("pace node%d->node%d", node, peer),
 		"overload", o.pid, node, rt.eng.NowOn(node), map[string]any{
 			"gap_before_us": before.Micros(), "gap_after_us": after.Micros(),
-			"rung": rt.rungOf(after),
+			"rung": rungOf(after),
 		})
 }
 

@@ -15,6 +15,10 @@ import (
 // the protocol stays at-most-once-apply under lost requests, lost
 // responses, and lost credit acks alike.
 
+// retryBackoff is the multiplicative backoff applied to the request timeout
+// after every retransmission.
+const retryBackoff = 2.0
+
 // armTimeout assigns req a request id and starts its timeout timer. No-op
 // when request timeouts are disabled. It must run in the origin node's owner
 // context (it always does: chunks are armed by the issuing rank). The rid is
@@ -90,7 +94,7 @@ func (rt *Runtime) scheduleTimeout(req *request, targetNode int, timeout sim.Tim
 		// issuing rank is typically parked in Wait. Credit starvation here
 		// is recovered by the edge's regen machinery, not by blocking.
 		eg.submitForward(&clone, nil, -1)
-		rt.scheduleTimeout(req, targetNode, sim.Time(float64(timeout)*rt.cfg.RetryBackoff))
+		rt.scheduleTimeout(req, targetNode, sim.Time(float64(timeout)*retryBackoff))
 	})
 }
 

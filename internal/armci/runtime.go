@@ -696,7 +696,7 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	if rt.healArmed {
 		for i := range rt.nodes {
 			ns := &rt.nodes[i]
-			rt.eng.AfterOn(ns.id, rt.cfg.Heal.HeartbeatInterval, ns.monitorTick)
+			rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
 		}
 	}
 }

@@ -24,25 +24,15 @@ func TestValidateRejects(t *testing.T) {
 		{"negative timeout", func(c *Config) { c.RequestTimeout = -sim.Millisecond }, "RequestTimeout"},
 		{"negative credit timeout", func(c *Config) { c.CreditTimeout = -sim.Millisecond }, "CreditTimeout"},
 		{"negative retries", func(c *Config) { c.MaxRetries = -2 }, "MaxRetries"},
-		{"shrinking backoff", func(c *Config) { c.RetryBackoff = 0.5 }, "RetryBackoff"},
 		{"negative per-byte", func(c *Config) { c.CHTPerByte = -1 }, "CHTPerByte"},
 		{"topology mismatch", func(c *Config) { c.Topology = core.MustNew(core.FCG, 5) }, "topology"},
 		{"negative congestion threshold",
-			func(c *Config) { c.Overload.CongestionThreshold = -sim.Microsecond }, "Overload.CongestionThreshold"},
+			func(c *Config) { c.Fabric.CongestionThreshold = -sim.Microsecond }, "Fabric.CongestionThreshold"},
 		{"negative pace floor", func(c *Config) { c.Overload.PaceFloor = -sim.Microsecond }, "Overload.PaceFloor"},
-		{"negative pace ceil", func(c *Config) { c.Overload.PaceCeil = -sim.Millisecond }, "Overload.PaceCeil"},
-		{"negative pace decay", func(c *Config) { c.Overload.PaceDecay = -sim.Microsecond }, "Overload.PaceDecay"},
-		{"negative slam rtt", func(c *Config) { c.Overload.SlamRTT = -sim.Microsecond }, "Overload.SlamRTT"},
-		{"negative decay halflife",
-			func(c *Config) { c.Overload.DecayHalflife = -sim.Microsecond }, "Overload.DecayHalflife"},
-		{"negative coalesce rung", func(c *Config) { c.Overload.CoalesceAt = -sim.Microsecond }, "Overload.CoalesceAt"},
-		{"negative shed rung", func(c *Config) { c.Overload.ShedAt = -sim.Microsecond }, "Overload.ShedAt"},
+		// A floor above the 5 ms ceiling would make the first CE mark clamp
+		// its doubled gap to the ceiling, shrinking the gap on congestion.
+		{"pace floor above ceiling", func(c *Config) { c.Overload.PaceFloor = 10 * sim.Millisecond }, "Overload.PaceFloor"},
 		{"negative budget", func(c *Config) { c.Overload.Budget = -1 }, "Overload.Budget"},
-		{"shrinking pace backoff", func(c *Config) { c.Overload.PaceBackoff = 0.5 }, "Overload.PaceBackoff"},
-		{"inverted ladder", func(c *Config) {
-			c.Overload.CoalesceAt = 2 * sim.Millisecond
-			c.Overload.ShedAt = sim.Millisecond
-		}, "Overload.CoalesceAt"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -78,12 +68,11 @@ func TestFaultsEnableResilienceDefaults(t *testing.T) {
 	if rt.cfg.RequestTimeout != DefaultRequestTimeout {
 		t.Errorf("RequestTimeout = %v, want default %v", rt.cfg.RequestTimeout, DefaultRequestTimeout)
 	}
-	if rt.cfg.CreditTimeout != DefaultCreditTimeout {
-		t.Errorf("CreditTimeout = %v, want default %v", rt.cfg.CreditTimeout, DefaultCreditTimeout)
+	if rt.cfg.CreditTimeout != defaultCreditTimeout {
+		t.Errorf("CreditTimeout = %v, want default %v", rt.cfg.CreditTimeout, defaultCreditTimeout)
 	}
-	if rt.cfg.MaxRetries != DefaultMaxRetries || rt.cfg.RetryBackoff != DefaultRetryBackoff {
-		t.Errorf("MaxRetries/RetryBackoff = %d/%v, want defaults %d/%v",
-			rt.cfg.MaxRetries, rt.cfg.RetryBackoff, DefaultMaxRetries, DefaultRetryBackoff)
+	if rt.cfg.MaxRetries != defaultMaxRetries {
+		t.Errorf("MaxRetries = %d, want default %d", rt.cfg.MaxRetries, defaultMaxRetries)
 	}
 }
 
@@ -96,26 +85,16 @@ func TestOverloadEnableAppliesDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := rt.cfg.Overload
-	if ov.CongestionThreshold != DefaultCongestionThreshold {
-		t.Errorf("CongestionThreshold = %v, want default %v", ov.CongestionThreshold, DefaultCongestionThreshold)
+	if ov.PaceFloor != defaultPaceFloor || ov.Budget != defaultOverloadBudget {
+		t.Errorf("PaceFloor/Budget = %v/%d, want defaults %v/%d",
+			ov.PaceFloor, ov.Budget, defaultPaceFloor, defaultOverloadBudget)
 	}
-	if ov.PaceFloor != DefaultPaceFloor || ov.PaceCeil != DefaultPaceCeil ||
-		ov.PaceDecay != DefaultPaceDecay || ov.PaceBackoff != DefaultPaceBackoff {
-		t.Errorf("pacing defaults = %+v", ov)
+	if !rt.cfg.Agg.Enabled {
+		t.Error("overload protection did not arm aggregation for its coalesce rung")
 	}
-	if ov.SlamRTT != DefaultSlamRTT || ov.DecayHalflife != DefaultDecayHalflife {
-		t.Errorf("SlamRTT/DecayHalflife = %v/%v, want defaults %v/%v",
-			ov.SlamRTT, ov.DecayHalflife, DefaultSlamRTT, DefaultDecayHalflife)
-	}
-	if ov.Budget != DefaultOverloadBudget {
-		t.Errorf("Budget = %d, want default %d", ov.Budget, DefaultOverloadBudget)
-	}
-	if ov.CoalesceAt != ov.PaceCeil/4 || ov.ShedAt != ov.PaceCeil/2 {
-		t.Errorf("ladder rungs = %v/%v, want PaceCeil/4 and PaceCeil/2", ov.CoalesceAt, ov.ShedAt)
-	}
-	if rt.cfg.Fabric.CongestionThreshold != ov.CongestionThreshold {
-		t.Errorf("fabric marking threshold %v not mirrored from overload config %v",
-			rt.cfg.Fabric.CongestionThreshold, ov.CongestionThreshold)
+	if rt.cfg.Fabric.CongestionThreshold != congestionThreshold {
+		t.Errorf("fabric marking threshold = %v, want %v",
+			rt.cfg.Fabric.CongestionThreshold, congestionThreshold)
 	}
 }
 

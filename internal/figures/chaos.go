@@ -162,10 +162,9 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	cfg.Overload.Enabled = c.Overload
 	// Fast retry constants scaled to the horizon. The doubling retries from
 	// 200us put attempts at +200us/600us/1.4ms/3ms after issue — the last
-	// two comfortably past worst-case detection (2*SuspicionTimeout +
-	// 2*HeartbeatInterval = 800us with the defaults), so a healed route is
-	// always found before retries exhaust and any failure with healing on
-	// is a real lost path, not impatience. The total span (6.2ms) also stays
+	// two comfortably past worst-case detection (armci.DetectionBound,
+	// 800us), so a healed route is always found before retries exhaust and
+	// any failure with healing on is a real lost path, not impatience. The total span (6.2ms) also stays
 	// under the watchdog's patience window: a doomed operation fails — and
 	// resumes its rank — before quiescent retry churn reads as a wedge.
 	cfg.RequestTimeout = 200 * sim.Microsecond
@@ -293,14 +292,10 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		return nil, fmt.Errorf("chaos %v seed %d: %w", spec, c.Seed, err)
 	}
 	// Invariant 4: bounded detection. Every confirmation must land within
-	// two suspicion timeouts plus two heartbeat ticks of quantization slack.
-	if c.Heal && res.Stats.Confirms > 0 {
-		heal := rt.Config().Heal
-		bound := 2*heal.SuspicionTimeout + 2*heal.HeartbeatInterval
-		if res.Stats.MaxDetectLatency > bound {
-			return nil, fmt.Errorf("chaos %v seed %d: detection latency %v exceeds bound %v",
-				spec, c.Seed, res.Stats.MaxDetectLatency, bound)
-		}
+	// armci.DetectionBound of the crash.
+	if c.Heal && res.Stats.Confirms > 0 && res.Stats.MaxDetectLatency > armci.DetectionBound {
+		return nil, fmt.Errorf("chaos %v seed %d: detection latency %v exceeds bound %v",
+			spec, c.Seed, res.Stats.MaxDetectLatency, armci.DetectionBound)
 	}
 	// The ledger fingerprint: every rank's outcome counters plus the full
 	// applied matrix plus the final clock. This is the bit-identity oracle —

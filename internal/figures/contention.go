@@ -338,33 +338,3 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	}
 	return series, nil
 }
-
-// Fig6 runs the vectored-put contention benchmark (one series per requested
-// topology) at the given contention level.
-func Fig6(kinds []core.Kind, contenderEvery int, scale ContentionConfig) ([]*stats.Series, error) {
-	return contentionSet(kinds, contenderEvery, scale, OpVectoredPut)
-}
-
-// Fig7 runs the fetch-&-add contention benchmark.
-func Fig7(kinds []core.Kind, contenderEvery int, scale ContentionConfig) ([]*stats.Series, error) {
-	return contentionSet(kinds, contenderEvery, scale, OpFetchAdd)
-}
-
-func contentionSet(kinds []core.Kind, contenderEvery int, scale ContentionConfig, op ContentionOp) ([]*stats.Series, error) {
-	var out []*stats.Series
-	for _, kind := range kinds {
-		c := scale
-		c.Kind = kind
-		c.ContenderEvery = contenderEvery
-		c.Op = op
-		if _, ok := topoFor(kind, c.withDefaults().Nodes); !ok {
-			continue
-		}
-		s, err := Contention(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}

@@ -145,19 +145,20 @@ func TestFamilyOverload(t *testing.T) {
 	}
 }
 
-// TestFamilyFig5PointSpec checks the memscale unit on shaped specs against
-// the unshaped equivalents.
+// TestFamilyFig5PointSpec checks the memscale unit on shaped specs, and on a
+// bare kind against the Fig 5 series for the same topology.
 func TestFamilyFig5PointSpec(t *testing.T) {
-	classic, err := Fig5Point(128, 4, core.MFCG)
+	ss, err := Fig5([]int{128}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	classic := seriesByLabel(t, ss, "MFCG").YAt(128)
 	viaSpec, err := Fig5PointSpec(128, 4, core.Spec{Kind: core.MFCG})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if classic != viaSpec {
-		t.Fatalf("Fig5Point %v != Fig5PointSpec %v for the same topology", classic, viaSpec)
+		t.Fatalf("Fig5 %v != Fig5PointSpec %v for the same topology", classic, viaSpec)
 	}
 	for _, specStr := range familySpecs {
 		spec, err := core.ParseSpec(specStr)

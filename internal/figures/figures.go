@@ -49,15 +49,10 @@ func Fig5(procCounts []int, ppn int) ([]*stats.Series, error) {
 	return out, nil
 }
 
-// Fig5Point computes a single cell of Figure 5: master-process RSS (MBytes)
-// for one topology at one process count. It is the per-point unit the sweep
-// runner executes; Fig5 is the serial cross-product of these cells.
-func Fig5Point(procs, ppn int, kind core.Kind) (float64, error) {
-	return Fig5PointSpec(procs, ppn, core.Spec{Kind: kind})
-}
-
-// Fig5PointSpec is Fig5Point for a parameterized topology spec, the unit the
-// sweep runner executes for shaped memscale points.
+// Fig5PointSpec computes a single cell of Figure 5: master-process RSS
+// (MBytes) for one topology spec at one process count. It is the per-point
+// unit the sweep runner executes; Fig5 is the serial cross-product of these
+// cells over the paper's four kinds.
 func Fig5PointSpec(procs, ppn int, spec core.Spec) (float64, error) {
 	if procs%ppn != 0 {
 		return 0, fmt.Errorf("figures: %d processes not divisible by ppn %d", procs, ppn)

@@ -77,11 +77,25 @@ func smallScale() ContentionConfig {
 	return ContentionConfig{Nodes: 64, PPN: 2, Iters: 5, SampleEvery: 4, StreamLimit: 8}
 }
 
-func TestFig6NoContentionFCGFastest(t *testing.T) {
-	ss, err := Fig6([]core.Kind{core.FCG, core.MFCG, core.Hypercube}, 0, smallScale())
-	if err != nil {
-		t.Fatal(err)
+// contentionSeries runs the small-scale contention benchmark once per kind
+// with the given operation and contention level.
+func contentionSeries(t *testing.T, op ContentionOp, contenderEvery int, kinds ...core.Kind) []*stats.Series {
+	t.Helper()
+	var out []*stats.Series
+	for _, kind := range kinds {
+		c := smallScale()
+		c.Kind, c.Op, c.ContenderEvery = kind, op, contenderEvery
+		s, err := Contention(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
 	}
+	return out
+}
+
+func TestFig6NoContentionFCGFastest(t *testing.T) {
+	ss := contentionSeries(t, OpVectoredPut, 0, core.FCG, core.MFCG, core.Hypercube)
 	fcg := stats.Summarize(seriesByLabel(t, ss, "FCG").Y)
 	mfcg := stats.Summarize(seriesByLabel(t, ss, "MFCG").Y)
 	hc := stats.Summarize(seriesByLabel(t, ss, "Hypercube").Y)
@@ -96,14 +110,8 @@ func TestFig6NoContentionFCGFastest(t *testing.T) {
 func TestFig6ContentionDegradesFCGAndMFCGResists(t *testing.T) {
 	// Paper Fig 6(b)(c): contention degrades FCG by orders of magnitude;
 	// with 20% contention MFCG completes operations faster than FCG.
-	base, err := Fig6([]core.Kind{core.FCG}, 0, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Fig6([]core.Kind{core.FCG, core.MFCG}, 5, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := contentionSeries(t, OpVectoredPut, 0, core.FCG)
+	loaded := contentionSeries(t, OpVectoredPut, 5, core.FCG, core.MFCG)
 	fcg0 := stats.Summarize(seriesByLabel(t, base, "FCG").Y)
 	fcg20 := stats.Summarize(seriesByLabel(t, loaded, "FCG").Y)
 	mfcg20 := stats.Summarize(seriesByLabel(t, loaded, "MFCG").Y)
@@ -120,11 +128,7 @@ func TestFig6ContentionDegradesFCGAndMFCGResists(t *testing.T) {
 func TestFig6LatencyGrowsWithRankDistance(t *testing.T) {
 	// Paper: even in FCG, op time gradually increases with process rank
 	// because physical distance to rank 0 grows.
-	ss, err := Fig6([]core.Kind{core.FCG}, 0, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ss[0]
+	s := contentionSeries(t, OpVectoredPut, 0, core.FCG)[0]
 	n := len(s.Y)
 	if n < 8 {
 		t.Fatal("too few samples")
@@ -139,11 +143,7 @@ func TestFig6LatencyGrowsWithRankDistance(t *testing.T) {
 func TestFig6MFCGShowsDistinctBands(t *testing.T) {
 	// Paper: MFCG's per-rank times form distinct groups (1-hop direct vs
 	// 2-hop forwarded).
-	ss, err := Fig6([]core.Kind{core.MFCG}, 0, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ss[0]
+	s := contentionSeries(t, OpVectoredPut, 0, core.MFCG)[0]
 	topo := core.MustNew(core.MFCG, 64)
 	var direct, forwarded []float64
 	for i, x := range s.X {
@@ -166,14 +166,8 @@ func TestFig6MFCGShowsDistinctBands(t *testing.T) {
 
 func TestFig7FetchAddContention(t *testing.T) {
 	// Paper Fig 7: same qualitative story for atomics.
-	base, err := Fig7([]core.Kind{core.FCG, core.MFCG}, 0, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Fig7([]core.Kind{core.FCG, core.MFCG}, 5, smallScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := contentionSeries(t, OpFetchAdd, 0, core.FCG, core.MFCG)
+	loaded := contentionSeries(t, OpFetchAdd, 5, core.FCG, core.MFCG)
 	fcg0 := stats.Summarize(seriesByLabel(t, base, "FCG").Y)
 	mfcg0 := stats.Summarize(seriesByLabel(t, base, "MFCG").Y)
 	fcg20 := stats.Summarize(seriesByLabel(t, loaded, "FCG").Y)

@@ -45,10 +45,6 @@ type OverloadConfig struct {
 	// issues at the hot node (default 64: enough pipelined windows that the
 	// AIMD loop sees several feedback rounds and reaches equilibrium).
 	OpsPerRank int
-	// Window pipelines each rank's ops: Window nonblocking operations in
-	// flight before a WaitAll (default 8). The in-flight window is what the
-	// pending-op budget bites on under congestion.
-	Window int
 	// Tenants partitions ranks into tenant classes (rank % Tenants; default
 	// 2) for the fairness check. Tenants run identical workloads — the
 	// bound asserts protection does not starve any of them.
@@ -57,25 +53,11 @@ type OverloadConfig struct {
 	// (default 2), the storm-intensity axis of the overload sweep. Each
 	// burst is a deterministic faults.Storm window.
 	Storms int
-	// Deadline is the virtual-time budget stamped on every 5th op (default
-	// 100us, several healthy round trips): under pacing backoff those ops
-	// shed with reason "deadline" instead of completing hopelessly late.
-	Deadline sim.Time
 	// Seed drives the engine RNG and per-rank workload jitter.
 	Seed int64
 	// Protect arms the overload-protection layer (armci.Config.Overload).
 	// Off, the identical workload runs unprotected — the collapse baseline.
 	Protect bool
-	// Budget overrides the pending-op budget when protecting (default
-	// 2*Window, so budget sheds trigger once congestion makes completions
-	// lag the injection window).
-	Budget int
-	// StreamLimit and StreamPenalty override the fabric's ejection stream
-	// model (defaults 8 and 2.0: a cliff above benign forwarder fan-in but
-	// below the hot node's full in-degree, so the unprotected incast
-	// demonstrably collapses while paced traffic stays under the limit).
-	StreamLimit   int
-	StreamPenalty float64
 	// GoodputFloor, when positive and protecting, requires
 	// completed >= GoodputFloor * issued over the whole run.
 	GoodputFloor float64
@@ -135,38 +117,42 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	if c.OpsPerRank == 0 {
 		c.OpsPerRank = 64
 	}
-	if c.Window == 0 {
-		c.Window = 8
-	}
 	if c.Tenants == 0 {
 		c.Tenants = 2
 	}
 	if c.Storms == 0 {
 		c.Storms = 2
 	}
-	if c.Deadline == 0 {
-		c.Deadline = 100 * sim.Microsecond
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Budget == 0 {
-		c.Budget = 2 * c.Window
-	}
-	if c.StreamLimit == 0 {
-		c.StreamLimit = 8
-	}
-	if c.StreamPenalty == 0 {
-		c.StreamPenalty = 4.0
 	}
 	return c
 }
 
-// ovlVals is the accumulate vector length (128 float64s = 1 KiB on the
-// wire), and ovlSlot the per-origin ledger region size in bytes.
+// The incast workload's shape.
 const (
+	// ovlVals is the accumulate vector length (128 float64s = 1 KiB on the
+	// wire), and ovlSlot the per-origin ledger region size in bytes.
 	ovlVals = 128
 	ovlSlot = 8 * ovlVals
+	// ovlWindow pipelines each rank's ops: ovlWindow nonblocking operations
+	// in flight before a WaitAll. The in-flight window is what the
+	// pending-op budget bites on under congestion.
+	ovlWindow = 8
+	// ovlBudget is the pending-op budget when protecting, 2*ovlWindow, so
+	// budget sheds trigger once congestion makes completions lag the
+	// injection window.
+	ovlBudget = 2 * ovlWindow
+	// ovlDeadline is the virtual-time budget stamped on every 5th op,
+	// several healthy round trips: under pacing backoff those ops shed with
+	// reason "deadline" instead of completing hopelessly late.
+	ovlDeadline = 100 * sim.Microsecond
+	// ovlStreamLimit and ovlStreamPenalty set the fabric's ejection stream
+	// model: a cliff above benign forwarder fan-in but below the hot node's
+	// full in-degree, so the unprotected incast demonstrably collapses while
+	// paced traffic stays under the limit.
+	ovlStreamLimit   = 8
+	ovlStreamPenalty = 4.0
 )
 
 // stormSchedule builds the deterministic storm bursts against the hot node:
@@ -210,8 +196,8 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 	const hot = 0 // hot node; its first rank hosts every ledger slot
 	cfg := armci.DefaultConfig(c.Nodes, c.PPN)
 	cfg.Topology = topo
-	cfg.Fabric.StreamLimit = c.StreamLimit
-	cfg.Fabric.StreamPenalty = c.StreamPenalty
+	cfg.Fabric.StreamLimit = ovlStreamLimit
+	cfg.Fabric.StreamPenalty = ovlStreamPenalty
 	cfg.Faults = faults.NewInjector(eng, c.Nodes, &faults.Spec{Faults: stormSchedule(hot, c.Storms)})
 	// Storms stretch ejection bandwidth but never lose traffic, so the
 	// retransmission machinery (armed by default whenever Faults is set) can
@@ -222,7 +208,7 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 	cfg.RequestTimeout = sim.Second
 	if c.Protect {
 		cfg.Overload.Enabled = true
-		cfg.Overload.Budget = c.Budget
+		cfg.Overload.Budget = ovlBudget
 		// With every origin aimed at one node, the slow-start floor must
 		// hold the initial per-origin rate below the fair share of the hot
 		// port (origins x per-op serialization, with headroom), or the
@@ -283,12 +269,9 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 		rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
 		r.Sleep(sim.Time(rng.Int63n(int64(20 * sim.Microsecond))))
 		me := r.Rank()
-		hs := make([]*armci.Handle, 0, c.Window)
-		for i := 0; i < c.OpsPerRank; i += c.Window {
-			w := c.Window
-			if c.OpsPerRank-i < w {
-				w = c.OpsPerRank - i
-			}
+		hs := make([]*armci.Handle, 0, ovlWindow)
+		for i := 0; i < c.OpsPerRank; i += ovlWindow {
+			w := min(ovlWindow, c.OpsPerRank-i)
 			hs = hs[:0]
 			t0 := r.Now()
 			for j := 0; j < w; j++ {
@@ -303,7 +286,7 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 				}
 				r.SetOpClass(class)
 				if op%5 == 4 {
-					r.SetOpDeadline(c.Deadline)
+					r.SetOpDeadline(ovlDeadline)
 				} else {
 					r.SetOpDeadline(0)
 				}

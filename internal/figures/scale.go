@@ -24,22 +24,9 @@ type ScaleConfig struct {
 	// Nodes is the simulated node count; the harness runs on a Hypercube,
 	// so it must be a power of two (the only standard topology whose
 	// degree stays logarithmic at 64k nodes — FCG's N-1 and even MFCG's
-	// ~2*sqrt(N) edges are infeasible per-node state at this scale).
+	// ~2*sqrt(N) edges are infeasible per-node state at this scale) and at
+	// least 2, one target plus one active (default 1024).
 	Nodes int
-	// Actives is how many source ranks perform the incast (default 64,
-	// capped at Nodes-1). Everyone else exits immediately, standing in for
-	// the paper's "all other processes idle in a barrier".
-	Actives int
-	// Iters is the number of vectored puts each active rank issues
-	// (default 16).
-	Iters int
-	// Window pipelines each active's puts: Window nonblocking operations
-	// in flight before a WaitAll (default 4).
-	Window int
-	// VecSegs x VecSegLen defines the vectored payload (default 8 x 64B —
-	// small on purpose: the hot path under test is protocol bookkeeping,
-	// not byte copying).
-	VecSegs, VecSegLen int
 	// Shards runs the kernel conservatively in parallel (bit-identical
 	// per the docs/PARALLELISM.md contract; Fingerprint witnesses it).
 	Shards int
@@ -54,30 +41,22 @@ type ScaleConfig struct {
 	Measure bool
 }
 
-func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 1024
-	}
-	if c.Actives == 0 {
-		c.Actives = 64
-	}
-	if c.Actives > c.Nodes-1 {
-		c.Actives = c.Nodes - 1
-	}
-	if c.Iters == 0 {
-		c.Iters = 16
-	}
-	if c.Window == 0 {
-		c.Window = 4
-	}
-	if c.VecSegs == 0 {
-		c.VecSegs = 8
-	}
-	if c.VecSegLen == 0 {
-		c.VecSegLen = 64
-	}
-	return c
-}
+// The scaling workload's shape.
+const (
+	// scaleActives is how many source ranks perform the incast (capped at
+	// Nodes-1). Everyone else exits immediately, standing in for the
+	// paper's "all other processes idle in a barrier".
+	scaleActives = 64
+	// scaleIters is the number of vectored puts each active rank issues.
+	scaleIters = 16
+	// scaleWindow pipelines each active's puts: scaleWindow nonblocking
+	// operations in flight before a WaitAll.
+	scaleWindow = 4
+	// scaleSegs x scaleSegLen defines the vectored payload — small on
+	// purpose: the hot path under test is protocol bookkeeping, not byte
+	// copying.
+	scaleSegs, scaleSegLen = 8, 64
+)
 
 // ScaleResult is one scaling point: the workload identity, the virtual-time
 // outcome, and (with Measure) the allocation-rate and live-footprint
@@ -85,7 +64,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 type ScaleResult struct {
 	Nodes   int // simulated nodes
 	Actives int // active source ranks
-	Ops     int // vectored puts issued in the measured phase (Actives*Iters)
+	Ops     int // vectored puts issued in the measured phase (Actives*scaleIters)
 	// VirtualTime is the simulation clock when the run drained.
 	VirtualTime sim.Time
 	// MallocsDelta is the heap allocation count of the measured phase
@@ -107,12 +86,18 @@ type ScaleResult struct {
 	MasterRSS int64
 }
 
-// Scale runs the scaling harness: Actives ranks incast windowed vectored
-// puts into rank 0 on a Hypercube of c.Nodes nodes (PPN 1), with the
-// measured phase gated behind a start event so spawn/teardown noise of the
-// idle population stays out of the allocation counts.
+// Scale runs the scaling harness: up to scaleActives ranks incast windowed
+// vectored puts into rank 0 on a Hypercube of c.Nodes nodes (PPN 1), with
+// the measured phase gated behind a start event so spawn/teardown noise of
+// the idle population stays out of the allocation counts.
 func Scale(c ScaleConfig) (*ScaleResult, error) {
-	c = c.withDefaults()
+	if c.Nodes == 0 {
+		c.Nodes = 1024
+	}
+	if c.Nodes < 2 {
+		return nil, fmt.Errorf("figures: the scaling harness needs at least 2 nodes (a target and an active), got %d", c.Nodes)
+	}
+	actives := min(scaleActives, c.Nodes-1)
 	eng := simEngine()
 	if c.Seed != 0 {
 		eng.Seed(c.Seed)
@@ -134,8 +119,7 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 	// requests serially, so overlap is benign), keeping the per-rank
 	// backing arrays — Alloc gives one to *every* rank — a few hundred
 	// bytes so LiveBytes measures runtime state, not workload buffers.
-	slot := c.VecSegs * c.VecSegLen
-	rt.Alloc("hot", 8+slot)
+	rt.Alloc("hot", 8+scaleSegs*scaleSegLen)
 
 	// The measured phase opens at startAt — far enough past t=0 that every
 	// idle rank has exited and its teardown events have drained — and closes
@@ -154,30 +138,27 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 
 	// Per-active completion instants, each written only from its own
 	// owner's context; the fingerprint folds them after the run.
-	doneAt := make([]sim.Time, c.Actives)
-	remaining := c.Actives
+	doneAt := make([]sim.Time, actives)
+	remaining := actives
 
 	body := func(r *armci.Rank) {
 		rank := r.Rank()
-		if rank == 0 || rank > c.Actives {
-			return // rank 0 is the target; everyone past Actives idles
+		if rank == 0 || rank > actives {
+			return // rank 0 is the target; everyone past the actives idles
 		}
 		idx := rank - 1
 		// The payload buffers are hoisted out of the op loop: workload-side
 		// allocation would otherwise drown the runtime's own rate, which is
 		// the quantity under test.
-		segs := make([]armci.Seg, c.VecSegs)
+		segs := make([]armci.Seg, scaleSegs)
 		for i := range segs {
-			segs[i] = armci.Seg{Off: 8 + i*c.VecSegLen, Len: c.VecSegLen}
+			segs[i] = armci.Seg{Off: 8 + i*scaleSegLen, Len: scaleSegLen}
 		}
-		data := make([]byte, c.VecSegs*c.VecSegLen)
-		hs := make([]*armci.Handle, 0, c.Window)
+		data := make([]byte, scaleSegs*scaleSegLen)
+		hs := make([]*armci.Handle, 0, scaleWindow)
 		start.Wait(r.Proc())
-		for k := 0; k < c.Iters; k += c.Window {
-			w := c.Window
-			if c.Iters-k < w {
-				w = c.Iters - k
-			}
+		for k := 0; k < scaleIters; k += scaleWindow {
+			w := min(scaleWindow, scaleIters-k)
 			hs = hs[:0]
 			for j := 0; j < w; j++ {
 				hs = append(hs, r.NbPutV(0, "hot", segs, data))
@@ -199,8 +180,8 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 
 	res := &ScaleResult{
 		Nodes:       c.Nodes,
-		Actives:     c.Actives,
-		Ops:         c.Actives * c.Iters,
+		Actives:     actives,
+		Ops:         actives * scaleIters,
 		VirtualTime: eng.Now(),
 		MasterRSS:   armci.MasterRSSFor(cfg, topo, 0),
 	}

@@ -39,6 +39,15 @@ func TestScaleRejectsNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestScaleRejectsTooFewNodes: a single node leaves no active rank, so the
+// measured allocation rate would be 0/0; the harness must refuse the point
+// rather than report NaN.
+func TestScaleRejectsTooFewNodes(t *testing.T) {
+	if _, err := Scale(ScaleConfig{Nodes: 1, Measure: true}); err == nil {
+		t.Error("nodes=1 did not error")
+	}
+}
+
 // TestScaleDeterminism16k is the large-N determinism smoke from
 // docs/SCALING.md: the 16k-node Fig 6 point must produce a bit-identical
 // completion-time fingerprint on the serial kernel and at shard counts 2 and
