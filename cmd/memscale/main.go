@@ -1,11 +1,10 @@
 // Command memscale runs one large-N scaling point of the simulated runtime
 // (docs/SCALING.md): N simulated nodes on a Hypercube carrying the Fig 5/6
 // incast workload, reporting wall clock, hot-path allocation rate, and live
-// footprint next to the analytic Fig 5 model for the same node. This is the
-// CI smoke entry point for the BENCH_scale.json record:
+// footprint next to the analytic Fig 5 model for the same node:
 //
-//	memscale -scale 16384 -measure -json
-//	memscale -scale 16384 -measure -max-live-mb 256   # nonzero exit on breach
+//	memscale -scale 16384 -measure
+//	memscale -scale 16384 -measure -max-live-mb 128   # nonzero exit on breach
 //
 // Figure 5 itself (master-process memory versus process count) is the
 // `sweep -preset fig5` grid; cmd/vtreport prints it with the buffer-driven
@@ -13,11 +12,10 @@
 //
 // Usage:
 //
-//	memscale -scale N [-shards K] [-measure [-max-live-mb M]] [-json]
+//	memscale -scale N [-shards K] [-measure [-max-live-mb M]]
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -42,11 +40,10 @@ func checkFlags(scale, shards int, measure bool, maxLiveMB float64) error {
 	return nil
 }
 
-// runScalePoint runs one docs/SCALING.md scaling point and reports it,
-// either human-readable or as a row in the BENCH_scale.json shape. With a
-// -max-live-mb ceiling it turns into a CI gate: a live footprint above the
+// runScalePoint runs one docs/SCALING.md scaling point and reports it. With
+// a -max-live-mb ceiling it turns into a CI gate: a live footprint above the
 // ceiling exits nonzero.
-func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut bool) {
+func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64) {
 	t0 := time.Now()
 	res, err := figures.Scale(figures.ScaleConfig{
 		Nodes: nodes, Shards: shards, Measure: measure,
@@ -57,38 +54,15 @@ func runScalePoint(nodes, shards int, measure bool, maxLiveMB float64, jsonOut b
 	}
 	wall := time.Since(t0)
 
-	if jsonOut {
-		row := struct {
-			Nodes          int     `json:"nodes"`
-			WallMS         float64 `json:"wall_ms"`
-			Mallocs        uint64  `json:"mallocs"`
-			AllocsPerOp    float64 `json:"allocs_per_op"`
-			LiveBytes      uint64  `json:"live_bytes"`
-			Fingerprint    string  `json:"fingerprint"`
-			MasterRSSBytes int64   `json:"master_rss_bytes"`
-		}{
-			Nodes: res.Nodes, WallMS: float64(wall.Milliseconds()),
-			Mallocs: res.MallocsDelta, AllocsPerOp: res.AllocsPerOp,
-			LiveBytes: res.LiveBytes, Fingerprint: fmt.Sprintf("%016x", res.Fingerprint),
-			MasterRSSBytes: res.MasterRSS,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(row); err != nil {
-			fmt.Fprintln(os.Stderr, "memscale:", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Printf("scale point: %d nodes, %d actives, %d ops (Hypercube, shards=%d)\n",
-			res.Nodes, res.Actives, res.Ops, shards)
-		fmt.Printf("  wall clock     %v\n", wall)
-		fmt.Printf("  virtual time   %v\n", res.VirtualTime)
-		fmt.Printf("  fingerprint    %016x\n", res.Fingerprint)
-		fmt.Printf("  analytic RSS   %.1f MB (Fig 5 model, target node)\n", float64(res.MasterRSS)/(1<<20))
-		if measure {
-			fmt.Printf("  allocs/op      %.1f (%d mallocs over the measured phase)\n", res.AllocsPerOp, res.MallocsDelta)
-			fmt.Printf("  live bytes     %.1f MB after end-of-phase GC\n", float64(res.LiveBytes)/(1<<20))
-		}
+	fmt.Printf("scale point: %d nodes, %d actives, %d ops (Hypercube, shards=%d)\n",
+		res.Nodes, res.Actives, res.Ops, shards)
+	fmt.Printf("  wall clock     %v\n", wall)
+	fmt.Printf("  virtual time   %v\n", res.VirtualTime)
+	fmt.Printf("  fingerprint    %016x\n", res.Fingerprint)
+	fmt.Printf("  analytic RSS   %.1f MB (Fig 5 model, target node)\n", float64(res.MasterRSS)/(1<<20))
+	if measure {
+		fmt.Printf("  allocs/op      %.1f (%d mallocs over the measured phase)\n", res.AllocsPerOp, res.MallocsDelta)
+		fmt.Printf("  live bytes     %.1f MB after end-of-phase GC\n", float64(res.LiveBytes)/(1<<20))
 	}
 	if maxLiveMB > 0 {
 		if live := float64(res.LiveBytes) / (1 << 20); live > maxLiveMB {
@@ -103,12 +77,11 @@ func main() {
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	measure := flag.Bool("measure", false, "record hot-path allocs/op and live bytes (meaningful on the serial kernel only)")
 	maxLiveMB := flag.Float64("max-live-mb", 0, "with -measure: exit nonzero if live bytes exceed this many MB (CI footprint smoke)")
-	jsonOut := flag.Bool("json", false, "emit the point as a BENCH_scale.json-shaped row")
 	flag.Parse()
 
 	if err := checkFlags(*scale, *shards, *measure, *maxLiveMB); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	runScalePoint(*scale, *shards, *measure, *maxLiveMB, *jsonOut)
+	runScalePoint(*scale, *shards, *measure, *maxLiveMB)
 }

@@ -24,7 +24,7 @@ func TestCheckFlags(t *testing.T) {
 		{"-measure on the sharded kernel", 1024, 8, true, 0, false},
 		{"plain point", 1024, 1, false, 0, true},
 		{"sharded point", 65536, 8, false, 0, true},
-		{"CI footprint gate", 16384, 1, true, 256, true},
+		{"CI footprint gate", 16384, 1, true, 128, true},
 	} {
 		err := checkFlags(tc.scale, tc.shards, tc.measure, tc.maxLiveMB)
 		if (err == nil) != tc.ok {
@@ -46,12 +46,12 @@ func TestOneNodePointFails(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-scale", "1", "-measure", "-json")
+	cmd := exec.Command(bin, "-scale", "1", "-measure")
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err = cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("memscale -scale 1 -measure -json: err = %v, want exit status 1 (stdout %q)", err, stdout.String())
+		t.Fatalf("memscale -scale 1 -measure: err = %v, want exit status 1 (stdout %q)", err, stdout.String())
 	}
 	if stderr.Len() == 0 {
 		t.Error("exit 1 with no message on stderr")

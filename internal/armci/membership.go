@@ -23,7 +23,8 @@ import (
 // On confirmation the survivor heals locally with no extra protocol round:
 // sends parked on the dead edge replay through core.ReplacementHop's
 // deterministically elected substitute forwarder (an admissible LDF hop, so
-// the D <= M deadlock-freedom bound survives), ops with no live route fail
+// the D <= M hop bound survives; deadlock freedom of healed routes is not
+// established, see core.ReplacementHop), ops with no live route fail
 // their handles with *NodeFailedError, and the dead edge's outstanding
 // credits are written off against regeneration debt so a late ack can never
 // overflow the pool. In-flight chunks heal through their origin timeouts,

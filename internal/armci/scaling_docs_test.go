@@ -4,9 +4,7 @@ package armci
 // for the large-N runtime: the per-node byte-budget table must state the
 // actual sizes of the hot structures (checked against unsafe.Sizeof, so a
 // field added to nodeState without updating the budget fails here), and the
-// knob spellings and schema id consumers depend on must appear verbatim.
-// The BENCH_scale.json record itself is validated by the root package's
-// bench_scale_record_test.go.
+// knob spellings and the allocation ceiling must appear verbatim.
 
 import (
 	"fmt"
@@ -49,13 +47,10 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{
-		// memscale's scale-point mode and the record-regeneration flag.
-		"`-scale`", "`-measure`", "`-max-live-mb`", "`-json`",
-		"-update-bench-scale",
-		// The record schema id and the two allocation-contract numbers.
-		"armcivt-bench-scale/v1",
+		// memscale's scale-point flags.
+		"`-scale`", "`-measure`", "`-max-live-mb`",
+		// The allocation ceiling TestScaleAllocsCeiling enforces.
 		"32 allocs/op",
-		"190.6",
 		// The double-release guard the pooling contract promises.
 		"released twice",
 	} {

@@ -1,6 +1,5 @@
 // Package ckpt holds the byte-comparable state-digest helpers every layer
-// shares, plus the atomic file writer the sweep cache and the BENCH_*.json
-// records use.
+// shares, plus the atomic file writer the sweep cache uses.
 //
 // Each simulation layer (sim kernel, fabric, fault injector, armci runtime)
 // exposes a CheckpointSection: a digest of its state at a quiescent boundary
@@ -112,9 +111,8 @@ func MixBytes(h uint64, b []byte) uint64 {
 }
 
 // WriteFileAtomic writes data to path via a same-directory temp file and
-// rename. It is the shared atomic-write helper: sweep cache entries and
-// BENCH_*.json records both go through it, so an interrupted
-// writer leaves either the old file or the new one, never a torn mix.
+// rename. Sweep cache entries go through it, so an interrupted writer
+// leaves either the old file or the new one, never a torn mix.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -17,9 +17,13 @@ type admissibleHopper interface {
 // rest are the fallbacks — the next populated row/column — a runtime can
 // reroute through when the preferred intermediate is unavailable.
 //
+// The hop bound is all the fallbacks keep: they correct dimensions out of
+// LDF order, so routes mixing them can close buffer-dependency cycles
+// (see ReplacementHop; ROADMAP item 2).
+//
 // Topologies that are not coordinate-correction grids provide their own set
-// with the same contract (true neighbors, hop bound and deadlock discipline
-// preserved, preferred hop first) via the optional AdmissibleHops method.
+// with the same contract (true neighbors, hop bound preserved, preferred hop
+// first) via the optional AdmissibleHops method.
 func AdmissibleHops(t Topology, src, dst int) []int {
 	if ah, ok := t.(admissibleHopper); ok {
 		return ah.AdmissibleHops(src, dst)

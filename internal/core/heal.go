@@ -10,9 +10,13 @@ package core
 // forwarder toward it has failed.
 //
 // Because each admissible hop corrects one whole dimension of the LDF
-// route, a replacement never lengthens the path: the D <= M
-// deadlock-freedom bound of the paper's virtual topologies is preserved
-// through healing.
+// route, a replacement never lengthens the path: the paper's D <= M hop
+// bound holds through healing. Deadlock freedom does not follow from it. A
+// replacement may correct a higher dimension before a lower one, which is
+// the mixed order LDF forbids: on a 16-node Hypercube with nodes 0 and 7
+// dead, the healed routes close the buffer-dependency cycle
+// (3→2)(2→6)(6→4)(4→5)(5→1)(1→3). Whether healed routes can be made
+// deadlock-free is ROADMAP item 2.
 func ReplacementHop(t Topology, src, dst int, down func(node int) bool) (int, bool) {
 	if down(dst) {
 		return -1, false

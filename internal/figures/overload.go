@@ -31,7 +31,7 @@ import (
 // observed, that goodput under protection clears a configurable floor, that
 // per-tenant goodput stays within a max/min fairness bound, and that the
 // credit invariants held. The protection-off arm of the same workload is the
-// collapse baseline the BENCH_overload record quantifies.
+// collapse baseline TestOverloadProtectionWins measures protection against.
 
 // OverloadConfig sizes one overload run.
 type OverloadConfig struct {

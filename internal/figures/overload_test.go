@@ -35,10 +35,10 @@ func TestOverloadInvariants(t *testing.T) {
 	}
 }
 
-// TestOverloadProtectionWins is the collapse comparison the BENCH_overload
-// record quantifies, pinned at the smoke scale: the protected arm of the
-// identical incast-storm workload must beat the unprotected arm on goodput
-// by at least 2x and on p99 window latency outright.
+// TestOverloadProtectionWins is the collapse comparison of docs/OVERLOAD.md:
+// the protected arm of the identical incast-storm workload must beat the
+// unprotected arm on goodput by at least 2x and on p99 window latency
+// outright.
 func TestOverloadProtectionWins(t *testing.T) {
 	run := func(protect bool) *OverloadResult {
 		t.Helper()

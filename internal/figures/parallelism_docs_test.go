@@ -2,9 +2,9 @@ package figures
 
 // Documentation-drift check for the sharded kernel, the same pattern
 // internal/sweep uses for docs/SWEEP.md: docs/PARALLELISM.md is the schema
-// of record for every sim_* metric the kernel exports, for the -shards flag,
-// and for the BENCH_shards.json layout. These tests fail when code and
-// document diverge in either direction.
+// of record for every sim_* metric the kernel exports and for the -shards
+// flag. These tests fail when code and document diverge in either
+// direction.
 
 import (
 	"os"
@@ -76,16 +76,15 @@ func TestParallelismDocsCoverEmittedNames(t *testing.T) {
 	}
 }
 
-// TestParallelismDocsPinTheKnobs: the flag spelling and the bench schema id
-// that consumers depend on are stated verbatim in the document.
+// TestParallelismDocsPinTheKnobs: the flag spelling and API names that
+// consumers depend on are stated verbatim in the document.
 func TestParallelismDocsPinTheKnobs(t *testing.T) {
 	doc := readDoc(t, "../../docs/PARALLELISM.md")
 	for _, want := range []string{
-		"`-shards`",               // the CLI flag every driver exposes
-		"armci.Config.Shards",     // the API knob
-		"ConfigureShards",         // the kernel entry point
-		"(time, seq, origin)",     // the ordering key of the contract
-		"armcivt-bench-shards/v1", // BENCH_shards.json schema id
+		"`-shards`",           // the CLI flag every driver exposes
+		"armci.Config.Shards", // the API knob
+		"ConfigureShards",     // the kernel entry point
+		"(time, seq, origin)", // the ordering key of the contract
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("docs/PARALLELISM.md does not pin %q", want)

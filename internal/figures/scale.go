@@ -14,12 +14,13 @@ import (
 // workload shape (an incast of vectored puts into rank 0) held at a fixed
 // small active set while the node count grows to 5-6 digits, so what is
 // measured is the per-node cost of *existing* — the runtime state arenas,
-// the CHT daemons, the credit pools — plus the protocol's allocation rate
-// on the hot path, not an ever-growing traffic volume.
+// the credit pools — plus the protocol's allocation rate on the hot path,
+// not an ever-growing traffic volume.
 //
-// The harness underlies BENCH_scale.json and docs/SCALING.md: wall-clock
-// and live bytes bound the footprint claims, and AllocsPerOp is the
-// allocs/op contract the record's validating test enforces.
+// The harness underlies docs/SCALING.md and cmd/memscale: live bytes bound
+// the footprint claims, AllocsPerOp is the allocs/op contract
+// TestScaleAllocsCeiling enforces, and Fingerprint is pinned by the scale
+// tests.
 type ScaleConfig struct {
 	// Nodes is the simulated node count; the harness runs on a Hypercube,
 	// so it must be a power of two (the only standard topology whose
@@ -60,7 +61,7 @@ const (
 
 // ScaleResult is one scaling point: the workload identity, the virtual-time
 // outcome, and (with Measure) the allocation-rate and live-footprint
-// measurements BENCH_scale.json records.
+// measurements cmd/memscale reports.
 type ScaleResult struct {
 	Nodes   int // simulated nodes
 	Actives int // active source ranks
@@ -70,8 +71,8 @@ type ScaleResult struct {
 	// MallocsDelta is the heap allocation count of the measured phase
 	// (zero unless Measure).
 	MallocsDelta uint64
-	// AllocsPerOp is MallocsDelta / Ops — the hot-path allocation rate the
-	// scaling record's ceiling test pins (zero unless Measure).
+	// AllocsPerOp is MallocsDelta / Ops — the hot-path allocation rate
+	// TestScaleAllocsCeiling bounds (zero unless Measure).
 	AllocsPerOp float64
 	// LiveBytes is HeapInuse+StackInuse after a forced GC at the end of
 	// the measured phase: the live footprint of the whole simulated job,

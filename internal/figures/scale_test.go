@@ -4,8 +4,17 @@ import (
 	"testing"
 )
 
+// The completion fingerprints of the 1k- and 16k-node scaling points. They
+// hash every active's completion instant, so any change to the protocol's
+// virtual timing moves them; a change that moves them on purpose updates
+// them here.
+const (
+	scaleFingerprint1k  uint64 = 0xd4e57345ae0f060e
+	scaleFingerprint16k uint64 = 0x1d409b573a5bf872
+)
+
 // TestScaleDefaultsAndShape: the harness fills its documented defaults, runs
-// a small point end to end, and produces the fields BENCH_scale.json records.
+// a small point end to end, and produces the fields cmd/memscale reports.
 func TestScaleDefaultsAndShape(t *testing.T) {
 	res, err := Scale(ScaleConfig{Nodes: 256, Measure: true})
 	if err != nil {
@@ -48,8 +57,28 @@ func TestScaleRejectsTooFewNodes(t *testing.T) {
 	}
 }
 
+// TestScaleAllocsCeiling enforces the allocs/op contract of docs/SCALING.md:
+// one measured 1k-node point (tens of milliseconds) must stay under a
+// ceiling set at roughly 2x the measured rate, so a hot-path regression
+// fails here. It also pins the point's completion fingerprint, so it guards
+// virtual timing under -short too.
+func TestScaleAllocsCeiling(t *testing.T) {
+	const ceiling = 32.0
+	res, err := Scale(ScaleConfig{Nodes: 1024, Measure: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AllocsPerOp > ceiling {
+		t.Errorf("hot-path allocation rate %.1f allocs/op exceeds the %.0f ceiling (docs/SCALING.md)",
+			res.AllocsPerOp, ceiling)
+	}
+	if res.Fingerprint != scaleFingerprint1k {
+		t.Errorf("1k fingerprint %016x, want %016x", res.Fingerprint, scaleFingerprint1k)
+	}
+}
+
 // TestScaleDeterminism16k is the large-N determinism smoke from
-// docs/SCALING.md: the 16k-node Fig 6 point must produce a bit-identical
+// docs/SCALING.md: the 16k-node Fig 6 point must produce its pinned
 // completion-time fingerprint on the serial kernel and at shard counts 2 and
 // 8 — the flattened arenas, free lists, and lazy slabs must be invisible to
 // virtual time. ~2s total; skipped under -short.
@@ -61,6 +90,9 @@ func TestScaleDeterminism16k(t *testing.T) {
 	serial, err := Scale(ScaleConfig{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if serial.Fingerprint != scaleFingerprint16k {
+		t.Errorf("serial fingerprint %016x, want %016x", serial.Fingerprint, scaleFingerprint16k)
 	}
 	for _, shards := range []int{2, 8} {
 		res, err := Scale(ScaleConfig{Nodes: nodes, Shards: shards})
