@@ -219,12 +219,14 @@ func (rt *Runtime) FillMetrics() {
 	}
 	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.cfg.PPN * rt.cfg.BufsPerProc))
 
-	// Sharded-kernel execution counters (schema in docs/PARALLELISM.md).
-	// sim_shards reports the effective shard count (1 = serial kernel); the
-	// remaining counters are zero on serial runs. Shard utilization is the
-	// fraction of (window, shard) slots that had work:
+	// Kernel execution counters (schema in docs/PARALLELISM.md).
+	// sim_events_total is every event the engine ran, identical at every
+	// shard count. sim_shards reports the effective shard count (1 = serial
+	// kernel); the remaining counters are zero on serial runs. Shard
+	// utilization is the fraction of (window, shard) slots that had work:
 	// 1 - idle_lane_windows / (windows * shards).
 	rep := rt.eng.ShardReport()
+	reg.Counter("sim_events_total").Add(float64(rt.eng.Executed()))
 	reg.Gauge("sim_shards").Set(float64(rt.eng.Shards()))
 	reg.Counter("sim_windows_total").Add(float64(rep.Windows))
 	reg.Counter("sim_serial_instants_total").Add(float64(rep.Instants))

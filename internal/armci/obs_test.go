@@ -95,6 +95,49 @@ func TestFillMetricsExportsSchema(t *testing.T) {
 	}
 }
 
+// TestEventCountExportedAtEveryShardCount: sim_events_total is the engine's
+// Executed count, exported on serial runs too, and the same at every shard
+// count; sharded, every event but the serial instants' ran inside a lane.
+func TestEventCountExportedAtEveryShardCount(t *testing.T) {
+	var serial float64
+	for _, shards := range []int{1, 4} {
+		eng := sim.New()
+		reg := obs.NewRegistry()
+		cfg := DefaultConfig(16, 2)
+		cfg.Topology = core.MustNew(core.MFCG, 16)
+		cfg.Metrics = reg
+		cfg.Shards = shards
+		rt := MustNew(eng, cfg)
+		rt.Alloc("a", 64)
+		err := rt.Run(func(r *Rank) {
+			for i := 0; i < 4; i++ {
+				r.FetchAdd(0, "a", 0, 1)
+			}
+			r.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.FillMetrics()
+		rt.Shutdown()
+		events := reg.Counter("sim_events_total").Value()
+		lane := reg.Counter("sim_lane_events_total").Value()
+		switch {
+		case events <= 0 || events != float64(eng.Executed()):
+			t.Fatalf("shards=%d: sim_events_total %v, Executed %d", shards, events, eng.Executed())
+		case shards == 1:
+			if lane != 0 {
+				t.Fatalf("serial run: sim_lane_events_total %v", lane)
+			}
+			serial = events
+		case events != serial:
+			t.Errorf("shards=%d: sim_events_total %v, serial %v", shards, events, serial)
+		case lane <= 0 || lane >= events:
+			t.Errorf("shards=%d: sim_lane_events_total %v outside (0, %v)", shards, lane, events)
+		}
+	}
+}
+
 func TestChtSpansEmitted(t *testing.T) {
 	tr := obs.NewTracer()
 	obsWorkload(t, nil, tr)

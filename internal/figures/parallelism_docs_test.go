@@ -66,7 +66,7 @@ func TestParallelismDocsCoverEmittedNames(t *testing.T) {
 		have[n] = true
 	}
 	for _, want := range []string{
-		"sim_shards", "sim_windows_total", "sim_serial_instants_total",
+		"sim_events_total", "sim_shards", "sim_windows_total", "sim_serial_instants_total",
 		"sim_idle_lane_windows_total", "sim_lane_events_total",
 		"sim_shard_utilization",
 	} {

@@ -86,12 +86,11 @@ func (e *Engine) CheckpointSection() []byte {
 	// the determinism-contract key so serial and sharded runs digest the same
 	// byte stream. Payloads (closures/args) are not hashable, but at equal
 	// keys with equal seq streams they are the same events.
-	pending := make([]event, 0, e.PendingEvents())
-	pending = append(pending, e.events...)
+	pending := e.events.appendPending(make([]event, 0, e.PendingEvents()))
 	for _, ln := range e.lanes {
-		pending = append(pending, ln.heap...)
+		pending = ln.heap.appendPending(pending)
 	}
-	sort.Slice(pending, func(i, j int) bool { return keyLess(pending[i], pending[j]) })
+	sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j].heapKey) })
 	enc.Str("events")
 	enc.U32(uint32(len(pending)))
 	h = ckpt.MixInit

@@ -203,7 +203,6 @@ func (e *Engine) stopWorkers() {
 	e.workersUp = false
 	for _, ln := range e.lanes {
 		close(ln.dispatch)
-		ln.heap = nil
 	}
 }
 
@@ -223,12 +222,12 @@ func (ln *lane) runTo(end Time) {
 		ln.ctxOwner = GlobalOwner
 		ln.panicked = recover()
 	}()
-	for ln.heap.Len() > 0 && ln.heap[0].t < end {
-		ev := ln.heap.popEvent()
-		ln.now = ev.t
-		ln.ctxOwner = int(ev.owner)
+	for ln.heap.Len() > 0 && ln.heap.head().t < end {
+		t, p := ln.heap.pop()
+		ln.now = t
+		ln.ctxOwner = int(p.owner)
 		ln.executed++
-		ln.e.exec(&ev)
+		ln.e.exec(&p)
 	}
 }
 
@@ -237,12 +236,12 @@ func (ln *lane) runTo(end Time) {
 func (e *Engine) nextTimes() (tGlobal, tMin Time) {
 	tGlobal = maxTime
 	if e.events.Len() > 0 {
-		tGlobal = e.events.peek().t
+		tGlobal = e.events.head().t
 	}
 	tMin = tGlobal
 	for _, ln := range e.lanes {
-		if ln.heap.Len() > 0 && ln.heap.peek().t < tMin {
-			tMin = ln.heap.peek().t
+		if ln.heap.Len() > 0 && ln.heap.head().t < tMin {
+			tMin = ln.heap.head().t
 		}
 	}
 	return tGlobal, tMin
@@ -312,22 +311,22 @@ func (e *Engine) runInstant(t Time) {
 	e.shardStats.Instants++
 	for e.halt == nil {
 		var h *eventHeap
-		if e.events.Len() > 0 && e.events.peek().t == t {
+		if e.events.Len() > 0 && e.events.head().t == t {
 			h = &e.events
 		}
 		for _, ln := range e.lanes {
-			if ln.heap.Len() > 0 && ln.heap.peek().t == t &&
-				(h == nil || keyLess(ln.heap.peek(), h.peek())) {
+			if ln.heap.Len() > 0 && ln.heap.head().t == t &&
+				(h == nil || ln.heap.head().less(h.head())) {
 				h = &ln.heap
 			}
 		}
 		if h == nil {
 			break
 		}
-		ev := h.popEvent()
-		e.ctxOwner = int(ev.owner)
+		_, p := h.pop()
+		e.ctxOwner = int(p.owner)
 		e.executed++
-		e.exec(&ev)
+		e.exec(&p)
 		e.ctxOwner = GlobalOwner
 	}
 	for _, ln := range e.lanes {
@@ -344,7 +343,7 @@ func (e *Engine) runWindow(end Time) {
 	e.windowActive.Store(true)
 	dispatched := 0
 	for _, ln := range e.lanes {
-		if ln.heap.Len() > 0 && ln.heap.peek().t < end {
+		if ln.heap.Len() > 0 && ln.heap.head().t < end {
 			ln.end = end
 			dispatched++
 			ln.dispatch <- end
@@ -370,13 +369,13 @@ func (e *Engine) runWindow(end Time) {
 		}
 	}
 	for _, ln := range e.lanes {
-		for _, ev := range ln.outGlobal {
-			e.events.pushEvent(ev)
+		for i := range ln.outGlobal {
+			e.events.push(&ln.outGlobal[i])
 		}
 		ln.outGlobal = ln.outGlobal[:0]
 		for d, evs := range ln.outCross {
-			for _, ev := range evs {
-				e.lanes[d].heap.pushEvent(ev)
+			for i := range evs {
+				e.lanes[d].heap.push(&evs[i])
 			}
 			ln.outCross[d] = evs[:0]
 		}

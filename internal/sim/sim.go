@@ -74,7 +74,8 @@ const GlobalOwner = -1
 // the event record itself, so scheduling allocates nothing beyond amortized
 // heap growth (the allocs/op contract of docs/SCALING.md).
 const (
-	// evFn runs a plain closure (the general-purpose cold path).
+	// evFn runs a plain closure, carried in arg (the general-purpose cold
+	// path).
 	evFn uint8 = iota
 	// evArg runs a preallocated callback with its argument. Callers pass a
 	// long-lived func value (e.g. a method value stored once at setup) plus
@@ -86,19 +87,19 @@ const (
 	evWake
 )
 
-type event struct {
+// heapKey is a pending event's determinism-contract key (time, seq, origin)
+// plus the slab slot holding its payload. It is the only thing the heap
+// sifts. (seq, origin) is unique per event, so the key order is strict and
+// total: any correct heap pops the same sequence.
+type heapKey struct {
 	t      Time
 	seq    uint64
 	origin int32
-	owner  int32
-	kind   uint8
-	fn     func()
-	afn    func(any)
-	arg    any
+	slot   int32
 }
 
-// keyLess orders events by the determinism-contract key (time, seq, origin).
-func keyLess(a, b event) bool {
+// less orders keys by (time, seq, origin); slot plays no part.
+func (a heapKey) less(b heapKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -108,58 +109,127 @@ func keyLess(a, b event) bool {
 	return a.origin < b.origin
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq, origin).
-// Scheduling is the simulator's hottest path: routing a single one-sided
-// request schedules an event per link hop, CHT poll and credit return, so
-// container/heap's interface-boxed Push/Pop (one heap allocation plus two
-// indirect calls per event) is replaced with direct sift operations on the
-// slice.
-type eventHeap []event
-
-func (h eventHeap) Len() int    { return len(h) }
-func (h eventHeap) peek() event { return h[0] }
-
-func (h eventHeap) less(i, j int) bool { return keyLess(h[i], h[j]) }
-
-func (h *eventHeap) pushEvent(e event) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
+// payload is what a pending event runs: written once at push, read once at
+// pop. A free slab slot keeps only owner, as the free-list link.
+type payload struct {
+	owner int32
+	kind  uint8
+	afn   func(any)
+	arg   any
 }
 
-func (h *eventHeap) popEvent() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // drop the fn reference so the closure can be collected
-	s = s[:n]
+// event is an event in transit — built by scheduleEv, buffered in the
+// shard outboxes — before push files its payload in a slab slot (key.slot
+// is unset until then).
+type event struct {
+	heapKey
+	payload
+}
+
+// eventHeap is a 4-ary min-heap of heapKeys over a payload slab. Scheduling
+// is the simulator's hottest path (an event per link hop, CHT poll, credit
+// return and heartbeat probe), and the heap stands thousands deep under the
+// crash/heal workloads, so each sift level moves one 24-byte key instead of
+// a whole event, and four children share a cache line or two (LaMarca and
+// Ladner's cache-aligned d-ary layout).
+type eventHeap struct {
+	keys []heapKey
+	slab []payload
+	// freeHead is 1 + the first free slab slot (0: none); a free slot's
+	// owner field is 1 + the next free slot, so the free list needs no side
+	// array.
+	freeHead int32
+}
+
+func (h *eventHeap) Len() int { return len(h.keys) }
+
+// head is the smallest pending key; the heap must be non-empty.
+func (h *eventHeap) head() heapKey { return h.keys[0] }
+
+func (h *eventHeap) push(ev *event) {
+	var slot int32
+	if h.freeHead > 0 {
+		slot = h.freeHead - 1
+		h.freeHead = h.slab[slot].owner
+		h.slab[slot] = ev.payload
+	} else {
+		slot = int32(len(h.slab))
+		h.slab = append(h.slab, ev.payload)
+	}
+	k := ev.heapKey
+	k.slot = slot
+	keys := append(h.keys, k)
+	h.keys = keys
+	i := len(keys) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.less(keys[parent]) {
+			break
+		}
+		keys[i] = keys[parent]
+		i = parent
+	}
+	keys[i] = k
+}
+
+// pop removes the smallest event and returns its time and payload. Its slab
+// slot is zeroed onto the free list, so the heap keeps no reference to the
+// popped closure or argument. The root hole walks down the smallest child
+// to a leaf, and the former last key sifts up from there (Wegener's
+// bottom-up deletion): the last key almost always belongs near the bottom,
+// so this saves the comparison against it at every level.
+func (h *eventHeap) pop() (Time, payload) {
+	keys := h.keys
+	top := keys[0]
+	p := h.slab[top.slot]
+	h.slab[top.slot] = payload{owner: h.freeHead}
+	h.freeHead = top.slot + 1
+
+	n := len(keys) - 1
+	last := keys[n]
+	keys = keys[:n]
+	h.keys = keys
+	if n == 0 {
+		return top.t, p
+	}
 	i := 0
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && s.less(r, l) {
-			m = r
+		end := c + 4
+		if end > n {
+			end = n
 		}
-		if !s.less(m, i) {
-			break
+		m, best := c, keys[c]
+		for j := c + 1; j < end; j++ {
+			if k := keys[j]; k.less(best) {
+				m, best = j, k
+			}
 		}
-		s[i], s[m] = s[m], s[i]
+		keys[i] = best
 		i = m
 	}
-	*h = s
-	return top
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !last.less(keys[parent]) {
+			break
+		}
+		keys[i] = keys[parent]
+		i = parent
+	}
+	keys[i] = last
+	return top.t, p
+}
+
+// appendPending appends every pending event, key and payload, in heap
+// (not key) order.
+func (h *eventHeap) appendPending(dst []event) []event {
+	for _, k := range h.keys {
+		dst = append(dst, event{heapKey: k, payload: h.slab[k.slot]})
+	}
+	return dst
 }
 
 // procState tracks the lifecycle of a simulated process.
@@ -359,44 +429,45 @@ func (e *Engine) ctxFor(from int) (*lane, Time, int) {
 
 // exec dispatches one popped event by kind. It replaces direct fn() calls in
 // the run loops so the hot event kinds carry no closure.
-func (e *Engine) exec(ev *event) {
-	switch ev.kind {
+func (e *Engine) exec(p *payload) {
+	switch p.kind {
 	case evFn:
-		ev.fn()
+		p.arg.(func())()
 	case evArg:
-		ev.afn(ev.arg)
+		p.afn(p.arg)
 	case evSwitch:
-		e.switchTo(ev.arg.(*Proc))
+		e.switchTo(p.arg.(*Proc))
 	default: // evWake
-		p := ev.arg.(*Proc)
-		p.wakePending = false
-		e.switchTo(p)
+		pr := p.arg.(*Proc)
+		pr.wakePending = false
+		e.switchTo(pr)
 	}
 }
 
 // schedule creates a closure event at time t; it is the evFn-kind shorthand
-// for scheduleEv.
+// for scheduleEv. A func value is pointer-shaped, so storing it in arg
+// allocates nothing.
 func (e *Engine) schedule(src *lane, now Time, origin, owner int, t Time, fn func()) {
-	e.scheduleEv(src, now, origin, owner, t, event{kind: evFn, fn: fn})
+	e.scheduleEv(src, now, origin, owner, t, payload{kind: evFn, arg: fn})
 }
 
 // scheduleArg creates an evArg event running fn(arg) at time t.
 func (e *Engine) scheduleArg(src *lane, now Time, origin, owner int, t Time, fn func(any), arg any) {
-	e.scheduleEv(src, now, origin, owner, t, event{kind: evArg, afn: fn, arg: arg})
+	e.scheduleEv(src, now, origin, owner, t, payload{kind: evArg, afn: fn, arg: arg})
 }
 
 // scheduleProc creates an evSwitch or evWake event resuming p at time t.
 func (e *Engine) scheduleProc(src *lane, now Time, origin, owner int, t Time, kind uint8, p *Proc) {
-	e.scheduleEv(src, now, origin, owner, t, event{kind: kind, arg: p})
+	e.scheduleEv(src, now, origin, owner, t, payload{kind: kind, arg: p})
 }
 
-// scheduleEv stamps ev's ordering key — time t clamped to the creating
-// context's now, the next seq of origin's creation stream — and routes it to
-// the right heap or cross-shard outbox. src is the creating lane (nil =
-// coordinator). Payload representation (closure vs kind record) plays no part
-// in the key, which is what lets hot paths switch representations without
-// disturbing the bit-identity contract.
-func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, ev event) {
+// scheduleEv stamps the event's ordering key — time t clamped to the
+// creating context's now, the next seq of origin's creation stream — and
+// routes it to the right heap or cross-shard outbox. src is the creating
+// lane (nil = coordinator). Payload representation (closure vs kind record)
+// plays no part in the key, which is what lets hot paths switch
+// representations without disturbing the bit-identity contract.
+func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, p payload) {
 	if t < now {
 		t = now
 	}
@@ -410,21 +481,22 @@ func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, ev e
 		e.seqs = grown
 	}
 	e.seqs[idx]++
-	ev.t, ev.seq, ev.origin, ev.owner = t, e.seqs[idx], int32(origin), int32(owner)
+	p.owner = int32(owner)
+	ev := event{heapKey{t: t, seq: e.seqs[idx], origin: int32(origin)}, p}
 	var dst *lane
 	if owner >= 0 && e.nshards > 1 {
 		dst = e.lanes[e.shardOf[owner]]
 	}
 	if src == nil {
 		if dst == nil {
-			e.events.pushEvent(ev)
+			e.events.push(&ev)
 		} else {
-			dst.heap.pushEvent(ev)
+			dst.heap.push(&ev)
 		}
 		return
 	}
 	if dst == src {
-		src.heap.pushEvent(ev)
+		src.heap.push(&ev)
 		return
 	}
 	// Leaving the creating shard: the event must clear the current lookahead
@@ -752,7 +824,7 @@ func (e *Engine) run(limit Time) error {
 			return e.halt
 		}
 		if e.ckFn != nil {
-			tEff := e.events.peek().t
+			tEff := e.events.head().t
 			if limit >= 0 && limit+1 < tEff {
 				tEff = limit + 1
 			}
@@ -761,15 +833,15 @@ func (e *Engine) run(limit Time) error {
 				return e.halt
 			}
 		}
-		if limit >= 0 && e.events.peek().t > limit {
+		if limit >= 0 && e.events.head().t > limit {
 			e.now = limit
 			return &TimeLimitError{Limit: limit, Pending: e.events.Len()}
 		}
-		ev := e.events.popEvent()
-		e.now = ev.t
-		e.ctxOwner = int(ev.owner)
+		t, p := e.events.pop()
+		e.now = t
+		e.ctxOwner = int(p.owner)
 		e.executed++
-		e.exec(&ev)
+		e.exec(&p)
 	}
 	e.ctxOwner = GlobalOwner
 	if blocked := e.blockedNonDaemons(); len(blocked) > 0 {
@@ -810,10 +882,11 @@ func (e *Engine) Shutdown() {
 		}
 	}
 	stopCarriers(&e.idle)
+	e.events = eventHeap{}
 	for _, ln := range e.lanes {
 		stopCarriers(&ln.idle)
+		ln.heap = eventHeap{}
 	}
-	e.events = nil
 	e.stopWorkers()
 }
 
@@ -829,6 +902,11 @@ func (e *Engine) BlockedProcs() []string {
 // application progress. In sharded mode it is exact at serial instants
 // (which is when the Watchdog reads it).
 func (e *Engine) Resumes() uint64 { return e.resumes }
+
+// Executed returns how many events the engine has run, on the global lane
+// and every shard lane. The count is the same at every shard count; in
+// sharded mode it is exact at serial instants and after Run returns.
+func (e *Engine) Executed() uint64 { return e.executed }
 
 // PendingEvents returns the number of scheduled events not yet executed,
 // across the global lane and every shard.
