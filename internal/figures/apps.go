@@ -35,96 +35,67 @@ func runtimeFor(kind core.Kind, nodes, ppn, shards int) (*armci.Runtime, error) 
 // restriction). shards selects the kernel's parallel shard count (<= 1
 // serial; results are bit-identical for every value).
 func Fig8(procCounts []int, ppn, shards int, cfg lu.Config) ([]*stats.Series, error) {
-	var out []*stats.Series
-	for _, kind := range core.Kinds {
-		s := &stats.Series{Label: kind.String()}
-		for _, procs := range procCounts {
-			if procs%ppn != 0 {
-				return nil, fmt.Errorf("figures: %d processes not divisible by ppn %d", procs, ppn)
-			}
-			rt, err := runtimeFor(kind, procs/ppn, ppn, shards)
-			if err != nil {
-				continue // hypercube off powers of two
-			}
+	return appSeries(core.Kinds, procCounts, ppn, shards, "processes", "LU", true,
+		func(rt *armci.Runtime) func(*armci.Rank) float64 {
 			c := lu.Setup(rt, cfg)
-			var t0 float64
-			err = rt.Run(func(r *armci.Rank) {
-				res := lu.Run(r, c)
-				if r.Rank() == 0 {
-					t0 = res.Seconds
-				}
-			})
-			rt.Shutdown()
-			if err != nil {
-				return nil, fmt.Errorf("figures: LU %v x%d: %w", kind, procs, err)
-			}
-			s.Add(float64(procs), t0)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+			return func(r *armci.Rank) float64 { return lu.Run(r, c).Seconds }
+		})
 }
 
 // Fig9a reproduces Figure 9(a): NWChem DFT (SiOSi3 proxy) execution time
 // versus core count for all four topologies.
 func Fig9a(coreCounts []int, ppn, shards int, cfg dft.Config) ([]*stats.Series, error) {
-	var out []*stats.Series
-	for _, kind := range core.Kinds {
-		s := &stats.Series{Label: kind.String()}
-		for _, cores := range coreCounts {
-			if cores%ppn != 0 {
-				return nil, fmt.Errorf("figures: %d cores not divisible by ppn %d", cores, ppn)
-			}
-			rt, err := runtimeFor(kind, cores/ppn, ppn, shards)
-			if err != nil {
-				continue
-			}
+	return appSeries(core.Kinds, coreCounts, ppn, shards, "cores", "DFT", true,
+		func(rt *armci.Runtime) func(*armci.Rank) float64 {
 			st := dft.Setup(rt, cfg)
-			var t0 float64
-			err = rt.Run(func(r *armci.Rank) {
-				res := dft.Run(r, st)
-				if r.Rank() == 0 {
-					t0 = res.Seconds
-				}
-			})
-			rt.Shutdown()
-			if err != nil {
-				return nil, fmt.Errorf("figures: DFT %v x%d: %w", kind, cores, err)
-			}
-			s.Add(float64(cores), t0)
-		}
-		out = append(out, s)
-	}
-	return out, nil
+			return func(r *armci.Rank) float64 { return dft.Run(r, st).Seconds }
+		})
 }
 
 // Fig9b reproduces Figure 9(b): NWChem CCSD(T) water-model proxy execution
 // time versus core count, FCG and MFCG only (as in the paper).
 func Fig9b(coreCounts []int, ppn, shards int, cfg ccsd.Config) ([]*stats.Series, error) {
+	return appSeries([]core.Kind{core.FCG, core.MFCG}, coreCounts, ppn, shards, "cores", "CCSD", false,
+		func(rt *armci.Runtime) func(*armci.Rank) float64 {
+			st := ccsd.Setup(rt, cfg)
+			return func(r *armci.Rank) float64 { return ccsd.Run(r, st).Seconds }
+		})
+}
+
+// appSeries runs one application proxy per topology × count cell on a fresh
+// runtime and records rank 0's execution time, one series per kind. setup
+// prepares the proxy on the runtime and returns its per-rank body. unit
+// ("processes" or "cores") and app name the cell in error texts; skip drops
+// a cell whose topology cannot be built at the count (hypercube off powers
+// of two) instead of failing.
+func appSeries(kinds []core.Kind, counts []int, ppn, shards int, unit, app string, skip bool,
+	setup func(*armci.Runtime) func(*armci.Rank) float64) ([]*stats.Series, error) {
 	var out []*stats.Series
-	for _, kind := range []core.Kind{core.FCG, core.MFCG} {
+	for _, kind := range kinds {
 		s := &stats.Series{Label: kind.String()}
-		for _, cores := range coreCounts {
-			if cores%ppn != 0 {
-				return nil, fmt.Errorf("figures: %d cores not divisible by ppn %d", cores, ppn)
+		for _, n := range counts {
+			if n%ppn != 0 {
+				return nil, fmt.Errorf("figures: %d %s not divisible by ppn %d", n, unit, ppn)
 			}
-			rt, err := runtimeFor(kind, cores/ppn, ppn, shards)
+			rt, err := runtimeFor(kind, n/ppn, ppn, shards)
 			if err != nil {
+				if skip {
+					continue
+				}
 				return nil, err
 			}
-			st := ccsd.Setup(rt, cfg)
+			body := setup(rt)
 			var t0 float64
 			err = rt.Run(func(r *armci.Rank) {
-				res := ccsd.Run(r, st)
-				if r.Rank() == 0 {
-					t0 = res.Seconds
+				if secs := body(r); r.Rank() == 0 {
+					t0 = secs
 				}
 			})
 			rt.Shutdown()
 			if err != nil {
-				return nil, fmt.Errorf("figures: CCSD %v x%d: %w", kind, cores, err)
+				return nil, fmt.Errorf("figures: %s %v x%d: %w", app, kind, n, err)
 			}
-			s.Add(float64(cores), t0)
+			s.Add(float64(n), t0)
 		}
 		out = append(out, s)
 	}

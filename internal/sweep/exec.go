@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -57,16 +58,6 @@ type ExecOptions struct {
 	Shards int
 }
 
-// failErr renders an execution error for Result.Err, expanding watchdog
-// errors into their full stall report.
-func failErr(err error) string {
-	var werr *sim.WatchdogError
-	if errors.As(err, &werr) {
-		return werr.Report.String()
-	}
-	return err.Error()
-}
-
 // Execute runs one point to completion and returns its result. It is a pure
 // function of the point (plus opts): the same point always produces the same
 // X/Y/Value, which is what makes results cacheable and worker counts
@@ -79,125 +70,125 @@ func Execute(p Point, opts ExecOptions) Result {
 		res.Err = err.Error()
 		return res
 	}
+	e, ok := experiments[p.Experiment]
+	if !ok {
+		res.Err = fmt.Sprintf("sweep: unknown experiment %q", p.Experiment)
+		return res
+	}
 	var reg *obs.Registry
 	if p.Metrics {
 		reg = obs.NewRegistry()
 	}
-	var caption string
-	switch p.Experiment {
-	case ExpChaos:
-		cres, err := figures.Chaos(figures.ChaosConfig{
-			Kind:       spec.Kind,
-			Topo:       spec,
-			Nodes:      p.Nodes,
-			PPN:        p.PPN,
-			OpsPerRank: p.Iters,
-			Crashes:    p.Crashes,
-			Seed:       p.EffectiveSeed(),
-			Heal:       p.Heal == "on",
-			Shards:     opts.Shards,
-			Metrics:    reg,
-			Trace:      opts.Trace,
-			TracePID:   p.Index,
-		})
-		if err != nil {
-			res.Err = failErr(err)
-			return res
-		}
-		// The scalar of a chaos point is its failed-operation count: zero
-		// (barring partitions) with healing on, the lost-path count with it
-		// off — the pair the merged table compares.
-		res.Value = float64(cres.Failed)
-		caption = fmt.Sprintf("metrics: chaos %s, %d crashes, heal %s", p.Topo, p.Crashes, onOff(p.Heal))
-	case ExpOverload:
-		ores, err := figures.Overload(figures.OverloadConfig{
-			Kind:       spec.Kind,
-			Topo:       spec,
-			Nodes:      p.Nodes,
-			PPN:        p.PPN,
-			OpsPerRank: p.Iters,
-			Storms:     p.Storms,
-			Tenants:    p.Tenants,
-			Seed:       p.EffectiveSeed(),
-			Protect:    p.Overload == "on",
-			Shards:     opts.Shards,
-			Metrics:    reg,
-			Trace:      opts.Trace,
-			TracePID:   p.Index,
-		})
-		if err != nil {
-			res.Err = failErr(err)
-			return res
-		}
-		// The scalar of an overload point is its goodput (completed ops per
-		// virtual millisecond): the protected/unprotected pair at each storm
-		// intensity is the collapse comparison the merged table shows.
-		res.Value = ores.Goodput()
-		caption = fmt.Sprintf("metrics: overload %s, %d storms, %d tenants, protection %s",
-			p.Topo, p.Storms, p.Tenants, onOff(p.Overload))
-	case ExpMemscale:
-		v, err := figures.Fig5PointSpec(p.Procs, p.PPN, spec)
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		res.Value = v
-	case ExpContention:
-		cfg := figures.ContentionConfig{
-			Kind:            spec.Kind,
-			Topo:            spec,
-			Nodes:           p.Nodes,
-			PPN:             p.PPN,
-			Iters:           p.Iters,
-			ContenderEvery:  p.ContenderEvery,
-			VecSegs:         p.VecSegs,
-			VecSegLen:       p.MsgSize,
-			SampleEvery:     p.SampleEvery,
-			StreamLimit:     p.StreamLimit,
-			Seed:            p.EffectiveSeed(),
-			Window:          p.Window,
-			Aggregation:     p.Agg == "on",
-			AdaptiveCredits: p.Adapt == "on",
-			Heal:            p.Heal == "on",
-			Overload:        p.Overload == "on",
-			Shards:          opts.Shards,
-			Metrics:         reg,
-			Trace:           opts.Trace,
-			TracePID:        p.Index,
-			TraceSched:      opts.TraceSched,
-		}
-		if p.Op == "fadd" {
-			cfg.Op = figures.OpFetchAdd
-		}
-		if p.Faults != "" {
-			fspec, err := faults.ParseSpec(p.Faults)
-			if err != nil {
-				res.Err = err.Error()
-				return res
-			}
-			cfg.Faults = fspec
-		}
-		s, err := figures.Contention(cfg)
-		if err != nil {
-			res.Err = failErr(err)
-			return res
-		}
-		res.X, res.Y = s.X, s.Y
-		caption = fmt.Sprintf("metrics: %s, %s", p.Topo, LevelName(p.Level))
-	default:
-		res.Err = fmt.Sprintf("sweep: unknown experiment %q", p.Experiment)
-		return res
-	}
-	if reg != nil && caption != "" {
+	caption, err := e.run(p, spec, opts, reg, &res)
+	var werr *sim.WatchdogError
+	switch {
+	case errors.As(err, &werr):
+		res.Err = werr.Report.String() // the full stall report
+	case err != nil:
+		res.Err = err.Error()
+	case reg != nil && caption != "":
 		res.Snapshot = reg.Snapshot(caption)
 	}
 	return res
 }
 
-// onOff renders a Point toggle ("" or "on") for captions.
-func onOff(v string) string {
-	if v == "on" {
-		return "on"
+// runContention runs a Figs 6-7 point; its result is the per-rank latency
+// series.
+func runContention(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
+	cfg := figures.ContentionConfig{
+		Topo:            spec,
+		Nodes:           p.Nodes,
+		PPN:             p.PPN,
+		Iters:           p.Iters,
+		ContenderEvery:  p.ContenderEvery,
+		VecSegs:         p.VecSegs,
+		VecSegLen:       p.MsgSize,
+		SampleEvery:     p.SampleEvery,
+		StreamLimit:     p.StreamLimit,
+		Seed:            p.EffectiveSeed(),
+		Window:          p.Window,
+		Aggregation:     p.Agg == "on",
+		AdaptiveCredits: p.Adapt == "on",
+		Heal:            p.Heal == "on",
+		Overload:        p.Overload == "on",
+		Shards:          opts.Shards,
+		Metrics:         reg,
+		Trace:           opts.Trace,
+		TracePID:        p.Index,
+		TraceSched:      opts.TraceSched,
 	}
-	return "off"
+	if p.Op == "fadd" {
+		cfg.Op = figures.OpFetchAdd
+	}
+	if p.Faults != "" {
+		fspec, err := faults.ParseSpec(p.Faults)
+		if err != nil {
+			return "", err
+		}
+		cfg.Faults = fspec
+	}
+	s, err := figures.Contention(cfg)
+	if err != nil {
+		return "", err
+	}
+	res.X, res.Y = s.X, s.Y
+	return fmt.Sprintf("metrics: %s, %s", p.Topo, LevelName(p.Level)), nil
+}
+
+// runMemscale runs a Fig 5 point; its scalar is the master-process memory
+// in MBytes. It records no metrics.
+func runMemscale(p Point, spec core.Spec, _ ExecOptions, _ *obs.Registry, res *Result) (string, error) {
+	v, err := figures.Fig5PointSpec(p.Procs, p.PPN, spec)
+	res.Value = v
+	return "", err
+}
+
+// runChaos runs a chaos point. Its scalar is the failed-operation count:
+// zero (barring partitions) with healing on, the lost-path count with it
+// off — the pair the merged table compares.
+func runChaos(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
+	cres, err := figures.Chaos(figures.ChaosConfig{
+		Topo:       spec,
+		Nodes:      p.Nodes,
+		PPN:        p.PPN,
+		OpsPerRank: p.Iters,
+		Crashes:    p.Crashes,
+		Seed:       p.EffectiveSeed(),
+		Heal:       p.Heal == "on",
+		Shards:     opts.Shards,
+		Metrics:    reg,
+		Trace:      opts.Trace,
+		TracePID:   p.Index,
+	})
+	if err != nil {
+		return "", err
+	}
+	res.Value = float64(cres.Failed)
+	return fmt.Sprintf("metrics: chaos %s, %d crashes, heal %s", p.Topo, p.Crashes, cmp.Or(p.Heal, "off")), nil
+}
+
+// runOverload runs an overload point. Its scalar is the goodput (completed
+// ops per virtual millisecond): the protected/unprotected pair at each storm
+// intensity is the collapse comparison the merged table shows.
+func runOverload(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
+	ores, err := figures.Overload(figures.OverloadConfig{
+		Topo:       spec,
+		Nodes:      p.Nodes,
+		PPN:        p.PPN,
+		OpsPerRank: p.Iters,
+		Storms:     p.Storms,
+		Tenants:    p.Tenants,
+		Seed:       p.EffectiveSeed(),
+		Protect:    p.Overload == "on",
+		Shards:     opts.Shards,
+		Metrics:    reg,
+		Trace:      opts.Trace,
+		TracePID:   p.Index,
+	})
+	if err != nil {
+		return "", err
+	}
+	res.Value = ores.Goodput()
+	return fmt.Sprintf("metrics: overload %s, %d storms, %d tenants, protection %s",
+		p.Topo, p.Storms, p.Tenants, cmp.Or(p.Overload, "off")), nil
 }

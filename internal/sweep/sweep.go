@@ -4,6 +4,10 @@
 // points and executes them on a bounded worker pool with a content-addressed
 // on-disk result cache.
 //
+// Each experiment (exp= value) is one entry of the experiments table, which
+// declares the grid keys it reads, its defaults, how a point runs and how
+// results merge into tables; the shared code never branches on a name.
+//
 // Each internal/sim engine is single-threaded and shares no state with any
 // other engine, so points are embarrassingly parallel: the pool only changes
 // wall-clock time, never results. The runner returns results in expansion
@@ -11,12 +15,13 @@
 // byte-identical at any worker count — a property the tests assert.
 //
 // The grammar of grid specs, the cache-key semantics and the emitted sweep_*
-// metrics are documented in docs/SWEEP.md; a drift test fails if the metric
-// names and the document diverge. The overall data flow of a sweep run is
+// metrics are documented in docs/SWEEP.md; drift tests fail if the metric
+// names or the experiments' key lists and the document diverge. The overall data flow of a sweep run is
 // diagrammed in docs/ARCHITECTURE.md.
 package sweep
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,6 +32,7 @@ import (
 	"strings"
 
 	"armcivt/internal/core"
+	"armcivt/internal/obs"
 )
 
 // Experiment names accepted by the exp= grid key.
@@ -48,14 +54,10 @@ var levelEvery = map[string]int{"none": 0, "11": 9, "20": 5}
 
 // LevelName renders a level key the way the paper's figures caption it.
 func LevelName(level string) string {
-	switch level {
-	case "11":
-		return "11% contention"
-	case "20":
-		return "20% contention"
-	default:
-		return "no contention"
+	if level == "11" || level == "20" {
+		return level + "% contention"
 	}
+	return "no contention"
 }
 
 // Grid is a declarative sweep specification. Every slice field is one axis
@@ -63,15 +65,16 @@ func LevelName(level string) string {
 // value expands to the paper's default Fig 6 grid; ParseGrid fills one from
 // the textual grammar documented in docs/SWEEP.md. A field's grid tag names
 // the grid key that sets it; Expand rejects a grid that moves a key its
-// experiment does not read (expKeys) off that key's default.
+// experiment does not read (experiment.keys) off that key's default.
 type Grid struct {
-	// Experiment selects the executor: "contention" (default), "memscale",
-	// "chaos" or "overload".
-	Experiment string
+	// Experiment names the entry of the experiments table that expands and
+	// executes the grid: "contention" (default), "memscale", "chaos" or
+	// "overload".
+	Experiment string `grid:"exp"`
 
 	Topos  []string `grid:"topos"`   // topology kinds; default all four
 	Levels []string `grid:"levels"`  // contention levels: none, 11, 20
-	Nodes  []int    `grid:"nodes"`   // node counts (contention); default 256
+	Nodes  []int    `grid:"nodes"`   // node counts; default 256 (chaos, overload 64)
 	Sizes  []int    `grid:"msgsize"` // vectored-put segment lengths in bytes; default 256
 	Faults []string `grid:"faults"`  // fault specs (docs/FAULTS.md grammar); "none" = fault-free
 	Seeds  []int64  `grid:"seeds"`   // engine RNG seeds; default 1 (the engine's own default)
@@ -107,7 +110,7 @@ type Grid struct {
 	Overloads []string `grid:"overload"` // "off"/"on"; default off,on for overload grids, off otherwise
 
 	Op          string `grid:"op"`     // contention op: vput (default) or fadd
-	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale 12)
+	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale 12, chaos, overload 2)
 	Iters       int    `grid:"iters"`  // iterations per measured process; default 20
 	SampleEvery int    `grid:"sample"` // measure every k-th rank; default 8
 	StreamLimit int    `grid:"stream"` // NIC stream-limit override; 0 = fabric default
@@ -117,20 +120,145 @@ type Grid struct {
 	Metrics     bool   // collect a per-point observability snapshot
 }
 
-// expKeys lists the grid keys each experiment reads besides exp.
-var expKeys = map[string][]string{
-	ExpContention: {"topos", "levels", "nodes", "msgsize", "faults", "seeds", "agg", "adapt",
-		"heal", "overload", "op", "ppn", "iters", "sample", "stream", "segs", "window", "reps"},
-	ExpMemscale: {"topos", "procs", "ppn"},
-	ExpChaos:    {"topos", "nodes", "seeds", "crashes", "heal", "ppn", "iters", "reps"},
-	ExpOverload: {"topos", "nodes", "seeds", "storm", "tenants", "overload", "ppn", "iters", "reps"},
+// experiment is everything the sweep engine knows about one exp= value:
+// which grid keys it reads, how its points run, and how their results merge
+// into tables. Nothing outside the experiments table branches on a name.
+type experiment struct {
+	// keys are the grid keys the experiment reads besides exp, in expansion
+	// order: scalars first, then the axes from outermost to innermost.
+	// Topologies are innermost, so a merged table holds them side by side.
+	keys []string
+	// defaults overrides the shared defaults for the keys it sets.
+	defaults Grid
+	// nodes is the node count a point's topology is built at, which decides
+	// whether the cell is feasible; nil reads Point.Nodes. An error aborts
+	// the expansion.
+	nodes func(Point) (int, error)
+	// run executes a point on its parsed topology, filling res's X/Y or
+	// Value, and returns the caption of its metrics snapshot ("" for none).
+	run func(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error)
+	// group buckets the experiment's points that share a merged table, and
+	// title captions it; multiNodes and multiSizes report whether the results span several
+	// node counts or message sizes.
+	group func(Point) string
+	title func(p Point, multiNodes, multiSizes bool) string
+	// x places a scalar result on the table's x-axis, named xLabel. A nil x
+	// marks a series-valued experiment: each result is a whole series, and
+	// its table gets a summary.
+	xLabel string
+	x      func(Point) float64
+}
+
+// experiments is the table of every exp= value.
+var experiments = map[string]experiment{ExpContention: contention, ExpMemscale: memscale, ExpChaos: chaos, ExpOverload: overload}
+
+var (
+	// contention is the Figs 6-7 hot-spot microbenchmark: each point is a
+	// series of per-rank latencies, and each level gets its own table.
+	contention = experiment{
+		keys: []string{"op", "ppn", "iters", "sample", "stream", "segs", "window",
+			"levels", "msgsize", "nodes", "faults", "seeds", "reps", "agg", "adapt", "heal", "overload", "topos"},
+		run: runContention,
+		// The protocol toggles are deliberately absent: an off/on pair
+		// shares one table, distinguished by series label.
+		group: func(p Point) string {
+			return fmt.Sprintf("%s|%s|%d|%d|%d|%s", p.Op, p.Level, p.MsgSize, p.Nodes, p.Window, p.Faults)
+		},
+		title:  contentionTitle,
+		xLabel: "rank",
+	}
+	// memscale is Fig 5: master-process memory per topology and process
+	// count.
+	memscale = experiment{
+		keys:     []string{"ppn", "topos", "procs"},
+		defaults: Grid{PPN: 12},
+		nodes: func(p Point) (int, error) {
+			if p.Procs%p.PPN != 0 {
+				return 0, fmt.Errorf("sweep: %d processes not divisible by ppn %d", p.Procs, p.PPN)
+			}
+			return p.Procs / p.PPN, nil
+		},
+		run:    runMemscale,
+		group:  func(Point) string { return "" },
+		title:  func(Point, bool, bool) string { return "memscale: master-process memory (MBytes) vs processes" },
+		xLabel: "processes",
+		x:      func(p Point) float64 { return float64(p.Procs) },
+	}
+	// chaos is the randomized crash/recover invariant harness. Its default
+	// scale is the harness's acceptance scale: paper-scale grids would
+	// spend most of their time on heartbeats.
+	chaos = experiment{
+		keys:     []string{"ppn", "iters", "nodes", "crashes", "seeds", "reps", "heal", "topos"},
+		defaults: Grid{Nodes: []int{64}, PPN: 2, Heals: []string{"on"}},
+		run:      runChaos,
+		// Crash count is the x-axis; heal on/off pairs share the table,
+		// distinguished by the +heal series label.
+		group: func(p Point) string { return fmt.Sprintf("%d|%d", p.Nodes, p.Iters) },
+		title: func(p Point, _, _ bool) string {
+			return fmt.Sprintf("chaos: failed survivor ops vs crashes, %d nodes, %d ops/rank", p.Nodes, p.Iters)
+		},
+		xLabel: "crashes",
+		x:      func(p Point) float64 { return float64(p.Crashes) },
+	}
+	// overload is the incast-storm overload-protection harness at its
+	// calibration scale; every cell runs in both protection arms.
+	overload = experiment{
+		keys:     []string{"ppn", "iters", "storm", "tenants", "nodes", "seeds", "reps", "overload", "topos"},
+		defaults: Grid{Nodes: []int{64}, PPN: 2, Overloads: []string{"off", "on"}},
+		run:      runOverload,
+		// Storm count is the x-axis; protection on/off pairs share the
+		// table, distinguished by the +protect series label.
+		group: func(p Point) string { return fmt.Sprintf("%d|%d|%d", p.Nodes, p.Iters, p.Tenants) },
+		title: func(p Point, _, _ bool) string {
+			return fmt.Sprintf("overload: goodput (ops/ms) vs storms, %d nodes, %d tenants", p.Nodes, p.Tenants)
+		},
+		xLabel: "storms",
+		x:      func(p Point) float64 { return float64(p.Storms) },
+	}
+)
+
+// defaults are the paper's values for every key an experiment's own
+// defaults leave unset. Toggles default off, so the points (and cache keys)
+// of grids that predate a toggle are untouched by it.
+var defaults = Grid{
+	Experiment: ExpContention,
+	Topos:      []string{"FCG", "MFCG", "CFCG", "Hypercube"}, // the paper's four
+	Levels:     []string{"none", "11", "20"},
+	Procs:      []int{768, 1536, 3072, 6144, 12288},
+
+	Nodes: []int{256}, Sizes: []int{256}, Faults: []string{"none"}, Seeds: []int64{1},
+	Crashes: []int{3}, Storms: []int{2}, Tenants: []int{2},
+	Aggs: offOnly, Adapts: offOnly, Heals: offOnly, Overloads: offOnly,
+	Op: "vput", PPN: 4, Iters: 20, SampleEvery: 8, VecSegs: 32, Reps: 1,
+}
+
+var offOnly = []string{"off"}
+
+// withDefaults fills every unset key from the experiment's own defaults,
+// then from the shared ones.
+func (g Grid) withDefaults() Grid {
+	g.Experiment = cmp.Or(g.Experiment, defaults.Experiment)
+	fill(&g, experiments[g.Experiment].defaults)
+	fill(&g, defaults)
+	return g
+}
+
+// fill copies into g every field of from that g leaves unset: zero, or an
+// empty list.
+func fill(g *Grid, from Grid) {
+	dst, src := reflect.ValueOf(g).Elem(), reflect.ValueOf(from)
+	for i := range dst.NumField() {
+		if f := dst.Field(i); f.IsZero() || f.Kind() == reflect.Slice && f.Len() == 0 {
+			f.Set(src.Field(i))
+		}
+	}
 }
 
 // checkKeys rejects an unknown experiment, and a defaulted grid that moves
 // a key its experiment ignores off the default: such a key would otherwise
 // vanish from the expanded points without a word.
 func (g Grid) checkKeys() error {
-	used, ok := expKeys[g.Experiment]
+	e, ok := experiments[g.Experiment]
 	if !ok {
 		return fmt.Errorf("sweep: unknown experiment %q", g.Experiment)
 	}
@@ -139,7 +267,7 @@ func (g Grid) checkKeys() error {
 	var ignored []string
 	for i := 0; i < v.NumField(); i++ {
 		key := v.Type().Field(i).Tag.Get("grid")
-		if key == "" || slices.Contains(used, key) {
+		if key == "" || slices.Contains(e.keys, key) {
 			continue
 		}
 		if !reflect.DeepEqual(v.Field(i).Interface(), def.Field(i).Interface()) {
@@ -152,13 +280,53 @@ func (g Grid) checkKeys() error {
 	return nil
 }
 
+// gridField maps each grid key to the index of the Grid field whose tag
+// names it.
+var gridField = func() map[string]int {
+	m := map[string]int{}
+	t := reflect.TypeOf(Grid{})
+	for i := range t.NumField() {
+		if key := t.Field(i).Tag.Get("grid"); key != "" {
+			m[key] = i
+		}
+	}
+	return m
+}()
+
+// vocab lists the values each grid key with a fixed vocabulary accepts.
+var vocab = map[string][]string{
+	"exp":    experimentNames(),
+	"op":     {"vput", "fadd"},
+	"levels": {"none", "11", "20"},
+	"agg":    {"off", "on"}, "adapt": {"off", "on"}, "heal": {"off", "on"}, "overload": {"off", "on"},
+}
+
+func experimentNames() []string {
+	var names []string
+	for name := range experiments {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
+// checkVocab rejects a value outside its grid key's vocabulary.
+func checkVocab(key, val string) error {
+	if want, ok := vocab[key]; ok && !slices.Contains(want, val) {
+		return fmt.Errorf("sweep: bad %s value %q (want one of %s)", key, val, strings.Join(want, ", "))
+	}
+	return nil
+}
+
 // ParseGrid parses the textual grid grammar: semicolon-separated key=value
 // fields whose values are comma-separated lists (faults= uses "|" because
-// fault specs contain commas). Example:
+// fault specs contain commas). A key may appear once, and a value once in
+// its list. Example:
 //
 //	exp=contention;op=vput;topos=fcg,mfcg;nodes=64;ppn=2;levels=none,20;seeds=1,2
 func ParseGrid(spec string) (*Grid, error) {
 	g := &Grid{}
+	seen := map[string]bool{}
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -169,94 +337,80 @@ func ParseGrid(spec string) (*Grid, error) {
 			return nil, fmt.Errorf("sweep: field %q is not key=value", field)
 		}
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
-		switch key {
-		case "exp":
-			if val != ExpContention && val != ExpMemscale && val != ExpChaos && val != ExpOverload {
-				return nil, fmt.Errorf("sweep: unknown experiment %q (want %s, %s, %s or %s)",
-					val, ExpContention, ExpMemscale, ExpChaos, ExpOverload)
-			}
-			g.Experiment = val
-		case "op":
-			if val != "vput" && val != "fadd" {
-				return nil, fmt.Errorf("sweep: unknown op %q (want vput or fadd)", val)
-			}
-			g.Op = val
-		case "topos":
-			specs, serr := core.ParseSpecList(val)
-			if serr != nil {
-				return nil, fmt.Errorf("sweep: %w", serr)
-			}
-			// Canonical form, so labels and cache keys are case-insensitive
-			// in the spec. Bare kinds canonicalize to the classic Kind
-			// names, keeping pre-existing cache keys; parameterized specs
-			// (hyperx:8x8x4, dragonfly:g=9,a=4,h=2) canonicalize to the
-			// Spec grammar.
-			for _, s := range specs {
-				g.Topos = append(g.Topos, s.String())
-			}
-		case "levels":
-			for _, l := range splitList(val) {
-				if _, ok := levelEvery[l]; !ok {
-					return nil, fmt.Errorf("sweep: unknown level %q (want none, 11 or 20)", l)
-				}
-				g.Levels = append(g.Levels, l)
-			}
-		case "nodes":
-			g.Nodes, err = parseIntList(val)
-		case "msgsize":
-			g.Sizes, err = parseIntList(val)
-		case "procs":
-			g.Procs, err = parseIntList(val)
-		case "seeds":
-			for _, s := range splitList(val) {
-				v, perr := strconv.ParseInt(s, 10, 64)
-				if perr != nil {
-					return nil, fmt.Errorf("sweep: bad seed %q", s)
-				}
-				g.Seeds = append(g.Seeds, v)
-			}
-		case "faults":
-			// Fault specs contain commas, so alternatives are |-separated.
-			for _, f := range strings.Split(val, "|") {
-				g.Faults = append(g.Faults, strings.TrimSpace(f))
-			}
-		case "ppn":
-			g.PPN, err = strconv.Atoi(val)
-		case "iters":
-			g.Iters, err = strconv.Atoi(val)
-		case "sample":
-			g.SampleEvery, err = strconv.Atoi(val)
-		case "stream":
-			g.StreamLimit, err = strconv.Atoi(val)
-		case "segs":
-			g.VecSegs, err = strconv.Atoi(val)
-		case "window":
-			g.Window, err = strconv.Atoi(val)
-		case "agg":
-			g.Aggs, err = parseOnOffList(key, val)
-		case "adapt":
-			g.Adapts, err = parseOnOffList(key, val)
-		case "crashes":
-			g.Crashes, err = parseIntList(val)
-		case "heal":
-			g.Heals, err = parseOnOffList(key, val)
-		case "storm":
-			g.Storms, err = parseIntList(val)
-		case "tenants":
-			g.Tenants, err = parseIntList(val)
-		case "overload":
-			g.Overloads, err = parseOnOffList(key, val)
-		case "reps":
-			g.Reps, err = strconv.Atoi(val)
-		default:
+		i, ok := gridField[key]
+		if !ok {
 			return nil, fmt.Errorf("sweep: unknown grid key %q", key)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("sweep: bad %s value %q: %v", key, val, err)
+		if seen[key] {
+			return nil, fmt.Errorf("sweep: grid key %q given twice", key)
+		}
+		seen[key] = true
+		if err := parseField(reflect.ValueOf(g).Elem().Field(i), key, val); err != nil {
+			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// parseField splits the value of one grid key into its list items, checks
+// each, and parses it by the field's element type into f.
+func parseField(f reflect.Value, key, val string) error {
+	var items []string
+	switch {
+	case key == "faults":
+		// Fault specs contain commas, so alternatives are |-separated; an
+		// empty alternative is fault-free.
+		for _, s := range strings.Split(val, "|") {
+			items = append(items, cmp.Or(strings.TrimSpace(s), "none"))
+		}
+	case key == "topos":
+		specs, err := core.ParseSpecList(val)
+		if err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+		// Canonical form, so labels and cache keys are case-insensitive in
+		// the spec. Bare kinds canonicalize to the classic Kind names,
+		// keeping pre-existing cache keys; parameterized specs
+		// (hyperx:8x8x4, dragonfly:g=9,a=4,h=2) canonicalize to the Spec
+		// grammar.
+		for _, s := range specs {
+			items = append(items, s.String())
+		}
+	case f.Kind() == reflect.Slice:
+		items = splitList(val)
+	default:
+		items = []string{val}
+	}
+	typ := f.Type()
+	if f.Kind() == reflect.Slice {
+		typ = typ.Elem()
+	}
+	seen := map[any]bool{}
+	for _, s := range items {
+		if err := checkVocab(key, s); err != nil {
+			return err
+		}
+		v := reflect.New(typ).Elem()
+		if typ.Kind() == reflect.String {
+			v.SetString(s)
+		} else {
+			n, err := strconv.ParseInt(s, 10, typ.Bits())
+			if err != nil {
+				return fmt.Errorf("sweep: bad %s value %q: %v", key, val, err)
+			}
+			v.SetInt(n)
+		}
+		if f.Kind() != reflect.Slice {
+			f.Set(v)
+			continue
+		}
+		if seen[v.Interface()] {
+			return fmt.Errorf("sweep: grid key %q lists %q twice", key, s)
+		}
+		seen[v.Interface()] = true
+		f.Set(reflect.Append(f, v))
+	}
+	return nil
 }
 
 func splitList(val string) []string {
@@ -267,127 +421,6 @@ func splitList(val string) []string {
 		}
 	}
 	return out
-}
-
-func parseOnOffList(key, val string) ([]string, error) {
-	var out []string
-	for _, s := range splitList(val) {
-		if s != "off" && s != "on" {
-			return nil, fmt.Errorf("%s value %q (want off or on)", key, s)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func parseIntList(val string) ([]int, error) {
-	var out []int
-	for _, s := range splitList(val) {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// withDefaults fills unset axes with the paper's defaults.
-func (g Grid) withDefaults() Grid {
-	if g.Experiment == "" {
-		g.Experiment = ExpContention
-	}
-	if len(g.Topos) == 0 {
-		for _, k := range core.Kinds {
-			g.Topos = append(g.Topos, k.String())
-		}
-	}
-	if len(g.Levels) == 0 {
-		g.Levels = []string{"none", "11", "20"}
-	}
-	if len(g.Nodes) == 0 {
-		switch g.Experiment {
-		case ExpChaos:
-			// The chaos harness's acceptance scale; paper-scale contention
-			// grids would spend most of their time on heartbeats.
-			g.Nodes = []int{64}
-		case ExpOverload:
-			g.Nodes = []int{64} // the overload harness's calibration scale
-		default:
-			g.Nodes = []int{256}
-		}
-	}
-	if len(g.Sizes) == 0 {
-		g.Sizes = []int{256}
-	}
-	if len(g.Faults) == 0 {
-		g.Faults = []string{"none"}
-	}
-	if len(g.Seeds) == 0 {
-		g.Seeds = []int64{1}
-	}
-	if len(g.Aggs) == 0 {
-		g.Aggs = []string{"off"}
-	}
-	if len(g.Adapts) == 0 {
-		g.Adapts = []string{"off"}
-	}
-	if len(g.Crashes) == 0 {
-		g.Crashes = []int{3}
-	}
-	if len(g.Heals) == 0 {
-		if g.Experiment == ExpChaos {
-			g.Heals = []string{"on"}
-		} else {
-			// For contention grids healing is opt-in: the default keeps
-			// every pre-existing point (and cache key) untouched.
-			g.Heals = []string{"off"}
-		}
-	}
-	if len(g.Storms) == 0 {
-		g.Storms = []int{2}
-	}
-	if len(g.Tenants) == 0 {
-		g.Tenants = []int{2}
-	}
-	if len(g.Overloads) == 0 {
-		if g.Experiment == ExpOverload {
-			g.Overloads = []string{"off", "on"}
-		} else {
-			// Off by default elsewhere: every pre-existing point (and cache
-			// key) stays untouched.
-			g.Overloads = []string{"off"}
-		}
-	}
-	if len(g.Procs) == 0 {
-		g.Procs = []int{768, 1536, 3072, 6144, 12288}
-	}
-	if g.Op == "" {
-		g.Op = "vput"
-	}
-	if g.PPN == 0 {
-		switch g.Experiment {
-		case ExpMemscale:
-			g.PPN = 12
-		case ExpChaos, ExpOverload:
-			g.PPN = 2
-		default:
-			g.PPN = 4
-		}
-	}
-	if g.Iters == 0 {
-		g.Iters = 20
-	}
-	if g.SampleEvery == 0 {
-		g.SampleEvery = 8
-	}
-	if g.VecSegs == 0 {
-		g.VecSegs = 32
-	}
-	if g.Reps == 0 {
-		g.Reps = 1
-	}
-	return g
 }
 
 // Point is one fully resolved simulation run: the cross-product cell a
@@ -480,174 +513,95 @@ func (p Point) EffectiveSeed() int64 {
 	return p.Seed + int64(p.Rep)*1_000_003
 }
 
-// Expand resolves the grid into its ordered list of points, skipping cells
-// whose topology cannot be built at the cell's node count (hypercube off
-// powers of two — the same cells the paper skips). The order is the render
-// order of the merged output: for contention, level × message size × nodes
-// × fault × seed × rep with topologies innermost; for memscale, topology ×
-// process count. A key the experiment does not read, set off its default,
-// is an error naming the key.
+// Expand resolves the grid into its ordered list of points: one walk over
+// the experiment's keys, outermost first. Cells whose topology cannot be
+// built at the cell's node count are skipped (hypercube off powers of two —
+// the same cells the paper skips). A key the experiment does not read, set
+// off its default, is an error naming the key.
 func (g Grid) Expand() ([]Point, error) {
 	g = g.withDefaults()
 	if err := g.checkKeys(); err != nil {
 		return nil, err
 	}
-	var points []Point
-	add := func(p Point) {
-		p.Index = len(points)
-		points = append(points, p)
+	for _, l := range g.Levels {
+		if err := checkVocab("levels", l); err != nil {
+			return nil, err
+		}
 	}
-	switch g.Experiment {
-	case ExpChaos:
-		for _, nodes := range g.Nodes {
-			for _, crashes := range g.Crashes {
-				for _, seed := range g.Seeds {
-					for rep := 0; rep < g.Reps; rep++ {
-						for _, heal := range g.Heals {
-							for _, topo := range g.Topos {
-								spec, err := core.ParseSpec(topo)
-								if err != nil {
-									return nil, err
-								}
-								if _, err := spec.Build(nodes); err != nil {
-									continue
-								}
-								h := heal
-								if h == "off" {
-									h = ""
-								}
-								add(Point{
-									Experiment: ExpChaos, Topo: topo,
-									Nodes: nodes, PPN: g.PPN, Iters: g.Iters,
-									Crashes: crashes, Heal: h,
-									Seed: seed, Rep: rep, Metrics: g.Metrics,
-								})
-							}
-						}
-					}
+	e := experiments[g.Experiment]
+	var points []Point
+	var walk func(i int, p Point) error
+	walk = func(i int, p Point) error {
+		if i < len(e.keys) {
+			key := e.keys[i]
+			for _, v := range g.values(key) {
+				if v.Kind() == reflect.String && v.String() == unset[key] {
+					v = reflect.ValueOf("")
 				}
+				q := p
+				reflect.ValueOf(&q).Elem().FieldByName(pointField[key]).Set(v)
+				if err := walk(i+1, q); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		p.ContenderEvery = levelEvery[p.Level]
+		spec, err := core.ParseSpec(p.Topo)
+		if err != nil {
+			return err
+		}
+		nodes := p.Nodes
+		if e.nodes != nil {
+			if nodes, err = e.nodes(p); err != nil {
+				return err
 			}
 		}
-	case ExpOverload:
-		for _, storms := range g.Storms {
-			for _, tenants := range g.Tenants {
-				for _, nodes := range g.Nodes {
-					for _, seed := range g.Seeds {
-						for rep := 0; rep < g.Reps; rep++ {
-							for _, ovl := range g.Overloads {
-								for _, topo := range g.Topos {
-									spec, err := core.ParseSpec(topo)
-									if err != nil {
-										return nil, err
-									}
-									if _, err := spec.Build(nodes); err != nil {
-										continue
-									}
-									o := ovl
-									if o == "off" {
-										o = ""
-									}
-									add(Point{
-										Experiment: ExpOverload, Topo: topo,
-										Nodes: nodes, PPN: g.PPN, Iters: g.Iters,
-										Storms: storms, Tenants: tenants, Overload: o,
-										Seed: seed, Rep: rep, Metrics: g.Metrics,
-									})
-								}
-							}
-						}
-					}
-				}
-			}
+		if _, err := spec.Build(nodes); err == nil {
+			p.Index = len(points)
+			points = append(points, p)
 		}
-	case ExpMemscale:
-		for _, topo := range g.Topos {
-			spec, err := core.ParseSpec(topo)
-			if err != nil {
-				return nil, err
-			}
-			for _, procs := range g.Procs {
-				if procs%g.PPN != 0 {
-					return nil, fmt.Errorf("sweep: %d processes not divisible by ppn %d", procs, g.PPN)
-				}
-				if _, err := spec.Build(procs / g.PPN); err != nil {
-					continue
-				}
-				add(Point{
-					Experiment: ExpMemscale, Topo: topo, PPN: g.PPN,
-					Procs: procs, Metrics: g.Metrics,
-				})
-			}
-		}
-	case ExpContention:
-		for _, level := range g.Levels {
-			every, ok := levelEvery[level]
-			if !ok {
-				return nil, fmt.Errorf("sweep: unknown level %q", level)
-			}
-			for _, size := range g.Sizes {
-				for _, nodes := range g.Nodes {
-					for _, fault := range g.Faults {
-						for _, seed := range g.Seeds {
-							for rep := 0; rep < g.Reps; rep++ {
-								for _, agg := range g.Aggs {
-									for _, adapt := range g.Adapts {
-										for _, heal := range g.Heals {
-											for _, ovl := range g.Overloads {
-												for _, topo := range g.Topos {
-													spec, err := core.ParseSpec(topo)
-													if err != nil {
-														return nil, err
-													}
-													if _, err := spec.Build(nodes); err != nil {
-														continue
-													}
-													f := fault
-													if f == "none" {
-														f = ""
-													}
-													// "off" canonicalizes to the empty
-													// string so pre-aggregation cache
-													// keys stay valid.
-													a, ad, h, o := agg, adapt, heal, ovl
-													if a == "off" {
-														a = ""
-													}
-													if ad == "off" {
-														ad = ""
-													}
-													if h == "off" {
-														h = ""
-													}
-													if o == "off" {
-														o = ""
-													}
-													add(Point{
-														Experiment: ExpContention, Topo: topo,
-														Nodes: nodes, PPN: g.PPN, Op: g.Op,
-														Level: level, ContenderEvery: every,
-														Iters: g.Iters, SampleEvery: g.SampleEvery,
-														StreamLimit: g.StreamLimit,
-														VecSegs:     g.VecSegs, MsgSize: size,
-														Faults: f, Seed: seed, Rep: rep,
-														Metrics: g.Metrics,
-														Window:  g.Window, Agg: a, Adapt: ad,
-														Heal: h, Overload: o,
-													})
-												}
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+		return nil
+	}
+	if err := walk(0, Point{Experiment: g.Experiment, Metrics: g.Metrics}); err != nil {
+		return nil, err
 	}
 	return points, nil
 }
+
+// values lists the values grid key takes in g: the items of an axis, the
+// repetition indices for reps, or the one value of a scalar.
+func (g Grid) values(key string) []reflect.Value {
+	f := reflect.ValueOf(g).Field(gridField[key])
+	var out []reflect.Value
+	switch {
+	case key == "reps":
+		for r := range g.Reps {
+			out = append(out, reflect.ValueOf(r))
+		}
+	case f.Kind() == reflect.Slice:
+		for i := range f.Len() {
+			out = append(out, f.Index(i))
+		}
+	default:
+		out = append(out, f)
+	}
+	return out
+}
+
+// pointField names the Point field each grid key sets.
+var pointField = map[string]string{
+	"topos": "Topo", "levels": "Level", "nodes": "Nodes", "msgsize": "MsgSize", "faults": "Faults",
+	"seeds": "Seed", "reps": "Rep", "procs": "Procs", "agg": "Agg", "adapt": "Adapt",
+	"crashes": "Crashes", "heal": "Heal", "storm": "Storms", "tenants": "Tenants", "overload": "Overload",
+	"op": "Op", "ppn": "PPN", "iters": "Iters", "sample": "SampleEvery", "stream": "StreamLimit",
+	"segs": "VecSegs", "window": "Window",
+}
+
+// unset is the value of a key that a point stores as "", which the JSON
+// encoding omits: a toggle's "off" and the fault-free "none". A point's
+// cache key is therefore what it was before the key existed.
+var unset = map[string]string{"agg": "off", "adapt": "off", "heal": "off", "overload": "off", "faults": "none"}
 
 // Reindex renumbers hand-built point lists into expansion order. Callers
 // that assemble points directly (cmd/vtreport's per-section kind lists)

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -34,18 +36,30 @@ func TestParseGridFillsFields(t *testing.T) {
 }
 
 func TestParseGridErrors(t *testing.T) {
-	for _, spec := range []string{
-		"exp=quantum",
-		"op=putget",
-		"topos=ring",
-		"levels=50",
-		"nodes=x",
-		"seeds=abc",
-		"banana=1",
-		"just-a-word",
+	// want is a substring the error must contain: the bad value, or the
+	// key that is repeated or lists a value twice.
+	for _, tc := range []struct{ spec, want string }{
+		{"exp=quantum", `"quantum"`},
+		{"op=putget", `"putget"`},
+		{"topos=ring", "ring"},
+		{"levels=50", `"50"`},
+		{"nodes=x", "nodes"},
+		{"seeds=abc", "seeds"},
+		{"banana=1", `"banana"`},
+		{"just-a-word", "just-a-word"},
+		{"topos=fcg;topos=mfcg", `"topos"`},
+		{"nodes=64;nodes=128", `"nodes"`},
+		{"exp=chaos;heal=on;heal=off", `"heal"`},
+		{"levels=none,none", `"levels"`},
+		{"seeds=1,01", `"seeds"`},
+		{"topos=fcg,FCG", `"topos"`},
+		{"faults=none|", `"faults"`},
 	} {
-		if _, err := ParseGrid(spec); err == nil {
-			t.Errorf("ParseGrid(%q) accepted", spec)
+		_, err := ParseGrid(tc.spec)
+		if err == nil {
+			t.Errorf("ParseGrid(%q) accepted", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseGrid(%q) error %q does not name %s", tc.spec, err, tc.want)
 		}
 	}
 }
@@ -396,5 +410,94 @@ func TestContentionHealToggleGolden(t *testing.T) {
 	}
 	if r1.Label != "MFCG+heal" {
 		t.Fatalf("healed label = %q", r1.Label)
+	}
+}
+
+// FuzzParseGrid: ParseGrid never panics, a grid it accepts either expands
+// or returns an error, and the expanded points have distinct cache keys
+// and Index equal to their position.
+func FuzzParseGrid(f *testing.F) {
+	for _, spec := range []string{
+		"",
+		"exp=memscale;ppn=12;procs=768,1536",
+		"exp=contention;op=fadd;topos=fcg,mfcg;nodes=16;levels=none,20;seeds=1,2;reps=2",
+		"exp=chaos;nodes=16;crashes=1,2;heal=off,on;seeds=3",
+		"exp=overload;nodes=16;storm=1,2;tenants=2;overload=off,on",
+		"topos=hyperx:4x4x2,dragonfly:g=8,a=4,h=2;nodes=32;levels=20;agg=off,on;adapt=on;window=8",
+		"faults=none|cht:1@t=1ms;levels=20;nodes=16;msgsize=64,128",
+		"exp=chaos;agg=on",
+		"levels=none,none",
+		"nodes=64;nodes=128",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := ParseGrid(spec)
+		if err != nil {
+			return
+		}
+		// Keep the expansion small: few cells, small topologies.
+		cells := max(g.Reps, 1)
+		v := reflect.ValueOf(*g)
+		for i := range v.NumField() {
+			if v.Field(i).Kind() == reflect.Slice {
+				cells *= max(v.Field(i).Len(), 1)
+			}
+		}
+		big := func(n int) bool { return n > 1<<14 }
+		if cells > 64 || slices.ContainsFunc(g.Nodes, big) || slices.ContainsFunc(g.Procs, big) {
+			t.Skip()
+		}
+		points, err := g.Expand()
+		if err != nil {
+			return
+		}
+		seen := map[string]int{}
+		for i, p := range points {
+			if p.Index != i {
+				t.Fatalf("%q: point %d has Index %d", spec, i, p.Index)
+			}
+			if j, dup := seen[p.Key()]; dup {
+				t.Fatalf("%q: points %d and %d share a cache key: %+v", spec, j, i, p)
+			}
+			seen[p.Key()] = i
+		}
+	})
+}
+
+// TestDocsExperimentKeys: docs/SWEEP.md's "experiment | keys" table lists
+// every experiment of the table with exactly its keys, in expansion order,
+// and no experiment the table lacks.
+func TestDocsExperimentKeys(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/SWEEP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, ok := strings.Cut(string(doc), "| experiment | keys |\n|---|---|\n")
+	if !ok {
+		t.Fatal(`docs/SWEEP.md has no "| experiment | keys |" table`)
+	}
+	rows, _, _ = strings.Cut(rows, "\n\n")
+	documented := map[string]bool{}
+	for _, row := range strings.Split(rows, "\n") {
+		cells := strings.Split(strings.Trim(row, "| "), " | ")
+		if len(cells) != 2 {
+			t.Fatalf("malformed row %q", row)
+		}
+		name := strings.Trim(cells[0], "`")
+		documented[name] = true
+		e, ok := experiments[name]
+		if !ok {
+			t.Errorf("docs/SWEEP.md lists experiment %q, which the table lacks", name)
+			continue
+		}
+		if got, want := strings.ReplaceAll(cells[1], "`", ""), strings.Join(e.keys, ", "); got != want {
+			t.Errorf("docs/SWEEP.md keys of %s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+	for name := range experiments {
+		if !documented[name] {
+			t.Errorf("experiment %q is not in docs/SWEEP.md's keys table", name)
+		}
 	}
 }

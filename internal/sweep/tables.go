@@ -7,39 +7,10 @@ import (
 	"armcivt/internal/stats"
 )
 
-// groupKey buckets results that belong in the same merged table: everything
-// but the series identity (topology/seed/rep) and, for memscale, the
-// x-coordinate.
-func groupKey(p Point) string {
-	switch p.Experiment {
-	case ExpMemscale:
-		return ExpMemscale
-	case ExpChaos:
-		// Crash count is the x-axis; heal on/off pairs share the table,
-		// distinguished by the +heal series label.
-		return fmt.Sprintf("%s|%d|%d", ExpChaos, p.Nodes, p.Iters)
-	case ExpOverload:
-		// Storm count is the x-axis; protection on/off pairs share the
-		// table, distinguished by the +protect series label.
-		return fmt.Sprintf("%s|%d|%d|%d", ExpOverload, p.Nodes, p.Iters, p.Tenants)
-	default:
-		// The protocol toggles (Agg/Adapt) are deliberately absent: an
-		// off/on pair shares one table, distinguished by series label.
-		return fmt.Sprintf("%s|%s|%s|%d|%d|%d|%s", p.Experiment, p.Op, p.Level, p.MsgSize, p.Nodes, p.Window, p.Faults)
-	}
-}
-
-// groupTitle captions a merged table the way the paper's figures do.
-func groupTitle(p Point, multiNodes, multiSizes bool) string {
-	if p.Experiment == ExpMemscale {
-		return "memscale: master-process memory (MBytes) vs processes"
-	}
-	if p.Experiment == ExpChaos {
-		return fmt.Sprintf("chaos: failed survivor ops vs crashes, %d nodes, %d ops/rank", p.Nodes, p.Iters)
-	}
-	if p.Experiment == ExpOverload {
-		return fmt.Sprintf("overload: goodput (ops/ms) vs storms, %d nodes, %d tenants", p.Nodes, p.Tenants)
-	}
+// contentionTitle captions a contention table the way the paper's figures
+// do, naming the node count and message size only when the sweep varies
+// them.
+func contentionTitle(p Point, multiNodes, multiSizes bool) string {
 	opName := "vectored put"
 	if p.Op == "fadd" {
 		opName = "fetch-&-add"
@@ -89,46 +60,30 @@ func Groups(results []Result) []Group {
 		if r.Err != "" {
 			continue
 		}
-		key := groupKey(r.Point)
+		e := experiments[r.Point.Experiment]
+		key := r.Point.Experiment + "|" + e.group(r.Point)
 		g, ok := groups[key]
 		if !ok {
 			g = &Group{
-				Title:      groupTitle(r.Point, multiNodes, multiSizes),
-				XLabel:     "rank",
-				Contention: r.Point.Experiment == ExpContention,
+				Title:      e.title(r.Point, multiNodes, multiSizes),
+				XLabel:     e.xLabel,
+				Contention: e.x == nil,
 				Point:      r.Point,
-			}
-			if r.Point.Experiment == ExpMemscale {
-				g.XLabel = "processes"
-			}
-			if r.Point.Experiment == ExpChaos {
-				g.XLabel = "crashes"
-			}
-			if r.Point.Experiment == ExpOverload {
-				g.XLabel = "storms"
 			}
 			groups[key] = g
 			byLab[key] = map[string]*stats.Series{}
 			order = append(order, key)
 		}
-		switch r.Point.Experiment {
-		case ExpMemscale, ExpChaos, ExpOverload:
+		if e.x == nil {
+			g.Series = append(g.Series, r.Series())
+		} else {
 			s, ok := byLab[key][r.Label]
 			if !ok {
 				s = &stats.Series{Label: r.Label}
 				byLab[key][r.Label] = s
 				g.Series = append(g.Series, s)
 			}
-			x := float64(r.Point.Procs)
-			switch r.Point.Experiment {
-			case ExpChaos:
-				x = float64(r.Point.Crashes)
-			case ExpOverload:
-				x = float64(r.Point.Storms)
-			}
-			s.Add(x, r.Value)
-		default:
-			g.Series = append(g.Series, r.Series())
+			s.Add(e.x(r.Point), r.Value)
 		}
 		if r.Snapshot != nil {
 			g.Snapshots = append(g.Snapshots, r.Snapshot)
@@ -187,7 +142,7 @@ func CompareAgg(results []Result) ([]AggComparison, error) {
 		return p.Key()
 	}
 	for _, r := range results {
-		if r.Err != "" || r.Point.Experiment != ExpContention || r.Point.Agg == "on" {
+		if r.Err != "" || r.Point.Agg == "on" {
 			continue
 		}
 		off[pairKey(r.Point)] = r
