@@ -157,7 +157,7 @@ func (r *Rank) flushAgg(targetNode int) {
 		return
 	}
 	for _, sub := range subs {
-		rt.armTimeout(sub, targetNode)
+		rt.armTimeout(sub)
 	}
 	batch := buildBatch(subs)
 	first := rt.nextHop(r.node, targetNode)

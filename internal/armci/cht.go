@@ -116,7 +116,7 @@ func (ns *nodeState) serve(req *request) {
 		// A target this node's membership view has confirmed dead gets
 		// failed back to its origin immediately — forwarding it would
 		// strand a credit on an edge no ack will ever return over.
-		if rt.healArmed && ns.mv.isDead(targetNode) {
+		if rt.healArmed && ns.isDead(targetNode) {
 			rt.st(ns.id).NodeAborts++
 			ns.fail(req, &NodeFailedError{Node: targetNode})
 			return

@@ -206,10 +206,10 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 	}
 	if ns.mv != nil {
 		h = ckpt.Mix(h, uint64(ns.mv.resetAt))
-		for _, nbr := range ns.mv.nbrs {
+		for i, nbr := range ns.nbrs {
 			h = ckpt.Mix(h, uint64(nbr))
-			h = ckpt.Mix(h, uint64(ns.mv.lastHeard[nbr]))
-			h = ckpt.Mix(h, uint64(ns.mv.state[nbr]))
+			h = ckpt.Mix(h, uint64(ns.mv.lastHeard[i]))
+			h = ckpt.Mix(h, uint64(ns.mv.state[i]))
 		}
 	}
 	h = ckpt.Mix(h, uint64(len(ns.psFree)))

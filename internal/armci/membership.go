@@ -2,7 +2,6 @@ package armci
 
 import (
 	"fmt"
-	"sort"
 
 	"armcivt/internal/core"
 	"armcivt/internal/sim"
@@ -56,11 +55,14 @@ const (
 	memberDead
 )
 
-// memberView is one node's failure-detector state over its neighbors.
+// memberView is one node's failure-detector state over its neighbors,
+// indexed like nodeState.nbrs (sorted, which also fixes the deterministic
+// probe and suspicion order). The per-neighbor slices are carved from two
+// runtime-wide arenas (see newMemberViews), so a view is no heap object of
+// its own and a lookup is nbrIdx's binary search, not a map probe.
 type memberView struct {
-	nbrs      []int // sorted, for deterministic probe and suspicion order
-	lastHeard map[int]sim.Time
-	state     map[int]memberState
+	lastHeard []sim.Time
+	state     []memberState
 	// resetAt is when this view last started observing from scratch (0 at
 	// start, the reboot instant after an owner crash). Detection latency is
 	// measured from it when it postdates the peer's crash: an observer that
@@ -68,33 +70,40 @@ type memberView struct {
 	resetAt sim.Time
 }
 
-func newMemberView(neighbors []int) *memberView {
-	nbrs := append([]int(nil), neighbors...)
-	sort.Ints(nbrs)
-	mv := &memberView{
-		nbrs:      nbrs,
-		lastHeard: make(map[int]sim.Time, len(nbrs)),
-		state:     make(map[int]memberState, len(nbrs)),
+// newMemberViews gives every node a membership view over its neighbors: one
+// slab of views plus one arena each for last-heard instants and states,
+// sliced per node at its egress base (the per-edge index space every other
+// arena uses).
+func (rt *Runtime) newMemberViews() {
+	views := make([]memberView, len(rt.nodes))
+	heard := make([]sim.Time, len(rt.egArena))
+	state := make([]memberState, len(rt.egArena))
+	for n := range rt.nodes {
+		ns := &rt.nodes[n]
+		lo, hi := ns.egBase, ns.egBase+len(ns.nbrs)
+		views[n] = memberView{lastHeard: heard[lo:hi:hi], state: state[lo:hi:hi]}
+		ns.mv = &views[n]
 	}
-	for _, n := range nbrs {
-		mv.lastHeard[n] = 0
-	}
-	return mv
 }
 
-// isDead reports whether node is confirmed dead in this view. Nodes outside
-// the neighbor set are never dead (the view only tracks topology edges).
-func (mv *memberView) isDead(node int) bool {
-	return mv != nil && mv.state[node] == memberDead
+// isDead reports whether this node's membership view has confirmed node
+// dead. Nodes outside the neighbor set are never dead (the view only tracks
+// topology edges), and nothing is without healing armed.
+func (ns *nodeState) isDead(node int) bool {
+	if ns.mv == nil {
+		return false
+	}
+	i := ns.nbrIdx(node)
+	return i >= 0 && ns.mv.state[i] == memberDead
 }
 
 // refresh marks every neighbor alive as of now — a node rebooting after its
 // own crash must not act on a view gone stale during the outage.
 func (mv *memberView) refresh(now sim.Time) {
 	mv.resetAt = now
-	for _, n := range mv.nbrs {
-		mv.lastHeard[n] = now
-		mv.state[n] = memberAlive
+	for i := range mv.lastHeard {
+		mv.lastHeard[i] = now
+		mv.state[i] = memberAlive
 	}
 }
 
@@ -107,13 +116,13 @@ func (ns *nodeState) heard(from int) {
 	if mv == nil {
 		return
 	}
-	if _, ok := mv.lastHeard[from]; !ok {
+	i := ns.nbrIdx(from)
+	if i < 0 {
 		return
 	}
-	mv.lastHeard[from] = ns.rt.eng.NowOn(ns.id)
-	if mv.state[from] != memberAlive {
-		was := mv.state[from]
-		mv.state[from] = memberAlive
+	mv.lastHeard[i] = ns.rt.eng.NowOn(ns.id)
+	if was := mv.state[i]; was != memberAlive {
+		mv.state[i] = memberAlive
 		if was == memberDead {
 			ns.rejoin(from)
 		}
@@ -121,38 +130,39 @@ func (ns *nodeState) heard(from int) {
 }
 
 // monitorTick is one failure-detector round at this node. It runs in engine
-// context (no daemon process) and re-arms itself with After, stopping once
-// every rank process has finished so the event queue can drain and Run can
-// return — the same termination rule sim.Watchdog uses.
+// context (no daemon process) and re-arms itself through the runtime's tick
+// trampoline (tickFn, with the node as argument), stopping once every rank
+// process has finished so the event queue can drain and Run can return —
+// the same termination rule sim.Watchdog uses.
 func (ns *nodeState) monitorTick() {
 	rt := ns.rt
 	if rt.liveRanks == 0 {
 		return
 	}
-	rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
+	rt.eng.AfterOnArg(ns.id, heartbeatInterval, rt.tickFn, ns)
 	if fi := rt.faultInj; fi != nil && fi.NodeDown(ns.id) {
 		return // a crashed node probes and judges nothing until it reboots
 	}
 	now := rt.eng.NowOn(ns.id)
 	st := suspicionTimeout
-	for i, peer := range ns.mv.nbrs {
+	mv := ns.mv
+	for i, peer := range ns.nbrs {
 		// Probe unconditionally — heartbeats to a dead-view peer double as
 		// rejoin detection the moment it comes back. A dead receiver's NIC
 		// drops the probe in the fabric. The edge's egress record rides along
-		// as the argument (mv.nbrs is indexed like ns.nbrs), so a probe
-		// allocates no closure.
+		// as the argument, so a probe allocates no closure.
 		rt.net.SendArg(ns.id, peer, heartbeatBytes, rt.probeFn, ns.egAt(i))
-		gap := now - ns.mv.lastHeard[peer]
-		switch ns.mv.state[peer] {
+		gap := now - mv.lastHeard[i]
+		switch mv.state[i] {
 		case memberAlive:
 			if gap >= st {
-				ns.mv.state[peer] = memberSuspect
+				mv.state[i] = memberSuspect
 				rt.st(ns.id).Suspicions++
 				rt.noteMembership("suspect", ns.id, peer)
 			}
 		case memberSuspect:
 			if gap >= 2*st {
-				ns.mv.state[peer] = memberDead
+				mv.state[i] = memberDead
 				rt.st(ns.id).Confirms++
 				ns.recordDetection(peer, now)
 				rt.noteMembership("confirm", ns.id, peer)
@@ -201,7 +211,7 @@ func (ns *nodeState) replayParked(ps *pendingSend, dead int) {
 	rt := ns.rt
 	req := ps.req
 	targetNode := req.target / rt.cfg.PPN
-	hop, ok := core.ReplacementHop(rt.topo, ns.id, targetNode, ns.mv.isDead)
+	hop, ok := core.ReplacementHop(rt.topo, ns.id, targetNode, ns.isDead)
 	if !ok {
 		rt.st(ns.id).HealFails++
 		ns.failSubs(req, &NodeFailedError{Node: dead})
@@ -321,7 +331,7 @@ func (rt *Runtime) deadRouteErr(originNode, targetNode int) error {
 	if fi := rt.faultInj; fi != nil && fi.NodeDown(originNode) {
 		return &NodeFailedError{Node: originNode}
 	}
-	if rt.healArmed && rt.nodes[originNode].mv.isDead(targetNode) {
+	if rt.healArmed && rt.nodes[originNode].isDead(targetNode) {
 		return &NodeFailedError{Node: targetNode}
 	}
 	return nil

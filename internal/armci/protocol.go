@@ -74,8 +74,9 @@ type request struct {
 	target     int // target rank
 	alloc      string
 	off        int     // contiguous ops: target offset
-	data       []byte  // put/acc payload for this chunk
-	segs       []Seg   // vectored ops: target segments of this chunk
+	data       []byte  // put/acc payload for this chunk: the caller's bytes, or buf
+	segs       []Seg   // vectored ops: target segments of this chunk (owned, kept across recycling)
+	buf        []byte  // owned payload storage: accumulate encodings, clone copies (kept across recycling)
 	scale      float64 // accumulate scale factor
 	delta      int64   // rmw addend
 	mutex      int     // lock/unlock: mutex index
@@ -94,6 +95,10 @@ type request struct {
 	// its way to the target (fabric ECN marking); the response echoes it to
 	// the origin's pacer. Never set unless Fabric.CongestionThreshold > 0.
 	ce bool
+	// freed marks the record as parked on its origin node's free list; holds
+	// counts the parties that can still reach it (see Runtime.release).
+	freed bool
+	holds int32
 
 	// Response parameters, stamped by the target's respond: the request
 	// record itself rides the response message back to the origin, where
@@ -103,15 +108,13 @@ type request struct {
 	respOld  int64
 	respFrom int
 
-	// freed marks the record as parked on its origin node's free list
-	// (see Runtime.getReq/nodeState.putReq); a double release panics.
-	freed bool
+	chunk int // index into the handle's chunkDone bitset
 
 	// Resilience fields, populated only when Config.RequestTimeout > 0.
-	chunk   int      // index into the handle's chunkDone bitset
 	rid     uint64   // runtime-unique request id, the target's dedup key
 	attempt int      // transmissions so far beyond the first
 	issued  sim.Time // first transmission instant, for TimeoutError
+	timeout sim.Time // the armed timer's interval, backed off per retry
 }
 
 // Handle tracks completion of a (possibly multi-chunk) non-blocking
@@ -405,11 +408,15 @@ func GetInt64(buf []byte, off int) int64 {
 
 // Float64sToBytes copies vals into a fresh byte buffer.
 func Float64sToBytes(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		PutFloat64(out, 8*i, v)
+	return appendFloat64s(make([]byte, 0, 8*len(vals)), vals)
+}
+
+// appendFloat64s appends the little-endian encoding of vals to buf.
+func appendFloat64s(buf []byte, vals []float64) []byte {
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return out
+	return buf
 }
 
 // BytesToFloat64s reinterprets buf (length divisible by 8) as float64s.

@@ -126,7 +126,7 @@ func (r *Rank) send(req *request) {
 	// Anything still aggregating for this target must go first, or a
 	// buffered earlier write could be applied after this request.
 	r.flushAgg(targetNode)
-	rt.armTimeout(req, targetNode)
+	rt.armTimeout(req)
 	first := rt.nextHop(r.node, targetNode)
 	rt.egressTo(r.node, first).submitRank(r.proc, req)
 }
@@ -214,11 +214,11 @@ func (r *Rank) NbAcc(dst int, alloc string, off int, scale float64, vals []float
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
-	data := Float64sToBytes(vals)
-	checkRange(a, off, len(data))
+	n := 8 * len(vals)
+	checkRange(a, off, n)
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
-		r.localDelay(len(data))
+		r.localDelay(n)
 		mem := a.slab(dst)
 		for i := range vals {
 			PutFloat64(mem, off+8*i, GetFloat64(mem, off+8*i)+scale*vals[i])
@@ -226,17 +226,19 @@ func (r *Rank) NbAcc(dst int, alloc string, off int, scale float64, vals []float
 		return newHandle(rt.eng, 0, 0)
 	}
 	reqs := r.reqScratch[:0]
-	// Chunk on 8-byte boundaries so no float64 straddles two chunks.
+	// Chunk on 8-byte boundaries so no float64 straddles two chunks; each
+	// chunk's payload is encoded into the record's own buffer.
 	per := rt.cfg.payloadPerChunk(0) &^ 7
-	for done := 0; done < len(data); done += per {
-		ln := len(data) - done
+	for done := 0; done < n; done += per {
+		ln := n - done
 		if ln > per {
 			ln = per
 		}
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAcc, r.rank, r.node, dst
 		req.alloc, req.off = alloc, off+done
-		req.data, req.scale = data[done:done+ln], scale
+		req.buf = appendFloat64s(req.buf[:0], vals[done/8:(done+ln)/8])
+		req.data, req.scale = req.buf, scale
 		req.wire = headerBytes + ln
 		reqs = append(reqs, req)
 	}
@@ -439,10 +441,9 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	rt.st(r.node).Ops++
 	ownerNode := m % rt.cfg.Nodes
 	ownerRank := ownerNode * rt.cfg.PPN
-	req := &request{
-		kind: kind, origin: r.rank, originNode: r.node, target: ownerRank,
-		mutex: m, wire: headerBytes,
-	}
+	req := rt.getReq(r.node)
+	req.kind, req.origin, req.originNode, req.target = kind, r.rank, r.node, ownerRank
+	req.mutex, req.wire = m, headerBytes
 	h := newHandle(rt.eng, 1, 0)
 	req.h = h
 	// Crash-stop fast path, as in send. A mutex whose owner node crashed

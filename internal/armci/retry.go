@@ -23,8 +23,9 @@ const retryBackoff = 2.0
 // when request timeouts are disabled. It must run in the origin node's owner
 // context (it always does: chunks are armed by the issuing rank). The rid is
 // the origin node's own counter prefixed with the node id, so ids are
-// runtime-unique without any cross-node state.
-func (rt *Runtime) armTimeout(req *request, targetNode int) {
+// runtime-unique without any cross-node state. The timer holds the record
+// until it stops re-arming (see Runtime.release).
+func (rt *Runtime) armTimeout(req *request) {
 	if rt.overloadArmed {
 		// The AIMD pacers compare each response's issue instant against
 		// their last backoff to discard stale congestion signal (see
@@ -38,64 +39,95 @@ func (rt *Runtime) armTimeout(req *request, targetNode int) {
 	ns.ridSeq++
 	req.rid = uint64(req.originNode+1)<<32 | ns.ridSeq
 	req.issued = rt.eng.NowOn(req.originNode)
-	rt.scheduleTimeout(req, targetNode, rt.cfg.RequestTimeout)
+	req.timeout = rt.cfg.RequestTimeout
+	req.holds++
+	rt.eng.AfterOnArg(req.originNode, req.timeout, rt.timeoutFn, req)
 }
 
-// scheduleTimeout arms the chunk's timer as an event pinned to the origin
+// onTimeout runs when req's timer fires, as an event pinned to the origin
 // node, so retries, failure notices and handle completion all stay in the
-// origin's owner context.
-func (rt *Runtime) scheduleTimeout(req *request, targetNode int, timeout sim.Time) {
+// origin's owner context. Unless the chunk is done or fails here, it
+// retransmits and re-arms with the backed-off timeout; otherwise the timer
+// lets go of the record.
+func (rt *Runtime) onTimeout(req *request) {
+	if rt.retryOrFail(req) {
+		req.timeout = sim.Time(float64(req.timeout) * retryBackoff)
+		rt.eng.AfterOnArg(req.originNode, req.timeout, rt.timeoutFn, req)
+		return
+	}
+	rt.release(req)
+}
+
+// retryOrFail decides one timer firing: it returns true after injecting a
+// retransmission, false when the chunk has completed or has just failed.
+func (rt *Runtime) retryOrFail(req *request) bool {
 	origin := req.originNode
-	rt.eng.AfterOn(origin, timeout, func() {
-		h := req.h
-		if h == nil || h.chunkComplete(req.chunk) {
-			return // completed (or already failed) — timer expires silently
+	targetNode := req.target / rt.cfg.PPN
+	h := req.h
+	if h == nil || h.chunkComplete(req.chunk) {
+		return false // completed (or already failed) — timer expires silently
+	}
+	rt.st(origin).Timeouts++
+	elapsed := rt.eng.NowOn(origin) - req.issued
+	// A target the origin's membership view has confirmed dead (or an
+	// origin node that has itself crashed) cannot complete the chunk;
+	// fail fast instead of burning the remaining retries.
+	if err := rt.deadRouteErr(origin, targetNode); err != nil {
+		rt.st(origin).Failures++
+		rt.st(origin).NodeAborts++
+		rt.noteRetry("node-fail", req, elapsed)
+		h.failChunk(req.chunk, err)
+		return false
+	}
+	if req.attempt >= rt.cfg.MaxRetries {
+		rt.st(origin).Failures++
+		err := &TimeoutError{
+			Kind:     req.kind.String(),
+			Origin:   req.origin,
+			Target:   req.target,
+			Attempts: req.attempt + 1,
+			Elapsed:  elapsed,
 		}
-		rt.st(origin).Timeouts++
-		elapsed := rt.eng.NowOn(origin) - req.issued
-		// A target the origin's membership view has confirmed dead (or an
-		// origin node that has itself crashed) cannot complete the chunk;
-		// fail fast instead of burning the remaining retries.
-		if err := rt.deadRouteErr(origin, targetNode); err != nil {
-			rt.st(origin).Failures++
-			rt.st(origin).NodeAborts++
-			rt.noteRetry("node-fail", req, elapsed)
-			h.failChunk(req.chunk, err)
-			return
-		}
-		if req.attempt >= rt.cfg.MaxRetries {
-			rt.st(origin).Failures++
-			err := &TimeoutError{
-				Kind:     req.kind.String(),
-				Origin:   req.origin,
-				Target:   req.target,
-				Attempts: req.attempt + 1,
-				Elapsed:  elapsed,
-			}
-			rt.noteRetry("timeout-fail", req, elapsed)
-			h.failChunk(req.chunk, err)
-			return
-		}
-		req.attempt++
-		rt.st(origin).Retries++
-		rt.noteRetry("retry", req, elapsed)
-		// Retransmit a clone so the in-flight original (possibly parked at
-		// a failed link or a stalled CHT) cannot alias the retry's state.
-		clone := *req
-		next := rt.nextHop(origin, targetNode)
-		eg, err := rt.egressFor(origin, next)
-		if err != nil {
-			rt.st(origin).NoRoutes++
-			rt.st(origin).Failures++
-			h.failChunk(req.chunk, err)
-			return
-		}
-		// Non-blocking submission: the timer runs in engine context and the
-		// issuing rank is typically parked in Wait. Credit starvation here
-		// is recovered by the edge's regen machinery, not by blocking.
-		eg.submitForward(&clone, nil, -1)
-		rt.scheduleTimeout(req, targetNode, sim.Time(float64(timeout)*retryBackoff))
-	})
+		rt.noteRetry("timeout-fail", req, elapsed)
+		h.failChunk(req.chunk, err)
+		return false
+	}
+	req.attempt++
+	rt.st(origin).Retries++
+	rt.noteRetry("retry", req, elapsed)
+	next := rt.nextHop(origin, targetNode)
+	eg, err := rt.egressFor(origin, next)
+	if err != nil {
+		rt.st(origin).NoRoutes++
+		rt.st(origin).Failures++
+		h.failChunk(req.chunk, err)
+		return false
+	}
+	// Non-blocking submission: the timer runs in engine context and the
+	// issuing rank is typically parked in Wait. Credit starvation here
+	// is recovered by the edge's regen machinery, not by blocking.
+	eg.submitForward(rt.cloneReq(req), nil, -1)
+	return true
+}
+
+// cloneReq returns a retransmission of req: a pool record with the same
+// operation and its own segs and payload storage, so the in-flight original
+// (possibly parked at a failed link or a stalled CHT) and the retry share no
+// backing array — either may respond first and be recycled while the other
+// is still travelling. The clone's one hold is its response's; the timer
+// stays with the original.
+func (rt *Runtime) cloneReq(req *request) *request {
+	c := rt.getReq(req.originNode)
+	segs, buf := c.segs, c.buf
+	*c = *req
+	c.segs = append(segs[:0], req.segs...)
+	c.buf = buf[:0]
+	if req.data != nil {
+		c.buf = append(c.buf, req.data...)
+		c.data = c.buf
+	}
+	c.freed, c.holds = false, 1
+	return c
 }
 
 // noteRetry emits a Chrome-trace instant marker for a retry decision.

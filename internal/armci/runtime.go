@@ -66,14 +66,6 @@ type Runtime struct {
 	// queue can drain (the same termination rule sim.Watchdog uses).
 	liveRanks int
 
-	// poolReqs arms the per-node request free lists (see getReq/putReq):
-	// request records recycle through their origin node's pool once the
-	// response completes them. Pooling requires that nothing retains a
-	// request past completion, so it is disabled whenever retransmission
-	// clones (RequestTimeout), aggregation sub-op aliasing (Agg), or fault
-	// paths could hold one.
-	poolReqs bool
-
 	// Preallocated event/delivery trampolines, bound once in New so the hot
 	// protocol paths schedule pooled records through fabric.SendArg and the
 	// engine's *Arg variants without allocating a closure per message.
@@ -82,6 +74,8 @@ type Runtime struct {
 	respFn      func(arg any, ce bool) // response arrives at the origin node
 	respLocalFn func(arg any)          // same-node response (no heard/onAck)
 	probeFn     func(arg any, ce bool) // heartbeat probe arrives at a neighbor
+	timeoutFn   func(arg any)          // a request's timeout timer fires at its origin
+	tickFn      func(arg any)          // a node's failure-detector round (arg: *nodeState)
 }
 
 // Stats aggregates runtime-level counters used by tests and reports.
@@ -201,7 +195,7 @@ type nodeState struct {
 	// node's owner context, so no lock is needed and sharded runs stay
 	// deterministic). psFree recycles pendingSend records parked on this
 	// node's egresses; reqFree recycles request records originated by this
-	// node's ranks (armed only when Runtime.poolReqs — see getReq).
+	// node's ranks (see getReq and Runtime.release).
 	psFree  []*pendingSend
 	reqFree []*request
 }
@@ -373,20 +367,13 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		rt.world[r] = r
 	}
 	rt.bindDispatch()
-	// Request pooling is safe only when nothing can retain a request past
-	// its completion: retransmission clones alias the original's state,
-	// aggregation parks sub-ops in batch packets, and fault paths abort
-	// chunks without a response ever freeing the record.
-	rt.poolReqs = cfg.RequestTimeout <= 0 && !cfg.Agg.Enabled && rt.faultInj == nil
 	// Crash-stop semantics arm whenever the schedule contains node faults;
 	// membership + healing additionally require Heal.Enabled, so runs
 	// without node faults (and heal-off ablations) are bit-identical.
 	if cfg.Faults.HasNodeFaults() {
 		rt.healArmed = cfg.Heal.Enabled
 		if rt.healArmed {
-			for n := range rt.nodes {
-				rt.nodes[n].mv = newMemberView(rt.nodes[n].nbrs)
-			}
+			rt.newMemberViews()
 		}
 		cfg.Faults.OnNodeChange(rt.onNodeChange)
 	}
@@ -440,11 +427,15 @@ func (rt *Runtime) bindDispatch() {
 	rt.respLocalFn = func(arg any) {
 		rt.completeResp(arg.(*request))
 	}
+	// Timers: a request's timeout (the record carries its current timeout,
+	// see armTimeout) and a node's heartbeat round.
+	rt.timeoutFn = func(arg any) { rt.onTimeout(arg.(*request)) }
+	rt.tickFn = func(arg any) { arg.(*nodeState).monitorTick() }
 }
 
 // completeResp applies one response at the origin: get payloads are copied
 // into the handle's buffer at the chunk's flat offset, rmw carries the old
-// value, and the request record returns to its origin's free list.
+// value, and the response's hold on the request record is released.
 func (rt *Runtime) completeResp(req *request) {
 	h, chunk := req.h, req.chunk
 	if !h.chunkComplete(chunk) { // duplicate or raced response: idempotent
@@ -457,41 +448,56 @@ func (rt *Runtime) completeResp(req *request) {
 		rt.st(req.originNode).Completions++
 		h.completeChunkAt(chunk)
 	}
-	rt.nodes[req.originNode].putReq(req)
+	rt.release(req)
 }
 
 // getReq returns a request record for an operation originated on node,
-// recycled from the node's free list when pooling is armed. Call sites must
-// assign every field they rely on: a recycled record is zeroed at release,
-// but the compiler cannot check a field-assignment block the way it checks a
+// recycled from the node's free list when it has one. The record starts
+// with one hold, its response's (see release). Call sites must assign every
+// field they rely on: a recycled record is zeroed at release, but the
+// compiler cannot check a field-assignment block the way it checks a
 // composite literal.
 func (rt *Runtime) getReq(node int) *request {
-	if rt.poolReqs {
-		ns := &rt.nodes[node]
-		if n := len(ns.reqFree); n > 0 {
-			req := ns.reqFree[n-1]
-			ns.reqFree[n-1] = nil
-			ns.reqFree = ns.reqFree[:n-1]
-			req.freed = false
-			return req
-		}
+	ns := &rt.nodes[node]
+	if n := len(ns.reqFree); n > 0 {
+		req := ns.reqFree[n-1]
+		ns.reqFree[n-1] = nil
+		ns.reqFree = ns.reqFree[:n-1]
+		req.freed, req.holds = false, 1
+		return req
 	}
-	return &request{}
+	return &request{holds: 1}
 }
 
-// putReq recycles req into this node's free list (no-op unless pooling is
-// armed). The record is zeroed except for the segs backing array, which is
-// retained for the next vectored operation. Releasing a record twice panics:
+// release drops one hold on req. Every party that can still reach a record
+// after it leaves the issuing rank holds it: the response that will complete
+// it (taken in getReq, dropped by completeResp) and, with request timeouts
+// on, its timer (taken in armTimeout, dropped when the timer stops
+// re-arming). Whoever lets go last returns the record to its origin's free
+// list; both run in the origin's owner context. A record whose response
+// never arrives — dropped by the fabric, stranded in a crashed node's inbox
+// or egress queue, deduplicated at the target, aborted before injection,
+// failed back by a CHT — keeps its response hold and is left to the garbage
+// collector: nothing that can still observe it ever sees it recycled.
+func (rt *Runtime) release(req *request) {
+	if req.holds <= 0 {
+		panic("armci: request record released twice")
+	}
+	if req.holds--; req.holds == 0 {
+		rt.nodes[req.originNode].putReq(req)
+	}
+}
+
+// putReq recycles req into this node's free list. The record is zeroed
+// except for the segs and buf backing arrays, which are retained for the
+// next vectored operation or owned payload. Releasing a record twice panics:
 // an aliased free would hand two in-flight operations the same storage.
 func (ns *nodeState) putReq(req *request) {
-	if !ns.rt.poolReqs {
-		return
-	}
 	if req.freed {
 		panic("armci: request record released twice")
 	}
-	segs := req.segs[:0]
-	*req = request{segs: segs, freed: true}
+	segs, buf := req.segs[:0], req.buf[:0]
+	*req = request{segs: segs, buf: buf, freed: true}
 	ns.reqFree = append(ns.reqFree, req)
 }
 
@@ -696,7 +702,7 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	if rt.healArmed {
 		for i := range rt.nodes {
 			ns := &rt.nodes[i]
-			rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
+			rt.eng.AfterOnArg(ns.id, heartbeatInterval, rt.tickFn, ns)
 		}
 	}
 }
@@ -760,7 +766,7 @@ func (rt *Runtime) hopAvoided(src, node int) bool {
 	if fi := rt.faultInj; fi != nil && fi.CHTStalled(node) {
 		return true
 	}
-	return rt.healArmed && rt.nodes[src].mv.isDead(node)
+	return rt.healArmed && rt.nodes[src].isDead(node)
 }
 
 // egressTo returns node's egress over the direct edge to peer.

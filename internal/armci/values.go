@@ -72,7 +72,6 @@ func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []f
 		}
 		checkRange(a, s.Off, s.Len)
 	}
-	data := Float64sToBytes(vals)
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(total)
@@ -80,7 +79,7 @@ func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []f
 		pos := 0
 		for _, s := range segs {
 			for b := 0; b < s.Len; b += 8 {
-				v := GetFloat64(mem, s.Off+b) + scale*GetFloat64(data, pos+b)
+				v := GetFloat64(mem, s.Off+b) + scale*vals[(pos+b)/8]
 				PutFloat64(mem, s.Off+b, v)
 			}
 			pos += s.Len
@@ -93,7 +92,8 @@ func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []f
 		req.kind, req.origin, req.originNode, req.target = opAccV, r.rank, r.node, dst
 		req.alloc = alloc
 		req.segs = append(req.segs[:0], group...) // chunker reuses group: copy
-		req.data, req.scale = data[flatOff:flatOff+payload], scale
+		req.buf = appendFloat64s(req.buf[:0], vals[flatOff/8:(flatOff+payload)/8])
+		req.data, req.scale = req.buf, scale
 		req.wire = headerBytes + len(group)*segDescBytes + payload
 		reqs = append(reqs, req)
 	})

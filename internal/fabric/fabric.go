@@ -164,13 +164,17 @@ type Network struct {
 	cfg   Config
 	n     int
 	shape [3]int
+	// stride[d] is the position-id distance between torus neighbors along
+	// dimension d (ids are x-major).
+	stride [3]int
 	// Directed links: index (node*6 + dim*2 + dir), dir 0 = minus, 1 = plus.
 	links []link
 	// NIC injection (inj) and ejection (ej) ports per node.
 	inj []link
 	ej  []link
 	// ejSources[node] counts queued messages per source node at the
-	// ejection port, for the stream-overload model.
+	// ejection port, for the stream-overload model. A node's map is made on
+	// its first ejection: most nodes of a large job never receive one.
 	ejSources []map[int]int
 	// stats[pos] holds the counters attributed to torus position pos; see
 	// the Stats doc comment.
@@ -239,6 +243,7 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 		cfg:       cfg,
 		n:         n,
 		shape:     cfg.Shape,
+		stride:    [3]int{1, cfg.Shape[0], cfg.Shape[0] * cfg.Shape[1]},
 		links:     make([]link, capacity*6),
 		inj:       make([]link, n),
 		ej:        make([]link, n),
@@ -246,14 +251,11 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 		stats:     make([]Stats, capacity),
 		msgFree:   make([][]*msg, capacity),
 	}
-	for i := range nw.ejSources {
-		nw.ejSources[i] = make(map[int]int)
-	}
 	nw.stepFn = func(a any) { nw.step(a.(*msg)) }
 	nw.injectFn = func(a any) { nw.inject(a.(*msg)) }
 	nw.loopFn = func(a any) { nw.loop(a.(*msg)) }
 	nw.ejectFn = func(a any) { nw.eject(a.(*msg)) }
-	nw.stallFn = func(a any) { m := a.(*msg); nw.stallAt(m.path[m.i]/6, m, m.arrive) }
+	nw.stallFn = func(a any) { m := a.(*msg); nw.stallAt(m, m.arrive) }
 	return nw
 }
 
@@ -340,54 +342,6 @@ func (nw *Network) Hops(a, b int) int {
 	return total
 }
 
-// route appends to buf the sequence of (node, dim, dir) link indices from
-// src to dst under dimension-order torus routing, returning the extended
-// slice. Callers on the hot path hand back a recycled buffer (buf[:0]) so
-// routing allocates only until the buffer has grown to the workload's
-// longest path.
-func (nw *Network) route(src, dst int, buf []int) []int {
-	if src == dst {
-		return buf
-	}
-	out := buf
-	cur := nw.Coord(src)
-	tgt := nw.Coord(dst)
-	strides := [3]int{1, nw.shape[0], nw.shape[0] * nw.shape[1]}
-	node := src
-	for d := 0; d < 3; d++ {
-		for cur[d] != tgt[d] {
-			fwd := (tgt[d] - cur[d] + nw.shape[d]) % nw.shape[d]
-			bwd := nw.shape[d] - fwd
-			dir := 1 // plus
-			if bwd < fwd {
-				dir = 0
-			}
-			out = append(out, node*6+d*2+dir)
-			if dir == 1 {
-				cur[d] = (cur[d] + 1) % nw.shape[d]
-			} else {
-				cur[d] = (cur[d] - 1 + nw.shape[d]) % nw.shape[d]
-			}
-			node = cur[0]*strides[0] + cur[1]*strides[1] + cur[2]*strides[2]
-		}
-	}
-	return out
-}
-
-// linkEnds returns the torus positions joined by directed link idx.
-func (nw *Network) linkEnds(idx int) (from, to int) {
-	from = idx / 6
-	d := (idx % 6) / 2
-	c := nw.Coord(from)
-	if idx%2 == 1 {
-		c[d] = (c[d] + 1) % nw.shape[d]
-	} else {
-		c[d] = (c[d] - 1 + nw.shape[d]) % nw.shape[d]
-	}
-	to = c[0] + c[1]*nw.shape[0] + c[2]*nw.shape[0]*nw.shape[1]
-	return from, to
-}
-
 // arcBlocked reports whether walking dist steps from start along dimension d
 // in direction dir crosses a currently hard-failed link.
 func (nw *Network) arcBlocked(start, d, dir, dist int) bool {
@@ -410,67 +364,29 @@ func (nw *Network) arcBlocked(start, d, dir, dist int) bool {
 	return false
 }
 
-// routeFaultAware is dimension-order routing that reacts to hard link
-// failures: in each dimension it picks a ring arc once, preferring the
-// shorter one but taking the long way round when only the short arc crosses
-// a failed link. Choosing per dimension (never mid-arc) keeps routes minimal
-// per dimension and rules out ping-pong livelock. With no active faults it
-// returns exactly the same path as route. Like route it appends to buf.
-func (nw *Network) routeFaultAware(src, dst int, buf []int) []int {
-	if src == dst {
-		return buf
-	}
-	out := buf
-	cur := nw.Coord(src)
-	tgt := nw.Coord(dst)
-	strides := [3]int{1, nw.shape[0], nw.shape[0] * nw.shape[1]}
-	node := src
-	for d := 0; d < 3; d++ {
-		if cur[d] == tgt[d] {
-			continue
-		}
-		fwd := (tgt[d] - cur[d] + nw.shape[d]) % nw.shape[d]
-		bwd := nw.shape[d] - fwd
-		dir, dist := 1, fwd
-		if bwd < fwd {
-			dir, dist = 0, bwd
-		}
-		if nw.arcBlocked(node, d, dir, dist) {
-			altDir, altDist := 1-dir, nw.shape[d]-dist
-			if altDist > 0 && !nw.arcBlocked(node, d, altDir, altDist) {
-				dir, dist = altDir, altDist
-				nw.stats[src].Reroutes++
-			}
-		}
-		for s := 0; s < dist; s++ {
-			out = append(out, node*6+d*2+dir)
-			if dir == 1 {
-				cur[d] = (cur[d] + 1) % nw.shape[d]
-			} else {
-				cur[d] = (cur[d] - 1 + nw.shape[d]) % nw.shape[d]
-			}
-			node = cur[0]*strides[0] + cur[1]*strides[1] + cur[2]*strides[2]
-		}
-	}
-	return out
-}
-
 // msg is a pooled in-flight message record. One is taken from the sender
 // position's free list per Send, advanced hop by hop by the stored step
 // functions (stepFn and friends) instead of a fresh closure per hop, and
 // released to the free list of the position where the message ends —
-// delivery, drop, or stall-limit expiry. The path buffer is retained across
-// recycles, so a steady-state workload routes without allocating.
+// delivery, drop, or stall-limit expiry.
+//
+// The record carries no route: it knows where it is (pos, cur), where it is
+// going (tgt), and which ring arc it takes in each dimension (dir, fixed at
+// injection). Dimension-order routing never changes direction within a
+// dimension, so the next link is always "along the lowest dimension not yet
+// at its target, in that dimension's direction" — the same link sequence a
+// materialized path would hold, at no per-message storage.
 type msg struct {
-	path       []int    // reused route buffer (link indices)
-	i          int      // next path index to traverse
 	arrive     sim.Time // when the message reaches the next step (or retries a stall)
 	serLink    sim.Time // per-link serialization time
 	serNIC     sim.Time // NIC serialization time
 	stallSince sim.Time // when the message first parked at a failed link
 	src, dst   int
-	ce         bool // congestion-experienced mark accumulated so far
-	freed      bool // double-release guard
+	pos        int      // torus position the message is at (the next link's from end)
+	cur, tgt   [3]int32 // torus coordinates of pos and of dst
+	dir        [3]int8  // ring direction per dimension: 1 plus, 0 minus
+	ce         bool     // congestion-experienced mark accumulated so far
+	freed      bool     // double-release guard
 	// Exactly one delivery callback is set, matching the Send variant used.
 	deliver     func(ce bool)          // SendMarked
 	deliverNoCE func()                 // Send
@@ -491,14 +407,13 @@ func (nw *Network) getMsg(pos int) *msg {
 	return &msg{}
 }
 
-// putMsg zeroes m (keeping its path buffer) and releases it to position
-// pos's free list. Releasing twice panics.
+// putMsg zeroes m and releases it to position pos's free list. Releasing
+// twice panics.
 func (nw *Network) putMsg(pos int, m *msg) {
 	if m.freed {
 		panic("fabric: message record released twice")
 	}
-	path := m.path[:0]
-	*m = msg{path: path, freed: true}
+	*m = msg{freed: true}
 	nw.msgFree[pos] = append(nw.msgFree[pos], m)
 }
 
@@ -580,38 +495,94 @@ func (nw *Network) loop(m *msg) {
 	nw.finish(src, m)
 }
 
-// inject runs at src after the software overhead: it resolves the route —
+// inject runs at src after the software overhead: it fixes the route —
 // at injection time so it reflects the fault state then, not at the Send
 // call — reserves the injection NIC, and schedules the first walk step.
 func (nw *Network) inject(m *msg) {
-	src, dst := m.src, m.dst
-	// A fresh record gets its path buffer in one allocation of the exact
-	// size: records are released where the message ends, so a hot-spot sender
-	// keeps missing its free list, and growing each new path by append costs
-	// up to four allocations. (Sizing for the longest torus route instead
-	// saves a few regrowths of recycled records but makes the pools retain
-	// twice the bytes, which showed as +2 MiB of peak RSS at 128 nodes.)
-	if cap(m.path) == 0 {
-		m.path = make([]int, 0, nw.Hops(src, dst))
+	src := m.src
+	// A crashed source NIC injects nothing: anything its software stack had
+	// queued dies with the node.
+	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(src) {
+		nw.stats[src].NodeDrops++
+		nw.putMsg(src, m)
+		return
 	}
-	if nw.cfg.Faults != nil {
-		// A crashed source NIC injects nothing: anything its software
-		// stack had queued dies with the node.
-		if nw.cfg.Faults.NodeDown(src) {
-			nw.stats[src].NodeDrops++
-			nw.putMsg(src, m)
-			return
-		}
-		m.path = nw.routeFaultAware(src, dst, m.path[:0])
-	} else {
-		m.path = nw.route(src, dst, m.path[:0])
-	}
-	m.i = 0
+	nw.aim(m)
 	now := nw.eng.NowOn(src)
 	start := nw.inj[src].reserve(now, m.serNIC)
 	nw.noteWait(src, start-now, nw.waitInj)
 	m.arrive = start + m.serNIC + nw.cfg.HopLatency
 	nw.scheduleStep(src, m)
+}
+
+// aim places m at its source and fixes its route to dst: dimension order
+// with torus wraparound, taking in each dimension the shorter ring arc (the
+// plus arc on a tie). With fault injection on, a dimension whose short arc
+// crosses a hard-failed link takes the long way round instead, when that arc
+// is clear. Choosing once per dimension (never mid-arc) keeps routes minimal
+// per dimension and rules out ping-pong livelock.
+func (nw *Network) aim(m *msg) {
+	src := m.src
+	fi := nw.cfg.Faults
+	cur, tgt := nw.Coord(src), nw.Coord(m.dst)
+	m.pos = src
+	node := src // where the walk enters dimension d
+	for d := 0; d < 3; d++ {
+		m.cur[d], m.tgt[d] = int32(cur[d]), int32(tgt[d])
+		if cur[d] == tgt[d] {
+			continue
+		}
+		fwd := (tgt[d] - cur[d] + nw.shape[d]) % nw.shape[d]
+		bwd := nw.shape[d] - fwd
+		dir, dist := 1, fwd
+		if bwd < fwd {
+			dir, dist = 0, bwd
+		}
+		if fi != nil && nw.arcBlocked(node, d, dir, dist) &&
+			!nw.arcBlocked(node, d, 1-dir, nw.shape[d]-dist) {
+			dir = 1 - dir
+			nw.stats[src].Reroutes++
+		}
+		m.dir[d] = int8(dir)
+		node += (tgt[d] - cur[d]) * nw.stride[d]
+	}
+}
+
+// nextHop returns the link m crosses next from its current position, the
+// dimension it moves along, and the position it reaches; ok is false once
+// m is at its destination (ejection is next).
+func (nw *Network) nextHop(m *msg) (li, d, to int, ok bool) {
+	for d = 0; d < 3; d++ {
+		if m.cur[d] != m.tgt[d] {
+			c := nw.ringStep(m, d)
+			to = m.pos + (int(c)-int(m.cur[d]))*nw.stride[d]
+			return m.pos*6 + d*2 + int(m.dir[d]), d, to, true
+		}
+	}
+	return 0, 0, 0, false
+}
+
+// advance moves m across the link nextHop returned (along dimension d, to
+// position to).
+func (nw *Network) advance(m *msg, d, to int) {
+	m.cur[d] = nw.ringStep(m, d)
+	m.pos = to
+}
+
+// ringStep returns m's coordinate in dimension d after one hop along its
+// chosen direction, wrapping around the ring.
+func (nw *Network) ringStep(m *msg, d int) int32 {
+	c := m.cur[d]
+	if m.dir[d] == 1 {
+		if c++; int(c) == nw.shape[d] {
+			c = 0
+		}
+		return c
+	}
+	if c == 0 {
+		c = int32(nw.shape[d])
+	}
+	return c - 1
 }
 
 // marked reports whether a queue delay of wait at position pos crosses the
@@ -625,44 +596,39 @@ func (nw *Network) marked(pos int, wait sim.Time) bool {
 	return false
 }
 
-// scheduleStep schedules m's next step — traversal of link path[i], or
-// ejection at dst once the path is exhausted — at m.arrive. It must be
+// scheduleStep schedules m's next step — traversal of the next link on its
+// route, or ejection at dst once it has arrived — at m.arrive. It must be
 // called in the context of owner `from` (the torus position the message is
 // leaving); each step's event is owned by the position whose link or port it
-// reserves, so shard workers only ever touch their own links. Every step is
-// scheduled at least HopLatency ahead, the bound Lookahead() reports.
+// reserves — the message's current position — so shard workers only ever
+// touch their own links. Every step is scheduled at least HopLatency ahead,
+// the bound Lookahead() reports.
 func (nw *Network) scheduleStep(from int, m *msg) {
-	hop := m.dst
-	if m.i < len(m.path) {
-		hop = m.path[m.i] / 6
-	}
-	nw.eng.AtFromArg(from, hop, m.arrive, nw.stepFn, m)
+	nw.eng.AtFromArg(from, m.pos, m.arrive, nw.stepFn, m)
 }
 
 // step executes one walk step at its owning position: a link traversal when
-// path remains, the ejection-port reservation otherwise.
+// the message has not arrived, the ejection-port reservation otherwise.
 func (nw *Network) step(m *msg) {
 	now := m.arrive
-	if m.i < len(m.path) {
-		li := m.path[m.i]
-		hop := li / 6
+	if li, d, to, ok := nw.nextHop(m); ok {
+		hop := m.pos
 		ser := m.serLink
 		if fi := nw.cfg.Faults; fi != nil {
-			a, b := nw.linkEnds(li)
-			if fi.LinkDown(a, b) {
+			if fi.LinkDown(hop, to) {
 				nw.stats[hop].LinkStalls++
 				m.stallSince = now
-				nw.stallAt(hop, m, now)
+				nw.stallAt(m, now)
 				return
 			}
-			if f := fi.LinkFactor(a, b); f < 1 {
+			if f := fi.LinkFactor(hop, to); f < 1 {
 				ser = sim.Time(float64(m.serLink) / f)
 			}
 		}
 		start := nw.links[li].reserve(now, ser)
 		nw.noteWait(hop, start-now, nw.waitLink)
 		m.ce = nw.marked(hop, start-now) || m.ce
-		m.i++
+		nw.advance(m, d, to)
 		m.arrive = start + ser + nw.cfg.HopLatency
 		nw.scheduleStep(hop, m)
 		return
@@ -681,6 +647,10 @@ func (nw *Network) step(m *msg) {
 	// BEER-throttling behaviour hot-spot nodes exhibit on the XT5.
 	st := &nw.stats[dst]
 	srcs := nw.ejSources[dst]
+	if srcs == nil {
+		srcs = make(map[int]int)
+		nw.ejSources[dst] = srcs
+	}
 	srcs[src]++
 	if n := len(srcs); n > st.MaxStreams {
 		st.MaxStreams = n
@@ -734,15 +704,16 @@ func (nw *Network) eject(m *msg) {
 	nw.finish(dst, m)
 }
 
-// stallAt parks a message in front of the hard-failed link m.path[m.i]
-// (whose from-position pos owns these events), re-probing every LinkRetry
-// until the link repairs — at which point the walk resumes and the total
-// stall time is recorded — or LinkStallLimit elapses and the message is
+// stallAt parks a message in front of the hard-failed next link on its
+// route (whose from-position m.pos owns these events), re-probing every
+// LinkRetry until the link repairs — at which point the walk resumes and the
+// total stall time is recorded — or LinkStallLimit elapses and the message is
 // dropped. Dropping instead of waiting forever keeps the event queue finite;
 // the runtime's request timeouts retransmit the payload.
-func (nw *Network) stallAt(pos int, m *msg, now sim.Time) {
-	a, b := nw.linkEnds(m.path[m.i])
-	if !nw.cfg.Faults.LinkDown(a, b) {
+func (nw *Network) stallAt(m *msg, now sim.Time) {
+	pos := m.pos
+	_, _, to, _ := nw.nextHop(m)
+	if !nw.cfg.Faults.LinkDown(pos, to) {
 		nw.noteWait(pos, now-m.stallSince, nw.waitStall)
 		m.arrive = now
 		nw.scheduleStep(pos, m)

@@ -1,7 +1,10 @@
 package figures
 
 import (
+	"runtime"
 	"testing"
+
+	"armcivt/internal/core"
 )
 
 // The completion fingerprints of the 1k- and 16k-node scaling points. They
@@ -103,5 +106,30 @@ func TestScaleDeterminism16k(t *testing.T) {
 			t.Errorf("shards=%d fingerprint %016x != serial %016x",
 				shards, res.Fingerprint, serial.Fingerprint)
 		}
+	}
+}
+
+// TestChaosAllocsCeiling guards the armed request path's allocation rate:
+// one healed chaos point (MFCG 64x2, one crash, timeouts, retries, heartbeat
+// probes) must stay under a ceiling of the measured rate plus 25 %. The rate
+// counts every malloc of the whole call, set-up included, per issued
+// operation. It measured 5.4 allocs/op (go1.24, linux/amd64) with request
+// records pooled on the armed path and messages, timers and membership
+// views allocation-free in steady state.
+func TestChaosAllocsCeiling(t *testing.T) {
+	const measured = 5.4
+	const ceiling = measured * 1.25
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Chaos(ChaosConfig{Kind: core.MFCG, Nodes: 64, PPN: 2, Crashes: 1, Seed: 1, Heal: true})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := float64(after.Mallocs-before.Mallocs) / float64(res.Issued)
+	t.Logf("%d ops, %.2f allocs/op", res.Issued, rate)
+	if rate > ceiling {
+		t.Errorf("armed-path allocation rate %.2f allocs/op exceeds the %.2f ceiling (docs/SCALING.md)", rate, ceiling)
 	}
 }
