@@ -211,6 +211,10 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 			h = ckpt.Mix(h, uint64(ns.mv.lastHeard[i]))
 			h = ckpt.Mix(h, uint64(ns.mv.state[i]))
 		}
+		for _, ln := range ns.mv.lines {
+			h = ckpt.Mix(h, uint64(uint32(ln.judged)))
+			h = ckpt.Mix(h, uint64(ln.since))
+		}
 	}
 	h = ckpt.Mix(h, uint64(len(ns.psFree)))
 	h = ckpt.Mix(h, uint64(len(ns.reqFree)))

@@ -11,11 +11,12 @@ import (
 	"armcivt/internal/sim"
 )
 
-// armedChaosSections runs the fully armed chaos mix — two crash-stops with
+// armedChaosSections runs the fully armed chaos mix — crash-stops with
 // healing, an ejection storm on node 0, overload protection, timeouts and
-// retries — on a 32x2 MFCG, and returns the sim, fabric, faults and armci
-// sections digested at every checkpoint boundary the run passes.
-func armedChaosSections(t *testing.T, shards int) [][]byte {
+// retries — on 32x2 nodes of the given family, and returns the sim, fabric,
+// faults and armci sections digested at every checkpoint boundary the run
+// passes.
+func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]byte {
 	t.Helper()
 	const (
 		nodes, ppn = 32, 2
@@ -24,7 +25,7 @@ func armedChaosSections(t *testing.T, shards int) [][]byte {
 	)
 	eng := sim.New()
 	eng.Seed(seed)
-	schedule := faults.RandomNodeFaults(seed, nodes, 2, horizon)
+	schedule := faults.RandomNodeFaults(seed, nodes, crashes, horizon)
 	victim := map[int]bool{}
 	for _, f := range schedule {
 		victim[f.A] = true
@@ -33,7 +34,7 @@ func armedChaosSections(t *testing.T, shards int) [][]byte {
 	inj := faults.NewInjector(eng, nodes, &faults.Spec{Faults: append(schedule, storm.Faults...)})
 
 	cfg := DefaultConfig(nodes, ppn)
-	cfg.Topology = core.MustNew(core.MFCG, nodes)
+	cfg.Topology = core.MustNew(kind, nodes)
 	cfg.Faults = inj
 	cfg.Heal.Enabled = true
 	cfg.Overload.Enabled = true
@@ -78,8 +79,10 @@ func armedChaosSections(t *testing.T, shards int) [][]byte {
 			r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
 		}
 	})
-	if s := rt.Stats(); s.Confirms == 0 || s.Completions == 0 {
-		t.Fatalf("shards=%d: the mix never confirmed a crash or completed an op: %+v", shards, s)
+	// Membership notices cross shards (a line spans nodes on several), so
+	// the mix must send some.
+	if s := rt.Stats(); s.Confirms == 0 || s.Notices == 0 || s.Completions == 0 {
+		t.Fatalf("shards=%d: the mix never confirmed and announced a crash or completed an op: %+v", shards, s)
 	}
 	return sections
 }
@@ -87,20 +90,28 @@ func armedChaosSections(t *testing.T, shards int) [][]byte {
 // Every layer's state digest must match byte for byte at every boundary,
 // whether the armed mix runs serially or on eight shards: the per-boundary
 // form of the bit-identity contract, which also localizes a divergence to
-// its first boundary.
+// its first boundary. The CFCG case adds a third crash, so reboot
+// announcements and dead-set hand-overs cross shards too.
 func TestArmedChaosSectionsMatchAcrossShards(t *testing.T) {
-	serial := armedChaosSections(t, 1)
-	if len(serial) < 2 {
-		t.Fatalf("run passed only %d boundaries; want at least 2", len(serial))
-	}
-	t.Logf("%d boundaries", len(serial))
-	sharded := armedChaosSections(t, 8)
-	if len(sharded) != len(serial) {
-		t.Fatalf("shards=8 passed %d boundaries, serial %d", len(sharded), len(serial))
-	}
-	for i := range serial {
-		if !bytes.Equal(serial[i], sharded[i]) {
-			t.Fatalf("boundary %d: shards=8 sections differ from serial", i)
-		}
+	for _, tc := range []struct {
+		kind    core.Kind
+		crashes int
+	}{{core.MFCG, 2}, {core.CFCG, 3}} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			serial := armedChaosSections(t, tc.kind, tc.crashes, 1)
+			if len(serial) < 2 {
+				t.Fatalf("run passed only %d boundaries; want at least 2", len(serial))
+			}
+			t.Logf("%d boundaries", len(serial))
+			sharded := armedChaosSections(t, tc.kind, tc.crashes, 8)
+			if len(sharded) != len(serial) {
+				t.Fatalf("shards=8 passed %d boundaries, serial %d", len(sharded), len(serial))
+			}
+			for i := range serial {
+				if !bytes.Equal(serial[i], sharded[i]) {
+					t.Fatalf("boundary %d: shards=8 sections differ from serial", i)
+				}
+			}
+		})
 	}
 }

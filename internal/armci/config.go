@@ -297,17 +297,20 @@ type OverloadConfig struct {
 
 // HealConfig switches crash-stop failure detection and recovery.
 //
-// Detection is a heartbeat membership service: every node's monitor sends a
-// small creditless heartbeat to each virtual-topology neighbor every
-// heartbeatInterval, and tracks the last instant it heard from each
-// neighbor — heartbeats plus every piggybacked protocol message (request
-// arrivals, credit acks, adaptive grant/revoke control traffic) count. A
-// neighbor silent for suspicionTimeout is suspected; silent for twice that,
-// it is confirmed dead, within DetectionBound of its crash. Hearing from a
-// confirmed-dead neighbor again means it recovered: the survivor reinstates
-// it with a fresh credit pool.
+// Detection is ring observation over the lines of the virtual topology
+// (core.Lines): every heartbeatInterval each node sends one small
+// creditless heartbeat to its next live member on each line and judges its
+// previous live member there, by the last instant it heard from it —
+// heartbeats plus every piggybacked protocol message (request arrivals,
+// credit acks, adaptive grant/revoke control traffic, notices) count. A
+// judged member silent for suspicionTimeout is suspected; silent for twice
+// that, it is confirmed dead, within DetectionBound of its crash, and the
+// observer notifies the rest of the line in one hop. Hearing from a
+// dead-held neighbor again means it recovered: the survivor reinstates it
+// with a fresh credit pool and tells the line; a rebooting node announces
+// itself to every neighbor.
 //
-// On confirmation each survivor heals locally, with no extra protocol
+// On confirmation or notice each survivor heals locally, with no extra protocol
 // round: sends parked on the dead edge are replayed through a
 // deterministically elected replacement forwarder (core.ReplacementHop —
 // an admissible LDF hop, so D <= M still holds), ops with no live route

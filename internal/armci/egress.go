@@ -189,25 +189,21 @@ func (eg *egress) release() {
 	eg.drain()
 }
 
-// reset restores the edge to its initial state: a full fresh credit pool,
-// no debts, no parked sends, regen backoff cleared. Used when this node
-// reboots after its own crash and when the peer rejoins (its buffers were
-// reallocated from scratch). Capacity is kept — adaptive grants and revokes
-// describe the receiver's pool partition, which memory, not the crash,
-// owns. Forward records return to the pool; a gated record stays out (its
-// rank may still be parked on the gate — the crash path fires those).
+// reset restores the edge to a full fresh credit pool with no debts and the
+// regen backoff cleared, then transmits whatever is parked on it. Used when
+// this node reboots after its own crash (crashStop already emptied the
+// edge) and when the peer rejoins (its buffers were reallocated from
+// scratch): after a confirmed death healDeadNeighbor has moved the parked
+// sends elsewhere, but a peer that rebooted before anyone confirmed it still
+// has sends waiting here for credits its crash will never return. Capacity
+// is kept — adaptive grants and revokes describe the receiver's pool
+// partition, which memory, not the crash, owns.
 func (eg *egress) reset() {
 	eg.credits = eg.capacity
 	eg.revokeDebt = 0
 	eg.regenDebt = 0
-	for i, ps := range eg.pending {
-		if !ps.hasGate {
-			eg.rt.nodes[eg.from].putPS(ps)
-		}
-		eg.pending[i] = nil
-	}
-	eg.pending = eg.pending[:0]
 	eg.regenInterval = 0
+	eg.drain()
 }
 
 // drain transmits parked sends while credits last. With aggregation on,

@@ -36,9 +36,15 @@ func TestMembershipDetectsCrashWithinBound(t *testing.T) {
 	if s.Suspicions == 0 || s.Confirms == 0 {
 		t.Fatalf("victim never confirmed dead: suspicions=%d confirms=%d", s.Suspicions, s.Confirms)
 	}
-	// Every live neighbor of the victim (and only they) should confirm it.
-	if want := uint64(rt.Topology().Degree(victim)); s.Confirms != want {
-		t.Errorf("confirms = %d, want one per neighbor = %d", s.Confirms, want)
+	// One observer per line of the victim confirms it, and its notices
+	// inform every other live neighbor.
+	if want := uint64(len(core.Lines(rt.Topology(), victim))); s.Confirms != want {
+		t.Errorf("confirms = %d, want one per line = %d", s.Confirms, want)
+	}
+	for _, u := range rt.Topology().Neighbors(victim) {
+		if !rt.nodes[u].isDead(victim) {
+			t.Errorf("neighbor %d was never informed of the crash", u)
+		}
 	}
 	if s.MaxDetectLatency <= 0 || s.MaxDetectLatency > DetectionBound {
 		t.Errorf("detection latency %v outside (0, %v]", s.MaxDetectLatency, DetectionBound)

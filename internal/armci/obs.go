@@ -27,7 +27,8 @@ type obsState struct {
 	inboxDepth *obs.Histogram // CHT inbox depth observed at each enqueue
 	aggOps     *obs.Histogram // sub-operations per injected batch packet
 	aggBytes   *obs.Histogram // wire bytes per injected batch packet
-	detectLat  *obs.Histogram // us from node crash to survivor confirmation
+	detectLat  *obs.Histogram // us from node crash to observer confirmation
+	notifyLat  *obs.Histogram // us from node crash to a notice receiver's learning of it
 }
 
 // newObsState wires the side-car: fabric shares the registry, every CHT
@@ -49,6 +50,7 @@ func newObsState(rt *Runtime) *obsState {
 		o.aggBytes = o.reg.Histogram("armci_agg_batch_bytes", obs.CountBuckets)
 		if rt.healArmed {
 			o.detectLat = o.reg.Histogram("armci_membership_detect_latency_us", obs.TimeBuckets)
+			o.notifyLat = o.reg.Histogram("armci_membership_notify_latency_us", obs.TimeBuckets)
 		}
 		rt.net.Instrument(o.reg)
 		for i := range rt.nodes {
@@ -144,6 +146,9 @@ func (rt *Runtime) FillMetrics() {
 		reg.Gauge("armci_membership_confirmed_total").Set(float64(s.Confirms))
 		reg.Gauge("armci_membership_recovered_total").Set(float64(s.Rejoins))
 		reg.Gauge("armci_membership_max_detect_latency_us").Set(s.MaxDetectLatency.Micros())
+		reg.Gauge("armci_membership_max_notify_latency_us").Set(s.MaxNotifyLatency.Micros())
+		reg.Counter("armci_probe_msgs_total").Add(float64(s.Probes))
+		reg.Counter("armci_membership_notices_total").Add(float64(s.Notices))
 		reg.Counter("armci_heal_replays_total").Add(float64(s.HealReplays))
 		reg.Counter("armci_heal_route_fails_total").Add(float64(s.HealFails))
 		reg.Counter("armci_heal_credit_writeoffs_total").Add(float64(s.CreditWriteOffs))

@@ -74,6 +74,7 @@ type Runtime struct {
 	respFn      func(arg any, ce bool) // response arrives at the origin node
 	respLocalFn func(arg any)          // same-node response (no heard/onAck)
 	probeFn     func(arg any, ce bool) // heartbeat probe arrives at a neighbor
+	noticeFn    func(arg any, ce bool) // membership notice arrives at a neighbor
 	timeoutFn   func(arg any)          // a request's timeout timer fires at its origin
 	tickFn      func(arg any)          // a node's failure-detector round (arg: *nodeState)
 }
@@ -114,6 +115,9 @@ type Stats struct {
 	StaleAcks        uint64   // credit acks swallowed after a crash/heal cycle
 	NodeAborts       uint64   // chunks aborted at a crashed origin or toward a dead target
 	MaxDetectLatency sim.Time // worst crash -> confirmation latency observed
+	MaxNotifyLatency sim.Time // worst crash -> death-notice receipt latency observed
+	Probes           uint64   // heartbeat probes sent (one per line per period)
+	Notices          uint64   // membership notices sent (deaths, rejoins, dead-set hand-overs)
 
 	// Completions counts request chunks completed at their origin by a
 	// response (remote ops; always counted). With ShedOps it is the goodput
@@ -166,7 +170,8 @@ type nodeState struct {
 	// requests retried across the outage.
 	rids map[uint64]dupState
 	// mv is this node's membership view of its virtual-topology neighbors
-	// (nil unless healing is armed); see membership.go.
+	// and its rings over their lines (nil unless healing is armed); see
+	// membership.go.
 	mv *memberView
 	// ridSeq issues this node's request ids for timeout dedup; combined with
 	// the node id (see armTimeout) the result is runtime-unique without any
@@ -413,6 +418,11 @@ func (rt *Runtime) bindDispatch() {
 		eg := arg.(*egress)
 		rt.nodes[eg.to].heard(eg.from)
 	}
+	// Membership notice (see announce): rare, so the record is allocated.
+	rt.noticeFn = func(arg any, ce bool) {
+		n := arg.(*notice)
+		rt.nodes[n.to].onNotice(n)
+	}
 	// Response arrival at the origin node: completion bookkeeping plus the
 	// congestion echo into the origin's pacer (see respond).
 	rt.respFn = func(arg any, ce bool) {
@@ -589,6 +599,8 @@ func (rt *Runtime) Stats() Stats {
 		s.CreditWriteOffs += n.CreditWriteOffs
 		s.StaleAcks += n.StaleAcks
 		s.NodeAborts += n.NodeAborts
+		s.Probes += n.Probes
+		s.Notices += n.Notices
 		s.Completions += n.Completions
 		s.Admitted += n.Admitted
 		s.ShedOps += n.ShedOps
@@ -602,6 +614,9 @@ func (rt *Runtime) Stats() Stats {
 		s.CEAcks += n.CEAcks
 		if n.MaxDetectLatency > s.MaxDetectLatency {
 			s.MaxDetectLatency = n.MaxDetectLatency
+		}
+		if n.MaxNotifyLatency > s.MaxNotifyLatency {
+			s.MaxNotifyLatency = n.MaxNotifyLatency
 		}
 		if n.MaxCHTBacklog > s.MaxCHTBacklog {
 			s.MaxCHTBacklog = n.MaxCHTBacklog

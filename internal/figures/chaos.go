@@ -162,11 +162,15 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	cfg.Overload.Enabled = c.Overload
 	// Fast retry constants scaled to the horizon. The doubling retries from
 	// 200us put attempts at +200us/600us/1.4ms/3ms after issue — the last
-	// two comfortably past worst-case detection (armci.DetectionBound,
-	// 800us), so a healed route is always found before retries exhaust and
-	// any failure with healing on is a real lost path, not impatience. The total span (6.2ms) also stays
-	// under the watchdog's patience window: a doomed operation fails — and
-	// resumes its rank — before quiescent retry churn reads as a wedge.
+	// two comfortably past worst-case detection (an observer confirms
+	// within armci.DetectionBound, 800us, and its notice reaches the rest
+	// of the line one hop later), the last also past a second crash that
+	// an observer takes over from the first (confirmed by +1.6ms). So a
+	// healed route is always found before retries exhaust and any failure
+	// with healing on is a real lost path, not impatience. The total span
+	// (6.2ms) also stays under the watchdog's patience window: a doomed
+	// operation fails — and resumes its rank — before quiescent retry
+	// churn reads as a wedge.
 	cfg.RequestTimeout = 200 * sim.Microsecond
 	cfg.MaxRetries = 4
 	cfg.CreditTimeout = 400 * sim.Microsecond
@@ -291,8 +295,9 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	if err := rt.CheckCreditInvariants(); err != nil {
 		return nil, fmt.Errorf("chaos %v seed %d: %w", spec, c.Seed, err)
 	}
-	// Invariant 4: bounded detection. Every confirmation must land within
-	// armci.DetectionBound of the crash.
+	// Invariant 4: bounded detection. Every observer confirmation must land
+	// within armci.DetectionBound of the crash (or of the observer's reboot
+	// or takeover, whichever is later).
 	if c.Heal && res.Stats.Confirms > 0 && res.Stats.MaxDetectLatency > armci.DetectionBound {
 		return nil, fmt.Errorf("chaos %v seed %d: detection latency %v exceeds bound %v",
 			spec, c.Seed, res.Stats.MaxDetectLatency, armci.DetectionBound)

@@ -94,3 +94,19 @@ func TestChaosMetricsSnapshot(t *testing.T) {
 		t.Error("no confirms in a 2-crash healed run")
 	}
 }
+
+// TestChaosRebootBeforeConfirmation: on this Dragonfly schedule the victim
+// reboots before its neighbors confirm its crash. Its reboot announcement
+// must still rejoin it everywhere (its buffer pools are fresh), and sends
+// parked toward it must go out on the fresh pool rather than be dropped
+// with their ranks still waiting — so no survivor op fails and nothing
+// wedges.
+func TestChaosRebootBeforeConfirmation(t *testing.T) {
+	res, err := Chaos(ChaosConfig{Kind: core.Dragonfly, Nodes: 64, PPN: 2, OpsPerRank: 20, Crashes: 1, Seed: 7, Heal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed != res.Partitioned {
+		t.Errorf("%d of %d survivor ops failed, only %d excused by partition", res.Failed, res.Issued, res.Partitioned)
+	}
+}

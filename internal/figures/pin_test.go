@@ -85,9 +85,9 @@ func TestPinnedArmedRuns(t *testing.T) {
 			},
 			wantTime: 10000000,
 			wantStats: armci.Stats{Ops: 1160, Requests: 1939, Forwards: 781, LocalOps: 36, MaxCHTBacklog: 3,
-				Timeouts: 35, Retries: 34, Failures: 1, Reroutes: 13, Suspicions: 27, Confirms: 26, Rejoins: 8,
-				CreditWriteOffs: 32, MaxDetectLatency: 677930, Completions: 1123, Admitted: 1124, PaceWaits: 585,
-				PaceWaited: 308829},
+				Timeouts: 35, Retries: 34, Failures: 1, Reroutes: 13, Suspicions: 6, Confirms: 4, Rejoins: 8,
+				CreditWriteOffs: 17, MaxDetectLatency: 677930, MaxNotifyLatency: 679482, Probes: 4464,
+				Notices: 23, Completions: 1123, Admitted: 1124, PaceWaits: 585, PaceWaited: 308829},
 		},
 	}
 	for _, tc := range cases {

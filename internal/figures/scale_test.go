@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"armcivt/internal/core"
+	"armcivt/internal/obs"
 )
 
 // The completion fingerprints of the 1k- and 16k-node scaling points. They
@@ -131,5 +132,26 @@ func TestChaosAllocsCeiling(t *testing.T) {
 	t.Logf("%d ops, %.2f allocs/op", res.Issued, rate)
 	if rate > ceiling {
 		t.Errorf("armed-path allocation rate %.2f allocs/op exceeds the %.2f ceiling (docs/SCALING.md)", rate, ceiling)
+	}
+}
+
+// TestChaosEventsPerOpCeiling guards the failure detector's share of the
+// event queue: the bench-sized healed chaos point (MFCG 256x2, 20 ops per
+// rank, one crash, seed 1) must run under a ceiling of the measured events
+// per issued operation plus 25 %. Ring observation over the topology's lines
+// measured 53.3 events/op (one probe per line per period); the
+// all-neighbor detector it replaced ran 249.5, 84 % of them probes.
+func TestChaosEventsPerOpCeiling(t *testing.T) {
+	const measured = 53.3
+	const ceiling = measured * 1.25
+	reg := obs.NewRegistry()
+	res, err := Chaos(ChaosConfig{Kind: core.MFCG, Nodes: 256, PPN: 2, OpsPerRank: 20, Crashes: 1, Seed: 1, Heal: true, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate := reg.Counter("sim_events_total").Value() / float64(res.Issued)
+	t.Logf("%d ops, %.1f events/op", res.Issued, rate)
+	if rate > ceiling {
+		t.Errorf("healed chaos runs %.1f events/op, over the %.1f ceiling", rate, ceiling)
 	}
 }
