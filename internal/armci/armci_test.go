@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"armcivt/internal/core"
@@ -633,6 +635,57 @@ func TestMixedOrderForwardingDeadlocksEndToEnd(t *testing.T) {
 	var dl *sim.DeadlockError
 	if !errors.As(runErr, &dl) {
 		t.Fatalf("Run = %v, want DeadlockError", runErr)
+	}
+}
+
+// TestStallErrorNamesCreditStarvedEdges: the same mixed-order wedge, kept
+// churning by a periodic event so the watchdog (not the engine's deadlock
+// detector) trips, must come back from Run as a *StallError that names the
+// cycle's credit-starved edges and their empty pools, and still unwraps to
+// the *sim.WatchdogError. Each edge holds two parked sends: the origin's
+// next chunk and the forward of the flow whose head occupies its buffer.
+func TestStallErrorNamesCreditStarvedEdges(t *testing.T) {
+	eng := sim.New()
+	topo := core.MustNew(core.MFCG, 9)
+	cfg := DefaultConfig(9, 1)
+	cfg.BufsPerProc = 1
+	cfg.Topology = topo
+	cfg.RouteOverride = core.MixedOrderNextHop(topo)
+	rt, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Alloc("m", 1<<20)
+	payload := make([]byte, 8*cfg.BufSize)
+	flows := map[int]int{0: 4, 1: 3, 3: 1, 4: 0}
+	var tick func()
+	tick = func() { eng.After(sim.Millisecond, tick) }
+	eng.At(0, tick)
+	sim.NewWatchdog(eng, 0, 0).Start()
+	runErr := rt.Run(func(r *Rank) {
+		if dst, ok := flows[r.Rank()]; ok {
+			r.Put(dst, "m", 0, payload)
+		}
+	})
+	var se *StallError
+	if !errors.As(runErr, &se) {
+		t.Fatalf("Run = %v, want *StallError", runErr)
+	}
+	var we *sim.WatchdogError
+	if !errors.As(runErr, &we) || we != se.WatchdogError {
+		t.Fatalf("StallError does not unwrap to its *sim.WatchdogError: %v", runErr)
+	}
+	want := []StalledEdge{
+		{From: 0, To: 1, Credits: 0, Capacity: 1, Parked: 2},
+		{From: 1, To: 4, Credits: 0, Capacity: 1, Parked: 2},
+		{From: 3, To: 0, Credits: 0, Capacity: 1, Parked: 2},
+		{From: 4, To: 3, Credits: 0, Capacity: 1, Parked: 2},
+	}
+	if !reflect.DeepEqual(se.Edges, want) {
+		t.Errorf("stalled edges = %v, want %v", se.Edges, want)
+	}
+	if !strings.Contains(se.Error(), "edge 0->1: 2 parked, credits 0/1") {
+		t.Errorf("error text does not name the starved edge: %v", se)
 	}
 }
 

@@ -66,3 +66,32 @@ func (e *TimeoutError) Error() string {
 	return fmt.Sprintf("armci: %s rank %d -> rank %d timed out after %d attempts over %v",
 		e.Kind, e.Origin, e.Target, e.Attempts, e.Elapsed)
 }
+
+// StallError is a watchdog trip (*sim.WatchdogError, which it unwraps to)
+// annotated with the runtime's credit-starved edges: every egress that still
+// had sends parked for a buffer credit when the run stopped, node-major.
+type StallError struct {
+	*sim.WatchdogError
+	Edges []StalledEdge
+}
+
+// StalledEdge is one egress with parked sends at a stall.
+type StalledEdge struct {
+	From, To          int // the directed virtual-topology edge
+	Credits, Capacity int // credits left of the edge's pool
+	Parked            int // sends waiting for a credit
+}
+
+func (e StalledEdge) String() string {
+	return fmt.Sprintf("edge %d->%d: %d parked, credits %d/%d", e.From, e.To, e.Parked, e.Credits, e.Capacity)
+}
+
+func (e *StallError) Error() string {
+	s := e.WatchdogError.Error()
+	for _, edge := range e.Edges {
+		s += "; " + edge.String()
+	}
+	return s
+}
+
+func (e *StallError) Unwrap() error { return e.WatchdogError }

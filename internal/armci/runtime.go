@@ -681,10 +681,22 @@ func (rt *Runtime) alloc(name string) *allocation {
 
 // Run spawns one CHT daemon per node and one process per rank executing
 // body, then drives the simulation to completion. The error is non-nil on
-// deadlock (e.g. with a broken forwarding rule).
+// deadlock (e.g. with a broken forwarding rule); a watchdog trip comes back
+// as a *StallError naming the edges whose sends were waiting for credits.
 func (rt *Runtime) Run(body func(r *Rank)) error {
 	rt.Start(body)
-	return rt.eng.Run()
+	err := rt.eng.Run()
+	we, ok := err.(*sim.WatchdogError)
+	if !ok {
+		return err
+	}
+	stall := &StallError{WatchdogError: we}
+	for i := range rt.egArena {
+		if eg := &rt.egArena[i]; len(eg.pending) > 0 {
+			stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, eg.capacity, len(eg.pending)})
+		}
+	}
+	return stall
 }
 
 // Shutdown releases the goroutines the engine holds (still-blocked ranks and

@@ -8,26 +8,8 @@ import (
 	"armcivt/internal/apps/lu"
 	"armcivt/internal/armci"
 	"armcivt/internal/core"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 )
-
-// simEngine returns a fresh deterministic engine.
-func simEngine() *sim.Engine { return sim.New() }
-
-// runtimeFor builds a runtime of one topology kind. shards selects the
-// simulation kernel's conservative-parallel shard count (armci.Config.Shards;
-// <= 1 keeps the serial kernel, results are bit-identical either way).
-func runtimeFor(kind core.Kind, nodes, ppn, shards int) (*armci.Runtime, error) {
-	topo, err := core.New(kind, nodes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := armci.DefaultConfig(nodes, ppn)
-	cfg.Topology = topo
-	cfg.Shards = shards
-	return armci.New(simEngine(), cfg)
-}
 
 // Fig8 reproduces Figure 8: NAS LU execution time versus process count, one
 // series per topology. procCounts must be multiples of ppn; hypercube points
@@ -77,7 +59,7 @@ func appSeries(kinds []core.Kind, counts []int, ppn, shards int, unit, app strin
 			if n%ppn != 0 {
 				return nil, fmt.Errorf("figures: %d %s not divisible by ppn %d", n, unit, ppn)
 			}
-			rt, err := runtimeFor(kind, n/ppn, ppn, shards)
+			rt, err := run{spec: core.Spec{Kind: kind}, nodes: n / ppn, ppn: ppn, shards: shards}.start("", nil)
 			if err != nil {
 				if skip {
 					continue

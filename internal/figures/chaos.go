@@ -16,18 +16,20 @@ import (
 // survivor-to-survivor workload, with end-to-end correctness asserted inside
 // the run rather than eyeballed outside it. Each surviving rank owns one
 // float64 ledger slot (slot o at every rank), accumulates +1 into its own
-// slot at random survivor targets, and counts completions and failures. After
-// the run the harness checks, per origin:
+// slot at random survivor targets, and books every outcome in the shared
+// ledger. After the run ledger.check asserts, per origin:
 //
-//	completed <= applied <= completed + failed
+//	completed <= applied <= completed + failed - shed
 //
 // The lower bound catches lost operations (an op reported complete that
 // never applied); the upper bound catches double-applies (the at-most-once
-// rid dedup failing under crash/retry churn). On top of that it checks the
-// credit invariants, the membership detection-latency bound, and — via the
-// sim watchdog — that the run never wedges. Chaos is the acceptance gate of
-// the node-fault work: the sweep's "chaos" experiment runs it across
-// topologies, crash counts and seeds, and CI runs a small fixed-seed grid.
+// rid dedup failing under crash/retry churn). The same check reconciles the
+// shed and admission books and the credit invariants. On top of that the
+// harness checks that idle victims' slots stay zero, the membership
+// detection-latency bound, and — via the sim watchdog — that the run never
+// wedges. Chaos is the acceptance gate of the node-fault work: the sweep's
+// "chaos" experiment runs it across topologies, crash counts and seeds, and
+// CI runs a small fixed-seed grid.
 
 // chaosHorizon is the virtual-time window the random schedule draws crash
 // times from (crashes land in its first ~60%, recoveries inside it), sized
@@ -127,17 +129,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // outcomes.
 func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	c = c.withDefaults()
-	eng := simEngine()
-	eng.Seed(c.Seed)
-	spec := c.Topo
-	if spec.IsZero() {
-		spec = core.Spec{Kind: c.Kind}
-	}
-	topo, err := spec.Build(c.Nodes)
-	if err != nil {
-		return nil, err
-	}
-
+	spec := specOf(c.Kind, c.Topo)
 	schedule := faults.RandomNodeFaults(c.Seed, c.Nodes, c.Crashes, chaosHorizon)
 	victimSet := map[int]bool{}
 	var victims []int
@@ -154,50 +146,36 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		schedule = append(schedule, stormSchedule(0, c.Storms)...)
 	}
 
-	cfg := armci.DefaultConfig(c.Nodes, c.PPN)
-	cfg.Topology = topo
-	inj := faults.NewInjector(eng, c.Nodes, &faults.Spec{Faults: schedule})
-	cfg.Faults = inj
-	cfg.Heal.Enabled = c.Heal
-	cfg.Overload.Enabled = c.Overload
-	// Fast retry constants scaled to the horizon. The doubling retries from
-	// 200us put attempts at +200us/600us/1.4ms/3ms after issue — the last
-	// two comfortably past worst-case detection (an observer confirms
-	// within armci.DetectionBound, 800us, and its notice reaches the rest
-	// of the line one hop later), the last also past a second crash that
-	// an observer takes over from the first (confirmed by +1.6ms). So a
-	// healed route is always found before retries exhaust and any failure
-	// with healing on is a real lost path, not impatience. The total span
-	// (6.2ms) also stays under the watchdog's patience window: a doomed
-	// operation fails — and resumes its rank — before quiescent retry
-	// churn reads as a wedge.
-	cfg.RequestTimeout = 200 * sim.Microsecond
-	cfg.MaxRetries = 4
-	cfg.CreditTimeout = 400 * sim.Microsecond
-	cfg.Metrics = c.Metrics
-	cfg.Trace = c.Trace
-	cfg.TracePID = c.TracePID
-	cfg.Shards = c.Shards
-	if c.Trace != nil {
-		cfg.Shards = 1
+	heal := "heal off"
+	if c.Heal {
+		heal = "heal on"
 	}
-	if c.Trace != nil {
-		heal := "heal off"
-		if c.Heal {
-			heal = "heal on"
-		}
-		c.Trace.ProcessName(c.TracePID, fmt.Sprintf("chaos %v %d nodes, %d crashes, %s", spec, c.Nodes, c.Crashes, heal))
-	}
-	// A chaotic schedule that wedges the protocol must become an error, not
-	// a hang: the watchdog converts a stuck event queue into a
-	// *sim.WatchdogError carrying a blocked-process report.
-	sim.NewWatchdog(eng, 0, 0).Start()
-
-	rt, err := armci.New(eng, cfg)
+	rt, err := run{
+		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, shards: c.Shards,
+		faults: &faults.Spec{Faults: schedule}, metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID,
+	}.start(fmt.Sprintf("chaos %v %d nodes, %d crashes, %s", spec, c.Nodes, c.Crashes, heal), func(cfg *armci.Config) {
+		cfg.Heal.Enabled = c.Heal
+		cfg.Overload.Enabled = c.Overload
+		// Fast retry constants scaled to the horizon. The doubling retries
+		// from 200us put attempts at +200us/600us/1.4ms/3ms after issue —
+		// the last two comfortably past worst-case detection (an observer
+		// confirms within armci.DetectionBound, 800us, and its notice
+		// reaches the rest of the line one hop later), the last also past
+		// a second crash that an observer takes over from the first
+		// (confirmed by +1.6ms). So a healed route is always found before
+		// retries exhaust and any failure with healing on is a real lost
+		// path, not impatience. The total span (6.2ms) also stays under the
+		// watchdog's patience window: a doomed operation fails — and
+		// resumes its rank — before quiescent retry churn reads as a wedge.
+		cfg.RequestTimeout = 200 * sim.Microsecond
+		cfg.MaxRetries = 4
+		cfg.CreditTimeout = 400 * sim.Microsecond
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Shutdown()
+	eng, topo, inj := rt.Engine(), rt.Topology(), rt.Config().Faults
 
 	n := rt.NRanks()
 	rt.Alloc("chaos", 8*n)
@@ -211,10 +189,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 			survivors = append(survivors, rank)
 		}
 	}
-	issued := make([]int, n)
-	completed := make([]int, n)
-	failed := make([]int, n)
-	partitioned := make([]int, n) // per-rank: written only from the rank's own shard
+	led := make(ledger, n)
 
 	body := func(r *armci.Rank) {
 		if victimSet[r.Node()] {
@@ -228,19 +203,17 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		r.Sleep(sim.Time(rng.Int63n(int64(50 * sim.Microsecond))))
 		for i := 0; i < c.OpsPerRank; i++ {
 			target := survivors[rng.Intn(len(survivors))]
-			issued[r.Rank()]++
 			h := r.NbAcc(target, "chaos", 8*r.Rank(), 1.0, []float64{1})
 			r.Wait(h)
-			if h.Err() != nil {
-				failed[r.Rank()]++
-				// Classify against ground truth at failure time: no live
-				// admissible route means a partition, the one failure mode
-				// healing is not allowed to paper over.
+			err := h.Err()
+			led.record(r.Rank(), err)
+			// Classify a failure against ground truth at failure time: no
+			// live admissible route means a partition, the one failure mode
+			// healing is not allowed to paper over.
+			if err != nil {
 				if _, ok := core.ReplacementHop(topo, r.Node(), target/c.PPN, inj.NodeDown); !ok {
-					partitioned[r.Rank()]++
+					led[r.Rank()].partitioned++
 				}
-			} else {
-				completed[r.Rank()]++
 			}
 			r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
 		}
@@ -250,54 +223,33 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	rt.FillMetrics()
 
-	res := &ChaosResult{Victims: victims, Elapsed: eng.Now(), Stats: rt.Stats()}
-	for _, p := range partitioned {
-		res.Partitioned += p
+	t := led.total()
+	res := &ChaosResult{
+		Issued: t.issued(), Completed: t.completed, Failed: t.failed, Partitioned: t.partitioned,
+		Victims: victims, Elapsed: eng.Now(), Stats: rt.Stats(),
 	}
-
-	// Invariant 1: per-origin ledger conservation. applied(o) sums slot o
-	// over every rank's memory; each +1 is exact in float64 at these counts.
-	for _, o := range survivors {
-		var applied float64
+	// applied(o) sums slot o over every rank's memory; each +1 is exact in
+	// float64 at these counts.
+	applied := func(o int) (lo, hi float64) {
 		for t := 0; t < n; t++ {
-			applied += armci.GetFloat64(rt.Memory(t, "chaos"), 8*o)
+			lo += armci.GetFloat64(rt.Memory(t, "chaos"), 8*o)
 		}
-		if applied < float64(completed[o]) {
-			return nil, fmt.Errorf("chaos %v seed %d: rank %d lost operations: %d completed but only %g applied",
-				spec, c.Seed, o, completed[o], applied)
-		}
-		if applied > float64(completed[o]+failed[o]) {
-			return nil, fmt.Errorf("chaos %v seed %d: rank %d double-applied: %g applied exceeds %d issued",
-				spec, c.Seed, o, applied, completed[o]+failed[o])
-		}
-		if issued[o] != completed[o]+failed[o] {
-			return nil, fmt.Errorf("chaos %v seed %d: rank %d accounting broken: %d issued != %d completed + %d failed",
-				spec, c.Seed, o, issued[o], completed[o], failed[o])
-		}
-		res.Issued += issued[o]
-		res.Completed += completed[o]
-		res.Failed += failed[o]
+		return lo, lo
 	}
-	// Invariant 2: victim ranks issued nothing, so their slots stay zero.
+	if err := led.check(rt, c.Overload, survivors, applied); err != nil {
+		return nil, fmt.Errorf("chaos %v seed %d: %w", spec, c.Seed, err)
+	}
+	// Victim ranks issued nothing, so their slots stay zero.
 	for _, v := range victims {
 		for p := 0; p < c.PPN; p++ {
-			o := v*c.PPN + p
-			for t := 0; t < n; t++ {
-				if got := armci.GetFloat64(rt.Memory(t, "chaos"), 8*o); got != 0 {
-					return nil, fmt.Errorf("chaos %v seed %d: idle victim rank %d's slot is %g at rank %d", spec, c.Seed, o, got, t)
-				}
+			if got, _ := applied(v*c.PPN + p); got != 0 {
+				return nil, fmt.Errorf("chaos %v seed %d: idle victim rank %d's slot sums to %g", spec, c.Seed, v*c.PPN+p, got)
 			}
 		}
 	}
-	// Invariant 3: credits stayed within bounds on every edge (and, when
-	// adaptive credits are on, every receiver's partition still sums to its
-	// budget with floor >= 1).
-	if err := rt.CheckCreditInvariants(); err != nil {
-		return nil, fmt.Errorf("chaos %v seed %d: %w", spec, c.Seed, err)
-	}
-	// Invariant 4: bounded detection. Every observer confirmation must land
-	// within armci.DetectionBound of the crash (or of the observer's reboot
-	// or takeover, whichever is later).
+	// Bounded detection. Every observer confirmation must land within
+	// armci.DetectionBound of the crash (or of the observer's reboot or
+	// takeover, whichever is later).
 	if c.Heal && res.Stats.Confirms > 0 && res.Stats.MaxDetectLatency > armci.DetectionBound {
 		return nil, fmt.Errorf("chaos %v seed %d: detection latency %v exceeds bound %v",
 			spec, c.Seed, res.Stats.MaxDetectLatency, armci.DetectionBound)
@@ -306,11 +258,12 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	// applied matrix plus the final clock. This is the bit-identity oracle —
 	// every shard count must reproduce it exactly.
 	h := ckpt.MixInit
-	for o := 0; o < n; o++ {
-		h = ckpt.Mix(h, uint64(issued[o]))
-		h = ckpt.Mix(h, uint64(completed[o]))
-		h = ckpt.Mix(h, uint64(failed[o]))
-		h = ckpt.Mix(h, uint64(partitioned[o]))
+	for o := range led {
+		row := &led[o]
+		h = ckpt.Mix(h, uint64(row.issued()))
+		h = ckpt.Mix(h, uint64(row.completed))
+		h = ckpt.Mix(h, uint64(row.failed))
+		h = ckpt.Mix(h, uint64(row.partitioned))
 		for t := 0; t < n; t++ {
 			h = ckpt.MixF64(h, armci.GetFloat64(rt.Memory(t, "chaos"), 8*o))
 		}

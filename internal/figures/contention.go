@@ -110,7 +110,7 @@ type ContentionConfig struct {
 	// docs/FAULTS.md): links fail, degrade or flap, CHTs stall, nodes
 	// crash-stop, the armci layer turns on request timeouts/retries and
 	// credit regeneration, and a deadlock watchdog aborts a wedged run with
-	// a *sim.WatchdogError. Nil keeps the run bit-identical to the
+	// an *armci.StallError. Nil keeps the run bit-identical to the
 	// fault-free pipeline.
 	Faults *faults.Spec
 	// Heal enables heartbeat membership and online topology self-healing
@@ -146,53 +146,26 @@ func (c ContentionConfig) withDefaults() ContentionConfig {
 // (microseconds) per measured process rank.
 func Contention(c ContentionConfig) (*stats.Series, error) {
 	c = c.withDefaults()
-	eng := simEngine()
-	if c.Seed != 0 {
-		eng.Seed(c.Seed)
+	spec := specOf(c.Kind, c.Topo)
+	contend := "no contention"
+	if c.ContenderEvery > 0 {
+		contend = fmt.Sprintf("1-in-%d contending", c.ContenderEvery)
 	}
-	spec := c.Topo
-	if spec.IsZero() {
-		spec = core.Spec{Kind: c.Kind}
-	}
-	topo, err := spec.Build(c.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := armci.DefaultConfig(c.Nodes, c.PPN)
-	cfg.Topology = topo
-	if c.StreamLimit > 0 {
-		cfg.Fabric.StreamLimit = c.StreamLimit
-	}
-	cfg.Agg.Enabled = c.Aggregation
-	cfg.Adaptive.Enabled = c.AdaptiveCredits
-	cfg.Overload.Enabled = c.Overload
-	cfg.Shards = c.Shards
-	if c.Trace != nil {
-		cfg.Shards = 1
-	}
-	cfg.Heal.Enabled = c.Heal
-	cfg.Metrics = c.Metrics
-	cfg.Trace = c.Trace
-	cfg.TracePID = c.TracePID
-	if c.Faults != nil {
-		cfg.Faults = faults.NewInjector(eng, c.Nodes, c.Faults)
-		// A faulted schedule can livelock on retry churn; the watchdog
-		// (default interval/patience) turns that into a Run error with a
-		// blocked-process report instead of a wall-clock hang.
-		wd := sim.NewWatchdog(eng, 0, 0)
-		wd.Start()
-	}
-	if c.Trace != nil {
-		contend := "no contention"
-		if c.ContenderEvery > 0 {
-			contend = fmt.Sprintf("1-in-%d contending", c.ContenderEvery)
+	// A faulted schedule can livelock on retry churn; the fault schedule arms
+	// the watchdog, which turns that into a Run error with a blocked-process
+	// report instead of a wall-clock hang.
+	rt, err := run{
+		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, shards: c.Shards, faults: c.Faults,
+		metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID, traceSched: c.TraceSched,
+	}.start(fmt.Sprintf("contention %v %v, %s", c.Op, spec, contend), func(cfg *armci.Config) {
+		if c.StreamLimit > 0 {
+			cfg.Fabric.StreamLimit = c.StreamLimit
 		}
-		c.Trace.ProcessName(c.TracePID, fmt.Sprintf("contention %v %v, %s", c.Op, spec, contend))
-		if c.TraceSched {
-			eng.SetTracer(obs.NewSimTracer(c.Trace, c.TracePID))
-		}
-	}
-	rt, err := armci.New(eng, cfg)
+		cfg.Agg.Enabled = c.Aggregation
+		cfg.Adaptive.Enabled = c.AdaptiveCredits
+		cfg.Overload.Enabled = c.Overload
+		cfg.Heal.Enabled = c.Heal
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +173,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	// simulation is over: a sweep executes thousands of engines per process
 	// and would otherwise accumulate them.
 	defer rt.Shutdown()
+	eng := rt.Engine()
 	// Rank 0's window: disjoint slots per origin so vectored puts never
 	// overlap semantically.
 	n := rt.NRanks()
@@ -249,10 +223,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	times := make([]float64, n)
 	measured := make([]bool, n)
 
-	window := c.Window
-	if window < 1 {
-		window = 1
-	}
+	window := max(c.Window, 1)
 	nbOp := func(r *armci.Rank) *armci.Handle {
 		switch c.Op {
 		case OpFetchAdd:
@@ -283,10 +254,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 		}
 		hs := make([]*armci.Handle, 0, window)
 		for k := 0; k < count; k += window {
-			w := window
-			if count-k < w {
-				w = count - k
-			}
+			w := min(window, count-k)
 			hs = hs[:0]
 			for j := 0; j < w; j++ {
 				hs = append(hs, nbOp(r))

@@ -14,16 +14,6 @@ import (
 	"armcivt/internal/stats"
 )
 
-// topoFor builds the standard topology of a kind over n nodes, skipping
-// configurations the paper also skips (hypercube on non powers of two).
-func topoFor(kind core.Kind, nodes int) (core.Topology, bool) {
-	t, err := core.New(kind, nodes)
-	if err != nil {
-		return nil, false
-	}
-	return t, true
-}
-
 // Fig5 reproduces Figure 5: master-process memory consumption (MBytes)
 // versus total process count, for all four topologies at the paper's
 // constants (12 processes per node, 16 KB buffers, 4 buffers per process).
@@ -36,9 +26,9 @@ func Fig5(procCounts []int, ppn int) ([]*stats.Series, error) {
 				return nil, fmt.Errorf("figures: %d processes not divisible by ppn %d", procs, ppn)
 			}
 			nodes := procs / ppn
-			topo, ok := topoFor(kind, nodes)
-			if !ok {
-				continue
+			topo, err := core.New(kind, nodes)
+			if err != nil {
+				continue // hypercube off powers of two, skipped as in the paper
 			}
 			cfg := armci.DefaultConfig(nodes, ppn)
 			rss := armci.MasterRSSFor(cfg, topo, 0)

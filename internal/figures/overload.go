@@ -1,9 +1,9 @@
 package figures
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"armcivt/internal/armci"
@@ -21,17 +21,19 @@ import (
 // priority classes and deadlines, and records per-op outcomes. The payload
 // mass matters: it is what backs up the hot node's ejection port past
 // Fabric.CongestionThreshold, so CE marks flow and the AIMD pacers engage.
-// After the run the harness checks, per origin:
+// After the run the harness checks that only sheds failed, so the shared
+// ledger.check's per-origin bounds
 //
-//	issued == completed + shed        (nothing unaccounted)
-//	applied == completed, exactly     (no lost or double apply among admitted)
+//	completed <= applied <= completed + failed - shed
 //
-// and globally that the runtime's shed ledger (Stats.ShedOps and the three
-// per-reason counters) exactly matches the *OverloadError outcomes the ranks
-// observed, that goodput under protection clears a configurable floor, that
-// per-tenant goodput stays within a max/min fairness bound, and that the
-// credit invariants held. The protection-off arm of the same workload is the
-// collapse baseline TestOverloadProtectionWins measures protection against.
+// pin every admitted op to exactly one apply. The same check reconciles the
+// runtime's shed ledger (Stats.ShedOps and the three per-reason counters)
+// with the *OverloadError outcomes the ranks observed, admissions with the
+// ops not shed, and the credit invariants. On top of that goodput under
+// protection must clear a configurable floor and per-tenant goodput must stay
+// within a max/min fairness bound. The protection-off arm of the same
+// workload is the collapse baseline TestOverloadProtectionWins measures
+// protection against.
 
 // OverloadConfig sizes one overload run.
 type OverloadConfig struct {
@@ -66,8 +68,8 @@ type OverloadConfig struct {
 	FairnessBound float64
 	// CollapseFloor, when positive, arms the sim watchdog's goodput-collapse
 	// detector with this per-window completion floor (see
-	// sim.Watchdog.SetGoodput); a tripped detector surfaces as a
-	// *sim.WatchdogError from the run.
+	// sim.Watchdog.SetGoodput); a tripped detector surfaces as an
+	// *armci.StallError (a *sim.WatchdogError) from the run.
 	CollapseFloor uint64
 	// Shards runs the kernel conservatively in parallel; results are
 	// bit-identical for every value. Forced serial when Trace is set.
@@ -182,67 +184,43 @@ func stormSchedule(hot, storms int) []faults.Fault {
 // CollapseFloor is armed) or an invariant was violated.
 func Overload(c OverloadConfig) (*OverloadResult, error) {
 	c = c.withDefaults()
-	eng := simEngine()
-	eng.Seed(c.Seed)
-	spec := c.Topo
-	if spec.IsZero() {
-		spec = core.Spec{Kind: c.Kind}
-	}
-	topo, err := spec.Build(c.Nodes)
-	if err != nil {
-		return nil, err
-	}
-
+	spec := specOf(c.Kind, c.Topo)
 	const hot = 0 // hot node; its first rank hosts every ledger slot
-	cfg := armci.DefaultConfig(c.Nodes, c.PPN)
-	cfg.Topology = topo
-	cfg.Fabric.StreamLimit = ovlStreamLimit
-	cfg.Fabric.StreamPenalty = ovlStreamPenalty
-	cfg.Faults = faults.NewInjector(eng, c.Nodes, &faults.Spec{Faults: stormSchedule(hot, c.Storms)})
-	// Storms stretch ejection bandwidth but never lose traffic, so the
-	// retransmission machinery (armed by default whenever Faults is set) can
-	// only amplify the incast: under deep congestion every chunk would time
-	// out and re-enter the jammed queue, confounding the protection
-	// comparison. Both arms run with a timeout above any achievable queueing
-	// delay instead.
-	cfg.RequestTimeout = sim.Second
+	arm := "unprotected"
 	if c.Protect {
-		cfg.Overload.Enabled = true
-		cfg.Overload.Budget = ovlBudget
-		// With every origin aimed at one node, the slow-start floor must
-		// hold the initial per-origin rate below the fair share of the hot
-		// port (origins x per-op serialization, with headroom), or the
-		// first window floods a queue that outlives the whole run: once a
-		// standing backlog keeps every converging edge resident at the
-		// ejection port, the stream penalty cuts drain below even heavily
-		// paced arrival and the port never escapes.
-		cfg.Overload.PaceFloor = 128 * sim.Microsecond
+		arm = "protected"
 	}
-	cfg.Metrics = c.Metrics
-	cfg.Trace = c.Trace
-	cfg.TracePID = c.TracePID
-	cfg.Shards = c.Shards
-	if c.Trace != nil {
-		cfg.Shards = 1
-		arm := "unprotected"
+	rt, err := run{
+		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, shards: c.Shards,
+		faults: &faults.Spec{Faults: stormSchedule(hot, c.Storms)}, collapse: c.CollapseFloor,
+		metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID,
+	}.start(fmt.Sprintf("overload %v %d nodes, %d storms, %s", spec, c.Nodes, c.Storms, arm), func(cfg *armci.Config) {
+		cfg.Fabric.StreamLimit = ovlStreamLimit
+		cfg.Fabric.StreamPenalty = ovlStreamPenalty
+		// Storms stretch ejection bandwidth but never lose traffic, so the
+		// retransmission machinery (armed by default whenever Faults is
+		// set) can only amplify the incast: under deep congestion every
+		// chunk would time out and re-enter the jammed queue, confounding
+		// the protection comparison. Both arms run with a timeout above any
+		// achievable queueing delay instead.
+		cfg.RequestTimeout = sim.Second
 		if c.Protect {
-			arm = "protected"
+			cfg.Overload.Enabled = true
+			cfg.Overload.Budget = ovlBudget
+			// With every origin aimed at one node, the slow-start floor
+			// must hold the initial per-origin rate below the fair share of
+			// the hot port (origins x per-op serialization, with headroom),
+			// or the first window floods a queue that outlives the whole
+			// run: once a standing backlog keeps every converging edge
+			// resident at the ejection port, the stream penalty cuts drain
+			// below even heavily paced arrival and the port never escapes.
+			cfg.Overload.PaceFloor = 128 * sim.Microsecond
 		}
-		c.Trace.ProcessName(c.TracePID, fmt.Sprintf("overload %v %d nodes, %d storms, %s", spec, c.Nodes, c.Storms, arm))
-	}
-	// The watchdog converts both a wedged run and — when CollapseFloor is
-	// armed — a goodput collapse into a Run error instead of a hang.
-	wd := sim.NewWatchdog(eng, 0, 0)
-
-	rt, err := armci.New(eng, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Shutdown()
-	if c.CollapseFloor > 0 {
-		wd.SetGoodput(rt.GoodputSample, c.CollapseFloor)
-	}
-	wd.Start()
 
 	n := rt.NRanks()
 	rt.Alloc("ovl", ovlSlot*n)
@@ -252,13 +230,7 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 		ones[i] = 1
 	}
 
-	issued := make([]int, n)
-	completed := make([]int, n)
-	shed := make([]int, n)
-	shedBudget := make([]int, n)
-	shedDeadline := make([]int, n)
-	shedClass := make([]int, n)
-	other := make([]int, n)           // unexpected (non-overload) failures
+	led := make(ledger, n)
 	windowLat := make([][]float64, n) // per-rank window latencies, us
 	doneAt := make([]sim.Time, n)     // per-rank workload finish instant
 
@@ -290,31 +262,12 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 				} else {
 					r.SetOpDeadline(0)
 				}
-				issued[me]++
 				hs = append(hs, r.NbAcc(hotRank, "ovl", ovlSlot*me, 1.0, ones))
 			}
 			r.WaitAll(hs...)
 			windowLat[me] = append(windowLat[me], (r.Now() - t0).Micros())
 			for _, h := range hs {
-				err := h.Err()
-				if err == nil {
-					completed[me]++
-					continue
-				}
-				var oe *armci.OverloadError
-				if errors.As(err, &oe) {
-					shed[me]++
-					switch oe.Reason {
-					case "budget":
-						shedBudget[me]++
-					case "deadline":
-						shedDeadline[me]++
-					case "class":
-						shedClass[me]++
-					}
-				} else {
-					other[me]++
-				}
+				led.record(me, h.Err())
 			}
 			r.Sleep(sim.Time(int64(2*sim.Microsecond) + rng.Int63n(int64(4*sim.Microsecond))))
 		}
@@ -325,110 +278,60 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 	}
 	rt.FillMetrics()
 
+	t := led.total()
 	res := &OverloadResult{
+		Issued: t.issued(), Completed: t.completed, Shed: t.sheds(),
+		ShedBudget: t.shed[0], ShedDeadline: t.shed[1], ShedClass: t.shed[2],
 		TenantCompleted: make([]int, c.Tenants),
 		Stats:           rt.Stats(),
 	}
 	// Elapsed is the workload makespan (last rank's finish), not eng.Now():
 	// the engine clock at Run's return is quantized by the watchdog's check
 	// interval, which would swamp the goodput comparison between arms.
-	for _, t := range doneAt {
-		if t > res.Elapsed {
-			res.Elapsed = t
-		}
-	}
+	var origins []int
 	var allLat []float64
 	for rank := 0; rank < n; rank++ {
-		if rank/c.PPN == hot {
-			continue
+		res.Elapsed = max(res.Elapsed, doneAt[rank])
+		if rank/c.PPN != hot {
+			origins = append(origins, rank)
+			res.TenantCompleted[rank%c.Tenants] += led[rank].completed
+			allLat = append(allLat, windowLat[rank]...)
 		}
-		// Invariant 1: per-origin accounting — every issued op ended as
-		// exactly one of completed or shed; nothing failed any other way.
-		if other[rank] != 0 {
-			return nil, fmt.Errorf("overload %v seed %d: rank %d saw %d non-overload failures",
-				spec, c.Seed, rank, other[rank])
-		}
-		if issued[rank] != completed[rank]+shed[rank] {
-			return nil, fmt.Errorf("overload %v seed %d: rank %d accounting broken: %d issued != %d completed + %d shed",
-				spec, c.Seed, rank, issued[rank], completed[rank], shed[rank])
-		}
-		// Invariant 2: ledger exactness — each admitted op adds +1 to every
-		// element of the origin's slot exactly once, each shed op not at all
-		// (exact in float64 at these counts). First and last element cover
-		// both ends of the accumulate vector.
-		mem := rt.Memory(hotRank, "ovl")
-		for _, el := range []int{0, ovlVals - 1} {
-			applied := armci.GetFloat64(mem, ovlSlot*rank+8*el)
-			if applied != float64(completed[rank]) {
-				return nil, fmt.Errorf("overload %v seed %d: rank %d ledger[%d] mismatch: %g applied != %d completed",
-					spec, c.Seed, rank, el, applied, completed[rank])
-			}
-		}
-		res.Issued += issued[rank]
-		res.Completed += completed[rank]
-		res.Shed += shed[rank]
-		res.ShedBudget += shedBudget[rank]
-		res.ShedDeadline += shedDeadline[rank]
-		res.ShedClass += shedClass[rank]
-		res.TenantCompleted[rank%c.Tenants] += completed[rank]
-		allLat = append(allLat, windowLat[rank]...)
 	}
 	if len(allLat) > 0 {
 		sort.Float64s(allLat)
-		idx := (99 * len(allLat)) / 100
-		if idx >= len(allLat) {
-			idx = len(allLat) - 1
-		}
-		res.WindowP99 = allLat[idx]
+		res.WindowP99 = allLat[min((99*len(allLat))/100, len(allLat)-1)]
 	}
 
-	// Invariant 3: the runtime's shed ledger exactly accounts the rejected
-	// ops the ranks observed, reason by reason, and admissions cover the
-	// rest. An unprotected run must shed nothing.
-	s := res.Stats
-	if int(s.ShedOps) != res.Shed ||
-		int(s.ShedBudget) != res.ShedBudget ||
-		int(s.ShedDeadline) != res.ShedDeadline ||
-		int(s.ShedClass) != res.ShedClass {
-		return nil, fmt.Errorf("overload %v seed %d: shed ledger mismatch: stats %d/%d/%d/%d != observed %d/%d/%d/%d",
-			spec, c.Seed, s.ShedOps, s.ShedBudget, s.ShedDeadline, s.ShedClass,
-			res.Shed, res.ShedBudget, res.ShedDeadline, res.ShedClass)
+	// Only sheds fail: storms stretch bandwidth but lose nothing.
+	if t.failed != t.sheds() {
+		return nil, fmt.Errorf("overload %v seed %d: %d of %d failures were not sheds",
+			spec, c.Seed, t.failed-t.sheds(), t.failed)
 	}
-	if c.Protect {
-		if int(s.Admitted) != res.Issued-res.Shed {
-			return nil, fmt.Errorf("overload %v seed %d: admitted %d != issued %d - shed %d",
-				spec, c.Seed, s.Admitted, res.Issued, res.Shed)
-		}
-	} else if res.Shed != 0 || s.Admitted != 0 {
-		return nil, fmt.Errorf("overload %v seed %d: unprotected run shed %d ops (admitted %d)",
-			spec, c.Seed, res.Shed, s.Admitted)
+	// With only sheds failing, the ledger's bounds pin every admitted op to
+	// exactly one apply on every element of its origin's slot; the first and
+	// last element cover both ends of the accumulate vector.
+	mem := rt.Memory(hotRank, "ovl")
+	applied := func(o int) (lo, hi float64) {
+		first := armci.GetFloat64(mem, ovlSlot*o)
+		last := armci.GetFloat64(mem, ovlSlot*o+8*(ovlVals-1))
+		return min(first, last), max(first, last)
 	}
-	// Invariant 4: goodput under protection clears the configured floor.
-	if c.Protect && c.GoodputFloor > 0 {
-		if float64(res.Completed) < c.GoodputFloor*float64(res.Issued) {
-			return nil, fmt.Errorf("overload %v seed %d: goodput %d/%d below floor %g",
-				spec, c.Seed, res.Completed, res.Issued, c.GoodputFloor)
-		}
+	if err := led.check(rt, c.Protect, origins, applied); err != nil {
+		return nil, fmt.Errorf("overload %v seed %d: %w", spec, c.Seed, err)
 	}
-	// Invariant 5: per-tenant max/min fairness bound.
+	// Goodput under protection clears the configured floor.
+	if c.Protect && c.GoodputFloor > 0 && float64(res.Completed) < c.GoodputFloor*float64(res.Issued) {
+		return nil, fmt.Errorf("overload %v seed %d: goodput %d/%d below floor %g",
+			spec, c.Seed, res.Completed, res.Issued, c.GoodputFloor)
+	}
+	// Per-tenant max/min fairness bound.
 	if c.Protect && c.FairnessBound > 0 {
-		minT, maxT := res.TenantCompleted[0], res.TenantCompleted[0]
-		for _, t := range res.TenantCompleted[1:] {
-			if t < minT {
-				minT = t
-			}
-			if t > maxT {
-				maxT = t
-			}
-		}
+		minT, maxT := slices.Min(res.TenantCompleted), slices.Max(res.TenantCompleted)
 		if minT == 0 || float64(maxT)/float64(minT) > c.FairnessBound {
 			return nil, fmt.Errorf("overload %v seed %d: tenant goodput %v violates fairness bound %g",
 				spec, c.Seed, res.TenantCompleted, c.FairnessBound)
 		}
-	}
-	// Invariant 6: credits stayed within bounds on every edge.
-	if err := rt.CheckCreditInvariants(); err != nil {
-		return nil, fmt.Errorf("overload %v seed %d: %w", spec, c.Seed, err)
 	}
 	return res, nil
 }

@@ -99,22 +99,12 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 		return nil, fmt.Errorf("figures: the scaling harness needs at least 2 nodes (a target and an active), got %d", c.Nodes)
 	}
 	actives := min(scaleActives, c.Nodes-1)
-	eng := simEngine()
-	if c.Seed != 0 {
-		eng.Seed(c.Seed)
-	}
-	topo, err := core.New(core.Hypercube, c.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := armci.DefaultConfig(c.Nodes, 1)
-	cfg.Topology = topo
-	cfg.Shards = c.Shards
-	rt, err := armci.New(eng, cfg)
+	rt, err := run{spec: core.Spec{Kind: core.Hypercube}, nodes: c.Nodes, ppn: 1, seed: c.Seed, shards: c.Shards}.start("", nil)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Shutdown()
+	eng := rt.Engine()
 
 	// Rank 0's window: one shared slot all actives write (the CHT applies
 	// requests serially, so overlap is benign), keeping the per-rank
@@ -184,7 +174,7 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 		Actives:     actives,
 		Ops:         actives * scaleIters,
 		VirtualTime: eng.Now(),
-		MasterRSS:   armci.MasterRSSFor(cfg, topo, 0),
+		MasterRSS:   rt.MasterRSS(0),
 	}
 	if c.Measure {
 		res.MallocsDelta = after.Mallocs - before.Mallocs

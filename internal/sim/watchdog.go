@@ -24,17 +24,12 @@ type Watchdog struct {
 	eng      *Engine
 	interval Time
 	patience int
-	// OnStall, when non-nil, receives the report and decides whether to
-	// abort the run (return true) or log-and-continue (false, resetting the
-	// churn streak). Nil aborts.
-	OnStall func(*StallReport) bool
 
 	lastResumes  uint64
 	lastExecuted uint64
 	quiet        int
 	stalls       int
 	started      bool
-	stopped      bool
 
 	// Goodput-collapse detection (SetGoodput). Unlike quiescent churn, a
 	// collapse has processes resuming busily — the run looks alive — while
@@ -97,17 +92,11 @@ func (w *Watchdog) SetGoodput(sample func() (completed, shed uint64), floor uint
 	w.goodputFloor = floor
 }
 
-// Stop disarms the watchdog; any already-scheduled check becomes a no-op.
-func (w *Watchdog) Stop() { w.stopped = true }
-
-// Stalls returns how many times the watchdog tripped (at most once when
-// OnStall aborts).
+// Stalls returns how many times the watchdog tripped (0 or 1: a trip halts
+// the run).
 func (w *Watchdog) Stalls() int { return w.stalls }
 
 func (w *Watchdog) check() {
-	if w.stopped {
-		return
-	}
 	e := w.eng
 	if e.liveNonDaemons() == 0 {
 		return // workload finished; stop rescheduling so the queue can drain
@@ -129,28 +118,10 @@ func (w *Watchdog) check() {
 	default:
 		w.quiet = 0 // pure wait on a future event
 	}
+	var rep *StallReport
 	if w.quiet >= w.patience {
-		w.stalls++
-		rep := &StallReport{
-			At:       e.now,
-			Window:   Time(w.quiet) * w.interval,
-			Pending:  e.PendingEvents(),
-			Blocked:  e.BlockedProcs(),
-			Daemons:  e.BlockedDaemons(),
-			Checks:   w.quiet,
-			Interval: w.interval,
-		}
-		abort := true
-		if w.OnStall != nil {
-			abort = w.OnStall(rep)
-		}
-		if abort {
-			e.Halt(&WatchdogError{Report: rep})
-			return
-		}
-		w.quiet = 0
-	}
-	if w.goodput != nil {
+		rep = &StallReport{Checks: w.quiet}
+	} else if w.goodput != nil {
 		c, s := w.goodput()
 		dC, dS := c-w.lastCompleted, s-w.lastShed
 		w.lastCompleted, w.lastShed = c, s
@@ -163,31 +134,17 @@ func (w *Watchdog) check() {
 			w.slump = 0 // pure wait on a future event; not a collapse
 		}
 		if w.slump >= w.patience {
-			w.stalls++
-			rep := &StallReport{
-				At:        e.now,
-				Window:    Time(w.slump) * w.interval,
-				Pending:   e.PendingEvents(),
-				Blocked:   e.BlockedProcs(),
-				Daemons:   e.BlockedDaemons(),
-				Checks:    w.slump,
-				Interval:  w.interval,
-				Collapse:  true,
-				Completed: dC,
-				Floor:     w.goodputFloor,
-			}
-			abort := true
-			if w.OnStall != nil {
-				abort = w.OnStall(rep)
-			}
-			if abort {
-				e.Halt(&WatchdogError{Report: rep})
-				return
-			}
-			w.slump = 0
+			rep = &StallReport{Checks: w.slump, Collapse: true, Completed: dC, Floor: w.goodputFloor}
 		}
 	}
-	e.After(w.interval, w.check)
+	if rep == nil {
+		e.After(w.interval, w.check)
+		return
+	}
+	w.stalls++
+	rep.At, rep.Window, rep.Interval = e.now, Time(rep.Checks)*w.interval, w.interval
+	rep.Pending, rep.Blocked, rep.Daemons = e.PendingEvents(), e.BlockedProcs(), e.BlockedDaemons()
+	e.Halt(&WatchdogError{Report: rep})
 }
 
 // StallReport describes a watchdog trip: what was blocked and how long the

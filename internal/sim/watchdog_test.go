@@ -86,25 +86,6 @@ func TestWatchdogIgnoresLongSleeps(t *testing.T) {
 	}
 }
 
-func TestWatchdogOnStallContinue(t *testing.T) {
-	e := New()
-	release := NewEvent(e, "release")
-	e.Spawn("waiter", func(p *Proc) { release.Wait(p) })
-	// Churn for 60 ms, then release the waiter: with OnStall returning
-	// false the run must survive its stall reports and finish cleanly.
-	churn(e, Millisecond, 60)
-	e.At(60*Millisecond, release.Fire)
-	w := NewWatchdog(e, 5*Millisecond, 4)
-	w.OnStall = func(r *StallReport) bool { return false }
-	w.Start()
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run = %v, want nil", err)
-	}
-	if w.Stalls() == 0 {
-		t.Error("watchdog never reported the churn window")
-	}
-}
-
 func TestWatchdogDoesNotMaskDeadlock(t *testing.T) {
 	// With no churn at all, a blocked process is the engine's classic
 	// deadlock; the watchdog must stop rescheduling and let the queue drain
@@ -239,23 +220,4 @@ func TestWatchdogGoodputIgnoresPureWaits(t *testing.T) {
 	if w.Stalls() != 0 {
 		t.Errorf("Stalls = %d, long sleep misdetected as collapse", w.Stalls())
 	}
-}
-
-func TestWatchdogStop(t *testing.T) {
-	e := New()
-	never := NewEvent(e, "never")
-	e.Spawn("stuck", func(p *Proc) { never.Wait(p) })
-	churn(e, Millisecond, 120)
-	w := NewWatchdog(e, 5*Millisecond, 4)
-	w.Start()
-	w.Stop()
-	err := e.Run()
-	var de *DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("Run = %v, want *DeadlockError after Stop (watchdog disarmed)", err)
-	}
-	if w.Stalls() != 0 {
-		t.Errorf("stopped watchdog recorded %d stalls", w.Stalls())
-	}
-	e.Shutdown()
 }

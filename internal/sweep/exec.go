@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"armcivt/internal/armci"
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
 	"armcivt/internal/figures"
@@ -81,9 +82,16 @@ func Execute(p Point, opts ExecOptions) Result {
 	}
 	caption, err := e.run(p, spec, opts, reg, &res)
 	var werr *sim.WatchdogError
+	var serr *armci.StallError
 	switch {
 	case errors.As(err, &werr):
 		res.Err = werr.Report.String() // the full stall report
+		if errors.As(err, &serr) && len(serr.Edges) > 0 {
+			res.Err += fmt.Sprintf("  credit-starved edges (%d):\n", len(serr.Edges))
+			for _, e := range serr.Edges {
+				res.Err += fmt.Sprintf("    %v\n", e)
+			}
+		}
 	case err != nil:
 		res.Err = err.Error()
 	case reg != nil && caption != "":
