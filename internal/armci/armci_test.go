@@ -773,7 +773,7 @@ func TestChunkSegsInvariants(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	segs := []Seg{{0, 5}, {100, cfg.BufSize * 2}, {9000, 1}, {9500, 0}}
 	var total, flatPrev int
-	n := cfg.chunkSegs(segs, func(group []Seg, payload, flatOff int) {
+	n := cfg.chunkSegs(segs, 1, new([]Seg), func(group []Seg, payload, flatOff int) {
 		if flatOff != flatPrev {
 			t.Errorf("flatOff %d, want %d (contiguous chunks)", flatOff, flatPrev)
 		}

@@ -25,7 +25,7 @@ func FuzzChunkSegs(f *testing.F) {
 			pos += ln + gap
 		}
 		covered := 0
-		cfg.chunkSegs(segs, func(group []Seg, payload, flatOff int) {
+		cfg.chunkSegs(segs, 1, new([]Seg), func(group []Seg, payload, flatOff int) {
 			if flatOff != covered {
 				t.Fatalf("flatOff %d, want %d", flatOff, covered)
 			}

@@ -232,7 +232,7 @@ func (h *Handle) Old() int64 { return h.old }
 
 // payloadPerChunk returns how many payload bytes fit in one request buffer
 // alongside the header and nsegs segment descriptors.
-func (c Config) payloadPerChunk(nsegs int) int {
+func (c *Config) payloadPerChunk(nsegs int) int {
 	room := c.BufSize - headerBytes - nsegs*segDescBytes
 	if room < 1 {
 		panic(fmt.Sprintf("armci: BufSize %d cannot carry %d segment descriptors", c.BufSize, nsegs))
@@ -242,7 +242,7 @@ func (c Config) payloadPerChunk(nsegs int) int {
 
 // chunkContig splits a contiguous [off, off+n) region into buffer-sized
 // pieces, invoking emit with each piece's offset and length.
-func (c Config) chunkContig(off, n int, emit func(off, ln int)) int {
+func (c *Config) chunkContig(off, n int, emit func(off, ln int)) int {
 	if n == 0 {
 		emit(off, 0)
 		return 1
@@ -260,104 +260,44 @@ func (c Config) chunkContig(off, n int, emit func(off, ln int)) int {
 	return chunks
 }
 
-// chunkSegsAligned is chunkSegs with splits constrained to multiples of
-// align bytes, for element-typed operations (accumulate) whose values must
-// not straddle chunks. Like chunkSegs, the group slice passed to emit is
-// reused across flushes: emit must copy.
-func (c Config) chunkSegsAligned(segs []Seg, align int, emit func(group []Seg, payload, flatOff int)) int {
-	chunks := 0
-	var group []Seg
-	groupBytes := 0
-	flatStart := 0
-	flat := 0
-	flush := func() {
-		if len(group) == 0 {
-			return
-		}
-		emit(group, groupBytes, flatStart)
-		chunks++
-		group = group[:0]
-		groupBytes = 0
-		flatStart = flat
-	}
-	for _, s := range segs {
-		rem := s
-		for rem.Len > 0 {
-			room := (c.payloadPerChunk(len(group)+1) - groupBytes) &^ (align - 1)
-			if room <= 0 {
-				flush()
-				continue
-			}
-			take := rem.Len
-			if take > room {
-				take = room
-			}
-			group = append(group, Seg{Off: rem.Off, Len: take})
-			groupBytes += take
-			flat += take
-			rem.Off += take
-			rem.Len -= take
-		}
-	}
-	flush()
-	if chunks == 0 {
-		emit(nil, 0, 0)
-		chunks = 1
-	}
-	return chunks
-}
-
 // chunkSegs packs vector segments into request-buffer-sized groups,
-// splitting oversized segments. emit receives each group's segments along
+// splitting oversized segments at multiples of align bytes: 1 for plain
+// segments, the element size for element-typed operations (accumulate) whose
+// values must not straddle chunks. emit receives each group's segments along
 // with their cumulative payload length and the offset into the original
-// flattened payload. The group slice is reused across flushes (one backing
-// array per call, not one per chunk): emit must copy what it keeps.
-func (c Config) chunkSegs(segs []Seg, emit func(group []Seg, payload, flatOff int)) int {
+// flattened payload. The group is built in *scratch, reused across flushes
+// and calls (a Rank's segScratch): emit must copy what it keeps.
+func (c *Config) chunkSegs(segs []Seg, align int, scratch *[]Seg, emit func(group []Seg, payload, flatOff int)) int {
 	chunks := 0
-	var group []Seg
+	group := (*scratch)[:0]
 	groupBytes := 0
-	flatStart := 0
-	flat := 0
-	flush := func() {
-		if len(group) == 0 {
-			return
-		}
-		emit(group, groupBytes, flatStart)
-		chunks++
-		group = group[:0]
-		groupBytes = 0
-		flatStart = flat
-	}
+	flat := 0 // offset of the group's first byte in the flattened payload
 	for _, s := range segs {
 		if s.Len < 0 || s.Off < 0 {
 			panic(fmt.Sprintf("armci: invalid segment %+v", s))
 		}
-		rem := s
-		for rem.Len > 0 {
-			room := c.payloadPerChunk(len(group)+1) - groupBytes
-			if room <= 0 {
-				flush()
-				continue
+		for s.Len > 0 {
+			if room := (c.payloadPerChunk(len(group)+1) - groupBytes) &^ (align - 1); room > 0 {
+				take := min(s.Len, room)
+				group = append(group, Seg{Off: s.Off, Len: take})
+				groupBytes += take
+				s.Off += take
+				s.Len -= take
+				if groupBytes < c.payloadPerChunk(len(group)) {
+					continue
+				}
 			}
-			take := rem.Len
-			if take > room {
-				take = room
-			}
-			group = append(group, Seg{Off: rem.Off, Len: take})
-			groupBytes += take
-			flat += take
-			rem.Off += take
-			rem.Len -= take
-			if groupBytes >= c.payloadPerChunk(len(group)) {
-				flush()
-			}
+			emit(group, groupBytes, flat)
+			chunks++
+			flat += groupBytes
+			group, groupBytes = group[:0], 0
 		}
 	}
-	flush()
-	if chunks == 0 {
-		emit(nil, 0, 0)
-		chunks = 1
+	if len(group) > 0 || chunks == 0 {
+		emit(group, groupBytes, flat)
+		chunks++
 	}
+	*scratch = group[:0]
 	return chunks
 }
 

@@ -35,6 +35,8 @@ type Rank struct {
 	// the aggregation layer underneath) only iterates the slice, so one
 	// backing array per rank serves every operation.
 	reqScratch []*request
+	// segScratch is the rank's reusable segment group for chunkSegs.
+	segScratch []Seg
 
 	// Overload-protection stamps applied to subsequently issued operations
 	// (SetOpClass / SetOpDeadline in overload.go); consulted only at
@@ -283,7 +285,7 @@ func (r *Rank) NbPutV(dst int, alloc string, segs []Seg, data []byte) *Handle {
 		return newHandle(rt.eng, 0, 0)
 	}
 	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegs(segs, func(group []Seg, payload, flatOff int) {
+	rt.cfg.chunkSegs(segs, 1, &r.segScratch, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opPutV, r.rank, r.node, dst
 		req.alloc = alloc
@@ -326,7 +328,7 @@ func (r *Rank) NbGetV(src int, alloc string, segs []Seg) *Handle {
 		return h
 	}
 	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegs(segs, func(group []Seg, payload, flatOff int) {
+	rt.cfg.chunkSegs(segs, 1, &r.segScratch, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opGetV, r.rank, r.node, src
 		req.alloc = alloc

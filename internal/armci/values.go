@@ -87,7 +87,7 @@ func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []f
 		return newHandle(rt.eng, 0, 0)
 	}
 	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegsAligned(segs, 8, func(group []Seg, payload, flatOff int) {
+	rt.cfg.chunkSegs(segs, 8, &r.segScratch, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAccV, r.rank, r.node, dst
 		req.alloc = alloc

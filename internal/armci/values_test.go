@@ -256,7 +256,7 @@ func TestNotifyPanicsOutOfRange(t *testing.T) {
 func TestChunkSegsAlignedNeverSplitsElements(t *testing.T) {
 	cfg := DefaultConfig(2, 1)
 	segs := []Seg{{Off: 0, Len: 3 * cfg.BufSize / 2 &^ 7}}
-	cfg.chunkSegsAligned(segs, 8, func(group []Seg, payload, flatOff int) {
+	cfg.chunkSegs(segs, 8, new([]Seg), func(group []Seg, payload, flatOff int) {
 		if payload%8 != 0 || flatOff%8 != 0 {
 			t.Errorf("chunk payload %d / flatOff %d not element-aligned", payload, flatOff)
 		}

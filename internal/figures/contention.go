@@ -224,18 +224,30 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	measured := make([]bool, n)
 
 	window := max(c.Window, 1)
+	// A vectored put only reads its segments and data, so every op of a rank
+	// reuses that rank's segment list (built at its first op, in its own
+	// owner context) and every rank sends the same read-only zero payload.
+	var zeros []byte
+	var rankSegs [][]armci.Seg
+	if c.Op != OpFetchAdd {
+		zeros = make([]byte, c.VecSegs*c.VecSegLen)
+		rankSegs = make([][]armci.Seg, n)
+	}
 	nbOp := func(r *armci.Rank) *armci.Handle {
 		switch c.Op {
 		case OpFetchAdd:
 			return r.NbFetchAdd(0, "hot", 0, 1)
 		default:
-			base := 8 + r.Rank()*slot
-			segs := make([]armci.Seg, c.VecSegs)
-			for i := range segs {
-				segs[i] = armci.Seg{Off: base + i*c.VecSegLen*2, Len: c.VecSegLen}
+			segs := rankSegs[r.Rank()]
+			if segs == nil {
+				base := 8 + r.Rank()*slot
+				segs = make([]armci.Seg, c.VecSegs)
+				for i := range segs {
+					segs[i] = armci.Seg{Off: base + i*c.VecSegLen*2, Len: c.VecSegLen}
+				}
+				rankSegs[r.Rank()] = segs
 			}
-			data := make([]byte, c.VecSegs*c.VecSegLen)
-			return r.NbPutV(0, "hot", segs, data)
+			return r.NbPutV(0, "hot", segs, zeros)
 		}
 	}
 	// doOps issues count operations: blocking one-by-one with no window,

@@ -6,31 +6,46 @@ import (
 )
 
 // BenchmarkEventQueue measures raw schedule/dispatch throughput of the event
-// heap: a self-rescheduling chain keeps a fixed population of pending events
+// queue: a self-rescheduling chain keeps a fixed population of pending events
 // alive, the access pattern the armci/fabric layers generate; 65 536 is the
-// depth bench/'s sim.event_ns.heap64k driver times. The interesting numbers
-// are ns/op and allocs/op: the hand-rolled heap must not allocate per event
-// (container/heap's interface boxing did).
+// depth bench/'s sim.event_ns.heap64k driver times. The short cases draw
+// delays of 1-13 ns; the wide case draws them log-uniformly from 2^6 to
+// 2^26 ns, the spread of a contended run, where most pending events are
+// timers and replies more than 100 us ahead. The interesting numbers are
+// ns/op and allocs/op: the queue must not allocate per event.
 func BenchmarkEventQueue(b *testing.B) {
+	first := func(i int) Time { return Time(i%13 + 1) }
+	next := func(i int) Time { return Time(i%7 + 1) }
 	for _, pending := range []int{16, 256, 4096, 65536} {
-		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
-			e := New()
-			fired := 0
-			var reschedule func()
-			reschedule = func() {
-				fired++
-				if fired < b.N {
-					e.After(Time(fired%7+1), reschedule)
-				}
-			}
-			for i := 0; i < pending; i++ {
-				e.After(Time(i%13+1), reschedule)
-			}
-			b.ResetTimer()
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-		})
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) { benchQueue(b, pending, first, next) })
+	}
+	b.Run("pending=4096/wide", func(b *testing.B) { benchQueue(b, 4096, wideDelay, wideDelay) })
+}
+
+// wideDelay is the i-th delay of a log-uniform spread over [2^6, 2^27) ns.
+func wideDelay(i int) Time {
+	s := 6 + uint(i)%21
+	return Time(1)<<s | Time(uint64(i)*0x9E3779B97F4A7C15>>(64-s))
+}
+
+// benchQueue keeps pending events queued, the i-th at first(i), each
+// rescheduling itself next(fired) later until b.N have fired.
+func benchQueue(b *testing.B, pending int, first, next func(i int) Time) {
+	e := New()
+	fired := 0
+	var reschedule func()
+	reschedule = func() {
+		fired++
+		if fired < b.N {
+			e.After(next(fired), reschedule)
+		}
+	}
+	for i := 0; i < pending; i++ {
+		e.After(first(i), reschedule)
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

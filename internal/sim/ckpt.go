@@ -88,9 +88,9 @@ func (e *Engine) CheckpointSection() []byte {
 	// keys with equal seq streams they are the same events.
 	pending := e.events.appendPending(make([]event, 0, e.PendingEvents()))
 	for _, ln := range e.lanes {
-		pending = ln.heap.appendPending(pending)
+		pending = ln.queue.appendPending(pending)
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j].heapKey) })
+	sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j].eventKey) })
 	enc.Str("events")
 	enc.U32(uint32(len(pending)))
 	h = ckpt.MixInit

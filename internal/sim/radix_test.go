@@ -1,0 +1,329 @@
+package sim
+
+import (
+	"math/bits"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// checkQueue verifies the radix invariants and the block and slab
+// bookkeeping: now is a binary heap of keys at last; every other key sits in
+// the bucket named by the highest bit where its time differs from last, in a
+// chain of full blocks behind one partly filled newest block, and each
+// bucket's min is its smallest key; every allocated block is in exactly one
+// chain or on the free list; every key names a distinct live slab slot, and
+// every slot off the queue is on the free list with no payload left in it.
+func checkQueue(t *testing.T, q *eventQueue) {
+	t.Helper()
+	now := q.now
+	for i, k := range now {
+		if k.t != q.last {
+			t.Fatalf("now[%d] = %+v is not at last %v", i, k, q.last)
+		}
+		if i > 0 && k.less(now[(i-1)/2]) {
+			t.Fatalf("now heap broken at %d: %+v under parent %+v", i, k, now[(i-1)/2])
+		}
+	}
+	keys := append([]eventKey(nil), now...)
+	seen := map[*keyBlock]bool{}
+	for b := range q.buckets {
+		bk := q.buckets[b]
+		if (q.mask>>b&1 == 1) != (bk.blk != nil) || b == 0 && bk.blk != nil {
+			t.Fatalf("bucket %d: mask bit %d, chain %p", b, q.mask>>b&1, bk.blk)
+		}
+		if bk.blk != nil && (bk.n < 1 || bk.n > blockKeys) {
+			t.Fatalf("bucket %d: newest block holds %d keys", b, bk.n)
+		}
+		var least *eventKey
+		n := bk.n
+		for blk := bk.blk; blk != nil; blk, n = blk.next, blockKeys {
+			if seen[blk] {
+				t.Fatalf("block %p is linked twice", blk)
+			}
+			seen[blk] = true
+			for j := range blk.keys[:n] {
+				k := &blk.keys[j]
+				if got := bits.Len64(uint64(k.t ^ q.last)); got != b || k.t < q.last {
+					t.Fatalf("key %+v in bucket %d, belongs in %d (last %v)", *k, b, got, q.last)
+				}
+				if least == nil || k.less(*least) {
+					least = k
+				}
+				keys = append(keys, *k)
+			}
+		}
+		if least != nil && *least != bk.min {
+			t.Fatalf("bucket %d: min %+v, smallest key %+v", b, bk.min, *least)
+		}
+	}
+	for blk := q.free; blk != nil; blk = blk.next {
+		if seen[blk] {
+			t.Fatalf("block %p is both free and linked", blk)
+		}
+		seen[blk] = true
+	}
+	if len(seen) != q.blocks {
+		t.Fatalf("%d blocks allocated, %d linked or free", q.blocks, len(seen))
+	}
+	if len(keys) != q.n {
+		t.Fatalf("Len() = %d, but %d keys are filed", q.n, len(keys))
+	}
+
+	live := make([]bool, len(q.slab))
+	for _, k := range keys {
+		if live[k.slot] {
+			t.Fatalf("slot %d held by two keys", k.slot)
+		}
+		live[k.slot] = true
+	}
+	free := 0
+	for s := q.freeHead; s > 0; s = q.slab[s-1].owner {
+		if live[s-1] {
+			t.Fatalf("slot %d is both live and free", s-1)
+		}
+		if p := q.slab[s-1]; p.afn != nil || p.arg != nil || p.kind != 0 {
+			t.Fatalf("free slot %d still holds a payload: %+v", s-1, p)
+		}
+		live[s-1] = true
+		free++
+		if free > len(q.slab) {
+			t.Fatal("free list is cyclic")
+		}
+	}
+	if free+len(keys) != len(q.slab) {
+		t.Fatalf("slab has %d slots: %d live + %d free", len(q.slab), len(keys), free)
+	}
+}
+
+// queueDelay maps a push op's 5-bit class to a delay past last: classes 0-3
+// are 0-3 ns (heavy ties on t, class 0 lands in now), classes 4-30 spread
+// log-uniformly up to 2^40 ns with jitter from i, so every bucket up to 41
+// is reached.
+func queueDelay(class byte, i int) Time {
+	if class < 4 {
+		return Time(class)
+	}
+	s := uint(class-4) * 40 / 26
+	return Time(1)<<s | Time(uint64(i)*0x9E3779B97F4A7C15>>(64-s))
+}
+
+// FuzzEventHeap drives random interleavings of push, pop and peek on the
+// event queue and checks every pop and peek against a reference: the
+// pending keys sorted by the ordering key. An op byte with the top bit set
+// pops; otherwise its low two bits pick one of four origins with per-origin
+// seq counters, as the engine assigns them (heavy ties on seq across
+// origins), and the next five bits pick a delay class (queueDelay) — except
+// class 31, the sharded barrier's pattern: peek the head, then push at a
+// time at or after last but below it. Random inputs keep the pending set
+// churning, so slab slots and key blocks are reused many times; one seed
+// first builds a deep queue.
+func FuzzEventHeap(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 0x80, 0x80, 0x80, 0x80, 0x80})
+	f.Add([]byte{4, 4, 4, 4, 4, 4, 4, 4, 0x80, 4, 0x80, 4, 0x80, 0x80})
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{64, 2000} {
+		ops := make([]byte, n)
+		for i := range ops {
+			ops[i] = byte(rng.Intn(256))
+		}
+		f.Add(ops)
+	}
+	deep := make([]byte, 2048) // 1024 pushes, then 1024 pops
+	for i := range deep {
+		deep[i] = byte(rng.Intn(128)) | byte(i/1024)<<7
+	}
+	f.Add(deep)
+	barrier := make([]byte, 1024) // far keys, then peek-and-push under them
+	for i := range barrier {
+		barrier[i] = byte(rng.Intn(4)) | byte(24+rng.Intn(4))<<2
+		if i%3 == 2 {
+			barrier[i] = 31<<2 | byte(rng.Intn(4))
+		}
+		if i%5 == 4 {
+			barrier[i] = 0x80
+		}
+	}
+	f.Add(barrier)
+	fn := func(any) {}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		var q eventQueue
+		var ref []eventKey         // the pending keys, kept sorted
+		ids := map[[2]uint64]int{} // (seq, origin) -> the id pushed as arg
+		var seqs [4]uint64
+		var now Time
+		maxPending := 0
+		peek := func() {
+			if got, want := q.head(), ref[0]; got.t != want.t || got.seq != want.seq || got.origin != want.origin {
+				t.Fatalf("head = %+v, want %+v", got, want)
+			}
+		}
+		pop := func() {
+			peek()
+			want := ref[0]
+			ref = ref[1:]
+			gotT, p := q.pop()
+			id := ids[[2]uint64{want.seq, uint64(want.origin)}]
+			if gotT != want.t || p.arg != id || p.owner != want.origin || p.kind != evArg || p.afn == nil {
+				t.Fatalf("pop = t %v payload %+v, want key %+v with id %d", gotT, p, want, id)
+			}
+			now = gotT
+		}
+		for i, b := range ops {
+			if b&0x80 != 0 && len(ref) > 0 {
+				pop()
+			} else {
+				origin := int32(b & 3)
+				at := now + queueDelay(b>>2&31, i)
+				if b>>2&31 == 31 {
+					if len(ref) == 0 {
+						continue
+					}
+					peek()
+					at = now + Time(uint64(i)*0x9E3779B97F4A7C15%uint64(ref[0].t-now+1))
+				}
+				seqs[origin]++
+				k := eventKey{t: at, seq: seqs[origin], origin: origin}
+				ids[[2]uint64{k.seq, uint64(origin)}] = i
+				q.push(&event{k, payload{owner: origin, kind: evArg, afn: fn, arg: i}})
+				j := sort.Search(len(ref), func(j int) bool { return k.less(ref[j]) })
+				ref = append(ref, eventKey{})
+				copy(ref[j+1:], ref[j:])
+				ref[j] = k
+				maxPending = max(maxPending, len(ref))
+			}
+			if len(ref) < 64 || i%64 == 0 {
+				checkQueue(t, &q)
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		checkQueue(t, &q)
+		if len(q.slab) != maxPending {
+			t.Fatalf("slab grew to %d slots for at most %d pending events", len(q.slab), maxPending)
+		}
+		// In use at once: the full blocks, one partial block per bucket, and
+		// the block a refill is draining.
+		if limit := maxPending/blockKeys + 64; q.blocks > limit {
+			t.Fatalf("%d blocks allocated for at most %d pending events (limit %d)", q.blocks, maxPending, limit)
+		}
+	})
+}
+
+// TestEventQueueEveryBucket files one key in each of the 63 buckets a
+// non-negative time can reach, plus ties at last, and pops them in key
+// order.
+func TestEventQueueEveryBucket(t *testing.T) {
+	var q eventQueue
+	var want []eventKey
+	seq := uint64(0)
+	for s := 62; s >= -1; s-- {
+		at := Time(0)
+		if s >= 0 {
+			at = Time(1)<<s | Time(s)
+		}
+		for o := int32(2); o >= 0; o-- {
+			seq++
+			k := eventKey{t: at, seq: seq, origin: o}
+			q.push(&event{k, payload{kind: evFn}})
+			want = append(want, k)
+		}
+	}
+	checkQueue(t, &q)
+	if q.mask != ^uint64(1) {
+		t.Fatalf("non-empty buckets %#x, want all of 1..63", q.mask)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
+	for _, w := range want {
+		if h := q.head(); h.t != w.t || h.seq != w.seq || h.origin != w.origin {
+			t.Fatalf("head %+v, want %+v", h, w)
+		}
+		if got, _ := q.pop(); got != w.t {
+			t.Fatalf("pop at %v, want %v", got, w.t)
+		}
+		checkQueue(t, &q)
+	}
+}
+
+// TestPushBelowLastPanics: a push before the last pop's time breaks the
+// queue's monotone contract and must panic, not misfile the key.
+func TestPushBelowLastPanics(t *testing.T) {
+	var q eventQueue
+	q.push(&event{eventKey{t: 10, seq: 1}, payload{kind: evFn}})
+	q.push(&event{eventKey{t: 20, seq: 2}, payload{kind: evFn}})
+	q.pop()
+	q.push(&event{eventKey{t: 10, seq: 3}, payload{kind: evFn}}) // at last: fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push below the last pop did not panic")
+		}
+	}()
+	q.push(&event{eventKey{t: 9, seq: 4}, payload{kind: evFn}})
+}
+
+// TestPopReleasesPayload: a popped event's slot keeps no reference to its
+// closure or argument, so the collector can reclaim them while the slot
+// waits for reuse.
+func TestPopReleasesPayload(t *testing.T) {
+	var q eventQueue
+	for i := 0; i < 9; i++ {
+		v := i
+		q.push(&event{eventKey{t: Time(i % 3), seq: uint64(i + 1)}, payload{kind: evFn, arg: func() { _ = v }}})
+	}
+	for q.Len() > 0 {
+		slot := q.head().slot
+		if _, p := q.pop(); p.arg == nil {
+			t.Fatal("pop returned an empty payload")
+		}
+		if p := q.slab[slot]; p.afn != nil || p.arg != nil {
+			t.Fatalf("slot %d still holds the popped payload: %+v", slot, p)
+		}
+	}
+}
+
+// TestShutdownDropsHeaps: Shutdown releases the event queue's arrays — keys
+// at now, key blocks, payload slab — on the global lane and on every shard
+// lane, whether the engine never ran, was cut off by a time limit with
+// events pending, or drained.
+func TestShutdownDropsHeaps(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		limit Time // < 0: no run; 0: run to completion
+	}{{"never-run", -1}, {"time-limit", 50}, {"drained", 0}} {
+		for _, shards := range []int{1, 2} {
+			eng := New()
+			eng.ConfigureShards(shards, 4, func(o int) int { return o % shards }, 10)
+			for o := 0; o < 4; o++ {
+				for i := 0; i < 5; i++ {
+					eng.AtOn(o, Time(20*i+o), func() {})
+				}
+			}
+			eng.At(30, func() {})
+			switch {
+			case tc.limit > 0:
+				if _, ok := eng.RunUntil(tc.limit).(*TimeLimitError); !ok {
+					t.Fatalf("%s/shards=%d: expected a time limit with events pending", tc.name, shards)
+				}
+			case tc.limit == 0:
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Shutdown()
+			queues := []*eventQueue{&eng.events}
+			for _, ln := range eng.lanes {
+				queues = append(queues, &ln.queue)
+			}
+			for i, q := range queues {
+				if q.now != nil || q.free != nil || q.slab != nil {
+					t.Errorf("%s/shards=%d: queue %d keeps %d keys / free blocks %p / %d slots after Shutdown",
+						tc.name, shards, i, cap(q.now), q.free, cap(q.slab))
+				}
+			}
+		}
+	}
+}

@@ -20,8 +20,8 @@ func TestScalingDocsPendingEventBudget(t *testing.T) {
 	}
 	doc := string(raw)
 	for _, want := range []string{
-		fmt.Sprintf("| pending event: `heapKey` + `payload` | %d B + %d B |",
-			unsafe.Sizeof(heapKey{}), unsafe.Sizeof(payload{})),
+		fmt.Sprintf("| pending event: `eventKey` + `payload` | %d B + %d B |",
+			unsafe.Sizeof(eventKey{}), unsafe.Sizeof(payload{})),
 		fmt.Sprintf("one `event` (%d B)", unsafe.Sizeof(event{})),
 	} {
 		if !strings.Contains(doc, want) {

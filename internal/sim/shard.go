@@ -9,7 +9,7 @@ import (
 // Conservative parallel execution (sharding).
 //
 // ConfigureShards partitions the owner space into K shards, each with its own
-// event min-heap and worker goroutine. The coordinator repeatedly:
+// event queue and worker goroutine. The coordinator repeatedly:
 //
 //  1. Finds T = min(next event time) across the global lane and all shards.
 //  2. If the global lane holds an event at T, runs a *serial instant*: every
@@ -32,15 +32,15 @@ import (
 // maxTime is the sentinel "no pending event" timestamp.
 const maxTime = Time(math.MaxInt64)
 
-// lane is one shard's execution context: a private event heap, clock, and
+// lane is one shard's execution context: a private event queue, clock, and
 // carrier free list, plus outboxes for events leaving the shard. Only its
 // worker goroutine touches these fields during a window; the coordinator
 // touches them only while the worker is quiesced.
 type lane struct {
 	e   *Engine
 	idx int
-	// heap holds the shard's pending events.
-	heap eventHeap
+	// queue holds the shard's pending events.
+	queue eventQueue
 	// now is the shard-local clock: the timestamp of the event being
 	// executed (NowOn reads it from owner context).
 	now Time
@@ -206,7 +206,7 @@ func (e *Engine) stopWorkers() {
 	}
 }
 
-// work is a shard worker: it drains the shard's heap strictly below each
+// work is a shard worker: it drains the shard's queue strictly below each
 // dispatched window edge, then reports back to the coordinator.
 func (ln *lane) work() {
 	for end := range ln.dispatch {
@@ -222,8 +222,8 @@ func (ln *lane) runTo(end Time) {
 		ln.ctxOwner = GlobalOwner
 		ln.panicked = recover()
 	}()
-	for ln.heap.Len() > 0 && ln.heap.head().t < end {
-		t, p := ln.heap.pop()
+	for ln.queue.Len() > 0 && ln.queue.head().t < end {
+		t, p := ln.queue.pop()
 		ln.now = t
 		ln.ctxOwner = int(p.owner)
 		ln.executed++
@@ -240,8 +240,8 @@ func (e *Engine) nextTimes() (tGlobal, tMin Time) {
 	}
 	tMin = tGlobal
 	for _, ln := range e.lanes {
-		if ln.heap.Len() > 0 && ln.heap.head().t < tMin {
-			tMin = ln.heap.head().t
+		if ln.queue.Len() > 0 && ln.queue.head().t < tMin {
+			tMin = ln.queue.head().t
 		}
 	}
 	return tGlobal, tMin
@@ -310,14 +310,14 @@ func (e *Engine) runInstant(t Time) {
 	e.now = t
 	e.shardStats.Instants++
 	for e.halt == nil {
-		var h *eventHeap
+		var h *eventQueue
 		if e.events.Len() > 0 && e.events.head().t == t {
 			h = &e.events
 		}
 		for _, ln := range e.lanes {
-			if ln.heap.Len() > 0 && ln.heap.head().t == t &&
-				(h == nil || ln.heap.head().less(h.head())) {
-				h = &ln.heap
+			if ln.queue.Len() > 0 && ln.queue.head().t == t &&
+				(h == nil || ln.queue.head().less(h.head())) {
+				h = &ln.queue
 			}
 		}
 		if h == nil {
@@ -343,7 +343,7 @@ func (e *Engine) runWindow(end Time) {
 	e.windowActive.Store(true)
 	dispatched := 0
 	for _, ln := range e.lanes {
-		if ln.heap.Len() > 0 && ln.heap.head().t < end {
+		if ln.queue.Len() > 0 && ln.queue.head().t < end {
 			ln.end = end
 			dispatched++
 			ln.dispatch <- end
@@ -375,7 +375,7 @@ func (e *Engine) runWindow(end Time) {
 		ln.outGlobal = ln.outGlobal[:0]
 		for d, evs := range ln.outCross {
 			for i := range evs {
-				e.lanes[d].heap.push(&evs[i])
+				e.lanes[d].queue.push(&evs[i])
 			}
 			ln.outCross[d] = evs[:0]
 		}

@@ -72,7 +72,7 @@ const GlobalOwner = -1
 // switches, wakes, fabric hops, protocol deliveries — used to allocate one
 // closure per event; kind dispatch replaces them with preallocated fields on
 // the event record itself, so scheduling allocates nothing beyond amortized
-// heap growth (the allocs/op contract of docs/SCALING.md).
+// queue growth (the allocs/op contract of docs/SCALING.md).
 const (
 	// evFn runs a plain closure, carried in arg (the general-purpose cold
 	// path).
@@ -86,151 +86,6 @@ const (
 	// evWake is evSwitch plus clearing the process's wake-pending flag.
 	evWake
 )
-
-// heapKey is a pending event's determinism-contract key (time, seq, origin)
-// plus the slab slot holding its payload. It is the only thing the heap
-// sifts. (seq, origin) is unique per event, so the key order is strict and
-// total: any correct heap pops the same sequence.
-type heapKey struct {
-	t      Time
-	seq    uint64
-	origin int32
-	slot   int32
-}
-
-// less orders keys by (time, seq, origin); slot plays no part.
-func (a heapKey) less(b heapKey) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.origin < b.origin
-}
-
-// payload is what a pending event runs: written once at push, read once at
-// pop. A free slab slot keeps only owner, as the free-list link.
-type payload struct {
-	owner int32
-	kind  uint8
-	afn   func(any)
-	arg   any
-}
-
-// event is an event in transit — built by scheduleEv, buffered in the
-// shard outboxes — before push files its payload in a slab slot (key.slot
-// is unset until then).
-type event struct {
-	heapKey
-	payload
-}
-
-// eventHeap is a 4-ary min-heap of heapKeys over a payload slab. Scheduling
-// is the simulator's hottest path (an event per link hop, CHT poll, credit
-// return and heartbeat probe), and the heap stands thousands deep under the
-// crash/heal workloads, so each sift level moves one 24-byte key instead of
-// a whole event, and four children share a cache line or two (LaMarca and
-// Ladner's cache-aligned d-ary layout).
-type eventHeap struct {
-	keys []heapKey
-	slab []payload
-	// freeHead is 1 + the first free slab slot (0: none); a free slot's
-	// owner field is 1 + the next free slot, so the free list needs no side
-	// array.
-	freeHead int32
-}
-
-func (h *eventHeap) Len() int { return len(h.keys) }
-
-// head is the smallest pending key; the heap must be non-empty.
-func (h *eventHeap) head() heapKey { return h.keys[0] }
-
-func (h *eventHeap) push(ev *event) {
-	var slot int32
-	if h.freeHead > 0 {
-		slot = h.freeHead - 1
-		h.freeHead = h.slab[slot].owner
-		h.slab[slot] = ev.payload
-	} else {
-		slot = int32(len(h.slab))
-		h.slab = append(h.slab, ev.payload)
-	}
-	k := ev.heapKey
-	k.slot = slot
-	keys := append(h.keys, k)
-	h.keys = keys
-	i := len(keys) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.less(keys[parent]) {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
-	}
-	keys[i] = k
-}
-
-// pop removes the smallest event and returns its time and payload. Its slab
-// slot is zeroed onto the free list, so the heap keeps no reference to the
-// popped closure or argument. The root hole walks down the smallest child
-// to a leaf, and the former last key sifts up from there (Wegener's
-// bottom-up deletion): the last key almost always belongs near the bottom,
-// so this saves the comparison against it at every level.
-func (h *eventHeap) pop() (Time, payload) {
-	keys := h.keys
-	top := keys[0]
-	p := h.slab[top.slot]
-	h.slab[top.slot] = payload{owner: h.freeHead}
-	h.freeHead = top.slot + 1
-
-	n := len(keys) - 1
-	last := keys[n]
-	keys = keys[:n]
-	h.keys = keys
-	if n == 0 {
-		return top.t, p
-	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m, best := c, keys[c]
-		for j := c + 1; j < end; j++ {
-			if k := keys[j]; k.less(best) {
-				m, best = j, k
-			}
-		}
-		keys[i] = best
-		i = m
-	}
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !last.less(keys[parent]) {
-			break
-		}
-		keys[i] = keys[parent]
-		i = parent
-	}
-	keys[i] = last
-	return top.t, p
-}
-
-// appendPending appends every pending event, key and payload, in heap
-// (not key) order.
-func (h *eventHeap) appendPending(dst []event) []event {
-	for _, k := range h.keys {
-		dst = append(dst, event{heapKey: k, payload: h.slab[k.slot]})
-	}
-	return dst
-}
 
 // procState tracks the lifecycle of a simulated process.
 type procState int
@@ -308,7 +163,7 @@ type blocker interface {
 // (or GoAt), then call Run.
 type Engine struct {
 	now    Time
-	events eventHeap // the global lane; the only heap in serial mode
+	events eventQueue // the global lane; the only queue in serial mode
 	// seqs holds the per-origin event-creation counters that form the seq
 	// component of the ordering key; index is origin+1 so GlobalOwner maps
 	// to slot 0. Distinct origins never share a slot, so shard workers
@@ -463,7 +318,7 @@ func (e *Engine) scheduleProc(src *lane, now Time, origin, owner int, t Time, ki
 
 // scheduleEv stamps the event's ordering key — time t clamped to the
 // creating context's now, the next seq of origin's creation stream — and
-// routes it to the right heap or cross-shard outbox. src is the creating
+// routes it to the right queue or cross-shard outbox. src is the creating
 // lane (nil = coordinator). Payload representation (closure vs kind record)
 // plays no part in the key, which is what lets hot paths switch
 // representations without disturbing the bit-identity contract.
@@ -482,7 +337,7 @@ func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, p pa
 	}
 	e.seqs[idx]++
 	p.owner = int32(owner)
-	ev := event{heapKey{t: t, seq: e.seqs[idx], origin: int32(origin)}, p}
+	ev := event{eventKey{t: t, seq: e.seqs[idx], origin: int32(origin)}, p}
 	var dst *lane
 	if owner >= 0 && e.nshards > 1 {
 		dst = e.lanes[e.shardOf[owner]]
@@ -491,12 +346,12 @@ func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, p pa
 		if dst == nil {
 			e.events.push(&ev)
 		} else {
-			dst.heap.push(&ev)
+			dst.queue.push(&ev)
 		}
 		return
 	}
 	if dst == src {
-		src.heap.push(&ev)
+		src.queue.push(&ev)
 		return
 	}
 	// Leaving the creating shard: the event must clear the current lookahead
@@ -882,10 +737,10 @@ func (e *Engine) Shutdown() {
 		}
 	}
 	stopCarriers(&e.idle)
-	e.events = eventHeap{}
+	e.events = eventQueue{}
 	for _, ln := range e.lanes {
 		stopCarriers(&ln.idle)
-		ln.heap = eventHeap{}
+		ln.queue = eventQueue{}
 	}
 	e.stopWorkers()
 }
@@ -913,7 +768,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) PendingEvents() int {
 	n := e.events.Len()
 	for _, ln := range e.lanes {
-		n += ln.heap.Len()
+		n += ln.queue.Len()
 	}
 	return n
 }
