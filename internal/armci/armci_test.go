@@ -608,6 +608,19 @@ func TestLDFCompletesStormOnPartialTopologies(t *testing.T) {
 	}
 }
 
+// routedTopology replaces a topology's forwarding rule with next, for the
+// tests that show what a rule other than LDF does to the runtime.
+type routedTopology struct {
+	core.Topology
+	next core.NextHopFunc
+}
+
+func (r routedTopology) NextHop(src, dst int) int { return r.next(src, dst) }
+
+func (r routedTopology) Hop(src, dst int, _ func(int) bool) (int, bool) {
+	return r.next(src, dst), true
+}
+
 func TestMixedOrderForwardingDeadlocksEndToEnd(t *testing.T) {
 	// The negative control for LDF: the broken dst-parity routing rule
 	// must wedge the runtime, and the sim must report it as a deadlock.
@@ -615,8 +628,7 @@ func TestMixedOrderForwardingDeadlocksEndToEnd(t *testing.T) {
 	topo := core.MustNew(core.MFCG, 9)
 	cfg := DefaultConfig(9, 1)
 	cfg.BufsPerProc = 1 // tight pools make the cycle bind quickly
-	cfg.Topology = topo
-	cfg.RouteOverride = core.MixedOrderNextHop(topo)
+	cfg.Topology = routedTopology{topo, core.MixedOrderNextHop(topo)}
 	rt, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -649,8 +661,7 @@ func TestStallErrorNamesCreditStarvedEdges(t *testing.T) {
 	topo := core.MustNew(core.MFCG, 9)
 	cfg := DefaultConfig(9, 1)
 	cfg.BufsPerProc = 1
-	cfg.Topology = topo
-	cfg.RouteOverride = core.MixedOrderNextHop(topo)
+	cfg.Topology = routedTopology{topo, core.MixedOrderNextHop(topo)}
 	rt, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)

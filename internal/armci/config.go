@@ -120,12 +120,6 @@ type Config struct {
 	// Mutexes is the number of ARMCI mutexes, distributed round-robin
 	// across nodes (unitless count).
 	Mutexes int
-	// RouteOverride, when non-nil, replaces the topology's LDF next-hop
-	// rule. It exists to demonstrate (in tests and ablations) that naive
-	// forwarding orders deadlock where LDF does not. The override must
-	// still return directly connected hops.
-	RouteOverride core.NextHopFunc
-
 	// Faults, when non-nil, injects the spec's link and CHT failures into
 	// the run: the fabric stalls and reroutes around failed links, CHT
 	// forwarding detours around stalled helper threads, and the resilience
@@ -313,10 +307,10 @@ type OverloadConfig struct {
 // On confirmation or notice each survivor heals locally, with no extra protocol
 // round: sends parked on the dead edge are replayed through a
 // deterministically elected replacement forwarder (core.ReplacementHop —
-// an admissible LDF hop, so D <= M still holds), ops with no live route
-// fail their handles with *NodeFailedError, and the dead edge's
-// outstanding credits are written off against regeneration debt so late
-// acks can never overflow the pool. Retransmissions of in-flight chunks
+// the first live hop of Topology.Hop), ops with no live route fail their
+// handles with *NodeFailedError, and the dead edge's outstanding credits are
+// written off against regeneration debt so late acks can never overflow
+// the pool. Retransmissions of in-flight chunks
 // recompute their route per attempt and heal automatically.
 type HealConfig struct {
 	// Enabled arms the membership monitor and self-healing when the fault

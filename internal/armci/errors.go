@@ -7,9 +7,9 @@ import (
 )
 
 // NoRouteError reports a forwarding decision that does not correspond to a
-// directed edge of the virtual topology (a broken RouteOverride, or a
-// topology violating its own next-hop contract). The CHT fails the request
-// back to its origin instead of panicking or silently dropping it.
+// directed edge of the virtual topology (a topology violating its own
+// next-hop contract). The CHT fails the request back to its origin instead
+// of panicking or silently dropping it.
 type NoRouteError struct {
 	From, To int
 }

@@ -29,7 +29,7 @@ func faultedRuntime(t *testing.T, kind core.Kind, nodes, ppn int, spec string, t
 }
 
 // multiHopPair finds a src/dst whose first hop is an intermediate node with
-// at least one alternate admissible hop — the setup for a reroute test.
+// an alternate admissible hop around it — the setup for a reroute test.
 func multiHopPair(t *testing.T, topo core.Topology) (src, dst, mid int) {
 	t.Helper()
 	n := topo.Nodes()
@@ -39,10 +39,10 @@ func multiHopPair(t *testing.T, topo core.Topology) (src, dst, mid int) {
 				continue
 			}
 			mid = topo.NextHop(src, dst)
-			if mid == src || mid == dst {
+			if mid == dst {
 				continue
 			}
-			if len(core.AdmissibleHops(topo, src, dst)) >= 2 {
+			if _, ok := topo.Hop(src, dst, func(node int) bool { return node == mid }); ok {
 				return src, dst, mid
 			}
 		}
@@ -72,6 +72,14 @@ func TestCHTRerouteAroundStalledIntermediate(t *testing.T) {
 	}
 	if rt.Stats().Retries != 0 {
 		t.Errorf("reroute should avoid the stalled CHT without retries, got %d", rt.Stats().Retries)
+	}
+	// The stall is permanent, so the detour is still taken after the run,
+	// and it allocates nothing: src keeps one avoid predicate.
+	if hop := rt.nextHop(src, dst); hop == mid {
+		t.Fatalf("nextHop(%d, %d) still forwards through the stalled node %d", src, dst, mid)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { rt.nextHop(src, dst) }); allocs != 0 {
+		t.Errorf("a detour around the stalled node allocates %.1f times per forward", allocs)
 	}
 }
 
@@ -167,21 +175,21 @@ func TestCreditRegenReleasesStarvedSender(t *testing.T) {
 }
 
 func TestForwardNoRouteFailsChunk(t *testing.T) {
-	// RouteOverride steering a forward at an edge that does not exist in the
-	// virtual topology must surface a *NoRouteError, not drop the request.
+	// A forwarding rule steering a forward at an edge that does not exist in
+	// the virtual topology must surface a *NoRouteError, not drop the
+	// request.
 	eng := sim.New()
 	cfg := DefaultConfig(9, 1)
-	cfg.Topology = core.MustNew(core.MFCG, 9) // 3x3: 0 and 4 not adjacent
-	topo := cfg.Topology
+	topo := core.MustNew(core.MFCG, 9) // 3x3: 0 and 4 not adjacent
 	if topo.Connected(1, 8) {
 		t.Fatal("test premise broken: 3x3 MFCG connects 1-8")
 	}
-	cfg.RouteOverride = func(src, dst int) int {
+	cfg.Topology = routedTopology{topo, func(src, dst int) int {
 		if src == 1 {
 			return 8 // steer node 1's forward at a non-edge
 		}
 		return topo.NextHop(src, dst)
-	}
+	}}
 	rt, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)

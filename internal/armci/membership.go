@@ -34,12 +34,12 @@ import (
 //
 // On confirmation (or notice) the survivor heals locally with no extra
 // protocol round: sends parked on the dead edge replay through
-// core.ReplacementHop's deterministically elected substitute forwarder (an
-// admissible LDF hop, so the D <= M hop bound survives; deadlock freedom of
-// healed routes is not established, see core.ReplacementHop), ops with no
-// live route fail their handles with *NodeFailedError, and the dead edge's
-// outstanding credits are written off against regeneration debt so a late
-// ack can never overflow the pool. In-flight chunks heal through their
+// core.ReplacementHop's deterministically elected substitute forwarder (the
+// first live hop of Topology.Hop; deadlock freedom of healed routes is not
+// established, see core.ReplacementHop), ops with no live route fail their
+// handles with *NodeFailedError, and the dead edge's outstanding credits are
+// written off against regeneration debt so a late ack can never overflow
+// the pool. In-flight chunks heal through their
 // origin timeouts, which recompute the route (now avoiding the
 // confirmed-dead node) on every retransmission.
 
@@ -408,9 +408,10 @@ func (ns *nodeState) healDeadNeighbor(dead int) {
 
 // replayParked re-routes one send that was parked on a now-dead edge. The
 // replacement forwarder is elected deterministically (core.ReplacementHop
-// walks admissible LDF hops in dimension order), so every survivor with the
-// same view converges on the same route. Sends with no live admissible
-// route fail their handles; upstream buffers are released either way.
+// walks Topology.Hop's admissible hops in NextHop's order), so every
+// survivor with the same view converges on the same route. Sends with no
+// live admissible route fail their handles; upstream buffers are released
+// either way.
 func (ns *nodeState) replayParked(ps *pendingSend, dead int) {
 	rt := ns.rt
 	req := ps.req

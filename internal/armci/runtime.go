@@ -173,6 +173,9 @@ type nodeState struct {
 	// and its rings over their lines (nil unless healing is armed); see
 	// membership.go.
 	mv *memberView
+	// avoid is this node's hopAvoided predicate (see avoids), nil until
+	// its first detour.
+	avoid func(node int) bool
 	// ridSeq issues this node's request ids for timeout dedup; combined with
 	// the node id (see armTimeout) the result is runtime-unique without any
 	// cross-node counter.
@@ -764,26 +767,33 @@ func (rt *Runtime) BufferBytes(node int) int64 {
 	return int64(rt.topo.Degree(node)) * int64(rt.cfg.PPN) * int64(rt.cfg.BufsPerProc) * int64(rt.cfg.BufSize)
 }
 
-// nextHop resolves the forwarding rule in effect (LDF unless overridden).
-// When fault injection is on and the preferred intermediate's CHT is
-// stalled, it detours through the next admissible LDF hop — a different
-// dimension correction, so the D <= M bound of partially populated
-// topologies still holds (the same-dimension "detour" would route straight
-// back through the stalled node).
+// nextHop is the forwarding rule: the topology's NextHop (LDF), unless src
+// avoids that intermediate — its CHT is stalled by an injected fault or src
+// has confirmed it dead. Then it detours through the first hop of
+// Topology.Hop that src does not avoid — a different dimension correction,
+// so the D <= M bound of partially populated topologies still holds (the
+// same-dimension "detour" would route straight back through the avoided
+// node) — or keeps the preferred hop when every alternative is avoided too.
 func (rt *Runtime) nextHop(src, dst int) int {
-	if rt.cfg.RouteOverride != nil {
-		return rt.cfg.RouteOverride(src, dst)
-	}
 	next := rt.topo.NextHop(src, dst)
-	if next != dst && next != src && rt.hopAvoided(src, next) {
-		for _, alt := range core.AdmissibleHops(rt.topo, src, dst) {
-			if alt != next && !rt.hopAvoided(src, alt) {
-				rt.st(src).Reroutes++
-				return alt
-			}
-		}
+	if next == dst || !rt.hopAvoided(src, next) {
+		return next
+	}
+	if alt, ok := rt.topo.Hop(src, dst, rt.nodes[src].avoids()); ok {
+		rt.st(src).Reroutes++
+		return alt
 	}
 	return next
+}
+
+// avoids returns ns's hopAvoided predicate for Topology.Hop. It is built on
+// the first detour and kept, so forwarding allocates nothing per call and
+// runs that never detour never build it.
+func (ns *nodeState) avoids() func(node int) bool {
+	if ns.avoid == nil {
+		ns.avoid = func(node int) bool { return ns.rt.hopAvoided(ns.id, node) }
+	}
+	return ns.avoid
 }
 
 // hopAvoided reports whether src should not forward through node: its CHT is

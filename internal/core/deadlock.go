@@ -37,91 +37,87 @@ func CheckDeadlockFree(t Topology) error {
 }
 
 // CheckRouterDeadlockFree verifies an arbitrary routing rule over n nodes.
-// maxPath bounds route length so that a non-terminating rule is reported
-// instead of looping forever.
+// A rule that returns -1 at some step ends that pair's route where it
+// stands: the pair has no route on from there (a dead endpoint, every
+// forwarder avoided, or a send parked on a dead edge), so the dependencies
+// its route formed up to that node stay and it adds none beyond. maxPath
+// bounds route length in edges, so a non-terminating rule is reported
+// instead of looping forever. The cycle reported is deterministic: the
+// first the search meets, taking routes by source, then destination.
 func CheckRouterDeadlockFree(n int, next NextHopFunc, maxPath int) error {
-	type edge struct{ u, v int }
-	index := map[edge]int{}
-	var edges []edge
-	id := func(e edge) int {
-		if i, ok := index[e]; ok {
-			return i
-		}
-		i := len(edges)
-		index[e] = i
-		edges = append(edges, e)
-		return i
-	}
-	// adj[e1] lists edges e2 that some route enters immediately after e1.
-	adj := map[int]map[int]bool{}
+	// Edges are numbered in first-use order; edgeID[u*n+v] is edge u->v's
+	// number plus one (0: unused). succ[e] lists the edges some route
+	// enters immediately after edge e.
+	edgeID := make([]int32, n*n)
+	var edges [][2]int
+	var succ [][]int32
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			prev := -1
-			cur := src
-			for steps := 0; cur != dst; steps++ {
-				if steps > maxPath {
+			prev := int32(-1)
+			for cur, hops := src, 0; cur != dst; hops++ {
+				if hops == maxPath {
 					return fmt.Errorf("core: route %d->%d did not terminate within %d hops", src, dst, maxPath)
 				}
 				nxt := next(cur, dst)
-				if nxt == cur {
+				if nxt < 0 {
+					break // no route on from here
+				}
+				switch {
+				case nxt == cur:
 					return fmt.Errorf("core: route %d->%d stalled at %d", src, dst, cur)
+				case nxt >= n:
+					return fmt.Errorf("core: route %d->%d left the %d nodes at %d", src, dst, n, nxt)
 				}
-				e := id(edge{cur, nxt})
+				k := cur*n + nxt
+				if edgeID[k] == 0 {
+					edges = append(edges, [2]int{cur, nxt})
+					succ = append(succ, nil)
+					edgeID[k] = int32(len(edges))
+				}
+				e := edgeID[k] - 1
 				if prev >= 0 {
-					m := adj[prev]
-					if m == nil {
-						m = map[int]bool{}
-						adj[prev] = m
-					}
-					m[e] = true
+					succ[prev] = append(succ[prev], e)
 				}
-				prev = e
-				cur = nxt
+				prev, cur = e, nxt
 			}
 		}
 	}
-	// Iterative DFS cycle detection (colors: 0 white, 1 grey, 2 black).
+	// Iterative DFS cycle detection (colors: 0 white, 1 grey, 2 black). The
+	// stack is the grey path; pos[e] is the next successor of e to visit.
 	color := make([]int8, len(edges))
-	parent := make([]int, len(edges))
-	for i := range parent {
-		parent[i] = -1
-	}
-	var cycleAt, cycleFrom int
-	var visit func(int) bool
-	visit = func(u int) bool {
-		color[u] = 1
-		for v := range adj[u] {
+	pos := make([]int32, len(edges))
+	var stack []int32
+	for root := range edges {
+		if color[root] != 0 {
+			continue
+		}
+		color[root] = 1
+		stack = append(stack[:0], int32(root))
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			if int(pos[u]) == len(succ[u]) {
+				color[u] = 2
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			v := succ[u][pos[u]]
+			pos[u]++
 			switch color[v] {
 			case 0:
-				parent[v] = u
-				if visit(v) {
-					return true
-				}
+				color[v] = 1
+				stack = append(stack, v)
 			case 1:
-				cycleAt, cycleFrom = v, u
-				return true
+				// v is on the grey path: from v up to u it closes on v.
+				i := len(stack) - 1
+				for stack[i] != v {
+					i--
+				}
+				var cyc [][2]int
+				for _, e := range stack[i:] {
+					cyc = append(cyc, edges[e])
+				}
+				return &CycleError{Edges: append(cyc, edges[v])}
 			}
-		}
-		color[u] = 2
-		return false
-	}
-	for i := range edges {
-		if color[i] == 0 && visit(i) {
-			// Reconstruct the cycle.
-			var cyc [][2]int
-			cyc = append(cyc, [2]int{edges[cycleAt].u, edges[cycleAt].v})
-			for u := cycleFrom; u != cycleAt && u != -1; u = parent[u] {
-				cyc = append(cyc, [2]int{edges[u].u, edges[u].v})
-			}
-			// Reverse into forward order and close the loop.
-			for l, r := 0, len(cyc)-1; l < r; l, r = l+1, r-1 {
-				cyc[l], cyc[r] = cyc[r], cyc[l]
-			}
-			cyc = append(cyc, cyc[0])
-			return &CycleError{Edges: cyc}
 		}
 	}
 	return nil

@@ -170,55 +170,45 @@ func (d *dragonfly) Degree(node int) int {
 // A gateway is usable only when its index is also >= the destination index,
 // so the arrival hop descends; the hub (index a-1) always qualifies.
 func (d *dragonfly) NextHop(src, dst int) int {
+	if hop, ok := d.Hop(src, dst, nil); ok {
+		return hop
+	}
+	panic(fmt.Sprintf("core: dragonfly found no hop %d->%d on %v", src, dst, d))
+}
+
+// Hop's admissible hops keep the route inside the ascending/descending class
+// discipline: src's own global link, then every usable gateway above it,
+// lowest first. Inside a group the only admissible hop is dst: any detour
+// would add a second local hop in the same class and break the ordering
+// argument. Each gateway climbed past an avoided landing router adds one
+// ascending local hop, so a route around k avoided nodes takes at most
+// MaxHops + k hops.
+func (d *dragonfly) Hop(src, dst int, avoid func(node int) bool) (int, bool) {
 	d.checkNode(src)
 	d.checkNode(dst)
 	if src == dst {
-		return src
+		return src, true
 	}
 	sg, si := src/d.routers, src%d.routers
 	tg, ti := dst/d.routers, dst%d.routers
 	if sg == tg {
-		return dst
+		return dst, true
 	}
-	if si >= ti && d.hasGlobal(sg, tg, si) {
-		return tg*d.routers + si // take our own global link
-	}
-	for j := si + 1; j < d.routers; j++ {
-		if j >= ti && d.hasGlobal(sg, tg, j) {
-			return sg*d.routers + j // climb to the lowest usable gateway
+	if si >= ti && d.hasGlobal(sg, tg, si) { // take our own global link
+		if hop := tg*d.routers + si; avoid == nil || hop == dst || !avoid(hop) {
+			return hop, true
 		}
 	}
-	panic(fmt.Sprintf("core: dragonfly found no hop %d->%d on %v", src, dst, d))
+	for j := si + 1; j < d.routers; j++ {
+		if j >= ti && d.hasGlobal(sg, tg, j) { // climb to the lowest usable gateway
+			if hop := sg*d.routers + j; avoid == nil || !avoid(hop) {
+				return hop, true
+			}
+		}
+	}
+	return -1, false
 }
 
 // MaxHops is 3: ascend to a gateway, cross the global link, descend to the
 // destination.
 func (d *dragonfly) MaxHops() int { return 3 }
-
-// AdmissibleHops lists every next hop from src toward dst that keeps the
-// route minimal (<= 3 hops) and preserves the ascending/descending class
-// discipline, preferred hop first — the same contract the grid family's
-// dimension-correction hops satisfy. core.AdmissibleHops delegates here, so
-// fault reroute and self-healing elect replacements that stay deadlock-free.
-func (d *dragonfly) AdmissibleHops(src, dst int) []int {
-	if src == dst {
-		return nil
-	}
-	sg, si := src/d.routers, src%d.routers
-	tg, ti := dst/d.routers, dst%d.routers
-	if sg == tg {
-		// Intra-group hops are direct: any detour would add a second local
-		// hop in the same class and break the ordering argument.
-		return []int{dst}
-	}
-	var out []int
-	if si >= ti && d.hasGlobal(sg, tg, si) {
-		out = append(out, tg*d.routers+si)
-	}
-	for j := si + 1; j < d.routers; j++ {
-		if j >= ti && d.hasGlobal(sg, tg, j) {
-			out = append(out, sg*d.routers+j)
-		}
-	}
-	return out
-}

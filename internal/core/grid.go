@@ -90,13 +90,6 @@ func (g *grid) NodeAt(coord []int) int {
 	return id
 }
 
-// coordInto is Coord without allocation, for hot paths.
-func (g *grid) coordInto(node int, c []int) {
-	for i := range g.shape {
-		c[i] = node / g.stride[i] % g.shape[i]
-	}
-}
-
 func (g *grid) Connected(a, b int) bool {
 	g.checkNode(a)
 	g.checkNode(b)
@@ -163,32 +156,33 @@ func (g *grid) Degree(node int) int {
 // node ordering guarantees such a dimension exists for the 1-D, 2-D and 3-D
 // grids and for full hypercubes.
 func (g *grid) NextHop(src, dst int) int {
+	if hop, ok := g.Hop(src, dst, nil); ok {
+		return hop
+	}
+	panic(fmt.Sprintf("core: extended LDF found no valid hop %d->%d on %v", src, dst, g))
+}
+
+// Hop's admissible hops are the populated single-dimension corrections,
+// lowest dimension first: each corrects one whole differing dimension, so
+// every one of them keeps the route within MaxHops, and the first is LDF's.
+// The later ones correct dimensions out of LDF order.
+func (g *grid) Hop(src, dst int, avoid func(node int) bool) (int, bool) {
 	g.checkNode(src)
 	g.checkNode(dst)
 	if src == dst {
-		return src
+		return src, true
 	}
-	k := len(g.shape)
-	var sbuf, tbuf [16]int // 16 dims covers a 64k-node hypercube allocation-free
-	var s, t []int
-	if k <= len(sbuf) {
-		s, t = sbuf[:k], tbuf[:k]
-	} else {
-		s, t = make([]int, k), make([]int, k)
-	}
-	g.coordInto(src, s)
-	g.coordInto(dst, t)
-	for i := 0; i < k; i++ {
-		if s[i] == t[i] {
+	for i, st := range g.stride {
+		s, t := src/st%g.shape[i], dst/st%g.shape[i]
+		if s == t {
 			continue
 		}
 		// Candidate D: src with dimension i corrected.
-		d := src + (t[i]-s[i])*g.stride[i]
-		if d < g.n {
-			return d
+		if d := src + (t-s)*st; d < g.n && (avoid == nil || d == dst || !avoid(d)) {
+			return d, true
 		}
 	}
-	panic(fmt.Sprintf("core: extended LDF found no valid hop %d->%d on %v", src, dst, g))
+	return -1, false
 }
 
 func (g *grid) MaxHops() int { return len(g.shape) }

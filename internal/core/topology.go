@@ -125,7 +125,15 @@ type Topology interface {
 	Degree(node int) int
 	// NextHop returns the next node on the LDF route from src toward dst;
 	// it returns dst when directly connected and src when src == dst.
+	// It is Hop(src, dst, nil).
 	NextHop(src, dst int) int
+	// Hop walks the family's admissible next hops from src toward dst in
+	// NextHop's order and returns the first that is dst itself or that
+	// avoid does not reject; a nil avoid rejects nothing. ok is false when
+	// avoid rejects every admissible hop. Hop(src, src, _) is src. Every
+	// admissible hop is a neighbour or dst, and only NextHop's order is
+	// guaranteed deadlock-free (see ReplacementHop).
+	Hop(src, dst int, avoid func(node int) bool) (hop int, ok bool)
 	// MaxHops returns an upper bound on route length (in edges) between
 	// any pair of nodes.
 	MaxHops() int

@@ -505,6 +505,17 @@ func BenchmarkNextHop(b *testing.B) {
 	}
 }
 
+// BenchmarkHopAvoiding times the armed forwarding path: Hop around two dead
+// nodes on MFCG 512, the detour a runtime takes after a crash.
+func BenchmarkHopAvoiding(b *testing.B) {
+	g := MustNew(MFCG, 512)
+	down := func(node int) bool { return node%256 == 7 } // 7 and 263
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Hop(i%512, (i*7+13)%512, down)
+	}
+}
+
 func BenchmarkRoute(b *testing.B) {
 	for _, kind := range Kinds {
 		g := MustNew(kind, 1024)
