@@ -56,11 +56,11 @@ func (rt *Runtime) checkpointSection() []byte {
 	}))
 
 	enc.Str("egress")
-	enc.U64(ckpt.ParallelMix(len(rt.egArena), func(lo, hi int) uint64 {
+	enc.U64(ckpt.ParallelMix(len(rt.egPtr), func(lo, hi int) uint64 {
 		h := ckpt.MixInit
 		for i := lo; i < hi; i++ {
-			eg := &rt.egArena[i]
-			if eg.credits == eg.capacity && len(eg.pending) == 0 &&
+			eg := rt.egPtr[i]
+			if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
 				eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
 				continue // untouched edge: full credits, no history
 			}

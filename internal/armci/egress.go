@@ -24,9 +24,11 @@ import (
 // head-of-line blocked on one stalled forward would couple all of a node's
 // buffer classes and deadlock even under LDF.
 //
-// Egresses live by value in Runtime.egArena, node-major in sorted-neighbor
-// order: a node's out-edge state is one contiguous run of the slab, found by
-// index arithmetic (nodeState.egAt), not a per-node map.
+// An egress exists only once its edge is used: Runtime.egPtr holds one
+// pointer per edge, node-major in sorted-neighbor order and found by index
+// arithmetic (nodeState.egAt), not a per-node map. The first use carves the
+// record from a runtime-owned slab; until then the nil entry stands for a
+// fresh, full credit pool with nothing parked.
 type egress struct {
 	rt       *Runtime
 	from, to int

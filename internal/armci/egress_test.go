@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"slices"
 	"testing"
 
 	"armcivt/internal/core"
@@ -156,5 +157,87 @@ func TestMaxCHTBacklogTracked(t *testing.T) {
 	}
 	if rt.Stats().MaxCHTBacklog == 0 {
 		t.Error("CHT backlog never recorded under fan-in")
+	}
+}
+
+// TestEgressesFollowUse pins that per-edge state follows use: a
+// Hypercube-1024 run whose ranks all return at once builds no egress, and one
+// remote fetch-add from node 1023 to node 0 builds exactly one egress per hop
+// of core.Route. The
+// response goes straight back over the fabric, not over the topology's
+// edges, and each hop's credit ack releases the egress its sender built, so
+// nothing else is built.
+func TestEgressesFollowUse(t *testing.T) {
+	const nodes = 1024
+	topo := core.MustNew(core.Hypercube, nodes)
+	run := func(body func(r *Rank)) *Runtime {
+		cfg := DefaultConfig(nodes, 1)
+		cfg.Topology = topo
+		rt := MustNew(sim.New(), cfg)
+		rt.Alloc("ctr", 8)
+		if err := rt.Run(body); err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	built := func(rt *Runtime) [][2]int {
+		var out [][2]int
+		for _, eg := range rt.egPtr {
+			if eg != nil {
+				out = append(out, [2]int{eg.from, eg.to})
+			}
+		}
+		return out
+	}
+
+	idle := run(func(*Rank) {})
+	if got := built(idle); len(got) != 0 {
+		t.Errorf("an idle run built %d egresses, want 0: %v", len(got), got)
+	}
+
+	rt := run(func(r *Rank) {
+		if r.Rank() == nodes-1 {
+			r.FetchAdd(0, "ctr", 0, 1)
+		}
+	})
+	route := core.Route(topo, nodes-1, 0)
+	var want [][2]int
+	for k := len(route) - 2; k >= 0; k-- { // egPtr is node-major, and the route descends
+		want = append(want, [2]int{route[k], route[k+1]})
+	}
+	if got := built(rt); !slices.Equal(got, want) {
+		t.Errorf("one fetch-add along %v built egresses %v, want one per hop %v", route, got, want)
+	}
+	for _, eg := range rt.egPtr {
+		if eg != nil && (eg.transmits != 1 || eg.credits != eg.capacity) {
+			t.Errorf("egress %d->%d: %d transmits, credits %d/%d; want 1 transmit and its credit acked back",
+				eg.from, eg.to, eg.transmits, eg.credits, eg.capacity)
+		}
+	}
+}
+
+// TestEdgeArenaMatchesTotalEdges checks the per-edge arena New sizes from one
+// neighbour walk per node against core.TotalEdges, and each node's slice of
+// it against Neighbors, on every family including ragged partial shapes.
+func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 16, 30, 64, 100} {
+		for _, kind := range core.AllKinds {
+			topo, err := core.New(kind, n)
+			if err != nil {
+				continue
+			}
+			cfg := DefaultConfig(n, 1)
+			cfg.Topology = topo
+			rt := MustNew(sim.New(), cfg)
+			if got, want := len(rt.egPtr), core.TotalEdges(topo); got != want {
+				t.Errorf("%v: edge arena holds %d slots, want %d", topo, got, want)
+			}
+			for v := range rt.nodes {
+				ns := &rt.nodes[v]
+				if !slices.Equal(ns.nbrs, topo.Neighbors(v)) || (v+1 < n && rt.nodes[v+1].egBase != ns.egBase+len(ns.nbrs)) {
+					t.Fatalf("%v: node %d owns arena [%d, +%d) = %v, want Neighbors %v", topo, v, ns.egBase, len(ns.nbrs), ns.nbrs, topo.Neighbors(v))
+				}
+			}
+		}
 	}
 }

@@ -133,8 +133,8 @@ func (ln *ringLine) pred(mv *memberView) int32 {
 // arena uses).
 func (rt *Runtime) newMemberViews() {
 	views := make([]memberView, len(rt.nodes))
-	heard := make([]sim.Time, len(rt.egArena))
-	state := make([]memberState, len(rt.egArena))
+	heard := make([]sim.Time, len(rt.egPtr))
+	state := make([]memberState, len(rt.egPtr))
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
 		lo, hi := ns.egBase, ns.egBase+len(ns.nbrs)
@@ -497,7 +497,10 @@ func (ns *nodeState) crashStop() {
 	}
 	ns.pendingSrcs = 0
 	for i := range ns.nbrs {
-		eg := ns.egAt(i)
+		eg := ns.egBuilt(i)
+		if eg == nil {
+			continue
+		}
 		for j, ps := range eg.pending {
 			// Unblock any of this node's ranks parked on a credit; their
 			// handles fail below. Forward finish callbacks are dropped —
@@ -530,7 +533,9 @@ func (ns *nodeState) crashStop() {
 func (ns *nodeState) recoverNode() {
 	rt := ns.rt
 	for i := range ns.nbrs {
-		ns.egAt(i).reset()
+		if eg := ns.egBuilt(i); eg != nil {
+			eg.reset()
+		}
 	}
 	if ns.mv != nil {
 		ns.mv.refresh(rt.eng.Now())

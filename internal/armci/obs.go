@@ -212,15 +212,17 @@ func (rt *Runtime) FillMetrics() {
 	reg.Counter("armci_cht_served", otherClass).Add(float64(otherServed))
 
 	// Per-edge buffer occupancy: peak buffers in use on every directed
-	// edge of the virtual topology, as a distribution plus the pool size.
+	// edge of the virtual topology (0 on an edge never built), as a
+	// distribution plus the pool size.
 	peak := reg.Histogram("armci_edge_buffer_peak", obs.CountBuckets)
 	edges := reg.Counter("armci_edges_total")
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
-		for i := range ns.nbrs {
-			peak.Observe(float64(ns.egAt(i).peakInUse))
-			edges.Inc()
+	for _, eg := range rt.egPtr {
+		used := 0
+		if eg != nil {
+			used = eg.peakInUse
 		}
+		peak.Observe(float64(used))
+		edges.Inc()
 	}
 	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.cfg.PPN * rt.cfg.BufsPerProc))
 

@@ -2,7 +2,6 @@ package armci
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"armcivt/internal/core"
@@ -27,10 +26,20 @@ type Runtime struct {
 	// lifetime.
 	nodes []nodeState
 	ranks []Rank
-	// egArena backs every node's egress state in one contiguous slab, laid
-	// out node-major: node n's out-edges occupy egArena[nodes[n].egBase:]
-	// in sorted-neighbor order (see nodeState.nbrs).
-	egArena []egress
+	// egPtr holds one pointer per directed virtual-topology edge, laid out
+	// node-major: node n's edge toward nodes[n].nbrs[i] is
+	// egPtr[nodes[n].egBase+i]. An entry stays nil until the edge is first
+	// used (nodeState.egAt), and nil means a fresh, full credit pool with
+	// nothing parked, so a run pays for the edges it uses, not for every
+	// edge the topology allows.
+	egPtr []*egress
+	// egSlab is the unused tail of the chunk first-use egresses are carved
+	// from, and egUnbuilt counts the nil entries of egPtr, which bounds the
+	// next chunk (see nodeState.buildEg). egMu guards both: shards build
+	// their nodes' egresses concurrently.
+	egMu      sync.Mutex
+	egSlab    []egress
+	egUnbuilt int
 
 	allocs map[string]*allocation
 	// allocsMu guards the allocs map: Malloc may be called concurrently from
@@ -144,12 +153,13 @@ type nodeState struct {
 	inbox *sim.Queue[*request]
 	// nbrs lists this node's virtual-topology neighbors in sorted order. It
 	// is the index space for every per-edge array below: neighbor nbrs[i]
-	// owns egress slot rt.egArena[egBase+i], pending count pendingBySrc[i],
+	// owns egress slot rt.egPtr[egBase+i], pending count pendingBySrc[i],
 	// and (with adaptive credits) inCap[i]/lastShift[i]. Lookup is a binary
 	// search (nbrIdx) — degree is logarithmic on the scalable topologies, so
 	// the search beats a per-node map in both bytes and cycles.
 	nbrs []int
-	// egBase is the index of this node's first egress in rt.egArena.
+	// egBase is the index of this node's first edge in rt.egPtr (and in
+	// every other runtime-wide per-edge arena).
 	egBase int
 	// pendingBySrc counts buffered requests per upstream neighbor (indexed
 	// like nbrs), driving the CHT poll-cost model; pendingSrcs is the number
@@ -226,8 +236,46 @@ func (ns *nodeState) nbrIdx(peer int) int {
 	return -1
 }
 
-// egAt returns the egress toward neighbor ns.nbrs[i].
-func (ns *nodeState) egAt(i int) *egress { return &ns.rt.egArena[ns.egBase+i] }
+// egAt returns the egress toward neighbor ns.nbrs[i], building it on first
+// use. Call it from this node's owner context: that is where the entry is
+// written. The build is a separate call so that egAt inlines.
+func (ns *nodeState) egAt(i int) *egress {
+	if eg := ns.rt.egPtr[ns.egBase+i]; eg != nil {
+		return eg
+	}
+	return ns.buildEg(i)
+}
+
+// egBuilt returns the egress toward neighbor ns.nbrs[i], or nil if the edge
+// has never been used: a fresh, full credit pool with nothing parked. Loops
+// over a node's edges use it so that reading state builds none.
+func (ns *nodeState) egBuilt(i int) *egress { return ns.rt.egPtr[ns.egBase+i] }
+
+// egChunk is the most egresses one slab chunk holds (128 KiB).
+const egChunk = 1024
+
+// buildEg carves the egress toward ns.nbrs[i] from the runtime's slab.
+// Chunks grow with the number of egresses built so far, from 16 up to
+// egChunk, and never exceed the edges still unbuilt: a run that uses a
+// handful of edges allocates a handful of records, one that uses thousands
+// a few chunks, and none allocates more records than the topology has
+// edges.
+func (ns *nodeState) buildEg(i int) *egress {
+	rt := ns.rt
+	rt.egMu.Lock()
+	if len(rt.egSlab) == 0 {
+		built := len(rt.egPtr) - rt.egUnbuilt
+		rt.egSlab = make([]egress, min(max(built, 16), egChunk, rt.egUnbuilt))
+	}
+	eg := &rt.egSlab[0]
+	rt.egSlab = rt.egSlab[1:]
+	rt.egUnbuilt--
+	rt.egMu.Unlock()
+	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
+	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: poolCap, capacity: poolCap}
+	rt.egPtr[ns.egBase+i] = eg
+	return eg
+}
 
 // neverShifted marks an in-edge that has never shifted a credit: far enough
 // in the past that no cooldown window can cover it (a zero Time would make
@@ -312,21 +360,21 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	for m := range rt.mutexes {
 		rt.mutexes[m].owner = -1
 	}
-	// Per-node state is flattened into three contiguous arenas (nodes, the
-	// neighbor-id backing array, and egArena) plus one neighbor scan. The
-	// sorted neighbor list doubles as the index space for every per-edge
-	// array, so the maps a 64k-node job would otherwise hold per node
-	// (egress, pending counts, adaptive capacities) collapse into slices.
+	// Per-node state is flattened into contiguous arenas built from one
+	// neighbor walk per node. The sorted neighbor list doubles as the index
+	// space for every per-edge array, so the maps a 64k-node job would
+	// otherwise hold per node (egress, pending counts, adaptive capacities)
+	// collapse into slices. Node 0 has the largest degree on the grid
+	// family, so Nodes times its degree bounds the arena there.
 	rt.nodes = make([]nodeState, cfg.Nodes)
-	poolCap := cfg.PPN * cfg.BufsPerProc
-	edges := 0
-	degrees := make([]int, cfg.Nodes)
-	for n := 0; n < cfg.Nodes; n++ {
-		degrees[n] = rt.topo.Degree(n)
-		edges += degrees[n]
+	nbrArena := make([]int, 0, cfg.Nodes*rt.topo.Degree(0))
+	for n := range rt.nodes {
+		rt.nodes[n].egBase = len(nbrArena)
+		nbrArena = rt.topo.AppendNeighbors(nbrArena, n)
 	}
-	nbrArena := make([]int, edges)
-	rt.egArena = make([]egress, edges)
+	edges := len(nbrArena)
+	rt.egPtr = make([]*egress, edges)
+	rt.egUnbuilt = edges
 	pendArena := make([]int32, edges)
 	var capArena []int
 	var shiftArena []sim.Time
@@ -334,23 +382,20 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		capArena = make([]int, edges)
 		shiftArena = make([]sim.Time, edges)
 	}
-	base := 0
-	for n := 0; n < cfg.Nodes; n++ {
+	poolCap := cfg.PPN * cfg.BufsPerProc
+	for n := range rt.nodes {
 		ns := &rt.nodes[n]
-		deg := degrees[n]
-		nbrs := nbrArena[base : base : base+deg]
-		nbrs = append(nbrs, rt.topo.Neighbors(n)...)
-		sort.Ints(nbrs)
+		lo, hi := ns.egBase, edges
+		if n+1 < len(rt.nodes) {
+			hi = rt.nodes[n+1].egBase
+		}
 		*ns = nodeState{
 			id:           n,
 			rt:           rt,
-			inbox:        sim.NewQueue[*request](eng, fmt.Sprintf("cht%d", n)),
-			nbrs:         nbrs,
-			egBase:       base,
-			pendingBySrc: pendArena[base : base+deg : base+deg],
-		}
-		for i, peer := range nbrs {
-			rt.egArena[base+i] = egress{rt: rt, from: n, to: peer, credits: poolCap, capacity: poolCap}
+			inbox:        sim.NewNumberedQueue[*request](eng, "cht", n),
+			nbrs:         nbrArena[lo:hi:hi],
+			egBase:       lo,
+			pendingBySrc: pendArena[lo:hi:hi],
 		}
 		if cfg.RequestTimeout > 0 {
 			ns.rids = map[uint64]dupState{}
@@ -359,14 +404,13 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 			ns.pacers = map[int]*pacer{}
 		}
 		if cfg.Adaptive.Enabled {
-			ns.inCap = capArena[base : base+deg : base+deg]
-			ns.lastShift = shiftArena[base : base+deg : base+deg]
+			ns.inCap = capArena[lo:hi:hi]
+			ns.lastShift = shiftArena[lo:hi:hi]
 			for i := range ns.inCap {
 				ns.inCap[i] = poolCap
 				ns.lastShift[i] = neverShifted
 			}
 		}
-		base += deg
 	}
 	rt.ranks = make([]Rank, cfg.Nodes*cfg.PPN)
 	rt.world = make([]int, len(rt.ranks))
@@ -694,8 +738,8 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 		return err
 	}
 	stall := &StallError{WatchdogError: we}
-	for i := range rt.egArena {
-		if eg := &rt.egArena[i]; len(eg.pending) > 0 {
+	for _, eg := range rt.egPtr {
+		if eg != nil && len(eg.pending) > 0 {
 			stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, eg.capacity, len(eg.pending)})
 		}
 	}
@@ -714,12 +758,12 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	// owner, so in sharded mode all of a node's activity runs on one shard.
 	for i := range rt.nodes {
 		ns := &rt.nodes[i]
-		rt.eng.SpawnStepOn(ns.id, fmt.Sprintf("cht%d", ns.id), ns.chtStep)
+		rt.eng.SpawnStepOn(ns.id, "cht", ns.id, ns.chtStep)
 	}
 	rt.liveRanks = len(rt.ranks)
 	for i := range rt.ranks {
 		r := &rt.ranks[i]
-		r.proc = rt.eng.SpawnOn(r.node, fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
+		r.proc = rt.eng.SpawnNumberedOn(r.node, "rank", r.rank, func(p *sim.Proc) {
 			body(r)
 			// Aggregated operations still buffered when the body returns
 			// would otherwise never be injected.
@@ -831,15 +875,18 @@ func (rt *Runtime) egressFor(node, peer int) (*egress, error) {
 
 // returnCredit sends an ack from node back to peer releasing one buffer
 // credit for the peer->node edge; the pooled delivery trampoline (ackFn)
-// carries the egress record itself, so no per-ack closure is allocated.
+// carries the egress record itself, so no per-ack closure is allocated. The
+// request being acknowledged crossed that edge, so peer built its egress
+// before sending it: the lookup runs in node's context but builds nothing.
 func (rt *Runtime) returnCredit(node, peer int) {
 	rt.net.SendArg(node, peer, ackBytes, rt.ackFn, rt.egressTo(peer, node))
 }
 
 // CheckCreditInvariants verifies the buffer-accounting invariants the
 // protocol maintains through faults, healing, aggregation and adaptive
-// shifting: every egress holds 0 <= credits <= capacity with non-negative
-// debts, and every adaptive node's in-edge capacities sum to degree *
+// shifting: every built egress holds 0 <= credits <= capacity with
+// non-negative debts (an unbuilt one is a full pool and holds them
+// trivially), and every adaptive node's in-edge capacities sum to degree *
 // (PPN * BufsPerProc) with each at least 1 (the LDF liveness floor). The
 // chaos harness and property tests call it after every run.
 func (rt *Runtime) CheckCreditInvariants() error {
@@ -847,7 +894,10 @@ func (rt *Runtime) CheckCreditInvariants() error {
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
 		for i, peer := range ns.nbrs {
-			eg := ns.egAt(i)
+			eg := ns.egBuilt(i)
+			if eg == nil {
+				continue
+			}
 			if eg.credits < 0 || eg.credits > eg.capacity {
 				return fmt.Errorf("armci: egress %d->%d credits %d outside [0,%d]",
 					ns.id, peer, eg.credits, eg.capacity)

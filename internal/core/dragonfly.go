@@ -133,22 +133,28 @@ func (d *dragonfly) Connected(a, b int) bool {
 }
 
 func (d *dragonfly) Neighbors(node int) []int {
+	return d.AppendNeighbors(make([]int, 0, d.Degree(node)), node)
+}
+
+// AppendNeighbors walks the groups in ascending order, so the peers come out
+// sorted: the node's own group whole, one global peer from each other group
+// it links to.
+func (d *dragonfly) AppendNeighbors(dst []int, node int) []int {
 	d.checkNode(node)
 	g, i := node/d.routers, node%d.routers
-	out := make([]int, 0, d.Degree(node))
 	for c := 0; c < d.groups; c++ {
 		if c == g {
 			base := g * d.routers
 			for j := 0; j < d.routers; j++ {
 				if j != i {
-					out = append(out, base+j)
+					dst = append(dst, base+j)
 				}
 			}
 		} else if d.hasGlobal(g, c, i) {
-			out = append(out, c*d.routers+i)
+			dst = append(dst, c*d.routers+i)
 		}
 	}
-	return out // group-ascending construction is already sorted
+	return dst
 }
 
 func (d *dragonfly) Degree(node int) int {

@@ -110,42 +110,56 @@ func (g *grid) Connected(a, b int) bool {
 }
 
 func (g *grid) Neighbors(node int) []int {
-	g.checkNode(node)
-	var out []int
-	c := g.Coord(node)
-	for i := range g.shape {
-		orig := c[i]
-		for v := 0; v < g.shape[i]; v++ {
-			if v == orig {
-				continue
-			}
-			c[i] = v
-			if id := g.NodeAt(c); id >= 0 {
-				out = append(out, id)
-			}
-		}
-		c[i] = orig
-	}
-	sortInts(out)
-	return out
+	return g.AppendNeighbors(make([]int, 0, g.Degree(node)), node)
 }
 
+// AppendNeighbors walks node's peers arithmetically, in ascending order by
+// construction: first the lower peers, highest dimension first (a lower
+// peer in dimension i lies within stride[i+1] below node, above every lower
+// peer of a higher dimension), then the higher peers, lowest dimension
+// first. Lower peers are always populated; the higher peers of a dimension
+// ascend, so the first unpopulated one ends the walk. The first pass peels
+// node's coordinates off highest first, one division per dimension, and
+// keeps them for the second.
+func (g *grid) AppendNeighbors(dst []int, node int) []int {
+	g.checkNode(node)
+	var cbuf [64]int
+	c := cbuf[:]
+	if len(g.shape) > len(cbuf) {
+		c = make([]int, len(g.shape))
+	}
+	rem := node
+	for i := len(g.shape) - 1; i >= 0; i-- {
+		st := g.stride[i]
+		c[i] = rem / st
+		rem -= c[i] * st
+		for id := node - c[i]*st; id < node; id += st {
+			dst = append(dst, id)
+		}
+	}
+	for i, st := range g.stride {
+		for k, id := c[i]+1, node+st; k < g.shape[i]; k, id = k+1, id+st {
+			if id >= g.n {
+				return dst
+			}
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// Degree counts, per dimension, the populated peers on node's line: every
+// lower one, and the higher ones below n.
 func (g *grid) Degree(node int) int {
 	g.checkNode(node)
 	deg := 0
-	c := g.Coord(node)
-	for i := range g.shape {
-		orig := c[i]
-		for v := 0; v < g.shape[i]; v++ {
-			if v == orig {
-				continue
-			}
-			c[i] = v
-			if g.NodeAt(c) >= 0 {
-				deg++
-			}
+	for i, st := range g.stride {
+		c := node / st % g.shape[i]
+		higher := g.shape[i] - 1 - c
+		if room := (g.n - 1 - node) / st; room < higher {
+			higher = room
 		}
-		c[i] = orig
+		deg += c + higher
 	}
 	return deg
 }
@@ -186,13 +200,3 @@ func (g *grid) Hop(src, dst int, avoid func(node int) bool) (int, bool) {
 }
 
 func (g *grid) MaxHops() int { return len(g.shape) }
-
-func sortInts(a []int) {
-	// insertion sort: neighbor lists are produced nearly sorted and small
-	// relative to N, and this avoids pulling in sort for a hot path.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
-}

@@ -121,6 +121,9 @@ type Topology interface {
 	// Neighbors returns the direct peers of node in ascending order. Its
 	// length is the node's buffer out-degree.
 	Neighbors(node int) []int
+	// AppendNeighbors appends Neighbors(node) to dst and returns the
+	// extended slice; it allocates only when dst must grow.
+	AppendNeighbors(dst []int, node int) []int
 	// Degree returns len(Neighbors(node)) without allocating.
 	Degree(node int) int
 	// NextHop returns the next node on the LDF route from src toward dst;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,28 +202,63 @@ func TestConnectedSymmetricIrreflexive(t *testing.T) {
 	}
 }
 
+// TestNeighborsMatchConnected pins the arithmetic neighbour walk against
+// Connected on every node of every family at every valid n up to 300,
+// and on partial explicit shapes, whose ragged top hyperplanes are where the
+// walk's early exit matters: Neighbors(v) and AppendNeighbors(prefix, v) must
+// list exactly the u with Connected(v, u), ascending, and Degree(v) must
+// equal the count.
 func TestNeighborsMatchConnected(t *testing.T) {
-	for _, kind := range Kinds {
-		g := MustNew(kind, 16)
-		for v := 0; v < 16; v++ {
-			nb := g.Neighbors(v)
-			if len(nb) != g.Degree(v) {
-				t.Errorf("%v: len(Neighbors(%d))=%d != Degree=%d", kind, v, len(nb), g.Degree(v))
-			}
-			seen := map[int]bool{}
-			for _, u := range nb {
-				seen[u] = true
-				if !g.Connected(v, u) {
-					t.Errorf("%v: neighbor %d of %d not Connected", kind, u, v)
-				}
-			}
-			for u := 0; u < 16; u++ {
-				if g.Connected(v, u) && !seen[u] {
-					t.Errorf("%v: Connected(%d,%d) but missing from Neighbors", kind, v, u)
-				}
+	var topos []Topology
+	for n := 1; n <= 300; n++ {
+		for _, kind := range AllKinds {
+			if g, err := New(kind, n); err == nil {
+				topos = append(topos, g)
 			}
 		}
 	}
+	for x := 1; x <= 6; x++ {
+		for y := 1; y <= 6; y++ {
+			for n := 1; n <= x*y; n++ {
+				topos = append(topos, mustTopo(NewMesh(x, y, n)))
+			}
+		}
+	}
+	for _, s := range [][3]int{{2, 2, 2}, {3, 3, 3}, {4, 2, 3}, {2, 5, 2}, {1, 3, 4}} {
+		for n := 1; n <= s[0]*s[1]*s[2]; n++ {
+			topos = append(topos, mustTopo(NewCube(s[0], s[1], s[2], n)))
+		}
+	}
+	for n := 1; n <= 24; n++ {
+		topos = append(topos, mustTopo(NewHyperX([]int{3, 1, 4, 2}, n)))
+	}
+	prefix := []int{-7, -8}
+	for _, g := range topos {
+		for v := 0; v < g.Nodes(); v++ {
+			var want []int
+			for u := 0; u < g.Nodes(); u++ {
+				if g.Connected(v, u) {
+					want = append(want, u)
+				}
+			}
+			if got := g.Neighbors(v); !slices.Equal(got, want) {
+				t.Fatalf("%v: Neighbors(%d) = %v, want %v", g, v, got, want)
+			}
+			if got := g.AppendNeighbors(slices.Clip(prefix), v); !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], want) {
+				t.Fatalf("%v: AppendNeighbors(%v, %d) = %v, want the prefix then %v", g, prefix, v, got, want)
+			}
+			if d := g.Degree(v); d != len(want) {
+				t.Fatalf("%v: Degree(%d) = %d, want %d", g, v, d, len(want))
+			}
+		}
+	}
+}
+
+func mustTopo(g Topology, err error) Topology {
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func TestDegreeScalingOrders(t *testing.T) {
@@ -513,6 +549,26 @@ func BenchmarkHopAvoiding(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Hop(i%512, (i*7+13)%512, down)
+	}
+}
+
+// BenchmarkNeighbors times the whole-topology neighbour walk a runtime makes
+// at set-up: every node's AppendNeighbors into one reused buffer.
+func BenchmarkNeighbors(b *testing.B) {
+	for _, c := range []struct {
+		kind Kind
+		n    int
+	}{{Hypercube, 65536}, {FCG, 256}} {
+		g := MustNew(c.kind, c.n)
+		b.Run(fmt.Sprintf("%v%d", c.kind, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []int
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < c.n; v++ {
+					buf = g.AppendNeighbors(buf[:0], v)
+				}
+			}
+		})
 	}
 }
 

@@ -293,7 +293,7 @@ func TestInjectorCHTStallAndRepair(t *testing.T) {
 	idle := sim.NewQueue[int](eng, "idle")
 	started := false
 	var refusedAt, releasedAt sim.Time
-	eng.SpawnStepOn(2, "cht2", func(p *sim.Proc) {
+	eng.SpawnStepOn(2, "cht", 2, func(p *sim.Proc) {
 		if !started {
 			started = true
 			p.Sleep(2 * sim.Millisecond)
@@ -318,7 +318,7 @@ func TestInjectorPermanentStallParksForever(t *testing.T) {
 	eng := sim.New()
 	in := NewInjector(eng, 4, MustParseSpec("cht:1@t=0s"))
 	calls := 0
-	eng.SpawnStepOn(1, "cht1", func(p *sim.Proc) {
+	eng.SpawnStepOn(1, "cht", 1, func(p *sim.Proc) {
 		if calls++; calls == 1 {
 			p.Sleep(sim.Microsecond)
 		} else if in.AwaitRepair(1, p) {

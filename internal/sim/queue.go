@@ -8,6 +8,7 @@ import "fmt"
 type Queue[T any] struct {
 	e       *Engine
 	name    string
+	num     int // with num >= 0, name is a prefix (see NewNumberedQueue)
 	items   []T
 	head    int
 	waiters []*Proc
@@ -20,7 +21,13 @@ type Queue[T any] struct {
 // NewQueue creates a queue attached to e. The name appears in deadlock
 // reports.
 func NewQueue[T any](e *Engine, name string) *Queue[T] {
-	return &Queue[T]{e: e, name: name}
+	return &Queue[T]{e: e, name: name, num: -1}
+}
+
+// NewNumberedQueue is NewQueue for a queue named prefix followed by num in
+// decimal, formatted only when a deadlock report reads it.
+func NewNumberedQueue[T any](e *Engine, prefix string, num int) *Queue[T] {
+	return &Queue[T]{e: e, name: prefix, num: num}
 }
 
 // Len returns the number of buffered items.
@@ -60,7 +67,7 @@ func (q *Queue[T]) Put(x T) {
 	}
 }
 
-func (q *Queue[T]) blockLabel(int64) string { return "queue " + q.name }
+func (q *Queue[T]) blockLabel(int64) string { return "queue " + numberedName(q.name, q.num) }
 
 // Get dequeues the oldest item, blocking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {

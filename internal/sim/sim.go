@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -101,8 +102,9 @@ const (
 // process's own body function; they are not safe to call from other
 // goroutines or from engine-context callbacks.
 type Proc struct {
-	e    *Engine
-	id   int
+	e  *Engine
+	id int
+	// name is the process's name, or with num >= 0 its prefix (see Name).
 	name string
 	// Exactly one of body and step is set. A body runs on the carrier co,
 	// borrowed at the first resume and returned when the body exits; a step
@@ -120,6 +122,7 @@ type Proc struct {
 	blockArg    int64
 	daemon      bool
 	wakePending bool
+	num         int
 	// owner pins the process to a scheduling owner: its resume events carry
 	// this owner, so in sharded mode the process always runs on the owner's
 	// shard (or on the coordinator during serial instants).
@@ -127,7 +130,19 @@ type Proc struct {
 }
 
 // Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string { return numberedName(p.name, p.num) }
+
+// numberedName returns prefix followed by num in decimal, or prefix alone
+// when num < 0. A job's per-node processes and queues (cht17, rank4095) keep
+// prefix and number apart and format the name only when something reads it:
+// deadlock reports, traces and panics, none of which a healthy untraced run
+// makes.
+func numberedName(prefix string, num int) string {
+	if num < 0 {
+		return prefix
+	}
+	return prefix + strconv.Itoa(num)
+}
 
 // ID returns the process's spawn-order identifier.
 func (p *Proc) ID() int { return p.id }
@@ -445,35 +460,41 @@ func (e *Engine) Lookahead() Time { return e.lookahead }
 // virtual time, pinned to the creating context's owner. The returned Proc
 // handle is also passed to body.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, e.now, name, body, false)
+	return e.spawnAt(e.ctxOwner, e.now, name, -1, body, false)
 }
 
 // SpawnOn is Spawn with an explicit owner pin: the process and all events it
 // creates belong to owner, so in sharded mode it runs on owner's shard.
 func (e *Engine) SpawnOn(owner int, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, e.now, name, body, false)
+	return e.spawnAt(owner, e.now, name, -1, body, false)
+}
+
+// SpawnNumberedOn is SpawnOn for a process named prefix followed by num in
+// decimal ("rank", 7 names it rank7), formatted only when read.
+func (e *Engine) SpawnNumberedOn(owner int, prefix string, num int, body func(p *Proc)) *Proc {
+	return e.spawnAt(owner, e.now, prefix, num, body, false)
 }
 
 // SpawnDaemon creates a process that does not keep the simulation alive: Run
 // returns successfully even if daemon processes are still blocked (e.g.
 // server loops waiting for requests that will never come).
 func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, e.now, name, body, true)
+	return e.spawnAt(e.ctxOwner, e.now, name, -1, body, true)
 }
 
 // SpawnDaemonOn is SpawnDaemon with an explicit owner pin.
 func (e *Engine) SpawnDaemonOn(owner int, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, e.now, name, body, true)
+	return e.spawnAt(owner, e.now, name, -1, body, true)
 }
 
 // GoAt schedules a process to start at absolute time t.
 func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, t, name, body, false)
+	return e.spawnAt(e.ctxOwner, t, name, -1, body, false)
 }
 
 // GoAtOn schedules a process pinned to owner to start at absolute time t.
 func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, t, name, body, false)
+	return e.spawnAt(owner, t, name, -1, body, false)
 }
 
 // SpawnStepOn creates a daemon process pinned to owner that owns no goroutine:
@@ -481,13 +502,15 @@ func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) *Pro
 // returns. It may wait once per call, through Sleep, Queue.Poll or Event.Poll,
 // which for a step process register the wake-up and return immediately; what
 // the blocking form would keep on its stack, step keeps in its own state.
-func (e *Engine) SpawnStepOn(owner int, name string, step func(p *Proc)) *Proc {
-	p := e.spawnAt(owner, e.now, name, nil, true)
+// The process is named prefix followed by num in decimal, or prefix alone
+// when num < 0, formatted only when read.
+func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Proc)) *Proc {
+	p := e.spawnAt(owner, e.now, prefix, num, nil, true)
 	p.step = step
 	return p
 }
 
-func (e *Engine) spawnAt(owner int, t Time, name string, body func(p *Proc), daemon bool) *Proc {
+func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *Proc), daemon bool) *Proc {
 	if e.windowActive.Load() {
 		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")
 	}
@@ -495,6 +518,7 @@ func (e *Engine) spawnAt(owner int, t Time, name string, body func(p *Proc), dae
 		e:      e,
 		id:     len(e.procs),
 		name:   name,
+		num:    num,
 		body:   body,
 		state:  procNew,
 		daemon: daemon,
@@ -555,7 +579,7 @@ func (e *Engine) switchTo(p *Proc) {
 	}
 	p.step(p)
 	if p.state == procRunning {
-		panic("sim: step function of " + p.name + " returned without waiting")
+		panic("sim: step function of " + p.Name() + " returned without waiting")
 	}
 }
 
@@ -582,7 +606,7 @@ func (p *Proc) parkOn(b blocker, arg int64) {
 
 func (p *Proc) parkWait(traceLabel string) {
 	if p.state == procBlocked {
-		panic("sim: step process " + p.name + " waited twice in one step (blocking call from a step function?)")
+		panic("sim: step process " + p.Name() + " waited twice in one step (blocking call from a step function?)")
 	}
 	p.state = procBlocked
 	p.e.trace(TracePark, p, traceLabel)
@@ -709,7 +733,7 @@ func (e *Engine) blockedNonDaemons() []string {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.state == procBlocked && !p.daemon {
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.name, p.BlockedOn()))
+			blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name(), p.BlockedOn()))
 		}
 	}
 	sort.Strings(blocked)
@@ -798,7 +822,7 @@ func (e *Engine) BlockedDaemons() []string {
 	var out []string
 	for _, p := range e.procs {
 		if p.state == procBlocked && p.daemon {
-			out = append(out, fmt.Sprintf("%s: %s", p.name, p.BlockedOn()))
+			out = append(out, fmt.Sprintf("%s: %s", p.Name(), p.BlockedOn()))
 		}
 	}
 	sort.Strings(out)

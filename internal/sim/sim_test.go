@@ -631,6 +631,33 @@ func TestBlockedProcsReport(t *testing.T) {
 	}
 }
 
+// TestNumberedNames pins numbered process and queue names to the strings
+// formatting them eagerly gave: a deadlock report, a trace and Name read
+// prefix plus decimal number, and a negative number names the prefix alone.
+func TestNumberedNames(t *testing.T) {
+	e := New()
+	var traced []string
+	e.SetTracer(TracerFunc(func(r TraceRecord) {
+		if r.Kind == TraceSpawn {
+			traced = append(traced, r.Proc)
+		}
+	}))
+	q := NewNumberedQueue[int](e, "cht", 4095)
+	rank := e.SpawnNumberedOn(0, "rank", 17, func(p *Proc) { q.Get(p) })
+	step := e.SpawnStepOn(0, "cht", 0, func(p *Proc) { p.Sleep(1) })
+	plain := e.SpawnStepOn(0, "idle", -1, func(p *Proc) { p.Sleep(1) })
+	_ = e.RunUntil(3)
+	if got := []string{rank.Name(), step.Name(), plain.Name()}; !reflect.DeepEqual(got, []string{"rank17", "cht0", "idle"}) {
+		t.Errorf("names = %q", got)
+	}
+	if !reflect.DeepEqual(traced, []string{"rank17", "cht0", "idle"}) {
+		t.Errorf("spawn trace names = %q", traced)
+	}
+	if bl := e.BlockedProcs(); len(bl) != 1 || bl[0] != "rank17: queue cht4095" {
+		t.Errorf("BlockedProcs = %q", bl)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := New()
@@ -761,7 +788,7 @@ func TestShutdownReleasesParkedProcs(t *testing.T) {
 				q.Get(p)
 			})
 			// Step daemons and processes that never start own no goroutine.
-			e.SpawnStepOn(i%4, fmt.Sprintf("s%d", i), func(p *Proc) { q.Poll(p) })
+			e.SpawnStepOn(i%4, "s", i, func(p *Proc) { q.Poll(p) })
 			e.GoAtOn(i%4, 1000, fmt.Sprintf("late%d", i), func(p *Proc) { lateRan++ })
 		}
 		if n := runtime.NumGoroutine(); n > before {

@@ -90,7 +90,7 @@ func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecor
 			}
 		}
 		if stepForm {
-			e.SpawnStepOn(s.owner, fmt.Sprintf("server%d", s.owner), s.step)
+			e.SpawnStepOn(s.owner, "server", s.owner, s.step)
 		} else {
 			e.SpawnDaemonOn(s.owner, fmt.Sprintf("server%d", s.owner), s.body)
 		}
@@ -150,7 +150,7 @@ func TestStepFunctionMisusePanics(t *testing.T) {
 		"blocking call":           func(p *Proc) { NewQueue[int](p.Engine(), "q").Get(p) },
 	} {
 		e := New()
-		e.SpawnStepOn(0, "bad", step)
+		e.SpawnStepOn(0, "bad", -1, step)
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -64,7 +64,7 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 func (e *Engine) trace(kind TraceKind, p *Proc, label string) {
 	if e.tracer != nil {
-		e.tracer.Trace(TraceRecord{T: e.now, Kind: kind, Proc: p.name, Label: label})
+		e.tracer.Trace(TraceRecord{T: e.now, Kind: kind, Proc: p.Name(), Label: label})
 	}
 }
 
