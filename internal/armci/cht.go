@@ -210,10 +210,10 @@ func (ns *nodeState) failSubs(req *request, err error) {
 		if origin == ns.id {
 			rt.eng.AfterOn(ns.id, rt.cfg.LocalLatency, deliver)
 		} else {
-			rt.net.Send(ns.id, origin, respBytes, func() {
+			rt.net.SendArg(ns.id, origin, respBytes, func(any, bool) {
 				rt.nodes[origin].heard(ns.id)
 				deliver()
-			})
+			}, nil)
 		}
 	}
 }

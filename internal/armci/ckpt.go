@@ -6,91 +6,83 @@ import (
 	"armcivt/internal/ckpt"
 )
 
-// checkpointSection digests the ARMCI layer's state at a quiescent boundary:
+// checkpointSection digests the ARMCI layer's state between engine runs:
 // per-node protocol counters, the egress arena (credits, parked sends,
 // debts), CHT pending counts and inbox depths, dedup tables, adaptive
 // capacities, pacer state, membership views, allocation slabs, and free-list
-// depths. Everything here is owner-context state, deterministic at
-// quiescence under the bit-identity contract.
+// depths. Everything here is owner-context state, deterministic at a
+// RunUntil horizon under the bit-identity contract.
 func (rt *Runtime) checkpointSection() []byte {
 	var enc ckpt.Enc
 
 	// The three O(nodes)/O(edges) arena loops dominate capture cost at 16k+
 	// nodes, so they are digested sparsely — entries still in their initial
 	// state contribute nothing, and a touched entry is folded with its index
-	// so position stays part of the digest — and in parallel via ParallelMix
-	// (chunked, deterministic, safe at a quiescent boundary where every
-	// shard is parked). In the paper's incast workloads only the active set
-	// and the hot paths toward rank 0 ever leave the virgin state, so the
-	// per-capture work tracks the touched footprint, not the node count.
+	// so position stays part of the digest. In the paper's incast workloads
+	// only the active set and the hot paths toward rank 0 ever leave the
+	// virgin state, so the per-capture work tracks the touched footprint,
+	// not the node count.
 	enc.Str("nstats")
-	enc.U64(ckpt.ParallelMix(len(rt.nstats), func(lo, hi int) uint64 {
-		h := ckpt.MixInit
-		for n := lo; n < hi; n++ {
-			s := &rt.nstats[n]
-			fields := []uint64{
-				s.Ops, s.Requests, s.Forwards, s.LocalOps, s.CreditWaits,
-				uint64(s.CreditWaited), uint64(s.MaxCHTBacklog),
-				s.Timeouts, s.Retries, s.Failures, s.CreditRegens, s.Reroutes,
-				s.DupDrops, s.NoRoutes, s.AggBatches, s.AggBatchedOps,
-				s.CreditShifts, s.Suspicions, s.Confirms, s.Rejoins,
-				s.HealReplays, s.HealFails, s.CreditWriteOffs, s.StaleAcks,
-				s.NodeAborts, uint64(s.MaxDetectLatency), s.Completions,
-				s.Admitted, s.ShedOps, s.ShedBudget, s.ShedDeadline, s.ShedClass,
-				s.PaceWaits, uint64(s.PaceWaited), s.PaceBackoffs, s.PaceSlams,
-				s.CEAcks,
-			}
-			var any uint64
-			for _, v := range fields {
-				any |= v
-			}
-			if any == 0 {
-				continue
-			}
-			h = ckpt.Mix(h, uint64(n))
-			for _, v := range fields {
-				h = ckpt.Mix(h, v)
-			}
+	h := ckpt.MixInit
+	for n := range rt.nstats {
+		s := &rt.nstats[n]
+		fields := []uint64{
+			s.Ops, s.Requests, s.Forwards, s.LocalOps, s.CreditWaits,
+			uint64(s.CreditWaited), uint64(s.MaxCHTBacklog),
+			s.Timeouts, s.Retries, s.Failures, s.CreditRegens, s.Reroutes,
+			s.DupDrops, s.NoRoutes, s.AggBatches, s.AggBatchedOps,
+			s.CreditShifts, s.Suspicions, s.Confirms, s.Rejoins,
+			s.HealReplays, s.HealFails, s.CreditWriteOffs, s.StaleAcks,
+			s.NodeAborts, uint64(s.MaxDetectLatency), s.Completions,
+			s.Admitted, s.ShedOps, s.ShedBudget, s.ShedDeadline, s.ShedClass,
+			s.PaceWaits, uint64(s.PaceWaited), s.PaceBackoffs, s.PaceSlams,
+			s.CEAcks,
 		}
-		return h
-	}))
+		var any uint64
+		for _, v := range fields {
+			any |= v
+		}
+		if any == 0 {
+			continue
+		}
+		h = ckpt.Mix(h, uint64(n))
+		for _, v := range fields {
+			h = ckpt.Mix(h, v)
+		}
+	}
+	enc.U64(h)
 
 	enc.Str("egress")
-	enc.U64(ckpt.ParallelMix(len(rt.egPtr), func(lo, hi int) uint64 {
-		h := ckpt.MixInit
-		for i := lo; i < hi; i++ {
-			eg := rt.egPtr[i]
-			if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
-				eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
-				continue // untouched edge: full credits, no history
-			}
-			h = ckpt.Mix(h, uint64(i))
-			h = ckpt.Mix(h, uint64(eg.credits))
-			h = ckpt.Mix(h, uint64(eg.capacity))
-			h = ckpt.Mix(h, uint64(len(eg.pending)))
-			h = ckpt.Mix(h, uint64(eg.revokeDebt))
-			h = ckpt.Mix(h, uint64(eg.regenDebt))
-			h = ckpt.Mix(h, eg.transmits)
+	h = ckpt.MixInit
+	for i, eg := range rt.egPtr {
+		if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
+			eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
+			continue // untouched edge: full credits, no history
 		}
-		return h
-	}))
+		h = ckpt.Mix(h, uint64(i))
+		h = ckpt.Mix(h, uint64(eg.credits))
+		h = ckpt.Mix(h, uint64(eg.capacity))
+		h = ckpt.Mix(h, uint64(len(eg.pending)))
+		h = ckpt.Mix(h, uint64(eg.revokeDebt))
+		h = ckpt.Mix(h, uint64(eg.regenDebt))
+		h = ckpt.Mix(h, eg.transmits)
+	}
+	enc.U64(h)
 
 	enc.Str("nodes")
-	enc.U64(ckpt.ParallelMix(len(rt.nodes), func(lo, hi int) uint64 {
-		h := ckpt.MixInit
-		for n := lo; n < hi; n++ {
-			ns := &rt.nodes[n]
-			if nodeStateVirgin(ns) {
-				continue
-			}
-			h = ckpt.Mix(h, uint64(n))
-			h = rt.mixNodeState(h, ns)
+	h = ckpt.MixInit
+	for n := range rt.nodes {
+		ns := &rt.nodes[n]
+		if nodeStateVirgin(ns) {
+			continue
 		}
-		return h
-	}))
+		h = ckpt.Mix(h, uint64(n))
+		h = rt.mixNodeState(h, ns)
+	}
+	enc.U64(h)
 
 	enc.Str("misc")
-	h := ckpt.MixInit
+	h = ckpt.MixInit
 	h = ckpt.Mix(h, uint64(rt.liveRanks))
 	h = ckpt.Mix(h, uint64(rt.barrier.arrived))
 	for m := range rt.mutexes {

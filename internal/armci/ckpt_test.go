@@ -2,7 +2,7 @@ package armci
 
 import (
 	"bytes"
-	"fmt"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -13,15 +13,16 @@ import (
 
 // armedChaosSections runs the fully armed chaos mix — crash-stops with
 // healing, an ejection storm on node 0, overload protection, timeouts and
-// retries — on 32x2 nodes of the given family, and returns the sim, fabric,
-// faults and armci sections digested at every checkpoint boundary the run
-// passes.
+// retries — on 32x2 nodes of the given family, steps it through horizons
+// every 250 µs, and returns the sim, fabric, faults and armci sections read
+// at each horizon the run stops at.
 func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]byte {
 	t.Helper()
 	const (
 		nodes, ppn = 32, 2
 		seed       = 1
 		horizon    = 2 * sim.Millisecond
+		every      = 250 * sim.Microsecond
 	)
 	eng := sim.New()
 	eng.Seed(seed)
@@ -49,17 +50,6 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 	}
 	defer rt.Shutdown()
 
-	var sections [][]byte
-	eng.ConfigureCheckpoints(250*sim.Microsecond, func(at sim.Time, index int64) {
-		var b bytes.Buffer
-		fmt.Fprintf(&b, "%d@%d;", index, at)
-		for _, sec := range [][]byte{eng.CheckpointSection(), rt.net.CheckpointSection(),
-			inj.CheckpointSection(), rt.checkpointSection()} {
-			b.Write(sec)
-		}
-		sections = append(sections, b.Bytes())
-	})
-
 	n := rt.NRanks()
 	var survivors []int
 	for rank := 0; rank < n; rank++ {
@@ -68,7 +58,7 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 		}
 	}
 	rt.Alloc("ledger", 8*n)
-	runAll(t, rt, func(r *Rank) {
+	rt.Start(func(r *Rank) {
 		if victim[r.Node()] {
 			r.Sleep(2 * horizon)
 			return
@@ -79,6 +69,19 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 			r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
 		}
 	})
+	var sections [][]byte
+	for h := every; ; h += every {
+		err := eng.RunUntil(h)
+		var tl *sim.TimeLimitError
+		if !errors.As(err, &tl) {
+			if err != nil {
+				t.Fatalf("shards=%d: RunUntil(%v): %v", shards, h, err)
+			}
+			break
+		}
+		sections = append(sections, bytes.Join([][]byte{eng.CheckpointSection(), rt.net.CheckpointSection(),
+			inj.CheckpointSection(), rt.checkpointSection()}, nil))
+	}
 	// Membership notices cross shards (a line spans nodes on several), so
 	// the mix must send some.
 	if s := rt.Stats(); s.Confirms == 0 || s.Notices == 0 || s.Completions == 0 {
@@ -87,10 +90,10 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 	return sections
 }
 
-// Every layer's state digest must match byte for byte at every boundary,
-// whether the armed mix runs serially or on eight shards: the per-boundary
+// Every layer's state digest must match byte for byte at every horizon,
+// whether the armed mix runs serially or on eight shards: the per-horizon
 // form of the bit-identity contract, which also localizes a divergence to
-// its first boundary. The CFCG case adds a third crash, so reboot
+// its first horizon. The CFCG case adds a third crash, so reboot
 // announcements and dead-set hand-overs cross shards too.
 func TestArmedChaosSectionsMatchAcrossShards(t *testing.T) {
 	for _, tc := range []struct {
@@ -99,17 +102,17 @@ func TestArmedChaosSectionsMatchAcrossShards(t *testing.T) {
 	}{{core.MFCG, 2}, {core.CFCG, 3}} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			serial := armedChaosSections(t, tc.kind, tc.crashes, 1)
-			if len(serial) < 2 {
-				t.Fatalf("run passed only %d boundaries; want at least 2", len(serial))
+			if len(serial) < 17 {
+				t.Fatalf("run passed only %d horizons; want at least 17", len(serial))
 			}
-			t.Logf("%d boundaries", len(serial))
+			t.Logf("%d horizons", len(serial))
 			sharded := armedChaosSections(t, tc.kind, tc.crashes, 8)
 			if len(sharded) != len(serial) {
-				t.Fatalf("shards=8 passed %d boundaries, serial %d", len(sharded), len(serial))
+				t.Fatalf("shards=8 passed %d horizons, serial %d", len(sharded), len(serial))
 			}
 			for i := range serial {
 				if !bytes.Equal(serial[i], sharded[i]) {
-					t.Fatalf("boundary %d: shards=8 sections differ from serial", i)
+					t.Fatalf("horizon %d: shards=8 sections differ from serial", i)
 				}
 			}
 		})

@@ -77,14 +77,14 @@ func (ns *nodeState) maybeShift(hot int) {
 	// Control messages ride the fabric like credit acks: the donor sender
 	// shrinks its pool (or swallows the next returning credit), the hot
 	// sender grows its pool and drains any parked sends.
-	rt.net.Send(ns.id, donor, ackBytes, func() {
+	rt.net.SendArg(ns.id, donor, ackBytes, func(any, bool) {
 		rt.nodes[donor].heard(ns.id)
 		rt.egressTo(donor, ns.id).revoke()
-	})
-	rt.net.Send(ns.id, hot, ackBytes, func() {
+	}, nil)
+	rt.net.SendArg(ns.id, hot, ackBytes, func(any, bool) {
 		rt.nodes[hot].heard(ns.id)
 		rt.egressTo(hot, ns.id).grant()
-	})
+	}, nil)
 	if o := rt.obs; o != nil && o.tr != nil {
 		o.tr.Instant(fmt.Sprintf("credit shift %d->%d at node %d", donor, hot, ns.id),
 			"credit", o.pid, ns.id, now, map[string]any{

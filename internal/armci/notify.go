@@ -57,24 +57,26 @@ func (r *Rank) NotifyTag(dst int, tag string) {
 	}
 	rt.st(r.node).Ops++
 	dstNode := rt.ranks[dst].node
+	dn := &rt.nodes[dstNode]
 	key := notifyKey{to: dst, from: r.rank, tag: tag}
-	// deliver runs in the destination node's owner context (either via the
-	// fabric's delivery event or the pinned same-node event below), which is
-	// where the consumer's notify state lives.
-	deliver := func() {
-		ns := rt.nodes[dstNode].notify()
-		ns.count[key]++
-		if w := ns.waiters[key]; w != nil && ns.count[key] >= w.threshold {
-			delete(ns.waiters, key)
-			w.ev.Fire()
-		}
-	}
 	if dstNode == r.node {
 		rt.st(r.node).LocalOps++
-		rt.eng.AfterOn(dstNode, rt.cfg.LocalLatency, deliver)
+		rt.eng.AfterOn(dstNode, rt.cfg.LocalLatency, func() { dn.notifyArrive(key) })
 		return
 	}
-	rt.net.Send(r.node, dstNode, respBytes, deliver)
+	rt.net.SendArg(r.node, dstNode, respBytes, func(any, bool) { dn.notifyArrive(key) }, nil)
+}
+
+// notifyArrive counts one notification at its consumer's node. It runs in
+// that node's owner context (the fabric's delivery event or the pinned
+// same-node event), which is where the consumer's notify state lives.
+func (ns *nodeState) notifyArrive(key notifyKey) {
+	st := ns.notify()
+	st.count[key]++
+	if w := st.waiters[key]; w != nil && st.count[key] >= w.threshold {
+		delete(st.waiters, key)
+		w.ev.Fire()
+	}
 }
 
 // WaitNotify blocks until the cumulative number of notifications received

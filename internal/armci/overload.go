@@ -12,7 +12,7 @@ import (
 //
 // The control loop is entirely origin-local. Requests and responses crossing
 // a port whose queueing delay exceeds Fabric.CongestionThreshold are stamped
-// with a CE mark (fabric.SendMarked); the origin folds each response's mark
+// with a CE mark (fabric.SendArg); the origin folds each response's mark
 // into a per-destination pacer (onAck). A marked response widens the pacer's
 // injection gap multiplicatively, a clean one decays it additively, and the
 // current gap positions the origin on the degradation ladder documented on

@@ -2,12 +2,13 @@
 // shares, plus the atomic file writer the sweep cache uses.
 //
 // Each simulation layer (sim kernel, fabric, fault injector, armci runtime)
-// exposes a CheckpointSection: a digest of its state at a quiescent boundary
-// of the conservative-parallel kernel (sim.Engine.ConfigureCheckpoints).
+// exposes a CheckpointSection: a digest of its state, read between runs of
+// the engine — after Run, or at a sim.Engine.RunUntil horizon, where every
+// event at or before the horizon has run and no sharded window is open.
 // Because the kernel is bit-identical at every shard count, two runs of the
-// same workload produce byte-equal sections at every boundary; tests use them
-// as the determinism oracle. Quiescence rule and section contents:
-// docs/CHECKPOINT.md.
+// same workload stepped through the same horizons produce byte-equal
+// sections at each; tests use them as the determinism oracle. Horizon rule
+// and section contents: docs/CHECKPOINT.md.
 //
 // The package is a pure-stdlib leaf: sim, fabric, faults, armci and sweep all
 // import it, so it must import none of them.
@@ -56,9 +57,9 @@ func (e *Enc) Bytes() []byte { return e.buf }
 // to its layer.
 //
 // The fold is xor-multiply-xorshift over whole 64-bit words (one multiply
-// per word, not eight): digests run at every capture boundary over O(nodes)
-// state, and at 16k+ nodes a byte-at-a-time FNV-1a loop was the single
-// hottest function in an armed run. The divergence-detection job only needs
+// per word, not eight): digests run at every horizon over O(nodes) state,
+// and at 16k+ nodes a byte-at-a-time FNV-1a loop was the single hottest
+// function in an armed run. The divergence-detection job only needs
 // determinism and avalanche, which the xorshift finisher provides.
 const MixInit uint64 = 14695981039346656037
 

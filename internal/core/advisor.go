@@ -66,17 +66,6 @@ func MaxDegree(t Topology) int {
 	return max
 }
 
-// SpecBufferBytes is BufferBytes for a parameterized spec over n nodes,
-// sized by the maximum-degree node (identical to BufferBytes for the grid
-// family, honest about Dragonfly's hubs).
-func SpecBufferBytes(spec Spec, n, ppn, bufsPerProc, bufSize int) (int64, error) {
-	t, err := spec.Build(n)
-	if err != nil {
-		return 0, err
-	}
-	return int64(MaxDegree(t)) * int64(ppn) * int64(bufsPerProc) * int64(bufSize), nil
-}
-
 // Recommend picks a virtual topology — and its shape — for n nodes x ppn
 // processes given a per-node communication-memory budget (bytes; 0 means
 // unlimited) and the workload class. It follows Section VIII of the paper

@@ -6,11 +6,11 @@ import (
 	"armcivt/internal/ckpt"
 )
 
-// CheckpointSection digests the fabric's state at a quiescent boundary:
+// CheckpointSection digests the fabric's state between engine runs:
 // link/injection/ejection port reservations, per-source ejection queue
 // occupancy, per-position counters, and message free-list depths. Every
 // field digested here is deterministic under the bit-identity contract, so
-// two runs of the same workload paused at the same boundary produce equal
+// two runs of the same workload paused at the same horizon produce equal
 // sections regardless of shard count (docs/CHECKPOINT.md).
 func (nw *Network) CheckpointSection() []byte {
 	var enc ckpt.Enc
@@ -18,25 +18,21 @@ func (nw *Network) CheckpointSection() []byte {
 	// The port arrays and per-position counters are O(links)/O(nodes) and
 	// dominate fabric digest cost at large scale, so they are digested
 	// sparsely — a port no message ever crossed contributes nothing, and a
-	// used port folds with its index so position stays part of the digest —
-	// and in parallel via ParallelMix (chunked, deterministic, safe at a
-	// quiescent boundary).
+	// used port folds with its index so position stays part of the digest.
 	ports := func(label string, ls []link) {
 		enc.Str(label)
 		enc.U32(uint32(len(ls)))
-		enc.U64(ckpt.ParallelMix(len(ls), func(lo, hi int) uint64 {
-			h := ckpt.MixInit
-			for i := lo; i < hi; i++ {
-				if ls[i].nextFree == 0 && ls[i].busy == 0 && ls[i].msgs == 0 {
-					continue
-				}
-				h = ckpt.Mix(h, uint64(i))
-				h = ckpt.Mix(h, uint64(ls[i].nextFree))
-				h = ckpt.Mix(h, uint64(ls[i].busy))
-				h = ckpt.Mix(h, ls[i].msgs)
+		h := ckpt.MixInit
+		for i := range ls {
+			if ls[i].nextFree == 0 && ls[i].busy == 0 && ls[i].msgs == 0 {
+				continue
 			}
-			return h
-		}))
+			h = ckpt.Mix(h, uint64(i))
+			h = ckpt.Mix(h, uint64(ls[i].nextFree))
+			h = ckpt.Mix(h, uint64(ls[i].busy))
+			h = ckpt.Mix(h, ls[i].msgs)
+		}
+		enc.U64(h)
 	}
 	ports("links", nw.links)
 	ports("inj", nw.inj)
@@ -63,27 +59,25 @@ func (nw *Network) CheckpointSection() []byte {
 	enc.U64(h)
 
 	enc.Str("stats")
-	enc.U64(ckpt.ParallelMix(len(nw.stats), func(lo, hi int) uint64 {
-		h := ckpt.MixInit
-		for i := lo; i < hi; i++ {
-			s := &nw.stats[i]
-			if s.Messages|s.Bytes|uint64(s.MaxQueueWait)|uint64(s.MaxStreams)|
-				s.LinkStalls|s.Reroutes|s.Dropped|s.NodeDrops|s.CEMarks == 0 {
-				continue
-			}
-			h = ckpt.Mix(h, uint64(i))
-			h = ckpt.Mix(h, s.Messages)
-			h = ckpt.Mix(h, s.Bytes)
-			h = ckpt.Mix(h, uint64(s.MaxQueueWait))
-			h = ckpt.Mix(h, uint64(s.MaxStreams))
-			h = ckpt.Mix(h, s.LinkStalls)
-			h = ckpt.Mix(h, s.Reroutes)
-			h = ckpt.Mix(h, s.Dropped)
-			h = ckpt.Mix(h, s.NodeDrops)
-			h = ckpt.Mix(h, s.CEMarks)
+	h = ckpt.MixInit
+	for i := range nw.stats {
+		s := &nw.stats[i]
+		if s.Messages|s.Bytes|uint64(s.MaxQueueWait)|uint64(s.MaxStreams)|
+			s.LinkStalls|s.Reroutes|s.Dropped|s.NodeDrops|s.CEMarks == 0 {
+			continue
 		}
-		return h
-	}))
+		h = ckpt.Mix(h, uint64(i))
+		h = ckpt.Mix(h, s.Messages)
+		h = ckpt.Mix(h, s.Bytes)
+		h = ckpt.Mix(h, uint64(s.MaxQueueWait))
+		h = ckpt.Mix(h, uint64(s.MaxStreams))
+		h = ckpt.Mix(h, s.LinkStalls)
+		h = ckpt.Mix(h, s.Reroutes)
+		h = ckpt.Mix(h, s.Dropped)
+		h = ckpt.Mix(h, s.NodeDrops)
+		h = ckpt.Mix(h, s.CEMarks)
+	}
+	enc.U64(h)
 
 	enc.Str("msgFree")
 	h = ckpt.MixInit

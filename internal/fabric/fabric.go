@@ -50,7 +50,7 @@ type Config struct {
 	// queue delay at any link or ejection-port reservation reaches the
 	// threshold, or when it arrives at an ejection port already past its
 	// StreamLimit (the port's occupancy tracking reports overload before
-	// queue delay accumulates). SendMarked reports the mark to the delivery
+	// queue delay accumulates). SendArg reports the mark to the delivery
 	// callback (the armci runtime echoes it to the origin on the response,
 	// driving AIMD injection pacing). Zero (the default) disables marking
 	// and leaves every code path bit-identical.
@@ -387,11 +387,9 @@ type msg struct {
 	dir        [3]int8  // ring direction per dimension: 1 plus, 0 minus
 	ce         bool     // congestion-experienced mark accumulated so far
 	freed      bool     // double-release guard
-	// Exactly one delivery callback is set, matching the Send variant used.
-	deliver     func(ce bool)          // SendMarked
-	deliverNoCE func()                 // Send
-	deliverArg  func(arg any, ce bool) // SendArg
-	darg        any
+	// deliver(darg, ce) runs when the message arrives (see SendArg).
+	deliver func(arg any, ce bool)
+	darg    any
 }
 
 // getMsg takes a recycled record from position pos's free list (allocating
@@ -421,50 +419,30 @@ func (nw *Network) putMsg(pos int, m *msg) {
 // callback — in that order, so a delivery that immediately Sends from pos
 // reuses the record it just completed.
 func (nw *Network) finish(pos int, m *msg) {
-	ce := m.ce
-	dCE, d0, dA, darg := m.deliver, m.deliverNoCE, m.deliverArg, m.darg
+	deliver, arg, ce := m.deliver, m.darg, m.ce
 	nw.putMsg(pos, m)
-	switch {
-	case dCE != nil:
-		dCE(ce)
-	case d0 != nil:
-		d0()
-	default:
-		dA(darg, ce)
-	}
+	deliver(arg, ce)
 }
 
-// Send injects a message of size bytes from node src to node dst and calls
-// deliver (in engine context, as owner dst) when the last byte is ejected at
-// dst. It must be called from src's owner context (a process or event of
-// node src) or from coordinator/serial context. Loopback (src == dst) pays
-// only the software overhead.
-func (nw *Network) Send(src, dst, size int, deliver func()) {
-	nw.send(src, dst, size, nil, deliver, nil, nil)
-}
-
-// SendMarked is Send with ECN-style congestion signaling: deliver receives
-// true when the message's queue delay at any link or ejection-port
-// reservation along the way reached Config.CongestionThreshold, or when the
-// destination's ejection port was past its StreamLimit as the message
-// arrived. With the threshold unset (zero) the mark is always false and the
-// schedule is bit-identical to Send.
-func (nw *Network) SendMarked(src, dst, size int, deliver func(ce bool)) {
-	nw.send(src, dst, size, deliver, nil, nil, nil)
-}
-
-// SendArg is the allocation-free form of SendMarked: deliver must be a
-// long-lived func value (stored once by the caller, not built per send) and
-// arg the per-message state, already pointer-shaped so the any conversion
-// does not allocate. Timing, marking, and fault behaviour are identical to
-// SendMarked.
+// SendArg injects a message of size bytes from node src to node dst and
+// calls deliver(arg, ce) (in engine context, as owner dst) when the last byte
+// is ejected at dst. It must be called from src's owner context (a process or
+// event of node src) or from coordinator/serial context. Loopback (src ==
+// dst) pays only the software overhead.
+//
+// ce is the ECN-style congestion mark: true when the message's queue delay at
+// any link or ejection-port reservation along the way reached
+// Config.CongestionThreshold, or when the destination's ejection port was
+// past its StreamLimit as the message arrived. With the threshold unset
+// (zero) it is always false.
+//
+// A send allocates nothing when deliver is a long-lived func value (stored
+// once by the caller, not built per send) and arg the per-message state,
+// already pointer-shaped so the any conversion does not allocate. Cold paths
+// may pass a fresh closure and a nil arg.
 func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), arg any) {
-	nw.send(src, dst, size, nil, nil, deliver, arg)
-}
-
-func (nw *Network) send(src, dst, size int, dCE func(bool), d0 func(), dA func(any, bool), darg any) {
 	if src < 0 || src >= nw.n || dst < 0 || dst >= nw.n {
-		panic(fmt.Sprintf("fabric: Send %d->%d out of range [0,%d)", src, dst, nw.n))
+		panic(fmt.Sprintf("fabric: SendArg %d->%d out of range [0,%d)", src, dst, nw.n))
 	}
 	if size < 0 {
 		panic("fabric: negative message size")
@@ -474,7 +452,7 @@ func (nw *Network) send(src, dst, size int, dCE func(bool), d0 func(), dA func(a
 	st.Bytes += uint64(size)
 	m := nw.getMsg(src)
 	m.src, m.dst = src, dst
-	m.deliver, m.deliverNoCE, m.deliverArg, m.darg = dCE, d0, dA, darg
+	m.deliver, m.darg = deliver, arg
 	if src == dst {
 		nw.eng.AfterOnArg(src, nw.cfg.SoftwareOverhead, nw.loopFn, m)
 		return

@@ -89,7 +89,7 @@ func TestSendUncontendedLatency(t *testing.T) {
 	e, nw := netFor(t, 64, cfg)
 	size := 1000
 	var at sim.Time
-	nw.Send(0, 1, size, func() { at = e.Now() })
+	nw.SendArg(0, 1, size, func(any, bool) { at = e.Now() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSendUncontendedLatency(t *testing.T) {
 func TestSendLoopback(t *testing.T) {
 	e, nw := netFor(t, 8, Config{SoftwareOverhead: 700})
 	var at sim.Time
-	nw.Send(3, 3, 1<<20, func() { at = e.Now() })
+	nw.SendArg(3, 3, 1<<20, func(any, bool) { at = e.Now() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +116,10 @@ func TestSendLatencyGrowsWithDistance(t *testing.T) {
 	cfg := Config{Shape: [3]int{8, 8, 4}, LinkBandwidth: 10, NICBandwidth: 2, HopLatency: 100, SoftwareOverhead: 1000}
 	e, nw := netFor(t, 256, cfg)
 	var near, far sim.Time
-	nw.Send(0, 1, 100, func() { near = e.Now() })
+	nw.SendArg(0, 1, 100, func(any, bool) { near = e.Now() }, nil)
 	e.At(1_000_000, func() {
 		base := e.Now()
-		nw.Send(0, 255, 100, func() { far = e.Now() - base })
+		nw.SendArg(0, 255, 100, func(any, bool) { far = e.Now() - base }, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestEjectionSerializationUnderFanIn(t *testing.T) {
 	size := 1000 // 1000ns of ejection serialization each
 	var deliveries []sim.Time
 	for s := 1; s < 32; s++ {
-		nw.Send(s, 0, size, func() { deliveries = append(deliveries, e.Now()) })
+		nw.SendArg(s, 0, size, func(any, bool) { deliveries = append(deliveries, e.Now()) }, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestFIFOOrderPreservedPerLink(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		e.At(sim.Time(i), func() {
-			nw.Send(0, 1, 100, func() { order = append(order, i) })
+			nw.SendArg(0, 1, 100, func(any, bool) { order = append(order, i) }, nil)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -191,11 +191,11 @@ func TestInjectionSerializationAtSender(t *testing.T) {
 	e, nw := netFor(t, 32, cfg)
 	var last sim.Time
 	for d := 1; d < 32; d++ {
-		nw.Send(0, d, 1000, func() {
+		nw.SendArg(0, d, 1000, func(any, bool) {
 			if e.Now() > last {
 				last = e.Now()
 			}
-		})
+		}, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -207,8 +207,8 @@ func TestInjectionSerializationAtSender(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	e, nw := netFor(t, 8, Config{})
-	nw.Send(0, 1, 100, func() {})
-	nw.Send(1, 2, 200, func() {})
+	nw.SendArg(0, 1, 100, func(any, bool) {}, nil)
+	nw.SendArg(1, 2, 200, func(any, bool) {}, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +225,9 @@ func TestSendPanicsOnBadArgs(t *testing.T) {
 	e, nw := netFor(t, 4, Config{})
 	_ = e
 	for _, fn := range []func(){
-		func() { nw.Send(-1, 0, 1, func() {}) },
-		func() { nw.Send(0, 4, 1, func() {}) },
-		func() { nw.Send(0, 1, -1, func() {}) },
+		func() { nw.SendArg(-1, 0, 1, func(any, bool) {}, nil) },
+		func() { nw.SendArg(0, 4, 1, func(any, bool) {}, nil) },
+		func() { nw.SendArg(0, 1, -1, func(any, bool) {}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -276,12 +276,12 @@ func TestPropertyDeliveryBounds(t *testing.T) {
 						sim.Time(hops)*(cfg.HopLatency+sim.Time(float64(size)/cfg.LinkBandwidth)) +
 						cfg.HopLatency
 				}
-				nw.Send(src, dst, size, func() {
+				nw.SendArg(src, dst, size, func(any, bool) {
 					delivered++
 					if e.Now()-start < minLat {
 						okAll = false
 					}
-				})
+				}, nil)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -306,11 +306,11 @@ func TestStreamOverloadThrottlesHotSpot(t *testing.T) {
 		nw := New(e, 128, cfg)
 		var last sim.Time
 		for s := 1; s <= senders; s++ {
-			nw.Send(s, 0, 1000, func() {
+			nw.SendArg(s, 0, 1000, func(any, bool) {
 				if e.Now() > last {
 					last = e.Now()
 				}
-			})
+			}, nil)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -331,7 +331,7 @@ func TestStreamStatTracksDistinctSources(t *testing.T) {
 	cfg := Config{Shape: [3]int{4, 4, 2}, LinkBandwidth: 1000, NICBandwidth: 1, HopLatency: 1, SoftwareOverhead: 1, StreamLimit: 64, StreamPenalty: 0.1}
 	nw := New(e, 32, cfg)
 	for s := 1; s <= 10; s++ {
-		nw.Send(s, 0, 5000, func() {})
+		nw.SendArg(s, 0, 5000, func(any, bool) {}, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -350,7 +350,7 @@ func TestSingleSourceNeverThrottled(t *testing.T) {
 	var last sim.Time
 	n := 20
 	for i := 0; i < n; i++ {
-		nw.Send(1, 0, 1000, func() { last = e.Now() })
+		nw.SendArg(1, 0, 1000, func(any, bool) { last = e.Now() }, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestBlueGenePConfig(t *testing.T) {
 	e := sim.New()
 	nw := New(e, 64, c)
 	delivered := false
-	nw.Send(0, 63, 4096, func() { delivered = true })
+	nw.SendArg(0, 63, 4096, func(any, bool) { delivered = true }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestBulkTransferSlowerOnBlueGeneP(t *testing.T) {
 		e := sim.New()
 		nw := New(e, 8, cfg)
 		var at sim.Time
-		nw.Send(0, 5, 1<<20, func() { at = e.Now() })
+		nw.SendArg(0, 5, 1<<20, func(any, bool) { at = e.Now() }, nil)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

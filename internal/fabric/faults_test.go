@@ -48,7 +48,7 @@ func TestRerouteAroundFailedLink(t *testing.T) {
 	// the long arc 0->3->2->1.
 	e, nw, _ := faultyNet(t, 4, "link:0-1@t=0s", nil)
 	var done sim.Time
-	nw.Send(0, 1, 1024, func() { done = e.Now() })
+	nw.SendArg(0, 1, 1024, func(any, bool) { done = e.Now() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestStallResumesAfterRepair(t *testing.T) {
 	// resumes once it repairs.
 	e, nw, _ := faultyNet(t, 4, "link:0-1@t=0s@for=1ms,link:0-3@t=0s@for=1ms", nil)
 	var done sim.Time
-	nw.Send(0, 1, 1024, func() { done = e.Now() })
+	nw.SendArg(0, 1, 1024, func(any, bool) { done = e.Now() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDropAfterStallLimit(t *testing.T) {
 		c.LinkStallLimit = 100 * sim.Microsecond
 	})
 	delivered := false
-	nw.Send(0, 1, 1024, func() { delivered = true })
+	nw.SendArg(0, 1, 1024, func(any, bool) { delivered = true }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDegradeStretchesSerialization(t *testing.T) {
 			e, nw, _ = faultyNet(t, 4, spec, nil)
 		}
 		var done sim.Time
-		nw.Send(0, 1, 1<<20, func() { done = e.Now() })
+		nw.SendArg(0, 1, 1<<20, func(any, bool) { done = e.Now() }, nil)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // CheckpointSection digests the injector's fault-schedule position at a
-// quiescent boundary: which failures are currently active (and at what
+// RunUntil horizon: which failures are currently active (and at what
 // depth), the bandwidth multipliers in force, crash instants, and the
 // activation/repair counters. Map entries are hashed in sorted-key order so
 // the digest is independent of Go's map iteration. A nil injector digests to

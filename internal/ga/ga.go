@@ -98,9 +98,6 @@ func (a *Array) Dims() (rows, cols int) { return a.rows, a.cols }
 // Grid returns the process-grid shape.
 func (a *Array) Grid() (pr, pc int) { return a.pr, a.pc }
 
-// BlockDims returns the per-owner block extent.
-func (a *Array) BlockDims() (brows, bcols int) { return a.brows, a.bcols }
-
 // Owner returns the rank owning global element (i, j).
 func (a *Array) Owner(i, j int) int {
 	a.check(i, j)

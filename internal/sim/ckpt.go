@@ -6,64 +6,10 @@ import (
 	"armcivt/internal/ckpt"
 )
 
-// ConfigureCheckpoints arms periodic checkpoint callbacks: fn fires in
-// coordinator context at every virtual-time boundary k*every (k >= 1) the run
-// passes, at the first moment the next pending event's time exceeds the
-// boundary. That moment is quiescent by construction — every event at or
-// before the boundary has executed, no sharded window is open, outboxes are
-// empty — so fn may read any layer's state consistently. In sharded mode
-// lookahead windows are additionally clamped so they never span an unfired
-// boundary.
-//
-// The callback is passive: it must not schedule events, spawn processes, or
-// draw from the engine RNG (it may call Halt). Under that contract an armed
-// run is bit-identical to an unarmed one, which is what lets tests compare
-// two runs' layer digests boundary by boundary (docs/CHECKPOINT.md).
-//
-// When several boundaries fall inside one event gap, fn fires once, at the
-// latest boundary passed. Must be called before Run.
-func (e *Engine) ConfigureCheckpoints(every Time, fn func(at Time, index int64)) {
-	if e.running {
-		panic("sim: ConfigureCheckpoints while engine is running")
-	}
-	if every <= 0 {
-		panic("sim: checkpoint interval must be positive")
-	}
-	if fn == nil {
-		panic("sim: nil checkpoint callback")
-	}
-	e.ckEvery = every
-	e.ckNext = 1
-	e.ckFn = fn
-}
-
-// fireCheckpoints fires the checkpoint callback if advancing to tNext (the
-// next event time, or limit+1 when the horizon cuts first) crosses one or
-// more unfired boundaries. Strictly-greater semantics: events at exactly the
-// boundary run before the capture, in both serial and sharded mode.
-func (e *Engine) fireCheckpoints(tNext Time) {
-	if e.ckFn == nil || tNext <= 0 {
-		return
-	}
-	kMax := (int64(tNext) - 1) / int64(e.ckEvery)
-	if kMax < e.ckNext {
-		return
-	}
-	at := Time(kMax * int64(e.ckEvery))
-	prevOwner := e.ctxOwner
-	e.ctxOwner = GlobalOwner
-	if e.now < at {
-		e.now = at
-	}
-	e.ckFn(at, kMax)
-	e.ctxOwner = prevOwner
-	e.ckNext = kMax + 1
-}
-
-// CheckpointSection digests the kernel's state at a quiescent boundary into a
-// byte-comparable section: per-origin seq counters, progress counters, the
-// full pending-event set in key order, process lifecycle state, and the RNG
-// position (seed, draws). Two runs of the same workload are at the same
+// CheckpointSection digests the kernel's state between runs (after Run, or at
+// a RunUntil horizon) into a byte-comparable section: per-origin seq
+// counters, progress counters, the full pending-event set in key order,
+// process lifecycle state, and the RNG position (seed, draws). Two runs of the same workload are at the same
 // kernel state iff the sections compare equal byte-for-byte — regardless of
 // shard count, which is why lane clocks and e.now stay out of the digest
 // (they are window bookkeeping, not simulation state).

@@ -1,7 +1,5 @@
 package sim
 
-import "fmt"
-
 // Queue is an unbounded FIFO mailbox between simulated processes. Put may be
 // called from process or engine context; Get blocks the calling process until
 // an item is available. Waiting processes are served in FIFO order.
@@ -125,119 +123,6 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	return x, true
 }
 
-// Resource is a fair (strict-FIFO) counting semaphore. It models the finite
-// request-buffer pools that ARMCI allocates per virtual-topology edge: a
-// sender Acquires credits before sending and the receiver Releases them when
-// the buffer is freed. Strict FIFO means a waiter at the head blocks later,
-// smaller requests (no barging), which is how credit-based flow control
-// behaves and what makes buffer-dependency deadlocks reproducible.
-type Resource struct {
-	e       *Engine
-	name    string
-	avail   int
-	cap     int
-	waiters []resWaiter
-	// stats
-	acquires   uint64
-	waits      uint64
-	waitedTime Time
-	minAvail   int
-}
-
-type resWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewResource creates a resource with capacity (and initial availability) n.
-func NewResource(e *Engine, name string, n int) *Resource {
-	if n < 0 {
-		panic("sim: NewResource with negative capacity")
-	}
-	return &Resource{e: e, name: name, avail: n, cap: n, minAvail: n}
-}
-
-// Cap returns the total capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-// Avail returns the currently available units.
-func (r *Resource) Avail() int { return r.avail }
-
-// InUse returns capacity minus availability.
-func (r *Resource) InUse() int { return r.cap - r.avail }
-
-// MinAvail returns the lowest availability ever observed (0 means the pool
-// was exhausted at least once).
-func (r *Resource) MinAvail() int { return r.minAvail }
-
-// Waits returns how many Acquire calls had to block.
-func (r *Resource) Waits() uint64 { return r.waits }
-
-// WaitedTime returns total virtual time processes spent blocked on r.
-func (r *Resource) WaitedTime() Time { return r.waitedTime }
-
-// Acquire takes n units, blocking p in FIFO order until they are available.
-// It panics if n exceeds the capacity (the request could never succeed).
-func (r *Resource) Acquire(p *Proc, n int) {
-	if n > r.cap {
-		panic(fmt.Sprintf("sim: Acquire(%d) exceeds capacity %d of %s", n, r.cap, r.name))
-	}
-	if len(r.waiters) == 0 && r.avail >= n {
-		r.take(n)
-		return
-	}
-	r.waits++
-	start := p.Now()
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
-	for {
-		p.parkOn(r, int64(n))
-		if len(r.waiters) > 0 && r.waiters[0].p == p && r.avail >= n {
-			r.waiters = r.waiters[1:]
-			r.take(n)
-			r.waitedTime += p.Now() - start
-			r.wakeHead()
-			return
-		}
-	}
-}
-
-// TryAcquire takes n units without blocking if available and no earlier
-// waiter is queued; it reports whether it succeeded.
-func (r *Resource) TryAcquire(n int) bool {
-	if len(r.waiters) == 0 && r.avail >= n {
-		r.take(n)
-		return true
-	}
-	return false
-}
-
-// Release returns n units and wakes the head waiter if it can now proceed.
-func (r *Resource) Release(n int) {
-	r.avail += n
-	if r.avail > r.cap {
-		panic(fmt.Sprintf("sim: Release overflows capacity of %s", r.name))
-	}
-	r.wakeHead()
-}
-
-func (r *Resource) blockLabel(arg int64) string {
-	return fmt.Sprintf("resource %s (want %d, avail %d)", r.name, arg, r.avail)
-}
-
-func (r *Resource) take(n int) {
-	r.avail -= n
-	r.acquires++
-	if r.avail < r.minAvail {
-		r.minAvail = r.avail
-	}
-}
-
-func (r *Resource) wakeHead() {
-	if len(r.waiters) > 0 && r.avail >= r.waiters[0].n {
-		r.waiters[0].p.wake()
-	}
-}
-
 // Event is a broadcast completion flag: processes Wait until some actor calls
 // Fire, after which all current and future waiters proceed immediately.
 type Event struct {
@@ -345,47 +230,3 @@ func (g *Gate) Wait(p *Proc) {
 }
 
 func (g *Gate) blockLabel(int64) string { return g.label }
-
-// WaitGroup counts outstanding work items in virtual time, mirroring
-// sync.WaitGroup for simulated processes.
-type WaitGroup struct {
-	e       *Engine
-	name    string
-	count   int
-	waiters []*Proc
-}
-
-// NewWaitGroup creates a WaitGroup with zero count.
-func NewWaitGroup(e *Engine, name string) *WaitGroup { return &WaitGroup{e: e, name: name} }
-
-// Add adjusts the counter by delta; it panics if the counter goes negative.
-func (w *WaitGroup) Add(delta int) {
-	w.count += delta
-	if w.count < 0 {
-		panic(fmt.Sprintf("sim: WaitGroup %s went negative", w.name))
-	}
-	if w.count == 0 {
-		for _, p := range w.waiters {
-			p.wake()
-		}
-		w.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Count returns the current counter value.
-func (w *WaitGroup) Count() int { return w.count }
-
-// Wait blocks p until the counter reaches zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	for w.count != 0 {
-		w.waiters = append(w.waiters, p)
-		p.parkOn(w, 0)
-	}
-}
-
-func (w *WaitGroup) blockLabel(int64) string {
-	return fmt.Sprintf("waitgroup %s (count %d)", w.name, w.count)
-}

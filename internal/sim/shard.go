@@ -249,7 +249,6 @@ func (e *Engine) nextTimes() (tGlobal, tMin Time) {
 
 func (e *Engine) runSharded(limit Time) error {
 	e.startWorkers()
-	defer func() { e.ctxOwner = GlobalOwner }()
 	for {
 		if e.halt != nil {
 			return e.halt
@@ -258,21 +257,8 @@ func (e *Engine) runSharded(limit Time) error {
 		if t == maxTime {
 			break
 		}
-		if e.ckFn != nil {
-			// Loop top is the sharded quiescent point: no window open,
-			// outboxes merged, every event before t executed.
-			tEff := t
-			if limit >= 0 && limit+1 < tEff {
-				tEff = limit + 1
-			}
-			e.fireCheckpoints(tEff)
-			if e.halt != nil {
-				return e.halt
-			}
-		}
 		if limit >= 0 && t > limit {
-			e.now = limit
-			return &TimeLimitError{Limit: limit, Pending: e.PendingEvents()}
+			return e.horizon(limit)
 		}
 		if tGlobal == t {
 			e.runInstant(t)
@@ -284,15 +270,6 @@ func (e *Engine) runSharded(limit Time) error {
 		}
 		if limit >= 0 && end > limit+1 {
 			end = limit + 1
-		}
-		if e.ckFn != nil {
-			// Never let a window span an unfired boundary: events at exactly
-			// the boundary must execute before the capture, as in serial mode.
-			// After fireCheckpoints above, ckNext*ckEvery >= t, so the clamp
-			// keeps end > t and the window non-empty.
-			if b := Time(e.ckNext * int64(e.ckEvery)); end > b+1 {
-				end = b + 1
-			}
 		}
 		e.runWindow(end)
 	}

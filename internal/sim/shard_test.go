@@ -8,10 +8,13 @@ import (
 
 // shardPingWorkload runs a synthetic owner-pinned workload — a ring of
 // processes exchanging timestamped messages across owners, plus global
-// barrier-style rendezvous — and returns every owner's event log and the
-// final clock. The log must be bit-identical at every shard count: that is
-// the kernel's determinism contract.
-func shardPingWorkload(t *testing.T, shards int) ([][]string, Time) {
+// barrier-style rendezvous — and returns every owner's event log, the sim
+// sections and the final clock. With every > 0 the run is stepped through
+// the horizons every, 2*every, ... and a section is read at each; the last
+// section is always the one after the run. The results must be
+// bit-identical at every shard count: that is the kernel's determinism
+// contract.
+func shardPingWorkload(t *testing.T, shards int, every Time) (logs [][]string, sections [][]byte, end Time) {
 	t.Helper()
 	const (
 		owners    = 8
@@ -21,7 +24,7 @@ func shardPingWorkload(t *testing.T, shards int) ([][]string, Time) {
 	eng := New()
 	eng.ConfigureShards(shards, owners, func(pos int) int { return pos * shards / owners }, lookahead)
 
-	logs := make([][]string, owners)
+	logs = make([][]string, owners)
 	logAt := func(owner int, format string, args ...any) {
 		logs[owner] = append(logs[owner], fmt.Sprintf(format, args...))
 	}
@@ -57,20 +60,23 @@ func shardPingWorkload(t *testing.T, shards int) ([][]string, Time) {
 			logAt(o, "end t=%v", p.Now())
 		})
 	}
-	if err := eng.Run(); err != nil {
+	if every > 0 {
+		sections = stepHorizons(t, eng, every)
+	} else if err := eng.Run(); err != nil {
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	if arrivals != owners {
 		t.Fatalf("shards=%d: %d arrivals, want %d", shards, arrivals, owners)
 	}
+	sections = append(sections, eng.CheckpointSection())
 	eng.Shutdown()
-	return logs, eng.Now()
+	return logs, sections, eng.Now()
 }
 
 func TestShardedDeterminismMatchesSerial(t *testing.T) {
-	base, baseEnd := shardPingWorkload(t, 1)
+	base, _, baseEnd := shardPingWorkload(t, 1, 0)
 	for _, shards := range []int{2, 3, 8} {
-		got, end := shardPingWorkload(t, shards)
+		got, _, end := shardPingWorkload(t, shards, 0)
 		if end != baseEnd {
 			t.Errorf("shards=%d: final clock %v, serial %v", shards, end, baseEnd)
 		}

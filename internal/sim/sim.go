@@ -4,7 +4,7 @@
 // Simulated processes are cooperatively scheduled by the Engine: in serial
 // mode exactly one of them (or the engine's Run loop) executes at any moment,
 // and control is handed over explicitly at blocking points (Sleep, Queue.Get,
-// Resource.Acquire, ...). A process is either a body function running on a
+// Event.Wait, ...). A process is either a body function running on a
 // coroutine carrier (carrier.go) — the runner switches to it directly, with no
 // scheduler, channel or futex in between — or a step function (SpawnStepOn)
 // the runner simply calls, which owns no goroutine at all.
@@ -212,21 +212,12 @@ type Engine struct {
 	rngSrc  *countingSource
 	rngSeed int64
 
-	// Checkpoint hooks (ConfigureCheckpoints): ckFn fires at every capture
-	// boundary k*ckEvery (k >= ckNext) the run loop passes — the first
-	// moment the next pending event's time exceeds the boundary, which is
-	// by construction a quiescent point: all events at or before the
-	// boundary have executed, no window is open, outboxes are empty.
-	ckEvery Time
-	ckNext  int64
-	ckFn    func(at Time, index int64)
-
 	shardState
 }
 
 // countingSource wraps a rand.Source64 and counts draws. Capture needs only
 // (seed, draws) to identify the generator's position: both run modes draw in
-// the same deterministic order, so equal counts at a quiescent boundary mean
+// the same deterministic order, so equal counts at a RunUntil horizon mean
 // equal generator state.
 type countingSource struct {
 	src   rand.Source64
@@ -685,8 +676,11 @@ func (t *TimeLimitError) Error() string {
 func (e *Engine) Run() error { return e.run(-1) }
 
 // RunUntil executes events with timestamps <= limit. If the queue drains it
-// behaves like Run; otherwise it returns a *TimeLimitError with the clock
-// left at limit.
+// behaves like Run; otherwise it returns a *TimeLimitError with the clock at
+// limit (or where it was, if already past limit). The engine is then at a
+// quiescent horizon — every event at or before limit has run, no sharded
+// window is open — so any layer's CheckpointSection may be read, and
+// RunUntil or Run may be called again to continue (docs/CHECKPOINT.md).
 func (e *Engine) RunUntil(limit Time) error { return e.run(limit) }
 
 func (e *Engine) run(limit Time) error {
@@ -694,7 +688,9 @@ func (e *Engine) run(limit Time) error {
 		panic("sim: Engine.Run re-entered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	// Every return leaves the coordinator context global, so events the
+	// caller schedules between runs get the same origin in both run modes.
+	defer func() { e.running, e.ctxOwner = false, GlobalOwner }()
 	if e.nshards > 1 {
 		return e.runSharded(limit)
 	}
@@ -702,19 +698,8 @@ func (e *Engine) run(limit Time) error {
 		if e.halt != nil {
 			return e.halt
 		}
-		if e.ckFn != nil {
-			tEff := e.events.head().t
-			if limit >= 0 && limit+1 < tEff {
-				tEff = limit + 1
-			}
-			e.fireCheckpoints(tEff)
-			if e.halt != nil {
-				return e.halt
-			}
-		}
 		if limit >= 0 && e.events.head().t > limit {
-			e.now = limit
-			return &TimeLimitError{Limit: limit, Pending: e.events.Len()}
+			return e.horizon(limit)
 		}
 		t, p := e.events.pop()
 		e.now = t
@@ -722,11 +707,19 @@ func (e *Engine) run(limit Time) error {
 		e.executed++
 		e.exec(&p)
 	}
-	e.ctxOwner = GlobalOwner
 	if blocked := e.blockedNonDaemons(); len(blocked) > 0 {
 		return &DeadlockError{At: e.now, Blocked: blocked}
 	}
 	return nil
+}
+
+// horizon stops RunUntil at limit with events still pending. The clock moves
+// to limit but never back: a later event may already have run.
+func (e *Engine) horizon(limit Time) error {
+	if limit > e.now {
+		e.now = limit
+	}
+	return &TimeLimitError{Limit: limit, Pending: e.PendingEvents()}
 }
 
 func (e *Engine) blockedNonDaemons() []string {
@@ -774,13 +767,6 @@ func (e *Engine) Shutdown() {
 func (e *Engine) BlockedProcs() []string {
 	return e.blockedNonDaemons()
 }
-
-// Resumes returns how many times any process has been resumed, the engine's
-// monotone progress counter. The Watchdog samples it to tell "working" from
-// "wedged": events that fire without ever resuming a process make no
-// application progress. In sharded mode it is exact at serial instants
-// (which is when the Watchdog reads it).
-func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // Executed returns how many events the engine has run, on the global lane
 // and every shard lane. The count is the same at every shard count; in

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -292,171 +293,6 @@ func TestQueueCompaction(t *testing.T) {
 	mustRun(t, e)
 }
 
-func TestResourceBasicAcquireRelease(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 2)
-	var trace []string
-	e.Spawn("a", func(p *Proc) {
-		r.Acquire(p, 2)
-		trace = append(trace, fmt.Sprintf("a@%d", p.Now()))
-		p.Sleep(10)
-		r.Release(2)
-	})
-	e.Spawn("b", func(p *Proc) {
-		r.Acquire(p, 1)
-		trace = append(trace, fmt.Sprintf("b@%d", p.Now()))
-		r.Release(1)
-	})
-	mustRun(t, e)
-	want := []string{"a@0", "b@10"}
-	if !reflect.DeepEqual(trace, want) {
-		t.Errorf("trace = %v, want %v", trace, want)
-	}
-	if r.Avail() != 2 || r.InUse() != 0 {
-		t.Errorf("final avail=%d inuse=%d", r.Avail(), r.InUse())
-	}
-	if r.Waits() != 1 {
-		t.Errorf("Waits = %d, want 1", r.Waits())
-	}
-	if r.WaitedTime() != 10 {
-		t.Errorf("WaitedTime = %v, want 10", r.WaitedTime())
-	}
-}
-
-func TestResourceFIFONoBarging(t *testing.T) {
-	// A small request queued behind a large one must not barge ahead.
-	e := New()
-	r := NewResource(e, "r", 4)
-	var order []string
-	e.Spawn("hog", func(p *Proc) {
-		r.Acquire(p, 4)
-		p.Sleep(10)
-		r.Release(4)
-	})
-	e.GoAt(1, "big", func(p *Proc) {
-		r.Acquire(p, 3)
-		order = append(order, "big")
-		r.Release(3)
-	})
-	e.GoAt(2, "small", func(p *Proc) {
-		r.Acquire(p, 1)
-		order = append(order, "small")
-		r.Release(1)
-	})
-	mustRun(t, e)
-	want := []string{"big", "small"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("order = %v, want %v", order, want)
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire(2) failed on full pool")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) succeeded on empty pool")
-	}
-	r.Release(1)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire(1) failed after release")
-	}
-}
-
-func TestResourceTryAcquireRespectsWaiters(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 2)
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Sleep(10)
-		r.Release(2)
-	})
-	e.GoAt(1, "waiter", func(p *Proc) {
-		r.Acquire(p, 2)
-		r.Release(2)
-	})
-	e.GoAt(12, "checker", func(p *Proc) {
-		// At t=12 the waiter has come and gone; pool free again.
-		if !r.TryAcquire(1) {
-			t.Error("TryAcquire failed on free pool")
-		}
-		r.Release(1)
-	})
-	e.GoAt(5, "barger", func(p *Proc) {
-		// At t=5, pool is exhausted AND a waiter is queued: must refuse.
-		if r.TryAcquire(0) {
-			t.Error("TryAcquire barged past queued waiter")
-		}
-	})
-	mustRun(t, e)
-}
-
-func TestResourceMinAvailTracksExhaustion(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 3)
-	e.Spawn("p", func(p *Proc) {
-		r.Acquire(p, 3)
-		r.Release(3)
-	})
-	mustRun(t, e)
-	if r.MinAvail() != 0 {
-		t.Errorf("MinAvail = %d, want 0", r.MinAvail())
-	}
-}
-
-func TestResourceAcquireOverCapacityPanics(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 1)
-	panicked := false
-	e.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		r.Acquire(p, 2)
-	})
-	_ = e.Run()
-	if !panicked {
-		t.Error("Acquire beyond capacity did not panic")
-	}
-}
-
-func TestResourceReleaseOverflowPanics(t *testing.T) {
-	e := New()
-	r := NewResource(e, "r", 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("Release overflow did not panic")
-		}
-	}()
-	r.Release(1)
-}
-
-func TestResourceDoubleReleaseWakesOnlyOnce(t *testing.T) {
-	// Two rapid releases must not corrupt the waiter queue via double wake.
-	e := New()
-	r := NewResource(e, "r", 2)
-	done := 0
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p, 2)
-		p.Sleep(5)
-		r.Release(1)
-		r.Release(1) // second release before waiter runs
-	})
-	e.GoAt(1, "waiter", func(p *Proc) {
-		r.Acquire(p, 2)
-		done++
-		r.Release(2)
-	})
-	mustRun(t, e)
-	if done != 1 {
-		t.Errorf("waiter completed %d times, want 1", done)
-	}
-}
-
 func TestEventBroadcast(t *testing.T) {
 	e := New()
 	ev := NewEvent(e, "go")
@@ -496,66 +332,19 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e, "wg")
-	wg.Add(3)
-	var doneAt Time = -1
-	e.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.GoAt(Time(i*10), fmt.Sprintf("worker%d", i), func(p *Proc) { wg.Done() })
-	}
-	mustRun(t, e)
-	if doneAt != 30 {
-		t.Errorf("waiter resumed at %v, want 30", doneAt)
-	}
-	if wg.Count() != 0 {
-		t.Errorf("Count = %d, want 0", wg.Count())
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e, "wg")
-	defer func() {
-		if recover() == nil {
-			t.Error("negative WaitGroup did not panic")
-		}
-	}()
-	wg.Done()
-}
-
-func TestWaitGroupZeroCountWaitReturns(t *testing.T) {
-	e := New()
-	wg := NewWaitGroup(e, "wg")
-	ran := false
-	e.Spawn("p", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	mustRun(t, e)
-	if !ran {
-		t.Error("Wait on zero-count WaitGroup blocked")
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := New()
-	a := NewResource(e, "A", 1)
-	b := NewResource(e, "B", 1)
+	a := NewQueue[int](e, "A")
+	b := NewQueue[int](e, "B")
 	e.Spawn("p1", func(p *Proc) {
-		a.Acquire(p, 1)
 		p.Sleep(1)
-		b.Acquire(p, 1) // deadlock: p2 holds B
+		a.Get(p) // deadlock: only p2 puts to A, after its own Get
+		b.Put(1)
 	})
 	e.Spawn("p2", func(p *Proc) {
-		b.Acquire(p, 1)
 		p.Sleep(1)
-		a.Acquire(p, 1) // deadlock: p1 holds A
+		b.Get(p) // deadlock: only p1 puts to B, after its own Get
+		a.Put(1)
 	})
 	err := e.Run()
 	var dl *DeadlockError
@@ -620,6 +409,67 @@ func TestRunUntilCompletesEarly(t *testing.T) {
 	}
 }
 
+// A horizon earlier than the clock leaves the clock where it is: moving it
+// back would let the caller schedule below the queue's last pop.
+func TestRunUntilNeverMovesClockBack(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e := New()
+		e.ConfigureShards(shards, 2, func(o int) int { return o % shards }, 10)
+		var ran []Time
+		note := func() { ran = append(ran, e.NowOn(1)) }
+		e.At(150, note)
+		e.AtOn(1, 1000, note)
+		for _, limit := range []Time{200, 100} {
+			var tl *TimeLimitError
+			if err := e.RunUntil(limit); !errors.As(err, &tl) {
+				t.Fatalf("shards=%d: RunUntil(%v) = %v, want TimeLimitError", shards, limit, err)
+			}
+			if e.Now() != 200 {
+				t.Fatalf("shards=%d: after RunUntil(%v) Now = %v, want 200", shards, limit, e.Now())
+			}
+		}
+		e.At(e.Now()+10, note)
+		mustRun(t, e)
+		if want := []Time{150, 210, 1000}; !reflect.DeepEqual(ran, want) {
+			t.Errorf("shards=%d: events ran at %v, want %v", shards, ran, want)
+		}
+		e.Shutdown()
+	}
+}
+
+// Every RunUntil return leaves the coordinator context global, so an event
+// the caller schedules between horizons has the same origin and owner in
+// serial and sharded runs.
+func TestRunUntilResetsSchedulingOwner(t *testing.T) {
+	run := func(shards int) (sections [][]byte, owner int) {
+		e := New()
+		e.ConfigureShards(shards, 2, func(o int) int { return o % shards }, 10)
+		e.AtOn(1, 100, func() {})
+		e.AtOn(0, 300, func() {})
+		var tl *TimeLimitError
+		if err := e.RunUntil(200); !errors.As(err, &tl) {
+			t.Fatalf("shards=%d: RunUntil(200) = %v, want TimeLimitError", shards, err)
+		}
+		owner = GlobalOwner - 1 // no owner: the event has not run
+		e.At(250, func() { owner = e.ctxOwner })
+		sections = append(sections, e.CheckpointSection())
+		mustRun(t, e)
+		e.Shutdown()
+		return append(sections, e.CheckpointSection()), owner
+	}
+	serial, serialOwner := run(1)
+	sharded, shardedOwner := run(2)
+	if serialOwner != GlobalOwner || shardedOwner != GlobalOwner {
+		t.Errorf("event scheduled between horizons ran as owner %d serially, %d sharded; want %d",
+			serialOwner, shardedOwner, GlobalOwner)
+	}
+	for i := range serial {
+		if !bytes.Equal(serial[i], sharded[i]) {
+			t.Errorf("section %d: serial and 2-shard runs differ", i)
+		}
+	}
+}
+
 func TestBlockedProcsReport(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e, "never")
@@ -663,7 +513,10 @@ func TestDeterminism(t *testing.T) {
 		e := New()
 		e.Seed(42)
 		q := NewQueue[int](e, "q")
-		r := NewResource(e, "r", 3)
+		tokens := NewQueue[int](e, "tokens") // a pool of three, taken FIFO
+		for i := 0; i < 3; i++ {
+			tokens.Put(i)
+		}
 		var trace []string
 		for i := 0; i < 8; i++ {
 			i := i
@@ -671,9 +524,9 @@ func TestDeterminism(t *testing.T) {
 				for k := 0; k < 5; k++ {
 					d := Time(e.Rand().Intn(20))
 					p.Sleep(d)
-					r.Acquire(p, 1+i%3)
+					tok := tokens.Get(p)
 					p.Sleep(Time(e.Rand().Intn(5)))
-					r.Release(1 + i%3)
+					tokens.Put(tok)
 					q.Put(i*100 + k)
 					trace = append(trace, fmt.Sprintf("%d@%d", i*100+k, p.Now()))
 				}
@@ -739,38 +592,6 @@ func TestPropertySleepExactness(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: a resource never exceeds capacity and never goes negative under
-// random concurrent acquire/release workloads.
-func TestPropertyResourceInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := New()
-		capN := 1 + rng.Intn(8)
-		r := NewResource(e, "r", capN)
-		violated := false
-		for i := 0; i < 6; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for k := 0; k < 10; k++ {
-					n := 1 + rng.Intn(capN)
-					r.Acquire(p, n)
-					if r.Avail() < 0 || r.InUse() > r.Cap() {
-						violated = true
-					}
-					p.Sleep(Time(rng.Intn(7)))
-					r.Release(n)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		return !violated && r.Avail() == capN
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }

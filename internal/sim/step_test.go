@@ -58,8 +58,8 @@ func (s *stepServer) step(p *Proc) {
 // runStepServers drives four servers in a ring (each passes a served job to
 // the next owner until it has made `hops` hops), fed by one client per owner,
 // with a maintenance window that closes at t=300. It returns the scheduling
-// trace (serial only: the tracer needs a serial engine), the checkpoint
-// sections captured every 64 time units plus the final one, and the order
+// trace (serial only: the tracer needs a serial engine), the sim sections
+// read at horizons every 64 time units plus the final one, and the order
 // jobs were served in.
 func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecord, sections [][]byte, served []string) {
 	t.Helper()
@@ -73,7 +73,6 @@ func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecor
 	if shards == 1 {
 		e.SetTracer(TracerFunc(func(r TraceRecord) { trace = append(trace, r) }))
 	}
-	e.ConfigureCheckpoints(64, func(Time, int64) { sections = append(sections, e.CheckpointSection()) })
 
 	logs := make([][]string, owners) // per owner: shard workers never share one
 	servers := make([]*stepServer, owners)
@@ -106,10 +105,7 @@ func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecor
 			s.open.Fire()
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("shards=%d step=%v: %v", shards, stepForm, err)
-	}
-	sections = append(sections, e.CheckpointSection())
+	sections = append(stepHorizons(t, e, 64), e.CheckpointSection())
 	e.Shutdown()
 	for _, l := range logs {
 		served = append(served, l...)
