@@ -4,10 +4,11 @@ import (
 	"sort"
 
 	"armcivt/internal/ckpt"
+	"armcivt/internal/sim"
 )
 
 // checkpointSection digests the ARMCI layer's state between engine runs:
-// per-node protocol counters, the egress arena (credits, parked sends,
+// per-node protocol counters, the built egresses (credits, parked sends,
 // debts), CHT pending counts and inbox depths, dedup tables, adaptive
 // capacities, pacer state, membership views, allocation slabs, and free-list
 // depths. Everything here is owner-context state, deterministic at a
@@ -52,21 +53,25 @@ func (rt *Runtime) checkpointSection() []byte {
 	}
 	enc.U64(h)
 
+	// Edges are numbered node-major in sorted-neighbor order; a node never
+	// built contributes its degree's worth of untouched edges.
 	enc.Str("egress")
 	h = ckpt.MixInit
-	for i, eg := range rt.egPtr {
-		if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
-			eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
-			continue // untouched edge: full credits, no history
+	rt.nodeEdges(func(ns *nodeState, base, _ int) {
+		for j, eg := range ns.eg {
+			if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
+				eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
+				continue // untouched edge: full credits, no history
+			}
+			h = ckpt.Mix(h, uint64(base+j))
+			h = ckpt.Mix(h, uint64(eg.credits))
+			h = ckpt.Mix(h, uint64(eg.capacity))
+			h = ckpt.Mix(h, uint64(len(eg.pending)))
+			h = ckpt.Mix(h, uint64(eg.revokeDebt))
+			h = ckpt.Mix(h, uint64(eg.regenDebt))
+			h = ckpt.Mix(h, eg.transmits)
 		}
-		h = ckpt.Mix(h, uint64(i))
-		h = ckpt.Mix(h, uint64(eg.credits))
-		h = ckpt.Mix(h, uint64(eg.capacity))
-		h = ckpt.Mix(h, uint64(len(eg.pending)))
-		h = ckpt.Mix(h, uint64(eg.revokeDebt))
-		h = ckpt.Mix(h, uint64(eg.regenDebt))
-		h = ckpt.Mix(h, eg.transmits)
-	}
+	})
 	enc.U64(h)
 
 	enc.Str("nodes")
@@ -124,7 +129,8 @@ func (rt *Runtime) checkpointSection() []byte {
 }
 
 // nodeStateVirgin reports whether a node's digestable state is still
-// exactly as constructed, so the sparse nodes digest may skip it: no CHT
+// exactly as constructed (its edge state built or not), so the sparse nodes
+// digest may skip it: no CHT
 // pendings or inbox entries, no dedup history, no credit shifts (inCap is
 // then still the config-derived initial on every in-edge — shifts stamp
 // lastShift past the neverShifted sentinel on both edges involved), no
@@ -151,8 +157,19 @@ func nodeStateVirgin(ns *nodeState) bool {
 // mixNodeState folds one node's owner-context protocol state into the
 // running digest: CHT pending counts and inbox depth, the dedup table,
 // adaptive capacities, pacer state, membership view, and free-list depths.
+// A node whose edge state was never built folds in as if it had been, with
+// every per-edge entry at its initial value.
 func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
-	for _, p := range ns.pendingBySrc {
+	nbrs := ns.nbrs
+	built := nbrs != nil
+	if !built {
+		nbrs = rt.topo.Neighbors(ns.id)
+	}
+	for i := range nbrs {
+		var p int32
+		if built {
+			p = ns.pendingBySrc[i]
+		}
 		h = ckpt.Mix(h, uint64(uint32(p)))
 	}
 	h = ckpt.Mix(h, uint64(ns.pendingSrcs))
@@ -176,9 +193,15 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 			h = ckpt.Mix(h, uint64(d.old))
 		}
 	}
-	for i := range ns.inCap {
-		h = ckpt.Mix(h, uint64(ns.inCap[i]))
-		h = ckpt.Mix(h, uint64(ns.lastShift[i]))
+	if rt.cfg.Adaptive.Enabled {
+		c, t := rt.cfg.PPN*rt.cfg.BufsPerProc, neverShifted
+		for i := range nbrs {
+			if built {
+				c, t = ns.inCap[i], ns.lastShift[i]
+			}
+			h = ckpt.Mix(h, uint64(c))
+			h = ckpt.Mix(h, uint64(t))
+		}
 	}
 	if len(ns.pacers) > 0 {
 		dsts := make([]int, 0, len(ns.pacers))
@@ -198,10 +221,15 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 	}
 	if ns.mv != nil {
 		h = ckpt.Mix(h, uint64(ns.mv.resetAt))
-		for i, nbr := range ns.nbrs {
+		var heard sim.Time
+		var state memberState
+		for i, nbr := range nbrs {
+			if built {
+				heard, state = ns.mv.lastHeard[i], ns.mv.state[i]
+			}
 			h = ckpt.Mix(h, uint64(nbr))
-			h = ckpt.Mix(h, uint64(ns.mv.lastHeard[i]))
-			h = ckpt.Mix(h, uint64(ns.mv.state[i]))
+			h = ckpt.Mix(h, uint64(heard))
+			h = ckpt.Mix(h, uint64(state))
 		}
 		for _, ln := range ns.mv.lines {
 			h = ckpt.Mix(h, uint64(uint32(ln.judged)))

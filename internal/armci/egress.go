@@ -24,11 +24,11 @@ import (
 // head-of-line blocked on one stalled forward would couple all of a node's
 // buffer classes and deadlock even under LDF.
 //
-// An egress exists only once its edge is used: Runtime.egPtr holds one
-// pointer per edge, node-major in sorted-neighbor order and found by index
-// arithmetic (nodeState.egAt), not a per-node map. The first use carves the
-// record from a runtime-owned slab; until then the nil entry stands for a
-// fresh, full credit pool with nothing parked.
+// An egress exists only once its edge is used: nodeState.eg holds one
+// pointer per out-edge in sorted-neighbor order (nodeState.egAt), not a
+// per-node map. The first use carves the record from a runtime-owned slab;
+// until then the nil entry stands for a fresh, full credit pool with
+// nothing parked.
 type egress struct {
 	rt       *Runtime
 	from, to int

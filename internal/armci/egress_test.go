@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -161,12 +162,12 @@ func TestMaxCHTBacklogTracked(t *testing.T) {
 }
 
 // TestEgressesFollowUse pins that per-edge state follows use: a
-// Hypercube-1024 run whose ranks all return at once builds no egress, and one
-// remote fetch-add from node 1023 to node 0 builds exactly one egress per hop
-// of core.Route. The
-// response goes straight back over the fabric, not over the topology's
-// edges, and each hop's credit ack releases the egress its sender built, so
-// nothing else is built.
+// Hypercube-1024 run whose ranks all return at once builds no neighbor list
+// on any node and no egress, and one remote fetch-add from node 1023 to
+// node 0 builds lists on exactly the nodes of core.Route and exactly one
+// egress per hop. The response goes straight back over the fabric, not over
+// the topology's edges, and each hop's credit ack releases the egress its
+// sender built, so nothing else is built.
 func TestEgressesFollowUse(t *testing.T) {
 	const nodes = 1024
 	topo := core.MustNew(core.Hypercube, nodes)
@@ -180,17 +181,31 @@ func TestEgressesFollowUse(t *testing.T) {
 		}
 		return rt
 	}
+	lists := func(rt *Runtime) []int {
+		var out []int
+		for n := range rt.nodes {
+			if rt.nodes[n].nbrs != nil {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
 	built := func(rt *Runtime) [][2]int {
 		var out [][2]int
-		for _, eg := range rt.egPtr {
-			if eg != nil {
-				out = append(out, [2]int{eg.from, eg.to})
+		for n := range rt.nodes {
+			for _, eg := range rt.nodes[n].eg {
+				if eg != nil {
+					out = append(out, [2]int{eg.from, eg.to})
+				}
 			}
 		}
 		return out
 	}
 
 	idle := run(func(*Rank) {})
+	if got := lists(idle); len(got) != 0 {
+		t.Errorf("an idle run built neighbor lists on %d nodes, want 0: %v", len(got), got)
+	}
 	if got := built(idle); len(got) != 0 {
 		t.Errorf("an idle run built %d egresses, want 0: %v", len(got), got)
 	}
@@ -201,24 +216,33 @@ func TestEgressesFollowUse(t *testing.T) {
 		}
 	})
 	route := core.Route(topo, nodes-1, 0)
+	onRoute := slices.Clone(route)
+	slices.Sort(onRoute)
+	if got := lists(rt); !slices.Equal(got, onRoute) {
+		t.Errorf("one fetch-add along %v built neighbor lists on %v, want the route's nodes %v", route, got, onRoute)
+	}
 	var want [][2]int
-	for k := len(route) - 2; k >= 0; k-- { // egPtr is node-major, and the route descends
+	for k := len(route) - 2; k >= 0; k-- { // node-major, and the route descends
 		want = append(want, [2]int{route[k], route[k+1]})
 	}
 	if got := built(rt); !slices.Equal(got, want) {
 		t.Errorf("one fetch-add along %v built egresses %v, want one per hop %v", route, got, want)
 	}
-	for _, eg := range rt.egPtr {
-		if eg != nil && (eg.transmits != 1 || eg.credits != eg.capacity) {
-			t.Errorf("egress %d->%d: %d transmits, credits %d/%d; want 1 transmit and its credit acked back",
-				eg.from, eg.to, eg.transmits, eg.credits, eg.capacity)
+	for n := range rt.nodes {
+		for _, eg := range rt.nodes[n].eg {
+			if eg != nil && (eg.transmits != 1 || eg.credits != eg.capacity) {
+				t.Errorf("egress %d->%d: %d transmits, credits %d/%d; want 1 transmit and its credit acked back",
+					eg.from, eg.to, eg.transmits, eg.credits, eg.capacity)
+			}
 		}
 	}
 }
 
-// TestEdgeArenaMatchesTotalEdges checks the per-edge arena New sizes from one
-// neighbour walk per node against core.TotalEdges, and each node's slice of
-// it against Neighbors, on every family including ragged partial shapes.
+// TestEdgeArenaMatchesTotalEdges checks the per-node edge state built on first
+// use against the topology on every family, including ragged partial
+// shapes: each built list equals Neighbors, its per-edge slices are as long
+// as the list, and the node-major edge bases readers derive step by each
+// node's degree, built or not, to core.TotalEdges.
 func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 16, 30, 64, 100} {
 		for _, kind := range core.AllKinds {
@@ -228,16 +252,71 @@ func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 			}
 			cfg := DefaultConfig(n, 1)
 			cfg.Topology = topo
+			cfg.Adaptive.Enabled = true
 			rt := MustNew(sim.New(), cfg)
-			if got, want := len(rt.egPtr), core.TotalEdges(topo); got != want {
-				t.Errorf("%v: edge arena holds %d slots, want %d", topo, got, want)
+			for v := 0; v < n; v += 2 { // build every other node
+				rt.nodes[v].neighbors()
 			}
-			for v := range rt.nodes {
-				ns := &rt.nodes[v]
-				if !slices.Equal(ns.nbrs, topo.Neighbors(v)) || (v+1 < n && rt.nodes[v+1].egBase != ns.egBase+len(ns.nbrs)) {
-					t.Fatalf("%v: node %d owns arena [%d, +%d) = %v, want Neighbors %v", topo, v, ns.egBase, len(ns.nbrs), ns.nbrs, topo.Neighbors(v))
+			next := 0
+			total := rt.nodeEdges(func(ns *nodeState, base, deg int) {
+				if base != next || deg != topo.Degree(ns.id) {
+					t.Fatalf("%v: node %d edges start at %d with degree %d, want %d and %d", topo, ns.id, base, deg, next, topo.Degree(ns.id))
 				}
+				next += deg
+				if built := ns.nbrs != nil; built != (ns.id%2 == 0 && deg > 0) {
+					t.Fatalf("%v: node %d built %v", topo, ns.id, built)
+				}
+				if ns.nbrs == nil {
+					return
+				}
+				if !slices.Equal(ns.nbrs, topo.Neighbors(ns.id)) || len(ns.eg) != deg || len(ns.pendingBySrc) != deg || len(ns.inCap) != deg || len(ns.lastShift) != deg {
+					t.Fatalf("%v: node %d built list %v (%d egress slots, %d pending, %d capacities, %d shifts), want Neighbors %v",
+						topo, ns.id, ns.nbrs, len(ns.eg), len(ns.pendingBySrc), len(ns.inCap), len(ns.lastShift), topo.Neighbors(ns.id))
+				}
+			})
+			if want := core.TotalEdges(topo); total != want {
+				t.Errorf("%v: edge bases sum to %d, want %d", topo, total, want)
 			}
 		}
+	}
+}
+
+// TestUnbuiltEdgesDigestAsFresh pins that a node whose edge state was never
+// built reads in the checkpoint section exactly as one built and untouched.
+// With healing armed no membership view is virgin, so every node is folded
+// in whole, adaptive capacities and membership slices included. The run
+// stops before the first heartbeat round, which would build every node,
+// with one fetch-add's route built and the rest not.
+func TestUnbuiltEdgesDigestAsFresh(t *testing.T) {
+	const nodes = 64
+	eng, rt := healedRuntime(t, core.MFCG, nodes, 1, "node:5@t=5ms", func(c *Config) { c.Adaptive.Enabled = true })
+	rt.Alloc("ctr", 8)
+	rt.Start(func(r *Rank) {
+		if r.Rank() == nodes-1 {
+			r.FetchAdd(0, "ctr", 0, 1)
+		}
+	})
+	defer rt.Shutdown()
+	if _, ok := eng.RunUntil(heartbeatInterval / 2).(*sim.TimeLimitError); !ok {
+		t.Fatal("the run drained before its horizon")
+	}
+	built := 0
+	for n := range rt.nodes {
+		if rt.nodes[n].nbrs != nil {
+			built++
+		}
+	}
+	if built == 0 || built == nodes {
+		t.Fatalf("%d of %d nodes built at the horizon; want some but not all", built, nodes)
+	}
+	before := rt.checkpointSection()
+	for n := range rt.nodes {
+		rt.nodes[n].neighbors()
+	}
+	if after := rt.checkpointSection(); !bytes.Equal(before, after) {
+		t.Errorf("building the %d unbuilt nodes' edge state changed the armci section", nodes-built)
+	}
+	if err := rt.CheckCreditInvariants(); err != nil {
+		t.Error(err)
 	}
 }

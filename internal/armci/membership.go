@@ -73,9 +73,10 @@ const (
 )
 
 // memberView is one node's failure-detector state over its neighbors,
-// indexed like nodeState.nbrs. The per-neighbor slices are carved from
-// runtime-wide arenas (see newMemberViews), so a lookup is nbrIdx's binary
-// search, not a map probe.
+// indexed like nodeState.nbrs. The per-neighbor slices are carved with the
+// node's other edge state on its first edge use (nodeState.buildEdges);
+// until then they are nil and every neighbor counts as alive and never
+// heard. A lookup is nbrIdx's binary search, not a map probe.
 type memberView struct {
 	lastHeard []sim.Time
 	state     []memberState
@@ -127,19 +128,13 @@ func (ln *ringLine) pred(mv *memberView) int32 {
 	return -1
 }
 
-// newMemberViews gives every node a membership view over its neighbors: one
-// slab of views plus one arena each for last-heard instants and states,
-// sliced per node at its egress base (the per-edge index space every other
-// arena uses).
+// newMemberViews gives every node a membership view over its neighbors, all
+// from one slab of views. A view's per-neighbor slices come with the node's
+// edge state, so New walks no neighbors here either.
 func (rt *Runtime) newMemberViews() {
 	views := make([]memberView, len(rt.nodes))
-	heard := make([]sim.Time, len(rt.egPtr))
-	state := make([]memberState, len(rt.egPtr))
 	for n := range rt.nodes {
-		ns := &rt.nodes[n]
-		lo, hi := ns.egBase, ns.egBase+len(ns.nbrs)
-		views[n] = memberView{lastHeard: heard[lo:hi:hi], state: state[lo:hi:hi]}
-		ns.mv = &views[n]
+		rt.nodes[n].mv = &views[n]
 	}
 }
 
@@ -155,7 +150,7 @@ func (ns *nodeState) rings() []ringLine {
 	}
 	lines := core.Lines(ns.rt.topo, ns.id)
 	mv.lines = make([]ringLine, len(lines))
-	members := make([]int32, len(ns.nbrs)) // lines partition the neighbors
+	members := make([]int32, len(ns.neighbors())) // lines partition the neighbors
 	for l, line := range lines {
 		ln := &mv.lines[l]
 		ln.members, members = members[:len(line):len(line)], members[len(line):]
@@ -188,7 +183,7 @@ func (ns *nodeState) lineOf(i int32) *ringLine {
 // dead. Nodes outside the neighbor set are never dead (the view only tracks
 // topology edges), and nothing is without healing armed.
 func (ns *nodeState) isDead(node int) bool {
-	if ns.mv == nil {
+	if ns.mv == nil || ns.nbrs == nil { // a view never built holds no one dead
 		return false
 	}
 	i := ns.nbrIdx(node)
@@ -496,8 +491,7 @@ func (ns *nodeState) crashStop() {
 		ns.pendingBySrc[i] = 0
 	}
 	ns.pendingSrcs = 0
-	for i := range ns.nbrs {
-		eg := ns.egBuilt(i)
+	for _, eg := range ns.eg {
 		if eg == nil {
 			continue
 		}
@@ -532,14 +526,15 @@ func (ns *nodeState) crashStop() {
 // itself to every neighbor (see onNotice).
 func (ns *nodeState) recoverNode() {
 	rt := ns.rt
-	for i := range ns.nbrs {
-		if eg := ns.egBuilt(i); eg != nil {
+	for _, eg := range ns.eg {
+		if eg != nil {
 			eg.reset()
 		}
 	}
 	if ns.mv != nil {
+		nbrs := ns.neighbors() // the refreshed view covers every neighbor
 		ns.mv.refresh(rt.eng.Now())
-		for _, peer := range ns.nbrs {
+		for _, peer := range nbrs {
 			ns.sendNotice(peer, ns.id, true)
 		}
 	}

@@ -212,18 +212,20 @@ func (rt *Runtime) FillMetrics() {
 	reg.Counter("armci_cht_served", otherClass).Add(float64(otherServed))
 
 	// Per-edge buffer occupancy: peak buffers in use on every directed
-	// edge of the virtual topology (0 on an edge never built), as a
-	// distribution plus the pool size.
+	// edge of the virtual topology (0 on an edge never built, and on every
+	// edge of a node never built), as a distribution plus the pool size.
 	peak := reg.Histogram("armci_edge_buffer_peak", obs.CountBuckets)
 	edges := reg.Counter("armci_edges_total")
-	for _, eg := range rt.egPtr {
-		used := 0
-		if eg != nil {
-			used = eg.peakInUse
+	rt.nodeEdges(func(ns *nodeState, _, deg int) {
+		for j := range deg {
+			used := 0
+			if j < len(ns.eg) && ns.eg[j] != nil {
+				used = ns.eg[j].peakInUse
+			}
+			peak.Observe(float64(used))
+			edges.Inc()
 		}
-		peak.Observe(float64(used))
-		edges.Inc()
-	}
+	})
 	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.cfg.PPN * rt.cfg.BufsPerProc))
 
 	// Kernel execution counters (schema in docs/PARALLELISM.md).

@@ -26,20 +26,11 @@ type Runtime struct {
 	// lifetime.
 	nodes []nodeState
 	ranks []Rank
-	// egPtr holds one pointer per directed virtual-topology edge, laid out
-	// node-major: node n's edge toward nodes[n].nbrs[i] is
-	// egPtr[nodes[n].egBase+i]. An entry stays nil until the edge is first
-	// used (nodeState.egAt), and nil means a fresh, full credit pool with
-	// nothing parked, so a run pays for the edges it uses, not for every
-	// edge the topology allows.
-	egPtr []*egress
-	// egSlab is the unused tail of the chunk first-use egresses are carved
-	// from, and egUnbuilt counts the nil entries of egPtr, which bounds the
-	// next chunk (see nodeState.buildEg). egMu guards both: shards build
-	// their nodes' egresses concurrently.
-	egMu      sync.Mutex
-	egSlab    []egress
-	egUnbuilt int
+	// slabs holds what a node's edge state is carved from on its first edge
+	// use (nodeState.buildEdges) and an edge's egress on the edge's first
+	// use (nodeState.buildEg), so a run pays for the nodes and edges it
+	// uses, not for every edge the topology allows.
+	slabs edgeSlabs
 
 	allocs map[string]*allocation
 	// allocsMu guards the allocs map: Malloc may be called concurrently from
@@ -151,16 +142,19 @@ type nodeState struct {
 	id    int
 	rt    *Runtime
 	inbox *sim.Queue[*request]
-	// nbrs lists this node's virtual-topology neighbors in sorted order. It
-	// is the index space for every per-edge array below: neighbor nbrs[i]
-	// owns egress slot rt.egPtr[egBase+i], pending count pendingBySrc[i],
-	// and (with adaptive credits) inCap[i]/lastShift[i]. Lookup is a binary
-	// search (nbrIdx) — degree is logarithmic on the scalable topologies, so
-	// the search beats a per-node map in both bytes and cycles.
+	// nbrs lists this node's virtual-topology neighbors in sorted order, or
+	// is nil until the node's first edge use (see neighbors). It is the
+	// index space for every per-edge slice below: neighbor nbrs[i] owns
+	// egress eg[i], pending count pendingBySrc[i], (with adaptive credits)
+	// inCap[i]/lastShift[i] and (with healing) mv.lastHeard[i]/mv.state[i].
+	// Lookup is a binary search (nbrIdx) — degree is logarithmic on the
+	// scalable topologies, so the search beats a per-node map in both bytes
+	// and cycles.
 	nbrs []int
-	// egBase is the index of this node's first edge in rt.egPtr (and in
-	// every other runtime-wide per-edge arena).
-	egBase int
+	// eg holds the egress toward each neighbor. An entry stays nil until the
+	// edge is first used (egAt), and nil means a fresh, full credit pool
+	// with nothing parked.
+	eg []*egress
 	// pendingBySrc counts buffered requests per upstream neighbor (indexed
 	// like nbrs), driving the CHT poll-cost model; pendingSrcs is the number
 	// of distinct neighbors with a nonzero count (the CHT polls one buffer
@@ -218,63 +212,154 @@ type nodeState struct {
 	reqFree []*request
 }
 
-// nbrIdx returns the index of peer in ns.nbrs (the per-edge array index for
-// every flattened per-neighbor structure), or -1 when peer is not a neighbor.
+// nbrIdx returns the index of peer in ns.nbrs (the per-edge slice index
+// for every per-neighbor structure), or -1 when peer is not a neighbor. It
+// builds the node's edge state on first use.
 func (ns *nodeState) nbrIdx(peer int) int {
-	lo, hi := 0, len(ns.nbrs)
+	nbrs := ns.neighbors()
+	lo, hi := 0, len(nbrs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if ns.nbrs[mid] < peer {
+		if nbrs[mid] < peer {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(ns.nbrs) && ns.nbrs[lo] == peer {
+	if lo < len(nbrs) && nbrs[lo] == peer {
 		return lo
 	}
 	return -1
+}
+
+// neighbors returns ns.nbrs, building the node's edge state on its first
+// edge use. Call it from this node's owner context: that is where the
+// slices are written. The build is a separate call so that neighbors
+// inlines.
+func (ns *nodeState) neighbors() []int {
+	if ns.nbrs == nil {
+		ns.buildEdges()
+	}
+	return ns.nbrs
 }
 
 // egAt returns the egress toward neighbor ns.nbrs[i], building it on first
 // use. Call it from this node's owner context: that is where the entry is
 // written. The build is a separate call so that egAt inlines.
 func (ns *nodeState) egAt(i int) *egress {
-	if eg := ns.rt.egPtr[ns.egBase+i]; eg != nil {
+	if eg := ns.eg[i]; eg != nil {
 		return eg
 	}
 	return ns.buildEg(i)
 }
 
-// egBuilt returns the egress toward neighbor ns.nbrs[i], or nil if the edge
-// has never been used: a fresh, full credit pool with nothing parked. Loops
-// over a node's edges use it so that reading state builds none.
-func (ns *nodeState) egBuilt(i int) *egress { return ns.rt.egPtr[ns.egBase+i] }
+// edgeSlabs is what per-node edge state and egresses are carved from: the
+// unused tail of one chunk per element type. Node lists are carved on a
+// node's first edge use, egresses on an edge's first use; a run that
+// touches a handful of nodes allocates a handful of small chunks, one that
+// touches thousands a few large ones. mu guards it all: shards build their
+// nodes' edges concurrently.
+type edgeSlabs struct {
+	mu sync.Mutex
+	// carved counts the per-edge entries carved so far (the edges of every
+	// built node), built the egresses built so far. They size the next
+	// chunks, and carved - built bounds an egress chunk: no egress can be
+	// built on an edge whose node has no list yet.
+	carved, built int
+	nbrs          []int
+	eg            []*egress
+	pending       []int32
+	caps          []int         // adaptive credits: inCap
+	times         []sim.Time    // adaptive credits: lastShift; healing: lastHeard
+	states        []memberState // healing: mv.state
+	egress        []egress
+}
 
-// egChunk is the most egresses one slab chunk holds (128 KiB).
-const egChunk = 1024
+// edgeChunk is the most per-edge entries one node-list chunk holds, and
+// egChunk the most egresses one egress chunk holds (128 KiB).
+const (
+	edgeChunk = 8192
+	egChunk   = 1024
+)
+
+// carve returns the next n elements of *slab, starting a new chunk of at
+// least chunk elements when the current one runs short.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, chunk))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// buildEdges carves this node's neighbor list, egress pointers, pending
+// counts and, as armed, adaptive-credit and membership slices, then fills
+// the list from one neighbor walk. Chunks grow with the entries carved so
+// far, from 64 up to edgeChunk. Every entry starts as New used to set it
+// for all nodes at once, so which nodes were built never shows in a digest
+// or a count.
+func (ns *nodeState) buildEdges() {
+	rt := ns.rt
+	deg := rt.topo.Degree(ns.id)
+	sl := &rt.slabs
+	sl.mu.Lock()
+	chunk := min(max(sl.carved, 64), edgeChunk)
+	sl.carved += deg
+	nbrs := carve(&sl.nbrs, deg, chunk)
+	ns.eg = carve(&sl.eg, deg, chunk)
+	ns.pendingBySrc = carve(&sl.pending, deg, chunk)
+	if rt.cfg.Adaptive.Enabled {
+		ns.inCap = carve(&sl.caps, deg, chunk)
+		ns.lastShift = carve(&sl.times, deg, chunk)
+	}
+	if ns.mv != nil {
+		ns.mv.lastHeard = carve(&sl.times, deg, chunk)
+		ns.mv.state = carve(&sl.states, deg, chunk)
+	}
+	sl.mu.Unlock()
+	ns.nbrs = rt.topo.AppendNeighbors(nbrs[:0], ns.id)
+	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
+	for i := range ns.inCap {
+		ns.inCap[i] = poolCap
+		ns.lastShift[i] = neverShifted
+	}
+}
 
 // buildEg carves the egress toward ns.nbrs[i] from the runtime's slab.
 // Chunks grow with the number of egresses built so far, from 16 up to
-// egChunk, and never exceed the edges still unbuilt: a run that uses a
-// handful of edges allocates a handful of records, one that uses thousands
-// a few chunks, and none allocates more records than the topology has
-// edges.
+// egChunk, and never exceed the carved edges still without one, so none
+// allocates more records than the topology has edges.
 func (ns *nodeState) buildEg(i int) *egress {
 	rt := ns.rt
-	rt.egMu.Lock()
-	if len(rt.egSlab) == 0 {
-		built := len(rt.egPtr) - rt.egUnbuilt
-		rt.egSlab = make([]egress, min(max(built, 16), egChunk, rt.egUnbuilt))
-	}
-	eg := &rt.egSlab[0]
-	rt.egSlab = rt.egSlab[1:]
-	rt.egUnbuilt--
-	rt.egMu.Unlock()
+	sl := &rt.slabs
+	sl.mu.Lock()
+	eg := &carve(&sl.egress, 1, min(max(sl.built, 16), egChunk, sl.carved-sl.built))[0]
+	sl.built++
+	sl.mu.Unlock()
 	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
 	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: poolCap, capacity: poolCap}
-	rt.egPtr[ns.egBase+i] = eg
+	ns.eg[i] = eg
 	return eg
+}
+
+// nodeEdges calls fn for every node in id order with the node-major index
+// of its first edge and its degree — a built node's list length, the
+// topology's Degree for one never built — and returns the edge count.
+// Readers that number edges node-major (the checkpoint egress section, the
+// edge metrics) derive the bases here; no node stores one.
+func (rt *Runtime) nodeEdges(fn func(ns *nodeState, base, deg int)) int {
+	base := 0
+	for n := range rt.nodes {
+		ns := &rt.nodes[n]
+		deg := len(ns.nbrs)
+		if ns.nbrs == nil {
+			deg = rt.topo.Degree(n)
+		}
+		fn(ns, base, deg)
+		base += deg
+	}
+	return base
 }
 
 // neverShifted marks an in-edge that has never shifted a credit: far enough
@@ -360,56 +445,24 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	for m := range rt.mutexes {
 		rt.mutexes[m].owner = -1
 	}
-	// Per-node state is flattened into contiguous arenas built from one
-	// neighbor walk per node. The sorted neighbor list doubles as the index
-	// space for every per-edge array, so the maps a 64k-node job would
-	// otherwise hold per node (egress, pending counts, adaptive capacities)
-	// collapse into slices. Node 0 has the largest degree on the grid
-	// family, so Nodes times its degree bounds the arena there.
+	// Per-node state lives in one contiguous array. A node's per-edge
+	// slices — neighbor list, egress pointers, pending counts — are carved
+	// on its first edge use (see buildEdges), so New walks no neighbors and
+	// a 64k-node job whose traffic crosses a few hundred nodes builds edge
+	// state for those alone.
 	rt.nodes = make([]nodeState, cfg.Nodes)
-	nbrArena := make([]int, 0, cfg.Nodes*rt.topo.Degree(0))
-	for n := range rt.nodes {
-		rt.nodes[n].egBase = len(nbrArena)
-		nbrArena = rt.topo.AppendNeighbors(nbrArena, n)
-	}
-	edges := len(nbrArena)
-	rt.egPtr = make([]*egress, edges)
-	rt.egUnbuilt = edges
-	pendArena := make([]int32, edges)
-	var capArena []int
-	var shiftArena []sim.Time
-	if cfg.Adaptive.Enabled {
-		capArena = make([]int, edges)
-		shiftArena = make([]sim.Time, edges)
-	}
-	poolCap := cfg.PPN * cfg.BufsPerProc
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
-		lo, hi := ns.egBase, edges
-		if n+1 < len(rt.nodes) {
-			hi = rt.nodes[n+1].egBase
-		}
 		*ns = nodeState{
-			id:           n,
-			rt:           rt,
-			inbox:        sim.NewNumberedQueue[*request](eng, "cht", n),
-			nbrs:         nbrArena[lo:hi:hi],
-			egBase:       lo,
-			pendingBySrc: pendArena[lo:hi:hi],
+			id:    n,
+			rt:    rt,
+			inbox: sim.NewNumberedQueue[*request](eng, "cht", n),
 		}
 		if cfg.RequestTimeout > 0 {
 			ns.rids = map[uint64]dupState{}
 		}
 		if cfg.Overload.Enabled {
 			ns.pacers = map[int]*pacer{}
-		}
-		if cfg.Adaptive.Enabled {
-			ns.inCap = capArena[lo:hi:hi]
-			ns.lastShift = shiftArena[lo:hi:hi]
-			for i := range ns.inCap {
-				ns.inCap[i] = poolCap
-				ns.lastShift[i] = neverShifted
-			}
 		}
 	}
 	rt.ranks = make([]Rank, cfg.Nodes*cfg.PPN)
@@ -738,9 +791,11 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 		return err
 	}
 	stall := &StallError{WatchdogError: we}
-	for _, eg := range rt.egPtr {
-		if eg != nil && len(eg.pending) > 0 {
-			stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, eg.capacity, len(eg.pending)})
+	for n := range rt.nodes {
+		for _, eg := range rt.nodes[n].eg {
+			if eg != nil && len(eg.pending) > 0 {
+				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, eg.capacity, len(eg.pending)})
+			}
 		}
 	}
 	return stall
@@ -756,22 +811,28 @@ func (rt *Runtime) Shutdown() { rt.eng.Shutdown() }
 func (rt *Runtime) Start(body func(r *Rank)) {
 	// Every process and recurring event is pinned to its node's scheduling
 	// owner, so in sharded mode all of a node's activity runs on one shard.
-	for i := range rt.nodes {
-		ns := &rt.nodes[i]
-		rt.eng.SpawnStepOn(ns.id, "cht", ns.id, ns.chtStep)
+	// One step function serves every CHT and one body wrapper and exit
+	// callback every rank: a process's number is its node or rank, so
+	// spawning allocates no closure (a method value per node would).
+	chtStep := func(p *sim.Proc) { rt.nodes[p.Num()].chtStep(p) }
+	for n := range rt.nodes {
+		rt.eng.SpawnStepOn(n, "cht", n, chtStep)
 	}
 	rt.liveRanks = len(rt.ranks)
+	exited := func() { rt.liveRanks-- }
+	rankBody := func(p *sim.Proc) {
+		r := &rt.ranks[p.Num()]
+		body(r)
+		// Aggregated operations still buffered when the body returns
+		// would otherwise never be injected.
+		r.flushAllAgg()
+		// liveRanks is shared across nodes, so the decrement must land
+		// on the global lane (a serial instant).
+		rt.eng.AtGlobal(r.node, exited)
+	}
 	for i := range rt.ranks {
 		r := &rt.ranks[i]
-		r.proc = rt.eng.SpawnNumberedOn(r.node, "rank", r.rank, func(p *sim.Proc) {
-			body(r)
-			// Aggregated operations still buffered when the body returns
-			// would otherwise never be injected.
-			r.flushAllAgg()
-			// liveRanks is shared across nodes, so the decrement must land
-			// on the global lane (a serial instant).
-			rt.eng.AtGlobal(r.node, func() { rt.liveRanks-- })
-		})
+		r.proc = rt.eng.SpawnNumberedOn(r.node, "rank", r.rank, rankBody)
 	}
 	if rt.healArmed {
 		for i := range rt.nodes {
@@ -887,14 +948,15 @@ func (rt *Runtime) returnCredit(node, peer int) {
 // shifting: every built egress holds 0 <= credits <= capacity with
 // non-negative debts (an unbuilt one is a full pool and holds them
 // trivially), and every adaptive node's in-edge capacities sum to degree *
-// (PPN * BufsPerProc) with each at least 1 (the LDF liveness floor). The
+// (PPN * BufsPerProc) with each at least 1 (the LDF liveness floor; a node
+// never built still has its initial capacities and is skipped). The
 // chaos harness and property tests call it after every run.
 func (rt *Runtime) CheckCreditInvariants() error {
 	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
 		for i, peer := range ns.nbrs {
-			eg := ns.egBuilt(i)
+			eg := ns.eg[i]
 			if eg == nil {
 				continue
 			}

@@ -552,8 +552,9 @@ func BenchmarkHopAvoiding(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighbors times the whole-topology neighbour walk a runtime makes
-// at set-up: every node's AppendNeighbors into one reused buffer.
+// BenchmarkNeighbors times the neighbour walk a runtime makes on each node's
+// first edge use, over every node: each node's AppendNeighbors into one
+// reused buffer.
 func BenchmarkNeighbors(b *testing.B) {
 	for _, c := range []struct {
 		kind Kind

@@ -20,6 +20,37 @@ func BenchmarkEventQueue(b *testing.B) {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) { benchQueue(b, pending, first, next) })
 	}
 	b.Run("pending=4096/wide", func(b *testing.B) { benchQueue(b, 4096, wideDelay, wideDelay) })
+	b.Run("burst=131072", func(b *testing.B) { benchBurst(b, 131072) })
+}
+
+// benchBurst fires b.N events in bursts of up to burst, each pushed in key
+// order, the shape of a 64k-node job's start: half of a burst lands at the
+// instant that pushes it (the spawn switches at t = 0), half one nanosecond
+// later, through a bucket (the rank exits one lookahead later). The next
+// burst is pushed once both halves have fired.
+func benchBurst(b *testing.B, burst int) {
+	e := New()
+	fired, pushed := 0, 0
+	fire := func() { fired++ }
+	var round func()
+	round = func() {
+		n := min(burst, b.N-pushed)
+		for i := 0; i < n; i++ {
+			e.After(Time(i%2), fire)
+		}
+		pushed += n
+		if pushed < b.N {
+			e.After(2, round)
+		}
+	}
+	e.At(0, round)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if fired != b.N {
+		b.Fatalf("fired %d events, want %d", fired, b.N)
+	}
 }
 
 // wideDelay is the i-th delay of a log-uniform spread over [2^6, 2^27) ns.

@@ -68,14 +68,20 @@ type bucket struct {
 // eventQueue is an exact monotone priority queue of eventKeys over a payload
 // slab: a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990) on t.
 // Virtual time never runs backwards, so every push is at or after last, the
-// time of the most recent pop. A key with t == last sits in now, a binary
-// heap on (seq, origin); any other key sits in bucket bits.Len64(t ^ last),
-// chosen by the highest time bit where it differs from last. Every key in a
-// bucket is smaller than every key in a higher one, so when now runs dry,
-// pop advances last to the smallest time in the lowest non-empty bucket and
-// redistributes that bucket alone: each of its keys lands in now or in a
+// time of the most recent pop. A key with t == last sits in now; any other
+// key sits in bucket bits.Len64(t ^ last), chosen by the highest time bit
+// where it differs from last. Every key in a bucket is smaller than every
+// key in a higher one, so when now runs dry, pop advances last to the
+// smallest time in the lowest non-empty bucket and redistributes that
+// bucket alone, oldest key first: each of its keys lands in now or in a
 // strictly lower bucket. A key therefore moves at most 63 times however
 // long it waits — a far timeout no longer costs every pop a sift past it.
+//
+// now is a sorted run, popped from nowHead, while keys arrive in key order:
+// a job's spawn switches at t = 0 and its rank exits one lookahead later
+// are such bursts, each key one append and one increment. The first key
+// below the run's tail turns the run into a binary heap on (seq, origin) —
+// a sorted slice already is one — which it stays until now empties.
 //
 // head is a pure peek and never moves last: the sharded barrier peeks a
 // lane, then merges outbox events that fall below that lane's head but not
@@ -84,7 +90,9 @@ type eventQueue struct {
 	last    Time
 	n       int
 	mask    uint64     // bit b set: buckets[b] is non-empty (b >= 1)
-	now     []eventKey // keys with t == last: a binary min-heap
+	now     []eventKey // keys with t == last: a sorted run or a binary min-heap
+	nowHead int        // the run's first key (0 while now is a heap)
+	nowHeap bool       // now is a heap, not a sorted run
 	buckets [64]bucket // buckets[0] is unused; now stands in for it
 	free    *keyBlock  // empty blocks, linked through next
 	blocks  int        // blocks allocated: every one is in a chain or free
@@ -100,7 +108,7 @@ func (q *eventQueue) Len() int { return q.n }
 // head is the smallest pending key; the queue must be non-empty.
 func (q *eventQueue) head() eventKey {
 	if len(q.now) > 0 {
-		return q.now[0]
+		return q.now[q.nowHead]
 	}
 	return q.buckets[bits.TrailingZeros64(q.mask)].min
 }
@@ -162,9 +170,24 @@ func (q *eventQueue) newBlock(next *keyBlock) *keyBlock {
 	return blk
 }
 
-// pushNow adds k (t == last) to the now heap.
+// pushNow adds k (t == last) to now: appended while it keeps the run
+// sorted, sifted up once now is a heap. A full run whose popped prefix is
+// at least half of it slides down instead of growing, so a long burst at
+// one instant holds memory for its pending keys, not for all it ever had.
 func (q *eventQueue) pushNow(k eventKey) {
-	now := append(q.now, k)
+	now := q.now
+	if !q.nowHeap {
+		n := len(now)
+		if n == 0 || !k.less(now[n-1]) {
+			if n == cap(now) && 2*q.nowHead >= n {
+				now, q.nowHead = now[:copy(now, now[q.nowHead:])], 0
+			}
+			q.now = append(now, k)
+			return
+		}
+		now, q.nowHead, q.nowHeap = now[:copy(now, now[q.nowHead:])], 0, true
+	}
+	now = append(now, k)
 	q.now = now
 	i := len(now) - 1
 	for i > 0 {
@@ -180,25 +203,35 @@ func (q *eventQueue) pushNow(k eventKey) {
 
 // refill advances last to the smallest pending time, the minimum of the
 // lowest non-empty bucket, and redistributes that bucket: its keys at the
-// new last go to now, the rest to lower buckets. Its blocks return to the
-// free list as they empty.
+// new last go to now, the rest to lower buckets. The chain is reversed in
+// place first, so the keys leave in push order and a bucket filled in key
+// order lands in now as one sorted run. Its blocks return to the free list
+// as they empty.
 func (q *eventQueue) refill() {
 	b := bits.TrailingZeros64(q.mask)
 	bk := &q.buckets[b]
 	last := bk.min.t
 	q.last = last
 	q.mask &^= 1 << b
-	n := bk.n
+	var oldest *keyBlock
 	for blk := bk.blk; blk != nil; {
-		for _, k := range blk.keys[:n] {
+		next := blk.next
+		blk.next = oldest
+		oldest, blk = blk, next
+	}
+	for blk := oldest; blk != nil; {
+		keys := blk.keys[:]
+		next := blk.next
+		if next == nil {
+			keys = keys[:bk.n] // the newest block
+		}
+		for _, k := range keys {
 			if k.t == last {
 				q.pushNow(k)
 			} else {
 				q.add(k)
 			}
 		}
-		n = blockKeys
-		next := blk.next
 		blk.next = q.free
 		q.free = blk
 		blk = next
@@ -213,6 +246,24 @@ func (q *eventQueue) pop() (Time, payload) {
 	if len(q.now) == 0 {
 		q.refill()
 	}
+	var top eventKey
+	if q.nowHeap {
+		top = q.popHeap()
+	} else {
+		top = q.now[q.nowHead]
+		if q.nowHead++; q.nowHead == len(q.now) {
+			q.now, q.nowHead = q.now[:0], 0
+		}
+	}
+	q.n--
+	p := q.slab[top.slot]
+	q.slab[top.slot] = payload{owner: q.freeHead}
+	q.freeHead = top.slot + 1
+	return top.t, p
+}
+
+// popHeap removes the top of the now heap; an emptied heap is an empty run.
+func (q *eventQueue) popHeap() eventKey {
 	now := q.now
 	top := now[0]
 	n := len(now) - 1
@@ -234,19 +285,17 @@ func (q *eventQueue) pop() (Time, payload) {
 			i = c
 		}
 		now[i] = tail
+	} else {
+		q.nowHeap = false
 	}
 	q.now = now[:n]
-	q.n--
-	p := q.slab[top.slot]
-	q.slab[top.slot] = payload{owner: q.freeHead}
-	q.freeHead = top.slot + 1
-	return top.t, p
+	return top
 }
 
 // appendPending appends every pending event, key and payload, in queue
 // (not key) order.
 func (q *eventQueue) appendPending(dst []event) []event {
-	for _, k := range q.now {
+	for _, k := range q.now[q.nowHead:] {
 		dst = append(dst, event{k, q.slab[k.slot]})
 	}
 	for m := q.mask; m != 0; m &= m - 1 {

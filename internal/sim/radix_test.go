@@ -8,7 +8,9 @@ import (
 )
 
 // checkQueue verifies the radix invariants and the block and slab
-// bookkeeping: now is a binary heap of keys at last; every other key sits in
+// bookkeeping: now holds keys at last, either as a sorted run from nowHead
+// (empty only as a zero-length slice) or as a binary heap from index 0;
+// every other key sits in
 // the bucket named by the highest bit where its time differs from last, in a
 // chain of full blocks behind one partly filled newest block, and each
 // bucket's min is its smallest key; every allocated block is in exactly one
@@ -16,13 +18,22 @@ import (
 // every slot off the queue is on the free list with no payload left in it.
 func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
-	now := q.now
+	if q.nowHead < 0 || q.nowHead > len(q.now) || q.nowHead == len(q.now) && q.nowHead > 0 {
+		t.Fatalf("now run [%d:%d] is out of range or empty but not reset", q.nowHead, len(q.now))
+	}
+	if q.nowHeap && (q.nowHead != 0 || len(q.now) == 0) {
+		t.Fatalf("now heap starts at %d with %d keys; want start 0 and at least one key", q.nowHead, len(q.now))
+	}
+	now := q.now[q.nowHead:]
 	for i, k := range now {
 		if k.t != q.last {
 			t.Fatalf("now[%d] = %+v is not at last %v", i, k, q.last)
 		}
-		if i > 0 && k.less(now[(i-1)/2]) {
+		if q.nowHeap && i > 0 && k.less(now[(i-1)/2]) {
 			t.Fatalf("now heap broken at %d: %+v under parent %+v", i, k, now[(i-1)/2])
+		}
+		if !q.nowHeap && i > 0 && k.less(now[i-1]) {
+			t.Fatalf("now run unsorted at %d: %+v after %+v", i, k, now[i-1])
 		}
 	}
 	keys := append([]eventKey(nil), now...)
@@ -145,6 +156,25 @@ func FuzzEventHeap(f *testing.F) {
 		}
 	}
 	f.Add(barrier)
+	// A burst pushed in key order at one instant (a sorted run), a few pops
+	// from its front, a key below its tail (the run becomes a heap), peeks
+	// and pops interleaved until it drains, then a same-instant push-push-pop
+	// stream that makes the run slide down over its popped prefix.
+	var burst []byte
+	for i := 0; i < 40; i++ {
+		burst = append(burst, 0)
+	}
+	burst = append(burst, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
+	for i := 0; i < 20; i++ {
+		burst = append(burst, 0x80, 31<<2|byte(i%4))
+	}
+	for i := 0; i < 60; i++ {
+		burst = append(burst, 0x80)
+	}
+	for i := 0; i < 200; i++ {
+		burst = append(burst, 2, 2, 0x80)
+	}
+	f.Add(burst)
 	fn := func(any) {}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {

@@ -144,6 +144,11 @@ func numberedName(prefix string, num int) string {
 	return prefix + strconv.Itoa(num)
 }
 
+// Num returns the number the process was spawned with by SpawnNumberedOn or
+// SpawnStepOn, or -1 when its name has none: a body shared by many
+// processes finds its own instance by it.
+func (p *Proc) Num() int { return p.num }
+
 // ID returns the process's spawn-order identifier.
 func (p *Proc) ID() int { return p.id }
 
@@ -185,6 +190,9 @@ type Engine struct {
 	// advance their owners' counters without contention.
 	seqs  []uint64
 	procs []*Proc
+	// procSlab is the unused tail of the chunk spawned processes are carved
+	// from (see spawnAt).
+	procSlab []Proc
 	// idle holds the carriers free for the serial loop and the coordinator to
 	// borrow (each shard lane has its own list).
 	idle []*carrier
@@ -501,11 +509,23 @@ func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Pro
 	return p
 }
 
+// procChunk is the most processes one slab chunk holds.
+const procChunk = 1024
+
+// spawnAt creates a process and schedules its first resume at t. Its record
+// is carved from a slab whose chunks grow with the processes spawned so far,
+// from 16 up to procChunk, so a job spawning one process per rank and per
+// node allocates a chunk per thousand processes, not one record each.
 func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *Proc), daemon bool) *Proc {
 	if e.windowActive.Load() {
 		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")
 	}
-	p := &Proc{
+	if len(e.procSlab) == 0 {
+		e.procSlab = make([]Proc, min(max(len(e.procs), 16), procChunk))
+	}
+	p := &e.procSlab[0]
+	e.procSlab = e.procSlab[1:]
+	*p = Proc{
 		e:      e,
 		id:     len(e.procs),
 		name:   name,
