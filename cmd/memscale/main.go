@@ -4,7 +4,7 @@
 // footprint next to the analytic Fig 5 model for the same node:
 //
 //	memscale -scale 16384 -measure
-//	memscale -scale 16384 -measure -max-live-mb 128   # nonzero exit on breach
+//	memscale -scale 16384 -measure -max-live-mb 48    # nonzero exit on breach
 //
 // Figure 5 itself (master-process memory versus process count) is the
 // `sweep -preset fig5` grid; cmd/vtreport prints it with the buffer-driven

@@ -25,8 +25,10 @@ func (rt *Runtime) checkpointSection() []byte {
 	// not the node count.
 	enc.Str("nstats")
 	h := ckpt.MixInit
-	for n := range rt.nstats {
-		s := &rt.nstats[n]
+	for n, s := range rt.nstats {
+		if s == nil {
+			continue // never carved: a zero block, which contributes nothing
+		}
 		fields := []uint64{
 			s.Ops, s.Requests, s.Forwards, s.LocalOps, s.CreditWaits,
 			uint64(s.CreditWaited), uint64(s.MaxCHTBacklog),

@@ -42,11 +42,13 @@ type Runtime struct {
 	mutexes []mutexState
 	world   []int // all ranks, the member list of world collectives
 
-	// nstats holds one Stats block per node: every counter is incremented
-	// only from its node's owner context (rank process, CHT, or an event
-	// pinned to the node), so sharded workers never contend and runs stay
-	// bit-identical. Stats() merges the blocks.
-	nstats []Stats
+	// nstats holds each node's Stats block, nil until the node's first
+	// counter write carves one from slabs.stats (see st). Every counter is
+	// incremented only from its node's owner context (rank process, CHT, or
+	// an event pinned to the node), so sharded workers never contend and
+	// runs stay bit-identical. Stats() merges the blocks; a nil one reads as
+	// zero everywhere.
+	nstats []*Stats
 	// obs is the observability side-car (nil unless Config.Metrics or
 	// Config.Trace is set); see obs.go and docs/OBSERVABILITY.md.
 	obs *obsState
@@ -139,9 +141,11 @@ type Stats struct {
 }
 
 type nodeState struct {
-	id    int
-	rt    *Runtime
-	inbox *sim.Queue[*request]
+	id int
+	rt *Runtime
+	// inbox is the CHT's request queue, held by value: a node costs no heap
+	// object of its own, and the CHT, its only getter, parks inline.
+	inbox sim.Queue[*request]
 	// nbrs lists this node's virtual-topology neighbors in sorted order, or
 	// is nil until the node's first edge use (see neighbors). It is the
 	// index space for every per-edge slice below: neighbor nbrs[i] owns
@@ -253,12 +257,13 @@ func (ns *nodeState) egAt(i int) *egress {
 	return ns.buildEg(i)
 }
 
-// edgeSlabs is what per-node edge state and egresses are carved from: the
-// unused tail of one chunk per element type. Node lists are carved on a
-// node's first edge use, egresses on an edge's first use; a run that
-// touches a handful of nodes allocates a handful of small chunks, one that
-// touches thousands a few large ones. mu guards it all: shards build their
-// nodes' edges concurrently.
+// edgeSlabs is what per-node edge state, egresses and counter blocks are
+// carved from: the unused tail of one chunk per element type. Node lists are
+// carved on a node's first edge use, egresses on an edge's first use, a
+// Stats block on the node's first counter write; a run that touches a
+// handful of nodes allocates a handful of small chunks, one that touches
+// thousands a few large ones. mu guards it all: shards build their nodes'
+// state concurrently.
 type edgeSlabs struct {
 	mu sync.Mutex
 	// carved counts the per-edge entries carved so far (the edges of every
@@ -273,13 +278,19 @@ type edgeSlabs struct {
 	times         []sim.Time    // adaptive credits: lastShift; healing: lastHeard
 	states        []memberState // healing: mv.state
 	egress        []egress
+
+	// counted counts the Stats blocks carved so far, sizing the next chunk.
+	counted int
+	stats   []Stats
 }
 
-// edgeChunk is the most per-edge entries one node-list chunk holds, and
-// egChunk the most egresses one egress chunk holds (128 KiB).
+// edgeChunk is the most per-edge entries one node-list chunk holds, egChunk
+// the most egresses one egress chunk holds (128 KiB) and statsChunk the most
+// Stats blocks one counter chunk holds (80 KiB).
 const (
-	edgeChunk = 8192
-	egChunk   = 1024
+	edgeChunk  = 8192
+	egChunk    = 1024
+	statsChunk = 256
 )
 
 // carve returns the next n elements of *slab, starting a new chunk of at
@@ -440,24 +451,22 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	// node count: messages traverse intermediate torus positions, and each
 	// hop's event is owned by the position whose link it reserves.
 	eng.ConfigureShards(cfg.Shards, rt.net.Capacity(), rt.net.ShardOf(cfg.Shards), rt.net.Lookahead())
-	rt.nstats = make([]Stats, cfg.Nodes)
+	rt.nstats = make([]*Stats, cfg.Nodes)
 	rt.mutexes = make([]mutexState, cfg.Mutexes)
 	for m := range rt.mutexes {
 		rt.mutexes[m].owner = -1
 	}
-	// Per-node state lives in one contiguous array. A node's per-edge
-	// slices — neighbor list, egress pointers, pending counts — are carved
-	// on its first edge use (see buildEdges), so New walks no neighbors and
-	// a 64k-node job whose traffic crosses a few hundred nodes builds edge
+	// Per-node state lives in one contiguous array, inbox included. A
+	// node's per-edge slices — neighbor list, egress pointers, pending
+	// counts — are carved on its first edge use (see buildEdges) and its
+	// counters on its first write (see st), so New walks no neighbors and a
+	// 64k-node job whose traffic crosses a few hundred nodes builds edge
 	// state for those alone.
 	rt.nodes = make([]nodeState, cfg.Nodes)
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
-		*ns = nodeState{
-			id:    n,
-			rt:    rt,
-			inbox: sim.NewNumberedQueue[*request](eng, "cht", n),
-		}
+		ns.id, ns.rt = n, rt
+		ns.inbox.Init("cht", n)
 		if cfg.RequestTimeout > 0 {
 			ns.rids = map[uint64]dupState{}
 		}
@@ -664,17 +673,38 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 // NRanks returns the total process count (Nodes * PPN).
 func (rt *Runtime) NRanks() int { return len(rt.ranks) }
 
-// st returns the stats block counters for node should be charged to. Every
-// call site runs in node's owner context, which is what keeps the blocks
-// contention-free (and deterministic) under sharded execution.
-func (rt *Runtime) st(node int) *Stats { return &rt.nstats[node] }
+// st returns the stats block counters for node should be charged to,
+// carving it on the node's first write. Every call site runs in node's owner
+// context, which is what keeps the blocks contention-free (and
+// deterministic) under sharded execution. The carve is a separate call so
+// that st inlines.
+func (rt *Runtime) st(node int) *Stats {
+	if s := rt.nstats[node]; s != nil {
+		return s
+	}
+	return rt.carveStats(node)
+}
+
+// carveStats carves node's Stats block from the runtime's slab, in chunks
+// that grow with the blocks carved so far, from 16 up to statsChunk.
+func (rt *Runtime) carveStats(node int) *Stats {
+	sl := &rt.slabs
+	sl.mu.Lock()
+	s := &carve(&sl.stats, 1, min(max(sl.counted, 16), statsChunk))[0]
+	sl.counted++
+	sl.mu.Unlock()
+	rt.nstats[node] = s
+	return s
+}
 
 // Stats merges the per-node counter blocks into runtime totals. Call it from
 // coordinator context (between runs or after Run), not from rank bodies.
 func (rt *Runtime) Stats() Stats {
 	var s Stats
-	for i := range rt.nstats {
-		n := &rt.nstats[i]
+	for _, n := range rt.nstats {
+		if n == nil {
+			continue
+		}
 		s.Ops += n.Ops
 		s.Requests += n.Requests
 		s.Forwards += n.Forwards
@@ -735,9 +765,11 @@ func (rt *Runtime) Stats() Stats {
 // expects. It must be called from serial/coordinator context (the watchdog's
 // check event qualifies): it reads every node's stats block.
 func (rt *Runtime) GoodputSample() (completed, shed uint64) {
-	for i := range rt.nstats {
-		completed += rt.nstats[i].Completions
-		shed += rt.nstats[i].ShedOps
+	for _, n := range rt.nstats {
+		if n != nil {
+			completed += n.Completions
+			shed += n.ShedOps
+		}
 	}
 	return completed, shed
 }
@@ -814,6 +846,7 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	// One step function serves every CHT and one body wrapper and exit
 	// callback every rank: a process's number is its node or rank, so
 	// spawning allocates no closure (a method value per node would).
+	rt.eng.ReserveSpawns(len(rt.nodes) + len(rt.ranks))
 	chtStep := func(p *sim.Proc) { rt.nodes[p.Num()].chtStep(p) }
 	for n := range rt.nodes {
 		rt.eng.SpawnStepOn(n, "cht", n, chtStep)

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"armcivt/internal/sim"
 )
 
 func readScalingDoc(t *testing.T) string {
@@ -30,6 +32,8 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 		size uintptr
 	}{
 		{"nodeState", unsafe.Sizeof(nodeState{})},
+		{"sim.Queue[*request]", unsafe.Sizeof(sim.Queue[*request]{})},
+		{"Stats", unsafe.Sizeof(Stats{})},
 		{"egress", unsafe.Sizeof(egress{})},
 		{"Rank", unsafe.Sizeof(Rank{})},
 		{"pendingSend", unsafe.Sizeof(pendingSend{})},

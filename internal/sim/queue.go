@@ -3,30 +3,35 @@ package sim
 // Queue is an unbounded FIFO mailbox between simulated processes. Put may be
 // called from process or engine context; Get blocks the calling process until
 // an item is available. Waiting processes are served in FIFO order.
+//
+// A Queue embedded by value in a larger record is named with Init before its
+// first use. The first waiter is held inline and later ones in an overflow
+// slice, so a queue with one getter — a CHT's inbox — allocates nothing to
+// park it.
 type Queue[T any] struct {
-	e       *Engine
 	name    string
-	num     int // with num >= 0, name is a prefix (see NewNumberedQueue)
+	num     int // with num >= 0, name is a prefix (see numberedName)
 	items   []T
 	head    int
-	waiters []*Proc
+	w0      *Proc   // the longest-waiting getter, nil when none waits
+	waiters []*Proc // getters after w0, oldest at whead
 	whead   int
 	puts    uint64
 	maxLen  int
 	onDepth func(depth int)
 }
 
-// NewQueue creates a queue attached to e. The name appears in deadlock
-// reports.
+// NewQueue creates a queue for the processes of e. The name appears in
+// deadlock reports.
 func NewQueue[T any](e *Engine, name string) *Queue[T] {
-	return &Queue[T]{e: e, name: name, num: -1}
+	return &Queue[T]{name: name, num: -1}
 }
 
-// NewNumberedQueue is NewQueue for a queue named prefix followed by num in
-// decimal, formatted only when a deadlock report reads it.
-func NewNumberedQueue[T any](e *Engine, prefix string, num int) *Queue[T] {
-	return &Queue[T]{e: e, name: prefix, num: num}
-}
+// Init names a queue embedded by value in a larger record, sparing the
+// separate allocation NewQueue implies: prefix followed by num in decimal,
+// or prefix alone when num < 0, formatted only when a deadlock report reads
+// it. Call it before the queue's first use.
+func (q *Queue[T]) Init(prefix string, num int) { q.name, q.num = prefix, num }
 
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
@@ -54,12 +59,15 @@ func (q *Queue[T]) Put(x T) {
 	if q.onDepth != nil {
 		q.onDepth(n)
 	}
-	if q.whead < len(q.waiters) {
-		w := q.waiters[q.whead]
-		q.waiters[q.whead] = nil // release reference for GC
-		q.whead++
-		if q.whead == len(q.waiters) {
-			q.waiters, q.whead = q.waiters[:0], 0
+	if w := q.w0; w != nil {
+		q.w0 = nil
+		if q.whead < len(q.waiters) {
+			q.w0 = q.waiters[q.whead]
+			q.waiters[q.whead] = nil // release reference for GC
+			q.whead++
+			if q.whead == len(q.waiters) {
+				q.waiters, q.whead = q.waiters[:0], 0
+			}
 		}
 		w.wake()
 	}
@@ -82,7 +90,11 @@ func (q *Queue[T]) Get(p *Proc) T {
 // false and polls again when resumed.
 func (q *Queue[T]) Poll(p *Proc) (x T, ok bool) {
 	if q.Len() == 0 {
-		q.waiters = append(q.waiters, p)
+		if q.w0 == nil {
+			q.w0 = p
+		} else {
+			q.waiters = append(q.waiters, p)
+		}
 		p.parkOn(q, 0)
 		return x, false
 	}
@@ -124,25 +136,27 @@ func (q *Queue[T]) TryGet() (T, bool) {
 }
 
 // Event is a broadcast completion flag: processes Wait until some actor calls
-// Fire, after which all current and future waiters proceed immediately.
+// Fire, after which all current and future waiters proceed immediately. Like
+// Queue it holds its first waiter inline and later ones in an overflow
+// slice, so an event with one waiter allocates nothing to park it.
 type Event struct {
-	e       *Engine
 	name    string
 	fired   bool
-	waiters []*Proc
+	w0      *Proc   // the first waiter, nil when none waits
+	waiters []*Proc // waiters after w0, in registration order
 }
 
-// NewEvent creates an unfired event.
-func NewEvent(e *Engine, name string) *Event { return &Event{e: e, name: name} }
+// NewEvent creates an unfired event for the processes of e.
+func NewEvent(e *Engine, name string) *Event { return &Event{name: name} }
 
 // Init (re)initializes an Event in place — for events embedded by value in a
 // larger record (e.g. an operation handle), sparing the separate allocation
 // NewEvent implies. It must not be called while waiters are parked.
 func (ev *Event) Init(e *Engine, name string) {
-	if len(ev.waiters) != 0 {
+	if ev.w0 != nil {
 		panic("sim: Event.Init with parked waiters")
 	}
-	ev.e, ev.name, ev.fired = e, name, false
+	ev.name, ev.fired = name, false
 }
 
 // Fired reports whether Fire has been called.
@@ -155,10 +169,14 @@ func (ev *Event) Fire() {
 		return
 	}
 	ev.fired = true
+	if ev.w0 == nil {
+		return
+	}
+	ev.w0.wake()
 	for _, p := range ev.waiters {
 		p.wake()
 	}
-	ev.waiters = nil
+	ev.w0, ev.waiters = nil, nil
 }
 
 // Wait blocks p until the event fires (returns immediately if already fired).
@@ -171,7 +189,11 @@ func (ev *Event) Wait(p *Proc) {
 // a waiter and parks it. Like Queue.Poll it is the wait of a step process.
 func (ev *Event) Poll(p *Proc) bool {
 	if !ev.fired {
-		ev.waiters = append(ev.waiters, p)
+		if ev.w0 == nil {
+			ev.w0 = p
+		} else {
+			ev.waiters = append(ev.waiters, p)
+		}
 		p.parkOn(ev, 0)
 	}
 	return ev.fired

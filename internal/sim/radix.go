@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // eventKey is a pending event's determinism-contract key (time, seq, origin)
@@ -96,11 +97,39 @@ type eventQueue struct {
 	buckets [64]bucket // buckets[0] is unused; now stands in for it
 	free    *keyBlock  // empty blocks, linked through next
 	blocks  int        // blocks allocated: every one is in a chain or free
-	slab    []payload
+	// slab holds the payloads in chunks of slabChunk slots, so a slot never
+	// moves and growing the slab copies nothing; slots is how many slots it
+	// has handed out, its pending high-water mark.
+	slab  []*[slabChunk]payload
+	slots int32
 	// freeHead is 1 + the first free slab slot (0: none); a free slot's
 	// owner field is 1 + the next free slot, so the free list needs no side
 	// array.
 	freeHead int32
+}
+
+// slabChunk is the number of payload slots in one slab chunk (32 KiB).
+const (
+	slabShift = 10
+	slabChunk = 1 << slabShift
+)
+
+// at returns slot's payload.
+func (q *eventQueue) at(slot int32) *payload {
+	return &q.slab[uint32(slot)>>slabShift][uint32(slot)&(slabChunk-1)]
+}
+
+// growSlab adds the chunks n more slots need, carved from one allocation.
+func (q *eventQueue) growSlab(n int) {
+	k := (int(q.slots) + n - len(q.slab)*slabChunk + slabChunk - 1) >> slabShift
+	if k <= 0 {
+		return
+	}
+	chunks := make([]payload, k*slabChunk)
+	q.slab = slices.Grow(q.slab, k)
+	for i := range k {
+		q.slab = append(q.slab, (*[slabChunk]payload)(chunks[i*slabChunk:]))
+	}
 }
 
 func (q *eventQueue) Len() int { return q.n }
@@ -117,11 +146,16 @@ func (q *eventQueue) push(ev *event) {
 	var slot int32
 	if q.freeHead > 0 {
 		slot = q.freeHead - 1
-		q.freeHead = q.slab[slot].owner
-		q.slab[slot] = ev.payload
+		p := q.at(slot)
+		q.freeHead = p.owner
+		*p = ev.payload
 	} else {
-		slot = int32(len(q.slab))
-		q.slab = append(q.slab, ev.payload)
+		if int(q.slots) == len(q.slab)*slabChunk {
+			q.growSlab(1)
+		}
+		slot = q.slots
+		q.slots++
+		*q.at(slot) = ev.payload
 	}
 	k := ev.eventKey
 	k.slot = slot
@@ -133,6 +167,17 @@ func (q *eventQueue) push(ev *event) {
 		q.pushNow(k)
 	default:
 		panic(fmt.Sprintf("sim: event at t=%v pushed below the queue's last pop at %v", k.t, q.last))
+	}
+}
+
+// reserve makes room for n more events at time t: the payload slab gains
+// their chunks in one allocation and, when t is the last pop's time, the now
+// run grows once to hold them, so a burst of n pushes appends without a
+// doubling copy.
+func (q *eventQueue) reserve(n int, t Time) {
+	q.growSlab(n)
+	if t == q.last {
+		q.now = slices.Grow(q.now, n)
 	}
 }
 
@@ -256,8 +301,9 @@ func (q *eventQueue) pop() (Time, payload) {
 		}
 	}
 	q.n--
-	p := q.slab[top.slot]
-	q.slab[top.slot] = payload{owner: q.freeHead}
+	sp := q.at(top.slot)
+	p := *sp
+	*sp = payload{owner: q.freeHead}
 	q.freeHead = top.slot + 1
 	return top.t, p
 }
@@ -296,14 +342,14 @@ func (q *eventQueue) popHeap() eventKey {
 // (not key) order.
 func (q *eventQueue) appendPending(dst []event) []event {
 	for _, k := range q.now[q.nowHead:] {
-		dst = append(dst, event{k, q.slab[k.slot]})
+		dst = append(dst, event{k, *q.at(k.slot)})
 	}
 	for m := q.mask; m != 0; m &= m - 1 {
 		bk := &q.buckets[bits.TrailingZeros64(m)]
 		n := bk.n
 		for blk := bk.blk; blk != nil; blk = blk.next {
 			for _, k := range blk.keys[:n] {
-				dst = append(dst, event{k, q.slab[k.slot]})
+				dst = append(dst, event{k, *q.at(k.slot)})
 			}
 			n = blockKeys
 		}

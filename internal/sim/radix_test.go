@@ -81,7 +81,7 @@ func checkQueue(t *testing.T, q *eventQueue) {
 		t.Fatalf("Len() = %d, but %d keys are filed", q.n, len(keys))
 	}
 
-	live := make([]bool, len(q.slab))
+	live := make([]bool, q.slots)
 	for _, k := range keys {
 		if live[k.slot] {
 			t.Fatalf("slot %d held by two keys", k.slot)
@@ -89,21 +89,21 @@ func checkQueue(t *testing.T, q *eventQueue) {
 		live[k.slot] = true
 	}
 	free := 0
-	for s := q.freeHead; s > 0; s = q.slab[s-1].owner {
+	for s := q.freeHead; s > 0; s = q.at(s - 1).owner {
 		if live[s-1] {
 			t.Fatalf("slot %d is both live and free", s-1)
 		}
-		if p := q.slab[s-1]; p.afn != nil || p.arg != nil || p.kind != 0 {
+		if p := *q.at(s - 1); p.afn != nil || p.arg != nil || p.kind != 0 {
 			t.Fatalf("free slot %d still holds a payload: %+v", s-1, p)
 		}
 		live[s-1] = true
 		free++
-		if free > len(q.slab) {
+		if free > int(q.slots) {
 			t.Fatal("free list is cyclic")
 		}
 	}
-	if free+len(keys) != len(q.slab) {
-		t.Fatalf("slab has %d slots: %d live + %d free", len(q.slab), len(keys), free)
+	if free+len(keys) != int(q.slots) {
+		t.Fatalf("slab has %d slots: %d live + %d free", q.slots, len(keys), free)
 	}
 }
 
@@ -233,8 +233,8 @@ func FuzzEventHeap(f *testing.F) {
 			pop()
 		}
 		checkQueue(t, &q)
-		if len(q.slab) != maxPending {
-			t.Fatalf("slab grew to %d slots for at most %d pending events", len(q.slab), maxPending)
+		if int(q.slots) != maxPending {
+			t.Fatalf("slab grew to %d slots for at most %d pending events", q.slots, maxPending)
 		}
 		// In use at once: the full blocks, one partial block per bucket, and
 		// the block a refill is draining.
@@ -309,7 +309,7 @@ func TestPopReleasesPayload(t *testing.T) {
 		if _, p := q.pop(); p.arg == nil {
 			t.Fatal("pop returned an empty payload")
 		}
-		if p := q.slab[slot]; p.afn != nil || p.arg != nil {
+		if p := *q.at(slot); p.afn != nil || p.arg != nil {
 			t.Fatalf("slot %d still holds the popped payload: %+v", slot, p)
 		}
 	}

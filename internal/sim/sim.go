@@ -26,6 +26,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -509,13 +510,35 @@ func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Pro
 	return p
 }
 
+// ReserveSpawns tells the engine that n processes are about to be spawned at
+// the current instant, as a job's start spawns one per node and one per
+// rank. The process records, the process table and, in serial mode, the
+// event queue's same-instant run are then each allocated once at their final
+// size instead of growing by doubling, and the queue's payload slab gains
+// the burst's chunks in one allocation. A sharded engine reserves no queue
+// storage: which lane a spawn lands in is its owner's. Reserving changes no
+// event, key or order.
+func (e *Engine) ReserveSpawns(n int) {
+	if n <= 0 {
+		return
+	}
+	e.procs = slices.Grow(e.procs, n)
+	if len(e.procSlab) < n {
+		e.procSlab = make([]Proc, n)
+	}
+	if e.nshards <= 1 {
+		e.events.reserve(n, e.now)
+	}
+}
+
 // procChunk is the most processes one slab chunk holds.
 const procChunk = 1024
 
 // spawnAt creates a process and schedules its first resume at t. Its record
 // is carved from a slab whose chunks grow with the processes spawned so far,
 // from 16 up to procChunk, so a job spawning one process per rank and per
-// node allocates a chunk per thousand processes, not one record each.
+// node allocates a chunk per thousand processes, not one record each (one
+// chunk in all after ReserveSpawns).
 func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *Proc), daemon bool) *Proc {
 	if e.windowActive.Load() {
 		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")

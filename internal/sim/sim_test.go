@@ -332,6 +332,82 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	}
 }
 
+// TestWaitersWakeInRegistrationOrder pins that Queue and Event wake 1, 2 and
+// 64 waiters in the order they registered — the inline first waiter, then
+// the overflow slice — and again when the same processes wait a second
+// time, after a drained queue or a fired and re-armed event. Waiters
+// register in reverse spawn order in the first round and in spawn order in
+// the second, so the log shows registration order, not spawn order.
+func TestWaitersWakeInRegistrationOrder(t *testing.T) {
+	for _, k := range []int{1, 2, 64} {
+		// regAt is when waiter i registers in round r; the rounds' wakes come
+		// at 400 and 900.
+		regAt := func(r, i int) Time {
+			if r == 0 {
+				return Time(k - i)
+			}
+			return 500 + Time(i)
+		}
+		check := func(t *testing.T, woke [2][]int) {
+			t.Helper()
+			for r := range 2 {
+				want := make([]int, k)
+				for i := range want {
+					want[i] = i
+					if r == 0 {
+						want[i] = k - 1 - i
+					}
+				}
+				if !reflect.DeepEqual(woke[r], want) {
+					t.Errorf("round %d woke %v, want %v", r, woke[r], want)
+				}
+			}
+		}
+		t.Run(fmt.Sprintf("queue/%d", k), func(t *testing.T) {
+			e := New()
+			q := NewQueue[int](e, "q")
+			var woke [2][]int
+			for i := range k {
+				e.Spawn("getter", func(p *Proc) {
+					for r := range 2 {
+						p.Sleep(regAt(r, i) - p.Now())
+						q.Get(p)
+						woke[r] = append(woke[r], i)
+					}
+				})
+			}
+			for _, at := range []Time{400, 900} {
+				e.At(at, func() {
+					for range k {
+						q.Put(0)
+					}
+				})
+			}
+			mustRun(t, e)
+			check(t, woke)
+		})
+		t.Run(fmt.Sprintf("event/%d", k), func(t *testing.T) {
+			e := New()
+			ev := NewEvent(e, "ev")
+			var woke [2][]int
+			for i := range k {
+				e.Spawn("waiter", func(p *Proc) {
+					for r := range 2 {
+						p.Sleep(regAt(r, i) - p.Now())
+						ev.Wait(p)
+						woke[r] = append(woke[r], i)
+					}
+				})
+			}
+			e.At(400, ev.Fire)
+			e.At(450, func() { ev.Init(e, "ev") })
+			e.At(900, ev.Fire)
+			mustRun(t, e)
+			check(t, woke)
+		})
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	e := New()
 	a := NewQueue[int](e, "A")
@@ -492,7 +568,8 @@ func TestNumberedNames(t *testing.T) {
 			traced = append(traced, r.Proc)
 		}
 	}))
-	q := NewNumberedQueue[int](e, "cht", 4095)
+	var q Queue[int]
+	q.Init("cht", 4095)
 	rank := e.SpawnNumberedOn(0, "rank", 17, func(p *Proc) { q.Get(p) })
 	step := e.SpawnStepOn(0, "cht", 0, func(p *Proc) { p.Sleep(1) })
 	plain := e.SpawnStepOn(0, "idle", -1, func(p *Proc) { p.Sleep(1) })
