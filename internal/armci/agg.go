@@ -108,7 +108,7 @@ func (r *Rank) submit(reqs []*request, h *Handle) {
 		return
 	}
 	for i, req := range reqs {
-		req.h, req.chunk = h, i
+		req.setHandle(h, i)
 		if rt.cfg.Agg.Enabled && batchable(req) {
 			tn := req.target / rt.cfg.PPN
 			r.aggAdd(req, tn)

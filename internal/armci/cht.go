@@ -283,20 +283,20 @@ func (ns *nodeState) handle(req *request) {
 		ns.respond(req, nil, 0)
 
 	case opGet:
+		// A get's payload rides the response in the record's own buf
+		// (a get carries no payload out); completeResp copies it into
+		// the handle before the record can be recycled.
 		mem := rt.alloc(req.alloc).slab(req.target)
-		out := make([]byte, req.getBytes)
-		copy(out, mem[req.off:req.off+req.getBytes])
-		ns.respond(req, out, 0)
+		req.buf = append(rt.growBytes(req.buf, req.getBytes), mem[req.off:req.off+req.getBytes]...)
+		ns.respond(req, req.buf, 0)
 
 	case opGetV:
 		mem := rt.alloc(req.alloc).slab(req.target)
-		out := make([]byte, segsBytes(req.segs))
-		pos := 0
+		req.buf = rt.growBytes(req.buf, segsBytes(req.segs))
 		for _, s := range req.segs {
-			copy(out[pos:pos+s.Len], mem[s.Off:s.Off+s.Len])
-			pos += s.Len
+			req.buf = append(req.buf, mem[s.Off:s.Off+s.Len]...)
 		}
-		ns.respond(req, out, 0)
+		ns.respond(req, req.buf, 0)
 
 	case opRmw:
 		mem := rt.alloc(req.alloc).slab(req.target)

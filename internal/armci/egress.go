@@ -37,6 +37,8 @@ type egress struct {
 	// at start, adjusted by adaptive grant/revoke messages (credits.go).
 	capacity int
 	pending  []*pendingSend
+	// group is drain's reusable batch list (see gather).
+	group []*pendingSend
 	// label caches the formatted deadlock-report label for parked origin
 	// sends (formatted at most once per edge, not once per wait).
 	label string
@@ -246,47 +248,39 @@ func (eg *egress) drain() {
 // caps forwarding depth caps the merged packet, so it always fits one
 // request buffer downstream. The first same-target send that does not fit
 // stops the scan (per-target FIFO order is preserved); sends for other
-// targets are skipped and stay parked in order.
+// targets are skipped and stay parked in order. The group is built in the
+// egress's reusable eg.group, valid until the next gather.
 func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	cfg := &eg.rt.cfg
-	group := []*pendingSend{head}
+	group := append(eg.group[:0], head)
+	eg.group = group
 	if !cfg.Agg.Enabled || len(eg.pending) == 0 || !coalescable(head.req) {
 		return group
 	}
 	tn := head.req.target / cfg.PPN
 	ops := subCount(head.req)
 	wire := headerBytes + subWireOf(head.req)
-	var take []int
-	for i, ps := range eg.pending {
-		if ps.req.target/cfg.PPN != tn {
-			continue
-		}
-		if !coalescable(ps.req) ||
-			ops+subCount(ps.req) > eg.rt.effMaxOps(eg.from, tn) ||
-			wire+subWireOf(ps.req) > cfg.BufSize {
-			break
-		}
-		take = append(take, i)
-		group = append(group, ps)
-		ops += subCount(ps.req)
-		wire += subWireOf(ps.req)
-	}
-	if len(take) == 0 {
-		return group
-	}
+	// Merged sends leave the FIFO; the rest are compacted in place, in
+	// order (rest never overtakes the scan).
 	rest := eg.pending[:0]
-	j := 0
-	for i, ps := range eg.pending {
-		if j < len(take) && take[j] == i {
-			j++
-			continue
+	scanning := true
+	for _, ps := range eg.pending {
+		if scanning && ps.req.target/cfg.PPN == tn {
+			if coalescable(ps.req) &&
+				ops+subCount(ps.req) <= eg.rt.effMaxOps(eg.from, tn) &&
+				wire+subWireOf(ps.req) <= cfg.BufSize {
+				group = append(group, ps)
+				ops += subCount(ps.req)
+				wire += subWireOf(ps.req)
+				continue
+			}
+			scanning = false
 		}
 		rest = append(rest, ps)
 	}
-	for i := len(rest); i < len(eg.pending); i++ {
-		eg.pending[i] = nil // drop merged tail entries from the backing array
-	}
+	clear(eg.pending[len(rest):]) // drop merged tail entries from the backing array
 	eg.pending = rest
+	eg.group = group
 	return group
 }
 

@@ -516,6 +516,11 @@ func (ns *nodeState) crashStop() {
 		for _, h := range rk.outstanding {
 			h.failAll(err)
 		}
+		if rk.pool != nil {
+			for h := rk.pool.held; h != nil; h = h.next {
+				h.failAll(err)
+			}
+		}
 	}
 }
 

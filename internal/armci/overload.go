@@ -301,7 +301,8 @@ func (r *Rank) admit(reqs []*request, h *Handle) bool {
 	}
 
 	// Bounded pending-op budget: prune handles that have since completed,
-	// then refuse to grow the pending set past the budget.
+	// then refuse to grow the pending set past the budget. The pending set
+	// is the rank's Nb* handles plus the pooled ones it holds.
 	live := r.outstanding[:0]
 	for _, o := range r.outstanding {
 		if !o.Done() {
@@ -312,7 +313,13 @@ func (r *Rank) admit(reqs []*request, h *Handle) bool {
 		r.outstanding[i] = nil
 	}
 	r.outstanding = live
-	if len(r.outstanding) >= rt.cfg.Overload.Budget {
+	pending := len(live)
+	for o := r.scratch().held; o != nil; o = o.next {
+		if !o.Done() {
+			pending++
+		}
+	}
+	if pending >= rt.cfg.Overload.Budget {
 		r.shed(reqs, h, "budget", pc.gap)
 		return false
 	}

@@ -117,6 +117,13 @@ type request struct {
 	timeout sim.Time // the armed timer's interval, backed off per retry
 }
 
+// setHandle points req at chunk chunk of h; the record holds h until it
+// returns to its origin's free list (putReq).
+func (req *request) setHandle(h *Handle, chunk int) {
+	req.h, req.chunk = h, chunk
+	h.holds++
+}
+
 // Handle tracks completion of a (possibly multi-chunk) non-blocking
 // operation. Obtain one from the Nb* methods on Rank and finish it with
 // Rank.Wait.
@@ -140,21 +147,65 @@ type Handle struct {
 	doneOv   []bool
 	// err is the first failure recorded against any chunk.
 	err error
+
+	// pool is the rank pool whose free list a pooled handle returns to,
+	// nil for a handle an Nb* method returns to its caller: Handle is
+	// public, so such a handle stays a heap object the caller may keep.
+	// holds counts the parties that can still reach the handle: the
+	// issuing rank until it has read the result, and every request record
+	// pointing at it (setHandle, cloneReq; dropped in putReq). A pooled
+	// handle is recycled at zero holds (drop), so a late response to a
+	// record that still points at it can never complete the next operation
+	// reusing it.
+	pool  *rankPool
+	holds int32
+	freed bool
+	// prev and next link a pooled handle into its rank pool's held list,
+	// next alone into its free list.
+	prev, next *Handle
 }
 
 func newHandle(eng *sim.Engine, chunks int, dataBytes int) *Handle {
-	h := &Handle{pending: chunks, chunks: chunks}
-	h.done.Init(eng, "op")
-	if chunks > 64 {
-		h.doneOv = make([]bool, chunks)
-	}
+	h := &Handle{}
+	h.reset(eng, chunks)
 	if dataBytes > 0 {
 		h.data = make([]byte, dataBytes)
 	}
+	return h
+}
+
+// reset arms h for an operation of chunks chunks, held by its issuer. The
+// caller sizes the result buffer: a pooled handle keeps its backing array
+// across operations.
+func (h *Handle) reset(eng *sim.Engine, chunks int) {
+	h.pending, h.chunks = chunks, chunks
+	h.done.Init(eng, "op")
+	h.old, h.err, h.doneBits, h.doneOv = 0, nil, 0, nil
+	if chunks > 64 {
+		h.doneOv = make([]bool, chunks)
+	}
+	h.holds = 1
 	if chunks == 0 {
 		h.done.Fire()
 	}
-	return h
+}
+
+// drop lets go of one hold on h. The last hold on a pooled handle returns it
+// to its rank's free list; that party always runs in the rank's node's owner
+// context (the rank itself, or putReq at the origin). Dropping a handle with
+// no holds panics: it would put one handle on the free list twice.
+func (h *Handle) drop() {
+	if h.holds <= 0 {
+		panic("armci: handle released twice")
+	}
+	if h.holds--; h.holds == 0 && h.pool != nil {
+		if h.freed {
+			panic("armci: handle released twice")
+		}
+		h.freed = true
+		h.next = h.pool.free
+		h.pool.free = h
+	}
 }
 
 func (h *Handle) completeChunk() {
@@ -266,7 +317,7 @@ func (c *Config) chunkContig(off, n int, emit func(off, ln int)) int {
 // values must not straddle chunks. emit receives each group's segments along
 // with their cumulative payload length and the offset into the original
 // flattened payload. The group is built in *scratch, reused across flushes
-// and calls (a Rank's segScratch): emit must copy what it keeps.
+// and calls (a rank pool's segs): emit must copy what it keeps.
 func (c *Config) chunkSegs(segs []Seg, align int, scratch *[]Seg, emit func(group []Seg, payload, flatOff int)) int {
 	chunks := 0
 	group := (*scratch)[:0]
@@ -314,10 +365,14 @@ func segsBytes(segs []Seg) int {
 // stride bytes apart, starting at off) into vector segments. This is how the
 // runtime lowers ARMCI_PutS/GetS onto the vector path.
 func StridedSegs(off, blockLen, stride, count int) []Seg {
+	return appendStridedSegs(make([]Seg, 0, max(count, 0)), off, blockLen, stride, count)
+}
+
+// appendStridedSegs appends the segments of a strided region to segs.
+func appendStridedSegs(segs []Seg, off, blockLen, stride, count int) []Seg {
 	if blockLen < 0 || count < 0 {
 		panic("armci: negative strided extent")
 	}
-	segs := make([]Seg, 0, count)
 	for i := 0; i < count; i++ {
 		segs = append(segs, Seg{Off: off + i*stride, Len: blockLen})
 	}

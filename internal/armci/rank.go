@@ -19,7 +19,11 @@ type Rank struct {
 	node int
 	proc *sim.Proc
 
+	// outstanding lists the handles Nb* calls returned, for Fence.
 	outstanding []*Handle
+	// pool holds the rank's reusable per-operation storage, nil until its
+	// first remote operation (see scratch).
+	pool        *rankPool
 	heldMutexes map[int]bool
 
 	// agg buffers batchable nonblocking requests per target node when
@@ -30,19 +34,50 @@ type Rank struct {
 	collSent map[int]int64
 	collRecv map[int]int64
 
-	// reqScratch is the rank's reusable chunk list: the Nb* methods collect
-	// a fresh operation's request records here before submit. submit (and
-	// the aggregation layer underneath) only iterates the slice, so one
-	// backing array per rank serves every operation.
-	reqScratch []*request
-	// segScratch is the rank's reusable segment group for chunkSegs.
-	segScratch []Seg
-
 	// Overload-protection stamps applied to subsequently issued operations
 	// (SetOpClass / SetOpDeadline in overload.go); consulted only at
 	// admission, never carried on the wire.
 	opClass    int
 	opDeadline sim.Time
+}
+
+// rankPool is a rank's reusable per-operation storage. Only the rank's own
+// process and events of its node touch it, so it needs no lock.
+type rankPool struct {
+	// held and last are the ends of the list, in issue order, of the
+	// pooled handles of operations the rank has issued and not yet read
+	// (blocking calls, Pooled), so a crash of its node can fail them; free
+	// is its free list of pooled handles (see Handle.drop). Both lists run
+	// through the handles themselves, so they never grow a backing array.
+	held, last, free *Handle
+	// reqs collects a fresh operation's request records before submit.
+	// submit (and the aggregation layer underneath) only iterates the
+	// slice, so one backing array per rank serves every operation.
+	reqs []*request
+	// segs is the segment group chunkSegs builds, strided the segment list
+	// a strided call lowers onto the vector path (the vector call copies
+	// what it keeps), and hs the handle list a Pooled caller collects a
+	// group of operations in.
+	segs, strided []Seg
+	hs            []*Handle
+	// The lists start on these arrays, so a rank's first operations grow
+	// nothing.
+	reqs0          [4]*request
+	segs0, stride0 [4]Seg
+	hs0            [16]*Handle
+	// gate is what the rank waits on in Barrier.
+	gate sim.Gate
+}
+
+// scratch returns the rank's pool, carving it from the runtime's slab on
+// first use.
+func (r *Rank) scratch() *rankPool {
+	if r.pool == nil {
+		sc := r.rt.slabs.carvePool()
+		sc.reqs, sc.segs, sc.strided, sc.hs = sc.reqs0[:0], sc.segs0[:0], sc.stride0[:0], sc.hs0[:0]
+		r.pool = sc
+	}
+	return r.pool
 }
 
 // Rank returns the process's global rank in [0, N).
@@ -83,11 +118,115 @@ func (r *Rank) nodeOf(rank int) int {
 	return rank / r.rt.cfg.PPN
 }
 
-// track registers a handle for Fence accounting and returns it.
+// track registers a handle for Fence accounting, or a pooled one in held,
+// and returns it. A handle complete already (a same-node operation) is
+// left out: nothing can fail it.
 func (r *Rank) track(h *Handle) *Handle {
-	r.outstanding = append(r.outstanding, h)
+	sc := h.pool
+	switch {
+	case h.Done():
+		return h
+	case sc == nil:
+		r.outstanding = append(r.outstanding, h)
+		return h
+	}
+	h.prev = sc.last
+	if sc.last != nil {
+		sc.last.next = h
+	} else {
+		sc.held = h
+	}
+	sc.last = h
 	return h
 }
+
+// handle returns a handle for a fresh operation of chunks chunks and a
+// dataBytes get result: from the rank's free list when pooled, otherwise a
+// heap object for an Nb* caller to keep.
+func (r *Rank) handle(chunks, dataBytes int, pooled bool) *Handle {
+	if !pooled {
+		return newHandle(r.rt.eng, chunks, dataBytes)
+	}
+	sc := r.scratch()
+	h := sc.free
+	if h != nil {
+		sc.free, h.next = h.next, nil
+		h.freed = false
+	} else {
+		h = r.rt.slabs.carveHandle()
+		h.pool = sc
+	}
+	h.reset(r.rt.eng, chunks)
+	h.data = r.rt.growBytes(h.data, dataBytes)[:dataBytes]
+	clear(h.data)
+	return h
+}
+
+// await completes a blocking call's pooled handle: the caller reads the
+// result from it, then lets go with release.
+func (r *Rank) await(h *Handle) *Handle {
+	r.Wait(r.track(h))
+	return h
+}
+
+// release lets go of the rank's hold on a pooled handle it has read,
+// unlinking it from held if it was tracked.
+func (r *Rank) release(h *Handle) {
+	if sc := h.pool; h.prev != nil || sc.held == h {
+		if h.prev != nil {
+			h.prev.next = h.next
+		} else {
+			sc.held = h.next
+		}
+		if h.next != nil {
+			h.next.prev = h.prev
+		} else {
+			sc.last = h.prev
+		}
+		h.prev, h.next = nil, nil
+	}
+	h.drop()
+}
+
+// Pooled issues operations on pooled handles, for the layers this module
+// builds on the runtime (internal/ga, internal/figures): each Nb* call
+// returns a handle from the rank's free list, which the caller waits on,
+// reads, and hands back with Release. The handle must not be touched after
+// Release, so Pooled is reached through a function of this package, not a
+// method of Rank: the public facade (armcivt.Rank) hands out only heap
+// handles a caller may keep.
+type Pooled struct{ r *Rank }
+
+// Pool returns r's pooled-handle view.
+func Pool(r *Rank) Pooled { return Pooled{r} }
+
+// NbGetS is Rank.NbGetS on a pooled handle.
+func (p Pooled) NbGetS(src int, alloc string, off, blockLen, stride, count int) *Handle {
+	r := p.r
+	return r.track(r.getV(src, alloc, r.stridedSegs(off, blockLen, stride, count), true))
+}
+
+// NbPutS is Rank.NbPutS on a pooled handle.
+func (p Pooled) NbPutS(dst int, alloc string, off, blockLen, stride, count int, data []byte) *Handle {
+	r := p.r
+	return r.track(r.putV(dst, alloc, r.stridedSegs(off, blockLen, stride, count), data, true))
+}
+
+// NbAcc is Rank.NbAcc on a pooled handle.
+func (p Pooled) NbAcc(dst int, alloc string, off int, scale float64, vals []float64) *Handle {
+	return p.r.track(p.r.acc(dst, alloc, off, scale, vals, true))
+}
+
+// Release hands back a pooled handle once the caller has waited on it and
+// read its result.
+func (p Pooled) Release(h *Handle) { p.r.release(h) }
+
+// Handles returns the rank's reusable handle list, emptied, for collecting
+// a group of operations; KeepHandles hands it back for the next group.
+func (p Pooled) Handles() []*Handle { return p.r.scratch().hs[:0] }
+
+// KeepHandles stores hs's backing array as the rank's handle list.
+func (p Pooled) KeepHandles(hs []*Handle) { p.r.scratch().hs = hs[:0] }
 
 // Wait blocks until h completes. With aggregation enabled it first flushes
 // the rank's aggregation buffers — h may be riding in one.
@@ -143,6 +282,15 @@ func (r *Rank) localDelay(n int) {
 // NbPut starts a one-sided put of data into dst's allocation at byte offset
 // off.
 func (r *Rank) NbPut(dst int, alloc string, off int, data []byte) *Handle {
+	return r.track(r.put(dst, alloc, off, data, false))
+}
+
+// Put is the blocking form of NbPut.
+func (r *Rank) Put(dst int, alloc string, off int, data []byte) {
+	r.release(r.await(r.put(dst, alloc, off, data, true)))
+}
+
+func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -151,9 +299,10 @@ func (r *Rank) NbPut(dst int, alloc string, off int, data []byte) *Handle {
 		rt.st(r.node).LocalOps++
 		r.localDelay(len(data))
 		copy(a.slab(dst)[off:], data)
-		return newHandle(rt.eng, 0, 0)
+		return r.handle(0, 0, pooled)
 	}
-	reqs := r.reqScratch[:0]
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, len(data), func(o, ln int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opPut, r.rank, r.node, dst
@@ -162,19 +311,32 @@ func (r *Rank) NbPut(dst int, alloc string, off int, data []byte) *Handle {
 		req.wire = headerBytes + ln
 		reqs = append(reqs, req)
 	})
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, len(reqs), 0)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), 0, pooled)
 	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// Put is the blocking form of NbPut.
-func (r *Rank) Put(dst int, alloc string, off int, data []byte) {
-	r.Wait(r.NbPut(dst, alloc, off, data))
+	return h
 }
 
 // NbGet starts a one-sided get of n bytes from src's allocation at off.
 func (r *Rank) NbGet(src int, alloc string, off, n int) *Handle {
+	return r.track(r.get(src, alloc, off, n, false))
+}
+
+// Get is the blocking form of NbGet; it returns the fetched bytes in a
+// fresh slice.
+func (r *Rank) Get(src int, alloc string, off, n int) []byte {
+	return r.detach(r.await(r.get(src, alloc, off, n, true)))
+}
+
+// detach releases a blocking get's pooled handle and returns a fresh copy
+// of its result; the handle keeps its buffer for the next operation.
+func (r *Rank) detach(h *Handle) []byte {
+	data := append([]byte(nil), h.data...)
+	r.release(h)
+	return data
+}
+
+func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -182,11 +344,12 @@ func (r *Rank) NbGet(src int, alloc string, off, n int) *Handle {
 	if r.nodeOf(src) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(n)
-		h := newHandle(rt.eng, 0, n)
+		h := r.handle(0, n, pooled)
 		copy(h.data, a.slab(src)[off:off+n])
 		return h
 	}
-	reqs := r.reqScratch[:0]
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, n, func(o, ln int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opGet, r.rank, r.node, src
@@ -195,17 +358,10 @@ func (r *Rank) NbGet(src int, alloc string, off, n int) *Handle {
 		req.wire = headerBytes
 		reqs = append(reqs, req)
 	})
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, len(reqs), n)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), n, pooled)
 	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// Get is the blocking form of NbGet; it returns the fetched bytes.
-func (r *Rank) Get(src int, alloc string, off, n int) []byte {
-	h := r.NbGet(src, alloc, off, n)
-	r.Wait(h)
-	return h.Data()
+	return h
 }
 
 // ---------- Accumulate ----------
@@ -213,6 +369,15 @@ func (r *Rank) Get(src int, alloc string, off, n int) []byte {
 // NbAcc starts an atomic accumulate: dst_mem[off+8i] += scale * vals[i] for
 // float64 elements.
 func (r *Rank) NbAcc(dst int, alloc string, off int, scale float64, vals []float64) *Handle {
+	return r.track(r.acc(dst, alloc, off, scale, vals, false))
+}
+
+// Acc is the blocking form of NbAcc.
+func (r *Rank) Acc(dst int, alloc string, off int, scale float64, vals []float64) {
+	r.release(r.await(r.acc(dst, alloc, off, scale, vals, true)))
+}
+
+func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -225,9 +390,10 @@ func (r *Rank) NbAcc(dst int, alloc string, off int, scale float64, vals []float
 		for i := range vals {
 			PutFloat64(mem, off+8*i, GetFloat64(mem, off+8*i)+scale*vals[i])
 		}
-		return newHandle(rt.eng, 0, 0)
+		return r.handle(0, 0, pooled)
 	}
-	reqs := r.reqScratch[:0]
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
 	// Chunk on 8-byte boundaries so no float64 straddles two chunks; each
 	// chunk's payload is encoded into the record's own buffer.
 	per := rt.cfg.payloadPerChunk(0) &^ 7
@@ -239,23 +405,17 @@ func (r *Rank) NbAcc(dst int, alloc string, off int, scale float64, vals []float
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAcc, r.rank, r.node, dst
 		req.alloc, req.off = alloc, off+done
-		req.buf = appendFloat64s(req.buf[:0], vals[done/8:(done+ln)/8])
+		req.buf = appendFloat64s(rt.growBytes(req.buf, ln), vals[done/8:(done+ln)/8])
 		req.data, req.scale = req.buf, scale
 		req.wire = headerBytes + ln
 		reqs = append(reqs, req)
 	}
-	r.reqScratch = reqs[:0]
-	if len(reqs) == 0 {
-		return newHandle(rt.eng, 0, 0)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), 0, pooled)
+	if len(reqs) > 0 {
+		r.submit(reqs, h)
 	}
-	h := newHandle(rt.eng, len(reqs), 0)
-	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// Acc is the blocking form of NbAcc.
-func (r *Rank) Acc(dst int, alloc string, off int, scale float64, vals []float64) {
-	r.Wait(r.NbAcc(dst, alloc, off, scale, vals))
+	return h
 }
 
 // ---------- Vectored (noncontiguous) put/get ----------
@@ -263,6 +423,15 @@ func (r *Rank) Acc(dst int, alloc string, off int, scale float64, vals []float64
 // NbPutV starts a vectored put: data is scattered into dst's allocation
 // according to segs (data length must equal the summed segment length).
 func (r *Rank) NbPutV(dst int, alloc string, segs []Seg, data []byte) *Handle {
+	return r.track(r.putV(dst, alloc, segs, data, false))
+}
+
+// PutV is the blocking form of NbPutV.
+func (r *Rank) PutV(dst int, alloc string, segs []Seg, data []byte) {
+	r.release(r.await(r.putV(dst, alloc, segs, data, true)))
+}
+
+func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -282,32 +451,38 @@ func (r *Rank) NbPutV(dst int, alloc string, segs []Seg, data []byte) *Handle {
 			copy(mem[s.Off:s.Off+s.Len], data[pos:pos+s.Len])
 			pos += s.Len
 		}
-		return newHandle(rt.eng, 0, 0)
+		return r.handle(0, 0, pooled)
 	}
-	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegs(segs, 1, &r.segScratch, func(group []Seg, payload, flatOff int) {
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
+	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opPutV, r.rank, r.node, dst
 		req.alloc = alloc
-		req.segs = append(req.segs[:0], group...) // chunker reuses group: copy
+		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.data = data[flatOff : flatOff+payload]
 		req.wire = headerBytes + len(group)*segDescBytes + payload
 		reqs = append(reqs, req)
 	})
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, len(reqs), 0)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), 0, pooled)
 	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// PutV is the blocking form of NbPutV.
-func (r *Rank) PutV(dst int, alloc string, segs []Seg, data []byte) {
-	r.Wait(r.NbPutV(dst, alloc, segs, data))
+	return h
 }
 
 // NbGetV starts a vectored get; the completed handle's Data gathers the
 // segments in order.
 func (r *Rank) NbGetV(src int, alloc string, segs []Seg) *Handle {
+	return r.track(r.getV(src, alloc, segs, false))
+}
+
+// GetV is the blocking form of NbGetV; it returns the gathered bytes in a
+// fresh slice.
+func (r *Rank) GetV(src int, alloc string, segs []Seg) []byte {
+	return r.detach(r.await(r.getV(src, alloc, segs, true)))
+}
+
+func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -318,7 +493,7 @@ func (r *Rank) NbGetV(src int, alloc string, segs []Seg) *Handle {
 	if r.nodeOf(src) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(total)
-		h := newHandle(rt.eng, 0, total)
+		h := r.handle(0, total, pooled)
 		mem := a.slab(src)
 		pos := 0
 		for _, s := range segs {
@@ -327,50 +502,52 @@ func (r *Rank) NbGetV(src int, alloc string, segs []Seg) *Handle {
 		}
 		return h
 	}
-	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegs(segs, 1, &r.segScratch, func(group []Seg, payload, flatOff int) {
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
+	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opGetV, r.rank, r.node, src
 		req.alloc = alloc
-		req.segs = append(req.segs[:0], group...) // chunker reuses group: copy
+		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.flatOff = flatOff
 		req.wire = headerBytes + len(group)*segDescBytes
 		reqs = append(reqs, req)
 	})
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, len(reqs), total)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), total, pooled)
 	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// GetV is the blocking form of NbGetV.
-func (r *Rank) GetV(src int, alloc string, segs []Seg) []byte {
-	h := r.NbGetV(src, alloc, segs)
-	r.Wait(h)
-	return h.Data()
+	return h
 }
 
 // ---------- Strided put/get (lowered onto the vector path) ----------
 
+// stridedSegs lowers a strided region onto the rank's reusable segment
+// list; the vector call it feeds copies what it keeps.
+func (r *Rank) stridedSegs(off, blockLen, stride, count int) []Seg {
+	sc := r.scratch()
+	sc.strided = appendStridedSegs(sc.strided[:0], off, blockLen, stride, count)
+	return sc.strided
+}
+
 // PutS performs a blocking strided put: count blocks of blockLen bytes,
 // stride bytes apart in the target allocation, starting at off.
 func (r *Rank) PutS(dst int, alloc string, off, blockLen, stride, count int, data []byte) {
-	r.PutV(dst, alloc, StridedSegs(off, blockLen, stride, count), data)
+	r.PutV(dst, alloc, r.stridedSegs(off, blockLen, stride, count), data)
 }
 
 // NbPutS is the non-blocking form of PutS.
 func (r *Rank) NbPutS(dst int, alloc string, off, blockLen, stride, count int, data []byte) *Handle {
-	return r.NbPutV(dst, alloc, StridedSegs(off, blockLen, stride, count), data)
+	return r.NbPutV(dst, alloc, r.stridedSegs(off, blockLen, stride, count), data)
 }
 
 // GetS performs a blocking strided get.
 func (r *Rank) GetS(src int, alloc string, off, blockLen, stride, count int) []byte {
-	return r.GetV(src, alloc, StridedSegs(off, blockLen, stride, count))
+	return r.GetV(src, alloc, r.stridedSegs(off, blockLen, stride, count))
 }
 
 // NbGetS is the non-blocking form of GetS.
 func (r *Rank) NbGetS(src int, alloc string, off, blockLen, stride, count int) *Handle {
-	return r.NbGetV(src, alloc, StridedSegs(off, blockLen, stride, count))
+	return r.NbGetV(src, alloc, r.stridedSegs(off, blockLen, stride, count))
 }
 
 // ---------- Atomics ----------
@@ -380,6 +557,19 @@ func (r *Rank) NbGetS(src int, alloc string, off, blockLen, stride, count int) *
 // Nonblocking atomics pipeline (and, with aggregation, batch) the hot-spot
 // counter traffic of Figure 7.
 func (r *Rank) NbFetchAdd(dst int, alloc string, off int, delta int64) *Handle {
+	return r.track(r.fetchAdd(dst, alloc, off, delta, false))
+}
+
+// FetchAdd atomically adds delta to the int64 at dst's allocation offset off
+// and returns the previous value (ARMCI_Rmw fetch-and-add).
+func (r *Rank) FetchAdd(dst int, alloc string, off int, delta int64) int64 {
+	h := r.await(r.fetchAdd(dst, alloc, off, delta, true))
+	old := h.old
+	r.release(h)
+	return old
+}
+
+func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -390,7 +580,7 @@ func (r *Rank) NbFetchAdd(dst int, alloc string, off int, delta int64) *Handle {
 		mem := a.slab(dst)
 		old := GetInt64(mem, off)
 		PutInt64(mem, off, old+delta)
-		h := newHandle(rt.eng, 0, 0)
+		h := r.handle(0, 0, pooled)
 		h.old = old
 		return h
 	}
@@ -398,19 +588,12 @@ func (r *Rank) NbFetchAdd(dst int, alloc string, off int, delta int64) *Handle {
 	req.kind, req.origin, req.originNode, req.target = opRmw, r.rank, r.node, dst
 	req.alloc, req.off, req.delta = alloc, off, delta
 	req.wire = headerBytes + 8
-	reqs := append(r.reqScratch[:0], req)
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, 1, 0)
+	sc := r.scratch()
+	reqs := append(sc.reqs[:0], req)
+	sc.reqs = reqs[:0]
+	h := r.handle(1, 0, pooled)
 	r.submit(reqs, h)
-	return r.track(h)
-}
-
-// FetchAdd atomically adds delta to the int64 at dst's allocation offset off
-// and returns the previous value (ARMCI_Rmw fetch-and-add).
-func (r *Rank) FetchAdd(dst int, alloc string, off int, delta int64) int64 {
-	h := r.NbFetchAdd(dst, alloc, off, delta)
-	r.Wait(h)
-	return h.Old()
+	return h
 }
 
 // ---------- Mutexes ----------
@@ -446,8 +629,8 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	req := rt.getReq(r.node)
 	req.kind, req.origin, req.originNode, req.target = kind, r.rank, r.node, ownerRank
 	req.mutex, req.wire = m, headerBytes
-	h := newHandle(rt.eng, 1, 0)
-	req.h = h
+	h := r.handle(1, 0, true)
+	req.setHandle(h, 0)
 	// Crash-stop fast path, as in send. A mutex whose owner node crashed
 	// while a rank held it stays wedged for other contenders — lock state is
 	// volatile and dies with the owner (a documented limitation) — but a
@@ -455,6 +638,7 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	if err := rt.deadRouteErr(r.node, ownerNode); err != nil {
 		rt.abortChunks(err, req)
 		r.Wait(h)
+		r.release(h)
 		return
 	}
 	if ownerNode == r.node {
@@ -468,6 +652,7 @@ func (r *Rank) lockOp(m int, kind opKind) {
 		r.send(req)
 	}
 	r.Wait(h)
+	r.release(h)
 	r.heldMutexes[m] = kind == opLock
 }
 
@@ -484,20 +669,9 @@ func (r *Rank) lockOp(m int, kind opKind) {
 func (r *Rank) Barrier() {
 	r.flushAllAgg()
 	rt := r.rt
-	gate := sim.NewEvent(rt.eng, "barrier")
-	rt.eng.AtGlobal(r.node, func() {
-		b := &rt.barrier
-		b.arrived++
-		b.gates = append(b.gates, gate)
-		if b.arrived == len(rt.ranks) {
-			b.arrived = 0
-			gates := b.gates
-			b.gates = nil
-			for _, g := range gates {
-				g.Fire()
-			}
-		}
-	})
+	gate := &r.scratch().gate
+	gate.Init(rt.eng, "event barrier")
+	rt.eng.AtGlobalArg(r.node, rt.arriveFn, gate)
 	gate.Wait(r.proc)
 	steps := 0
 	for 1<<steps < len(rt.ranks) {

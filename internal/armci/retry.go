@@ -115,18 +115,21 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 // (possibly parked at a failed link or a stalled CHT) and the retry share no
 // backing array — either may respond first and be recycled while the other
 // is still travelling. The clone's one hold is its response's; the timer
-// stays with the original.
+// stays with the original. Like the original, the clone holds the handle.
 func (rt *Runtime) cloneReq(req *request) *request {
 	c := rt.getReq(req.originNode)
 	segs, buf := c.segs, c.buf
 	*c = *req
-	c.segs = append(segs[:0], req.segs...)
-	c.buf = buf[:0]
+	c.segs = append(rt.growSegs(segs, len(req.segs)), req.segs...)
+	c.buf = rt.growBytes(buf, len(req.data))
 	if req.data != nil {
 		c.buf = append(c.buf, req.data...)
 		c.data = c.buf
 	}
 	c.freed, c.holds = false, 1
+	if c.h != nil {
+		c.h.holds++ // the clone points at the handle too
+	}
 	return c
 }
 

@@ -29,7 +29,8 @@ type Runtime struct {
 	// slabs holds what a node's edge state is carved from on its first edge
 	// use (nodeState.buildEdges) and an edge's egress on the edge's first
 	// use (nodeState.buildEg), so a run pays for the nodes and edges it
-	// uses, not for every edge the topology allows.
+	// uses, not for every edge the topology allows; and what the pools of
+	// request records, handles and their buffers warm up from.
 	slabs edgeSlabs
 
 	allocs map[string]*allocation
@@ -79,6 +80,7 @@ type Runtime struct {
 	noticeFn    func(arg any, ce bool) // membership notice arrives at a neighbor
 	timeoutFn   func(arg any)          // a request's timeout timer fires at its origin
 	tickFn      func(arg any)          // a node's failure-detector round (arg: *nodeState)
+	arriveFn    func(arg any)          // a rank's barrier arrival (arg: its *sim.Gate)
 }
 
 // Stats aggregates runtime-level counters used by tests and reports.
@@ -257,13 +259,14 @@ func (ns *nodeState) egAt(i int) *egress {
 	return ns.buildEg(i)
 }
 
-// edgeSlabs is what per-node edge state, egresses and counter blocks are
-// carved from: the unused tail of one chunk per element type. Node lists are
-// carved on a node's first edge use, egresses on an edge's first use, a
-// Stats block on the node's first counter write; a run that touches a
-// handful of nodes allocates a handful of small chunks, one that touches
-// thousands a few large ones. mu guards it all: shards build their nodes'
-// state concurrently.
+// edgeSlabs is what per-node edge state, egresses, counter blocks and pool
+// entries are carved from: the unused tail of one chunk per element type.
+// Node lists are carved on a node's first edge use, egresses on an edge's
+// first use, a Stats block on the node's first counter write, a request
+// record, handle, rank pool or buffer when its free list or owner has none
+// to reuse; a run that touches a handful of nodes allocates a handful of
+// small chunks, one that touches thousands a few large ones. mu guards it
+// all: shards build their nodes' state concurrently.
 type edgeSlabs struct {
 	mu sync.Mutex
 	// carved counts the per-edge entries carved so far (the edges of every
@@ -282,15 +285,36 @@ type edgeSlabs struct {
 	// counted counts the Stats blocks carved so far, sizing the next chunk.
 	counted int
 	stats   []Stats
+
+	// reqs and handles are what request records and pooled handles are
+	// carved from when a free list runs dry, nreqs and nhandles how many
+	// were carved so far: a fresh runtime warms its free lists up with a
+	// few chunks, not one object per record.
+	nreqs, nhandles, npools int
+	reqs                    []request
+	handles                 []Handle
+	pools                   []rankPool
+	// bytes and segs are what pooled records' and handles' payload,
+	// response and segment buffers are carved from when theirs are too
+	// small (growBytes, growSegs); nbytes and nsegs size the next chunks.
+	nbytes, nsegs int
+	bytes         []byte
+	segs          []Seg
 }
 
 // edgeChunk is the most per-edge entries one node-list chunk holds, egChunk
-// the most egresses one egress chunk holds (128 KiB) and statsChunk the most
-// Stats blocks one counter chunk holds (80 KiB).
+// the most egresses one egress chunk holds (128 KiB), statsChunk the most
+// Stats blocks one counter chunk holds (80 KiB), poolChunk the most request
+// records (78 KiB), handles (46 KiB) or rank pools (112 KiB) one chunk
+// holds, and bufChunk and segChunk the most bytes or segments one buffer
+// chunk holds (64 KiB each).
 const (
 	edgeChunk  = 8192
 	egChunk    = 1024
 	statsChunk = 256
+	poolChunk  = 256
+	bufChunk   = 64 << 10
+	segChunk   = 4096
 )
 
 // carve returns the next n elements of *slab, starting a new chunk of at
@@ -414,8 +438,24 @@ func (a *allocation) slab(rank int) []byte {
 // ranks never touch it concurrently.
 type barrierState struct {
 	arrived int
-	// gates holds one per-arrival event; the last arrival fires them all.
-	gates []*sim.Event
+	// gates holds the arrived ranks' gates; the last arrival fires them
+	// all. The slice keeps its backing array from barrier to barrier.
+	gates []*sim.Gate
+}
+
+// arrive registers one rank's arrival at the world barrier of n ranks.
+func (b *barrierState) arrive(gate *sim.Gate, n int) {
+	b.arrived++
+	b.gates = append(b.gates, gate)
+	if b.arrived < n {
+		return
+	}
+	b.arrived = 0
+	for _, g := range b.gates {
+		g.Fire()
+	}
+	clear(b.gates)
+	b.gates = b.gates[:0]
 }
 
 type mutexState struct {
@@ -451,6 +491,7 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	// node count: messages traverse intermediate torus positions, and each
 	// hop's event is owned by the position whose link it reserves.
 	eng.ConfigureShards(cfg.Shards, rt.net.Capacity(), rt.net.ShardOf(cfg.Shards), rt.net.Lookahead())
+	rt.net.SetLanes(cfg.Shards)
 	rt.nstats = make([]*Stats, cfg.Nodes)
 	rt.mutexes = make([]mutexState, cfg.Mutexes)
 	for m := range rt.mutexes {
@@ -550,6 +591,7 @@ func (rt *Runtime) bindDispatch() {
 	// see armTimeout) and a node's heartbeat round.
 	rt.timeoutFn = func(arg any) { rt.onTimeout(arg.(*request)) }
 	rt.tickFn = func(arg any) { arg.(*nodeState).monitorTick() }
+	rt.arriveFn = func(arg any) { rt.barrier.arrive(arg.(*sim.Gate), len(rt.ranks)) }
 }
 
 // completeResp applies one response at the origin: get payloads are copied
@@ -571,10 +613,10 @@ func (rt *Runtime) completeResp(req *request) {
 }
 
 // getReq returns a request record for an operation originated on node,
-// recycled from the node's free list when it has one. The record starts
-// with one hold, its response's (see release). Call sites must assign every
-// field they rely on: a recycled record is zeroed at release, but the
-// compiler cannot check a field-assignment block the way it checks a
+// recycled from the node's free list when it has one, carved otherwise. The
+// record starts with one hold, its response's (see release). Call sites must
+// assign every field they rely on: a recycled record is zeroed at release,
+// but the compiler cannot check a field-assignment block the way it checks a
 // composite literal.
 func (rt *Runtime) getReq(node int) *request {
 	ns := &rt.nodes[node]
@@ -585,7 +627,9 @@ func (rt *Runtime) getReq(node int) *request {
 		req.freed, req.holds = false, 1
 		return req
 	}
-	return &request{holds: 1}
+	req := rt.slabs.carveReq()
+	req.holds = 1
+	return req
 }
 
 // release drops one hold on req. Every party that can still reach a record
@@ -607,13 +651,17 @@ func (rt *Runtime) release(req *request) {
 	}
 }
 
-// putReq recycles req into this node's free list. The record is zeroed
-// except for the segs and buf backing arrays, which are retained for the
-// next vectored operation or owned payload. Releasing a record twice panics:
-// an aliased free would hand two in-flight operations the same storage.
+// putReq recycles req into this node's free list and drops its hold on its
+// handle. The record is zeroed except for the segs and buf backing arrays,
+// which are retained for the next vectored operation, owned payload or get
+// response. Releasing a record twice panics: an aliased free would hand two
+// in-flight operations the same storage.
 func (ns *nodeState) putReq(req *request) {
 	if req.freed {
 		panic("armci: request record released twice")
+	}
+	if req.h != nil {
+		req.h.drop()
 	}
 	segs, buf := req.segs[:0], req.buf[:0]
 	*req = request{segs: segs, buf: buf, freed: true}
@@ -685,14 +733,57 @@ func (rt *Runtime) st(node int) *Stats {
 	return rt.carveStats(node)
 }
 
+// carveShared carves n elements from *slab under sl.mu, since shards carve
+// concurrently, in chunks that grow with *carved, the elements carved so
+// far, from lo up to hi.
+func carveShared[T any](sl *edgeSlabs, slab *[]T, carved *int, n, lo, hi int) []T {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	s := carve(slab, n, min(max(*carved, lo), hi))
+	*carved += n
+	return s
+}
+
+// carveReq carves a request record for a free list that ran dry,
+// carveHandle a pooled handle and carvePool a rank's pool.
+func (sl *edgeSlabs) carveReq() *request {
+	return &carveShared(sl, &sl.reqs, &sl.nreqs, 1, 16, poolChunk)[0]
+}
+
+func (sl *edgeSlabs) carveHandle() *Handle {
+	return &carveShared(sl, &sl.handles, &sl.nhandles, 1, 16, poolChunk)[0]
+}
+
+func (sl *edgeSlabs) carvePool() *rankPool {
+	return &carveShared(sl, &sl.pools, &sl.npools, 1, 16, poolChunk)[0]
+}
+
+// growBytes returns b emptied with room for n bytes: b itself when its
+// backing array is large enough, otherwise a zeroed array of exactly n
+// bytes carved from the runtime's slab. growSegs does the same for
+// segments. The buffers belong to pooled records and handles, which live
+// as long as the runtime, so a chunk is not pinned by one small survivor.
+func (rt *Runtime) growBytes(b []byte, n int) []byte {
+	if cap(b) >= n {
+		return b[:0]
+	}
+	sl := &rt.slabs
+	return carveShared(sl, &sl.bytes, &sl.nbytes, n, 1<<10, bufChunk)[:0]
+}
+
+func (rt *Runtime) growSegs(s []Seg, n int) []Seg {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	sl := &rt.slabs
+	return carveShared(sl, &sl.segs, &sl.nsegs, n, 64, segChunk)[:0]
+}
+
 // carveStats carves node's Stats block from the runtime's slab, in chunks
 // that grow with the blocks carved so far, from 16 up to statsChunk.
 func (rt *Runtime) carveStats(node int) *Stats {
 	sl := &rt.slabs
-	sl.mu.Lock()
-	s := &carve(&sl.stats, 1, min(max(sl.counted, 16), statsChunk))[0]
-	sl.counted++
-	sl.mu.Unlock()
+	s := &carveShared(sl, &sl.stats, &sl.counted, 1, 16, statsChunk)[0]
 	rt.nstats[node] = s
 	return s
 }

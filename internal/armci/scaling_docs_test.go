@@ -36,6 +36,8 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 		{"Stats", unsafe.Sizeof(Stats{})},
 		{"egress", unsafe.Sizeof(egress{})},
 		{"Rank", unsafe.Sizeof(Rank{})},
+		{"rankPool", unsafe.Sizeof(rankPool{})},
+		{"Handle", unsafe.Sizeof(Handle{})},
 		{"pendingSend", unsafe.Sizeof(pendingSend{})},
 		{"request", unsafe.Sizeof(request{})},
 		{"dupState", unsafe.Sizeof(dupState{})},
@@ -54,7 +56,7 @@ func TestScalingDocsPinTheKnobs(t *testing.T) {
 		// memscale's scale-point flags.
 		"`-scale`", "`-measure`", "`-max-live-mb`",
 		// The allocation ceiling TestScaleAllocsCeiling enforces.
-		"32 allocs/op",
+		"6 allocs/op",
 		// The double-release guard the pooling contract promises.
 		"released twice",
 	} {

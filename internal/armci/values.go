@@ -14,7 +14,10 @@ func (r *Rank) PutInt64At(dst int, alloc string, off int, v int64) {
 
 // GetInt64At fetches the int64 at dst's allocation offset off.
 func (r *Rank) GetInt64At(dst int, alloc string, off int) int64 {
-	return GetInt64(r.Get(dst, alloc, off, 8), 0)
+	h := r.await(r.get(dst, alloc, off, 8, true))
+	v := GetInt64(h.data, 0)
+	r.release(h)
+	return v
 }
 
 // PutFloat64At stores v into dst's allocation at byte offset off.
@@ -26,7 +29,10 @@ func (r *Rank) PutFloat64At(dst int, alloc string, off int, v float64) {
 
 // GetFloat64At fetches the float64 at dst's allocation offset off.
 func (r *Rank) GetFloat64At(dst int, alloc string, off int) float64 {
-	return GetFloat64(r.Get(dst, alloc, off, 8), 0)
+	h := r.await(r.get(dst, alloc, off, 8, true))
+	v := GetFloat64(h.data, 0)
+	r.release(h)
+	return v
 }
 
 // Swap atomically exchanges the int64 at dst's allocation offset off with v
@@ -48,17 +54,34 @@ func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 	req.kind, req.origin, req.originNode, req.target = opSwap, r.rank, r.node, dst
 	req.alloc, req.off, req.delta = alloc, off, v
 	req.wire = headerBytes + 8
-	h := newHandle(rt.eng, 1, 0)
-	req.h = h
+	h := r.handle(1, 0, true)
+	req.setHandle(h, 0)
 	r.send(req)
 	r.Wait(h)
-	return h.Old()
+	old := h.old
+	r.release(h)
+	return old
 }
 
 // NbAccV starts a vectored accumulate: for each segment, target float64
 // elements receive scale * the corresponding vals elements (ARMCI_AccV).
 // Segment offsets and lengths must be 8-byte aligned.
 func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []float64) *Handle {
+	return r.track(r.accV(dst, alloc, segs, scale, vals, false))
+}
+
+// AccV is the blocking form of NbAccV.
+func (r *Rank) AccV(dst int, alloc string, segs []Seg, scale float64, vals []float64) {
+	r.release(r.await(r.accV(dst, alloc, segs, scale, vals, true)))
+}
+
+// AccS performs a blocking strided accumulate (ARMCI_AccS), lowered onto
+// the vector path.
+func (r *Rank) AccS(dst int, alloc string, off, blockLen, stride, count int, scale float64, vals []float64) {
+	r.AccV(dst, alloc, r.stridedSegs(off, blockLen, stride, count), scale, vals)
+}
+
+func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []float64, pooled bool) *Handle {
 	rt := r.rt
 	rt.st(r.node).Ops++
 	a := rt.alloc(alloc)
@@ -84,35 +107,25 @@ func (r *Rank) NbAccV(dst int, alloc string, segs []Seg, scale float64, vals []f
 			}
 			pos += s.Len
 		}
-		return newHandle(rt.eng, 0, 0)
+		return r.handle(0, 0, pooled)
 	}
-	reqs := r.reqScratch[:0]
-	rt.cfg.chunkSegs(segs, 8, &r.segScratch, func(group []Seg, payload, flatOff int) {
+	sc := r.scratch()
+	reqs := sc.reqs[:0]
+	rt.cfg.chunkSegs(segs, 8, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAccV, r.rank, r.node, dst
 		req.alloc = alloc
-		req.segs = append(req.segs[:0], group...) // chunker reuses group: copy
-		req.buf = appendFloat64s(req.buf[:0], vals[flatOff/8:(flatOff+payload)/8])
+		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
+		req.buf = appendFloat64s(rt.growBytes(req.buf, payload), vals[flatOff/8:(flatOff+payload)/8])
 		req.data, req.scale = req.buf, scale
 		req.wire = headerBytes + len(group)*segDescBytes + payload
 		reqs = append(reqs, req)
 	})
-	r.reqScratch = reqs[:0]
-	h := newHandle(rt.eng, len(reqs), 0)
+	sc.reqs = reqs[:0]
+	h := r.handle(len(reqs), 0, pooled)
 	for i, req := range reqs {
-		req.h, req.chunk = h, i
+		req.setHandle(h, i)
 		r.send(req)
 	}
-	return r.track(h)
-}
-
-// AccV is the blocking form of NbAccV.
-func (r *Rank) AccV(dst int, alloc string, segs []Seg, scale float64, vals []float64) {
-	r.Wait(r.NbAccV(dst, alloc, segs, scale, vals))
-}
-
-// AccS performs a blocking strided accumulate (ARMCI_AccS), lowered onto
-// the vector path.
-func (r *Rank) AccS(dst int, alloc string, off, blockLen, stride, count int, scale float64, vals []float64) {
-	r.AccV(dst, alloc, StridedSegs(off, blockLen, stride, count), scale, vals)
+	return h
 }

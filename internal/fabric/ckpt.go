@@ -8,10 +8,11 @@ import (
 
 // CheckpointSection digests the fabric's state between engine runs:
 // link/injection/ejection port reservations, per-source ejection queue
-// occupancy, per-position counters, and message free-list depths. Every
-// field digested here is deterministic under the bit-identity contract, so
-// two runs of the same workload paused at the same horizon produce equal
-// sections regardless of shard count (docs/CHECKPOINT.md).
+// occupancy and per-position counters. Every field digested here is
+// deterministic under the bit-identity contract, so two runs of the same
+// workload paused at the same horizon produce equal sections regardless of
+// shard count (docs/CHECKPOINT.md). Message free-list depths are left out:
+// they depend on the shard count, and no run observes them.
 func (nw *Network) CheckpointSection() []byte {
 	var enc ckpt.Enc
 
@@ -76,16 +77,6 @@ func (nw *Network) CheckpointSection() []byte {
 		h = ckpt.Mix(h, s.Dropped)
 		h = ckpt.Mix(h, s.NodeDrops)
 		h = ckpt.Mix(h, s.CEMarks)
-	}
-	enc.U64(h)
-
-	enc.Str("msgFree")
-	h = ckpt.MixInit
-	for pos := range nw.msgFree {
-		if n := len(nw.msgFree[pos]); n != 0 {
-			h = ckpt.Mix(h, uint64(pos))
-			h = ckpt.Mix(h, uint64(n))
-		}
 	}
 	enc.U64(h)
 

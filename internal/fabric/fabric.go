@@ -180,12 +180,16 @@ type Network struct {
 	// the Stats doc comment.
 	stats []Stats
 
-	// msgFree[pos] is position pos's free list of recycled message records.
-	// Like stats, each entry is touched only by events owned by that
-	// position (records are taken in the sender's context and released in
-	// the context of the position where the message ends), so shard workers
-	// recycle without locks.
-	msgFree [][]*msg
+	// lanes holds the message records of each kernel lane: one lane on a
+	// serial engine, one per shard of ShardOf(shards) after SetLanes. A
+	// record is taken in the sender's lane and released in the lane of the
+	// position where the message ends, and each lane's events run on one
+	// worker at a time, so shard workers recycle without locks. A free
+	// list's depth is host-side cache state, not model state: it depends on
+	// the shard count and no run observes it.
+	lanes []msgLane
+	// laneOf is ShardOf(shards) after SetLanes, nil for one lane.
+	laneOf func(pos int) int
 	// Stored step functions for the pooled walk: allocated once here so the
 	// per-hop schedule calls (AtFromArg and friends) carry a long-lived func
 	// value plus a *msg and allocate nothing.
@@ -249,7 +253,7 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 		ej:        make([]link, n),
 		ejSources: make([]map[int]int, n),
 		stats:     make([]Stats, capacity),
-		msgFree:   make([][]*msg, capacity),
+		lanes:     make([]msgLane, 1),
 	}
 	nw.stepFn = func(a any) { nw.step(a.(*msg)) }
 	nw.injectFn = func(a any) { nw.inject(a.(*msg)) }
@@ -313,6 +317,39 @@ func (nw *Network) ShardOf(shards int) func(pos int) int {
 		}
 		return s
 	}
+}
+
+// msgLane is one kernel lane's message records: the free list of recycled
+// ones and the chunk fresh ones are carved from, in chunks that grow with
+// the records carved so far, from 16 up to msgChunk (28 KiB).
+type msgLane struct {
+	free   []*msg
+	slab   []msg
+	carved int
+}
+
+const msgChunk = 256
+
+// SetLanes splits the message records into one lane per shard of
+// ShardOf(shards), so each shard worker recycles records without a lock. Call
+// it before the engine runs, with the shard count the engine is configured
+// with; a network that never calls it keeps one lane, which serves a serial
+// engine.
+func (nw *Network) SetLanes(shards int) {
+	if shards <= 1 {
+		nw.lanes, nw.laneOf = make([]msgLane, 1), nil
+		return
+	}
+	nw.lanes, nw.laneOf = make([]msgLane, shards), nw.ShardOf(shards)
+}
+
+// lane returns the lane a message event at position pos may touch: its
+// shard's.
+func (nw *Network) lane(pos int) *msgLane {
+	if nw.laneOf == nil {
+		return &nw.lanes[0]
+	}
+	return &nw.lanes[nw.laneOf(pos)]
 }
 
 // Coord maps a node ID to its torus coordinates.
@@ -392,27 +429,36 @@ type msg struct {
 	darg    any
 }
 
-// getMsg takes a recycled record from position pos's free list (allocating
-// when empty). It must run in pos's owner context or with workers quiesced.
+// getMsg takes a recycled record from the free list of position pos's lane,
+// or carves a fresh one when the list is empty. It must run in pos's owner
+// context or with workers quiesced.
 func (nw *Network) getMsg(pos int) *msg {
-	fl := nw.msgFree[pos]
-	if n := len(fl); n > 0 {
-		m := fl[n-1]
-		nw.msgFree[pos] = fl[:n-1]
+	ln := nw.lane(pos)
+	if n := len(ln.free); n > 0 {
+		m := ln.free[n-1]
+		ln.free[n-1] = nil
+		ln.free = ln.free[:n-1]
 		m.freed = false
 		return m
 	}
-	return &msg{}
+	if len(ln.slab) == 0 {
+		ln.slab = make([]msg, min(max(ln.carved, 16), msgChunk))
+	}
+	m := &ln.slab[0]
+	ln.slab = ln.slab[1:]
+	ln.carved++
+	return m
 }
 
-// putMsg zeroes m and releases it to position pos's free list. Releasing
-// twice panics.
+// putMsg zeroes m and releases it to the free list of position pos's lane.
+// Releasing twice panics.
 func (nw *Network) putMsg(pos int, m *msg) {
 	if m.freed {
 		panic("fabric: message record released twice")
 	}
 	*m = msg{freed: true}
-	nw.msgFree[pos] = append(nw.msgFree[pos], m)
+	ln := nw.lane(pos)
+	ln.free = append(ln.free, m)
 }
 
 // finish releases m to pos's free list and then invokes its delivery

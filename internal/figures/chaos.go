@@ -201,11 +201,14 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		}
 		rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
 		r.Sleep(sim.Time(rng.Int63n(int64(50 * sim.Microsecond))))
+		p := armci.Pool(r)
+		one := []float64{1}
 		for i := 0; i < c.OpsPerRank; i++ {
 			target := survivors[rng.Intn(len(survivors))]
-			h := r.NbAcc(target, "chaos", 8*r.Rank(), 1.0, []float64{1})
+			h := p.NbAcc(target, "chaos", 8*r.Rank(), 1.0, one)
 			r.Wait(h)
 			err := h.Err()
+			p.Release(h)
 			led.record(r.Rank(), err)
 			// Classify a failure against ground truth at failure time: no
 			// live admissible route means a partition, the one failure mode

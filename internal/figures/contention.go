@@ -233,21 +233,24 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 		zeros = make([]byte, c.VecSegs*c.VecSegLen)
 		rankSegs = make([][]armci.Seg, n)
 	}
+	segsOf := func(r *armci.Rank) []armci.Seg {
+		segs := rankSegs[r.Rank()]
+		if segs == nil {
+			base := 8 + r.Rank()*slot
+			segs = make([]armci.Seg, c.VecSegs)
+			for i := range segs {
+				segs[i] = armci.Seg{Off: base + i*c.VecSegLen*2, Len: c.VecSegLen}
+			}
+			rankSegs[r.Rank()] = segs
+		}
+		return segs
+	}
 	nbOp := func(r *armci.Rank) *armci.Handle {
 		switch c.Op {
 		case OpFetchAdd:
 			return r.NbFetchAdd(0, "hot", 0, 1)
 		default:
-			segs := rankSegs[r.Rank()]
-			if segs == nil {
-				base := 8 + r.Rank()*slot
-				segs = make([]armci.Seg, c.VecSegs)
-				for i := range segs {
-					segs[i] = armci.Seg{Off: base + i*c.VecSegLen*2, Len: c.VecSegLen}
-				}
-				rankSegs[r.Rank()] = segs
-			}
-			return r.NbPutV(0, "hot", segs, zeros)
+			return r.NbPutV(0, "hot", segsOf(r), zeros)
 		}
 	}
 	// doOps issues count operations: blocking one-by-one with no window,
@@ -259,7 +262,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 				case OpFetchAdd:
 					r.FetchAdd(0, "hot", 0, 1)
 				default:
-					r.Wait(nbOp(r))
+					r.PutV(0, "hot", segsOf(r), zeros)
 				}
 			}
 			return

@@ -60,7 +60,7 @@ type Array struct {
 	rt           *armci.Runtime
 	name         string
 	rows, cols   int
-	pr, pc       int
+	pc           int // process-grid columns
 	brows, bcols int
 }
 
@@ -73,7 +73,7 @@ func Create(rt *armci.Runtime, name string, rows, cols int) *Array {
 	pr, pc := ProcGrid(rt.NRanks())
 	a := &Array{
 		rt: rt, name: name, rows: rows, cols: cols,
-		pr: pr, pc: pc,
+		pc:    pc,
 		brows: (rows + pr - 1) / pr,
 		bcols: (cols + pc - 1) / pc,
 	}
@@ -94,9 +94,6 @@ func (a *Array) Name() string { return a.name }
 
 // Dims returns the global extent.
 func (a *Array) Dims() (rows, cols int) { return a.rows, a.cols }
-
-// Grid returns the process-grid shape.
-func (a *Array) Grid() (pr, pc int) { return a.pr, a.pc }
 
 // Owner returns the rank owning global element (i, j).
 func (a *Array) Owner(i, j int) int {
@@ -173,59 +170,94 @@ func (a *Array) localOff(i, j int) int {
 	return ((i%a.brows)*a.bcols + j%a.bcols) * 8
 }
 
-// Get fetches the section [lo, hi) into a fresh matrix using non-blocking
-// strided gets to every overlapping owner.
+// Get fetches the section [lo, hi) into a fresh matrix (see GetInto).
 func (a *Array) Get(r *armci.Rank, lo, hi [2]int) *Matrix {
 	a.checkRegion(lo, hi)
 	out := NewMatrix(hi[0]-lo[0], hi[1]-lo[1])
-	type part struct {
-		h        *armci.Handle
-		blo, bhi [2]int
-	}
-	var parts []part
-	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
-		h := r.NbGetS(owner, a.name, a.localOff(blo[0], blo[1]),
-			(bhi[1]-blo[1])*8, a.bcols*8, bhi[0]-blo[0])
-		parts = append(parts, part{h, blo, bhi})
-	})
-	for _, p := range parts {
-		r.Wait(p.h)
-		vals := armci.BytesToFloat64s(p.h.Data())
-		w := p.bhi[1] - p.blo[1]
-		for i := p.blo[0]; i < p.bhi[0]; i++ {
-			row := vals[(i-p.blo[0])*w : (i-p.blo[0]+1)*w]
-			copy(out.Data[(i-lo[0])*out.Cols+(p.blo[1]-lo[1]):], row)
-		}
-	}
+	a.GetInto(r, lo, hi, out)
 	return out
+}
+
+// GetInto fetches the section [lo, hi) into out, which must cover it
+// (NGA_Get into a caller's buffer), using non-blocking strided gets to every
+// overlapping owner. The gets run on the rank's pooled handles, and each
+// owner's rows are decoded straight into out.
+func (a *Array) GetInto(r *armci.Rank, lo, hi [2]int, out *Matrix) {
+	a.checkRegion(lo, hi)
+	a.checkShape(lo, hi, out)
+	p := armci.Pool(r)
+	hs := p.Handles()
+	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
+		hs = append(hs, p.NbGetS(owner, a.name, a.localOff(blo[0], blo[1]),
+			(bhi[1]-blo[1])*8, a.bcols*8, bhi[0]-blo[0]))
+	})
+	// The same walk visits the owners in issue order.
+	next := 0
+	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
+		h := hs[next]
+		next++
+		r.Wait(h)
+		data := h.Data()
+		w := bhi[1] - blo[1]
+		for i := blo[0]; i < bhi[0]; i++ {
+			row := out.Data[(i-lo[0])*out.Cols+(blo[1]-lo[1]):][:w]
+			src := data[(i-blo[0])*w*8:]
+			for j := range row {
+				row[j] = armci.GetFloat64(src, 8*j)
+			}
+		}
+	})
+	release(p, hs)
 }
 
 // Put stores matrix m into the section [lo, hi).
 func (a *Array) Put(r *armci.Rank, lo, hi [2]int, m *Matrix) {
 	a.checkRegion(lo, hi)
 	a.checkShape(lo, hi, m)
-	var hs []*armci.Handle
+	p := armci.Pool(r)
+	hs := p.Handles()
 	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
 		data := a.gatherSub(lo, m, blo, bhi)
-		hs = append(hs, r.NbPutS(owner, a.name, a.localOff(blo[0], blo[1]),
+		hs = append(hs, p.NbPutS(owner, a.name, a.localOff(blo[0], blo[1]),
 			(bhi[1]-blo[1])*8, a.bcols*8, bhi[0]-blo[0], data))
 	})
-	r.WaitAll(hs...)
+	waitRelease(r, p, hs)
 }
 
 // Acc atomically accumulates alpha * m into the section [lo, hi).
 func (a *Array) Acc(r *armci.Rank, lo, hi [2]int, m *Matrix, alpha float64) {
 	a.checkRegion(lo, hi)
 	a.checkShape(lo, hi, m)
-	var hs []*armci.Handle
+	p := armci.Pool(r)
+	hs := p.Handles()
 	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
 		// Accumulate row by row on the owner (element-atomic at the CHT).
 		for i := blo[0]; i < bhi[0]; i++ {
 			row := m.Data[(i-lo[0])*m.Cols+(blo[1]-lo[1]) : (i-lo[0])*m.Cols+(bhi[1]-lo[1])]
-			hs = append(hs, r.NbAcc(owner, a.name, a.localOff(i, blo[1]), alpha, row))
+			hs = append(hs, p.NbAcc(owner, a.name, a.localOff(i, blo[1]), alpha, row))
 		}
 	})
-	r.WaitAll(hs...)
+	waitRelease(r, p, hs)
+}
+
+// waitRelease completes a group of pooled operations in issue order, then
+// releases them.
+func waitRelease(r *armci.Rank, p armci.Pooled, hs []*armci.Handle) {
+	for _, h := range hs {
+		r.Wait(h)
+	}
+	release(p, hs)
+}
+
+// release hands a group's handles back in reverse issue order, and the list
+// after them. The rank's free list is a stack, so the next group takes the
+// same handles in the same order, and a get reuses the result buffer the
+// handle in its place already holds.
+func release(p armci.Pooled, hs []*armci.Handle) {
+	for i := len(hs) - 1; i >= 0; i-- {
+		p.Release(hs[i])
+	}
+	p.KeepHandles(hs)
 }
 
 // checkShape validates that m covers the region.
@@ -244,15 +276,6 @@ func (a *Array) gatherSub(lo [2]int, m *Matrix, blo, bhi [2]int) []byte {
 		vals = append(vals, m.Data[off:off+w]...)
 	}
 	return armci.Float64sToBytes(vals)
-}
-
-// Zero clears the caller's local block; call from every rank then Barrier
-// for a collective zero.
-func (a *Array) Zero(r *armci.Rank) {
-	raw := r.Local(a.name)
-	for i := range raw {
-		raw[i] = 0
-	}
 }
 
 // Counter is a shared atomic task counter (NWChem's nxtval), hosted in a
@@ -278,7 +301,7 @@ func (c *Counter) Next(r *armci.Rank) int64 {
 
 // Value reads the counter (non-atomic snapshot via get).
 func (c *Counter) Value(r *armci.Rank) int64 {
-	return armci.GetInt64(r.Get(c.owner, c.name, 0, 8), 0)
+	return r.GetInt64At(c.owner, c.name, 0)
 }
 
 func min(a, b int) int {

@@ -273,10 +273,7 @@ func (e *Engine) runSharded(limit Time) error {
 		}
 		e.runWindow(end)
 	}
-	if blocked := e.blockedNonDaemons(); len(blocked) > 0 {
-		return &DeadlockError{At: e.now, Blocked: blocked}
-	}
-	return nil
+	return e.drained()
 }
 
 // runInstant executes every event at exactly time t — global and shard-owned

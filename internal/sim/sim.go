@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Time is virtual time in nanoseconds.
@@ -156,10 +157,6 @@ func (p *Proc) ID() int { return p.id }
 // Engine returns the engine this process runs under.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Owner returns the scheduling owner the process is pinned to
-// (GlobalOwner if it was spawned without one).
-func (p *Proc) Owner() int { return p.owner }
-
 // Now returns the current virtual time in the process's context.
 func (p *Proc) Now() Time { return p.e.NowOn(p.owner) }
 
@@ -214,6 +211,11 @@ type Engine struct {
 	executed uint64
 	// halt, when set (see Halt), aborts the run loop before the next event.
 	halt error
+	// live counts non-daemon processes spawned and not yet exited, so a
+	// drained run and the Watchdog learn whether any is left without
+	// walking procs. Processes exit on their owners' shard workers, hence
+	// the atomic; it changes once per process, never per event.
+	live atomic.Int64
 
 	// rngSrc wraps the RNG's source to count draws, and rngSeed remembers
 	// the seed, so CheckpointSection can digest the generator's position
@@ -452,6 +454,13 @@ func (e *Engine) AtGlobal(from int, fn func()) {
 	e.schedule(src, now, origin, GlobalOwner, now+e.lookahead, fn)
 }
 
+// AtGlobalArg is AtGlobal for a long-lived fn and a pointer-shaped arg, so
+// the call allocates no closure.
+func (e *Engine) AtGlobalArg(from int, fn func(any), arg any) {
+	src, now, origin := e.ctxFor(from)
+	e.scheduleArg(src, now, origin, GlobalOwner, now+e.lookahead, fn, arg)
+}
+
 // Lookahead returns the conservative synchronization window configured by
 // ConfigureShards (0 if never configured).
 func (e *Engine) Lookahead() Time { return e.lookahead }
@@ -559,6 +568,9 @@ func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *P
 		owner:  owner,
 	}
 	e.procs = append(e.procs, p)
+	if !daemon {
+		e.live.Add(1)
+	}
 	e.trace(TraceSpawn, p, "")
 	e.scheduleProc(nil, e.now, e.ctxOwner, owner, t, evSwitch, p)
 	return p
@@ -584,6 +596,9 @@ func runBody(p *Proc) {
 }
 
 func (p *Proc) exit() {
+	if !p.daemon && p.state != procDone {
+		p.e.live.Add(-1)
+	}
 	p.state = procDone
 	p.blockedOn, p.blockedAt = "", nil
 	p.e.trace(TraceExit, p, "")
@@ -750,6 +765,16 @@ func (e *Engine) run(limit Time) error {
 		e.executed++
 		e.exec(&p)
 	}
+	return e.drained()
+}
+
+// drained is the verdict of a run whose queue emptied: nil when every
+// non-daemon process has finished, a *DeadlockError naming the blocked ones
+// otherwise. Only a deadlock walks the process table.
+func (e *Engine) drained() error {
+	if e.live.Load() == 0 {
+		return nil
+	}
 	if blocked := e.blockedNonDaemons(); len(blocked) > 0 {
 		return &DeadlockError{At: e.now, Blocked: blocked}
 	}
@@ -834,15 +859,7 @@ func (e *Engine) PendingEvents() int {
 func (e *Engine) Halt(err error) { e.halt = err }
 
 // liveNonDaemons counts non-daemon processes that have not finished.
-func (e *Engine) liveNonDaemons() int {
-	n := 0
-	for _, p := range e.procs {
-		if !p.daemon && p.state != procDone {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) liveNonDaemons() int { return int(e.live.Load()) }
 
 // BlockedDaemons returns the blocking points of all parked daemon processes,
 // for diagnosing deadlocks that thread through server loops (e.g. CHTs

@@ -435,6 +435,71 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// walkLive is the process-table walk the engine's live count replaces.
+func walkLive(e *Engine) int {
+	n := 0
+	for _, p := range e.procs {
+		if !p.daemon && p.state != procDone {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLiveCountMatchesWalk checks the live non-daemon count against a walk
+// of the process table after spawns, exits, a deadlocked drain (whose
+// report text must not change) and Shutdown, serial and sharded.
+func TestLiveCountMatchesWalk(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := New()
+			e.ConfigureShards(shards, 4, func(o int) int { return o % shards }, 1)
+			check := func(when string) {
+				t.Helper()
+				if got, want := e.liveNonDaemons(), walkLive(e); got != want {
+					t.Fatalf("%s: live count %d, walk %d", when, got, want)
+				}
+			}
+			q := NewQueue[int](e, "q")
+			e.SpawnDaemonOn(0, "server", func(p *Proc) {
+				for {
+					q.Get(p)
+				}
+			})
+			for i := 0; i < 4; i++ {
+				e.SpawnOn(i, fmt.Sprintf("done%d", i), func(p *Proc) { p.Sleep(Time(i + 1)) })
+			}
+			e.SpawnOn(1, "stuck", func(p *Proc) {
+				p.Sleep(10)
+				NewEvent(e, "never").Wait(p)
+			})
+			e.SpawnOn(2, "unstarted", func(p *Proc) {})
+			check("after spawn")
+			if got := e.liveNonDaemons(); got != 6 {
+				t.Fatalf("live count %d after spawning 6 non-daemons", got)
+			}
+			if err := e.RunUntil(5); err == nil {
+				t.Fatal("RunUntil(5) = nil, want a time limit")
+			}
+			check("mid-run")
+			err := e.Run()
+			check("after drain")
+			want := "sim: deadlock at t=10ns, 1 blocked process(es): stuck: event never"
+			if err == nil || err.Error() != want {
+				t.Fatalf("Run = %v, want %q", err, want)
+			}
+			if got := e.liveNonDaemons(); got != 1 {
+				t.Fatalf("live count %d, want the one stuck process", got)
+			}
+			e.Shutdown()
+			check("after Shutdown")
+			if got := e.liveNonDaemons(); got != 0 {
+				t.Fatalf("live count %d after Shutdown", got)
+			}
+		})
+	}
+}
+
 func TestDaemonDoesNotCauseDeadlock(t *testing.T) {
 	e := New()
 	q := NewQueue[int](e, "requests")
