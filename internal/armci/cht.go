@@ -261,12 +261,12 @@ func (ns *nodeState) handle(req *request) {
 	rt := ns.rt
 	switch req.kind {
 	case opPut:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		copy(mem[req.off:req.off+len(req.data)], req.data)
 		ns.respond(req, nil, 0)
 
 	case opPutV:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		pos := 0
 		for _, s := range req.segs {
 			copy(mem[s.Off:s.Off+s.Len], req.data[pos:pos+s.Len])
@@ -275,7 +275,7 @@ func (ns *nodeState) handle(req *request) {
 		ns.respond(req, nil, 0)
 
 	case opAcc:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		for i := 0; i+8 <= len(req.data); i += 8 {
 			v := GetFloat64(mem, req.off+i) + req.scale*GetFloat64(req.data, i)
 			PutFloat64(mem, req.off+i, v)
@@ -286,12 +286,12 @@ func (ns *nodeState) handle(req *request) {
 		// A get's payload rides the response in the record's own buf
 		// (a get carries no payload out); completeResp copies it into
 		// the handle before the record can be recycled.
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		req.buf = append(rt.growBytes(req.buf, req.getBytes), mem[req.off:req.off+req.getBytes]...)
 		ns.respond(req, req.buf, 0)
 
 	case opGetV:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		req.buf = rt.growBytes(req.buf, segsBytes(req.segs))
 		for _, s := range req.segs {
 			req.buf = append(req.buf, mem[s.Off:s.Off+s.Len]...)
@@ -299,19 +299,19 @@ func (ns *nodeState) handle(req *request) {
 		ns.respond(req, req.buf, 0)
 
 	case opRmw:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		old := GetInt64(mem, req.off)
 		PutInt64(mem, req.off, old+req.delta)
 		ns.respond(req, nil, old)
 
 	case opSwap:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		old := GetInt64(mem, req.off)
 		PutInt64(mem, req.off, req.delta)
 		ns.respond(req, nil, old)
 
 	case opAccV:
-		mem := rt.alloc(req.alloc).slab(req.target)
+		mem := req.alloc.slab(req.target)
 		pos := 0
 		for _, s := range req.segs {
 			for b := 0; b < s.Len; b += 8 {

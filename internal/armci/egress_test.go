@@ -28,7 +28,7 @@ func egressHarness(t *testing.T) (*sim.Engine, *Runtime, *egress) {
 func mkReq(rt *Runtime, h *Handle) *request {
 	return &request{
 		kind: opPut, origin: 0, originNode: 0, target: 2, // rank 2 = node 1
-		alloc: "m", off: 0, data: []byte{1}, wire: headerBytes + 1, h: h,
+		alloc: rt.alloc("m"), off: 0, data: []byte{1}, wire: headerBytes + 1, h: h,
 	}
 }
 

@@ -71,21 +71,21 @@ type request struct {
 	kind       opKind
 	origin     int // issuing rank
 	originNode int
-	target     int // target rank
-	alloc      string
-	off        int     // contiguous ops: target offset
-	data       []byte  // put/acc payload for this chunk: the caller's bytes, or buf
-	segs       []Seg   // vectored ops: target segments of this chunk (owned, kept across recycling)
-	buf        []byte  // owned payload storage: accumulate encodings, clone copies (kept across recycling)
-	scale      float64 // accumulate scale factor
-	delta      int64   // rmw addend
-	mutex      int     // lock/unlock: mutex index
-	getBytes   int     // get: bytes requested (contiguous)
-	flatOff    int     // get: this chunk's offset into the assembled result
-	wire       int     // message size on the fabric
-	prevNode   int     // upstream node owed a buffer credit (-1: none)
-	nextNode   int     // hop in flight: delivery target (stamped by transmit)
-	h          *Handle // origin-side completion handle
+	target     int         // target rank
+	alloc      *allocation // resolved once, by the issuing call
+	off        int         // contiguous ops: target offset
+	data       []byte      // put/acc payload for this chunk: the caller's bytes, or buf
+	segs       []Seg       // vectored ops: target segments of this chunk (owned, kept across recycling)
+	buf        []byte      // owned payload storage: accumulate encodings, clone copies (kept across recycling)
+	scale      float64     // accumulate scale factor
+	delta      int64       // rmw addend
+	mutex      int         // lock/unlock: mutex index
+	getBytes   int         // get: bytes requested (contiguous)
+	flatOff    int         // get: this chunk's offset into the assembled result
+	wire       int         // message size on the fabric
+	prevNode   int         // upstream node owed a buffer credit (-1: none)
+	nextNode   int         // hop in flight: delivery target (stamped by transmit)
+	h          *Handle     // origin-side completion handle
 	// subs carries the aggregated sub-operations of an opBatch packet, in
 	// issue (rid) order; nil for every other kind. Each sub keeps its own
 	// handle/rid/chunk, so completion, dedup and retry act per sub-op.

@@ -306,7 +306,7 @@ func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Ha
 	rt.cfg.chunkContig(off, len(data), func(o, ln int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opPut, r.rank, r.node, dst
-		req.alloc, req.off = alloc, o
+		req.alloc, req.off = a, o
 		req.data = data[o-off : o-off+ln]
 		req.wire = headerBytes + ln
 		reqs = append(reqs, req)
@@ -353,7 +353,7 @@ func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 	rt.cfg.chunkContig(off, n, func(o, ln int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opGet, r.rank, r.node, src
-		req.alloc, req.off = alloc, o
+		req.alloc, req.off = a, o
 		req.getBytes, req.flatOff = ln, o-off
 		req.wire = headerBytes
 		reqs = append(reqs, req)
@@ -404,7 +404,7 @@ func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64
 		}
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAcc, r.rank, r.node, dst
-		req.alloc, req.off = alloc, off+done
+		req.alloc, req.off = a, off+done
 		req.buf = appendFloat64s(rt.growBytes(req.buf, ln), vals[done/8:(done+ln)/8])
 		req.data, req.scale = req.buf, scale
 		req.wire = headerBytes + ln
@@ -458,7 +458,7 @@ func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool)
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opPutV, r.rank, r.node, dst
-		req.alloc = alloc
+		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.data = data[flatOff : flatOff+payload]
 		req.wire = headerBytes + len(group)*segDescBytes + payload
@@ -507,7 +507,7 @@ func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opGetV, r.rank, r.node, src
-		req.alloc = alloc
+		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.flatOff = flatOff
 		req.wire = headerBytes + len(group)*segDescBytes
@@ -586,7 +586,7 @@ func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool
 	}
 	req := rt.getReq(r.node)
 	req.kind, req.origin, req.originNode, req.target = opRmw, r.rank, r.node, dst
-	req.alloc, req.off, req.delta = alloc, off, delta
+	req.alloc, req.off, req.delta = a, off, delta
 	req.wire = headerBytes + 8
 	sc := r.scratch()
 	reqs := append(sc.reqs[:0], req)

@@ -52,7 +52,7 @@ func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 	}
 	req := rt.getReq(r.node)
 	req.kind, req.origin, req.originNode, req.target = opSwap, r.rank, r.node, dst
-	req.alloc, req.off, req.delta = alloc, off, v
+	req.alloc, req.off, req.delta = a, off, v
 	req.wire = headerBytes + 8
 	h := r.handle(1, 0, true)
 	req.setHandle(h, 0)
@@ -114,7 +114,7 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 	rt.cfg.chunkSegs(segs, 8, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
 		req.kind, req.origin, req.originNode, req.target = opAccV, r.rank, r.node, dst
-		req.alloc = alloc
+		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.buf = appendFloat64s(rt.growBytes(req.buf, payload), vals[flatOff/8:(flatOff+payload)/8])
 		req.data, req.scale = req.buf, scale

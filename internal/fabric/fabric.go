@@ -547,7 +547,7 @@ func (nw *Network) inject(m *msg) {
 // per dimension and rules out ping-pong livelock.
 func (nw *Network) aim(m *msg) {
 	src := m.src
-	fi := nw.cfg.Faults
+	linkFaults := nw.cfg.Faults.LinkFaults() > 0
 	cur, tgt := nw.Coord(src), nw.Coord(m.dst)
 	m.pos = src
 	node := src // where the walk enters dimension d
@@ -562,7 +562,7 @@ func (nw *Network) aim(m *msg) {
 		if bwd < fwd {
 			dir, dist = 0, bwd
 		}
-		if fi != nil && nw.arcBlocked(node, d, dir, dist) &&
+		if linkFaults && nw.arcBlocked(node, d, dir, dist) &&
 			!nw.arcBlocked(node, d, 1-dir, nw.shape[d]-dist) {
 			dir = 1 - dir
 			nw.stats[src].Reroutes++
@@ -638,7 +638,7 @@ func (nw *Network) step(m *msg) {
 	if li, d, to, ok := nw.nextHop(m); ok {
 		hop := m.pos
 		ser := m.serLink
-		if fi := nw.cfg.Faults; fi != nil {
+		if fi := nw.cfg.Faults; fi.LinkFaults() > 0 {
 			if fi.LinkDown(hop, to) {
 				nw.stats[hop].LinkStalls++
 				m.stallSince = now

@@ -246,6 +246,43 @@ func TestInjectorFlapToggles(t *testing.T) {
 	}
 }
 
+// TestInjectorLinkFaultsCount: LinkFaults counts the pairs hard-failed plus
+// the pairs degraded, through a flap overlapping a fail on one pair (the
+// pair counts once while either holds it down), a degrade of that pair, a
+// permanent degrade of another and a node crash (no link fault); it is 0
+// exactly when every link reads healthy.
+func TestInjectorLinkFaultsCount(t *testing.T) {
+	eng := sim.New()
+	in := NewInjector(eng, 6, MustParseSpec("flap:0-1@t=1ms@period=100us@for=250us,link:1-0@t=1050us@for=200us,"+
+		"degrade:0-1@t=1100us@for=300us@bw=0.5,degrade:2-3@t=2ms@bw=0.5,node:4@t=500us@for=1ms"))
+	us := sim.Microsecond
+	want := map[sim.Time]int{0: 0, 600 * us: 0, 1020 * us: 1, 1060 * us: 1, 1120 * us: 2, 1220 * us: 2,
+		1260 * us: 1, 1500 * us: 0, 2500 * us: 1}
+	got := map[sim.Time]int{}
+	for at := range want {
+		eng.At(at, func() {
+			got[at] = in.LinkFaults()
+			healthy := true
+			for a := 0; a < 6; a++ {
+				for b := a + 1; b < 6; b++ {
+					healthy = healthy && !in.LinkDown(a, b) && in.LinkFactor(a, b) == 1
+				}
+			}
+			if healthy != (got[at] == 0) {
+				t.Errorf("t=%v: LinkFaults = %d, every link healthy: %v", at, got[at], healthy)
+			}
+		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for at, n := range want {
+		if got[at] != n {
+			t.Errorf("t=%v: LinkFaults = %d, want %d", at, got[at], n)
+		}
+	}
+}
+
 func TestInjectorStormBursts(t *testing.T) {
 	// A storm opens burst windows every other half-period, like flap, but
 	// stretches the node's ejection serialization (1/bw) instead of cutting a
@@ -452,7 +489,7 @@ func TestInjectorMetricsAndTrace(t *testing.T) {
 
 func TestNilInjectorIsHealthy(t *testing.T) {
 	var in *Injector
-	if in.LinkDown(0, 1) || in.CHTStalled(0) || in.LinkFactor(0, 1) != 1 || in.Active() != 0 {
+	if in.LinkDown(0, 1) || in.CHTStalled(0) || in.LinkFactor(0, 1) != 1 || in.LinkFaults() != 0 || in.Active() != 0 {
 		t.Error("nil injector must report a healthy machine")
 	}
 	if in.NodeDown(0) || in.HasNodeFaults() {

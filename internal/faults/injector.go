@@ -23,8 +23,10 @@ type Injector struct {
 	faults []Fault
 
 	// linkDown counts active hard failures per unordered node pair (a flap
-	// overlapping a fail must not "repair" the link early).
-	linkDown map[[2]int]int
+	// overlapping a fail must not "repair" the link early); an entry stays
+	// at 0 after its repair, so linksDown counts the pairs above 0.
+	linkDown  map[[2]int]int
+	linksDown int
 	// linkFactor is the active bandwidth multiplier per unordered pair.
 	linkFactor map[[2]int]float64
 	// chtDown counts active stalls per node; repair[node] is the event a
@@ -153,8 +155,10 @@ func (in *Injector) setLink(f Fault, delta int) {
 	was := in.linkDown[key]
 	in.linkDown[key] = was + delta
 	if delta > 0 && was == 0 {
+		in.linksDown++
 		in.note(true, fmt.Sprintf("%v %d-%d down", f.Kind, key[0], key[1]))
 	} else if delta < 0 && was+delta == 0 {
+		in.linksDown--
 		in.note(false, fmt.Sprintf("%v %d-%d up", f.Kind, key[0], key[1]))
 	}
 }
@@ -239,6 +243,18 @@ func (in *Injector) LinkDown(a, b int) bool {
 		return false
 	}
 	return in.linkDown[pairKey(a, b)] > 0
+}
+
+// LinkFaults returns the number of link faults in force: pairs hard-failed
+// plus pairs degraded (a pair both down and degraded counts twice). It reads
+// two counts, so the fabric can skip its per-hop and per-route link checks
+// while it is 0: LinkDown then reports false and LinkFactor 1 for every
+// pair.
+func (in *Injector) LinkFaults() int {
+	if in == nil {
+		return 0
+	}
+	return in.linksDown + len(in.linkFactor)
 }
 
 // LinkFactor returns the bandwidth multiplier for the link between a and b:

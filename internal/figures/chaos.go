@@ -232,10 +232,15 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		Victims: victims, Elapsed: eng.Now(), Stats: rt.Stats(),
 	}
 	// applied(o) sums slot o over every rank's memory; each +1 is exact in
-	// float64 at these counts.
+	// float64 at these counts. Each rank's memory is looked up once: the
+	// checks below read n slots of it.
+	mem := make([][]byte, n)
+	for t := range mem {
+		mem[t] = rt.Memory(t, "chaos")
+	}
 	applied := func(o int) (lo, hi float64) {
 		for t := 0; t < n; t++ {
-			lo += armci.GetFloat64(rt.Memory(t, "chaos"), 8*o)
+			lo += armci.GetFloat64(mem[t], 8*o)
 		}
 		return lo, lo
 	}
@@ -268,7 +273,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		h = ckpt.Mix(h, uint64(row.failed))
 		h = ckpt.Mix(h, uint64(row.partitioned))
 		for t := 0; t < n; t++ {
-			h = ckpt.MixF64(h, armci.GetFloat64(rt.Memory(t, "chaos"), 8*o))
+			h = ckpt.MixF64(h, armci.GetFloat64(mem[t], 8*o))
 		}
 	}
 	h = ckpt.Mix(h, uint64(res.Elapsed))

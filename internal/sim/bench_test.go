@@ -10,9 +10,10 @@ import (
 // alive, the access pattern the armci/fabric layers generate; 65 536 is the
 // depth bench/'s sim.event_ns.heap64k driver times. The short cases draw
 // delays of 1-13 ns; the wide case draws them log-uniformly from 2^6 to
-// 2^26 ns, the spread of a contended run, where most pending events are
-// timers and replies more than 100 us ahead. The interesting numbers are
-// ns/op and allocs/op: the queue must not allocate per event.
+// 2^26 ns, where most pending events are timers and replies more than
+// 100 us ahead; the measured case draws them from the delays a contended,
+// fault-armed run pushes (measuredDelay). The interesting numbers are ns/op
+// and allocs/op: the queue must not allocate per event.
 func BenchmarkEventQueue(b *testing.B) {
 	first := func(i int) Time { return Time(i%13 + 1) }
 	next := func(i int) Time { return Time(i%7 + 1) }
@@ -20,6 +21,7 @@ func BenchmarkEventQueue(b *testing.B) {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) { benchQueue(b, pending, first, next) })
 	}
 	b.Run("pending=4096/wide", func(b *testing.B) { benchQueue(b, 4096, wideDelay, wideDelay) })
+	b.Run("pending=2048/measured", func(b *testing.B) { benchQueue(b, 2048, measuredDelay, measuredDelay) })
 	b.Run("burst=131072", func(b *testing.B) { benchBurst(b, 131072) })
 }
 
@@ -57,6 +59,33 @@ func benchBurst(b *testing.B, burst int) {
 func wideDelay(i int) Time {
 	s := 6 + uint(i)%21
 	return Time(1)<<s | Time(uint64(i)*0x9E3779B97F4A7C15>>(64-s))
+}
+
+// measuredPush is the distribution of push delays (an event's time past the
+// last pop) of the benchmark's chaos_heal workload at seed 1, per mille by
+// bits.Len64 of the delay, with the hotspot workload's tail to 2^26 ns
+// folded into the largest class: most land 2^6-2^10 ns ahead, 5 % at the
+// same instant and 9 % past 2^13 ns.
+var measuredPush = [...]struct{ bits, perMille int }{
+	{0, 47}, {4, 38}, {5, 33}, {6, 56}, {7, 508}, {8, 89}, {10, 146},
+	{14, 17}, {15, 4}, {16, 10}, {17, 24}, {18, 19}, {19, 5}, {20, 2}, {26, 2},
+}
+
+// measuredDelay is the i-th delay drawn from measuredPush.
+func measuredDelay(i int) Time {
+	h := uint64(i) * 0x9E3779B97F4A7C15
+	r := int(h >> 32 % 1000)
+	for _, c := range measuredPush {
+		if r -= c.perMille; r >= 0 {
+			continue
+		}
+		if c.bits == 0 {
+			return 0
+		}
+		s := uint(c.bits - 1)
+		return Time(1)<<s | Time(h&(1<<s-1))
+	}
+	panic("measuredPush does not sum to 1000")
 }
 
 // benchQueue keeps pending events queued, the i-th at first(i), each

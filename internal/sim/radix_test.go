@@ -1,21 +1,24 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
 
-// checkQueue verifies the radix invariants and the block and slab
-// bookkeeping: now holds keys at last, either as a sorted run from nowHead
-// (empty only as a zero-length slice) or as a binary heap from index 0;
-// every other key sits in
-// the bucket named by the highest bit where its time differs from last, in a
-// chain of full blocks behind one partly filled newest block, and each
-// bucket's min is its smallest key; every allocated block is in exactly one
-// chain or on the free list; every key names a distinct live slab slot, and
-// every slot off the queue is on the free list with no payload left in it.
+// checkQueue verifies the queue's invariants and its slab bookkeeping: now
+// holds keys at last, either as a sorted run from nowHead (empty only as a
+// zero-length slice) or as a binary heap from index 0; the wheel's summary
+// word agrees with its occupancy words, and every occupied slot chains keys
+// at its own time in last's window, past last; every non-empty bucket
+// chains keys whose time differs from last first at the bucket's bit —
+// never one the wheel stands in for — and its min is its smallest key; the
+// link chunks shadow the slab's; every key names a distinct live slab slot,
+// and every slot off the queue is on the free list with no payload left in
+// it.
 func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
 	if q.nowHead < 0 || q.nowHead > len(q.now) || q.nowHead == len(q.now) && q.nowHead > 0 {
@@ -37,45 +40,64 @@ func checkQueue(t *testing.T, q *eventQueue) {
 		}
 	}
 	keys := append([]eventKey(nil), now...)
-	seen := map[*keyBlock]bool{}
+	if len(q.links) != len(q.slab)<<(slabShift-linkShift) {
+		t.Fatalf("%d link chunk pointers for %d slab chunks", len(q.links), len(q.slab))
+	}
+	// walk returns ch's keys in push order.
+	walk := func(where string, ch chain) []eventKey {
+		var out []eventKey
+		for slot := ch.head; ; slot = q.link(slot).next {
+			if slot < 0 || slot >= q.slots || q.links[slot>>linkShift] == nil {
+				t.Fatalf("%s chains slab slot %d (of %d) without a link", where, slot, q.slots)
+			}
+			if len(out) > int(q.slots) {
+				t.Fatalf("%s: chain is cyclic", where)
+			}
+			out = append(out, q.key(slot))
+			if slot == ch.tail {
+				return out
+			}
+		}
+	}
+	if w := q.wheel; w != nil {
+		for i, word := range w.occ {
+			if (w.sum>>i&1 == 1) != (word != 0) {
+				t.Fatalf("wheel summary bit %d is %d, occupancy word %#x", i, w.sum>>i&1, word)
+			}
+			for ; word != 0; word &= word - 1 {
+				s := i<<6 | bits.TrailingZeros64(word)
+				at := q.last&^(wheelSlots-1) | Time(s)
+				for _, k := range walk(fmt.Sprintf("wheel slot %d", s), w.chain[s]) {
+					if k.t != at || at <= q.last {
+						t.Fatalf("key %+v in wheel slot %d, at %v (last %v)", k, s, at, q.last)
+					}
+					keys = append(keys, k)
+				}
+			}
+		}
+	}
 	for b := range q.buckets {
+		if q.mask>>b&1 == 0 {
+			continue
+		}
+		if b <= wheelBits {
+			t.Fatalf("bucket %d is marked non-empty; the wheel stands in for it", b)
+		}
 		bk := q.buckets[b]
-		if (q.mask>>b&1 == 1) != (bk.blk != nil) || b == 0 && bk.blk != nil {
-			t.Fatalf("bucket %d: mask bit %d, chain %p", b, q.mask>>b&1, bk.blk)
-		}
-		if bk.blk != nil && (bk.n < 1 || bk.n > blockKeys) {
-			t.Fatalf("bucket %d: newest block holds %d keys", b, bk.n)
-		}
-		var least *eventKey
-		n := bk.n
-		for blk := bk.blk; blk != nil; blk, n = blk.next, blockKeys {
-			if seen[blk] {
-				t.Fatalf("block %p is linked twice", blk)
+		in := walk(fmt.Sprintf("bucket %d", b), bk.chain)
+		least := in[0]
+		for _, k := range in {
+			if got := bits.Len64(uint64(k.t ^ q.last)); got != b || k.t < q.last {
+				t.Fatalf("key %+v in bucket %d, belongs in %d (last %v)", k, b, got, q.last)
 			}
-			seen[blk] = true
-			for j := range blk.keys[:n] {
-				k := &blk.keys[j]
-				if got := bits.Len64(uint64(k.t ^ q.last)); got != b || k.t < q.last {
-					t.Fatalf("key %+v in bucket %d, belongs in %d (last %v)", *k, b, got, q.last)
-				}
-				if least == nil || k.less(*least) {
-					least = k
-				}
-				keys = append(keys, *k)
+			if k.less(least) {
+				least = k
 			}
 		}
-		if least != nil && *least != bk.min {
-			t.Fatalf("bucket %d: min %+v, smallest key %+v", b, bk.min, *least)
+		if least != bk.min {
+			t.Fatalf("bucket %d: min %+v, smallest key %+v", b, bk.min, least)
 		}
-	}
-	for blk := q.free; blk != nil; blk = blk.next {
-		if seen[blk] {
-			t.Fatalf("block %p is both free and linked", blk)
-		}
-		seen[blk] = true
-	}
-	if len(seen) != q.blocks {
-		t.Fatalf("%d blocks allocated, %d linked or free", q.blocks, len(seen))
+		keys = append(keys, in...)
 	}
 	if len(keys) != q.n {
 		t.Fatalf("Len() = %d, but %d keys are filed", q.n, len(keys))
@@ -107,16 +129,20 @@ func checkQueue(t *testing.T, q *eventQueue) {
 	}
 }
 
-// queueDelay maps a push op's 5-bit class to a delay past last: classes 0-3
-// are 0-3 ns (heavy ties on t, class 0 lands in now), classes 4-30 spread
-// log-uniformly up to 2^40 ns with jitter from i, so every bucket up to 41
-// is reached.
-func queueDelay(class byte, i int) Time {
-	if class < 4 {
-		return Time(class)
+// queueAt maps a push op's 5-bit class to a time at or after now: classes
+// 0-3 are 0-3 ns past now (heavy ties on t, class 0 lands in now), classes
+// 4-27 spread log-uniformly up to 2^40 ns past now with jitter from i, so
+// every bucket up to 41 is reached, and classes 28-30 are one before, at
+// and one after the start of the wheel window after now's.
+func queueAt(class byte, i int, now Time) Time {
+	switch {
+	case class < 4:
+		return now + Time(class)
+	case class < 28:
+		s := uint(class-4) * 40 / 23
+		return now + (Time(1)<<s | Time(uint64(i)*0x9E3779B97F4A7C15>>(64-s)))
 	}
-	s := uint(class-4) * 40 / 26
-	return Time(1)<<s | Time(uint64(i)*0x9E3779B97F4A7C15>>(64-s))
+	return now | (wheelSlots - 1) + Time(class-28)
 }
 
 // FuzzEventHeap drives random interleavings of push, pop and peek on the
@@ -124,11 +150,11 @@ func queueDelay(class byte, i int) Time {
 // pending keys sorted by the ordering key. An op byte with the top bit set
 // pops; otherwise its low two bits pick one of four origins with per-origin
 // seq counters, as the engine assigns them (heavy ties on seq across
-// origins), and the next five bits pick a delay class (queueDelay) — except
+// origins), and the next five bits pick a time class (queueAt) — except
 // class 31, the sharded barrier's pattern: peek the head, then push at a
 // time at or after last but below it. Random inputs keep the pending set
-// churning, so slab slots and key blocks are reused many times; one seed
-// first builds a deep queue.
+// churning, so slab slots, their links and wheel slots are reused many
+// times; one seed first builds a deep queue, others cross wheel windows.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 0x80, 0x80, 0x80, 0x80})
 	f.Add([]byte{4, 4, 4, 4, 4, 4, 4, 4, 0x80, 4, 0x80, 4, 0x80, 0x80})
@@ -175,6 +201,35 @@ func FuzzEventHeap(f *testing.F) {
 		burst = append(burst, 2, 2, 0x80)
 	}
 	f.Add(burst)
+	// Keys one before, at and one after the next wheel window, from t = 0
+	// and again from a far time: the window's last slot pops first, then
+	// the bucket holding the next window cascades its later key into the
+	// wheel.
+	f.Add([]byte{29 << 2, 30<<2 | 1, 28<<2 | 2, 27<<2 | 3, 0x80, 0x80, 0x80, 0x80,
+		29 << 2, 30<<2 | 1, 28<<2 | 2, 0x80, 0x80, 0x80})
+	// One wheel slot crowded with keys of mixed seq and origin, pushed out of
+	// key order; every pop peeks the head first, the first one inside the
+	// wheel.
+	var crowd []byte
+	for i := 0; i < 48; i++ {
+		crowd = append(crowd, 28<<2|byte(3-i%4))
+		if i%5 == 0 {
+			crowd = append(crowd, 28<<2|byte(i%2))
+		}
+	}
+	for i := 0; i < 70; i++ {
+		crowd = append(crowd, 0x80)
+	}
+	f.Add(crowd)
+	// The barrier's peek-then-push under a head that sits in the wheel.
+	var under []byte
+	for i := 0; i < 64; i++ {
+		under = append(under, 10<<2|byte(i%4), 31<<2|byte((i+1)%4), 31<<2|byte((i+2)%4))
+		if i%2 == 1 {
+			under = append(under, 0x80, 0x80)
+		}
+	}
+	f.Add(under)
 	fn := func(any) {}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
@@ -207,7 +262,7 @@ func FuzzEventHeap(f *testing.F) {
 				pop()
 			} else {
 				origin := int32(b & 3)
-				at := now + queueDelay(b>>2&31, i)
+				at := queueAt(b>>2&31, i, now)
 				if b>>2&31 == 31 {
 					if len(ref) == 0 {
 						continue
@@ -236,17 +291,13 @@ func FuzzEventHeap(f *testing.F) {
 		if int(q.slots) != maxPending {
 			t.Fatalf("slab grew to %d slots for at most %d pending events", q.slots, maxPending)
 		}
-		// In use at once: the full blocks, one partial block per bucket, and
-		// the block a refill is draining.
-		if limit := maxPending/blockKeys + 64; q.blocks > limit {
-			t.Fatalf("%d blocks allocated for at most %d pending events (limit %d)", q.blocks, maxPending, limit)
-		}
 	})
 }
 
-// TestEventQueueEveryBucket files one key in each of the 63 buckets a
-// non-negative time can reach, plus ties at last, and pops them in key
-// order.
+// TestEventQueueEveryBucket files one key in each of the 51 buckets a
+// non-negative time can reach past the wheel, one in each of 12 wheel slots
+// and ties at last, and pops them in key order: the lowest bucket cascades
+// into the wheel on the way.
 func TestEventQueueEveryBucket(t *testing.T) {
 	var q eventQueue
 	var want []eventKey
@@ -264,8 +315,13 @@ func TestEventQueueEveryBucket(t *testing.T) {
 		}
 	}
 	checkQueue(t, &q)
-	if q.mask != ^uint64(1) {
-		t.Fatalf("non-empty buckets %#x, want all of 1..63", q.mask)
+	if want := ^uint64(1<<(wheelBits+1) - 1); q.mask != want {
+		t.Fatalf("non-empty buckets %#x, want %#x", q.mask, want)
+	}
+	for s := 0; s < wheelBits; s++ {
+		if slot := 1<<s | s; q.wheel.occ[slot>>6]>>(slot&63)&1 == 0 {
+			t.Fatalf("wheel slot %d is empty, want the keys at t=%d", slot, slot)
+		}
 	}
 	sort.Slice(want, func(i, j int) bool { return want[i].less(want[j]) })
 	for _, w := range want {
@@ -276,6 +332,34 @@ func TestEventQueueEveryBucket(t *testing.T) {
 			t.Fatalf("pop at %v, want %v", got, w.t)
 		}
 		checkQueue(t, &q)
+	}
+}
+
+// TestReserveCoversBurst: after reserve, a burst of pushes at the reserved
+// instant allocates nothing, whether that instant is the last pop's (the
+// now run) or later in its wheel window (wheel and links), and the burst
+// pops in key order.
+func TestReserveCoversBurst(t *testing.T) {
+	const n = 3000
+	for _, at := range []Time{100, 101, 100 + wheelSlots - 101} {
+		q := eventQueue{last: 100}
+		q.reserve(n, at)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := n; i > 0; i-- { // out of key order: a now burst turns into a heap
+			q.push(&event{eventKey{t: at, seq: uint64(i + 1)}, payload{kind: evFn}})
+		}
+		runtime.ReadMemStats(&after)
+		if d := after.Mallocs - before.Mallocs; d != 0 {
+			t.Errorf("t=%v: a reserved burst of %d allocated %d times", at, n, d)
+		}
+		checkQueue(t, &q)
+		for i := 0; i < n; i++ {
+			if h := q.head(); h.t != at || h.seq != uint64(i+2) {
+				t.Fatalf("t=%v: pop %d: head %+v, want seq %d", at, i, h, i+2)
+			}
+			q.pop()
+		}
 	}
 }
 
@@ -316,7 +400,7 @@ func TestPopReleasesPayload(t *testing.T) {
 }
 
 // TestShutdownDropsHeaps: Shutdown releases the event queue's arrays — keys
-// at now, key blocks, payload slab — on the global lane and on every shard
+// at now, wheel, payload slab and its links — on the global lane and on every shard
 // lane, whether the engine never ran, was cut off by a time limit with
 // events pending, or drained.
 func TestShutdownDropsHeaps(t *testing.T) {
@@ -349,9 +433,9 @@ func TestShutdownDropsHeaps(t *testing.T) {
 				queues = append(queues, &ln.queue)
 			}
 			for i, q := range queues {
-				if q.now != nil || q.free != nil || q.slab != nil {
-					t.Errorf("%s/shards=%d: queue %d keeps %d keys / free blocks %p / %d slots after Shutdown",
-						tc.name, shards, i, cap(q.now), q.free, cap(q.slab))
+				if q.now != nil || q.slab != nil || q.wheel != nil || q.links != nil {
+					t.Errorf("%s/shards=%d: queue %d keeps %d keys / %d slots / wheel %p / %d link chunks after Shutdown",
+						tc.name, shards, i, cap(q.now), cap(q.slab), q.wheel, cap(q.links))
 				}
 			}
 		}

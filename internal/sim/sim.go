@@ -320,17 +320,17 @@ func (e *Engine) exec(p *payload) {
 // for scheduleEv. A func value is pointer-shaped, so storing it in arg
 // allocates nothing.
 func (e *Engine) schedule(src *lane, now Time, origin, owner int, t Time, fn func()) {
-	e.scheduleEv(src, now, origin, owner, t, payload{kind: evFn, arg: fn})
+	e.scheduleEv(src, now, origin, owner, t, evFn, nil, fn)
 }
 
 // scheduleArg creates an evArg event running fn(arg) at time t.
 func (e *Engine) scheduleArg(src *lane, now Time, origin, owner int, t Time, fn func(any), arg any) {
-	e.scheduleEv(src, now, origin, owner, t, payload{kind: evArg, afn: fn, arg: arg})
+	e.scheduleEv(src, now, origin, owner, t, evArg, fn, arg)
 }
 
 // scheduleProc creates an evSwitch or evWake event resuming p at time t.
 func (e *Engine) scheduleProc(src *lane, now Time, origin, owner int, t Time, kind uint8, p *Proc) {
-	e.scheduleEv(src, now, origin, owner, t, payload{kind: kind, arg: p})
+	e.scheduleEv(src, now, origin, owner, t, kind, nil, p)
 }
 
 // scheduleEv stamps the event's ordering key — time t clamped to the
@@ -338,8 +338,10 @@ func (e *Engine) scheduleProc(src *lane, now Time, origin, owner int, t Time, ki
 // routes it to the right queue or cross-shard outbox. src is the creating
 // lane (nil = coordinator). Payload representation (closure vs kind record)
 // plays no part in the key, which is what lets hot paths switch
-// representations without disturbing the bit-identity contract.
-func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, p payload) {
+// representations without disturbing the bit-identity contract. An event
+// that stays on its lane is filed field by field; only one bound for an
+// outbox is built whole.
+func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, kind uint8, afn func(any), arg any) {
 	if t < now {
 		t = now
 	}
@@ -353,30 +355,30 @@ func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, p pa
 		e.seqs = grown
 	}
 	e.seqs[idx]++
-	p.owner = int32(owner)
-	ev := event{eventKey{t: t, seq: e.seqs[idx], origin: int32(origin)}, p}
+	k := eventKey{t: t, seq: e.seqs[idx], origin: int32(origin)}
 	var dst *lane
 	if owner >= 0 && e.nshards > 1 {
 		dst = e.lanes[e.shardOf[owner]]
 	}
 	if src == nil {
-		if dst == nil {
-			e.events.push(&ev)
-		} else {
-			dst.queue.push(&ev)
+		q := &e.events
+		if dst != nil {
+			q = &dst.queue
 		}
+		q.put(k, int32(owner), kind, afn, arg)
 		return
 	}
 	if dst == src {
-		src.queue.push(&ev)
+		src.queue.put(k, int32(owner), kind, afn, arg)
 		return
 	}
 	// Leaving the creating shard: the event must clear the current lookahead
 	// window, or conservative execution would already have passed its time.
-	if ev.t < src.end {
+	if t < src.end {
 		panic(fmt.Sprintf("sim: cross-shard event at t=%v violates the lookahead window ending at %v (lookahead %v too large for this workload)",
-			ev.t, src.end, e.lookahead))
+			t, src.end, e.lookahead))
 	}
+	ev := event{k, payload{owner: int32(owner), kind: kind, afn: afn, arg: arg}}
 	if dst == nil {
 		src.outGlobal = append(src.outGlobal, ev)
 		return

@@ -381,6 +381,46 @@ func TestExecuteChaosPoint(t *testing.T) {
 	}
 }
 
+// TestOverloadGridRuns drives exp=overload end to end at toy size through
+// runOverload: every point passes the ledger check figures.Overload makes
+// before it returns (a broken invariant would land in Result.Err) with a
+// positive goodput, and the merged table keys both protection arms by storm
+// count under one title.
+func TestOverloadGridRuns(t *testing.T) {
+	g, err := ParseGrid("exp=overload;topos=mfcg;nodes=16;ppn=2;iters=4;storm=1,2;tenants=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := mustExpand(t, *g)
+	if len(points) != 4 {
+		t.Fatalf("expanded %d points, want 4 (storms x overload off,on)", len(points))
+	}
+	results, _ := (&Runner{Workers: 2}).Run(points)
+	for _, r := range results {
+		if r.Err != "" || r.Value <= 0 {
+			t.Fatalf("%s storms=%d: goodput %v, err %q", r.Label, r.Point.Storms, r.Value, r.Err)
+		}
+	}
+	groups := Groups(results)
+	if len(groups) != 1 {
+		t.Fatalf("%d tables, want 1", len(groups))
+	}
+	gr := groups[0]
+	if want := "overload: goodput (ops/ms) vs storms, 16 nodes, 2 tenants"; gr.Title != want || gr.XLabel != "storms" {
+		t.Fatalf("table %q over %q, want %q over storms", gr.Title, gr.XLabel, want)
+	}
+	var labels []string
+	for _, s := range gr.Series {
+		labels = append(labels, s.Label)
+		if len(s.X) != 2 || s.X[0] != 1 || s.X[1] != 2 {
+			t.Errorf("series %s at storms %v, want [1 2]", s.Label, s.X)
+		}
+	}
+	if !slices.Equal(labels, []string{"MFCG", "MFCG+protect"}) {
+		t.Errorf("series %v, want [MFCG MFCG+protect]", labels)
+	}
+}
+
 // TestContentionHealToggleGolden pins the contract of the heal= grid key on
 // contention grids: arming healing on a fault-free contention point changes
 // the series label and the cache key, but the simulation output is
