@@ -119,9 +119,6 @@ type Stats = armci.Stats
 // AggregationConfig switches small-op aggregation (see armci.AggregationConfig).
 type AggregationConfig = armci.AggregationConfig
 
-// AdaptiveConfig switches adaptive credit management (see armci.AdaptiveConfig).
-type AdaptiveConfig = armci.AdaptiveConfig
-
 // TimeoutError reports a one-sided operation abandoned after exhausting its
 // retry budget (fault-injected runs only).
 type TimeoutError = armci.TimeoutError
@@ -269,9 +266,6 @@ type Options struct {
 	// Aggregation configures small-op aggregation on the runtime's hot
 	// path (off unless Enabled; see armci.AggregationConfig).
 	Aggregation AggregationConfig
-	// AdaptiveCredits configures adaptive per-edge credit management (off
-	// unless Enabled; see armci.AdaptiveConfig).
-	AdaptiveCredits AdaptiveConfig
 }
 
 // Cluster is a simulated ARMCI job: a runtime plus its virtual-time engine.
@@ -308,7 +302,6 @@ func NewCluster(opt Options) (*Cluster, error) {
 		cfg.BufsPerProc = opt.BufsPerProc
 	}
 	cfg.Agg = opt.Aggregation
-	cfg.Adaptive = opt.AdaptiveCredits
 	rt, err := armci.New(eng, cfg)
 	if err != nil {
 		return nil, err

@@ -43,7 +43,7 @@ func TestFigurePresetKeys(t *testing.T) {
 			Experiment: sweep.ExpContention, Op: op, Topos: paperTopos,
 			Levels: []string{"none", "11", "20"}, Nodes: []int{256},
 			PPN: 4, Iters: 20, SampleEvery: 8, Faults: []string{"none"},
-			Aggs: off, Adapts: off, Heals: off, Overloads: off,
+			Aggs: off, Heals: off, Overloads: off,
 		}
 	}
 	legacy := map[string]*sweep.Grid{

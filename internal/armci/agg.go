@@ -101,10 +101,13 @@ func batchSubs(req *request) []*request {
 // submit injects an operation's chunks, diverting batchable chunks through
 // the rank's per-target aggregation buffer when aggregation is enabled. With
 // overload protection armed, admission control runs first: a shed operation
-// completes with *OverloadError and injects nothing (see overload.go).
+// completes with *OverloadError and injects nothing (see overload.go). An
+// operation with no chunks (an empty accumulate or vector) injects nothing
+// and is not admitted. Every remote data operation enters here; only
+// Lock/Unlock send directly.
 func (r *Rank) submit(reqs []*request, h *Handle) {
 	rt := r.rt
-	if rt.overloadArmed && !r.admit(reqs, h) {
+	if len(reqs) == 0 || rt.overloadArmed && !r.admit(reqs, h) {
 		return
 	}
 	for i, req := range reqs {
@@ -116,6 +119,15 @@ func (r *Rank) submit(reqs []*request, h *Handle) {
 			r.send(req)
 		}
 	}
+}
+
+// submitOne submits a single-request operation through the rank's reusable
+// request list.
+func (r *Rank) submitOne(req *request, h *Handle) {
+	sc := r.scratch()
+	reqs := append(sc.reqs[:0], req)
+	sc.reqs = reqs[:0]
+	r.submit(reqs, h)
 }
 
 // aggAdd buffers a batchable request for its target node, flushing first if

@@ -9,15 +9,14 @@ import (
 	"armcivt/internal/sim"
 )
 
-// aggRuntime builds a runtime with aggregation (and optionally adaptive
-// credits) enabled on the given topology.
-func aggRuntime(t *testing.T, kind core.Kind, nodes, ppn int, adaptive bool) (*sim.Engine, *Runtime) {
+// aggRuntime builds a runtime with aggregation enabled on the given
+// topology.
+func aggRuntime(t *testing.T, kind core.Kind, nodes, ppn int) (*sim.Engine, *Runtime) {
 	t.Helper()
 	eng := sim.New()
 	cfg := DefaultConfig(nodes, ppn)
 	cfg.Topology = core.MustNew(kind, nodes)
 	cfg.Agg.Enabled = true
-	cfg.Adaptive.Enabled = adaptive
 	rt, err := New(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func aggRuntime(t *testing.T, kind core.Kind, nodes, ppn int, adaptive bool) (*s
 // nonblocking puts to one remote target coalesces into batch packets, every
 // byte still lands, and completion fires only after the flush.
 func TestAggNbPutBatchesAndApplies(t *testing.T) {
-	_, rt := aggRuntime(t, core.FCG, 4, 2, false)
+	_, rt := aggRuntime(t, core.FCG, 4, 2)
 	rt.Alloc("a", 4096)
 	const nops = 12
 	var putRequests uint64
@@ -69,7 +68,7 @@ func TestAggNbPutBatchesAndApplies(t *testing.T) {
 // operations to the same target: the flush-before-send rule must keep the
 // final value of each cell equal to the program-order result.
 func TestAggMixedOpsOrderPreserved(t *testing.T) {
-	_, rt := aggRuntime(t, core.FCG, 2, 1, false)
+	_, rt := aggRuntime(t, core.FCG, 2, 1)
 	rt.Alloc("a", 1024)
 	big := bytes.Repeat([]byte{0xAA}, 8192) // exceeds the 4096 threshold
 	runAll(t, rt, func(r *Rank) {
@@ -92,7 +91,7 @@ func TestAggMixedOpsOrderPreserved(t *testing.T) {
 // nonblocking fetch-&-adds from several ranks: each increment must apply
 // exactly once and each rank must see a distinct old value per op.
 func TestAggFetchAddBatchesAtomically(t *testing.T) {
-	_, rt := aggRuntime(t, core.FCG, 4, 2, false)
+	_, rt := aggRuntime(t, core.FCG, 4, 2)
 	rt.Alloc("ctr", 8)
 	const per = 8
 	seen := map[int64]int{}
@@ -166,7 +165,7 @@ func TestAggEgressCoalescingUnderContention(t *testing.T) {
 // intermediate CHTs must forward the packet intact and the target must
 // still apply every sub-op.
 func TestAggForwardedBatchOnMFCG(t *testing.T) {
-	_, rt := aggRuntime(t, core.MFCG, 16, 2, false)
+	_, rt := aggRuntime(t, core.MFCG, 16, 2)
 	rt.Alloc("a", 4096)
 	runAll(t, rt, func(r *Rank) {
 		if r.Rank() != rt.NRanks()-1 {
@@ -190,7 +189,7 @@ func TestAggForwardedBatchOnMFCG(t *testing.T) {
 }
 
 // TestAggDisabledIsBitIdentical guards the zero-value contract: with Agg
-// and Adaptive off, virtual time and counters must exactly match a build
+// off, virtual time and counters must exactly match a build
 // of the runtime that never heard of aggregation.
 func TestAggDisabledIsBitIdentical(t *testing.T) {
 	run := func() (sim.Time, Stats) {
@@ -215,60 +214,8 @@ func TestAggDisabledIsBitIdentical(t *testing.T) {
 	if t1 != t2 || s1 != s2 {
 		t.Errorf("disabled runtime not deterministic: %v/%v vs %v/%v", t1, s1, t2, s2)
 	}
-	if s1.AggBatches != 0 || s1.CreditShifts != 0 {
-		t.Errorf("aggregation/adaptive counters nonzero while disabled: %+v", s1)
-	}
-}
-
-// TestAdaptiveShiftsUnderHotSpot drives a hot-spot pattern with adaptive
-// credits on: shifts must occur, totals must stay invariant per node, and
-// every edge must stay within adaptBounds.
-func TestAdaptiveShiftsUnderHotSpot(t *testing.T) {
-	eng := sim.New()
-	cfg := DefaultConfig(8, 4)
-	cfg.Topology = core.MustNew(core.FCG, 8)
-	cfg.BufsPerProc = 1 // 4 buffers per in-edge: easy to saturate
-	cfg.Adaptive.Enabled = true
-	rt := MustNew(eng, cfg)
-	rt.Alloc("ctr", 8)
-	if err := rt.Run(func(r *Rank) {
-		if r.Node() == 0 {
-			return
-		}
-		for i := 0; i < 30; i++ {
-			r.FetchAdd(0, "ctr", 0, 1)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s := rt.Stats()
-	if s.CreditShifts == 0 {
-		t.Fatalf("no credit shifts under hot spot (stats: %+v)", s)
-	}
-	pool := cfg.PPN * cfg.BufsPerProc
-	floor, ceiling := rt.cfg.adaptBounds()
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
-		if ns.inCap == nil {
-			continue
-		}
-		total := 0
-		for i, cap := range ns.inCap {
-			total += cap
-			if cap < floor || cap > ceiling {
-				t.Errorf("node %d in-edge %d capacity %d outside [%d,%d]",
-					ns.id, ns.nbrs[i], cap, floor, ceiling)
-			}
-		}
-		if want := len(ns.nbrs) * pool; total != want {
-			t.Errorf("node %d total in-edge capacity %d, want %d (memory invariant)",
-				ns.id, total, want)
-		}
-	}
-	// The counter must still be exact: shifting credits moves flow control,
-	// never data.
-	if got, want := GetInt64(rt.Memory(0, "ctr"), 0), int64(7*4*30); got != want {
-		t.Errorf("counter = %d, want %d", got, want)
+	if s1.AggBatches != 0 {
+		t.Errorf("aggregation counters nonzero while disabled: %+v", s1)
 	}
 }
 
@@ -285,7 +232,6 @@ func TestAggWithFaultsRetriesPerSub(t *testing.T) {
 	cfg.Topology = core.MustNew(core.FCG, 4)
 	cfg.Faults = faults.NewInjector(eng, 4, spec)
 	cfg.Agg.Enabled = true
-	cfg.Adaptive.Enabled = true
 	rt := MustNew(eng, cfg)
 	rt.Alloc("ctr", 8)
 	const per = 10
@@ -311,7 +257,7 @@ func TestAggWithFaultsRetriesPerSub(t *testing.T) {
 	}
 }
 
-// TestAggDeterminism runs the same aggregated+adaptive hot-spot twice and
+// TestAggDeterminism runs the same aggregated hot-spot twice and
 // demands identical virtual time and stats.
 func TestAggDeterminism(t *testing.T) {
 	run := func() (sim.Time, Stats) {
@@ -319,7 +265,6 @@ func TestAggDeterminism(t *testing.T) {
 		cfg := DefaultConfig(8, 2)
 		cfg.Topology = core.MustNew(core.CFCG, 8)
 		cfg.Agg.Enabled = true
-		cfg.Adaptive.Enabled = true
 		cfg.BufsPerProc = 1
 		rt := MustNew(eng, cfg)
 		rt.Alloc("a", 4096)
@@ -348,29 +293,23 @@ func TestAggDeterminism(t *testing.T) {
 	}
 }
 
-// TestAggConfigDefaultsAndValidation covers the switches' defaulting: a
-// zero-valued config leaves both engines off, enabling them validates with
-// the defaulted pool, and the adaptive bounds follow PPN*BufsPerProc — half
-// the pool (at least one buffer) to twice it.
+// TestAggConfigDefaultsAndValidation covers the switch's defaulting: a
+// zero-valued config leaves aggregation off, and enabling it validates with
+// the defaulted pool.
 func TestAggConfigDefaultsAndValidation(t *testing.T) {
 	off, err := DefaultConfig(4, 2).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Agg.Enabled || off.Adaptive.Enabled {
-		t.Errorf("zero-valued switches armed an engine: agg %v, adaptive %v", off.Agg.Enabled, off.Adaptive.Enabled)
+	if off.Agg.Enabled {
+		t.Error("zero-valued switch armed aggregation")
 	}
-	cfg := Config{Nodes: 4, PPN: 2, Agg: AggregationConfig{Enabled: true}, Adaptive: AdaptiveConfig{Enabled: true}}
+	cfg := Config{Nodes: 4, PPN: 2, Agg: AggregationConfig{Enabled: true}}
 	c, err := cfg.withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if floor, ceiling := c.adaptBounds(); floor != 4 || ceiling != 16 {
-		t.Errorf("adaptive bounds with the default pool of 8 = [%d,%d], want [4,16]", floor, ceiling)
-	}
-	c.BufsPerProc = 1
-	c.PPN = 1
-	if floor, ceiling := c.adaptBounds(); floor != 1 || ceiling != 2 {
-		t.Errorf("adaptive bounds with a one-buffer pool = [%d,%d], want [1,2]", floor, ceiling)
+	if !c.Agg.Enabled || c.PPN*c.BufsPerProc != 8 {
+		t.Errorf("enabled config defaulted to agg %v, pool %d; want on, 8", c.Agg.Enabled, c.PPN*c.BufsPerProc)
 	}
 }

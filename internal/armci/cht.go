@@ -20,12 +20,6 @@ func (ns *nodeState) enqueue(req *request) {
 		if ns.pendingBySrc[i]++; ns.pendingBySrc[i] == 1 {
 			ns.pendingSrcs++
 		}
-		// Adaptive credit management triggers at the receiver: an in-edge
-		// whose every buffer is now occupied is saturated, so try to shift
-		// a buffer toward it from the coldest in-edge (credits.go).
-		if ns.rt.cfg.Adaptive.Enabled && int(ns.pendingBySrc[i]) >= ns.inCap[i] {
-			ns.maybeShift(req.prevNode)
-		}
 	}
 	ns.inbox.Put(req)
 }
@@ -329,7 +323,7 @@ func (ns *nodeState) handle(req *request) {
 			m.owner = req.origin
 			ns.respond(req, nil, 0)
 		} else {
-			m.waiters = append(m.waiters, req) // grant deferred to unlock
+			m.waiters = append(m.waiters, req) // acquired at the owner's unlock
 		}
 
 	case opUnlock:
@@ -339,10 +333,10 @@ func (ns *nodeState) handle(req *request) {
 				req.origin, req.mutex, m.owner, m.held))
 		}
 		if len(m.waiters) > 0 {
-			granted := m.waiters[0]
+			next := m.waiters[0]
 			m.waiters = m.waiters[1:]
-			m.owner = granted.origin
-			ns.respond(granted, nil, 0)
+			m.owner = next.origin
+			ns.respond(next, nil, 0)
 		} else {
 			m.held = false
 			m.owner = -1

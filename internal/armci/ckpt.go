@@ -9,10 +9,10 @@ import (
 
 // checkpointSection digests the ARMCI layer's state between engine runs:
 // per-node protocol counters, the built egresses (credits, parked sends,
-// debts), CHT pending counts and inbox depths, dedup tables, adaptive
-// capacities, pacer state, membership views, allocation slabs, and free-list
-// depths. Everything here is owner-context state, deterministic at a
-// RunUntil horizon under the bit-identity contract.
+// debts), CHT pending counts and inbox depths, dedup tables, pacer state,
+// membership views, allocation slabs, and free-list depths. Everything here
+// is owner-context state, deterministic at a RunUntil horizon under the
+// bit-identity contract.
 func (rt *Runtime) checkpointSection() []byte {
 	var enc ckpt.Enc
 
@@ -34,7 +34,7 @@ func (rt *Runtime) checkpointSection() []byte {
 			uint64(s.CreditWaited), uint64(s.MaxCHTBacklog),
 			s.Timeouts, s.Retries, s.Failures, s.CreditRegens, s.Reroutes,
 			s.DupDrops, s.NoRoutes, s.AggBatches, s.AggBatchedOps,
-			s.CreditShifts, s.Suspicions, s.Confirms, s.Rejoins,
+			s.Suspicions, s.Confirms, s.Rejoins,
 			s.HealReplays, s.HealFails, s.CreditWriteOffs, s.StaleAcks,
 			s.NodeAborts, uint64(s.MaxDetectLatency), s.Completions,
 			s.Admitted, s.ShedOps, s.ShedBudget, s.ShedDeadline, s.ShedClass,
@@ -61,15 +61,13 @@ func (rt *Runtime) checkpointSection() []byte {
 	h = ckpt.MixInit
 	rt.nodeEdges(func(ns *nodeState, base, _ int) {
 		for j, eg := range ns.eg {
-			if eg == nil || eg.credits == eg.capacity && len(eg.pending) == 0 &&
-				eg.revokeDebt == 0 && eg.regenDebt == 0 && eg.transmits == 0 {
+			if eg == nil || eg.credits == rt.poolCap && len(eg.pending) == 0 &&
+				eg.regenDebt == 0 && eg.transmits == 0 {
 				continue // untouched edge: full credits, no history
 			}
 			h = ckpt.Mix(h, uint64(base+j))
 			h = ckpt.Mix(h, uint64(eg.credits))
-			h = ckpt.Mix(h, uint64(eg.capacity))
 			h = ckpt.Mix(h, uint64(len(eg.pending)))
-			h = ckpt.Mix(h, uint64(eg.revokeDebt))
 			h = ckpt.Mix(h, uint64(eg.regenDebt))
 			h = ckpt.Mix(h, eg.transmits)
 		}
@@ -132,10 +130,7 @@ func (rt *Runtime) checkpointSection() []byte {
 
 // nodeStateVirgin reports whether a node's digestable state is still
 // exactly as constructed (its edge state built or not), so the sparse nodes
-// digest may skip it: no CHT
-// pendings or inbox entries, no dedup history, no credit shifts (inCap is
-// then still the config-derived initial on every in-edge — shifts stamp
-// lastShift past the neverShifted sentinel on both edges involved), no
+// digest may skip it: no CHT pendings or inbox entries, no dedup history, no
 // pacers, no membership view, and empty free lists.
 func nodeStateVirgin(ns *nodeState) bool {
 	if ns.pendingSrcs != 0 || ns.inbox.Len() != 0 || ns.ridSeq != 0 ||
@@ -148,17 +143,12 @@ func nodeStateVirgin(ns *nodeState) bool {
 			return false
 		}
 	}
-	for _, t := range ns.lastShift {
-		if t != neverShifted {
-			return false
-		}
-	}
 	return true
 }
 
 // mixNodeState folds one node's owner-context protocol state into the
-// running digest: CHT pending counts and inbox depth, the dedup table,
-// adaptive capacities, pacer state, membership view, and free-list depths.
+// running digest: CHT pending counts and inbox depth, the dedup table, pacer
+// state, membership view, and free-list depths.
 // A node whose edge state was never built folds in as if it had been, with
 // every per-edge entry at its initial value.
 func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
@@ -193,16 +183,6 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 				h = ckpt.Mix(h, 0)
 			}
 			h = ckpt.Mix(h, uint64(d.old))
-		}
-	}
-	if rt.cfg.Adaptive.Enabled {
-		c, t := rt.cfg.PPN*rt.cfg.BufsPerProc, neverShifted
-		for i := range nbrs {
-			if built {
-				c, t = ns.inCap[i], ns.lastShift[i]
-			}
-			h = ckpt.Mix(h, uint64(c))
-			h = ckpt.Mix(h, uint64(t))
 		}
 	}
 	if len(ns.pacers) > 0 {

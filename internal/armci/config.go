@@ -157,12 +157,6 @@ type Config struct {
 	// value (disabled) leaves every protocol path bit-identical to the
 	// unaggregated runtime. See AggregationConfig.
 	Agg AggregationConfig
-	// Adaptive configures receiver-side adaptive credit management: a node
-	// whose in-edge buffer pools are unevenly loaded shifts buffers from
-	// cold in-edges to saturated ones. The node's total buffer count never
-	// changes, so the Figure 5 memory scaling is unaffected. The zero value
-	// (disabled) changes nothing. See AdaptiveConfig.
-	Adaptive AdaptiveConfig
 	// Overload configures the overload-protection layer: ECN-style
 	// congestion marks from the fabric drive origin-side AIMD injection
 	// pacing, and a graceful-degradation ladder paces, coalesces and finally
@@ -218,24 +212,6 @@ type Config struct {
 type AggregationConfig struct {
 	// Enabled turns aggregation on. Off (the default) is bit-identical to
 	// the pre-aggregation protocol.
-	Enabled bool
-}
-
-// AdaptiveConfig switches adaptive per-edge credit management.
-//
-// Every node dedicates PPN * BufsPerProc request buffers to each in-edge of
-// the virtual topology. Under a hot spot, the in-edges carrying contended
-// traffic saturate while the rest sit idle. With Adaptive.Enabled, the
-// receiving node detects a saturated in-edge (its pending count reaches the
-// edge's current capacity) and shifts one buffer from the in-edge with the
-// most free buffers: a revoke message shrinks the donor sender's credit
-// pool and a grant message grows the hot sender's. The node's total buffer
-// count is invariant, so the FCG/MFCG/CFCG memory scaling of Figure 5 is
-// unchanged, and every edge keeps at least half its configured pool,
-// preserving the LDF deadlock-freedom argument (buffer classes still drain
-// independently). The shift rule's constants are in credits.go.
-type AdaptiveConfig struct {
-	// Enabled turns adaptive credit shifting on.
 	Enabled bool
 }
 
@@ -296,13 +272,12 @@ type OverloadConfig struct {
 // creditless heartbeat to its next live member on each line and judges its
 // previous live member there, by the last instant it heard from it —
 // heartbeats plus every piggybacked protocol message (request arrivals,
-// credit acks, adaptive grant/revoke control traffic, notices) count. A
-// judged member silent for suspicionTimeout is suspected; silent for twice
-// that, it is confirmed dead, within DetectionBound of its crash, and the
-// observer notifies the rest of the line in one hop. Hearing from a
-// dead-held neighbor again means it recovered: the survivor reinstates it
-// with a fresh credit pool and tells the line; a rebooting node announces
-// itself to every neighbor.
+// credit acks, notices) count. A judged member silent for suspicionTimeout
+// is suspected; silent for twice that, it is confirmed dead, within
+// DetectionBound of its crash, and the observer notifies the rest of the
+// line in one hop. Hearing from a dead-held neighbor again means it
+// recovered: the survivor reinstates it with a fresh credit pool and tells
+// the line; a rebooting node announces itself to every neighbor.
 //
 // On confirmation or notice each survivor heals locally, with no extra protocol
 // round: sends parked on the dead edge are replayed through a

@@ -32,11 +32,10 @@ import (
 type egress struct {
 	rt       *Runtime
 	from, to int
-	credits  int
-	// capacity is the pool size credits regenerate toward: PPN * BufsPerProc
-	// at start, adjusted by adaptive grant/revoke messages (credits.go).
-	capacity int
-	pending  []*pendingSend
+	// credits counts the buffers free at the peer, at most the runtime's
+	// poolCap.
+	credits int
+	pending []*pendingSend
 	// group is drain's reusable batch list (see gather).
 	group []*pendingSend
 	// label caches the formatted deadlock-report label for parked origin
@@ -45,16 +44,13 @@ type egress struct {
 	// peakInUse is the most buffers ever simultaneously occupied at the
 	// peer over this edge; tracked only when observability is enabled.
 	peakInUse int
-	// revokeDebt counts adaptive capacity reductions not yet matched by a
-	// returning credit; release() pays it down before growing the pool.
-	revokeDebt int
 
 	// Credit-loss recovery (active only with fault injection and a
 	// CreditTimeout): when sends sit parked for a full interval with no
 	// transmission, the edge assumes a credit ack was dropped on a failed
 	// link and regenerates one credit. regenDebt counts regenerations not
 	// yet matched by a late real ack — release() pays the debt down before
-	// growing the pool, so capacity is never exceeded.
+	// growing the pool, so the pool never exceeds poolCap.
 	regenDebt     int
 	regenArmed    bool
 	regenInterval sim.Time
@@ -174,18 +170,15 @@ func (ns *nodeState) completeParked(ps *pendingSend) {
 }
 
 // release returns one buffer credit and drains the pending FIFO. A credit
-// owed to an adaptive revoke or already regenerated against this edge's
-// debt is swallowed instead: the pool must not exceed its capacity. With
-// healing armed, an ack that would overflow an already-full pool is stale —
-// sent before a crash/heal cycle reset or wrote off this edge — and is
-// swallowed too.
+// already regenerated against this edge's debt is swallowed instead: the
+// pool must not exceed poolCap. With healing armed, an ack that would
+// overflow an already-full pool is stale — sent before a crash/heal cycle
+// reset or wrote off this edge — and is swallowed too.
 func (eg *egress) release() {
 	switch {
-	case eg.revokeDebt > 0:
-		eg.revokeDebt--
 	case eg.regenDebt > 0:
 		eg.regenDebt--
-	case eg.rt.healArmed && eg.credits >= eg.capacity:
+	case eg.rt.healArmed && eg.credits >= eg.rt.poolCap:
 		eg.rt.st(eg.from).StaleAcks++
 	default:
 		eg.credits++
@@ -199,12 +192,9 @@ func (eg *egress) release() {
 // edge) and when the peer rejoins (its buffers were reallocated from
 // scratch): after a confirmed death healDeadNeighbor has moved the parked
 // sends elsewhere, but a peer that rebooted before anyone confirmed it still
-// has sends waiting here for credits its crash will never return. Capacity
-// is kept — adaptive grants and revokes describe the receiver's pool
-// partition, which memory, not the crash, owns.
+// has sends waiting here for credits its crash will never return.
 func (eg *egress) reset() {
-	eg.credits = eg.capacity
-	eg.revokeDebt = 0
+	eg.credits = eg.rt.poolCap
 	eg.regenDebt = 0
 	eg.regenInterval = 0
 	eg.drain()
@@ -356,4 +346,4 @@ func (eg *egress) transmit(req *request) {
 }
 
 // inUse reports credits currently consumed (buffers occupied at the peer).
-func (eg *egress) inUse() int { return eg.capacity - eg.credits }
+func (eg *egress) inUse() int { return eg.rt.poolCap - eg.credits }

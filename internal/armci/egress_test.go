@@ -230,9 +230,9 @@ func TestEgressesFollowUse(t *testing.T) {
 	}
 	for n := range rt.nodes {
 		for _, eg := range rt.nodes[n].eg {
-			if eg != nil && (eg.transmits != 1 || eg.credits != eg.capacity) {
+			if eg != nil && (eg.transmits != 1 || eg.credits != rt.poolCap) {
 				t.Errorf("egress %d->%d: %d transmits, credits %d/%d; want 1 transmit and its credit acked back",
-					eg.from, eg.to, eg.transmits, eg.credits, eg.capacity)
+					eg.from, eg.to, eg.transmits, eg.credits, rt.poolCap)
 			}
 		}
 	}
@@ -252,7 +252,6 @@ func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 			}
 			cfg := DefaultConfig(n, 1)
 			cfg.Topology = topo
-			cfg.Adaptive.Enabled = true
 			rt := MustNew(sim.New(), cfg)
 			for v := 0; v < n; v += 2 { // build every other node
 				rt.nodes[v].neighbors()
@@ -269,9 +268,9 @@ func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 				if ns.nbrs == nil {
 					return
 				}
-				if !slices.Equal(ns.nbrs, topo.Neighbors(ns.id)) || len(ns.eg) != deg || len(ns.pendingBySrc) != deg || len(ns.inCap) != deg || len(ns.lastShift) != deg {
-					t.Fatalf("%v: node %d built list %v (%d egress slots, %d pending, %d capacities, %d shifts), want Neighbors %v",
-						topo, ns.id, ns.nbrs, len(ns.eg), len(ns.pendingBySrc), len(ns.inCap), len(ns.lastShift), topo.Neighbors(ns.id))
+				if !slices.Equal(ns.nbrs, topo.Neighbors(ns.id)) || len(ns.eg) != deg || len(ns.pendingBySrc) != deg {
+					t.Fatalf("%v: node %d built list %v (%d egress slots, %d pending), want Neighbors %v",
+						topo, ns.id, ns.nbrs, len(ns.eg), len(ns.pendingBySrc), topo.Neighbors(ns.id))
 				}
 			})
 			if want := core.TotalEdges(topo); total != want {
@@ -284,12 +283,12 @@ func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 // TestUnbuiltEdgesDigestAsFresh pins that a node whose edge state was never
 // built reads in the checkpoint section exactly as one built and untouched.
 // With healing armed no membership view is virgin, so every node is folded
-// in whole, adaptive capacities and membership slices included. The run
-// stops before the first heartbeat round, which would build every node,
-// with one fetch-add's route built and the rest not.
+// in whole, membership slices included. The run stops before the first
+// heartbeat round, which would build every node, with one fetch-add's route
+// built and the rest not.
 func TestUnbuiltEdgesDigestAsFresh(t *testing.T) {
 	const nodes = 64
-	eng, rt := healedRuntime(t, core.MFCG, nodes, 1, "node:5@t=5ms", func(c *Config) { c.Adaptive.Enabled = true })
+	eng, rt := healedRuntime(t, core.MFCG, nodes, 1, "node:5@t=5ms", nil)
 	rt.Alloc("ctr", 8)
 	rt.Start(func(r *Rank) {
 		if r.Rank() == nodes-1 {

@@ -173,18 +173,16 @@ func TestRecoveredNodeRejoins(t *testing.T) {
 	}
 }
 
-// TestPropertyAdaptiveCreditsSurviveCrash is the adaptive-credits x node-
-// fault interaction property: a crash/recovery cycle in the middle of a
-// hot-spot workload that is actively shifting buffers must leave every
-// egress within [0, capacity] and every node's in-edge capacities summing
-// to degree * poolCap with each at least 1.
-func TestPropertyAdaptiveCreditsSurviveCrash(t *testing.T) {
+// TestPropertyHotSpotCreditsSurviveCrash is the credit x node-fault
+// interaction property: a crash/recovery cycle in the middle of a hot-spot
+// workload that keeps small pools saturated must leave every egress within
+// [0, PPN * BufsPerProc] with no negative debt.
+func TestPropertyHotSpotCreditsSurviveCrash(t *testing.T) {
 	for _, kind := range []core.Kind{core.MFCG, core.CFCG} {
 		t.Run(kind.String(), func(t *testing.T) {
 			victim := 3
 			_, rt := healedRuntime(t, kind, 16, 2,
 				fmt.Sprintf("node:%d@t=400us@for=1ms", victim), func(c *Config) {
-					c.Adaptive.Enabled = true
 					c.BufsPerProc = 2
 				})
 			rt.Alloc("hot", 8)

@@ -16,11 +16,11 @@ import (
 // a small creditless probe to its next live member on each line and judges
 // only its previous live member there, so a node sends one probe per line
 // per period, not one per neighbor. Every protocol message arriving from a
-// neighbor — request, credit ack, adaptive grant/revoke, probe, notice —
-// refreshes that neighbor's last-heard instant. A judged member silent for
-// suspicionTimeout is suspected; for twice that, confirmed dead. Survivors
-// learn of failures only through this service — never from the fault
-// injector, whose ground truth is reserved for metrics (detection latency).
+// neighbor — request, credit ack, probe, notice — refreshes that neighbor's
+// last-heard instant. A judged member silent for suspicionTimeout is
+// suspected; for twice that, confirmed dead. Survivors learn of failures
+// only through this service — never from the fault injector, whose ground
+// truth is reserved for metrics (detection latency).
 //
 // Dissemination is one hop along the line. The observer that confirms a
 // death notifies every other member of that line it holds live; the line is

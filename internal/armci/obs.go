@@ -156,11 +156,10 @@ func (rt *Runtime) FillMetrics() {
 		reg.Counter("armci_node_aborts_total").Add(float64(s.NodeAborts))
 	}
 
-	// Aggregation and adaptive-credit counters (zero unless enabled; schema
-	// in docs/OBSERVABILITY.md).
+	// Aggregation counters (zero unless enabled; schema in
+	// docs/OBSERVABILITY.md).
 	reg.Counter("armci_agg_batches_total").Add(float64(s.AggBatches))
 	reg.Counter("armci_agg_batched_ops_total").Add(float64(s.AggBatchedOps))
-	reg.Counter("armci_credit_shifts_total").Add(float64(s.CreditShifts))
 
 	// Overload-protection counters, exported only when overload is armed so
 	// unprotected runs keep their metric set unchanged (schema in
@@ -226,7 +225,7 @@ func (rt *Runtime) FillMetrics() {
 			edges.Inc()
 		}
 	})
-	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.cfg.PPN * rt.cfg.BufsPerProc))
+	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.poolCap))
 
 	// Kernel execution counters (schema in docs/PARALLELISM.md).
 	// sim_events_total is every event the engine ran, identical at every

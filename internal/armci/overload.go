@@ -158,6 +158,9 @@ func (ns *nodeState) pacerFor(dst int, now sim.Time) *pacer {
 		if pc.gap > 0 {
 			pc.nextFree = now + ns.phase(pc.gap)
 		}
+		if ns.pacers == nil {
+			ns.pacers = map[int]*pacer{}
+		}
 		ns.pacers[dst] = pc
 	}
 	pc.decayTo(now)

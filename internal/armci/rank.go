@@ -412,9 +412,7 @@ func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64
 	}
 	sc.reqs = reqs[:0]
 	h := r.handle(len(reqs), 0, pooled)
-	if len(reqs) > 0 {
-		r.submit(reqs, h)
-	}
+	r.submit(reqs, h)
 	return h
 }
 
@@ -588,11 +586,8 @@ func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool
 	req.kind, req.origin, req.originNode, req.target = opRmw, r.rank, r.node, dst
 	req.alloc, req.off, req.delta = a, off, delta
 	req.wire = headerBytes + 8
-	sc := r.scratch()
-	reqs := append(sc.reqs[:0], req)
-	sc.reqs = reqs[:0]
 	h := r.handle(1, 0, pooled)
-	r.submit(reqs, h)
+	r.submitOne(req, h)
 	return h
 }
 

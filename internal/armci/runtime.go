@@ -60,6 +60,10 @@ type Runtime struct {
 	// schedule contains node: faults — the only condition under which the
 	// membership monitors and self-healing run (see membership.go).
 	healArmed bool
+	// poolCap is every edge's credit pool, PPN * BufsPerProc: the buffers
+	// the receiver dedicates to the edge and the credits a fresh or reset
+	// egress holds.
+	poolCap int
 	// overloadArmed mirrors Config.Overload.Enabled: the admission, pacing
 	// and shedding paths (overload.go) run only when it is set, keeping
 	// unprotected runs bit-identical.
@@ -102,11 +106,9 @@ type Stats struct {
 	DupDrops     uint64 // duplicate requests deduplicated at the target
 	NoRoutes     uint64 // forwards with no egress edge for the next hop
 
-	// Aggregation and adaptive-credit counters (zero unless Config.Agg or
-	// Config.Adaptive is enabled).
+	// Aggregation counters (zero unless Config.Agg is enabled).
 	AggBatches    uint64 // multi-op batch packets injected (counted per hop)
 	AggBatchedOps uint64 // sub-operations those packets carried
-	CreditShifts  uint64 // buffers shifted between in-edges by adaptive credits
 
 	// Membership and healing counters (all zero unless Config.Heal armed a
 	// run whose fault schedule contains node: faults; see membership.go).
@@ -151,11 +153,10 @@ type nodeState struct {
 	// nbrs lists this node's virtual-topology neighbors in sorted order, or
 	// is nil until the node's first edge use (see neighbors). It is the
 	// index space for every per-edge slice below: neighbor nbrs[i] owns
-	// egress eg[i], pending count pendingBySrc[i], (with adaptive credits)
-	// inCap[i]/lastShift[i] and (with healing) mv.lastHeard[i]/mv.state[i].
-	// Lookup is a binary search (nbrIdx) — degree is logarithmic on the
-	// scalable topologies, so the search beats a per-node map in both bytes
-	// and cycles.
+	// egress eg[i], pending count pendingBySrc[i] and (with healing)
+	// mv.lastHeard[i]/mv.state[i]. Lookup is a binary search (nbrIdx) —
+	// degree is logarithmic on the scalable topologies, so the search beats
+	// a per-node map in both bytes and cycles.
 	nbrs []int
 	// eg holds the egress toward each neighbor. An entry stays nil until the
 	// edge is first used (egAt), and nil means a fresh, full credit pool
@@ -195,15 +196,8 @@ type nodeState struct {
 	// notify.go), so no lock is needed.
 	notifies *notifyState
 
-	// Adaptive credit state (allocated only with Config.Adaptive.Enabled):
-	// the node's current buffer capacity per in-edge and the last shift
-	// instant per in-edge for cooldown, both indexed like nbrs (sum of
-	// inCap is invariant).
-	inCap     []int
-	lastShift []sim.Time
-
 	// pacers holds this node's AIMD injection pacer per destination node
-	// (allocated only with Config.Overload.Enabled; see overload.go). Both
+	// (nil until its first pacer; see pacerFor in overload.go). Both
 	// updates (response arrivals) and reads (rank admission) run in this
 	// node's owner context. It stays a map: pacers are keyed by final
 	// destination, not by edge, and most pairs never talk.
@@ -277,8 +271,7 @@ type edgeSlabs struct {
 	nbrs          []int
 	eg            []*egress
 	pending       []int32
-	caps          []int         // adaptive credits: inCap
-	times         []sim.Time    // adaptive credits: lastShift; healing: lastHeard
+	times         []sim.Time    // healing: mv.lastHeard
 	states        []memberState // healing: mv.state
 	egress        []egress
 
@@ -329,11 +322,10 @@ func carve[T any](slab *[]T, n, chunk int) []T {
 }
 
 // buildEdges carves this node's neighbor list, egress pointers, pending
-// counts and, as armed, adaptive-credit and membership slices, then fills
-// the list from one neighbor walk. Chunks grow with the entries carved so
-// far, from 64 up to edgeChunk. Every entry starts as New used to set it
-// for all nodes at once, so which nodes were built never shows in a digest
-// or a count.
+// counts and, with healing, membership slices, then fills the list from one
+// neighbor walk. Chunks grow with the entries carved so far, from 64 up to
+// edgeChunk. Every entry starts as New used to set it for all nodes at
+// once, so which nodes were built never shows in a digest or a count.
 func (ns *nodeState) buildEdges() {
 	rt := ns.rt
 	deg := rt.topo.Degree(ns.id)
@@ -344,21 +336,12 @@ func (ns *nodeState) buildEdges() {
 	nbrs := carve(&sl.nbrs, deg, chunk)
 	ns.eg = carve(&sl.eg, deg, chunk)
 	ns.pendingBySrc = carve(&sl.pending, deg, chunk)
-	if rt.cfg.Adaptive.Enabled {
-		ns.inCap = carve(&sl.caps, deg, chunk)
-		ns.lastShift = carve(&sl.times, deg, chunk)
-	}
 	if ns.mv != nil {
 		ns.mv.lastHeard = carve(&sl.times, deg, chunk)
 		ns.mv.state = carve(&sl.states, deg, chunk)
 	}
 	sl.mu.Unlock()
 	ns.nbrs = rt.topo.AppendNeighbors(nbrs[:0], ns.id)
-	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
-	for i := range ns.inCap {
-		ns.inCap[i] = poolCap
-		ns.lastShift[i] = neverShifted
-	}
 }
 
 // buildEg carves the egress toward ns.nbrs[i] from the runtime's slab.
@@ -372,8 +355,7 @@ func (ns *nodeState) buildEg(i int) *egress {
 	eg := &carve(&sl.egress, 1, min(max(sl.built, 16), egChunk, sl.carved-sl.built))[0]
 	sl.built++
 	sl.mu.Unlock()
-	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
-	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: poolCap, capacity: poolCap}
+	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: rt.poolCap}
 	ns.eg[i] = eg
 	return eg
 }
@@ -396,11 +378,6 @@ func (rt *Runtime) nodeEdges(fn func(ns *nodeState, base, deg int)) int {
 	}
 	return base
 }
-
-// neverShifted marks an in-edge that has never shifted a credit: far enough
-// in the past that no cooldown window can cover it (a zero Time would make
-// every edge look freshly shifted at simulation start).
-const neverShifted = sim.Time(-1) << 40
 
 // dupState is what the target remembers about a request id: whether it has
 // responded, and the rmw old value it must re-send for a lost response.
@@ -480,6 +457,7 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		net:      fabric.New(eng, cfg.Nodes, cfg.Fabric),
 		allocs:   map[string]*allocation{},
 		faultInj: cfg.Faults,
+		poolCap:  cfg.PPN * cfg.BufsPerProc,
 	}
 	rt.overloadArmed = cfg.Overload.Enabled
 	cfg.Faults.Instrument(cfg.Metrics, cfg.Trace, cfg.TracePID)
@@ -510,9 +488,6 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		ns.inbox.Init("cht", n)
 		if cfg.RequestTimeout > 0 {
 			ns.rids = map[uint64]dupState{}
-		}
-		if cfg.Overload.Enabled {
-			ns.pacers = map[int]*pacer{}
 		}
 	}
 	rt.ranks = make([]Rank, cfg.Nodes*cfg.PPN)
@@ -811,7 +786,6 @@ func (rt *Runtime) Stats() Stats {
 		s.NoRoutes += n.NoRoutes
 		s.AggBatches += n.AggBatches
 		s.AggBatchedOps += n.AggBatchedOps
-		s.CreditShifts += n.CreditShifts
 		s.Suspicions += n.Suspicions
 		s.Confirms += n.Confirms
 		s.Rejoins += n.Rejoins
@@ -917,7 +891,7 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 	for n := range rt.nodes {
 		for _, eg := range rt.nodes[n].eg {
 			if eg != nil && len(eg.pending) > 0 {
-				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, eg.capacity, len(eg.pending)})
+				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, rt.poolCap, len(eg.pending)})
 			}
 		}
 	}
@@ -1068,15 +1042,11 @@ func (rt *Runtime) returnCredit(node, peer int) {
 }
 
 // CheckCreditInvariants verifies the buffer-accounting invariants the
-// protocol maintains through faults, healing, aggregation and adaptive
-// shifting: every built egress holds 0 <= credits <= capacity with
-// non-negative debts (an unbuilt one is a full pool and holds them
-// trivially), and every adaptive node's in-edge capacities sum to degree *
-// (PPN * BufsPerProc) with each at least 1 (the LDF liveness floor; a node
-// never built still has its initial capacities and is skipped). The
-// chaos harness and property tests call it after every run.
+// protocol maintains through faults, healing and aggregation: every built
+// egress holds 0 <= credits <= PPN * BufsPerProc with a non-negative regen
+// debt (an unbuilt one is a full pool and holds them trivially). The chaos
+// harness and property tests call it after every run.
 func (rt *Runtime) CheckCreditInvariants() error {
-	poolCap := rt.cfg.PPN * rt.cfg.BufsPerProc
 	for n := range rt.nodes {
 		ns := &rt.nodes[n]
 		for i, peer := range ns.nbrs {
@@ -1084,27 +1054,13 @@ func (rt *Runtime) CheckCreditInvariants() error {
 			if eg == nil {
 				continue
 			}
-			if eg.credits < 0 || eg.credits > eg.capacity {
+			if eg.credits < 0 || eg.credits > rt.poolCap {
 				return fmt.Errorf("armci: egress %d->%d credits %d outside [0,%d]",
-					ns.id, peer, eg.credits, eg.capacity)
+					ns.id, peer, eg.credits, rt.poolCap)
 			}
-			if eg.revokeDebt < 0 || eg.regenDebt < 0 {
-				return fmt.Errorf("armci: egress %d->%d negative debt (revoke=%d, regen=%d)",
-					ns.id, peer, eg.revokeDebt, eg.regenDebt)
-			}
-		}
-		if ns.inCap != nil {
-			total := 0
-			for i, c := range ns.inCap {
-				if c < 1 {
-					return fmt.Errorf("armci: node %d in-edge %d capacity %d below floor 1",
-						ns.id, ns.nbrs[i], c)
-				}
-				total += c
-			}
-			if want := len(ns.nbrs) * poolCap; total != want {
-				return fmt.Errorf("armci: node %d in-edge capacities sum to %d, want %d",
-					ns.id, total, want)
+			if eg.regenDebt < 0 {
+				return fmt.Errorf("armci: egress %d->%d negative regen debt %d",
+					ns.id, peer, eg.regenDebt)
 			}
 		}
 	}

@@ -55,10 +55,8 @@ func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 	req.alloc, req.off, req.delta = a, off, v
 	req.wire = headerBytes + 8
 	h := r.handle(1, 0, true)
-	req.setHandle(h, 0)
-	r.send(req)
-	r.Wait(h)
-	old := h.old
+	r.submitOne(req, h)
+	old := r.await(h).old
 	r.release(h)
 	return old
 }
@@ -123,9 +121,6 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 	})
 	sc.reqs = reqs[:0]
 	h := r.handle(len(reqs), 0, pooled)
-	for i, req := range reqs {
-		req.setHandle(h, i)
-		r.send(req)
-	}
+	r.submit(reqs, h)
 	return h
 }

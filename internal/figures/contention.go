@@ -74,9 +74,6 @@ type ContentionConfig struct {
 	// coalesce into multi-op packets at credit and flush boundaries. The
 	// workload shape is unchanged — only the protocol under it.
 	Aggregation bool
-	// AdaptiveCredits enables adaptive per-edge credit management
-	// (armci.Config.Adaptive with defaults).
-	AdaptiveCredits bool
 	// Overload enables the overload-protection layer (armci.Config.Overload
 	// with defaults): ECN congestion marking, AIMD injection pacing and the
 	// degradation ladder of docs/OVERLOAD.md. The workload shape is
@@ -162,7 +159,6 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 			cfg.Fabric.StreamLimit = c.StreamLimit
 		}
 		cfg.Agg.Enabled = c.Aggregation
-		cfg.Adaptive.Enabled = c.AdaptiveCredits
 		cfg.Overload.Enabled = c.Overload
 		cfg.Heal.Enabled = c.Heal
 	})

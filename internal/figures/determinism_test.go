@@ -50,14 +50,14 @@ func TestContentionShardDeterminism(t *testing.T) {
 }
 
 // TestContentionShardDeterminismWithProtocolToggles covers the aggregation +
-// adaptive-credit + windowed pipeline paths, which exercise batching,
-// credit-shift and regen machinery under the sharded kernel.
+// windowed pipeline paths, which exercise batching and credit machinery
+// under the sharded kernel.
 func TestContentionShardDeterminismWithProtocolToggles(t *testing.T) {
 	var base string
 	for _, shards := range shardCounts {
 		s, err := Contention(ContentionConfig{
 			Kind: core.MFCG, Nodes: 32, PPN: 2, Iters: 6, ContenderEvery: 5,
-			Window: 4, Aggregation: true, AdaptiveCredits: true, Shards: shards,
+			Window: 4, Aggregation: true, Shards: shards,
 		})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

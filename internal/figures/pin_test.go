@@ -15,8 +15,8 @@ import (
 )
 
 // TestPinnedArmedRuns pins the exact outcome of three runs with the optional
-// subsystems armed — overload protection, aggregation, adaptive credits,
-// healing and storms — to values recorded from an earlier build. The
+// subsystems armed — overload protection, aggregation, healing and storms —
+// to values recorded from an earlier build. The
 // subsystems' tuning values are model constants; any change to one of them,
 // or to the code paths they steer, moves these numbers, so a refactor that
 // must keep every run bit-identical is checked here rather than only in the
@@ -50,12 +50,12 @@ func TestPinnedArmedRuns(t *testing.T) {
 				PaceBackoffs: 19, PaceSlams: 123, CEAcks: 1789},
 		},
 		{
-			name: "contention/vput+window8+agg+adapt+overload/MFCG32x2",
+			name: "contention/vput+window8+agg+overload/MFCG32x2",
 			run: func() (uint64, armci.Stats, error) {
 				reg := obs.NewRegistry()
 				s, err := Contention(ContentionConfig{
 					Kind: core.MFCG, Nodes: 32, PPN: 2, Iters: 5, ContenderEvery: 2,
-					Window: 8, Aggregation: true, AdaptiveCredits: true, Overload: true,
+					Window: 8, Aggregation: true, Overload: true,
 					Metrics: reg,
 				})
 				if err != nil {
@@ -67,10 +67,10 @@ func TestPinnedArmedRuns(t *testing.T) {
 				}
 				return h.Sum64(), statsFromMetrics(reg), nil
 			},
-			wantTime: 7313208794545453280,
-			wantStats: armci.Stats{Ops: 26678, Requests: 39024, Forwards: 12346, CreditWaits: 613, CreditWaited: 59058155,
-				MaxCHTBacklog: 26, CreditShifts: 36, Completions: 26678, Admitted: 26678, PaceWaits: 21647,
-				PaceWaited: 5787679266, PaceBackoffs: 1624, PaceSlams: 1217, CEAcks: 5886},
+			wantTime: 11640660236671455140,
+			wantStats: armci.Stats{Ops: 24646, Requests: 37952, Forwards: 13306, CreditWaits: 492, CreditWaited: 58774026,
+				MaxCHTBacklog: 24, Completions: 24646, Admitted: 24646, PaceWaits: 20045,
+				PaceWaited: 5542338540, PaceBackoffs: 1291, PaceSlams: 1214, CEAcks: 5437},
 		},
 		{
 			name: "chaos/heal+storms+overload/MFCG32x2",
@@ -130,7 +130,6 @@ func statsFromMetrics(reg *obs.Registry) armci.Stats {
 		NoRoutes:      c("armci_forward_no_route_total"),
 		AggBatches:    c("armci_agg_batches_total"),
 		AggBatchedOps: c("armci_agg_batched_ops_total"),
-		CreditShifts:  c("armci_credit_shifts_total"),
 		Completions:   c("armci_completions_total"),
 		Admitted:      c("armci_overload_admitted_total"),
 		ShedOps:       c("armci_shed_total"),

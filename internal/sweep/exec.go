@@ -104,26 +104,25 @@ func Execute(p Point, opts ExecOptions) Result {
 // series.
 func runContention(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
 	cfg := figures.ContentionConfig{
-		Topo:            spec,
-		Nodes:           p.Nodes,
-		PPN:             p.PPN,
-		Iters:           p.Iters,
-		ContenderEvery:  p.ContenderEvery,
-		VecSegs:         p.VecSegs,
-		VecSegLen:       p.MsgSize,
-		SampleEvery:     p.SampleEvery,
-		StreamLimit:     p.StreamLimit,
-		Seed:            p.EffectiveSeed(),
-		Window:          p.Window,
-		Aggregation:     p.Agg == "on",
-		AdaptiveCredits: p.Adapt == "on",
-		Heal:            p.Heal == "on",
-		Overload:        p.Overload == "on",
-		Shards:          opts.Shards,
-		Metrics:         reg,
-		Trace:           opts.Trace,
-		TracePID:        p.Index,
-		TraceSched:      opts.TraceSched,
+		Topo:           spec,
+		Nodes:          p.Nodes,
+		PPN:            p.PPN,
+		Iters:          p.Iters,
+		ContenderEvery: p.ContenderEvery,
+		VecSegs:        p.VecSegs,
+		VecSegLen:      p.MsgSize,
+		SampleEvery:    p.SampleEvery,
+		StreamLimit:    p.StreamLimit,
+		Seed:           p.EffectiveSeed(),
+		Window:         p.Window,
+		Aggregation:    p.Agg == "on",
+		Heal:           p.Heal == "on",
+		Overload:       p.Overload == "on",
+		Shards:         opts.Shards,
+		Metrics:        reg,
+		Trace:          opts.Trace,
+		TracePID:       p.Index,
+		TraceSched:     opts.TraceSched,
 	}
 	if p.Op == "fadd" {
 		cfg.Op = figures.OpFetchAdd

@@ -49,9 +49,9 @@ func TestLegacyCacheKeysPreserved(t *testing.T) {
 		{
 			Point{Experiment: ExpContention, Topo: "CFCG", Nodes: 64, PPN: 2, Op: "fadd",
 				Level: "11", ContenderEvery: 9, Iters: 5, SampleEvery: 8, VecSegs: 32,
-				MsgSize: 64, Window: 8, Agg: "on", Adapt: "on", Seed: 3, Rep: 1},
-			"0da160d4884df6cc5c8c47b71728a3e2e500b1bb4438358189c72339be097a18",
-			"CFCG+agg+adapt/s3/r1",
+				MsgSize: 64, Window: 8, Agg: "on", Seed: 3, Rep: 1},
+			"ac162197eb28e76c27e1632ff9410b37be4e107d9a249b93ea2fb145ae12f266",
+			"CFCG+agg/s3/r1",
 		},
 	} {
 		if got := tc.point.Key(); got != tc.key {

@@ -80,12 +80,11 @@ type Grid struct {
 	Seeds  []int64  `grid:"seeds"`   // engine RNG seeds; default 1 (the engine's own default)
 	Procs  []int    `grid:"procs"`   // process counts (memscale); default paper's five
 
-	// Aggs and Adapts toggle the runtime protocol under the workload:
-	// small-op aggregation and adaptive credit management. Values are
-	// "off" (default) and "on"; listing both makes the protocol an axis,
-	// so agg=off,on runs every cell twice for a paired comparison.
-	Aggs   []string `grid:"agg"`
-	Adapts []string `grid:"adapt"`
+	// Aggs toggles small-op aggregation in the runtime under the
+	// workload. Values are "off" (default) and "on"; listing both makes
+	// the protocol an axis, so agg=off,on runs every cell twice for a
+	// paired comparison.
+	Aggs []string `grid:"agg"`
 
 	// Crashes and Heals drive the chaos experiment: how many nodes
 	// crash-stop per run and whether membership + self-healing is armed.
@@ -157,7 +156,7 @@ var (
 	// series of per-rank latencies, and each level gets its own table.
 	contention = experiment{
 		keys: []string{"op", "ppn", "iters", "sample", "stream", "segs", "window",
-			"levels", "msgsize", "nodes", "faults", "seeds", "reps", "agg", "adapt", "heal", "overload", "topos"},
+			"levels", "msgsize", "nodes", "faults", "seeds", "reps", "agg", "heal", "overload", "topos"},
 		run: runContention,
 		// The protocol toggles are deliberately absent: an off/on pair
 		// shares one table, distinguished by series label.
@@ -228,7 +227,7 @@ var defaults = Grid{
 
 	Nodes: []int{256}, Sizes: []int{256}, Faults: []string{"none"}, Seeds: []int64{1},
 	Crashes: []int{3}, Storms: []int{2}, Tenants: []int{2},
-	Aggs: offOnly, Adapts: offOnly, Heals: offOnly, Overloads: offOnly,
+	Aggs: offOnly, Heals: offOnly, Overloads: offOnly,
 	Op: "vput", PPN: 4, Iters: 20, SampleEvery: 8, VecSegs: 32, Reps: 1,
 }
 
@@ -298,7 +297,7 @@ var vocab = map[string][]string{
 	"exp":    experimentNames(),
 	"op":     {"vput", "fadd"},
 	"levels": {"none", "11", "20"},
-	"agg":    {"off", "on"}, "adapt": {"off", "on"}, "heal": {"off", "on"}, "overload": {"off", "on"},
+	"agg":    {"off", "on"}, "heal": {"off", "on"}, "overload": {"off", "on"},
 }
 
 func experimentNames() []string {
@@ -447,15 +446,14 @@ type Point struct {
 	Rep            int    `json:"rep,omitempty"`
 	Metrics        bool   `json:"metrics,omitempty"`
 	// Window is the nonblocking pipeline depth per process (0 = blocking).
-	// Agg and Adapt carry the protocol toggles as "on" or "" (off): the
-	// empty off value is omitted from the JSON encoding, so every
+	// Agg carries the aggregation toggle as "on" or "" (off): the empty
+	// off value is omitted from the JSON encoding, so every
 	// pre-aggregation cache key — and therefore every cached result —
 	// remains valid.
 	Window int    `json:"window,omitempty"`
 	Agg    string `json:"agg,omitempty"`
-	Adapt  string `json:"adapt,omitempty"`
 	// Crashes and Heal define a chaos point ("" off / "on", same omitempty
-	// cache-key rule as Agg/Adapt).
+	// cache-key rule as Agg).
 	Crashes int    `json:"crashes,omitempty"`
 	Heal    string `json:"heal,omitempty"`
 	// Storms, Tenants and Overload define an overload point; Overload is the
@@ -484,9 +482,6 @@ func (p Point) Label() string {
 	l := p.Topo
 	if p.Agg == "on" {
 		l += "+agg"
-	}
-	if p.Adapt == "on" {
-		l += "+adapt"
 	}
 	if p.Heal == "on" {
 		l += "+heal"
@@ -592,7 +587,7 @@ func (g Grid) values(key string) []reflect.Value {
 // pointField names the Point field each grid key sets.
 var pointField = map[string]string{
 	"topos": "Topo", "levels": "Level", "nodes": "Nodes", "msgsize": "MsgSize", "faults": "Faults",
-	"seeds": "Seed", "reps": "Rep", "procs": "Procs", "agg": "Agg", "adapt": "Adapt",
+	"seeds": "Seed", "reps": "Rep", "procs": "Procs", "agg": "Agg",
 	"crashes": "Crashes", "heal": "Heal", "storm": "Storms", "tenants": "Tenants", "overload": "Overload",
 	"op": "Op", "ppn": "PPN", "iters": "Iters", "sample": "SampleEvery", "stream": "StreamLimit",
 	"segs": "VecSegs", "window": "Window",
@@ -601,7 +596,7 @@ var pointField = map[string]string{
 // unset is the value of a key that a point stores as "", which the JSON
 // encoding omits: a toggle's "off" and the fault-free "none". A point's
 // cache key is therefore what it was before the key existed.
-var unset = map[string]string{"agg": "off", "adapt": "off", "heal": "off", "overload": "off", "faults": "none"}
+var unset = map[string]string{"agg": "off", "heal": "off", "overload": "off", "faults": "none"}
 
 // Reindex renumbers hand-built point lists into expansion order. Callers
 // that assemble points directly (cmd/vtreport's per-section kind lists)

@@ -227,7 +227,7 @@ func TestReindex(t *testing.T) {
 }
 
 func TestAggAxisExpansionAndCacheKeys(t *testing.T) {
-	g, err := ParseGrid("exp=contention;topos=fcg;nodes=16;levels=20;window=8;agg=off,on;adapt=off,on")
+	g, err := ParseGrid("exp=contention;topos=fcg;nodes=16;levels=20;window=8;agg=off,on")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,35 +235,35 @@ func TestAggAxisExpansionAndCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 4 {
-		t.Fatalf("expanded %d points, want 4 (agg x adapt)", len(points))
+	if len(points) != 2 {
+		t.Fatalf("expanded %d points, want 2 (agg off, on)", len(points))
 	}
-	// The off/off point must carry empty toggles so its cache key equals the
+	// The off point must carry an empty toggle so its cache key equals the
 	// pre-aggregation encoding of the same cell minus the new fields only
 	// when those fields are zero-valued.
 	off := points[0]
-	if off.Agg != "" || off.Adapt != "" {
-		t.Fatalf("off point toggles = %q/%q, want empty", off.Agg, off.Adapt)
+	if off.Agg != "" {
+		t.Fatalf("off point toggle = %q, want empty", off.Agg)
 	}
 	legacy := off
-	legacy.Window, legacy.Agg, legacy.Adapt = 0, "", ""
+	legacy.Window, legacy.Agg = 0, ""
 	if off.Key() == legacy.Key() {
 		t.Fatal("window=8 did not change the cache key")
 	}
-	on := points[3]
-	if on.Agg != "on" || on.Adapt != "on" {
-		t.Fatalf("on point toggles = %q/%q", on.Agg, on.Adapt)
+	on := points[1]
+	if on.Agg != "on" {
+		t.Fatalf("on point toggle = %q", on.Agg)
 	}
 	if on.Key() == off.Key() {
 		t.Fatal("agg toggle did not change the cache key")
 	}
-	if got := on.Label(); got != "FCG+agg+adapt" {
+	if got := on.Label(); got != "FCG+agg" {
 		t.Fatalf("label = %q", got)
 	}
 	// Zero-valued new fields leave the encoding — and therefore every
 	// pre-existing cache key — untouched.
 	if k1, k2 := (Point{Experiment: ExpContention, Topo: "FCG", Nodes: 16, PPN: 4}).Key(),
-		(Point{Experiment: ExpContention, Topo: "FCG", Nodes: 16, PPN: 4, Window: 0, Agg: "", Adapt: ""}).Key(); k1 != k2 {
+		(Point{Experiment: ExpContention, Topo: "FCG", Nodes: 16, PPN: 4, Window: 0, Agg: ""}).Key(); k1 != k2 {
 		t.Fatal("zero-valued toggles changed the cache key")
 	}
 }
@@ -272,6 +272,18 @@ func TestParseGridAggErrors(t *testing.T) {
 	for _, spec := range []string{"agg=maybe", "adapt=1", "window=x"} {
 		if _, err := ParseGrid(spec); err == nil {
 			t.Errorf("ParseGrid(%q) accepted", spec)
+		}
+	}
+}
+
+// TestParseGridRejectsAdapt: adapt= is not a grid key, so a spec naming it
+// fails as an unknown key, in any value and any experiment, instead of
+// being silently ignored.
+func TestParseGridRejectsAdapt(t *testing.T) {
+	for _, spec := range []string{"adapt=on", "adapt=off", "exp=contention;window=8;agg=on;adapt=on"} {
+		_, err := ParseGrid(spec)
+		if err == nil || !strings.Contains(err.Error(), `unknown grid key "adapt"`) {
+			t.Errorf("ParseGrid(%q) = %v, want an unknown-key error", spec, err)
 		}
 	}
 }
@@ -463,7 +475,7 @@ func FuzzParseGrid(f *testing.F) {
 		"exp=contention;op=fadd;topos=fcg,mfcg;nodes=16;levels=none,20;seeds=1,2;reps=2",
 		"exp=chaos;nodes=16;crashes=1,2;heal=off,on;seeds=3",
 		"exp=overload;nodes=16;storm=1,2;tenants=2;overload=off,on",
-		"topos=hyperx:4x4x2,dragonfly:g=8,a=4,h=2;nodes=32;levels=20;agg=off,on;adapt=on;window=8",
+		"topos=hyperx:4x4x2,dragonfly:g=8,a=4,h=2;nodes=32;levels=20;agg=off,on;window=8",
 		"faults=none|cht:1@t=1ms;levels=20;nodes=16;msgsize=64,128",
 		"exp=chaos;agg=on",
 		"levels=none,none",
