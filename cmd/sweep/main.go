@@ -1,6 +1,6 @@
 // Command sweep runs parameter sweeps of the paper's experiments on a
 // bounded worker pool with a content-addressed result cache, reproducing
-// the Fig 5/6/7 grids end-to-end in one invocation.
+// every figure's grid (Figs 5-9) end-to-end in one invocation.
 //
 // A sweep is declared by a grid spec (grammar in docs/SWEEP.md):
 // semicolon-separated key=value fields whose values are comma-separated
@@ -13,6 +13,9 @@
 //	sweep -preset fig5                reproduce Figure 5 (memory scaling)
 //	sweep -preset fig6 -j 8           reproduce Figure 6 (vectored put)
 //	sweep -preset fig7 -j 8           reproduce Figure 7 (fetch-&-add)
+//	sweep -preset fig8 -j 8           reproduce Figure 8 (NAS LU)
+//	sweep -preset fig9a -j 8          reproduce Figure 9(a) (NWChem DFT)
+//	sweep -preset fig9b -j 8          reproduce Figure 9(b) (NWChem CCSD(T))
 //	sweep -preset fig6-ci             the reduced grid CI runs per PR
 //	sweep -preset fig6-family         the reduced grid across all six
 //	                                  topology families (incl. hyperx and
@@ -49,7 +52,7 @@
 //
 // Usage:
 //
-//	sweep [-preset fig5|fig6|fig7|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci|overload|overload-ci]
+//	sweep [-preset fig5|fig6|fig7|fig8|fig9a|fig9b|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci|overload|overload-ci]
 //	      [-grid SPEC] [-j N]
 //	      [-cache DIR] [-csv] [-metrics] [-trace FILE [-trace-sched]]
 //	      [-progress] [-list] [-assert-agg]
@@ -74,6 +77,9 @@ var presets = map[string]string{
 	"fig5":    "exp=memscale;ppn=12;procs=768,1536,3072,6144,12288",
 	"fig6":    "exp=contention;op=vput;nodes=256;ppn=4;iters=20;sample=8;levels=none,11,20",
 	"fig7":    "exp=contention;op=fadd;nodes=256;ppn=4;iters=20;sample=8;levels=none,11,20",
+	"fig8":    "exp=lu;ppn=12;iters=12;procs=192,384,768,1536",
+	"fig9a":   "exp=dft;ppn=12;iters=3;procs=768,1536,3072,6144",
+	"fig9b":   "exp=ccsd;ppn=12;topos=fcg,mfcg;procs=768,1536,3072",
 	"fig6-ci": "exp=contention;op=vput;topos=fcg,mfcg,cfcg;nodes=64;ppn=2;iters=5;sample=8;stream=8;levels=none,11,20",
 	// fig6-family runs the hot-spot point across every topology family,
 	// including the generalized HyperX and Dragonfly specs, at the reduced
@@ -101,7 +107,7 @@ var presets = map[string]string{
 }
 
 func main() {
-	preset := flag.String("preset", "", "named grid: fig5, fig6, fig7, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci")
+	preset := flag.String("preset", "", "named grid: fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci")
 	gridSpec := flag.String("grid", "", "grid spec (see docs/SWEEP.md); overrides -preset")
 	j := flag.Int("j", runtime.NumCPU(), "worker-pool size (1 = serial)")
 	cacheDir := flag.String("cache", ".sweep-cache", "result cache directory ('' disables caching)")
@@ -127,7 +133,7 @@ func main() {
 		}
 		var ok bool
 		if spec, ok = presets[name]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown preset %q (want fig5, fig6, fig7, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci)\n", name)
+			fmt.Fprintf(os.Stderr, "unknown preset %q (want fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci)\n", name)
 			os.Exit(2)
 		}
 	}

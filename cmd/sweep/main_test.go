@@ -34,7 +34,8 @@ func TestPresetsExpand(t *testing.T) {
 // fig5, fig6 and fig7 are also matched key for key against the grids the
 // per-figure commands built from their default flags (memscale's Fig 5
 // table, contention -op vput and -op fadd), so caches those commands
-// filled still hit.
+// filled still hit; fig8, fig9a and fig9b against their experiments at
+// defaults, which are the paper's runs.
 func TestFigurePresetKeys(t *testing.T) {
 	paperTopos := []string{"FCG", "MFCG", "CFCG", "Hypercube"}
 	off := []string{"off"}
@@ -49,8 +50,11 @@ func TestFigurePresetKeys(t *testing.T) {
 	legacy := map[string]*sweep.Grid{
 		"fig5": {Experiment: sweep.ExpMemscale, PPN: 12, Topos: paperTopos,
 			Procs: []int{768, 1536, 3072, 6144, 12288}},
-		"fig6": contention("vput"),
-		"fig7": contention("fadd"),
+		"fig6":  contention("vput"),
+		"fig7":  contention("fadd"),
+		"fig8":  {Experiment: sweep.ExpLU},
+		"fig9a": {Experiment: sweep.ExpDFT},
+		"fig9b": {Experiment: sweep.ExpCCSD},
 	}
 	pins := map[string]struct {
 		points int
@@ -64,6 +68,9 @@ func TestFigurePresetKeys(t *testing.T) {
 		"fig6-ci":     {9, "d1245d0b18c4be7c68d0dd010447157ad978b72aed78a9875fc5182dfd92fca0"},
 		"fig6-family": {6, "d51455ee67766aa58fb89dfb8cc70a0ec2961101f4a671bdb2168cc1eab34d02"},
 		"fig7":        {12, "9c18c71e3b77133349c6e6be22b5fc2c8d3abb8c8ea31a599708bf805b426014"},
+		"fig8":        {16, "2f8f9db6c58d50f87a2e3240e776ec249845d0af1006b212b0107c49db27373f"},
+		"fig9a":       {16, "60d1337b6fa7f904fb8d326329407178f89ee3295d96de595832c4e9e9407acd"},
+		"fig9b":       {6, "241bfc082df7413aa7c28045fc96be0c661bda254288d81ca801ddb479886449"},
 		"overload":    {48, "bd097dd78f09f59e95d68a744a28b83b351e5135b4fc4d7900851e7519752770"},
 		"overload-ci": {8, "0065ceb37e04482474afa5bd721d58ba9f861da4580905d3f69bace7381accd5"},
 	}

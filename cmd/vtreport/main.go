@@ -3,13 +3,13 @@
 // Figure 8 (NAS LU) and Figures 9a/9b (NWChem proxies), plus the structural
 // properties of Figures 1-4.
 //
-// The default -quick mode runs reduced-scale experiments (minutes); -full
+// The default -quick mode runs reduced-scale experiments (seconds); -full
 // uses the paper-scale parameters documented in EXPERIMENTS.md.
 //
-// The contention grid (Figs 6-7: 2 ops x 3 levels x up to 4 topologies)
-// executes through the internal/sweep worker pool: -j N parallelizes it
-// across N workers. Every run is an independent deterministic simulation,
-// so the report is byte-identical at any -j.
+// Every figure is a list of internal/sweep grid strings, and all their
+// points execute through one sweep worker pool: -j N parallelizes the whole
+// report across N workers. Every run is an independent deterministic
+// simulation, so the report is byte-identical at any -j.
 //
 // With -metrics, each contention run (Figs 6-7) appends its observability
 // snapshot to the report; with -trace FILE all contention runs are written
@@ -27,85 +27,74 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
-	"armcivt/internal/apps/ccsd"
-	"armcivt/internal/apps/dft"
-	"armcivt/internal/apps/lu"
+	"armcivt/internal/armci"
 	"armcivt/internal/core"
-	"armcivt/internal/figures"
 	"armcivt/internal/obs"
-	"armcivt/internal/sim"
 	"armcivt/internal/stats"
 	"armcivt/internal/sweep"
 )
 
-type scale struct {
-	memProcs   []int
-	memPPN     int
-	contention figures.ContentionConfig
-	luProcs    []int
-	luPPN      int
-	luCfg      lu.Config
-	dftCores   []int
-	dftPPN     int
-	dftCfg     dft.Config
-	ccsdCores  []int
-	ccsdPPN    int
-	ccsdCfg    ccsd.Config
+// figure is one section of the report: its heading, the grid its points
+// come from, and how its results render.
+type figure struct {
+	heading, grid string
+	render        func(w io.Writer, rs []sweep.Result)
 }
 
-func quickScale() scale {
-	return scale{
-		memProcs:   []int{768, 1536, 3072, 6144, 12288},
-		memPPN:     12,
-		contention: figures.ContentionConfig{Nodes: 64, PPN: 2, Iters: 5, SampleEvery: 4, StreamLimit: 8},
-		luProcs:    []int{48, 192},
-		luPPN:      12,
-		luCfg:      lu.Config{NX: 480, NY: 480, Iters: 6, CellFlop: 400},
-		dftCores:   []int{512, 1024},
-		dftPPN:     4,
-		dftCfg:     dft.Config{N: 192, BlockSize: 8, SCFIters: 2, TaskFlop: 100 * sim.Microsecond, HotBlocks: 4, CounterBatch: 4},
-		ccsdCores:  []int{256, 512},
-		ccsdPPN:    4,
-		ccsdCfg:    ccsd.Config{N: 512, BlockSize: 64, TasksPerRank: 2, TaskFlop: 2 * sim.Millisecond},
+// sections lists the report's sections in order at one scale. contention
+// holds the keys every Figs 6-7 grid shares; the other arguments are whole
+// grids.
+func sections(contention, lu, dft, ccsd string) []figure {
+	out := []figure{{"Figure 5: master-process memory vs processes",
+		"exp=memscale;ppn=12;procs=768,1536,3072,6144,12288", fig5}}
+	for _, lv := range []struct{ key, topos string }{
+		{"none", "fcg,mfcg,cfcg,hypercube"},
+		{"11", "fcg,mfcg,cfcg"}, // the paper drops hypercube under load
+		{"20", "fcg,mfcg,cfcg"},
+	} {
+		name := sweep.LevelName(lv.key)
+		for _, fig := range []struct{ heading, op string }{
+			{"Figure 6 (vectored put), " + name, "vput"}, {"Figure 7 (fetch-&-add), " + name, "fadd"},
+		} {
+			grid := fmt.Sprintf("exp=contention;op=%s;levels=%s;topos=%s;%s", fig.op, lv.key, lv.topos, contention)
+			out = append(out, figure{fig.heading, grid, summary})
+		}
 	}
+	return append(out,
+		figure{"Figure 8: NAS LU execution time", lu, table("time (s)")},
+		figure{"Figure 9(a): NWChem DFT SiOSi3 proxy", dft, table("time (s)")},
+		figure{"Figure 9(b): NWChem CCSD(T) water proxy", ccsd, table("time (s)")})
 }
 
-func fullScale() scale {
-	s := quickScale()
-	s.contention = figures.ContentionConfig{Nodes: 256, PPN: 4, Iters: 20, SampleEvery: 8}
-	s.luProcs = []int{192, 384, 768, 1536}
-	s.luCfg = lu.Config{NX: 2040, NY: 2040, Iters: 12, CellFlop: 400}
-	s.dftCores = []int{1536, 3072, 6144}
-	s.dftPPN = 12
-	s.dftCfg.SCFIters = 3
-	s.ccsdCores = []int{768, 1536, 3072}
-	s.ccsdPPN = 12
-	s.ccsdCfg.N = 1024
-	s.ccsdCfg.TaskFlop = 3 * sim.Millisecond
-	return s
+func quickScale() []figure {
+	return sections("nodes=64;ppn=2;iters=5;sample=4;stream=8",
+		"exp=lu;ppn=12;iters=6;procs=48,192",
+		"exp=dft;ppn=4;iters=2;procs=512,1024",
+		"exp=ccsd;ppn=4;procs=256,512")
 }
 
-// contSection is one contention block of the report: a heading plus the
-// half-open [start, end) range of the sweep's point list it renders.
-type contSection struct {
-	title      string
-	start, end int
+func fullScale() []figure {
+	return sections("nodes=256;ppn=4;iters=20;sample=8",
+		"exp=lu;ppn=12;iters=12;procs=192,384,768,1536",
+		"exp=dft;ppn=12;iters=3;procs=1536,3072,6144",
+		"exp=ccsd;ppn=12;procs=768,1536,3072")
 }
 
 func main() {
 	full := flag.Bool("full", false, "paper-scale parameters (slow)")
-	jobs := flag.Int("j", 1, "worker-pool size for the contention grid (Figs 6-7)")
+	jobs := flag.Int("j", 1, "worker-pool size for every figure's points")
 	metrics := flag.Bool("metrics", false, "append observability snapshots to the contention sections")
 	traceFile := flag.String("trace", "", "write contention runs as one Chrome-trace JSON file (forces -j 1)")
 	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	flag.Parse()
-	s := quickScale()
+	figs := quickScale()
 	mode := "quick"
 	if *full {
-		s = fullScale()
+		figs = fullScale()
 		mode = "full"
 	}
 	var tracer *obs.Tracer
@@ -119,92 +108,33 @@ func main() {
 	section(w, "Figures 1-4: topology structure (27 nodes)")
 	structure(w, 27)
 
-	section(w, "Figure 5: master-process memory vs processes")
-	ss, err := figures.Fig5(s.memProcs, s.memPPN)
-	check(err)
-	stats.SeriesTable("memory (MBytes)", "processes", ss).Write(w)
-	fig5Increments(w, s.memProcs[len(s.memProcs)-1], s.memPPN)
-
-	// Build the whole contention grid (3 levels x {Fig 6 vput, Fig 7 fadd} x
-	// topologies) as one sweep point list, so -j parallelizes across every
-	// section at once; each section then renders its own slice of the
-	// results. Point order matches the report's section order, so trace pids
-	// and output bytes are identical to the old per-run loop.
+	// Expand every figure's grid into one point list, so -j parallelizes
+	// across the whole report; each figure then renders its own slice of
+	// the results.
 	var points []sweep.Point
-	var sections []contSection
-	for _, lv := range []struct {
-		key   string
-		every int
-	}{{"none", 0}, {"11", 9}, {"20", 5}} {
-		kinds := core.Kinds
-		if lv.every > 0 {
-			kinds = []core.Kind{core.FCG, core.MFCG, core.CFCG} // paper drops hypercube under load
-		}
-		name := sweep.LevelName(lv.key)
-		for _, fig := range []struct {
-			heading string
-			op      string
-		}{{"Figure 6 (vectored put), " + name, "vput"}, {"Figure 7 (fetch-&-add), " + name, "fadd"}} {
-			sec := contSection{title: fig.heading, start: len(points)}
-			for _, kind := range kinds {
-				if _, err := core.New(kind, s.contention.Nodes); err != nil {
-					continue // topology inapplicable at this node count
-				}
-				points = append(points, sweep.Point{
-					Experiment:     sweep.ExpContention,
-					Topo:           kind.String(),
-					Nodes:          s.contention.Nodes,
-					PPN:            s.contention.PPN,
-					Op:             fig.op,
-					Level:          lv.key,
-					ContenderEvery: lv.every,
-					Iters:          s.contention.Iters,
-					SampleEvery:    s.contention.SampleEvery,
-					StreamLimit:    s.contention.StreamLimit,
-					Metrics:        *metrics,
-				})
-			}
-			sec.end = len(points)
-			sections = append(sections, sec)
-		}
+	bounds := make([]int, len(figs)+1)
+	for i, f := range figs {
+		g, err := sweep.ParseGrid(f.grid)
+		check(err)
+		g.Metrics = *metrics
+		ps, err := g.Expand()
+		check(err)
+		points = append(points, ps...)
+		bounds[i+1] = len(points)
 	}
 	sweep.Reindex(points)
 	runner := &sweep.Runner{Workers: *jobs, ExecOptions: sweep.ExecOptions{Trace: tracer, Shards: *shards}}
 	results, _ := runner.Run(points)
-
-	for _, sec := range sections {
-		section(w, sec.title)
-		var series []*stats.Series
-		for _, r := range results[sec.start:sec.end] {
-			if r.Err != "" {
-				fmt.Fprintln(os.Stderr, r.Err)
-				os.Exit(1)
-			}
-			series = append(series, r.Series())
-		}
-		summary(w, series)
-		for _, r := range results[sec.start:sec.end] {
-			if r.Snapshot != nil {
-				fmt.Fprintln(w)
-				r.Snapshot.Write(w)
-			}
+	for _, r := range results {
+		if r.Err != "" {
+			fmt.Fprintln(os.Stderr, r.Err)
+			os.Exit(1)
 		}
 	}
-
-	section(w, "Figure 8: NAS LU execution time")
-	ls, err := figures.Fig8(s.luProcs, s.luPPN, *shards, s.luCfg)
-	check(err)
-	stats.SeriesTable("time (s)", "processes", ls).Write(w)
-
-	section(w, "Figure 9(a): NWChem DFT SiOSi3 proxy")
-	ds, err := figures.Fig9a(s.dftCores, s.dftPPN, *shards, s.dftCfg)
-	check(err)
-	stats.SeriesTable("time (s)", "cores", ds).Write(w)
-
-	section(w, "Figure 9(b): NWChem CCSD(T) water proxy")
-	cs2, err := figures.Fig9b(s.ccsdCores, s.ccsdPPN, *shards, s.ccsdCfg)
-	check(err)
-	stats.SeriesTable("time (s)", "cores", cs2).Write(w)
+	for i, f := range figs {
+		section(w, f.heading)
+		f.render(w, results[bounds[i]:bounds[i+1]])
+	}
 
 	section(w, "Topology advisor (Section VIII recommendations)")
 	advisor(w)
@@ -223,23 +153,37 @@ func main() {
 
 func section(w io.Writer, title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
 
-// fig5Increments prints the buffer-driven RSS increment over the base
-// footprint at the largest process count, and each sparse topology's
-// reduction against FCG: the paper's headline Fig 5 numbers.
-func fig5Increments(w io.Writer, procs, ppn int) {
+// table renders a figure's one merged table under title.
+func table(title string) func(io.Writer, []sweep.Result) {
+	return func(w io.Writer, rs []sweep.Result) {
+		g := sweep.Groups(rs)[0]
+		stats.SeriesTable(title, g.XLabel, g.Series).Write(w)
+	}
+}
+
+// fig5 renders Figure 5's table, then the buffer-driven RSS increment over
+// the base footprint at the largest process count and each sparse
+// topology's reduction against FCG: the paper's headline Fig 5 numbers.
+func fig5(w io.Writer, rs []sweep.Result) {
+	table("memory (MBytes)")(w, rs)
+	// The grid's topologies are the paper's four, FCG first, and FCG is
+	// built at every process count.
+	series := sweep.Groups(rs)[0].Series
+	fcg := series[0]
+	procs := fcg.X[len(fcg.X)-1]
+	base := float64(armci.DefaultConfig(1, 1).BaseRSSBytes) / (1 << 20)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Buffer-driven RSS increment over the base footprint (paper: FCG +812 MB at 12,288 procs,")
 	fmt.Fprintln(w, "cut 7.5x / 16.6x / 45x by MFCG / CFCG / Hypercube):")
-	fcgInc, err := figures.Fig5Increment(procs, ppn, core.FCG)
-	check(err)
+	fcgInc := fcg.YAt(procs) - base
 	fmt.Fprintf(w, "  FCG        +%7.1f MB\n", fcgInc)
-	for _, kind := range []core.Kind{core.MFCG, core.CFCG, core.Hypercube} {
-		inc, err := figures.Fig5Increment(procs, ppn, kind)
-		if err != nil {
-			fmt.Fprintf(w, "  %-10s n/a (%v)\n", kind, err)
+	for _, s := range series[1:] {
+		inc := s.YAt(procs) - base
+		if math.IsNaN(inc) {
+			fmt.Fprintf(w, "  %-10s n/a\n", s.Label)
 			continue
 		}
-		fmt.Fprintf(w, "  %-10s +%7.1f MB  (%.1fx reduction)\n", kind, inc, fcgInc/inc)
+		fmt.Fprintf(w, "  %-10s +%7.1f MB  (%.1fx reduction)\n", s.Label, inc, fcgInc/inc)
 	}
 }
 
@@ -269,13 +213,21 @@ func structure(w io.Writer, n int) {
 	tbl.Write(w)
 }
 
-func summary(w io.Writer, series []*stats.Series) {
+// summary renders a contention figure: per-topology mean/p50/p99/max rows,
+// then each run's metrics snapshot when collected.
+func summary(w io.Writer, rs []sweep.Result) {
 	tbl := &stats.Table{Header: []string{"topology", "mean us/op", "p50", "p99", "max"}}
-	for _, s := range series {
-		sm := stats.Summarize(s.Y)
-		tbl.AddRow(s.Label, sm.Mean, sm.P50, sm.P99, sm.Max)
+	for _, r := range rs {
+		sm := stats.Summarize(r.Y)
+		tbl.AddRow(r.Label, sm.Mean, sm.P50, sm.P99, sm.Max)
 	}
 	tbl.Write(w)
+	for _, r := range rs {
+		if r.Snapshot != nil {
+			fmt.Fprintln(w)
+			r.Snapshot.Write(w)
+		}
+	}
 }
 
 func advisor(w io.Writer) {

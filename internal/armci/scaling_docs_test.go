@@ -53,8 +53,8 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{
-		// memscale's scale-point flags.
-		"`-scale`", "`-measure`", "`-max-live-mb`",
+		// The live-footprint gate and its ceilings.
+		"`TestScaleFootprint`", "48 MB", "172 MB",
 		// The allocation ceiling TestScaleAllocsCeiling enforces.
 		"6 allocs/op",
 		// The double-release guard the pooling contract promises.

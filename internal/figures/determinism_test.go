@@ -104,10 +104,7 @@ func TestAppShardDeterminism(t *testing.T) {
 	cfg := lu.Config{NX: 64, NY: 64, Iters: 3, CellFlop: 100, ResidualEvery: 2}
 	var base string
 	for _, shards := range shardCounts {
-		ss, err := Fig8([]int{32}, 2, shards, cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		ss := appFigure(t, core.Kinds, []int{32}, 2, shards, LU(cfg))
 		var got string
 		for _, s := range ss {
 			got += fmt.Sprintf("%s %v %v\n", s.Label, s.X, s.Y)

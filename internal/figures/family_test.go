@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"armcivt/internal/armci"
 	"armcivt/internal/core"
 )
 
@@ -146,19 +147,16 @@ func TestFamilyOverload(t *testing.T) {
 }
 
 // TestFamilyFig5PointSpec checks the memscale unit on shaped specs, and on a
-// bare kind against the Fig 5 series for the same topology.
+// bare kind against the memory model evaluated on the classic topology.
 func TestFamilyFig5PointSpec(t *testing.T) {
-	ss, err := Fig5([]int{128}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	classic := seriesByLabel(t, ss, "MFCG").YAt(128)
+	cfg := armci.DefaultConfig(32, 4)
+	classic := float64(armci.MasterRSSFor(cfg, core.MustNew(core.MFCG, 32), 0)) / (1 << 20)
 	viaSpec, err := Fig5PointSpec(128, 4, core.Spec{Kind: core.MFCG})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if classic != viaSpec {
-		t.Fatalf("Fig5 %v != Fig5PointSpec %v for the same topology", classic, viaSpec)
+		t.Fatalf("memory model %v != Fig5PointSpec %v for the same topology", classic, viaSpec)
 	}
 	for _, specStr := range familySpecs {
 		spec, err := core.ParseSpec(specStr)

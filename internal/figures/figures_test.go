@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"armcivt/internal/armci"
 	"armcivt/internal/core"
 	"armcivt/internal/stats"
 )
@@ -19,12 +20,56 @@ func seriesByLabel(t *testing.T, ss []*stats.Series, label string) *stats.Series
 	return nil
 }
 
-func TestFig5OrderingAndGrowth(t *testing.T) {
-	procs := []int{768, 1536, 3072, 6144, 12288}
-	ss, err := Fig5(procs, 12)
+// cellSeries runs cell for every kind at every process count, one series
+// per kind, as the sweep's merged tables hold them. A topology that cannot
+// be built at a count (hypercube off powers of two) is skipped, as the
+// sweep expansion skips it.
+func cellSeries(t *testing.T, kinds []core.Kind, procs []int, ppn int,
+	cell func(spec core.Spec, procs int) (float64, error)) []*stats.Series {
+	t.Helper()
+	var out []*stats.Series
+	for _, kind := range kinds {
+		s := &stats.Series{Label: kind.String()}
+		spec := core.Spec{Kind: kind}
+		for _, n := range procs {
+			if _, err := spec.Build(n / ppn); err != nil {
+				continue
+			}
+			y, err := cell(spec, n)
+			if err != nil {
+				t.Fatalf("%v x%d: %v", kind, n, err)
+			}
+			s.Add(float64(n), y)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// appFigure is one application figure through AppPoint.
+func appFigure(t *testing.T, kinds []core.Kind, procs []int, ppn, shards int, app App) []*stats.Series {
+	return cellSeries(t, kinds, procs, ppn, func(spec core.Spec, n int) (float64, error) {
+		return AppPoint(spec, n, ppn, shards, app)
+	})
+}
+
+// fig5Increment is the buffer-driven RSS increment (MBytes) over the base
+// footprint, the quantity the paper's text discusses (812 MB for FCG at
+// 12,288 processes).
+func fig5Increment(t *testing.T, procs, ppn int, kind core.Kind) float64 {
+	t.Helper()
+	mb, err := Fig5PointSpec(procs, ppn, core.Spec{Kind: kind})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return mb - float64(armci.DefaultConfig(procs/ppn, ppn).BaseRSSBytes)/(1<<20)
+}
+
+func TestFig5OrderingAndGrowth(t *testing.T) {
+	procs := []int{768, 1536, 3072, 6144, 12288}
+	ss := cellSeries(t, core.Kinds, procs, 12, func(spec core.Spec, n int) (float64, error) {
+		return Fig5PointSpec(n, 12, spec)
+	})
 	fcg := seriesByLabel(t, ss, "FCG")
 	mfcg := seriesByLabel(t, ss, "MFCG")
 	cfcg := seriesByLabel(t, ss, "CFCG")
@@ -49,19 +94,13 @@ func TestFig5OrderingAndGrowth(t *testing.T) {
 
 func TestFig5IncrementMatchesPaperFCG(t *testing.T) {
 	// Paper: FCG at 12,288 processes adds ~812 MB over the 612 MB base.
-	inc, err := Fig5Increment(12288, 12, core.FCG)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := fig5Increment(t, 12288, 12, core.FCG)
 	if inc < 600 || inc > 1100 {
 		t.Errorf("FCG increment = %.0f MB, want same order as the paper's 812 MB", inc)
 	}
 	// And the virtual topologies cut it by an order of magnitude or more.
 	for _, kind := range []core.Kind{core.MFCG, core.CFCG, core.Hypercube} {
-		vinc, err := Fig5Increment(12288, 12, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vinc := fig5Increment(t, 12288, 12, kind)
 		if ratio := inc / vinc; ratio < 5 {
 			t.Errorf("%v cuts increment only %.1fx (paper: 7.5-45x)", kind, ratio)
 		}
@@ -208,10 +247,7 @@ func TestFig8LUShape(t *testing.T) {
 	// Paper Fig 8: time decreases with process count and topologies stay
 	// comparable (within ~40% of FCG).
 	import8 := []int{16, 64}
-	ss, err := Fig8(import8, 4, 1, luSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := appFigure(t, core.Kinds, import8, 4, 1, LU(luSmall()))
 	fcg := seriesByLabel(t, ss, "FCG")
 	if !(fcg.YAt(64) < fcg.YAt(16)) {
 		t.Errorf("LU does not scale: %v -> %v", fcg.YAt(16), fcg.YAt(64))
@@ -233,10 +269,7 @@ func TestFig8LUShape(t *testing.T) {
 func TestFig9aDFTShape(t *testing.T) {
 	// Paper Fig 9(a): with hot-spot-prone DFT, MFCG beats FCG and
 	// Hypercube is the worst at scale.
-	ss, err := Fig9a([]int{128}, 2, 1, dftSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := appFigure(t, core.Kinds, []int{128}, 2, 1, DFT(dftSmall()))
 	fcg := seriesByLabel(t, ss, "FCG").YAt(128)
 	mfcg := seriesByLabel(t, ss, "MFCG").YAt(128)
 	hc := seriesByLabel(t, ss, "Hypercube").YAt(128)
@@ -251,10 +284,7 @@ func TestFig9aDFTShape(t *testing.T) {
 func TestFig9bCCSDShape(t *testing.T) {
 	// Paper Fig 9(b): without hot-spots, FCG is comparable to or better
 	// than MFCG (within 25%).
-	ss, err := Fig9b([]int{32}, 2, 1, ccsdSmall())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := appFigure(t, []core.Kind{core.FCG, core.MFCG}, []int{32}, 2, 1, CCSD(ccsdSmall()))
 	fcg := seriesByLabel(t, ss, "FCG").YAt(32)
 	mfcg := seriesByLabel(t, ss, "MFCG").YAt(32)
 	if fcg > mfcg*1.25 {

@@ -17,8 +17,8 @@ import (
 // the credit pools — plus the protocol's allocation rate on the hot path,
 // not an ever-growing traffic volume.
 //
-// The harness underlies docs/SCALING.md and cmd/memscale: live bytes bound
-// the footprint claims, AllocsPerOp is the allocs/op contract
+// The harness underlies docs/SCALING.md: live bytes bound the footprint
+// claims (TestScaleFootprint), AllocsPerOp is the allocs/op contract
 // TestScaleAllocsCeiling enforces, and Fingerprint is pinned by the scale
 // tests.
 type ScaleConfig struct {
@@ -61,7 +61,7 @@ const (
 
 // ScaleResult is one scaling point: the workload identity, the virtual-time
 // outcome, and (with Measure) the allocation-rate and live-footprint
-// measurements cmd/memscale reports.
+// measurements TestScaleFootprint reports.
 type ScaleResult struct {
 	Nodes   int // simulated nodes
 	Actives int // active source ranks

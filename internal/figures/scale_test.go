@@ -3,6 +3,7 @@ package figures
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"armcivt/internal/core"
 	"armcivt/internal/obs"
@@ -15,10 +16,12 @@ import (
 const (
 	scaleFingerprint1k  uint64 = 0xd4e57345ae0f060e
 	scaleFingerprint16k uint64 = 0x1d409b573a5bf872
+	scaleFingerprint64k uint64 = 0x09e94f1b73a7b1b1
 )
 
 // TestScaleDefaultsAndShape: the harness fills its documented defaults, runs
-// a small point end to end, and produces the fields cmd/memscale reports.
+// a small point end to end, and produces the fields TestScaleFootprint
+// reports.
 func TestScaleDefaultsAndShape(t *testing.T) {
 	res, err := Scale(ScaleConfig{Nodes: 256, Measure: true})
 	if err != nil {
@@ -108,6 +111,37 @@ func TestScaleDeterminism16k(t *testing.T) {
 		if res.Fingerprint != serial.Fingerprint {
 			t.Errorf("shards=%d fingerprint %016x != serial %016x",
 				shards, res.Fingerprint, serial.Fingerprint)
+		}
+	}
+}
+
+// TestScaleFootprint is the large-N live-footprint gate of docs/SCALING.md:
+// one measured 16k-node and one measured 64k-node point must stay under
+// live-byte ceilings of 48 MB and 172 MB, about 2x what they measure
+// (20.9 MB and 77.1 MB, go1.24, linux/amd64, 2 cores), and each must
+// produce its pinned completion fingerprint. It logs each point's nodes,
+// wall time, live footprint and allocation rate; CI runs it with -v and
+// copies the log into the job summary.
+func TestScaleFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		nodes     int
+		ceilingMB float64
+		want      uint64
+	}{{16384, 48, scaleFingerprint16k}, {65536, 172, scaleFingerprint64k}} {
+		t0 := time.Now()
+		res, err := Scale(ScaleConfig{Nodes: tc.nodes, Measure: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := float64(res.LiveBytes) / (1 << 20)
+		t.Logf("%d nodes: wall %v, live %.1f MB, %.2f allocs/op, virtual %v, fingerprint %016x, analytic RSS %.1f MB",
+			res.Nodes, time.Since(t0).Round(time.Millisecond), live, res.AllocsPerOp, res.VirtualTime,
+			res.Fingerprint, float64(res.MasterRSS)/(1<<20))
+		if live > tc.ceilingMB {
+			t.Errorf("%d nodes: live footprint %.1f MB exceeds the %.0f MB ceiling", tc.nodes, live, tc.ceilingMB)
+		}
+		if res.Fingerprint != tc.want {
+			t.Errorf("%d nodes: fingerprint %016x, want %016x", tc.nodes, res.Fingerprint, tc.want)
 		}
 	}
 }

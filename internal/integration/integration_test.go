@@ -217,10 +217,19 @@ func TestPropertyMixedOpStormDeadlockFree(t *testing.T) {
 
 func TestFigurePipelineEndToEnd(t *testing.T) {
 	// Drive a miniature version of the complete figure pipeline (the same
-	// code paths the cmd binaries run) and check the tables render.
-	ss, err := figures.Fig5([]int{96, 192}, 12)
-	if err != nil {
-		t.Fatal(err)
+	// per-cell functions the sweep experiments run) and check the tables
+	// render.
+	var ss []*stats.Series
+	for _, kind := range core.Kinds {
+		s := &stats.Series{Label: kind.String()}
+		for _, procs := range []int{96, 192} {
+			mb, err := figures.Fig5PointSpec(procs, 12, core.Spec{Kind: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Add(float64(procs), mb)
+		}
+		ss = append(ss, s)
 	}
 	tbl := stats.SeriesTable("fig5", "procs", ss)
 	if len(tbl.Rows) != 2 || len(tbl.Header) != 5 {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // TraceKind classifies trace records.
 type TraceKind int
@@ -66,46 +63,4 @@ func (e *Engine) trace(kind TraceKind, p *Proc, label string) {
 	if e.tracer != nil {
 		e.tracer.Trace(TraceRecord{T: e.now, Kind: kind, Proc: p.Name(), Label: label})
 	}
-}
-
-// WriteTracer returns a Tracer that prints each record to w, one per line.
-func WriteTracer(w io.Writer) Tracer {
-	return TracerFunc(func(r TraceRecord) { fmt.Fprintln(w, r) })
-}
-
-// RingTracer keeps the last N records, for post-mortem inspection after a
-// deadlock or time-limit error.
-type RingTracer struct {
-	records []TraceRecord
-	next    int
-	full    bool
-}
-
-// NewRingTracer creates a tracer holding up to n records.
-func NewRingTracer(n int) *RingTracer {
-	if n < 1 {
-		n = 1
-	}
-	return &RingTracer{records: make([]TraceRecord, n)}
-}
-
-// Trace implements Tracer.
-func (rt *RingTracer) Trace(r TraceRecord) {
-	rt.records[rt.next] = r
-	rt.next++
-	if rt.next == len(rt.records) {
-		rt.next = 0
-		rt.full = true
-	}
-}
-
-// Records returns the buffered records in chronological order.
-func (rt *RingTracer) Records() []TraceRecord {
-	if !rt.full {
-		return append([]TraceRecord(nil), rt.records[:rt.next]...)
-	}
-	out := make([]TraceRecord, 0, len(rt.records))
-	out = append(out, rt.records[rt.next:]...)
-	out = append(out, rt.records[:rt.next]...)
-	return out
 }

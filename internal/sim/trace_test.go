@@ -60,81 +60,6 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 	}
 }
 
-func TestWriteTracer(t *testing.T) {
-	var sb strings.Builder
-	e := New()
-	e.SetTracer(WriteTracer(&sb))
-	e.Spawn("p", func(p *Proc) {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"spawn", "resume", "exit", "p"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRingTracerWrapsChronologically(t *testing.T) {
-	rt := NewRingTracer(3)
-	for i := 0; i < 5; i++ {
-		rt.Trace(TraceRecord{T: Time(i), Kind: TraceResume, Proc: "x"})
-	}
-	recs := rt.Records()
-	if len(recs) != 3 {
-		t.Fatalf("len = %d, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if r.T != Time(i+2) {
-			t.Errorf("record %d time %v, want %v", i, r.T, Time(i+2))
-		}
-	}
-}
-
-func TestRingTracerExactCapacity(t *testing.T) {
-	// Filling to exactly capacity is the wrap boundary: next has reset to
-	// 0 and full is set, so Records must return all N entries once, oldest
-	// first, not an empty or doubled slice.
-	rt := NewRingTracer(4)
-	for i := 0; i < 4; i++ {
-		rt.Trace(TraceRecord{T: Time(i), Kind: TracePark, Proc: "p"})
-	}
-	recs := rt.Records()
-	if len(recs) != 4 {
-		t.Fatalf("len = %d, want 4", len(recs))
-	}
-	for i, r := range recs {
-		if r.T != Time(i) {
-			t.Errorf("record %d time %v, want %v", i, r.T, Time(i))
-		}
-	}
-	// One more record evicts exactly the oldest.
-	rt.Trace(TraceRecord{T: 4})
-	recs = rt.Records()
-	if len(recs) != 4 || recs[0].T != 1 || recs[3].T != 4 {
-		t.Errorf("after wrap: %v", recs)
-	}
-}
-
-func TestRingTracerPartial(t *testing.T) {
-	rt := NewRingTracer(8)
-	rt.Trace(TraceRecord{T: 1})
-	rt.Trace(TraceRecord{T: 2})
-	recs := rt.Records()
-	if len(recs) != 2 || recs[0].T != 1 || recs[1].T != 2 {
-		t.Errorf("records = %v", recs)
-	}
-}
-
-func TestRingTracerMinimumSize(t *testing.T) {
-	rt := NewRingTracer(0)
-	rt.Trace(TraceRecord{T: 9})
-	if recs := rt.Records(); len(recs) != 1 || recs[0].T != 9 {
-		t.Errorf("records = %v", recs)
-	}
-}
-
 func TestTraceKindStrings(t *testing.T) {
 	if TraceSpawn.String() != "spawn" || TraceKind(99).String() != "trace(99)" {
 		t.Error("TraceKind strings broken")

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 
+	"armcivt/internal/apps/ccsd"
+	"armcivt/internal/apps/dft"
+	"armcivt/internal/apps/lu"
 	"armcivt/internal/armci"
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
@@ -15,10 +18,10 @@ import (
 )
 
 // Result is the outcome of one point. Series-valued experiments (contention)
-// fill X/Y; scalar ones (memscale) fill Value. Err is set instead when the
-// run failed or panicked — a failed point never aborts the sweep. WallNS is
-// the wall-clock cost of the execution that produced the result, preserved
-// across cache hits (Cached distinguishes the two).
+// fill X/Y; scalar ones (every other experiment) fill Value. Err is set
+// instead when the run failed or panicked — a failed point never aborts the
+// sweep. WallNS is the wall-clock cost of the execution that produced the
+// result, preserved across cache hits (Cached distinguishes the two).
 type Result struct {
 	Point    Point        `json:"point"`
 	Label    string       `json:"label"`
@@ -148,6 +151,31 @@ func runMemscale(p Point, spec core.Spec, _ ExecOptions, _ *obs.Registry, res *R
 	v, err := figures.Fig5PointSpec(p.Procs, p.PPN, spec)
 	res.Value = v
 	return "", err
+}
+
+// runApp runs an application-proxy point of Figs 8-9; its scalar is rank
+// 0's execution time in seconds for the proxy app builds. It records no
+// metrics.
+func runApp(app func(Point) figures.App) func(Point, core.Spec, ExecOptions, *obs.Registry, *Result) (string, error) {
+	return func(p Point, spec core.Spec, opts ExecOptions, _ *obs.Registry, res *Result) (string, error) {
+		v, err := figures.AppPoint(spec, p.Procs, p.PPN, opts.Shards, app(p))
+		res.Value = v
+		return "", err
+	}
+}
+
+// The application proxies at the paper's problem sizes; iters sets the LU
+// SSOR and DFT SCF iteration counts.
+func luApp(p Point) figures.App {
+	return figures.LU(lu.Config{NX: 2040, NY: 2040, Iters: p.Iters, CellFlop: 400})
+}
+
+func dftApp(p Point) figures.App {
+	return figures.DFT(dft.Config{N: 192, BlockSize: 8, SCFIters: p.Iters, TaskFlop: 100 * sim.Microsecond, HotBlocks: 4, CounterBatch: 4})
+}
+
+func ccsdApp(Point) figures.App {
+	return figures.CCSD(ccsd.Config{N: 1024, BlockSize: 64, TasksPerRank: 2, TaskFlop: 3 * sim.Millisecond})
 }
 
 // runChaos runs a chaos point. Its scalar is the failed-operation count:

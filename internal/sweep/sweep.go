@@ -41,6 +41,9 @@ const (
 	ExpMemscale   = "memscale"   // Fig 5 memory scaling
 	ExpChaos      = "chaos"      // randomized crash/recover invariant harness
 	ExpOverload   = "overload"   // incast-storm overload-protection harness
+	ExpLU         = "lu"         // Fig 8 NAS LU
+	ExpDFT        = "dft"        // Fig 9a NWChem DFT SiOSi3 proxy
+	ExpCCSD       = "ccsd"       // Fig 9b NWChem CCSD(T) water proxy
 )
 
 // keySalt versions the cache-key derivation. Bump it whenever the meaning of
@@ -68,8 +71,8 @@ func LevelName(level string) string {
 // experiment does not read (experiment.keys) off that key's default.
 type Grid struct {
 	// Experiment names the entry of the experiments table that expands and
-	// executes the grid: "contention" (default), "memscale", "chaos" or
-	// "overload".
+	// executes the grid: "contention" (default), "memscale", "chaos",
+	// "overload", "lu", "dft" or "ccsd".
 	Experiment string `grid:"exp"`
 
 	Topos  []string `grid:"topos"`   // topology kinds; default all four
@@ -78,7 +81,7 @@ type Grid struct {
 	Sizes  []int    `grid:"msgsize"` // vectored-put segment lengths in bytes; default 256
 	Faults []string `grid:"faults"`  // fault specs (docs/FAULTS.md grammar); "none" = fault-free
 	Seeds  []int64  `grid:"seeds"`   // engine RNG seeds; default 1 (the engine's own default)
-	Procs  []int    `grid:"procs"`   // process counts (memscale); default paper's five
+	Procs  []int    `grid:"procs"`   // process counts (memscale, lu, dft, ccsd); default the paper's
 
 	// Aggs toggles small-op aggregation in the runtime under the
 	// workload. Values are "off" (default) and "on"; listing both makes
@@ -109,8 +112,8 @@ type Grid struct {
 	Overloads []string `grid:"overload"` // "off"/"on"; default off,on for overload grids, off otherwise
 
 	Op          string `grid:"op"`     // contention op: vput (default) or fadd
-	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale 12, chaos, overload 2)
-	Iters       int    `grid:"iters"`  // iterations per measured process; default 20
+	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale, lu, dft, ccsd 12; chaos, overload 2)
+	Iters       int    `grid:"iters"`  // iterations per measured process (lu: SSOR, dft: SCF); default 20 (overload 64, lu 12, dft 3)
 	SampleEvery int    `grid:"sample"` // measure every k-th rank; default 8
 	StreamLimit int    `grid:"stream"` // NIC stream-limit override; 0 = fabric default
 	VecSegs     int    `grid:"segs"`   // vectored-put segment count; default 32
@@ -149,7 +152,10 @@ type experiment struct {
 }
 
 // experiments is the table of every exp= value.
-var experiments = map[string]experiment{ExpContention: contention, ExpMemscale: memscale, ExpChaos: chaos, ExpOverload: overload}
+var experiments = map[string]experiment{
+	ExpContention: contention, ExpMemscale: memscale, ExpChaos: chaos, ExpOverload: overload,
+	ExpLU: luExp, ExpDFT: dftExp, ExpCCSD: ccsdExp,
+}
 
 var (
 	// contention is the Figs 6-7 hot-spot microbenchmark: each point is a
@@ -171,18 +177,22 @@ var (
 	memscale = experiment{
 		keys:     []string{"ppn", "topos", "procs"},
 		defaults: Grid{PPN: 12},
-		nodes: func(p Point) (int, error) {
-			if p.Procs%p.PPN != 0 {
-				return 0, fmt.Errorf("sweep: %d processes not divisible by ppn %d", p.Procs, p.PPN)
-			}
-			return p.Procs / p.PPN, nil
-		},
-		run:    runMemscale,
-		group:  func(Point) string { return "" },
-		title:  func(Point, bool, bool) string { return "memscale: master-process memory (MBytes) vs processes" },
-		xLabel: "processes",
-		x:      func(p Point) float64 { return float64(p.Procs) },
+		nodes:    procNodes,
+		run:      runMemscale,
+		group:    func(Point) string { return "" },
+		title:    func(Point, bool, bool) string { return "memscale: master-process memory (MBytes) vs processes" },
+		xLabel:   "processes",
+		x:        procsX,
 	}
+	// luExp, dftExp and ccsdExp are the application proxies of Figs 8-9 at
+	// the paper's problem sizes: rank 0's execution time per topology and
+	// process count. Their defaults are the paper's runs.
+	luExp = appExperiment(Grid{PPN: 12, Iters: 12, Procs: []int{192, 384, 768, 1536}}, true,
+		"Figure 8: NAS LU execution time (s) vs processes", "processes", runApp(luApp))
+	dftExp = appExperiment(Grid{PPN: 12, Iters: 3, Procs: []int{768, 1536, 3072, 6144}}, true,
+		"Figure 9(a): NWChem DFT SiOSi3 proxy — total execution time (s) vs cores", "cores", runApp(dftApp))
+	ccsdExp = appExperiment(Grid{PPN: 12, Procs: []int{768, 1536, 3072}, Topos: []string{"FCG", "MFCG"}}, false,
+		"Figure 9(b): NWChem CCSD(T) water proxy — total execution time (s) vs cores", "cores", runApp(ccsdApp))
 	// chaos is the randomized crash/recover invariant harness. Its default
 	// scale is the harness's acceptance scale: paper-scale grids would
 	// spend most of their time on heartbeats.
@@ -200,10 +210,11 @@ var (
 		x:      func(p Point) float64 { return float64(p.Crashes) },
 	}
 	// overload is the incast-storm overload-protection harness at its
-	// calibration scale; every cell runs in both protection arms.
+	// calibration scale and storm (figures.Overload's defaults); every cell
+	// runs in both protection arms.
 	overload = experiment{
 		keys:     []string{"ppn", "iters", "storm", "tenants", "nodes", "seeds", "reps", "overload", "topos"},
-		defaults: Grid{Nodes: []int{64}, PPN: 2, Overloads: []string{"off", "on"}},
+		defaults: Grid{Nodes: []int{64}, PPN: 2, Iters: 64, Overloads: []string{"off", "on"}},
 		run:      runOverload,
 		// Storm count is the x-axis; protection on/off pairs share the
 		// table, distinguished by the +protect series label.
@@ -215,6 +226,34 @@ var (
 		x:      func(p Point) float64 { return float64(p.Storms) },
 	}
 )
+
+// appExperiment is an application proxy's entry: one scalar per topology
+// and process count, in one table. iters says whether the proxy reads the
+// iters key.
+func appExperiment(defaults Grid, iters bool, title, xLabel string,
+	run func(Point, core.Spec, ExecOptions, *obs.Registry, *Result) (string, error)) experiment {
+	keys := []string{"ppn", "topos", "procs"}
+	if iters {
+		keys = []string{"ppn", "iters", "topos", "procs"}
+	}
+	return experiment{
+		keys: keys, defaults: defaults, nodes: procNodes, run: run,
+		group:  func(Point) string { return "" },
+		title:  func(Point, bool, bool) string { return title },
+		xLabel: xLabel,
+		x:      procsX,
+	}
+}
+
+// procNodes is the node count of a point sized by process count.
+func procNodes(p Point) (int, error) {
+	if p.Procs%p.PPN != 0 {
+		return 0, fmt.Errorf("sweep: %d processes not divisible by ppn %d", p.Procs, p.PPN)
+	}
+	return p.Procs / p.PPN, nil
+}
+
+func procsX(p Point) float64 { return float64(p.Procs) }
 
 // defaults are the paper's values for every key an experiment's own
 // defaults leave unset. Toggles default off, so the points (and cache keys)
@@ -598,9 +637,9 @@ var pointField = map[string]string{
 // cache key is therefore what it was before the key existed.
 var unset = map[string]string{"agg": "off", "heal": "off", "overload": "off", "faults": "none"}
 
-// Reindex renumbers hand-built point lists into expansion order. Callers
-// that assemble points directly (cmd/vtreport's per-section kind lists)
-// must call it before Runner.Run so results land in slice order.
+// Reindex renumbers assembled point lists into slice order. Callers that
+// concatenate several expansions (cmd/vtreport's per-section grids) must
+// call it before Runner.Run so results land in slice order.
 func Reindex(points []Point) {
 	for i := range points {
 		points[i].Index = i

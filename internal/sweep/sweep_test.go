@@ -6,6 +6,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"armcivt/internal/core"
+	"armcivt/internal/figures"
 )
 
 func TestParseGridFillsFields(t *testing.T) {
@@ -142,6 +145,8 @@ func TestExpandRejectsUnusedKeys(t *testing.T) {
 		"exp=memscale;levels=20;iters=5":                                               "exp=memscale does not use grid key(s) levels, iters",
 		"exp=overload;heal=on;crashes=1":                                               "exp=overload does not use grid key(s) crashes, heal",
 		"exp=contention;storm=4;procs=96":                                              "exp=contention does not use grid key(s) procs, storm",
+		// The CCSD proxy has no iteration count.
+		"exp=ccsd;iters=3": "exp=ccsd does not use grid key(s) iters",
 	} {
 		g, err := ParseGrid(spec)
 		if err != nil {
@@ -430,6 +435,30 @@ func TestOverloadGridRuns(t *testing.T) {
 	}
 	if !slices.Equal(labels, []string{"MFCG", "MFCG+protect"}) {
 		t.Errorf("series %v, want [MFCG MFCG+protect]", labels)
+	}
+}
+
+// TestOverloadDefaultsRunHarnessStorm: a grid that leaves iters unset runs
+// the storm figures.Overload runs at its own defaults, so a sweep "at
+// defaults" and the harness and its tests measure the same thing.
+func TestOverloadDefaultsRunHarnessStorm(t *testing.T) {
+	g, err := ParseGrid("exp=overload;topos=mfcg;nodes=16;storm=1;tenants=2;overload=on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := mustExpand(t, *g)
+	res := Execute(points[0], ExecOptions{})
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	ref, err := figures.Overload(figures.OverloadConfig{
+		Topo: core.Spec{Kind: core.MFCG}, Nodes: 16, Storms: 1, Tenants: 2, Protect: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value != ref.Goodput() {
+		t.Fatalf("default exp=overload point: goodput %v, figures.Overload at its defaults %v", res.Value, ref.Goodput())
 	}
 }
 
