@@ -10,18 +10,27 @@ import (
 // context), maintaining the per-upstream-peer pending counts that drive the
 // poll-cost model.
 func (ns *nodeState) enqueue(req *request) {
-	if req.prevNode >= 0 {
+	if up := req.up; up != nil {
+		// The edge the request crossed names the upstream peer's slot.
+		i := ns.upSlot(up)
 		// Every arriving request is proof of life from its upstream peer
 		// (no-op unless healing is armed).
-		ns.heard(req.prevNode)
-		// prevNode is always a direct neighbor (requests only arrive over
-		// edges), so the sorted-neighbor index is its per-edge slot.
-		i := ns.nbrIdx(req.prevNode)
+		ns.heardAt(i)
 		if ns.pendingBySrc[i]++; ns.pendingBySrc[i] == 1 {
 			ns.pendingSrcs++
 		}
 	}
 	ns.inbox.Put(req)
+}
+
+// upSlot returns the slot of up.from in this node's neighbor list, where up
+// is an edge into this node, caching it on the edge at first use. Call it
+// from this node's owner context: that is where up.rev is written.
+func (ns *nodeState) upSlot(up *egress) int {
+	if up.rev < 0 {
+		up.rev = int32(ns.nbrIdx(up.from))
+	}
+	return int(up.rev)
 }
 
 // chtStep is the Communication Helper Thread: it serves one request at a
@@ -124,8 +133,8 @@ func (ns *nodeState) serve(req *request) {
 		}
 		rt.st(ns.id).Forwards++
 		// When the request leaves this node (transmission, possibly after
-		// parking on a credit), finish(req, prev) frees its buffer here.
-		eg.submitForward(req, ns, req.prevNode)
+		// parking on a credit), finish(up) frees its buffer here.
+		eg.submitForward(req, ns, req.up)
 		return
 	}
 	if req.kind == opBatch {
@@ -144,7 +153,7 @@ func (ns *nodeState) serve(req *request) {
 	} else {
 		ns.deliver(req)
 	}
-	ns.finish(req, req.prevNode)
+	ns.finish(req.up)
 }
 
 // deliver applies one request (or batch sub-operation) at its target node,
@@ -183,7 +192,7 @@ func (ns *nodeState) handleDup(req *request, rec dupState) {
 // Handle.Err) and the buffer credit is returned as usual.
 func (ns *nodeState) fail(req *request, err error) {
 	ns.failSubs(req, err)
-	ns.finish(req, req.prevNode)
+	ns.finish(req.up)
 }
 
 // failSubs routes a failure notice back to the origin of every sub-operation
@@ -212,17 +221,20 @@ func (ns *nodeState) failSubs(req *request, err error) {
 	}
 }
 
-// finish releases the request buffer this CHT held: bookkeeping plus a
-// credit-return message to the upstream node.
-func (ns *nodeState) finish(req *request, prev int) {
-	if prev < 0 {
+// finish releases the request buffer this CHT held for a request that
+// arrived over edge up: bookkeeping plus a credit ack back over the same
+// edge. The pooled delivery trampoline (ackFn) carries the egress record
+// itself, so no per-ack closure is allocated.
+func (ns *nodeState) finish(up *egress) {
+	if up == nil {
 		return // locally injected (same-node mutex path): no buffer held
 	}
-	i := ns.nbrIdx(prev)
+	i := ns.upSlot(up)
 	if ns.pendingBySrc[i]--; ns.pendingBySrc[i] == 0 {
 		ns.pendingSrcs--
 	}
-	ns.rt.returnCredit(ns.id, prev)
+	rt := ns.rt
+	rt.net.SendArg(ns.id, up.from, ackBytes, rt.ackFn, up)
 }
 
 // serviceBytes estimates how many payload bytes the CHT touches for req.

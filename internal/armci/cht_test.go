@@ -78,10 +78,10 @@ func runCHTScenario(t *testing.T, ref bool) chtScenario {
 	var out chtScenario
 	eng.SetTracer(sim.TracerFunc(func(r sim.TraceRecord) { out.trace = append(out.trace, r) }))
 	rt.Alloc("counter", 64)
-	eng.At(100*sim.Microsecond, func() { rt.nodes[2].inbox.Put(&request{prevNode: -1}) })
+	eng.At(100*sim.Microsecond, func() { rt.nodes[2].inbox.Put(&request{}) })
 	eng.At(300*sim.Microsecond, func() {
 		ns := &rt.nodes[7]
-		ns.inbox.Put(&request{prevNode: -1})
+		ns.inbox.Put(&request{})
 		ns.crashStop()
 	})
 	body := func(r *Rank) {

@@ -55,14 +55,21 @@ type egress struct {
 	regenArmed    bool
 	regenInterval sim.Time
 	transmits     uint64 // progress signal for the regen check
+
+	// slot is the edge's index in from's neighbor list, fixed at build.
+	// rev is from's index in to's list, -1 until to first needs it; only
+	// to's owner context reads or writes it (enqueue, finish, probes), so
+	// a request or probe arriving over the edge finds its per-edge slot at
+	// the receiver without a search.
+	slot, rev int32
 }
 
 // pendingSend is one send parked on an egress waiting for a buffer credit.
 // Records recycle through their node's free list (nodeState.psFree), so a
 // congested edge churns no heap objects: an origin send embeds its completion
-// gate by value, a CHT forward instead carries the owner/prev pair finish()
-// needs when the request finally leaves, and freed guards the free list
-// against double release.
+// gate by value, a CHT forward instead carries the owner/upstream-edge pair
+// finish() needs when the request finally leaves, and freed guards the free
+// list against double release.
 type pendingSend struct {
 	req *request
 	// gate is armed (hasGate true) for origin sends: the issuing rank waits
@@ -70,10 +77,10 @@ type pendingSend struct {
 	// recycles a record a parked waiter could still observe.
 	gate    sim.Gate
 	hasGate bool
-	// fwdOwner/fwdPrev are set for CHT forwards: at transmission,
-	// fwdOwner.finish(req, fwdPrev) releases the upstream request buffer.
+	// fwdOwner/fwdUp are set for CHT forwards: at transmission,
+	// fwdOwner.finish(fwdUp) releases the upstream request buffer.
 	fwdOwner *nodeState
-	fwdPrev  int
+	fwdUp    *egress
 	enq      sim.Time
 	freed    bool
 }
@@ -110,18 +117,18 @@ func (eg *egress) submitRank(p *sim.Proc, req *request) {
 	ns.putPS(ps)    // the waiter owns the release — see putPS
 }
 
-// submitForward transmits a CHT forward without blocking. owner (with prev)
-// identifies the upstream buffer to release when the request actually leaves
-// this node — owner.finish(req, prev) runs at transmission; a nil owner (the
-// retransmission path) skips it.
-func (eg *egress) submitForward(req *request, owner *nodeState, prev int) {
+// submitForward transmits a CHT forward without blocking. owner (with up, the
+// edge the request arrived over) identifies the upstream buffer to release
+// when the request actually leaves this node — owner.finish(up) runs at
+// transmission; a nil owner (the retransmission path) skips it.
+func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
 	if len(eg.pending) == 0 && eg.credits > 0 {
 		eg.transmit(req)
 		if o := eg.rt.obs; o != nil {
 			o.creditWait.Observe(0)
 		}
 		if owner != nil {
-			owner.finish(req, prev)
+			owner.finish(up)
 		}
 		return
 	}
@@ -129,7 +136,7 @@ func (eg *egress) submitForward(req *request, owner *nodeState, prev int) {
 	ps := eg.rt.nodes[eg.from].getPS()
 	ps.req = req
 	ps.fwdOwner = owner
-	ps.fwdPrev = prev
+	ps.fwdUp = up
 	ps.enq = eg.rt.eng.NowOn(eg.from)
 	eg.pending = append(eg.pending, ps)
 	eg.maybeArmRegen()
@@ -160,7 +167,7 @@ func (eg *egress) submitParked(ps *pendingSend) {
 // observe it — a gated record is released by its own waiter (submitRank).
 func (ns *nodeState) completeParked(ps *pendingSend) {
 	if ps.fwdOwner != nil {
-		ps.fwdOwner.finish(ps.req, ps.fwdPrev)
+		ps.fwdOwner.finish(ps.fwdUp)
 	}
 	if ps.hasGate {
 		ps.gate.Fire()
@@ -319,8 +326,8 @@ func (eg *egress) regenCheck(lastSeen uint64) {
 
 // transmit consumes a credit and injects the request into the fabric toward
 // the peer's CHT. Delivery rides the runtime's pooled trampoline (enqueueFn)
-// with the request itself as the argument — prevNode/nextNode stamped here
-// are the delivery context a closure used to capture.
+// with the request itself as the argument — up/nextNode stamped here are the
+// delivery context a closure used to capture.
 func (eg *egress) transmit(req *request) {
 	if eg.credits <= 0 {
 		panic(fmt.Sprintf("armci: egress %d->%d transmitting without credit", eg.from, eg.to))
@@ -339,7 +346,7 @@ func (eg *egress) transmit(req *request) {
 			eg.peakInUse = used
 		}
 	}
-	req.prevNode = eg.from
+	req.up = eg
 	req.nextNode = eg.to
 	eg.rt.st(eg.from).Requests++
 	eg.rt.net.SendArg(eg.from, eg.to, req.wire, eg.rt.enqueueFn, req)

@@ -38,7 +38,7 @@ func TestEgressImmediateTransmitUsesCredit(t *testing.T) {
 		t.Fatalf("initial credits = %d, want 2", eg.credits)
 	}
 	h := newHandle(eng, 1, 0)
-	eg.submitForward(mkReq(rt, h), nil, -1)
+	eg.submitForward(mkReq(rt, h), nil, nil)
 	if eg.credits != 1 {
 		t.Errorf("credits after transmit = %d, want 1", eg.credits)
 	}
@@ -56,7 +56,7 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 		h := newHandle(eng, 1, 0)
 		req := mkReq(rt, h)
 		req.off = i // submission order marker, read back at the receiver
-		eg.submitForward(req, nil, -1)
+		eg.submitForward(req, nil, nil)
 	}
 	// Pool capacity 2: first two transmit immediately, three queue.
 	if eg.transmits != 2 || eg.credits != 0 {
@@ -93,8 +93,8 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 func TestEgressRankBlocksUntilTransmit(t *testing.T) {
 	eng, rt, eg := egressHarness(t)
 	// Exhaust the pool from engine context.
-	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, -1)
-	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, -1)
+	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, nil)
+	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, nil)
 	var sentAt sim.Time = -1
 	eng.Spawn("sender", func(p *sim.Proc) {
 		eg.submitRank(p, mkReq(rt, newHandle(eng, 1, 0)))

@@ -76,10 +76,15 @@ const (
 // indexed like nodeState.nbrs. The per-neighbor slices are carved with the
 // node's other edge state on its first edge use (nodeState.buildEdges);
 // until then they are nil and every neighbor counts as alive and never
-// heard. A lookup is nbrIdx's binary search, not a map probe.
+// heard. Traffic over an edge finds its entry by the edge's slot; a peer id
+// alone is looked up by nbrIdx's binary search, not a map probe.
 type memberView struct {
 	lastHeard []sim.Time
-	state     []memberState
+	// state is written only through setState, which keeps dead, the number
+	// of memberDead entries: isDead answers at once for a view holding no
+	// dead neighbor, the common case even in a run with crashes.
+	state []memberState
+	dead  int
 	// lines holds this node's ring on each of its lines, in core.Lines
 	// order (which also fixes the deterministic probe and suspicion order),
 	// once built (see rings).
@@ -179,11 +184,22 @@ func (ns *nodeState) lineOf(i int32) *ringLine {
 	panic(fmt.Sprintf("armci: neighbor index %d is on no line", i))
 }
 
+// setState moves neighbor i of the view to state s, keeping the dead count.
+func (mv *memberView) setState(i int, s memberState) {
+	if mv.state[i] == memberDead {
+		mv.dead--
+	}
+	if s == memberDead {
+		mv.dead++
+	}
+	mv.state[i] = s
+}
+
 // isDead reports whether this node's membership view has confirmed node
 // dead. Nodes outside the neighbor set are never dead (the view only tracks
 // topology edges), and nothing is without healing armed.
 func (ns *nodeState) isDead(node int) bool {
-	if ns.mv == nil || ns.nbrs == nil { // a view never built holds no one dead
+	if ns.mv == nil || ns.mv.dead == 0 { // also a view never built
 		return false
 	}
 	i := ns.nbrIdx(node)
@@ -197,7 +213,7 @@ func (mv *memberView) refresh(now sim.Time) {
 	mv.resetAt = now
 	for i := range mv.lastHeard {
 		mv.lastHeard[i] = now
-		mv.state[i] = memberAlive
+		mv.setState(i, memberAlive)
 	}
 	for l := range mv.lines {
 		ln := &mv.lines[l]
@@ -211,20 +227,27 @@ func (mv *memberView) refresh(now sim.Time) {
 // from a confirmed-dead neighbor means it recovered (or was wrongly
 // confirmed): it rejoins, and the rest of its line is told.
 func (ns *nodeState) heard(from int) {
+	if ns.mv == nil {
+		return
+	}
+	if i := ns.nbrIdx(from); i >= 0 {
+		ns.heardAt(i)
+	}
+}
+
+// heardAt is heard for the neighbor in slot i, for traffic that arrived
+// over a known edge.
+func (ns *nodeState) heardAt(i int) {
 	mv := ns.mv
 	if mv == nil {
 		return
 	}
-	i := ns.nbrIdx(from)
-	if i < 0 {
-		return
-	}
 	mv.lastHeard[i] = ns.rt.eng.NowOn(ns.id)
 	if was := mv.state[i]; was != memberAlive {
-		mv.state[i] = memberAlive
+		mv.setState(i, memberAlive)
 		if was == memberDead {
-			ns.rejoin(from)
-			ns.announce(ns.lineOf(int32(i)), from, true)
+			ns.rejoin(i)
+			ns.announce(ns.lineOf(int32(i)), ns.nbrs[i], true)
 		}
 	}
 }
@@ -279,17 +302,17 @@ func (ns *nodeState) judge(ln *ringLine, now sim.Time) {
 	switch mv.state[p] {
 	case memberAlive:
 		if gap >= suspicionTimeout {
-			mv.state[p] = memberSuspect
+			mv.setState(int(p), memberSuspect)
 			rt.st(ns.id).Suspicions++
 			rt.noteMembership("suspect", ns.id, peer)
 		}
 	case memberSuspect:
 		if gap >= 2*suspicionTimeout {
-			mv.state[p] = memberDead
+			mv.setState(int(p), memberDead)
 			rt.st(ns.id).Confirms++
 			ns.recordDetection(peer, ln.since)
 			rt.noteMembership("confirm", ns.id, peer)
-			ns.healDeadNeighbor(peer)
+			ns.healDeadNeighbor(int(p))
 			ns.announce(ln, peer, false)
 			ln.judged, ln.since = ln.pred(mv), now
 		}
@@ -340,8 +363,8 @@ func (ns *nodeState) onNotice(n *notice) {
 	if n.alive {
 		reboot := n.from == n.subject
 		if reboot || mv.state[i] == memberDead {
-			mv.state[i] = memberAlive
-			ns.rejoin(n.subject)
+			mv.setState(int(i), memberAlive)
+			ns.rejoin(int(i))
 		}
 		ns.heard(n.from)
 		if ln := ns.lineOf(i); reboot && ln.pred(mv) == i {
@@ -357,7 +380,7 @@ func (ns *nodeState) onNotice(n *notice) {
 	if mv.state[i] == memberDead || mv.lastHeard[i] > n.sent {
 		return
 	}
-	mv.state[i] = memberDead
+	mv.setState(int(i), memberDead)
 	rt := ns.rt
 	if lat, ok := ns.sinceCrash(n.subject, 0); ok {
 		if lat > rt.st(ns.id).MaxNotifyLatency {
@@ -368,26 +391,27 @@ func (ns *nodeState) onNotice(n *notice) {
 		}
 	}
 	rt.noteMembership("informed", ns.id, n.subject)
-	ns.healDeadNeighbor(n.subject)
+	ns.healDeadNeighbor(int(i))
 }
 
-// rejoin reinstates a recovered neighbor: its buffer pools were reallocated
-// from scratch at reboot, so this node's egress toward it resets to a full
-// fresh credit pool (any ack still in flight from before the crash is
-// swallowed as stale by release).
-func (ns *nodeState) rejoin(peer int) {
+// rejoin reinstates the recovered neighbor in slot i: its buffer pools were
+// reallocated from scratch at reboot, so this node's egress toward it resets
+// to a full fresh credit pool (any ack still in flight from before the crash
+// is swallowed as stale by release).
+func (ns *nodeState) rejoin(i int) {
 	ns.rt.st(ns.id).Rejoins++
-	ns.egAt(ns.nbrIdx(peer)).reset()
-	ns.rt.noteMembership("rejoin", ns.id, peer)
+	ns.egAt(i).reset()
+	ns.rt.noteMembership("rejoin", ns.id, ns.nbrs[i])
 }
 
-// healDeadNeighbor repairs this node's state against a confirmed-dead peer:
-// parked sends replay through a replacement forwarder and the dead edge's
-// consumed credits are written off (as regeneration debt, so late real acks
-// cannot overflow the pool).
-func (ns *nodeState) healDeadNeighbor(dead int) {
+// healDeadNeighbor repairs this node's state against the confirmed-dead
+// neighbor in slot i: parked sends replay through a replacement forwarder
+// and the dead edge's consumed credits are written off (as regeneration
+// debt, so late real acks cannot overflow the pool).
+func (ns *nodeState) healDeadNeighbor(i int) {
 	rt := ns.rt
-	eg := ns.egAt(ns.nbrIdx(dead))
+	dead := ns.nbrs[i]
+	eg := ns.egAt(i)
 	parked := eg.pending
 	eg.pending = nil
 	for _, ps := range parked {

@@ -99,14 +99,14 @@ func TestPendingSendPoolRecycleClearsState(t *testing.T) {
 	ps := ns.getPS()
 	ps.req = &request{kind: opPut}
 	ps.fwdOwner = ns
-	ps.fwdPrev = 1
+	ps.fwdUp = &egress{}
 	ps.enq = 42
 	ns.putPS(ps)
 	got := ns.getPS()
 	if got != ps {
 		t.Fatal("free list did not recycle the released record")
 	}
-	if got.req != nil || got.fwdOwner != nil || got.fwdPrev != 0 || got.enq != 0 || got.hasGate {
+	if got.req != nil || got.fwdOwner != nil || got.fwdUp != nil || got.enq != 0 || got.hasGate {
 		t.Errorf("recycled record retains state: %+v", got)
 	}
 }

@@ -83,7 +83,7 @@ type request struct {
 	getBytes   int         // get: bytes requested (contiguous)
 	flatOff    int         // get: this chunk's offset into the assembled result
 	wire       int         // message size on the fabric
-	prevNode   int         // upstream node owed a buffer credit (-1: none)
+	up         *egress     // edge last crossed: its far end holds the buffer, its near end is owed the credit (nil: none)
 	nextNode   int         // hop in flight: delivery target (stamped by transmit)
 	h          *Handle     // origin-side completion handle
 	// subs carries the aggregated sub-operations of an opBatch packet, in

@@ -640,7 +640,7 @@ func (r *Rank) lockOp(m int, kind opKind) {
 		// Same-node mutex traffic still goes through the owner CHT (the
 		// authority for the mutex) but over shared memory: no credits.
 		rt.st(r.node).LocalOps++
-		req.prevNode = -1
+		req.up = nil
 		node := &rt.nodes[ownerNode]
 		rt.eng.AfterOn(ownerNode, rt.cfg.LocalLatency, func() { node.enqueue(req) })
 	} else {

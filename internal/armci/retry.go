@@ -106,7 +106,7 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 	// Non-blocking submission: the timer runs in engine context and the
 	// issuing rank is typically parked in Wait. Credit starvation here
 	// is recovered by the edge's regen machinery, not by blocking.
-	eg.submitForward(rt.cloneReq(req), nil, -1)
+	eg.submitForward(rt.cloneReq(req), nil, nil)
 	return true
 }
 

@@ -154,9 +154,14 @@ type nodeState struct {
 	// is nil until the node's first edge use (see neighbors). It is the
 	// index space for every per-edge slice below: neighbor nbrs[i] owns
 	// egress eg[i], pending count pendingBySrc[i] and (with healing)
-	// mv.lastHeard[i]/mv.state[i]. Lookup is a binary search (nbrIdx) —
-	// degree is logarithmic on the scalable topologies, so the search beats
-	// a per-node map in both bytes and cycles.
+	// mv.lastHeard[i]/mv.state[i]. Traffic over an edge carries its egress,
+	// which knows the edge's slot at both ends (egress.slot, egress.rev), so
+	// request arrivals, buffer releases, credit acks and heartbeat probes
+	// index these slices directly. A peer id alone — a response's sender,
+	// the next hop a route picks, a notice's subject — is looked up by
+	// binary search (nbrIdx): degree is logarithmic on the scalable
+	// topologies, so the search beats a per-node map in both bytes and
+	// cycles.
 	nbrs []int
 	// eg holds the egress toward each neighbor. An entry stays nil until the
 	// edge is first used (egAt), and nil means a fresh, full credit pool
@@ -355,7 +360,7 @@ func (ns *nodeState) buildEg(i int) *egress {
 	eg := &carve(&sl.egress, 1, min(max(sl.built, 16), egChunk, sl.carved-sl.built))[0]
 	sl.built++
 	sl.mu.Unlock()
-	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: rt.poolCap}
+	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: rt.poolCap, slot: int32(i), rev: -1}
 	ns.eg[i] = eg
 	return eg
 }
@@ -535,13 +540,14 @@ func (rt *Runtime) bindDispatch() {
 	// (heard is a no-op unless healing is armed).
 	rt.ackFn = func(arg any, ce bool) {
 		eg := arg.(*egress)
-		rt.nodes[eg.from].heard(eg.to)
+		rt.nodes[eg.from].heardAt(int(eg.slot))
 		eg.release()
 	}
 	// Heartbeat probe over the edge eg.from -> eg.to (see monitorTick).
 	rt.probeFn = func(arg any, ce bool) {
 		eg := arg.(*egress)
-		rt.nodes[eg.to].heard(eg.from)
+		ns := &rt.nodes[eg.to]
+		ns.heardAt(ns.upSlot(eg))
 	}
 	// Membership notice (see announce): rare, so the record is allocated.
 	rt.noticeFn = func(arg any, ce bool) {
@@ -1030,15 +1036,6 @@ func (rt *Runtime) egressFor(node, peer int) (*egress, error) {
 		}
 	}
 	return nil, &NoRouteError{From: node, To: peer}
-}
-
-// returnCredit sends an ack from node back to peer releasing one buffer
-// credit for the peer->node edge; the pooled delivery trampoline (ackFn)
-// carries the egress record itself, so no per-ack closure is allocated. The
-// request being acknowledged crossed that edge, so peer built its egress
-// before sending it: the lookup runs in node's context but builds nothing.
-func (rt *Runtime) returnCredit(node, peer int) {
-	rt.net.SendArg(node, peer, ackBytes, rt.ackFn, rt.egressTo(peer, node))
 }
 
 // CheckCreditInvariants verifies the buffer-accounting invariants the

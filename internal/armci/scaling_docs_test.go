@@ -35,6 +35,7 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 		{"sim.Queue[*request]", unsafe.Sizeof(sim.Queue[*request]{})},
 		{"Stats", unsafe.Sizeof(Stats{})},
 		{"egress", unsafe.Sizeof(egress{})},
+		{"memberView", unsafe.Sizeof(memberView{})},
 		{"Rank", unsafe.Sizeof(Rank{})},
 		{"rankPool", unsafe.Sizeof(rankPool{})},
 		{"Handle", unsafe.Sizeof(Handle{})},

@@ -417,7 +417,7 @@ func RandomNodeFaults(seed int64, nodes, count int, horizon sim.Time) []Fault {
 	if count > nodes/2 {
 		count = nodes / 2 // keep a majority of survivors
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewSource(seed))
 	victims := rng.Perm(nodes)[:count]
 	out := make([]Fault, 0, count)
 	for _, v := range victims {
@@ -442,7 +442,7 @@ func RandomFaults(seed int64, nodes, count int, horizon sim.Time) []Fault {
 	if nodes < 1 {
 		nodes = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(sim.NewSource(seed))
 	out := make([]Fault, 0, count)
 	for i := 0; i < count; i++ {
 		f := Fault{B: -1, At: sim.Time(rng.Int63n(int64(horizon)))}

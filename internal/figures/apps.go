@@ -8,6 +8,7 @@ import (
 	"armcivt/internal/apps/lu"
 	"armcivt/internal/armci"
 	"armcivt/internal/core"
+	"armcivt/internal/obs"
 )
 
 // App prepares an application proxy on a fresh runtime and returns its
@@ -41,13 +42,16 @@ func CCSD(cfg ccsd.Config) App {
 // AppPoint computes a single cell of Figures 8-9: app on a fresh runtime of
 // procs/ppn nodes of spec, returning rank 0's execution time in seconds.
 // shards selects the kernel's parallel shard count (<= 1 serial; results
-// are bit-identical for every value). It is the per-point unit the sweep
-// runner executes, as Fig5PointSpec is for Figure 5.
-func AppPoint(spec core.Spec, procs, ppn, shards int, app App) (float64, error) {
+// are bit-identical for every value). metrics and trace, when non-nil,
+// record the run as they do for the other harnesses, the trace under
+// process id tracePID. It is the per-point unit the sweep runner executes,
+// as Fig5PointSpec is for Figure 5.
+func AppPoint(spec core.Spec, procs, ppn, shards int, app App, metrics *obs.Registry, trace *obs.Tracer, tracePID int) (float64, error) {
 	if procs%ppn != 0 {
 		return 0, fmt.Errorf("figures: %d processes not divisible by ppn %d", procs, ppn)
 	}
-	rt, err := run{spec: spec, nodes: procs / ppn, ppn: ppn, shards: shards}.start("", nil)
+	rt, err := run{spec: spec, nodes: procs / ppn, ppn: ppn, shards: shards,
+		metrics: metrics, trace: trace, tracePID: tracePID}.start(fmt.Sprintf("app %v x%d", spec, procs), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -62,5 +66,6 @@ func AppPoint(spec core.Spec, procs, ppn, shards int, app App) (float64, error) 
 	if err != nil {
 		return 0, fmt.Errorf("figures: %v x%d: %w", spec, procs, err)
 	}
+	rt.FillMetrics()
 	return t0, nil
 }

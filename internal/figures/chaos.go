@@ -199,7 +199,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 			r.Sleep(2 * chaosHorizon)
 			return
 		}
-		rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
+		rng := rand.New(sim.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
 		r.Sleep(sim.Time(rng.Int63n(int64(50 * sim.Microsecond))))
 		p := armci.Pool(r)
 		one := []float64{1}

@@ -49,7 +49,7 @@ func cellSeries(t *testing.T, kinds []core.Kind, procs []int, ppn int,
 // appFigure is one application figure through AppPoint.
 func appFigure(t *testing.T, kinds []core.Kind, procs []int, ppn, shards int, app App) []*stats.Series {
 	return cellSeries(t, kinds, procs, ppn, func(spec core.Spec, n int) (float64, error) {
-		return AppPoint(spec, n, ppn, shards, app)
+		return AppPoint(spec, n, ppn, shards, app, nil, nil, 0)
 	})
 }
 

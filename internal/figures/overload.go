@@ -238,7 +238,7 @@ func Overload(c OverloadConfig) (*OverloadResult, error) {
 		if r.Node() == hot {
 			return // the hot node's ranks are targets, not sources
 		}
-		rng := rand.New(rand.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
+		rng := rand.New(sim.NewSource(c.Seed*1_000_003 + int64(r.Rank())))
 		r.Sleep(sim.Time(rng.Int63n(int64(20 * sim.Microsecond))))
 		me := r.Rank()
 		hs := make([]*armci.Handle, 0, ovlWindow)

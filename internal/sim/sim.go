@@ -226,25 +226,28 @@ type Engine struct {
 	shardState
 }
 
-// countingSource wraps a rand.Source64 and counts draws. Capture needs only
-// (seed, draws) to identify the generator's position: both run modes draw in
-// the same deterministic order, so equal counts at a RunUntil horizon mean
-// equal generator state.
+// countingSource is the engine's generator, counting draws. Capture needs
+// only (seed, draws) to identify the generator's position: both run modes
+// draw in the same deterministic order, so equal counts at a RunUntil
+// horizon mean equal generator state. The generator is NewSource's, so
+// seeding an engine (New seeds 1, and harnesses reseed) costs nothing.
 type countingSource struct {
-	src   rand.Source64
+	src   lazySource
 	draws uint64
 }
 
 func (c *countingSource) Int63() int64 { c.draws++; return c.src.Int63() }
 
 // Uint64 preserves rand.Rand's Source64 fast path, keeping the value stream
-// bit-identical to an unwrapped rand.NewSource.
+// bit-identical to math/rand.NewSource.
 func (c *countingSource) Uint64() uint64 { c.draws++; return c.src.Uint64() }
 
 func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
 
 func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+	c := new(countingSource)
+	c.src.Seed(seed)
+	return c
 }
 
 // New creates an engine with virtual time 0 and a deterministic RNG.

@@ -154,13 +154,15 @@ func runMemscale(p Point, spec core.Spec, _ ExecOptions, _ *obs.Registry, res *R
 }
 
 // runApp runs an application-proxy point of Figs 8-9; its scalar is rank
-// 0's execution time in seconds for the proxy app builds. It records no
-// metrics.
+// 0's execution time in seconds for the proxy app builds.
 func runApp(app func(Point) figures.App) func(Point, core.Spec, ExecOptions, *obs.Registry, *Result) (string, error) {
-	return func(p Point, spec core.Spec, opts ExecOptions, _ *obs.Registry, res *Result) (string, error) {
-		v, err := figures.AppPoint(spec, p.Procs, p.PPN, opts.Shards, app(p))
+	return func(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
+		v, err := figures.AppPoint(spec, p.Procs, p.PPN, opts.Shards, app(p), reg, opts.Trace, p.Index)
+		if err != nil {
+			return "", err
+		}
 		res.Value = v
-		return "", err
+		return fmt.Sprintf("metrics: %s %s, %d procs", p.Experiment, p.Topo, p.Procs), nil
 	}
 }
 

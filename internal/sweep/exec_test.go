@@ -63,3 +63,40 @@ func TestTraceSchedKeepsMetricsSnapshot(t *testing.T) {
 		t.Fatal("trace holds no scheduler slices")
 	}
 }
+
+// An application cell records like the microbenchmark cells: with metrics
+// on it returns a per-point snapshot of the runtime's counters, and a traced
+// sweep records its spans under the point's process id. Neither changes
+// the cell's value.
+func TestAppCellRecordsMetricsAndTrace(t *testing.T) {
+	plain := sweep.Point{Experiment: sweep.ExpLU, Topo: "FCG", Procs: 8, PPN: 4, Iters: 1}
+	want := sweep.Execute(plain, sweep.ExecOptions{})
+	if want.Err != "" {
+		t.Fatal(want.Err)
+	}
+	observed := plain
+	observed.Metrics = true
+	points := []sweep.Point{observed}
+	sweep.Reindex(points)
+	tr := obs.NewTracer()
+	results, _ := (&sweep.Runner{Workers: 1, ExecOptions: sweep.ExecOptions{Trace: tr}}).Run(points)
+	res := results[0]
+	if res.Err != "" {
+		t.Fatal(res.Err)
+	}
+	if res.Value != want.Value {
+		t.Fatalf("observed cell = %v s, plain cell = %v s", res.Value, want.Value)
+	}
+	if got := metricValue(t, res, "armci_ops_total"); got == "0" {
+		t.Fatalf("armci_ops_total = %s, want the run's operations", got)
+	}
+	spans := 0
+	for _, ev := range tr.Events() {
+		if ev.Ph == "X" && ev.PID == res.Point.Index {
+			spans++
+		}
+	}
+	if spans == 0 {
+		t.Fatal("trace holds no spans of the app cell")
+	}
+}
