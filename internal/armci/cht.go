@@ -142,12 +142,13 @@ func (ns *nodeState) serve(req *request) {
 		// (issue) order — atomically in virtual time, since the CHT
 		// is serial — with dedup per sub. The whole batch occupied
 		// one buffer, so one finish returns one credit. A CE mark on
-		// the batch packet marks every sub: they all crossed the
-		// congested port together.
+		// the batch packet marks every sub, and the packet's last edge
+		// is every sub's: they all crossed it together.
 		for _, sub := range req.subs {
 			if req.ce {
 				sub.ce = true
 			}
+			sub.up = req.up
 			ns.deliver(sub)
 		}
 	} else {
@@ -267,24 +268,20 @@ func (ns *nodeState) handle(req *request) {
 	rt := ns.rt
 	switch req.kind {
 	case opPut:
-		mem := req.alloc.slab(req.target)
-		copy(mem[req.off:req.off+len(req.data)], req.data)
+		req.alloc.write(req.target, req.off, req.data)
 		ns.respond(req, nil, 0)
 
 	case opPutV:
-		mem := req.alloc.slab(req.target)
 		pos := 0
 		for _, s := range req.segs {
-			copy(mem[s.Off:s.Off+s.Len], req.data[pos:pos+s.Len])
+			req.alloc.write(req.target, s.Off, req.data[pos:pos+s.Len])
 			pos += s.Len
 		}
 		ns.respond(req, nil, 0)
 
 	case opAcc:
-		mem := req.alloc.slab(req.target)
 		for i := 0; i+8 <= len(req.data); i += 8 {
-			v := GetFloat64(mem, req.off+i) + req.scale*GetFloat64(req.data, i)
-			PutFloat64(mem, req.off+i, v)
+			req.alloc.accFloat64(req.target, req.off+i, req.scale, GetFloat64(req.data, i))
 		}
 		ns.respond(req, nil, 0)
 
@@ -292,37 +289,35 @@ func (ns *nodeState) handle(req *request) {
 		// A get's payload rides the response in the record's own buf
 		// (a get carries no payload out); completeResp copies it into
 		// the handle before the record can be recycled.
-		mem := req.alloc.slab(req.target)
-		req.buf = append(rt.growBytes(req.buf, req.getBytes), mem[req.off:req.off+req.getBytes]...)
+		req.buf = rt.growBytes(req.buf, req.getBytes)[:req.getBytes]
+		req.alloc.read(req.target, req.off, req.buf)
 		ns.respond(req, req.buf, 0)
 
 	case opGetV:
-		mem := req.alloc.slab(req.target)
-		req.buf = rt.growBytes(req.buf, segsBytes(req.segs))
+		n := segsBytes(req.segs)
+		req.buf = rt.growBytes(req.buf, n)[:n]
+		pos := 0
 		for _, s := range req.segs {
-			req.buf = append(req.buf, mem[s.Off:s.Off+s.Len]...)
+			req.alloc.read(req.target, s.Off, req.buf[pos:pos+s.Len])
+			pos += s.Len
 		}
 		ns.respond(req, req.buf, 0)
 
 	case opRmw:
-		mem := req.alloc.slab(req.target)
-		old := GetInt64(mem, req.off)
-		PutInt64(mem, req.off, old+req.delta)
+		old := req.alloc.loadInt64(req.target, req.off)
+		req.alloc.storeInt64(req.target, req.off, old+req.delta)
 		ns.respond(req, nil, old)
 
 	case opSwap:
-		mem := req.alloc.slab(req.target)
-		old := GetInt64(mem, req.off)
-		PutInt64(mem, req.off, req.delta)
+		old := req.alloc.loadInt64(req.target, req.off)
+		req.alloc.storeInt64(req.target, req.off, req.delta)
 		ns.respond(req, nil, old)
 
 	case opAccV:
-		mem := req.alloc.slab(req.target)
 		pos := 0
 		for _, s := range req.segs {
 			for b := 0; b < s.Len; b += 8 {
-				v := GetFloat64(mem, s.Off+b) + req.scale*GetFloat64(req.data, pos+b)
-				PutFloat64(mem, s.Off+b, v)
+				req.alloc.accFloat64(req.target, s.Off+b, req.scale, GetFloat64(req.data, pos+b))
 			}
 			pos += s.Len
 		}

@@ -10,7 +10,7 @@ import (
 // checkpointSection digests the ARMCI layer's state between engine runs:
 // per-node protocol counters, the built egresses (credits, parked sends,
 // debts), CHT pending counts and inbox depths, dedup tables, pacer state,
-// membership views, allocation slabs, and free-list depths. Everything here
+// membership views, allocation contents, and free-list depths. Everything here
 // is owner-context state, deterministic at a RunUntil horizon under the
 // bit-identity contract.
 func (rt *Runtime) checkpointSection() []byte {
@@ -103,26 +103,12 @@ func (rt *Runtime) checkpointSection() []byte {
 	enc.U64(h)
 
 	enc.Str("allocs")
-	rt.allocsMu.RLock()
-	names := make([]string, 0, len(rt.allocs))
-	for name := range rt.allocs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	h = ckpt.MixInit
-	for _, name := range names {
-		a := rt.allocs[name]
-		h = ckpt.MixStr(h, name)
+	for _, a := range rt.sortedAllocs() {
+		h = ckpt.MixStr(h, a.name)
 		h = ckpt.Mix(h, uint64(a.bytes))
-		for r, slab := range a.mem {
-			if slab == nil {
-				continue // lazily materialized; untouched slabs are all-zero
-			}
-			h = ckpt.Mix(h, uint64(r))
-			h = ckpt.MixBytes(h, slab)
-		}
+		h = a.digest(h)
 	}
-	rt.allocsMu.RUnlock()
 	enc.U64(h)
 
 	return enc.Bytes()

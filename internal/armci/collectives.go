@@ -73,11 +73,10 @@ func (r *Rank) collRecvFrom(src int, slot int) []byte {
 	}
 	r.collRecv[src]++
 	r.WaitNotifyTag(src, "coll", r.collRecv[src])
-	mem := r.rt.Memory(r.rank, collAlloc)
+	a := r.rt.alloc(collAlloc)
 	base := r.collBase(r.collRecv[src]%2, slot)
-	n := GetInt64(mem, base)
-	out := make([]byte, n)
-	copy(out, mem[base+8:base+8+int(n)])
+	out := make([]byte, a.loadInt64(r.rank, base))
+	a.read(r.rank, base+8, out)
 	return out
 }
 

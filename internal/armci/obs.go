@@ -227,6 +227,12 @@ func (rt *Runtime) FillMetrics() {
 	})
 	reg.Gauge("armci_edge_buffer_capacity").Set(float64(rt.poolCap))
 
+	// Global memory footprint: the 4 KiB pages each allocation holds host
+	// bytes for (see memory.go).
+	for _, a := range rt.sortedAllocs() {
+		reg.Gauge("armci_mem_pages", obs.L("alloc", a.name)).Set(float64(a.residentPages()))
+	}
+
 	// Kernel execution counters (schema in docs/PARALLELISM.md).
 	// sim_events_total is every event the engine ran, identical at every
 	// shard count. sim_shards reports the effective shard count (1 = serial

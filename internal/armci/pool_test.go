@@ -11,10 +11,12 @@ package armci
 // perturbing results at any shard count.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
 	"armcivt/internal/faults"
 	"armcivt/internal/sim"
@@ -450,29 +452,59 @@ func TestSlabsMaterializeLazily(t *testing.T) {
 	rt := poolHarness(t)
 	rt.Alloc("m", 256)
 	a := rt.alloc("m")
-	for rank := range a.mem {
-		if a.mem[rank] != nil {
-			t.Fatalf("rank %d slab materialized eagerly", rank)
+	if a.tab.Load() != nil {
+		t.Fatal("Alloc built a per-rank table")
+	}
+	// A one-page allocation is flat from its first touch.
+	a.write(1, 0, []byte{7})
+	s := a.entry(1, false).flat
+	if len(s) != 256 || s[0] != 7 {
+		t.Fatalf("rank 1 slab = len %d, want 256 bytes starting with 7", len(s))
+	}
+	if again := rt.Memory(1, "m"); &again[0] != &s[0] {
+		t.Error("Memory returned a different backing array than the first touch")
+	}
+	for _, rank := range []int{0, 2, 3} {
+		if e := a.entry(rank, false); e.flat != nil || e.paged != nil {
+			t.Errorf("touching rank 1 materialized rank %d", rank)
 		}
 	}
-	s := a.slab(1)
-	if len(s) != 256 {
-		t.Fatalf("slab len = %d, want 256", len(s))
+
+	// A multi-page allocation is paged until Memory flattens it: the
+	// flattened slab carries the pages written before it.
+	rt.Alloc("big", 3*pageSize)
+	b := rt.alloc("big")
+	b.read(2, 0, make([]byte, 8))
+	if b.tab.Load() != nil {
+		t.Fatal("a read of untouched memory built a per-rank table")
 	}
-	s[0] = 7
-	if again := a.slab(1); &again[0] != &s[0] {
-		t.Error("second slab() call returned a different backing array")
+	b.write(2, pageSize-1, []byte{1, 2})
+	if e := b.entry(2, false); e.flat != nil || e.paged.carved != 2 {
+		t.Fatal("a paged write across a boundary did not materialize exactly its two pages")
 	}
-	if a.mem[0] != nil || a.mem[2] != nil || a.mem[3] != nil {
-		t.Error("touching rank 1 materialized other ranks")
+	flat := rt.Memory(2, "big")
+	if flat[pageSize-1] != 1 || flat[pageSize] != 2 {
+		t.Fatalf("flattened slab lost the paged bytes: % x", flat[pageSize-1:pageSize+1])
+	}
+	if b.entry(2, false).paged != nil {
+		t.Error("flattening kept the rank's page table")
+	}
+	b.write(2, 2*pageSize, []byte{3})
+	if flat[2*pageSize] != 3 {
+		t.Error("a write after flattening did not land in the slab")
 	}
 }
 
 // TestSlabGrowthAcrossShardBoundaries drives traffic between ranks owned by
-// different shards so slabs materialize inside concurrent lane windows, then
-// checks the data landed intact — lazy growth must be invisible to the
-// protocol at any shard count.
+// different shards so slabs and pages materialize inside concurrent lane
+// windows (and every rank's first paged write races to create the page
+// index), then checks the data landed intact: lazy growth must be invisible
+// to the protocol at any shard count. The paged allocation's writes and
+// fetch-adds straddle page boundaries, and its checkpoint digest must be
+// the same at every shard count and across a flatten.
 func TestSlabGrowthAcrossShardBoundaries(t *testing.T) {
+	const peerOff = 8 // the diametrically opposite rank: cross-shard at every shard count > 1
+	var digest uint64
 	for _, shards := range []int{1, 2, 8} {
 		eng := sim.New()
 		cfg := DefaultConfig(16, 1)
@@ -483,21 +515,47 @@ func TestSlabGrowthAcrossShardBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Alloc("m", 16)
+		rt.Alloc("p", 3*pageSize)
 		if err := rt.Run(func(r *Rank) {
-			// Every rank writes its id into the diametrically opposite
-			// rank's slab — guaranteed cross-shard at every shard count > 1.
-			peer := (r.Rank() + 8) % 16
+			// Every rank writes its id into the opposite rank's slab, a
+			// 64-byte run across the first page boundary into its paged
+			// allocation, and adds its id to a word across the second.
+			peer := (r.Rank() + peerOff) % 16
 			r.Put(peer, "m", 0, []byte{byte(r.Rank())})
+			r.Put(peer, "p", pageSize-32, bytes.Repeat([]byte{byte(r.Rank())}, 64))
+			r.FetchAdd(peer, "p", 2*pageSize-4, int64(r.Rank())<<32|1)
 			r.Fence()
 		}); err != nil {
 			t.Fatal(err)
 		}
-		a := rt.alloc("m")
+		a, p := rt.alloc("m"), rt.alloc("p")
+		if got := p.residentPages(); got != 16*3 {
+			t.Errorf("shards=%d: %d pages materialized, want 3 per rank", shards, got)
+		}
+		var h uint64
 		for rank := 0; rank < 16; rank++ {
-			want := byte((rank + 8) % 16)
-			if got := a.slab(rank)[0]; got != want {
+			want := byte((rank + peerOff) % 16)
+			if got := a.entry(rank, false).flat[0]; got != want {
 				t.Errorf("shards=%d rank %d slab[0] = %d, want %d", shards, rank, got, want)
 			}
+			if rank == 8 {
+				h = p.digest(ckpt.MixInit) // half the ranks flattened, half paged
+			}
+			mem := rt.Memory(rank, "p")
+			if run := mem[pageSize-32 : pageSize+32]; !bytes.Equal(run, bytes.Repeat([]byte{want}, 64)) {
+				t.Errorf("shards=%d rank %d straddling put = % x", shards, rank, run)
+			}
+			if got := GetInt64(mem, 2*pageSize-4); got != int64(want)<<32|1 {
+				t.Errorf("shards=%d rank %d straddling word = %#x", shards, rank, got)
+			}
+		}
+		if after := p.digest(ckpt.MixInit); after != h {
+			t.Errorf("shards=%d: flattening moved the digest %x -> %x", shards, h, after)
+		}
+		if shards == 1 {
+			digest = h
+		} else if h != digest {
+			t.Errorf("shards=%d: digest %x, serial %x", shards, h, digest)
 		}
 	}
 }

@@ -101,7 +101,9 @@ func (r *Rank) Sleep(d sim.Time) { r.proc.Sleep(d) }
 // Proc exposes the underlying simulated process.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
-// Local returns this rank's own slice of the named allocation.
+// Local returns this rank's own slice of the named allocation. Like
+// Runtime.Memory it flattens the rank's memory of that allocation into one
+// slab, which every later access then uses.
 func (r *Rank) Local(alloc string) []byte { return r.rt.Memory(r.rank, alloc) }
 
 // Malloc collectively registers an allocation (idempotent) and synchronizes,
@@ -298,7 +300,7 @@ func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Ha
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(len(data))
-		copy(a.slab(dst)[off:], data)
+		a.write(dst, off, data)
 		return r.handle(0, 0, pooled)
 	}
 	sc := r.scratch()
@@ -345,7 +347,7 @@ func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 		rt.st(r.node).LocalOps++
 		r.localDelay(n)
 		h := r.handle(0, n, pooled)
-		copy(h.data, a.slab(src)[off:off+n])
+		a.read(src, off, h.data)
 		return h
 	}
 	sc := r.scratch()
@@ -386,9 +388,8 @@ func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(n)
-		mem := a.slab(dst)
-		for i := range vals {
-			PutFloat64(mem, off+8*i, GetFloat64(mem, off+8*i)+scale*vals[i])
+		for i, v := range vals {
+			a.accFloat64(dst, off+8*i, scale, v)
 		}
 		return r.handle(0, 0, pooled)
 	}
@@ -443,10 +444,9 @@ func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool)
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(total)
-		mem := a.slab(dst)
 		pos := 0
 		for _, s := range segs {
-			copy(mem[s.Off:s.Off+s.Len], data[pos:pos+s.Len])
+			a.write(dst, s.Off, data[pos:pos+s.Len])
 			pos += s.Len
 		}
 		return r.handle(0, 0, pooled)
@@ -492,10 +492,9 @@ func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 		rt.st(r.node).LocalOps++
 		r.localDelay(total)
 		h := r.handle(0, total, pooled)
-		mem := a.slab(src)
 		pos := 0
 		for _, s := range segs {
-			copy(h.data[pos:pos+s.Len], mem[s.Off:s.Off+s.Len])
+			a.read(src, s.Off, h.data[pos:pos+s.Len])
 			pos += s.Len
 		}
 		return h
@@ -575,9 +574,8 @@ func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(8)
-		mem := a.slab(dst)
-		old := GetInt64(mem, off)
-		PutInt64(mem, off, old+delta)
+		old := a.loadInt64(dst, off)
+		a.storeInt64(dst, off, old+delta)
 		h := r.handle(0, 0, pooled)
 		h.old = old
 		return h

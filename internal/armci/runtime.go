@@ -2,6 +2,7 @@ package armci
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"armcivt/internal/core"
@@ -393,28 +394,6 @@ type dupState struct {
 	old       int64
 }
 
-type allocation struct {
-	name  string
-	bytes int
-	mem   [][]byte // per rank; slabs materialize lazily (see slab)
-}
-
-// slab returns rank's backing slab, materializing it on first touch. Alloc
-// registers only the index table: a 64k-rank job whose workload addresses a
-// handful of ranks pays for a handful of slabs, not 64k (the collective
-// scratch region alone would otherwise dominate the entire live footprint).
-// Each rank's slab is only ever touched from its node's owner context — the
-// same discipline that makes allocation contents lock-free — so lazy
-// materialization is race-free under sharding.
-func (a *allocation) slab(rank int) []byte {
-	s := a.mem[rank]
-	if s == nil {
-		s = make([]byte, a.bytes)
-		a.mem[rank] = s
-	}
-	return s
-}
-
 // barrierState counts arrivals of the current world barrier. It is mutated
 // only from global events (serial instants — see Rank.Barrier), so sharded
 // ranks never touch it concurrently.
@@ -558,9 +537,16 @@ func (rt *Runtime) bindDispatch() {
 	// congestion echo into the origin's pacer (see respond).
 	rt.respFn = func(arg any, ce bool) {
 		req := arg.(*request)
-		origin := req.originNode
-		rt.nodes[origin].heard(req.respFrom)
-		rt.nodes[origin].onAck(req.respFrom, req.ce || ce, req.issued)
+		ns := &rt.nodes[req.originNode]
+		// Only a neighbor's response is proof of life, and a neighbor is
+		// reached over the direct edge on every route (each admissible hop
+		// toward it is the neighbor itself), so the request's last edge
+		// left the origin exactly when the responder is a neighbor, and
+		// it names the responder's slot there.
+		if up := req.up; up != nil && up.from == req.originNode {
+			ns.heardAt(int(up.slot))
+		}
+		ns.onAck(req.respFrom, req.ce || ce, req.issued)
 		rt.completeResp(req)
 	}
 	// Same-node response through shared memory: no heartbeat, no pacer echo
@@ -860,16 +846,32 @@ func (rt *Runtime) Alloc(name string, bytes int) {
 		}
 		return
 	}
-	// Only the index table is allocated here; each rank's slab materializes
-	// on first touch (see allocation.slab), so registering an allocation on a
-	// 64k-rank job does not by itself cost 64k slabs.
-	rt.allocs[name] = &allocation{name: name, bytes: bytes, mem: make([][]byte, len(rt.ranks))}
+	// Nothing per rank is allocated here: the per-rank table is made at the
+	// allocation's first touch and a rank's memory page by page as it is
+	// written (see memory.go), so registering an allocation on a 64k-rank
+	// job costs no slab and no table.
+	rt.allocs[name] = &allocation{name: name, bytes: bytes, ranks: len(rt.ranks)}
 }
 
 // Memory returns rank's local slice of the named allocation (direct access,
 // as a process would touch its own partition of the global address space).
+// It flattens the rank: the first call materializes the whole slab, with
+// the pages written so far copied in, and every later access to the rank,
+// local or remote, goes to that slab.
 func (rt *Runtime) Memory(rank int, name string) []byte {
 	return rt.alloc(name).slab(rank)
+}
+
+// sortedAllocs returns the registered allocations in name order.
+func (rt *Runtime) sortedAllocs() []*allocation {
+	rt.allocsMu.RLock()
+	defer rt.allocsMu.RUnlock()
+	as := make([]*allocation, 0, len(rt.allocs))
+	for _, a := range rt.allocs {
+		as = append(as, a)
+	}
+	sort.Slice(as, func(i, j int) bool { return as[i].name < as[j].name })
+	return as
 }
 
 func (rt *Runtime) alloc(name string) *allocation {

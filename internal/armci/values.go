@@ -45,9 +45,8 @@ func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(8)
-		mem := a.slab(dst)
-		old := GetInt64(mem, off)
-		PutInt64(mem, off, v)
+		old := a.loadInt64(dst, off)
+		a.storeInt64(dst, off, v)
 		return old
 	}
 	req := rt.getReq(r.node)
@@ -96,12 +95,10 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 	if r.nodeOf(dst) == r.node {
 		rt.st(r.node).LocalOps++
 		r.localDelay(total)
-		mem := a.slab(dst)
 		pos := 0
 		for _, s := range segs {
 			for b := 0; b < s.Len; b += 8 {
-				v := GetFloat64(mem, s.Off+b) + scale*vals[(pos+b)/8]
-				PutFloat64(mem, s.Off+b, v)
+				a.accFloat64(dst, s.Off+b, scale, vals[(pos+b)/8])
 			}
 			pos += s.Len
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -335,23 +334,40 @@ func TestEventQueueEveryBucket(t *testing.T) {
 	}
 }
 
+// queueFootprint is everything a push can allocate: payload slab chunks,
+// the link index and its carved chunks, the now run's capacity and the
+// wheel.
+type queueFootprint struct {
+	slab, links, carved, now int
+	wheel                    bool
+}
+
+func footprintOf(q *eventQueue) queueFootprint {
+	fp := queueFootprint{slab: len(q.slab), links: len(q.links), now: cap(q.now), wheel: q.wheel != nil}
+	for _, c := range q.links {
+		if c != nil {
+			fp.carved++
+		}
+	}
+	return fp
+}
+
 // TestReserveCoversBurst: after reserve, a burst of pushes at the reserved
-// instant allocates nothing, whether that instant is the last pop's (the
-// now run) or later in its wheel window (wheel and links), and the burst
-// pops in key order.
+// instant grows none of the queue's storage, whether that instant is the
+// last pop's (the now run) or later in its wheel window (wheel and links),
+// and the burst pops in key order. It compares the queue's own storage, not
+// process-wide malloc counts, so no other goroutine can fail it.
 func TestReserveCoversBurst(t *testing.T) {
 	const n = 3000
 	for _, at := range []Time{100, 101, 100 + wheelSlots - 101} {
 		q := eventQueue{last: 100}
 		q.reserve(n, at)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		before := footprintOf(&q)
 		for i := n; i > 0; i-- { // out of key order: a now burst turns into a heap
 			q.push(&event{eventKey{t: at, seq: uint64(i + 1)}, payload{kind: evFn}})
 		}
-		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d != 0 {
-			t.Errorf("t=%v: a reserved burst of %d allocated %d times", at, n, d)
+		if after := footprintOf(&q); after != before {
+			t.Errorf("t=%v: a reserved burst of %d grew the queue: %+v -> %+v", at, n, before, after)
 		}
 		checkQueue(t, &q)
 		for i := 0; i < n; i++ {
