@@ -110,6 +110,13 @@ func Run(r *armci.Rank, st *State) Result {
 	start := r.Now()
 	var myTasks int64
 	energy := 0.0
+	// d and f are this rank's density-block and Fock-contribution buffers
+	// and diag the Fock block each iteration reads back, reused from task to
+	// task and iteration to iteration (as NWChem reuses MA_push_get
+	// scratch): GetInto and the contribution loop overwrite every element,
+	// so only a block of a new shape allocates.
+	var d, f, diag *ga.Matrix
+	dn := min(8, cfg.N)
 
 	// Each SCF iteration consumes a disjoint window of counter values
 	// (in task units). The window is padded by one batch per worker
@@ -129,31 +136,15 @@ func Run(r *armci.Rank, st *State) Result {
 				break
 			}
 			for t := t0; t < t0+batch && t < tasksPerIter; t++ {
-				bi := int(t) / nb
-				bj := int(t) % nb
-				lo := [2]int{bi * cfg.BlockSize, bj * cfg.BlockSize}
-				hi := [2]int{min(lo[0]+cfg.BlockSize, cfg.N), min(lo[1]+cfg.BlockSize, cfg.N)}
-
-				// Fetch the density block, integrate, accumulate the
-				// contribution onto the concentrated hot Fock blocks.
-				d := st.density.Get(r, lo, hi)
-				work := cfg.TaskFlop + sim.Time((t*7919)%23)*sim.Microsecond/4
-				r.Sleep(work)
-				hbi, hbj := bi%cfg.HotBlocks, bj%cfg.HotBlocks
-				hlo := [2]int{hbi * cfg.BlockSize, hbj * cfg.BlockSize}
-				hhi := [2]int{min(hlo[0]+cfg.BlockSize, cfg.N), min(hlo[1]+cfg.BlockSize, cfg.N)}
-				f := ga.NewMatrix(hhi[0]-hlo[0], hhi[1]-hlo[1])
-				for i := range f.Data {
-					f.Data[i] = 0.5 * d.Data[i%len(d.Data)]
-				}
-				st.fock.Acc(r, hlo, hhi, f, 1.0)
+				d, f = st.task(r, int(t), nb, d, f)
 				myTasks++
 			}
 		}
 		// End of iteration: synchronize and fold the Fock trace into the
 		// pseudo-energy (read by everyone from the distributed array).
 		r.Barrier()
-		diag := st.fock.Get(r, [2]int{0, 0}, [2]int{min(8, cfg.N), min(8, cfg.N)})
+		diag = reshape(diag, dn, dn)
+		st.fock.GetInto(r, [2]int{0, 0}, [2]int{dn, dn}, diag)
 		tr := 0.0
 		for i := 0; i < diag.Rows; i++ {
 			tr += diag.At(i, i)
@@ -168,6 +159,37 @@ func Run(r *armci.Rank, st *State) Result {
 		Energy:  energy,
 		Tasks:   myTasks,
 	}
+}
+
+// task runs task t: fetch its density block into d, integrate, and
+// accumulate the contribution, built in f, onto the concentrated hot Fock
+// blocks. It returns d and f, reallocated when the block's shape changed.
+func (st *State) task(r *armci.Rank, t, nb int, d, f *ga.Matrix) (*ga.Matrix, *ga.Matrix) {
+	cfg := st.cfg
+	bi, bj := t/nb, t%nb
+	lo := [2]int{bi * cfg.BlockSize, bj * cfg.BlockSize}
+	hi := [2]int{min(lo[0]+cfg.BlockSize, cfg.N), min(lo[1]+cfg.BlockSize, cfg.N)}
+	d = reshape(d, hi[0]-lo[0], hi[1]-lo[1])
+	st.density.GetInto(r, lo, hi, d)
+	r.Sleep(cfg.TaskFlop + sim.Time((t*7919)%23)*sim.Microsecond/4)
+	hbi, hbj := bi%cfg.HotBlocks, bj%cfg.HotBlocks
+	hlo := [2]int{hbi * cfg.BlockSize, hbj * cfg.BlockSize}
+	hhi := [2]int{min(hlo[0]+cfg.BlockSize, cfg.N), min(hlo[1]+cfg.BlockSize, cfg.N)}
+	f = reshape(f, hhi[0]-hlo[0], hhi[1]-hlo[1])
+	for i := range f.Data {
+		f.Data[i] = 0.5 * d.Data[i%len(d.Data)]
+	}
+	st.fock.Acc(r, hlo, hhi, f, 1.0)
+	return d, f
+}
+
+// reshape returns m when it is rows x cols, otherwise a new zeroed matrix of
+// that shape.
+func reshape(m *ga.Matrix, rows, cols int) *ga.Matrix {
+	if m != nil && m.Rows == rows && m.Cols == cols {
+		return m
+	}
+	return ga.NewMatrix(rows, cols)
 }
 
 // Verify checks internal consistency.

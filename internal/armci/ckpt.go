@@ -61,13 +61,13 @@ func (rt *Runtime) checkpointSection() []byte {
 	h = ckpt.MixInit
 	rt.nodeEdges(func(ns *nodeState, base, _ int) {
 		for j, eg := range ns.eg {
-			if eg == nil || eg.credits == rt.poolCap && len(eg.pending) == 0 &&
+			if eg == nil || eg.credits == rt.poolCap && eg.pending.len() == 0 &&
 				eg.regenDebt == 0 && eg.transmits == 0 {
 				continue // untouched edge: full credits, no history
 			}
 			h = ckpt.Mix(h, uint64(base+j))
 			h = ckpt.Mix(h, uint64(eg.credits))
-			h = ckpt.Mix(h, uint64(len(eg.pending)))
+			h = ckpt.Mix(h, uint64(eg.pending.len()))
 			h = ckpt.Mix(h, uint64(eg.regenDebt))
 			h = ckpt.Mix(h, eg.transmits)
 		}
@@ -121,7 +121,7 @@ func (rt *Runtime) checkpointSection() []byte {
 func nodeStateVirgin(ns *nodeState) bool {
 	if ns.pendingSrcs != 0 || ns.inbox.Len() != 0 || ns.ridSeq != 0 ||
 		len(ns.rids) != 0 || len(ns.pacers) != 0 || ns.mv != nil ||
-		len(ns.psFree) != 0 || len(ns.reqFree) != 0 {
+		ns.npsFree != 0 || ns.nreqFree != 0 {
 		return false
 	}
 	for _, p := range ns.pendingBySrc {
@@ -204,7 +204,7 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 			h = ckpt.Mix(h, uint64(ln.since))
 		}
 	}
-	h = ckpt.Mix(h, uint64(len(ns.psFree)))
-	h = ckpt.Mix(h, uint64(len(ns.reqFree)))
+	h = ckpt.Mix(h, uint64(ns.npsFree))
+	h = ckpt.Mix(h, uint64(ns.nreqFree))
 	return h
 }

@@ -35,7 +35,7 @@ type egress struct {
 	// credits counts the buffers free at the peer, at most the runtime's
 	// poolCap.
 	credits int
-	pending []*pendingSend
+	pending parkedFIFO
 	// group is drain's reusable batch list (see gather).
 	group []*pendingSend
 	// label caches the formatted deadlock-report label for parked origin
@@ -64,12 +64,70 @@ type egress struct {
 	slot, rev int32
 }
 
+// parkedFIFO is an egress's queue of parked sends, oldest first: the live
+// entries are q[head:]. A pop advances head rather than re-slicing q, so the
+// array keeps its front capacity; it rewinds to the start whenever it
+// empties, and a push that finds it full with at least half its slots
+// popped slides the live entries down instead of growing it. A steady
+// backlog therefore reuses one array.
+type parkedFIFO struct {
+	q    []*pendingSend
+	head int
+}
+
+// len returns the number of parked sends.
+func (f *parkedFIFO) len() int { return len(f.q) - f.head }
+
+// live returns the parked sends, oldest first, as a view of the FIFO's array.
+func (f *parkedFIFO) live() []*pendingSend { return f.q[f.head:] }
+
+// push parks ps behind every live entry.
+func (f *parkedFIFO) push(ps *pendingSend) {
+	if len(f.q) == cap(f.q) && f.head > 0 && 2*f.head >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, ps)
+}
+
+// pop removes and returns the oldest parked send; the FIFO must not be
+// empty.
+func (f *parkedFIFO) pop() *pendingSend {
+	ps := f.q[f.head]
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return ps
+}
+
+// keep truncates the FIFO to the first n live entries, once the caller has
+// compacted the ones it keeps, in order, to the front of live().
+func (f *parkedFIFO) keep(n int) {
+	clear(f.q[f.head+n:])
+	f.q = f.q[:f.head+n]
+	if n == 0 {
+		f.q, f.head = f.q[:0], 0
+	}
+}
+
+// takeAll empties the FIFO and returns what was parked, oldest first. The
+// caller owns the returned slice: the FIFO lets go of its array, since
+// whatever the caller does with the entries may park sends here again.
+func (f *parkedFIFO) takeAll() []*pendingSend {
+	live := f.q[f.head:]
+	f.q, f.head = nil, 0
+	return live
+}
+
 // pendingSend is one send parked on an egress waiting for a buffer credit.
-// Records recycle through their node's free list (nodeState.psFree), so a
-// congested edge churns no heap objects: an origin send embeds its completion
-// gate by value, a CHT forward instead carries the owner/upstream-edge pair
-// finish() needs when the request finally leaves, and freed guards the free
-// list against double release.
+// Records are carved from the runtime's slab (edgeSlabs.carvePS) and recycle
+// through their node's free list (nodeState.psFree, linked through next), so
+// a congested edge churns no heap objects: an origin send embeds its
+// completion gate by value, a CHT forward instead carries the
+// owner/upstream-edge pair finish() needs when the request finally leaves,
+// and freed guards the free list against double release.
 type pendingSend struct {
 	req *request
 	// gate is armed (hasGate true) for origin sends: the issuing rank waits
@@ -83,6 +141,7 @@ type pendingSend struct {
 	fwdUp    *egress
 	enq      sim.Time
 	freed    bool
+	next     *pendingSend // free-list link, nil while in use
 }
 
 // creditLabel returns the deadlock-report label for sends parked on this
@@ -97,7 +156,7 @@ func (eg *egress) creditLabel() string {
 // submitRank transmits an origin request, blocking the rank's process until
 // a buffer credit is available and the message is injected.
 func (eg *egress) submitRank(p *sim.Proc, req *request) {
-	if len(eg.pending) == 0 && eg.credits > 0 {
+	if eg.pending.len() == 0 && eg.credits > 0 {
 		eg.transmit(req)
 		if o := eg.rt.obs; o != nil {
 			o.creditWait.Observe(0)
@@ -111,7 +170,7 @@ func (eg *egress) submitRank(p *sim.Proc, req *request) {
 	ps.hasGate = true
 	ps.gate.Init(eg.rt.eng, eg.creditLabel())
 	ps.enq = eg.rt.eng.NowOn(eg.from)
-	eg.pending = append(eg.pending, ps)
+	eg.pending.push(ps)
 	eg.maybeArmRegen()
 	ps.gate.Wait(p) // wait time is accounted in drain()
 	ns.putPS(ps)    // the waiter owns the release — see putPS
@@ -122,7 +181,7 @@ func (eg *egress) submitRank(p *sim.Proc, req *request) {
 // when the request actually leaves this node — owner.finish(up) runs at
 // transmission; a nil owner (the retransmission path) skips it.
 func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
-	if len(eg.pending) == 0 && eg.credits > 0 {
+	if eg.pending.len() == 0 && eg.credits > 0 {
 		eg.transmit(req)
 		if o := eg.rt.obs; o != nil {
 			o.creditWait.Observe(0)
@@ -138,7 +197,7 @@ func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
 	ps.fwdOwner = owner
 	ps.fwdUp = up
 	ps.enq = eg.rt.eng.NowOn(eg.from)
-	eg.pending = append(eg.pending, ps)
+	eg.pending.push(ps)
 	eg.maybeArmRegen()
 }
 
@@ -147,7 +206,7 @@ func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
 // (membership.go). It counts like a fresh submission (CreditWaits, enq) so a
 // healed run's accounting matches one that never parked on the dead edge.
 func (eg *egress) submitParked(ps *pendingSend) {
-	if len(eg.pending) == 0 && eg.credits > 0 {
+	if eg.pending.len() == 0 && eg.credits > 0 {
 		eg.transmit(ps.req)
 		if o := eg.rt.obs; o != nil {
 			o.creditWait.Observe(0)
@@ -157,7 +216,7 @@ func (eg *egress) submitParked(ps *pendingSend) {
 	}
 	eg.rt.st(eg.from).CreditWaits++
 	ps.enq = eg.rt.eng.NowOn(eg.from)
-	eg.pending = append(eg.pending, ps)
+	eg.pending.push(ps)
 	eg.maybeArmRegen()
 }
 
@@ -212,10 +271,8 @@ func (eg *egress) reset() {
 // into a single packet (gather), so a contended edge moves its backlog in
 // batches rather than one operation per credit.
 func (eg *egress) drain() {
-	for len(eg.pending) > 0 && eg.credits > 0 {
-		ps := eg.pending[0]
-		eg.pending[0] = nil
-		eg.pending = eg.pending[1:]
+	for eg.pending.len() > 0 && eg.credits > 0 {
+		ps := eg.pending.pop()
 		group := eg.gather(ps)
 		req := ps.req
 		if len(group) > 1 {
@@ -251,7 +308,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	cfg := &eg.rt.cfg
 	group := append(eg.group[:0], head)
 	eg.group = group
-	if !cfg.Agg.Enabled || len(eg.pending) == 0 || !coalescable(head.req) {
+	if !cfg.Agg.Enabled || eg.pending.len() == 0 || !coalescable(head.req) {
 		return group
 	}
 	tn := head.req.target / cfg.PPN
@@ -259,9 +316,10 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	wire := headerBytes + subWireOf(head.req)
 	// Merged sends leave the FIFO; the rest are compacted in place, in
 	// order (rest never overtakes the scan).
-	rest := eg.pending[:0]
+	live := eg.pending.live()
+	rest := live[:0]
 	scanning := true
-	for _, ps := range eg.pending {
+	for _, ps := range live {
 		if scanning && ps.req.target/cfg.PPN == tn {
 			if coalescable(ps.req) &&
 				ops+subCount(ps.req) <= eg.rt.effMaxOps(eg.from, tn) &&
@@ -275,8 +333,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 		}
 		rest = append(rest, ps)
 	}
-	clear(eg.pending[len(rest):]) // drop merged tail entries from the backing array
-	eg.pending = rest
+	eg.pending.keep(len(rest))
 	eg.group = group
 	return group
 }
@@ -287,7 +344,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 // blocked on a lost ack is eventually released.
 func (eg *egress) maybeArmRegen() {
 	rt := eg.rt
-	if rt.cfg.CreditTimeout <= 0 || rt.faultInj == nil || eg.regenArmed || len(eg.pending) == 0 {
+	if rt.cfg.CreditTimeout <= 0 || rt.faultInj == nil || eg.regenArmed || eg.pending.len() == 0 {
 		return
 	}
 	eg.regenArmed = true
@@ -305,7 +362,7 @@ func (eg *egress) maybeArmRegen() {
 func (eg *egress) regenCheck(lastSeen uint64) {
 	eg.regenArmed = false
 	rt := eg.rt
-	if len(eg.pending) == 0 {
+	if eg.pending.len() == 0 {
 		eg.regenInterval = rt.cfg.CreditTimeout
 		return
 	}

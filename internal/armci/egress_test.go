@@ -62,8 +62,8 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 	if eg.transmits != 2 || eg.credits != 0 {
 		t.Fatalf("transmits=%d credits=%d", eg.transmits, eg.credits)
 	}
-	if len(eg.pending) != 3 {
-		t.Fatalf("pending = %d, want 3", len(eg.pending))
+	if eg.pending.len() != 3 {
+		t.Fatalf("pending = %d, want 3", eg.pending.len())
 	}
 	eg.release()
 	eg.release()
@@ -74,8 +74,8 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 	if eg.transmits != 5 {
 		t.Errorf("final transmits = %d", eg.transmits)
 	}
-	if len(eg.pending) != 0 {
-		t.Errorf("pending not drained: %d", len(eg.pending))
+	if eg.pending.len() != 0 {
+		t.Errorf("pending not drained: %d", eg.pending.len())
 	}
 	// Deliveries land in node 1's inbox in submission order (no CHT daemon
 	// runs in this harness, so the inbox just accumulates).

@@ -412,9 +412,7 @@ func (ns *nodeState) healDeadNeighbor(i int) {
 	rt := ns.rt
 	dead := ns.nbrs[i]
 	eg := ns.egAt(i)
-	parked := eg.pending
-	eg.pending = nil
-	for _, ps := range parked {
+	for _, ps := range eg.pending.takeAll() {
 		ns.replayParked(ps, dead)
 	}
 	if w := eg.inUse(); w > 0 {
@@ -519,7 +517,7 @@ func (ns *nodeState) crashStop() {
 		if eg == nil {
 			continue
 		}
-		for j, ps := range eg.pending {
+		for _, ps := range eg.pending.live() {
 			// Unblock any of this node's ranks parked on a credit; their
 			// handles fail below. Forward finish callbacks are dropped —
 			// the buffers they would release died with this node — and
@@ -529,9 +527,8 @@ func (ns *nodeState) crashStop() {
 			} else {
 				ns.putPS(ps)
 			}
-			eg.pending[j] = nil
 		}
-		eg.pending = eg.pending[:0]
+		eg.pending.keep(0)
 	}
 	err := &NodeFailedError{Node: ns.id}
 	for r := ns.id * rt.cfg.PPN; r < (ns.id+1)*rt.cfg.PPN; r++ {

@@ -84,7 +84,7 @@ func TestRequestReleasePastLastHoldPanics(t *testing.T) {
 	rt := poolHarness(t)
 	req := rt.getReq(0)
 	rt.release(req) // the response's hold: back on the free list
-	if n := len(rt.nodes[0].reqFree); n != 1 {
+	if n := rt.nodes[0].nreqFree; n != 1 {
 		t.Fatalf("free list holds %d records after the last release, want 1", n)
 	}
 	defer func() {
@@ -197,11 +197,14 @@ func checkReqPools(t *testing.T, rt *Runtime) (free map[*request]bool) {
 		arrays[key] = req
 	}
 	for n := range rt.nodes {
-		for _, req := range rt.nodes[n].reqFree {
+		depth := 0
+		for req := rt.nodes[n].reqFree; req != nil; req = req.next {
 			if free[req] {
 				t.Errorf("request %p is on the free lists twice", req)
+				break
 			}
 			free[req] = true
+			depth++
 			if !req.freed || req.holds != 0 {
 				t.Errorf("free-list request %p has freed=%v holds=%d", req, req.freed, req.holds)
 			}
@@ -211,6 +214,9 @@ func checkReqPools(t *testing.T, rt *Runtime) (free map[*request]bool) {
 			if cap(req.buf) > 0 {
 				owns(req, "buf", &req.buf[:1][0])
 			}
+		}
+		if depth != rt.nodes[n].nreqFree {
+			t.Errorf("node %d free list links %d records, depth count says %d", n, depth, rt.nodes[n].nreqFree)
 		}
 	}
 	return free
@@ -242,7 +248,7 @@ func TestPoolLateTimerLeavesNewOccupantUntouched(t *testing.T) {
 		if rtt >= timeout/2 {
 			t.Fatalf("round trip %v too slow for a %v timeout", rtt, timeout)
 		}
-		if n := len(rt.nodes[0].reqFree); n != 0 {
+		if n := rt.nodes[0].nreqFree; n != 0 {
 			t.Errorf("%d records recycled while the first chunk's timer is still armed", n)
 		}
 		r.Sleep(timeout - rtt - sim.Microsecond)

@@ -99,6 +99,7 @@ type request struct {
 	// counts the parties that can still reach it (see Runtime.release).
 	freed bool
 	holds int32
+	next  *request // free-list link, nil while in use
 
 	// Response parameters, stamped by the target's respond: the request
 	// record itself rides the response message back to the origin, where

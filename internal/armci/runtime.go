@@ -213,9 +213,12 @@ type nodeState struct {
 	// node's owner context, so no lock is needed and sharded runs stay
 	// deterministic). psFree recycles pendingSend records parked on this
 	// node's egresses; reqFree recycles request records originated by this
-	// node's ranks (see getReq and Runtime.release).
-	psFree  []*pendingSend
-	reqFree []*request
+	// node's ranks (see getReq and Runtime.release). Both are stacks linked
+	// through the records themselves, so they never grow a backing array;
+	// npsFree and nreqFree count their depths for the checkpoint digest.
+	psFree            *pendingSend
+	reqFree           *request
+	npsFree, nreqFree int
 }
 
 // nbrIdx returns the index of peer in ns.nbrs (the per-edge slice index
@@ -285,14 +288,16 @@ type edgeSlabs struct {
 	counted int
 	stats   []Stats
 
-	// reqs and handles are what request records and pooled handles are
-	// carved from when a free list runs dry, nreqs and nhandles how many
-	// were carved so far: a fresh runtime warms its free lists up with a
-	// few chunks, not one object per record.
-	nreqs, nhandles, npools int
-	reqs                    []request
-	handles                 []Handle
-	pools                   []rankPool
+	// reqs, sends and handles are what request records, parked-send
+	// records and pooled handles are carved from when a free list runs dry,
+	// nreqs, nsends and nhandles how many were carved so far: a fresh
+	// runtime warms its free lists up with a few chunks, not one object per
+	// record.
+	nreqs, nsends, nhandles, npools int
+	reqs                            []request
+	sends                           []pendingSend
+	handles                         []Handle
+	pools                           []rankPool
 	// bytes and segs are what pooled records' and handles' payload,
 	// response and segment buffers are carved from when theirs are too
 	// small (growBytes, growSegs); nbytes and nsegs size the next chunks.
@@ -304,9 +309,9 @@ type edgeSlabs struct {
 // edgeChunk is the most per-edge entries one node-list chunk holds, egChunk
 // the most egresses one egress chunk holds (128 KiB), statsChunk the most
 // Stats blocks one counter chunk holds (80 KiB), poolChunk the most request
-// records (78 KiB), handles (46 KiB) or rank pools (112 KiB) one chunk
-// holds, and bufChunk and segChunk the most bytes or segments one buffer
-// chunk holds (64 KiB each).
+// records (78 KiB), parked-send records (24 KiB), handles (46 KiB) or rank
+// pools (112 KiB) one chunk holds, and bufChunk and segChunk the most bytes
+// or segments one buffer chunk holds (64 KiB each).
 const (
 	edgeChunk  = 8192
 	egChunk    = 1024
@@ -587,10 +592,9 @@ func (rt *Runtime) completeResp(req *request) {
 // composite literal.
 func (rt *Runtime) getReq(node int) *request {
 	ns := &rt.nodes[node]
-	if n := len(ns.reqFree); n > 0 {
-		req := ns.reqFree[n-1]
-		ns.reqFree[n-1] = nil
-		ns.reqFree = ns.reqFree[:n-1]
+	if req := ns.reqFree; req != nil {
+		ns.reqFree, req.next = req.next, nil
+		ns.nreqFree--
 		req.freed, req.holds = false, 1
 		return req
 	}
@@ -631,21 +635,22 @@ func (ns *nodeState) putReq(req *request) {
 		req.h.drop()
 	}
 	segs, buf := req.segs[:0], req.buf[:0]
-	*req = request{segs: segs, buf: buf, freed: true}
-	ns.reqFree = append(ns.reqFree, req)
+	*req = request{segs: segs, buf: buf, freed: true, next: ns.reqFree}
+	ns.reqFree = req
+	ns.nreqFree++
 }
 
 // getPS returns a pendingSend record for a send parked on one of this node's
-// egresses, recycled from the node's free list.
+// egresses, recycled from the node's free list when it has one, carved
+// otherwise.
 func (ns *nodeState) getPS() *pendingSend {
-	if n := len(ns.psFree); n > 0 {
-		ps := ns.psFree[n-1]
-		ns.psFree[n-1] = nil
-		ns.psFree = ns.psFree[:n-1]
+	if ps := ns.psFree; ps != nil {
+		ns.psFree, ps.next = ps.next, nil
+		ns.npsFree--
 		ps.freed = false
 		return ps
 	}
-	return &pendingSend{}
+	return ns.rt.slabs.carvePS()
 }
 
 // putPS recycles ps into this node's free list, zeroed. Releasing a record
@@ -657,8 +662,9 @@ func (ns *nodeState) putPS(ps *pendingSend) {
 	if ps.freed {
 		panic("armci: pendingSend record released twice")
 	}
-	*ps = pendingSend{freed: true}
-	ns.psFree = append(ns.psFree, ps)
+	*ps = pendingSend{freed: true, next: ns.psFree}
+	ns.psFree = ps
+	ns.npsFree++
 }
 
 // worldMembers returns the member list of world collectives (all ranks).
@@ -711,10 +717,15 @@ func carveShared[T any](sl *edgeSlabs, slab *[]T, carved *int, n, lo, hi int) []
 	return s
 }
 
-// carveReq carves a request record for a free list that ran dry,
-// carveHandle a pooled handle and carvePool a rank's pool.
+// carveReq carves a request record for a free list that ran dry, carvePS a
+// parked-send record, carveHandle a pooled handle and carvePool a rank's
+// pool.
 func (sl *edgeSlabs) carveReq() *request {
 	return &carveShared(sl, &sl.reqs, &sl.nreqs, 1, 16, poolChunk)[0]
+}
+
+func (sl *edgeSlabs) carvePS() *pendingSend {
+	return &carveShared(sl, &sl.sends, &sl.nsends, 1, 16, poolChunk)[0]
 }
 
 func (sl *edgeSlabs) carveHandle() *Handle {
@@ -898,8 +909,8 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 	stall := &StallError{WatchdogError: we}
 	for n := range rt.nodes {
 		for _, eg := range rt.nodes[n].eg {
-			if eg != nil && len(eg.pending) > 0 {
-				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, rt.poolCap, len(eg.pending)})
+			if eg != nil && eg.pending.len() > 0 {
+				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, rt.poolCap, eg.pending.len()})
 			}
 		}
 	}

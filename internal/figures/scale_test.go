@@ -150,12 +150,13 @@ func TestScaleFootprint(t *testing.T) {
 // one healed chaos point (MFCG 64x2, one crash, timeouts, retries, heartbeat
 // probes) must stay under a ceiling of the measured rate plus 25 %. The rate
 // counts every malloc of the whole call, set-up included, per issued
-// operation. It measured 1.6 allocs/op (go1.24, linux/amd64) with request
-// records and handles pooled on the armed path, their pools carved in
-// chunks, and messages, timers and membership views allocation-free in
-// steady state.
+// operation. It measured 1.34 allocs/op (go1.24, linux/amd64) with request
+// records, parked sends and handles pooled on the armed path, their pools
+// carved in chunks, egress FIFOs and CHT inboxes that reuse their arrays,
+// and messages, timers and membership views allocation-free in steady
+// state.
 func TestChaosAllocsCeiling(t *testing.T) {
-	const measured = 1.6
+	const measured = 1.34
 	const ceiling = measured * 1.25
 	var before, after runtime.MemStats
 	runtime.GC()

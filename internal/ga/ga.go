@@ -210,14 +210,21 @@ func (a *Array) GetInto(r *armci.Rank, lo, hi [2]int, out *Matrix) {
 	release(p, hs)
 }
 
-// Put stores matrix m into the section [lo, hi).
+// Put stores matrix m into the section [lo, hi). Every owner's rows are
+// encoded into one buffer per call, each owner's block a sub-slice of it:
+// the owners' blocks partition the section, so the buffer is exactly the
+// section's size, and it stays alive until the last put completes.
 func (a *Array) Put(r *armci.Rank, lo, hi [2]int, m *Matrix) {
 	a.checkRegion(lo, hi)
 	a.checkShape(lo, hi, m)
 	p := armci.Pool(r)
 	hs := p.Handles()
+	buf := make([]byte, 8*len(m.Data))
 	a.blockSpan(lo, hi, func(owner int, blo, bhi [2]int) {
-		data := a.gatherSub(lo, m, blo, bhi)
+		n := 8 * (bhi[0] - blo[0]) * (bhi[1] - blo[1])
+		data := buf[:n:n]
+		buf = buf[n:]
+		a.encodeSub(data, lo, m, blo, bhi)
 		hs = append(hs, p.NbPutS(owner, a.name, a.localOff(blo[0], blo[1]),
 			(bhi[1]-blo[1])*8, a.bcols*8, bhi[0]-blo[0], data))
 	})
@@ -267,15 +274,16 @@ func (a *Array) checkShape(lo, hi [2]int, m *Matrix) {
 	}
 }
 
-// gatherSub flattens m's elements for the owner subregion [blo, bhi).
-func (a *Array) gatherSub(lo [2]int, m *Matrix, blo, bhi [2]int) []byte {
+// encodeSub writes m's elements for the owner subregion [blo, bhi) into dst,
+// row-major, as little-endian float64s.
+func (a *Array) encodeSub(dst []byte, lo [2]int, m *Matrix, blo, bhi [2]int) {
 	w := bhi[1] - blo[1]
-	vals := make([]float64, 0, (bhi[0]-blo[0])*w)
 	for i := blo[0]; i < bhi[0]; i++ {
 		off := (i-lo[0])*m.Cols + (blo[1] - lo[1])
-		vals = append(vals, m.Data[off:off+w]...)
+		for j, v := range m.Data[off : off+w] {
+			armci.PutFloat64(dst, 8*((i-blo[0])*w+j), v)
+		}
 	}
-	return armci.Float64sToBytes(vals)
 }
 
 // Counter is a shared atomic task counter (NWChem's nxtval), hosted in a

@@ -291,3 +291,41 @@ func TestPropertySectionRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPutAllocatesOncePerCall: Put encodes every owner's block into one
+// buffer per call, so a warm Put over k owner blocks makes one allocation
+// whatever k is, and each block still lands where it belongs.
+func TestPutAllocatesOncePerCall(t *testing.T) {
+	rt := runtimeFor(t, core.MFCG, 16, 1) // 4x4 grid of 4x4 blocks
+	a := Create(rt, "A", 16, 16)
+	if err := rt.Run(func(r *armci.Rank) {
+		if r.Rank() != 0 {
+			return
+		}
+		for _, k := range []int{1, 2, 4, 16} {
+			// One block row k blocks wide for k <= 4, the whole array for k = 16.
+			hi := [2]int{4, 4 * k}
+			if k > 4 {
+				hi = [2]int{16, 16}
+			}
+			m := NewMatrix(hi[0], hi[1])
+			for i := range m.Data {
+				m.Data[i] = float64(k*1000 + i)
+			}
+			for i := 0; i < 8; i++ {
+				a.Put(r, [2]int{}, hi, m) // warm the pooled handles and records
+			}
+			if got := testing.AllocsPerRun(50, func() { a.Put(r, [2]int{}, hi, m) }); got != 1 {
+				t.Errorf("Put over %d blocks: %v allocations per call, want 1", k, got)
+			}
+			got := a.Get(r, [2]int{}, hi)
+			for i, v := range got.Data {
+				if v != m.Data[i] {
+					t.Fatalf("Put over %d blocks: element %d reads %v, want %v", k, i, v, m.Data[i])
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -98,15 +98,28 @@ func (q *Queue[T]) Poll(p *Proc) (x T, ok bool) {
 		p.parkOn(q, 0)
 		return x, false
 	}
-	x = q.items[q.head]
+	return q.pop(), true
+}
+
+// pop dequeues the oldest item of a non-empty queue. The array rewinds to
+// its start whenever the queue drains, and slides its items down once at
+// least half of it (and more than 64 items) has been popped, so a queue that
+// keeps draining reuses the same array instead of growing a new one behind
+// its head.
+func (q *Queue[T]) pop() T {
+	x := q.items[q.head]
 	var zero T
 	q.items[q.head] = zero // release reference for GC
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		q.items = append(q.items[:0], q.items[q.head:]...)
-		q.head = 0
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head > 64 && q.head*2 >= len(q.items):
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
-	return x, true
+	return x
 }
 
 // Clear drops every buffered item and returns how many were dropped.
@@ -125,14 +138,11 @@ func (q *Queue[T]) Clear() int {
 
 // TryGet dequeues without blocking, reporting whether an item was available.
 func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
 	if q.Len() == 0 {
+		var zero T
 		return zero, false
 	}
-	x := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	return x, true
+	return q.pop(), true
 }
 
 // Event is a broadcast completion flag: processes Wait until some actor calls
