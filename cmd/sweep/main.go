@@ -26,10 +26,6 @@
 //	sweep -preset chaos -j 8          crash/recover chaos grid, healing
 //	                                  off vs on, three schedules per cell
 //	sweep -preset chaos-ci            the reduced chaos grid CI smokes
-//	sweep -preset overload -j 8       incast-storm overload grid, protection
-//	                                  off vs on across storm intensities
-//	                                  and tenant mixes
-//	sweep -preset overload-ci         the reduced overload grid CI smokes
 //
 // Custom grids compose any axes, e.g. a topology × message-size × fault
 // sweep:
@@ -52,7 +48,7 @@
 //
 // Usage:
 //
-//	sweep [-preset fig5|fig6|fig7|fig8|fig9a|fig9b|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci|overload|overload-ci]
+//	sweep [-preset fig5|fig6|fig7|fig8|fig9a|fig9b|fig6-ci|fig6-family|fig6-agg-ci|chaos|chaos-ci]
 //	      [-grid SPEC] [-j N]
 //	      [-cache DIR] [-csv] [-metrics] [-trace FILE [-trace-sched]]
 //	      [-progress] [-list] [-assert-agg]
@@ -97,17 +93,10 @@ var presets = map[string]string{
 	// per-PR smoke: one schedule per topology at the acceptance scale.
 	"chaos":    "exp=chaos;nodes=64;ppn=2;iters=20;crashes=1,2,3;heal=off,on;seeds=1,2,3",
 	"chaos-ci": "exp=chaos;nodes=64;ppn=2;iters=10;crashes=3;heal=off,on;seeds=1",
-	// overload runs the incast-storm harness across storm intensities and
-	// tenant mixes, protection off and on: the off arm shows goodput
-	// collapsing as storms stack up, the on arm holds it (figures.Overload
-	// asserts the protection invariants per point). overload-ci is the
-	// per-PR smoke: one storm intensity, both arms.
-	"overload":    "exp=overload;nodes=64;ppn=2;iters=32;storm=1,2,4;tenants=2,4;overload=off,on",
-	"overload-ci": "exp=overload;nodes=64;ppn=2;iters=16;storm=2;tenants=2;overload=off,on",
 }
 
 func main() {
-	preset := flag.String("preset", "", "named grid: fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci")
+	preset := flag.String("preset", "", "named grid: fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, or chaos-ci")
 	gridSpec := flag.String("grid", "", "grid spec (see docs/SWEEP.md); overrides -preset")
 	j := flag.Int("j", runtime.NumCPU(), "worker-pool size (1 = serial)")
 	cacheDir := flag.String("cache", ".sweep-cache", "result cache directory ('' disables caching)")
@@ -133,7 +122,7 @@ func main() {
 		}
 		var ok bool
 		if spec, ok = presets[name]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown preset %q (want fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, chaos-ci, overload, or overload-ci)\n", name)
+			fmt.Fprintf(os.Stderr, "unknown preset %q (want fig5, fig6, fig7, fig8, fig9a, fig9b, fig6-ci, fig6-family, fig6-agg-ci, chaos, or chaos-ci)\n", name)
 			os.Exit(2)
 		}
 	}

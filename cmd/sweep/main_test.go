@@ -44,7 +44,7 @@ func TestFigurePresetKeys(t *testing.T) {
 			Experiment: sweep.ExpContention, Op: op, Topos: paperTopos,
 			Levels: []string{"none", "11", "20"}, Nodes: []int{256},
 			PPN: 4, Iters: 20, SampleEvery: 8, Faults: []string{"none"},
-			Aggs: off, Heals: off, Overloads: off,
+			Aggs: off, Heals: off,
 		}
 	}
 	legacy := map[string]*sweep.Grid{
@@ -71,8 +71,6 @@ func TestFigurePresetKeys(t *testing.T) {
 		"fig8":        {16, "2f8f9db6c58d50f87a2e3240e776ec249845d0af1006b212b0107c49db27373f"},
 		"fig9a":       {16, "60d1337b6fa7f904fb8d326329407178f89ee3295d96de595832c4e9e9407acd"},
 		"fig9b":       {6, "241bfc082df7413aa7c28045fc96be0c661bda254288d81ca801ddb479886449"},
-		"overload":    {48, "bd097dd78f09f59e95d68a744a28b83b351e5135b4fc4d7900851e7519752770"},
-		"overload-ci": {8, "0065ceb37e04482474afa5bd721d58ba9f861da4580905d3f69bace7381accd5"},
 	}
 	if len(pins) != len(presets) {
 		t.Fatalf("%d presets, %d pinned", len(presets), len(pins))

@@ -15,8 +15,8 @@
 // snapshot to the report; with -trace FILE all contention runs are written
 // into one Chrome-trace JSON file, one trace process per run (see
 // docs/OBSERVABILITY.md; forces -j 1). The report runs the paper's
-// fault-free configurations; fault schedules, healing and overload
-// protection are the faults=, heal= and overload= keys of a cmd/sweep grid.
+// fault-free configurations; fault schedules and healing are the faults=
+// and heal= keys of a cmd/sweep grid.
 //
 // Usage:
 //

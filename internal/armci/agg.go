@@ -99,15 +99,13 @@ func batchSubs(req *request) []*request {
 // ---------- Origin-side aggregation ----------
 
 // submit injects an operation's chunks, diverting batchable chunks through
-// the rank's per-target aggregation buffer when aggregation is enabled. With
-// overload protection armed, admission control runs first: a shed operation
-// completes with *OverloadError and injects nothing (see overload.go). An
-// operation with no chunks (an empty accumulate or vector) injects nothing
-// and is not admitted. Every remote data operation enters here; only
+// the rank's per-target aggregation buffer when aggregation is enabled. A
+// zero-byte operation has no chunks: it injects nothing, and its handle
+// completed when it was made. Every remote data operation enters here; only
 // Lock/Unlock send directly.
 func (r *Rank) submit(reqs []*request, h *Handle) {
 	rt := r.rt
-	if len(reqs) == 0 || rt.overloadArmed && !r.admit(reqs, h) {
+	if len(reqs) == 0 {
 		return
 	}
 	for i, req := range reqs {
@@ -143,7 +141,7 @@ func (r *Rank) aggAdd(req *request, targetNode int) {
 		for _, s := range cur {
 			wire += subWireOf(s)
 		}
-		if len(cur) >= r.rt.effMaxOps(r.node, targetNode) || wire+subWireOf(req) > cfg.BufSize {
+		if len(cur) >= aggMaxOps || wire+subWireOf(req) > cfg.BufSize {
 			r.flushAgg(targetNode)
 		}
 	}

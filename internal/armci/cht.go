@@ -141,13 +141,9 @@ func (ns *nodeState) serve(req *request) {
 		// Unpack at the target: sub-ops apply back-to-back in rid
 		// (issue) order — atomically in virtual time, since the CHT
 		// is serial — with dedup per sub. The whole batch occupied
-		// one buffer, so one finish returns one credit. A CE mark on
-		// the batch packet marks every sub, and the packet's last edge
-		// is every sub's: they all crossed it together.
+		// one buffer, so one finish returns one credit. The packet's
+		// last edge is every sub's: they all crossed it together.
 		for _, sub := range req.subs {
-			if req.ce {
-				sub.ce = true
-			}
 			sub.up = req.up
 			ns.deliver(sub)
 		}
@@ -356,7 +352,7 @@ func (ns *nodeState) handle(req *request) {
 }
 
 // respond completes one chunk at the origin: the response parameters ride
-// the request record itself (respData/respOld/respFrom) through the pooled
+// the request record itself (respData/respOld) through the pooled
 // delivery trampolines (respFn / respLocalFn), and completeResp applies them
 // — get payloads copied into the handle's buffer at the chunk's flat offset,
 // rmw carrying the old value — with no closure allocated per response.
@@ -381,8 +377,6 @@ func (ns *nodeState) respond(req *request, payload []byte, old int64) {
 		rt.eng.AfterOnArg(ns.id, rt.cfg.LocalLatency, rt.respLocalFn, req)
 		return
 	}
-	// At the origin, respFn also credits proof of life and echoes congestion
-	// (req.ce or a mark picked up by the response itself) into the pacer.
-	req.respFrom = ns.id
+	// At the origin, respFn also credits proof of life.
 	rt.net.SendArg(ns.id, req.originNode, size, rt.respFn, req)
 }

@@ -9,8 +9,8 @@ import (
 
 // checkpointSection digests the ARMCI layer's state between engine runs:
 // per-node protocol counters, the built egresses (credits, parked sends,
-// debts), CHT pending counts and inbox depths, dedup tables, pacer state,
-// membership views, allocation contents, and free-list depths. Everything here
+// debts), CHT pending counts and inbox depths, dedup tables, membership
+// views, allocation contents, and free-list depths. Everything here
 // is owner-context state, deterministic at a RunUntil horizon under the
 // bit-identity contract.
 func (rt *Runtime) checkpointSection() []byte {
@@ -37,9 +37,6 @@ func (rt *Runtime) checkpointSection() []byte {
 			s.Suspicions, s.Confirms, s.Rejoins,
 			s.HealReplays, s.HealFails, s.CreditWriteOffs, s.StaleAcks,
 			s.NodeAborts, uint64(s.MaxDetectLatency), s.Completions,
-			s.Admitted, s.ShedOps, s.ShedBudget, s.ShedDeadline, s.ShedClass,
-			s.PaceWaits, uint64(s.PaceWaited), s.PaceBackoffs, s.PaceSlams,
-			s.CEAcks,
 		}
 		var any uint64
 		for _, v := range fields {
@@ -117,10 +114,10 @@ func (rt *Runtime) checkpointSection() []byte {
 // nodeStateVirgin reports whether a node's digestable state is still
 // exactly as constructed (its edge state built or not), so the sparse nodes
 // digest may skip it: no CHT pendings or inbox entries, no dedup history, no
-// pacers, no membership view, and empty free lists.
+// membership view, and empty free lists.
 func nodeStateVirgin(ns *nodeState) bool {
 	if ns.pendingSrcs != 0 || ns.inbox.Len() != 0 || ns.ridSeq != 0 ||
-		len(ns.rids) != 0 || len(ns.pacers) != 0 || ns.mv != nil ||
+		len(ns.rids) != 0 || ns.mv != nil ||
 		ns.npsFree != 0 || ns.nreqFree != 0 {
 		return false
 	}
@@ -133,8 +130,8 @@ func nodeStateVirgin(ns *nodeState) bool {
 }
 
 // mixNodeState folds one node's owner-context protocol state into the
-// running digest: CHT pending counts and inbox depth, the dedup table, pacer
-// state, membership view, and free-list depths.
+// running digest: CHT pending counts and inbox depth, the dedup table, the
+// membership view, and free-list depths.
 // A node whose edge state was never built folds in as if it had been, with
 // every per-edge entry at its initial value.
 func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
@@ -169,22 +166,6 @@ func (rt *Runtime) mixNodeState(h uint64, ns *nodeState) uint64 {
 				h = ckpt.Mix(h, 0)
 			}
 			h = ckpt.Mix(h, uint64(d.old))
-		}
-	}
-	if len(ns.pacers) > 0 {
-		dsts := make([]int, 0, len(ns.pacers))
-		for d := range ns.pacers {
-			dsts = append(dsts, d)
-		}
-		sort.Ints(dsts)
-		h = ckpt.Mix(h, uint64(len(dsts)))
-		for _, d := range dsts {
-			p := ns.pacers[d]
-			h = ckpt.Mix(h, uint64(d))
-			h = ckpt.Mix(h, uint64(p.gap))
-			h = ckpt.Mix(h, uint64(p.nextFree))
-			h = ckpt.Mix(h, uint64(p.lastCut))
-			h = ckpt.Mix(h, uint64(p.lastDecay))
 		}
 	}
 	if ns.mv != nil {

@@ -12,8 +12,7 @@ import (
 )
 
 // armedChaosSections runs the fully armed chaos mix — crash-stops with
-// healing, an ejection storm on node 0, overload protection, timeouts and
-// retries — on 32x2 nodes of the given family, steps it through horizons
+// healing, an ejection storm on node 0, timeouts and retries — on 32x2 nodes of the given family, steps it through horizons
 // every 250 µs, and returns the sim, fabric, faults and armci sections read
 // at each horizon the run stops at.
 func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]byte {
@@ -38,7 +37,6 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 	cfg.Topology = core.MustNew(kind, nodes)
 	cfg.Faults = inj
 	cfg.Heal.Enabled = true
-	cfg.Overload.Enabled = true
 	cfg.RequestTimeout = 200 * sim.Microsecond
 	cfg.MaxRetries = 4
 	cfg.CreditTimeout = 400 * sim.Microsecond

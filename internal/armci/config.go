@@ -157,13 +157,6 @@ type Config struct {
 	// value (disabled) leaves every protocol path bit-identical to the
 	// unaggregated runtime. See AggregationConfig.
 	Agg AggregationConfig
-	// Overload configures the overload-protection layer: ECN-style
-	// congestion marks from the fabric drive origin-side AIMD injection
-	// pacing, and a graceful-degradation ladder paces, coalesces and finally
-	// sheds traffic instead of collapsing under a hot-spot storm. The zero
-	// value (disabled) leaves every protocol path bit-identical. See
-	// OverloadConfig and docs/OVERLOAD.md.
-	Overload OverloadConfig
 
 	// Metrics, when non-nil, enables the observability layer: the runtime
 	// records credit-pool wait times, CHT inbox depths and per-node CHT
@@ -215,56 +208,6 @@ type AggregationConfig struct {
 	Enabled bool
 }
 
-// OverloadConfig parameterizes the overload-protection layer.
-//
-// The fabric stamps an ECN-style congestion-experienced (CE) mark on any
-// message whose queue delay at a link or ejection-port reservation reaches
-// congestionThreshold, and the target echoes the mark on the operation's
-// response. Each origin node keeps one AIMD pacer per destination node: a
-// marked response multiplies the pacer's inter-op gap (additive-increase /
-// multiplicative-decrease in rate terms), a clean response shrinks it
-// additively, and ranks sleep the gap out before injecting toward that
-// destination.
-//
-// The pacer gap positions each destination on a graceful-degradation
-// ladder, evaluated per op at admission:
-//
-//	rung 0  gap == 0            healthy; admit untouched
-//	rung 1  gap > 0             pace: delay injection by the gap
-//	rung 2  gap >= coalesceAt   coalesce harder: aggregation batches up to
-//	                            4x aggMaxOps sub-ops toward this node
-//	rung 3  gap >= shedAt       shed: reject ops of priority class > 0
-//
-// Independent of the ladder, admission control rejects any op when the
-// rank's incomplete-handle count reaches Budget, and — when the rank set a
-// deadline — any op whose pacing delay plus minimum round-trip already
-// overruns it. Rejected ops fail their Handle with *OverloadError
-// immediately, never enter the network, and are tallied in the per-origin
-// shed ledger (Stats.ShedOps/ShedBudget/ShedDeadline/ShedClass).
-//
-// Lock/Unlock are exempt from admission: shedding half of a lock/unlock
-// pair would wedge the mutex holder, and mutex traffic is not part of the
-// data-plane storms this layer protects against.
-//
-// Enabling overload protection arms aggregation if it was off — the
-// ladder's coalesce rung rides the existing aggregation engine — and hands
-// congestionThreshold to the fabric. The pacer's other constants are in
-// overload.go; Budget and PaceFloor stay settable because the incast
-// harness and the contention runs need different values.
-type OverloadConfig struct {
-	// Enabled turns overload protection on. Off (the default) is
-	// bit-identical to the unprotected protocol.
-	Enabled bool
-	// PaceFloor is both a fresh pacer's starting gap (slow-start pacing: an
-	// unknown destination is paced gently until its first responses prove
-	// the path clean) and the gap a fully decayed pacer reopens to on a CE
-	// mark (default 1 us; must not exceed the 5 ms pace ceiling).
-	PaceFloor sim.Time
-	// Budget caps a rank's incomplete operation handles; ops beyond it are
-	// shed with reason "budget" (default 256).
-	Budget int
-}
-
 // HealConfig switches crash-stop failure detection and recovery.
 //
 // Detection is ring observation over the lines of the virtual topology
@@ -293,14 +236,12 @@ type HealConfig struct {
 	Enabled bool
 }
 
-// Resilience and overload defaults for the settable knobs, applied when
-// Config.Faults is set or Overload.Enabled is.
+// Resilience defaults for the settable knobs, applied when Config.Faults is
+// set.
 const (
 	DefaultRequestTimeout = 2 * sim.Millisecond
 	defaultMaxRetries     = 6
 	defaultCreditTimeout  = 2 * sim.Millisecond
-	defaultPaceFloor      = 1 * sim.Microsecond
-	defaultOverloadBudget = 256
 )
 
 // DefaultConfig returns the calibration used throughout the repository:
@@ -359,10 +300,8 @@ func (c Config) Validate() error {
 		{"CreditTimeout", c.CreditTimeout},
 		{"Fabric.HopLatency", c.Fabric.HopLatency},
 		{"Fabric.SoftwareOverhead", c.Fabric.SoftwareOverhead},
-		{"Fabric.CongestionThreshold", c.Fabric.CongestionThreshold},
 		{"Fabric.LinkRetry", c.Fabric.LinkRetry},
 		{"Fabric.LinkStallLimit", c.Fabric.LinkStallLimit},
-		{"Overload.PaceFloor", c.Overload.PaceFloor},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("armci: %s must not be negative, got %v", f.name, f.v)
@@ -374,13 +313,6 @@ func (c Config) Validate() error {
 	}
 	if c.Fabric.StreamLimit < 0 {
 		return fmt.Errorf("armci: Fabric.StreamLimit must not be negative, got %d", c.Fabric.StreamLimit)
-	}
-	if c.Overload.Budget < 0 {
-		return fmt.Errorf("armci: Overload.Budget must not be negative, got %d", c.Overload.Budget)
-	}
-	if c.Overload.PaceFloor > paceCeil {
-		return fmt.Errorf("armci: Overload.PaceFloor %v exceeds the pace ceiling %v (a CE mark would shrink the gap)",
-			c.Overload.PaceFloor, paceCeil)
 	}
 	if c.CHTPerByte < 0 || c.LocalPerByte < 0 {
 		return fmt.Errorf("armci: per-byte costs must not be negative (CHTPerByte=%g, LocalPerByte=%g)",
@@ -469,22 +401,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RequestTimeout > 0 && c.MaxRetries == 0 {
 		c.MaxRetries = defaultMaxRetries
-	}
-	if c.Overload.Enabled {
-		if c.Overload.PaceFloor == 0 {
-			c.Overload.PaceFloor = defaultPaceFloor
-		}
-		if c.Overload.Budget == 0 {
-			c.Overload.Budget = defaultOverloadBudget
-		}
-		// The ladder's coalesce rung rides the aggregation engine; arm it
-		// when the caller left it off.
-		c.Agg.Enabled = true
-		// CE marks originate in the fabric; hand it the threshold unless the
-		// caller tuned the fabric directly.
-		if c.Fabric.CongestionThreshold == 0 {
-			c.Fabric.CongestionThreshold = congestionThreshold
-		}
 	}
 	return c, nil
 }

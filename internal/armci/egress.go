@@ -322,7 +322,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	for _, ps := range live {
 		if scanning && ps.req.target/cfg.PPN == tn {
 			if coalescable(ps.req) &&
-				ops+subCount(ps.req) <= eg.rt.effMaxOps(eg.from, tn) &&
+				ops+subCount(ps.req) <= aggMaxOps &&
 				wire+subWireOf(ps.req) <= cfg.BufSize {
 				group = append(group, ps)
 				ops += subCount(ps.req)

@@ -31,26 +31,6 @@ func (e *NodeFailedError) Error() string {
 	return fmt.Sprintf("armci: node %d crashed", e.Node)
 }
 
-// OverloadError reports an operation rejected by overload admission control
-// (Config.Overload) before any part of it entered the network: the origin's
-// pending-op budget was exhausted, the op could not meet its deadline under
-// the current pacing delay, or its priority class is being shed at the top
-// rung of the degradation ladder. The handle completes normally with this
-// error, and the origin's shed ledger (Stats.ShedOps and friends) accounts
-// for every rejection — nothing is silently lost. RetryAfter is the pacer's
-// current estimate of when the destination is worth trying again.
-type OverloadError struct {
-	Origin     int      // issuing rank
-	Target     int      // target rank
-	Reason     string   // "budget", "deadline" or "class"
-	RetryAfter sim.Time // suggested virtual-time backoff before reissuing
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("armci: overload: %s shed rank %d -> rank %d (retry after %v)",
-		e.Reason, e.Origin, e.Target, e.RetryAfter)
-}
-
 // TimeoutError reports a request chunk that exhausted MaxRetries without
 // completing — the origin-side verdict that the target (or every route to
 // it) stayed unreachable for the whole retry schedule.

@@ -74,8 +74,8 @@ func FuzzChunkContig(f *testing.F) {
 		if got != n {
 			t.Fatalf("chunked %d of %d bytes", got, n)
 		}
-		if n == 0 && chunks != 1 {
-			t.Fatalf("zero-length op must still produce one request, got %d", chunks)
+		if n == 0 && chunks != 0 {
+			t.Fatalf("zero-length op must produce no request, got %d", chunks)
 		}
 	})
 }

@@ -161,23 +161,6 @@ func (rt *Runtime) FillMetrics() {
 	reg.Counter("armci_agg_batches_total").Add(float64(s.AggBatches))
 	reg.Counter("armci_agg_batched_ops_total").Add(float64(s.AggBatchedOps))
 
-	// Overload-protection counters, exported only when overload is armed so
-	// unprotected runs keep their metric set unchanged (schema in
-	// docs/OVERLOAD.md). fabric_ce_marks_total is exported fabric-side.
-	if rt.overloadArmed {
-		reg.Counter("armci_completions_total").Add(float64(s.Completions))
-		reg.Counter("armci_overload_admitted_total").Add(float64(s.Admitted))
-		reg.Counter("armci_overload_ce_acks_total").Add(float64(s.CEAcks))
-		reg.Counter("armci_shed_total").Add(float64(s.ShedOps))
-		reg.Counter("armci_shed_budget_total").Add(float64(s.ShedBudget))
-		reg.Counter("armci_shed_deadline_total").Add(float64(s.ShedDeadline))
-		reg.Counter("armci_shed_class_total").Add(float64(s.ShedClass))
-		reg.Counter("armci_pacing_waits_total").Add(float64(s.PaceWaits))
-		reg.Counter("armci_pacing_backoffs_total").Add(float64(s.PaceBackoffs))
-		reg.Counter("armci_pacing_slams_total").Add(float64(s.PaceSlams))
-		reg.Gauge("armci_pacing_waited_us").Set(s.PaceWaited.Micros())
-	}
-
 	// Node classes: hot = busiest CHT, other = mean/sum over the rest.
 	hot := rt.HotNode()
 	elapsed := rt.eng.Now()

@@ -165,7 +165,7 @@ func refGather(rt *Runtime, head *pendingSend, parked []*pendingSend) (group, re
 	scanning := true
 	for _, ps := range parked {
 		if scanning && ps.req.target/rt.cfg.PPN == tn {
-			if coalescable(ps.req) && ops+subCount(ps.req) <= rt.effMaxOps(0, tn) &&
+			if coalescable(ps.req) && ops+subCount(ps.req) <= aggMaxOps &&
 				wire+subWireOf(ps.req) <= rt.cfg.BufSize {
 				group = append(group, ps)
 				ops += subCount(ps.req)

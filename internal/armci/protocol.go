@@ -91,10 +91,6 @@ type request struct {
 	// handle/rid/chunk, so completion, dedup and retry act per sub-op.
 	subs []*request
 
-	// ce records that this request crossed a congestion-experienced port on
-	// its way to the target (fabric ECN marking); the response echoes it to
-	// the origin's pacer. Never set unless Fabric.CongestionThreshold > 0.
-	ce bool
 	// freed marks the record as parked on its origin node's free list; holds
 	// counts the parties that can still reach it (see Runtime.release).
 	freed bool
@@ -104,10 +100,9 @@ type request struct {
 	// Response parameters, stamped by the target's respond: the request
 	// record itself rides the response message back to the origin, where
 	// completeResp applies them (no per-response closure, no separate
-	// response record). respFrom is the responding node.
+	// response record).
 	respData []byte
 	respOld  int64
-	respFrom int
 
 	chunk int // index into the handle's chunkDone bitset
 
@@ -293,12 +288,10 @@ func (c *Config) payloadPerChunk(nsegs int) int {
 }
 
 // chunkContig splits a contiguous [off, off+n) region into buffer-sized
-// pieces, invoking emit with each piece's offset and length.
+// pieces, invoking emit with each piece's offset and length. An empty region
+// has no pieces: a zero-byte operation sends no request and completes at
+// once (see submit).
 func (c *Config) chunkContig(off, n int, emit func(off, ln int)) int {
-	if n == 0 {
-		emit(off, 0)
-		return 1
-	}
 	per := c.payloadPerChunk(0)
 	chunks := 0
 	for done := 0; done < n; done += per {
@@ -318,7 +311,8 @@ func (c *Config) chunkContig(off, n int, emit func(off, ln int)) int {
 // values must not straddle chunks. emit receives each group's segments along
 // with their cumulative payload length and the offset into the original
 // flattened payload. The group is built in *scratch, reused across flushes
-// and calls (a rank pool's segs): emit must copy what it keeps.
+// and calls (a rank pool's segs): emit must copy what it keeps. Segments
+// carrying no bytes are dropped, so a vector of them has no groups.
 func (c *Config) chunkSegs(segs []Seg, align int, scratch *[]Seg, emit func(group []Seg, payload, flatOff int)) int {
 	chunks := 0
 	group := (*scratch)[:0]
@@ -345,7 +339,7 @@ func (c *Config) chunkSegs(segs []Seg, align int, scratch *[]Seg, emit func(grou
 			group, groupBytes = group[:0], 0
 		}
 	}
-	if len(group) > 0 || chunks == 0 {
+	if len(group) > 0 {
 		emit(group, groupBytes, flat)
 		chunks++
 	}

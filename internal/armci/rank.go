@@ -33,12 +33,6 @@ type Rank struct {
 	// collective-layer state (see collectives.go)
 	collSent map[int]int64
 	collRecv map[int]int64
-
-	// Overload-protection stamps applied to subsequently issued operations
-	// (SetOpClass / SetOpDeadline in overload.go); consulted only at
-	// admission, never carried on the wire.
-	opClass    int
-	opDeadline sim.Time
 }
 
 // rankPool is a rank's reusable per-operation storage. Only the rank's own
@@ -121,8 +115,8 @@ func (r *Rank) nodeOf(rank int) int {
 }
 
 // track registers a handle for Fence accounting, or a pooled one in held,
-// and returns it. A handle complete already (a same-node operation) is
-// left out: nothing can fail it.
+// and returns it. A handle complete already (a same-node or zero-byte
+// operation) is left out: nothing can fail it.
 func (r *Rank) track(h *Handle) *Handle {
 	sc := h.pool
 	switch {

@@ -26,12 +26,6 @@ const retryBackoff = 2.0
 // runtime-unique without any cross-node state. The timer holds the record
 // until it stops re-arming (see Runtime.release).
 func (rt *Runtime) armTimeout(req *request) {
-	if rt.overloadArmed {
-		// The AIMD pacers compare each response's issue instant against
-		// their last backoff to discard stale congestion signal (see
-		// onAck); the stamp is origin-local and never travels on the wire.
-		req.issued = rt.eng.NowOn(req.originNode)
-	}
 	if rt.cfg.RequestTimeout <= 0 {
 		return
 	}

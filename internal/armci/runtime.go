@@ -65,10 +65,6 @@ type Runtime struct {
 	// the receiver dedicates to the edge and the credits a fresh or reset
 	// egress holds.
 	poolCap int
-	// overloadArmed mirrors Config.Overload.Enabled: the admission, pacing
-	// and shedding paths (overload.go) run only when it is set, keeping
-	// unprotected runs bit-identical.
-	overloadArmed bool
 	// liveRanks counts rank processes still executing their body; the
 	// membership monitors stop re-arming when it reaches zero so the event
 	// queue can drain (the same termination rule sim.Watchdog uses).
@@ -77,15 +73,17 @@ type Runtime struct {
 	// Preallocated event/delivery trampolines, bound once in New so the hot
 	// protocol paths schedule pooled records through fabric.SendArg and the
 	// engine's *Arg variants without allocating a closure per message.
-	enqueueFn   func(arg any, ce bool) // request arrives at its next hop's CHT
-	ackFn       func(arg any, ce bool) // credit ack arrives back at the sender
-	respFn      func(arg any, ce bool) // response arrives at the origin node
-	respLocalFn func(arg any)          // same-node response (no heard/onAck)
-	probeFn     func(arg any, ce bool) // heartbeat probe arrives at a neighbor
-	noticeFn    func(arg any, ce bool) // membership notice arrives at a neighbor
-	timeoutFn   func(arg any)          // a request's timeout timer fires at its origin
-	tickFn      func(arg any)          // a node's failure-detector round (arg: *nodeState)
-	arriveFn    func(arg any)          // a rank's barrier arrival (arg: its *sim.Gate)
+	// The fabric's delivery callbacks take a second argument, a
+	// congestion mark that is always false; they ignore it.
+	enqueueFn   func(arg any, _ bool) // request arrives at its next hop's CHT
+	ackFn       func(arg any, _ bool) // credit ack arrives back at the sender
+	respFn      func(arg any, _ bool) // response arrives at the origin node
+	respLocalFn func(arg any)         // same-node response (no heartbeat)
+	probeFn     func(arg any, _ bool) // heartbeat probe arrives at a neighbor
+	noticeFn    func(arg any, _ bool) // membership notice arrives at a neighbor
+	timeoutFn   func(arg any)         // a request's timeout timer fires at its origin
+	tickFn      func(arg any)         // a node's failure-detector round (arg: *nodeState)
+	arriveFn    func(arg any)         // a rank's barrier arrival (arg: its *sim.Gate)
 }
 
 // Stats aggregates runtime-level counters used by tests and reports.
@@ -127,22 +125,8 @@ type Stats struct {
 	Notices          uint64   // membership notices sent (deaths, rejoins, dead-set hand-overs)
 
 	// Completions counts request chunks completed at their origin by a
-	// response (remote ops; always counted). With ShedOps it is the goodput
-	// signal Runtime.GoodputSample feeds the watchdog collapse detector.
+	// response (remote ops; always counted).
 	Completions uint64
-
-	// Overload-protection counters (zero unless Config.Overload.Enabled);
-	// together they are the per-origin shed ledger. See docs/OVERLOAD.md.
-	Admitted     uint64   // ops admitted past overload admission control
-	ShedOps      uint64   // ops rejected with *OverloadError (sum of the three below)
-	ShedBudget   uint64   // ... because the pending-op budget was exhausted
-	ShedDeadline uint64   // ... because pacing delay would overrun the op deadline
-	ShedClass    uint64   // ... because their priority class hit the ladder's shed rung
-	PaceWaits    uint64   // injections delayed by the AIMD pacer
-	PaceWaited   sim.Time // total virtual time spent in pacing delays
-	PaceBackoffs uint64   // multiplicative gap increases (CE-marked responses)
-	PaceSlams    uint64   // gap jumps straight to PaceCeil (SlamRTT exceeded)
-	CEAcks       uint64   // CE-marked responses observed at this origin
 }
 
 type nodeState struct {
@@ -201,13 +185,6 @@ type nodeState struct {
 	// Both delivery and waiting run in this node's owner context (see
 	// notify.go), so no lock is needed.
 	notifies *notifyState
-
-	// pacers holds this node's AIMD injection pacer per destination node
-	// (nil until its first pacer; see pacerFor in overload.go). Both
-	// updates (response arrivals) and reads (rank admission) run in this
-	// node's owner context. It stays a map: pacers are keyed by final
-	// destination, not by edge, and most pairs never talk.
-	pacers map[int]*pacer
 
 	// Free lists (owner-context discipline: every take and put runs in this
 	// node's owner context, so no lock is needed and sharded runs stay
@@ -448,7 +425,6 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		faultInj: cfg.Faults,
 		poolCap:  cfg.PPN * cfg.BufsPerProc,
 	}
-	rt.overloadArmed = cfg.Overload.Enabled
 	cfg.Faults.Instrument(cfg.Metrics, cfg.Trace, cfg.TracePID)
 	// Arm the kernel's conservative-parallel mode (a no-op beyond recording
 	// the lookahead when Shards <= 1): node ids are the scheduling owners,
@@ -508,39 +484,33 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 // flight (request or egress) is the argument, and the trampoline reconstructs
 // the delivery context from its fields.
 func (rt *Runtime) bindDispatch() {
-	// Request delivery at its next hop: the CE mark picked up on any hop of
-	// the walk sticks to the request and rides it to the target, where the
-	// response echoes it to the origin (respond). With CongestionThreshold
-	// unset nothing ever marks.
-	rt.enqueueFn = func(arg any, ce bool) {
+	// Request delivery at its next hop.
+	rt.enqueueFn = func(arg any, _ bool) {
 		req := arg.(*request)
-		if ce {
-			req.ce = true
-		}
 		rt.nodes[req.nextNode].enqueue(req)
 	}
 	// Credit ack back at the sender: the egress record itself travels as the
 	// argument. The ack doubles as a membership heartbeat at the receiver
 	// (heard is a no-op unless healing is armed).
-	rt.ackFn = func(arg any, ce bool) {
+	rt.ackFn = func(arg any, _ bool) {
 		eg := arg.(*egress)
 		rt.nodes[eg.from].heardAt(int(eg.slot))
 		eg.release()
 	}
 	// Heartbeat probe over the edge eg.from -> eg.to (see monitorTick).
-	rt.probeFn = func(arg any, ce bool) {
+	rt.probeFn = func(arg any, _ bool) {
 		eg := arg.(*egress)
 		ns := &rt.nodes[eg.to]
 		ns.heardAt(ns.upSlot(eg))
 	}
 	// Membership notice (see announce): rare, so the record is allocated.
-	rt.noticeFn = func(arg any, ce bool) {
+	rt.noticeFn = func(arg any, _ bool) {
 		n := arg.(*notice)
 		rt.nodes[n.to].onNotice(n)
 	}
-	// Response arrival at the origin node: completion bookkeeping plus the
-	// congestion echo into the origin's pacer (see respond).
-	rt.respFn = func(arg any, ce bool) {
+	// Response arrival at the origin node: completion bookkeeping (see
+	// respond).
+	rt.respFn = func(arg any, _ bool) {
 		req := arg.(*request)
 		ns := &rt.nodes[req.originNode]
 		// Only a neighbor's response is proof of life, and a neighbor is
@@ -551,11 +521,10 @@ func (rt *Runtime) bindDispatch() {
 		if up := req.up; up != nil && up.from == req.originNode {
 			ns.heardAt(int(up.slot))
 		}
-		ns.onAck(req.respFrom, req.ce || ce, req.issued)
 		rt.completeResp(req)
 	}
-	// Same-node response through shared memory: no heartbeat, no pacer echo
-	// (local traffic never crosses the fabric).
+	// Same-node response through shared memory: no heartbeat (local
+	// traffic never crosses the fabric).
 	rt.respLocalFn = func(arg any) {
 		rt.completeResp(arg.(*request))
 	}
@@ -800,16 +769,6 @@ func (rt *Runtime) Stats() Stats {
 		s.Probes += n.Probes
 		s.Notices += n.Notices
 		s.Completions += n.Completions
-		s.Admitted += n.Admitted
-		s.ShedOps += n.ShedOps
-		s.ShedBudget += n.ShedBudget
-		s.ShedDeadline += n.ShedDeadline
-		s.ShedClass += n.ShedClass
-		s.PaceWaits += n.PaceWaits
-		s.PaceWaited += n.PaceWaited
-		s.PaceBackoffs += n.PaceBackoffs
-		s.PaceSlams += n.PaceSlams
-		s.CEAcks += n.CEAcks
 		if n.MaxDetectLatency > s.MaxDetectLatency {
 			s.MaxDetectLatency = n.MaxDetectLatency
 		}
@@ -826,20 +785,6 @@ func (rt *Runtime) Stats() Stats {
 		}
 	}
 	return s
-}
-
-// GoodputSample returns the monotonic totals of completed and shed
-// operations across all origins — the sample function sim.Watchdog.SetGoodput
-// expects. It must be called from serial/coordinator context (the watchdog's
-// check event qualifies): it reads every node's stats block.
-func (rt *Runtime) GoodputSample() (completed, shed uint64) {
-	for _, n := range rt.nstats {
-		if n != nil {
-			completed += n.Completions
-			shed += n.ShedOps
-		}
-	}
-	return completed, shed
 }
 
 // Alloc registers a global allocation: every rank gets bytes of remotely

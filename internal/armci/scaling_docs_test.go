@@ -51,6 +51,24 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 	}
 }
 
+// TestNodeStateSizeIsPinned holds nodeState at the size whose scale_64k
+// timings were measured. The size moves host time through the collector,
+// not through cache layout: a 65 536-node run allocates rt.nodes as one
+// 19.5 MiB pointer-bearing array, and every byte allocated before it decides
+// whether a GC cycle begins before that array exists or while it is live and
+// must be scanned (docs/SCALING.md, "Collector phase"). At 312 B, with the
+// rest of the structures at their current sizes, scale_64k read cpu_s
+// 0.0348 s against 0.0372 s for the previous 320 B build (medians of ten
+// alternating pairs, go1.24.0, 2 cores); a 312 B build that differed from
+// that 320 B one only by one map field read 0.0497 s against 0.0377 s. Change
+// the size only with a fresh ten-pair scale_64k measurement, and update this
+// pin with it.
+func TestNodeStateSizeIsPinned(t *testing.T) {
+	if got := unsafe.Sizeof(nodeState{}); got != 312 {
+		t.Fatalf("nodeState is %d B, pinned at 312 B: re-measure scale_64k (ten alternating pairs) before moving it", got)
+	}
+}
+
 func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{

@@ -41,7 +41,7 @@ func TestStartupAllocsFollowUse(t *testing.T) {
 
 // TestUncarvedStatsReadAsZero pins that a node whose Stats block was never
 // carved reads exactly as a carved, zero one: carving every block leaves
-// Stats, GoodputSample and the checkpoint section unchanged. The run stops
+// Stats and the checkpoint section unchanged. The run stops
 // before the first heartbeat round, with one fetch-add's route counted and
 // the rest of the nodes untouched.
 func TestUncarvedStatsReadAsZero(t *testing.T) {
@@ -67,15 +67,11 @@ func TestUncarvedStatsReadAsZero(t *testing.T) {
 		t.Fatalf("%d of %d nodes carved at the horizon; want some but not all", carved, nodes)
 	}
 	stats, section := rt.Stats(), rt.checkpointSection()
-	completed, shed := rt.GoodputSample()
 	for n := range rt.nstats {
 		rt.st(n)
 	}
 	if got := rt.Stats(); got != stats {
 		t.Errorf("carving the %d uncarved blocks changed Stats:\n got %+v\nwant %+v", nodes-carved, got, stats)
-	}
-	if c, s := rt.GoodputSample(); c != completed || s != shed {
-		t.Errorf("carving changed GoodputSample: got (%d, %d), want (%d, %d)", c, s, completed, shed)
 	}
 	if got := rt.checkpointSection(); !bytes.Equal(got, section) {
 		t.Errorf("carving the %d uncarved blocks changed the armci section", nodes-carved)

@@ -26,13 +26,6 @@ func TestValidateRejects(t *testing.T) {
 		{"negative retries", func(c *Config) { c.MaxRetries = -2 }, "MaxRetries"},
 		{"negative per-byte", func(c *Config) { c.CHTPerByte = -1 }, "CHTPerByte"},
 		{"topology mismatch", func(c *Config) { c.Topology = core.MustNew(core.FCG, 5) }, "topology"},
-		{"negative congestion threshold",
-			func(c *Config) { c.Fabric.CongestionThreshold = -sim.Microsecond }, "Fabric.CongestionThreshold"},
-		{"negative pace floor", func(c *Config) { c.Overload.PaceFloor = -sim.Microsecond }, "Overload.PaceFloor"},
-		// A floor above the 5 ms ceiling would make the first CE mark clamp
-		// its doubled gap to the ceiling, shrinking the gap on congestion.
-		{"pace floor above ceiling", func(c *Config) { c.Overload.PaceFloor = 10 * sim.Millisecond }, "Overload.PaceFloor"},
-		{"negative budget", func(c *Config) { c.Overload.Budget = -1 }, "Overload.Budget"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -73,42 +66,6 @@ func TestFaultsEnableResilienceDefaults(t *testing.T) {
 	}
 	if rt.cfg.MaxRetries != defaultMaxRetries {
 		t.Errorf("MaxRetries = %d, want default %d", rt.cfg.MaxRetries, defaultMaxRetries)
-	}
-}
-
-func TestOverloadEnableAppliesDefaults(t *testing.T) {
-	eng := sim.New()
-	cfg := DefaultConfig(4, 1)
-	cfg.Overload.Enabled = true
-	rt, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov := rt.cfg.Overload
-	if ov.PaceFloor != defaultPaceFloor || ov.Budget != defaultOverloadBudget {
-		t.Errorf("PaceFloor/Budget = %v/%d, want defaults %v/%d",
-			ov.PaceFloor, ov.Budget, defaultPaceFloor, defaultOverloadBudget)
-	}
-	if !rt.cfg.Agg.Enabled {
-		t.Error("overload protection did not arm aggregation for its coalesce rung")
-	}
-	if rt.cfg.Fabric.CongestionThreshold != congestionThreshold {
-		t.Errorf("fabric marking threshold = %v, want %v",
-			rt.cfg.Fabric.CongestionThreshold, congestionThreshold)
-	}
-}
-
-func TestOverloadDisabledLeavesFabricUnmarked(t *testing.T) {
-	eng := sim.New()
-	rt, err := New(eng, DefaultConfig(4, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.cfg.Fabric.CongestionThreshold != 0 {
-		t.Errorf("overload-off config armed fabric marking: %v", rt.cfg.Fabric.CongestionThreshold)
-	}
-	if rt.overloadArmed {
-		t.Error("overload-off runtime is armed")
 	}
 }
 

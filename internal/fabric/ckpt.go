@@ -64,7 +64,7 @@ func (nw *Network) CheckpointSection() []byte {
 	for i := range nw.stats {
 		s := &nw.stats[i]
 		if s.Messages|s.Bytes|uint64(s.MaxQueueWait)|uint64(s.MaxStreams)|
-			s.LinkStalls|s.Reroutes|s.Dropped|s.NodeDrops|s.CEMarks == 0 {
+			s.LinkStalls|s.Reroutes|s.Dropped|s.NodeDrops == 0 {
 			continue
 		}
 		h = ckpt.Mix(h, uint64(i))
@@ -76,7 +76,6 @@ func (nw *Network) CheckpointSection() []byte {
 		h = ckpt.Mix(h, s.Reroutes)
 		h = ckpt.Mix(h, s.Dropped)
 		h = ckpt.Mix(h, s.NodeDrops)
-		h = ckpt.Mix(h, s.CEMarks)
 	}
 	enc.U64(h)
 

@@ -45,17 +45,6 @@ type Config struct {
 	// adds 25% to a message's ejection time).
 	StreamPenalty float64
 
-	// CongestionThreshold, when positive, arms ECN-style congestion
-	// signaling: a message is stamped congestion-experienced when its FIFO
-	// queue delay at any link or ejection-port reservation reaches the
-	// threshold, or when it arrives at an ejection port already past its
-	// StreamLimit (the port's occupancy tracking reports overload before
-	// queue delay accumulates). SendArg reports the mark to the delivery
-	// callback (the armci runtime echoes it to the origin on the response,
-	// driving AIMD injection pacing). Zero (the default) disables marking
-	// and leaves every code path bit-identical.
-	CongestionThreshold sim.Time
-
 	// Faults, when non-nil, makes routing and link traversal consult the
 	// injector: hard-failed links stall in-flight messages and steer fresh
 	// routes onto the opposite ring arc, degraded links stretch their
@@ -155,7 +144,6 @@ type Stats struct {
 	Reroutes     uint64   // routes steered onto the long ring arc around a failure
 	Dropped      uint64   // messages dropped after LinkStallLimit at a failed link
 	NodeDrops    uint64   // messages dropped because their source or destination node crashed
-	CEMarks      uint64   // congestion-experienced marks stamped at hot links/ports (CongestionThreshold > 0)
 }
 
 // Network is a simulated torus interconnect for n nodes.
@@ -286,7 +274,6 @@ func (nw *Network) Stats() Stats {
 		out.Reroutes += s.Reroutes
 		out.Dropped += s.Dropped
 		out.NodeDrops += s.NodeDrops
-		out.CEMarks += s.CEMarks
 	}
 	return out
 }
@@ -422,9 +409,8 @@ type msg struct {
 	pos        int      // torus position the message is at (the next link's from end)
 	cur, tgt   [3]int32 // torus coordinates of pos and of dst
 	dir        [3]int8  // ring direction per dimension: 1 plus, 0 minus
-	ce         bool     // congestion-experienced mark accumulated so far
 	freed      bool     // double-release guard
-	// deliver(darg, ce) runs when the message arrives (see SendArg).
+	// deliver(darg, false) runs when the message arrives (see SendArg).
 	deliver func(arg any, ce bool)
 	darg    any
 }
@@ -465,22 +451,20 @@ func (nw *Network) putMsg(pos int, m *msg) {
 // callback — in that order, so a delivery that immediately Sends from pos
 // reuses the record it just completed.
 func (nw *Network) finish(pos int, m *msg) {
-	deliver, arg, ce := m.deliver, m.darg, m.ce
+	deliver, arg := m.deliver, m.darg
 	nw.putMsg(pos, m)
-	deliver(arg, ce)
+	deliver(arg, false)
 }
 
 // SendArg injects a message of size bytes from node src to node dst and
-// calls deliver(arg, ce) (in engine context, as owner dst) when the last byte
+// calls deliver(arg, false) (in engine context, as owner dst) when the last byte
 // is ejected at dst. It must be called from src's owner context (a process or
 // event of node src) or from coordinator/serial context. Loopback (src ==
 // dst) pays only the software overhead.
 //
-// ce is the ECN-style congestion mark: true when the message's queue delay at
-// any link or ejection-port reservation along the way reached
-// Config.CongestionThreshold, or when the destination's ejection port was
-// past its StreamLimit as the message arrived. With the threshold unset
-// (zero) it is always false.
+// The callback's second argument, ce, is always false: the fabric marks no
+// congestion. It stays in the signature only because existing callers
+// compile against it.
 //
 // A send allocates nothing when deliver is a long-lived func value (stored
 // once by the caller, not built per send) and arg the per-message state,
@@ -609,17 +593,6 @@ func (nw *Network) ringStep(m *msg, d int) int32 {
 	return c - 1
 }
 
-// marked reports whether a queue delay of wait at position pos crosses the
-// congestion threshold, counting the mark against pos. Disabled (threshold
-// zero) it is a single comparison and never marks.
-func (nw *Network) marked(pos int, wait sim.Time) bool {
-	if th := nw.cfg.CongestionThreshold; th > 0 && wait >= th {
-		nw.stats[pos].CEMarks++
-		return true
-	}
-	return false
-}
-
 // scheduleStep schedules m's next step — traversal of the next link on its
 // route, or ejection at dst once it has arrived — at m.arrive. It must be
 // called in the context of owner `from` (the torus position the message is
@@ -651,7 +624,6 @@ func (nw *Network) step(m *msg) {
 		}
 		start := nw.links[li].reserve(now, ser)
 		nw.noteWait(hop, start-now, nw.waitLink)
-		m.ce = nw.marked(hop, start-now) || m.ce
 		nw.advance(m, d, to)
 		m.arrive = start + ser + nw.cfg.HopLatency
 		nw.scheduleStep(hop, m)
@@ -683,17 +655,6 @@ func (nw *Network) step(m *msg) {
 	if excess := len(srcs) - nw.cfg.StreamLimit; excess > 0 {
 		ser += sim.Time(float64(m.serNIC) * nw.cfg.StreamPenalty * float64(excess))
 	}
-	// RED-style early marking: the port's deterministic occupancy
-	// tracking stamps congestion-experienced once more than half the
-	// stream limit's worth of distinct sources are resident. Marking at
-	// half the penalty cliff — rather than at it — leaves origins a
-	// reaction round trip to widen their injection gaps before the
-	// stream-overload penalty engages; a signal that only fires once the
-	// penalty is already being paid arrives too late to prevent it.
-	if nw.cfg.CongestionThreshold > 0 && 2*len(srcs) > nw.cfg.StreamLimit {
-		st.CEMarks++
-		m.ce = true
-	}
 	// A storm fault saturates the node's ejection path with burst
 	// traffic from outside the model; every real transfer serializes
 	// slower while the burst window is open.
@@ -704,7 +665,6 @@ func (nw *Network) step(m *msg) {
 	}
 	start := nw.ej[dst].reserve(now, ser)
 	nw.noteWait(dst, start-now, nw.waitEj)
-	m.ce = nw.marked(dst, start-now) || m.ce
 	nw.eng.AtOnArg(dst, start+ser, nw.ejectFn, m)
 }
 
@@ -831,9 +791,6 @@ func (nw *Network) FillMetrics() {
 	reg.Counter("fabric_reroutes_total").Add(float64(st.Reroutes))
 	reg.Counter("fabric_dropped_msgs_total").Add(float64(st.Dropped))
 	reg.Counter("fabric_node_drops_total").Add(float64(st.NodeDrops))
-	if nw.cfg.CongestionThreshold > 0 {
-		reg.Counter("fabric_ce_marks_total").Add(float64(st.CEMarks))
-	}
 
 	elapsed := nw.eng.Now()
 	util := func(busy sim.Time) float64 {

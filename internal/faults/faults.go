@@ -56,7 +56,8 @@ const (
 	// target node's ejection path alternates between burst (serialization
 	// stretched by 1/bw, as if saturated by traffic from outside the
 	// simulated job) and quiet half-periods. It degrades service without
-	// killing anything — the overload-protection model's natural stressor.
+	// killing anything: the incast stressor a hot spot's topology must
+	// absorb.
 	Storm
 )
 

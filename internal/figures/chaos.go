@@ -16,15 +16,15 @@ import (
 // survivor-to-survivor workload, with end-to-end correctness asserted inside
 // the run rather than eyeballed outside it. Each surviving rank owns one
 // float64 ledger slot (slot o at every rank), accumulates +1 into its own
-// slot at random survivor targets, and books every outcome in the shared
-// ledger. After the run ledger.check asserts, per origin:
+// slot at random survivor targets, and books every outcome in the ledger.
+// After the run ledger.check asserts, per origin:
 //
-//	completed <= applied <= completed + failed - shed
+//	completed <= applied <= completed + failed
 //
 // The lower bound catches lost operations (an op reported complete that
 // never applied); the upper bound catches double-applies (the at-most-once
-// rid dedup failing under crash/retry churn). The same check reconciles the
-// shed and admission books and the credit invariants. On top of that the
+// rid dedup failing under crash/retry churn). The same check asserts the
+// credit invariants. On top of that the
 // harness checks that idle victims' slots stay zero, the membership
 // detection-latency bound, and — via the sim watchdog — that the run never
 // wedges. Chaos is the acceptance gate of the node-fault work: the sweep's
@@ -65,10 +65,6 @@ type ChaosConfig struct {
 	// Zero (the default) keeps the schedule crash-only and bit-identical to
 	// pre-storm chaos runs.
 	Storms int
-	// Overload arms the overload-protection layer (admission control, AIMD
-	// pacing, shedding); shed operations surface as failed handles, which the
-	// ledger invariants already cover.
-	Overload bool
 	// Shards runs the kernel conservatively in parallel (armci.Config.Shards);
 	// ledger results are bit-identical for every value. Forced serial when
 	// Trace is set.
@@ -155,7 +151,6 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		faults: &faults.Spec{Faults: schedule}, metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID,
 	}.start(fmt.Sprintf("chaos %v %d nodes, %d crashes, %s", spec, c.Nodes, c.Crashes, heal), func(cfg *armci.Config) {
 		cfg.Heal.Enabled = c.Heal
-		cfg.Overload.Enabled = c.Overload
 		// Fast retry constants scaled to the horizon. The doubling retries
 		// from 200us put attempts at +200us/600us/1.4ms/3ms after issue —
 		// the last two comfortably past worst-case detection (an observer
@@ -244,7 +239,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		}
 		return lo, lo
 	}
-	if err := led.check(rt, c.Overload, survivors, applied); err != nil {
+	if err := led.check(rt, survivors, applied); err != nil {
 		return nil, fmt.Errorf("chaos %v seed %d: %w", spec, c.Seed, err)
 	}
 	// Victim ranks issued nothing, so their slots stay zero.
@@ -279,4 +274,25 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	h = ckpt.Mix(h, uint64(res.Elapsed))
 	res.Fingerprint = h
 	return res, nil
+}
+
+// stormSchedule builds the deterministic storm bursts against the hot node:
+// burst i squeezes the ejection port to a quarter of its bandwidth in
+// 50us on/off half-periods for 300us, starting at 100us + i*4ms. The 4 ms
+// spacing lets a run finish paying for one burst before the next lands, so
+// elapsed time reflects per-storm recovery cost rather than one merged
+// episode.
+func stormSchedule(hot, storms int) []faults.Fault {
+	var fs []faults.Fault
+	for i := 0; i < storms; i++ {
+		fs = append(fs, faults.Fault{
+			Kind:   faults.Storm,
+			A:      hot,
+			At:     100*sim.Microsecond + sim.Time(i)*4*sim.Millisecond,
+			For:    300 * sim.Microsecond,
+			Factor: 0.25,
+			Period: 50 * sim.Microsecond,
+		})
+	}
+	return fs
 }

@@ -74,12 +74,6 @@ type ContentionConfig struct {
 	// coalesce into multi-op packets at credit and flush boundaries. The
 	// workload shape is unchanged — only the protocol under it.
 	Aggregation bool
-	// Overload enables the overload-protection layer (armci.Config.Overload
-	// with defaults): ECN congestion marking, AIMD injection pacing and the
-	// degradation ladder of docs/OVERLOAD.md. The workload shape is
-	// unchanged — only the protocol under it. Note that enabling it also
-	// arms aggregation (the ladder's coalesce rung needs it).
-	Overload bool
 	// Shards runs the simulation kernel conservatively in parallel across
 	// this many topology-aware shards (armci.Config.Shards). Results are
 	// bit-identical for every value; 0 or 1 keeps the serial kernel. When
@@ -159,7 +153,6 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 			cfg.Fabric.StreamLimit = c.StreamLimit
 		}
 		cfg.Agg.Enabled = c.Aggregation
-		cfg.Overload.Enabled = c.Overload
 		cfg.Heal.Enabled = c.Heal
 	})
 	if err != nil {

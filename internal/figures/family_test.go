@@ -104,7 +104,7 @@ func TestFamilyChaos(t *testing.T) {
 }
 
 // TestRecoverBitIdentityAcrossFamiliesAndShards stacks every crash/recover
-// chaos feature at once (crashes, a storm, overload protection, healing) on
+// chaos feature at once (crashes, a storm, healing) on
 // all six families and requires each shard count to reproduce the serial
 // result field for field.
 func TestRecoverBitIdentityAcrossFamiliesAndShards(t *testing.T) {
@@ -116,32 +116,8 @@ func TestRecoverBitIdentityAcrossFamiliesAndShards(t *testing.T) {
 		t.Run(specStr, func(t *testing.T) {
 			chaosShardIdentical(t, ChaosConfig{
 				Topo: spec, Nodes: 32, PPN: 2, OpsPerRank: 8,
-				Crashes: 2, Storms: 1, Overload: true, Heal: true,
+				Crashes: 2, Storms: 1, Heal: true,
 			})
-		})
-	}
-}
-
-// TestFamilyOverload runs the incast-storm harness once per family with
-// protection on: the shed-ledger and fairness invariants must hold unchanged
-// on the new topologies.
-func TestFamilyOverload(t *testing.T) {
-	for _, specStr := range []string{"hyperx:4x4x2", "dragonfly:g=8,a=4,h=2"} {
-		spec, err := core.ParseSpec(specStr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(specStr, func(t *testing.T) {
-			res, err := Overload(OverloadConfig{
-				Topo: spec, Nodes: 32, PPN: 2, OpsPerRank: 16,
-				Protect: true, GoodputFloor: 0.1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Issued == 0 || res.Completed == 0 {
-				t.Fatalf("degenerate overload run: %+v", res)
-			}
 		})
 	}
 }

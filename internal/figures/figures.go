@@ -2,7 +2,7 @@
 // figure of the paper, run on the simulated runtime: memory scaling
 // (Fig5PointSpec, Fig 5), vectored-put and fetch-&-add hot-spot contention
 // (Contention, Figs 6-7), and the application proxies (AppPoint with LU,
-// DFT or CCSD, Figs 8-9), plus the Chaos, Overload and Scale harnesses.
+// DFT or CCSD, Figs 8-9), plus the Chaos and Scale harnesses.
 // Each function runs one cell; the internal/sweep experiments table turns
 // grids of cells into the paper's figures, and the package tests assert
 // their shape at reduced scale.

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"armcivt/internal/armci"
 	"armcivt/internal/core"
 )
 
@@ -19,24 +18,19 @@ func TestLedgerCheckCatchesEachBreak(t *testing.T) {
 	}
 	defer rt.Shutdown()
 	cases := []struct {
-		name     string
-		row      ledgerRow
-		overload bool
-		applied  float64
-		want     string // "" passes
+		name    string
+		row     ledgerRow
+		applied float64
+		want    string // "" passes
 	}{
-		{"consistent", ledgerRow{completed: 2, failed: 1}, false, 3, ""},
-		{"lost op", ledgerRow{completed: 2}, false, 1, "lost operations"},
-		{"double apply", ledgerRow{completed: 1}, false, 2, "over-applied"},
-		{"shed op applied", ledgerRow{completed: 1, failed: 1, shed: [3]int{1, 0, 0}}, false, 2, "over-applied"},
-		{"shed-counter mismatch", ledgerRow{failed: 1, shed: [3]int{0, 1, 0}}, true, 0, "shed ledger mismatch"},
-		{"admission mismatch", ledgerRow{completed: 1}, true, 1, "admitted 0 + local 0 != issued 1 - shed 0"},
-		{"unarmed shed", ledgerRow{failed: 1, shed: [3]int{0, 0, 1}}, false, 0, "unarmed run shed 1 ops"},
+		{"consistent", ledgerRow{completed: 2, failed: 1}, 3, ""},
+		{"lost op", ledgerRow{completed: 2}, 1, "lost operations"},
+		{"double apply", ledgerRow{completed: 1}, 2, "over-applied"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			led := ledger{tc.row}
-			err := led.check(rt, tc.overload, []int{0}, func(int) (float64, float64) { return tc.applied, tc.applied })
+			err := led.check(rt, []int{0}, func(int) (float64, float64) { return tc.applied, tc.applied })
 			switch {
 			case tc.want == "" && err != nil:
 				t.Fatalf("check = %v, want nil", err)
@@ -47,21 +41,17 @@ func TestLedgerCheckCatchesEachBreak(t *testing.T) {
 	}
 }
 
-// TestLedgerRecordClassifiesSheds: record books a nil error as completed,
-// any error as failed, and an *armci.OverloadError also as a shed under its
-// reason.
-func TestLedgerRecordClassifiesSheds(t *testing.T) {
-	led := make(ledger, 1)
+// TestLedgerRecordBooksOutcomes: record books a nil error as completed and
+// any error as failed.
+func TestLedgerRecordBooksOutcomes(t *testing.T) {
+	led := make(ledger, 2)
 	led.record(0, nil)
 	led.record(0, errors.New("timed out"))
-	for _, reason := range []string{"budget", "deadline", "deadline", "class"} {
-		led.record(0, &armci.OverloadError{Reason: reason})
+	led.record(1, errors.New("node crashed"))
+	if want := (ledgerRow{completed: 1, failed: 1}); led[0] != want {
+		t.Fatalf("row 0 = %+v, want %+v", led[0], want)
 	}
-	want := ledgerRow{completed: 1, failed: 5, shed: [3]int{1, 2, 1}}
-	if led[0] != want {
-		t.Fatalf("row = %+v, want %+v", led[0], want)
-	}
-	if got := led.total(); got != want || got.issued() != 6 || got.sheds() != 4 {
-		t.Fatalf("total = %+v (issued %d, sheds %d), want %+v", got, got.issued(), got.sheds(), want)
+	if got, want := led.total(), (ledgerRow{completed: 1, failed: 2}); got != want || got.issued() != 3 {
+		t.Fatalf("total = %+v (issued %d), want %+v", got, got.issued(), want)
 	}
 }

@@ -18,10 +18,7 @@ type run struct {
 	shards     int
 	// faults, when non-nil, is injected into the run and arms the watchdog,
 	// which turns a wedged run into an *armci.StallError instead of a hang.
-	faults *faults.Spec
-	// collapse, when positive, also arms the watchdog's goodput-collapse
-	// detector with this per-window completion floor (Watchdog.SetGoodput).
-	collapse   uint64
+	faults     *faults.Spec
 	metrics    *obs.Registry
 	trace      *obs.Tracer
 	tracePID   int
@@ -70,10 +67,6 @@ func (r run) start(title string, edit func(*armci.Config)) (*armci.Runtime, erro
 	if err != nil || r.faults == nil {
 		return rt, err
 	}
-	wd := sim.NewWatchdog(eng, 0, 0)
-	if r.collapse > 0 {
-		wd.SetGoodput(rt.GoodputSample, r.collapse)
-	}
-	wd.Start()
+	sim.NewWatchdog(eng, 0, 0).Start()
 	return rt, nil
 }

@@ -41,7 +41,7 @@ func compareSources(seed, reseed int64, reseedAt, draws int, ops []byte) (int, i
 // the seeds the simulator uses and the ones its seed arithmetic treats
 // specially: 0 (replaced by a fixed seed), negatives, multiples of 2^31−1
 // (which reduce to 0), values past 2^31, and the per-rank formula of the
-// chaos and overload harnesses. Every stream runs past the 607-word
+// chaos harness. Every stream runs past the 607-word
 // register's wrap and is reseeded once mid-stream, some while the source
 // still serves draws without a register.
 func TestSourceMatchesMathRand(t *testing.T) {

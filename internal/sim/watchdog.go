@@ -30,15 +30,6 @@ type Watchdog struct {
 	quiet        int
 	stalls       int
 	started      bool
-
-	// Goodput-collapse detection (SetGoodput). Unlike quiescent churn, a
-	// collapse has processes resuming busily — the run looks alive — while
-	// useful completions have stopped arriving.
-	goodput       func() (completed, shed uint64)
-	goodputFloor  uint64
-	lastCompleted uint64
-	lastShed      uint64
-	slump         int
 }
 
 // DefaultWatchdogInterval and DefaultWatchdogPatience suit the repository's
@@ -72,24 +63,7 @@ func (w *Watchdog) Start() {
 	w.started = true
 	w.lastResumes = w.eng.resumes
 	w.lastExecuted = w.eng.executed
-	if w.goodput != nil {
-		w.lastCompleted, w.lastShed = w.goodput()
-	}
 	w.eng.After(w.interval, w.check)
-}
-
-// SetGoodput arms the goodput-collapse detector: sample (called from the
-// watchdog's serial check event) returns monotonically non-decreasing
-// counts of completed operations and deliberately shed operations. A check
-// window in which the run is still churning events but fewer than floor
-// operations completed — and none were shed — counts toward a collapse
-// streak; Patience consecutive such windows trip the watchdog with
-// Collapse=true. Shedding resets the streak: a protection layer actively
-// draining backlog is degrading gracefully, not collapsing, so the detector
-// must not fire while load shedding is doing its job. Call before Start.
-func (w *Watchdog) SetGoodput(sample func() (completed, shed uint64), floor uint64) {
-	w.goodput = sample
-	w.goodputFloor = floor
 }
 
 // Stalls returns how many times the watchdog tripped (0 or 1: a trip halts
@@ -118,31 +92,12 @@ func (w *Watchdog) check() {
 	default:
 		w.quiet = 0 // pure wait on a future event
 	}
-	var rep *StallReport
-	if w.quiet >= w.patience {
-		rep = &StallReport{Checks: w.quiet}
-	} else if w.goodput != nil {
-		c, s := w.goodput()
-		dC, dS := c-w.lastCompleted, s-w.lastShed
-		w.lastCompleted, w.lastShed = c, s
-		switch {
-		case dS > 0, dC >= w.goodputFloor:
-			w.slump = 0
-		case resumed || churned:
-			w.slump++
-		default:
-			w.slump = 0 // pure wait on a future event; not a collapse
-		}
-		if w.slump >= w.patience {
-			rep = &StallReport{Checks: w.slump, Collapse: true, Completed: dC, Floor: w.goodputFloor}
-		}
-	}
-	if rep == nil {
+	if w.quiet < w.patience {
 		e.After(w.interval, w.check)
 		return
 	}
 	w.stalls++
-	rep.At, rep.Window, rep.Interval = e.now, Time(rep.Checks)*w.interval, w.interval
+	rep := &StallReport{Checks: w.quiet, At: e.now, Window: Time(w.quiet) * w.interval, Interval: w.interval}
 	rep.Pending, rep.Blocked, rep.Daemons = e.PendingEvents(), e.BlockedProcs(), e.BlockedDaemons()
 	e.Halt(&WatchdogError{Report: rep})
 }
@@ -157,23 +112,13 @@ type StallReport struct {
 	Daemons  []string // same for daemon processes (CHT server loops)
 	Checks   int      // consecutive quiescent checks observed
 	Interval Time     // check interval in effect
-
-	// Goodput-collapse trips (SetGoodput) only:
-	Collapse  bool   // true when the trip is a goodput collapse, not quiescent churn
-	Completed uint64 // operations completed in the final check window
-	Floor     uint64 // configured per-window completion floor
 }
 
 // String renders the full blocked-process dump.
 func (r *StallReport) String() string {
 	var b strings.Builder
-	if r.Collapse {
-		fmt.Fprintf(&b, "watchdog goodput collapse at t=%v: %d completion(s) in the last window (floor %d), none shed, for %v\n",
-			r.At, r.Completed, r.Floor, r.Window)
-	} else {
-		fmt.Fprintf(&b, "watchdog stall at t=%v: %d event(s) pending, no process resumed for %v\n",
-			r.At, r.Pending, r.Window)
-	}
+	fmt.Fprintf(&b, "watchdog stall at t=%v: %d event(s) pending, no process resumed for %v\n",
+		r.At, r.Pending, r.Window)
 	fmt.Fprintf(&b, "  blocked processes (%d):\n", len(r.Blocked))
 	for _, s := range r.Blocked {
 		fmt.Fprintf(&b, "    %s\n", s)
@@ -194,10 +139,6 @@ type WatchdogError struct {
 }
 
 func (e *WatchdogError) Error() string {
-	if e.Report.Collapse {
-		return fmt.Sprintf("sim: watchdog: goodput collapse at t=%v (%d completion(s) in last window, floor %d, %d pending)",
-			e.Report.At, e.Report.Completed, e.Report.Floor, e.Report.Pending)
-	}
 	return fmt.Sprintf("sim: watchdog: quiescent event queue at t=%v (%d pending, %d blocked): %s",
 		e.Report.At, e.Report.Pending, len(e.Report.Blocked), strings.Join(e.Report.Blocked, "; "))
 }

@@ -120,7 +120,6 @@ func runContention(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry,
 		Window:         p.Window,
 		Aggregation:    p.Agg == "on",
 		Heal:           p.Heal == "on",
-		Overload:       p.Overload == "on",
 		Shards:         opts.Shards,
 		Metrics:        reg,
 		Trace:          opts.Trace,
@@ -202,30 +201,4 @@ func runChaos(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res 
 	}
 	res.Value = float64(cres.Failed)
 	return fmt.Sprintf("metrics: chaos %s, %d crashes, heal %s", p.Topo, p.Crashes, cmp.Or(p.Heal, "off")), nil
-}
-
-// runOverload runs an overload point. Its scalar is the goodput (completed
-// ops per virtual millisecond): the protected/unprotected pair at each storm
-// intensity is the collapse comparison the merged table shows.
-func runOverload(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
-	ores, err := figures.Overload(figures.OverloadConfig{
-		Topo:       spec,
-		Nodes:      p.Nodes,
-		PPN:        p.PPN,
-		OpsPerRank: p.Iters,
-		Storms:     p.Storms,
-		Tenants:    p.Tenants,
-		Seed:       p.EffectiveSeed(),
-		Protect:    p.Overload == "on",
-		Shards:     opts.Shards,
-		Metrics:    reg,
-		Trace:      opts.Trace,
-		TracePID:   p.Index,
-	})
-	if err != nil {
-		return "", err
-	}
-	res.Value = ores.Goodput()
-	return fmt.Sprintf("metrics: overload %s, %d storms, %d tenants, protection %s",
-		p.Topo, p.Storms, p.Tenants, cmp.Or(p.Overload, "off")), nil
 }

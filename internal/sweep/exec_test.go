@@ -24,7 +24,7 @@ func metricValue(t *testing.T, res sweep.Result, name string) string {
 }
 
 // A chaos point runs on the kernel shard count the sweep was given, as
-// contention and overload points do.
+// contention points do.
 func TestExecuteChaosHonorsShards(t *testing.T) {
 	p := sweep.Point{Experiment: sweep.ExpChaos, Topo: "MFCG", Nodes: 16, PPN: 1,
 		Iters: 4, Crashes: 1, Heal: "on", Metrics: true}

@@ -41,12 +41,6 @@ func TestLegacyCacheKeysPreserved(t *testing.T) {
 			"CFCG+heal/s2",
 		},
 		{
-			Point{Experiment: ExpOverload, Topo: "FCG", Nodes: 64, PPN: 2, Iters: 32,
-				Storms: 2, Tenants: 2, Overload: "on", Seed: 1},
-			"0253e3d4fff794a63bdfdbe2b6448d81c455fef1f4411c5dbd2a7f9800a042c9",
-			"FCG+protect",
-		},
-		{
 			Point{Experiment: ExpContention, Topo: "CFCG", Nodes: 64, PPN: 2, Op: "fadd",
 				Level: "11", ContenderEvery: 9, Iters: 5, SampleEvery: 8, VecSegs: 32,
 				MsgSize: 64, Window: 8, Agg: "on", Seed: 3, Rep: 1},

@@ -40,7 +40,6 @@ const (
 	ExpContention = "contention" // Figs 6-7 hot-spot microbenchmark
 	ExpMemscale   = "memscale"   // Fig 5 memory scaling
 	ExpChaos      = "chaos"      // randomized crash/recover invariant harness
-	ExpOverload   = "overload"   // incast-storm overload-protection harness
 	ExpLU         = "lu"         // Fig 8 NAS LU
 	ExpDFT        = "dft"        // Fig 9a NWChem DFT SiOSi3 proxy
 	ExpCCSD       = "ccsd"       // Fig 9b NWChem CCSD(T) water proxy
@@ -71,13 +70,13 @@ func LevelName(level string) string {
 // experiment does not read (experiment.keys) off that key's default.
 type Grid struct {
 	// Experiment names the entry of the experiments table that expands and
-	// executes the grid: "contention" (default), "memscale", "chaos",
-	// "overload", "lu", "dft" or "ccsd".
+	// executes the grid: "contention" (default), "memscale", "chaos", "lu",
+	// "dft" or "ccsd".
 	Experiment string `grid:"exp"`
 
 	Topos  []string `grid:"topos"`   // topology kinds; default all four
 	Levels []string `grid:"levels"`  // contention levels: none, 11, 20
-	Nodes  []int    `grid:"nodes"`   // node counts; default 256 (chaos, overload 64)
+	Nodes  []int    `grid:"nodes"`   // node counts; default 256 (chaos 64)
 	Sizes  []int    `grid:"msgsize"` // vectored-put segment lengths in bytes; default 256
 	Faults []string `grid:"faults"`  // fault specs (docs/FAULTS.md grammar); "none" = fault-free
 	Seeds  []int64  `grid:"seeds"`   // engine RNG seeds; default 1 (the engine's own default)
@@ -98,22 +97,9 @@ type Grid struct {
 	Crashes []int    `grid:"crashes"` // crash counts; default 3
 	Heals   []string `grid:"heal"`    // "off"/"on"; default on for chaos, off otherwise
 
-	// Storms, Tenants and Overloads drive the overload experiment: the
-	// storm-intensity axis (ejection-bandwidth bursts against the hot node),
-	// the tenant-mix axis, and whether the overload-protection layer is
-	// armed. overload=off,on runs every cell in both arms — the paired
-	// collapse comparison the experiment exists for, and its default.
-	// Overloads also applies to contention grids, where arming protection on
-	// an uncongested workload leaves results unchanged in substance (pacing
-	// only engages on CE marks) but not bit-identically — unlike heal=on,
-	// the fabric occupancy tracking does observe the marking threshold.
-	Storms    []int    `grid:"storm"`    // storm burst counts; default 2
-	Tenants   []int    `grid:"tenants"`  // tenant counts; default 2
-	Overloads []string `grid:"overload"` // "off"/"on"; default off,on for overload grids, off otherwise
-
 	Op          string `grid:"op"`     // contention op: vput (default) or fadd
-	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale, lu, dft, ccsd 12; chaos, overload 2)
-	Iters       int    `grid:"iters"`  // iterations per measured process (lu: SSOR, dft: SCF); default 20 (overload 64, lu 12, dft 3)
+	PPN         int    `grid:"ppn"`    // processes per node; default 4 (memscale, lu, dft, ccsd 12; chaos 2)
+	Iters       int    `grid:"iters"`  // iterations per measured process (lu: SSOR, dft: SCF); default 20 (lu 12, dft 3)
 	SampleEvery int    `grid:"sample"` // measure every k-th rank; default 8
 	StreamLimit int    `grid:"stream"` // NIC stream-limit override; 0 = fabric default
 	VecSegs     int    `grid:"segs"`   // vectored-put segment count; default 32
@@ -153,7 +139,7 @@ type experiment struct {
 
 // experiments is the table of every exp= value.
 var experiments = map[string]experiment{
-	ExpContention: contention, ExpMemscale: memscale, ExpChaos: chaos, ExpOverload: overload,
+	ExpContention: contention, ExpMemscale: memscale, ExpChaos: chaos,
 	ExpLU: luExp, ExpDFT: dftExp, ExpCCSD: ccsdExp,
 }
 
@@ -162,7 +148,7 @@ var (
 	// series of per-rank latencies, and each level gets its own table.
 	contention = experiment{
 		keys: []string{"op", "ppn", "iters", "sample", "stream", "segs", "window",
-			"levels", "msgsize", "nodes", "faults", "seeds", "reps", "agg", "heal", "overload", "topos"},
+			"levels", "msgsize", "nodes", "faults", "seeds", "reps", "agg", "heal", "topos"},
 		run: runContention,
 		// The protocol toggles are deliberately absent: an off/on pair
 		// shares one table, distinguished by series label.
@@ -209,22 +195,6 @@ var (
 		xLabel: "crashes",
 		x:      func(p Point) float64 { return float64(p.Crashes) },
 	}
-	// overload is the incast-storm overload-protection harness at its
-	// calibration scale and storm (figures.Overload's defaults); every cell
-	// runs in both protection arms.
-	overload = experiment{
-		keys:     []string{"ppn", "iters", "storm", "tenants", "nodes", "seeds", "reps", "overload", "topos"},
-		defaults: Grid{Nodes: []int{64}, PPN: 2, Iters: 64, Overloads: []string{"off", "on"}},
-		run:      runOverload,
-		// Storm count is the x-axis; protection on/off pairs share the
-		// table, distinguished by the +protect series label.
-		group: func(p Point) string { return fmt.Sprintf("%d|%d|%d", p.Nodes, p.Iters, p.Tenants) },
-		title: func(p Point, _, _ bool) string {
-			return fmt.Sprintf("overload: goodput (ops/ms) vs storms, %d nodes, %d tenants", p.Nodes, p.Tenants)
-		},
-		xLabel: "storms",
-		x:      func(p Point) float64 { return float64(p.Storms) },
-	}
 )
 
 // appExperiment is an application proxy's entry: one scalar per topology
@@ -265,8 +235,8 @@ var defaults = Grid{
 	Procs:      []int{768, 1536, 3072, 6144, 12288},
 
 	Nodes: []int{256}, Sizes: []int{256}, Faults: []string{"none"}, Seeds: []int64{1},
-	Crashes: []int{3}, Storms: []int{2}, Tenants: []int{2},
-	Aggs: offOnly, Heals: offOnly, Overloads: offOnly,
+	Crashes: []int{3},
+	Aggs:    offOnly, Heals: offOnly,
 	Op: "vput", PPN: 4, Iters: 20, SampleEvery: 8, VecSegs: 32, Reps: 1,
 }
 
@@ -336,7 +306,7 @@ var vocab = map[string][]string{
 	"exp":    experimentNames(),
 	"op":     {"vput", "fadd"},
 	"levels": {"none", "11", "20"},
-	"agg":    {"off", "on"}, "heal": {"off", "on"}, "overload": {"off", "on"},
+	"agg":    {"off", "on"}, "heal": {"off", "on"},
 }
 
 func experimentNames() []string {
@@ -495,11 +465,6 @@ type Point struct {
 	// cache-key rule as Agg).
 	Crashes int    `json:"crashes,omitempty"`
 	Heal    string `json:"heal,omitempty"`
-	// Storms, Tenants and Overload define an overload point; Overload is the
-	// protection arm ("" off / "on", the usual omitempty cache-key rule).
-	Storms   int    `json:"storms,omitempty"`
-	Tenants  int    `json:"tenants,omitempty"`
-	Overload string `json:"overload,omitempty"`
 }
 
 // Key returns the point's content-addressed identity: the SHA-256 of the
@@ -524,9 +489,6 @@ func (p Point) Label() string {
 	}
 	if p.Heal == "on" {
 		l += "+heal"
-	}
-	if p.Overload == "on" {
-		l += "+protect"
 	}
 	if p.Seed != 0 && p.Seed != 1 {
 		l += fmt.Sprintf("/s%d", p.Seed)
@@ -627,7 +589,7 @@ func (g Grid) values(key string) []reflect.Value {
 var pointField = map[string]string{
 	"topos": "Topo", "levels": "Level", "nodes": "Nodes", "msgsize": "MsgSize", "faults": "Faults",
 	"seeds": "Seed", "reps": "Rep", "procs": "Procs", "agg": "Agg",
-	"crashes": "Crashes", "heal": "Heal", "storm": "Storms", "tenants": "Tenants", "overload": "Overload",
+	"crashes": "Crashes", "heal": "Heal",
 	"op": "Op", "ppn": "PPN", "iters": "Iters", "sample": "SampleEvery", "stream": "StreamLimit",
 	"segs": "VecSegs", "window": "Window",
 }
@@ -635,7 +597,7 @@ var pointField = map[string]string{
 // unset is the value of a key that a point stores as "", which the JSON
 // encoding omits: a toggle's "off" and the fault-free "none". A point's
 // cache key is therefore what it was before the key existed.
-var unset = map[string]string{"agg": "off", "heal": "off", "overload": "off", "faults": "none"}
+var unset = map[string]string{"agg": "off", "heal": "off", "faults": "none"}
 
 // Reindex renumbers assembled point lists into slice order. Callers that
 // concatenate several expansions (cmd/vtreport's per-section grids) must

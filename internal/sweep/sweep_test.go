@@ -6,9 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"armcivt/internal/core"
-	"armcivt/internal/figures"
 )
 
 func TestParseGridFillsFields(t *testing.T) {
@@ -141,10 +138,9 @@ func TestExpandMemscale(t *testing.T) {
 // are accepted.
 func TestExpandRejectsUnusedKeys(t *testing.T) {
 	for spec, want := range map[string]string{
-		"exp=chaos;topos=mfcg;nodes=16;agg=on;overload=on;window=8;faults=cht:1@t=1ms": "exp=chaos does not use grid key(s) faults, agg, overload, window",
-		"exp=memscale;levels=20;iters=5":                                               "exp=memscale does not use grid key(s) levels, iters",
-		"exp=overload;heal=on;crashes=1":                                               "exp=overload does not use grid key(s) crashes, heal",
-		"exp=contention;storm=4;procs=96":                                              "exp=contention does not use grid key(s) procs, storm",
+		"exp=chaos;topos=mfcg;nodes=16;agg=on;window=8;faults=cht:1@t=1ms": "exp=chaos does not use grid key(s) faults, agg, window",
+		"exp=memscale;levels=20;iters=5":                                   "exp=memscale does not use grid key(s) levels, iters",
+		"exp=contention;crashes=4;procs=96":                                "exp=contention does not use grid key(s) procs, crashes",
 		// The CCSD proxy has no iteration count.
 		"exp=ccsd;iters=3": "exp=ccsd does not use grid key(s) iters",
 	} {
@@ -157,9 +153,9 @@ func TestExpandRejectsUnusedKeys(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{
-		"exp=chaos;topos=mfcg;nodes=16;agg=off;overload=off;window=0;faults=none",
+		"exp=chaos;topos=mfcg;nodes=16;agg=off;window=0;faults=none",
 		"exp=memscale;topos=fcg;procs=96;seeds=1;reps=1;heal=off",
-		"exp=overload;topos=fcg;nodes=16;heal=off;crashes=3",
+		"exp=contention;topos=fcg;nodes=16;crashes=3",
 	} {
 		g, err := ParseGrid(spec)
 		if err != nil {
@@ -398,70 +394,6 @@ func TestExecuteChaosPoint(t *testing.T) {
 	}
 }
 
-// TestOverloadGridRuns drives exp=overload end to end at toy size through
-// runOverload: every point passes the ledger check figures.Overload makes
-// before it returns (a broken invariant would land in Result.Err) with a
-// positive goodput, and the merged table keys both protection arms by storm
-// count under one title.
-func TestOverloadGridRuns(t *testing.T) {
-	g, err := ParseGrid("exp=overload;topos=mfcg;nodes=16;ppn=2;iters=4;storm=1,2;tenants=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := mustExpand(t, *g)
-	if len(points) != 4 {
-		t.Fatalf("expanded %d points, want 4 (storms x overload off,on)", len(points))
-	}
-	results, _ := (&Runner{Workers: 2}).Run(points)
-	for _, r := range results {
-		if r.Err != "" || r.Value <= 0 {
-			t.Fatalf("%s storms=%d: goodput %v, err %q", r.Label, r.Point.Storms, r.Value, r.Err)
-		}
-	}
-	groups := Groups(results)
-	if len(groups) != 1 {
-		t.Fatalf("%d tables, want 1", len(groups))
-	}
-	gr := groups[0]
-	if want := "overload: goodput (ops/ms) vs storms, 16 nodes, 2 tenants"; gr.Title != want || gr.XLabel != "storms" {
-		t.Fatalf("table %q over %q, want %q over storms", gr.Title, gr.XLabel, want)
-	}
-	var labels []string
-	for _, s := range gr.Series {
-		labels = append(labels, s.Label)
-		if len(s.X) != 2 || s.X[0] != 1 || s.X[1] != 2 {
-			t.Errorf("series %s at storms %v, want [1 2]", s.Label, s.X)
-		}
-	}
-	if !slices.Equal(labels, []string{"MFCG", "MFCG+protect"}) {
-		t.Errorf("series %v, want [MFCG MFCG+protect]", labels)
-	}
-}
-
-// TestOverloadDefaultsRunHarnessStorm: a grid that leaves iters unset runs
-// the storm figures.Overload runs at its own defaults, so a sweep "at
-// defaults" and the harness and its tests measure the same thing.
-func TestOverloadDefaultsRunHarnessStorm(t *testing.T) {
-	g, err := ParseGrid("exp=overload;topos=mfcg;nodes=16;storm=1;tenants=2;overload=on")
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := mustExpand(t, *g)
-	res := Execute(points[0], ExecOptions{})
-	if res.Err != "" {
-		t.Fatal(res.Err)
-	}
-	ref, err := figures.Overload(figures.OverloadConfig{
-		Topo: core.Spec{Kind: core.MFCG}, Nodes: 16, Storms: 1, Tenants: 2, Protect: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != ref.Goodput() {
-		t.Fatalf("default exp=overload point: goodput %v, figures.Overload at its defaults %v", res.Value, ref.Goodput())
-	}
-}
-
 // TestContentionHealToggleGolden pins the contract of the heal= grid key on
 // contention grids: arming healing on a fault-free contention point changes
 // the series label and the cache key, but the simulation output is
@@ -503,7 +435,7 @@ func FuzzParseGrid(f *testing.F) {
 		"exp=memscale;ppn=12;procs=768,1536",
 		"exp=contention;op=fadd;topos=fcg,mfcg;nodes=16;levels=none,20;seeds=1,2;reps=2",
 		"exp=chaos;nodes=16;crashes=1,2;heal=off,on;seeds=3",
-		"exp=overload;nodes=16;storm=1,2;tenants=2;overload=off,on",
+		"exp=lu;ppn=12;iters=2;procs=48,96",
 		"topos=hyperx:4x4x2,dragonfly:g=8,a=4,h=2;nodes=32;levels=20;agg=off,on;window=8",
 		"faults=none|cht:1@t=1ms;levels=20;nodes=16;msgsize=64,128",
 		"exp=chaos;agg=on",
