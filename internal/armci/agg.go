@@ -33,7 +33,7 @@ const (
 func batchable(req *request) bool {
 	switch req.kind {
 	case opPut, opPutV, opAcc, opAccV, opRmw:
-		return req.wire-headerBytes <= aggThreshold
+		return int(req.wire)-headerBytes <= aggThreshold
 	}
 	return false
 }
@@ -49,15 +49,15 @@ func coalescable(req *request) bool {
 // request header. A batch contributes all of its subs (flattening is free).
 func subWireOf(req *request) int {
 	if req.kind == opBatch {
-		return req.wire - headerBytes
+		return int(req.wire) - headerBytes
 	}
-	return batchOpBytes + req.wire - headerBytes
+	return batchOpBytes + int(req.wire) - headerBytes
 }
 
 // subCount counts the sub-operations req contributes when merged.
 func subCount(req *request) int {
 	if req.kind == opBatch {
-		return len(req.subs)
+		return len(*req.subs)
 	}
 	return 1
 }
@@ -65,9 +65,17 @@ func subCount(req *request) int {
 // appendSubs flattens req onto subs in issue order.
 func appendSubs(subs []*request, req *request) []*request {
 	if req.kind == opBatch {
-		return append(subs, req.subs...)
+		return append(subs, *req.subs...)
 	}
 	return append(subs, req)
+}
+
+// batchPacket is an opBatch request allocated together with its sub-op
+// list, so a batch stays one heap object while every other request spends
+// one pointer, not a slice header, on the list.
+type batchPacket struct {
+	request
+	subs []*request
 }
 
 // buildBatch assembles an opBatch packet from two or more requests bound for
@@ -78,20 +86,22 @@ func buildBatch(subs []*request) *request {
 	for _, s := range subs {
 		wire += subWireOf(s)
 	}
-	return &request{
+	b := &batchPacket{subs: subs}
+	b.request = request{
 		kind:   opBatch,
 		origin: subs[0].origin, originNode: subs[0].originNode,
 		target: subs[0].target,
-		wire:   wire,
-		subs:   subs,
+		wire:   int32(wire),
+		subs:   &b.subs,
 	}
+	return &b.request
 }
 
 // batchSubs views req as its sub-operations (itself, when not a batch), for
 // per-sub completion and failure paths.
 func batchSubs(req *request) []*request {
 	if req.kind == opBatch {
-		return req.subs
+		return *req.subs
 	}
 	return []*request{req}
 }
@@ -111,7 +121,7 @@ func (r *Rank) submit(reqs []*request, h *Handle) {
 	for i, req := range reqs {
 		req.setHandle(h, i)
 		if rt.cfg.Agg.Enabled && batchable(req) {
-			tn := req.target / rt.cfg.PPN
+			tn := int(req.target) / rt.cfg.PPN
 			r.aggAdd(req, tn)
 		} else {
 			r.send(req)

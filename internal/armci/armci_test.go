@@ -735,7 +735,7 @@ func TestMasterRSSOrderingAcrossTopologies(t *testing.T) {
 }
 
 func TestHandleOverCompletionPanics(t *testing.T) {
-	h := newHandle(sim.New(), 1, 0)
+	h := newHandle(1, 0)
 	h.completeChunk()
 	defer func() {
 		if recover() == nil {

@@ -88,7 +88,7 @@ func (ns *nodeState) chtStep(p *sim.Proc) {
 // right now.
 func (ns *nodeState) serviceTime(req *request) sim.Time {
 	rt := ns.rt
-	targetNode := req.target / rt.cfg.PPN
+	targetNode := int(req.target) / rt.cfg.PPN
 	moved := ns.serviceBytes(req, targetNode)
 	srcs := ns.pendingSrcs
 	if srcs > rt.cfg.CHTPollCap {
@@ -102,7 +102,7 @@ func (ns *nodeState) serviceTime(req *request) sim.Time {
 	} else if req.kind == opBatch {
 		// Unpacking a batch costs far less per sub-op than a full
 		// dequeue-poll-dispatch cycle; that gap is the hot-node win.
-		svc += sim.Time(len(req.subs)-1) * aggOpOverhead
+		svc += sim.Time(len(*req.subs)-1) * aggOpOverhead
 	}
 	return svc
 }
@@ -111,7 +111,7 @@ func (ns *nodeState) serviceTime(req *request) sim.Time {
 // its target node, or apply it here.
 func (ns *nodeState) serve(req *request) {
 	rt := ns.rt
-	targetNode := req.target / rt.cfg.PPN
+	targetNode := int(req.target) / rt.cfg.PPN
 	if rt.obs != nil {
 		rt.obs.noteService(ns.id, req, targetNode != ns.id, ns.curStart, ns.curSvc)
 	}
@@ -143,7 +143,7 @@ func (ns *nodeState) serve(req *request) {
 		// is serial — with dedup per sub. The whole batch occupied
 		// one buffer, so one finish returns one credit. The packet's
 		// last edge is every sub's: they all crossed it together.
-		for _, sub := range req.subs {
+		for _, sub := range *req.subs {
 			sub.up = req.up
 			ns.deliver(sub)
 		}
@@ -179,7 +179,7 @@ func (ns *nodeState) handleDup(req *request, rec dupState) {
 		ns.handle(req)
 	default:
 		if rec.responded {
-			ns.respond(req, nil, rec.old)
+			ns.respond(req, rec.old)
 		}
 	}
 }
@@ -201,11 +201,11 @@ func (ns *nodeState) failSubs(req *request, err error) {
 	rt := ns.rt
 	for _, sub := range batchSubs(req) {
 		rt.st(ns.id).Failures++
-		h, chunk := sub.h, sub.chunk
+		h, chunk := sub.h, int(sub.chunk)
 		if h == nil {
 			continue
 		}
-		origin := sub.originNode
+		origin := int(sub.originNode)
 		deliver := func() { h.failChunk(chunk, err) }
 		if origin == ns.id {
 			rt.eng.AfterOn(ns.id, rt.cfg.LocalLatency, deliver)
@@ -237,18 +237,18 @@ func (ns *nodeState) finish(up *egress) {
 // serviceBytes estimates how many payload bytes the CHT touches for req.
 func (ns *nodeState) serviceBytes(req *request, targetNode int) int {
 	if targetNode != ns.id {
-		return req.wire - headerBytes // forwarding copies the buffered payload
+		return int(req.wire) - headerBytes // forwarding copies the buffered payload
 	}
 	switch req.kind {
 	case opPut, opPutV, opAcc, opAccV:
 		return len(req.data)
 	case opGet:
-		return req.getBytes
+		return int(req.getBytes)
 	case opGetV:
 		return segsBytes(req.segs)
 	case opBatch:
 		n := 0
-		for _, sub := range req.subs {
+		for _, sub := range *req.subs {
 			n += ns.serviceBytes(sub, targetNode)
 		}
 		return n
@@ -262,89 +262,93 @@ func (ns *nodeState) serviceBytes(req *request, targetNode int) int {
 // as in ARMCI).
 func (ns *nodeState) handle(req *request) {
 	rt := ns.rt
+	target := int(req.target)
 	switch req.kind {
 	case opPut:
-		req.alloc.write(req.target, req.off, req.data)
-		ns.respond(req, nil, 0)
+		req.alloc.write(target, req.off, req.data)
+		ns.respond(req, 0)
 
 	case opPutV:
 		pos := 0
 		for _, s := range req.segs {
-			req.alloc.write(req.target, s.Off, req.data[pos:pos+s.Len])
+			req.alloc.write(target, s.Off, req.data[pos:pos+s.Len])
 			pos += s.Len
 		}
-		ns.respond(req, nil, 0)
+		ns.respond(req, 0)
 
 	case opAcc:
 		for i := 0; i+8 <= len(req.data); i += 8 {
-			req.alloc.accFloat64(req.target, req.off+i, req.scale, GetFloat64(req.data, i))
+			req.alloc.accFloat64(target, req.off+i, req.scale(), GetFloat64(req.data, i))
 		}
-		ns.respond(req, nil, 0)
+		ns.respond(req, 0)
 
 	case opGet:
 		// A get's payload rides the response in the record's own buf
 		// (a get carries no payload out); completeResp copies it into
 		// the handle before the record can be recycled.
-		req.buf = rt.growBytes(req.buf, req.getBytes)[:req.getBytes]
-		req.alloc.read(req.target, req.off, req.buf)
-		ns.respond(req, req.buf, 0)
+		n := int(req.getBytes)
+		req.buf = rt.growBytes(req.buf, n)[:n]
+		req.alloc.read(target, req.off, req.buf)
+		req.respBuf = true
+		ns.respond(req, 0)
 
 	case opGetV:
 		n := segsBytes(req.segs)
 		req.buf = rt.growBytes(req.buf, n)[:n]
 		pos := 0
 		for _, s := range req.segs {
-			req.alloc.read(req.target, s.Off, req.buf[pos:pos+s.Len])
+			req.alloc.read(target, s.Off, req.buf[pos:pos+s.Len])
 			pos += s.Len
 		}
-		ns.respond(req, req.buf, 0)
+		req.respBuf = true
+		ns.respond(req, 0)
 
 	case opRmw:
-		old := req.alloc.loadInt64(req.target, req.off)
-		req.alloc.storeInt64(req.target, req.off, old+req.delta)
-		ns.respond(req, nil, old)
+		old := req.alloc.loadInt64(target, req.off)
+		req.alloc.storeInt64(target, req.off, old+req.delta())
+		ns.respond(req, old)
 
 	case opSwap:
-		old := req.alloc.loadInt64(req.target, req.off)
-		req.alloc.storeInt64(req.target, req.off, req.delta)
-		ns.respond(req, nil, old)
+		old := req.alloc.loadInt64(target, req.off)
+		req.alloc.storeInt64(target, req.off, req.delta())
+		ns.respond(req, old)
 
 	case opAccV:
 		pos := 0
 		for _, s := range req.segs {
 			for b := 0; b < s.Len; b += 8 {
-				req.alloc.accFloat64(req.target, s.Off+b, req.scale, GetFloat64(req.data, pos+b))
+				req.alloc.accFloat64(target, s.Off+b, req.scale(), GetFloat64(req.data, pos+b))
 			}
 			pos += s.Len
 		}
-		ns.respond(req, nil, 0)
+		ns.respond(req, 0)
 
 	case opLock:
-		m := &rt.mutexes[req.mutex]
+		m := &rt.mutexes[req.mutex()]
 		if !m.held {
 			m.held = true
-			m.owner = req.origin
-			ns.respond(req, nil, 0)
+			m.owner = int(req.origin)
+			ns.respond(req, 0)
 		} else {
 			m.waiters = append(m.waiters, req) // acquired at the owner's unlock
 		}
 
 	case opUnlock:
-		m := &rt.mutexes[req.mutex]
-		if !m.held || m.owner != req.origin {
+		m := &rt.mutexes[req.mutex()]
+		if !m.held || m.owner != int(req.origin) {
 			panic(fmt.Sprintf("armci: rank %d unlocking mutex %d owned by %d (held=%v)",
-				req.origin, req.mutex, m.owner, m.held))
+				req.origin, req.mutex(), m.owner, m.held))
 		}
 		if len(m.waiters) > 0 {
 			next := m.waiters[0]
 			m.waiters = m.waiters[1:]
-			m.owner = next.origin
-			ns.respond(next, nil, 0)
+			m.owner = int(next.origin)
+			ns.respond(next, 0)
 		} else {
 			m.held = false
 			m.owner = -1
 		}
-		ns.respond(req, nil, 0)
+		ns.respond(req, 0)
 
 	default:
 		panic(fmt.Sprintf("armci: CHT cannot handle %v", req.kind))
@@ -352,11 +356,12 @@ func (ns *nodeState) handle(req *request) {
 }
 
 // respond completes one chunk at the origin: the response parameters ride
-// the request record itself (respData/respOld) through the pooled
-// delivery trampolines (respFn / respLocalFn), and completeResp applies them
-// — get payloads copied into the handle's buffer at the chunk's flat offset,
-// rmw carrying the old value — with no closure allocated per response.
-func (ns *nodeState) respond(req *request, payload []byte, old int64) {
+// the request record itself (respBuf/respOld) through the pooled delivery
+// trampolines (respFn / respLocalFn), and completeResp applies them — a get
+// payload (buf, when respBuf is set) copied into the handle's buffer at the
+// chunk's flat offset, rmw carrying the old value — with no closure
+// allocated per response.
+func (ns *nodeState) respond(req *request, old int64) {
 	rt := ns.rt
 	if ns.rids != nil && req.rid != 0 {
 		if rec, ok := ns.rids[req.rid]; ok {
@@ -368,15 +373,18 @@ func (ns *nodeState) respond(req *request, payload []byte, old int64) {
 			ns.rids[req.rid] = rec
 		}
 	}
-	req.respData = payload
 	req.respOld = old
-	size := respBytes + len(payload)
-	if req.originNode == ns.id {
+	size := respBytes
+	if req.respBuf {
+		size += len(req.buf)
+	}
+	origin := int(req.originNode)
+	if origin == ns.id {
 		// Same-node response through shared memory (stays in this node's
 		// owner context — the handle belongs to one of this node's ranks).
 		rt.eng.AfterOnArg(ns.id, rt.cfg.LocalLatency, rt.respLocalFn, req)
 		return
 	}
 	// At the origin, respFn also credits proof of life.
-	rt.net.SendArg(ns.id, req.originNode, size, rt.respFn, req)
+	rt.net.SendArg(ns.id, origin, size, rt.respFn, req)
 }

@@ -24,6 +24,7 @@ package armci
 
 import (
 	"fmt"
+	"math"
 
 	"armcivt/internal/core"
 	"armcivt/internal/fabric"
@@ -281,8 +282,15 @@ func (c Config) Validate() error {
 	if c.PPN <= 0 {
 		return fmt.Errorf("armci: PPN must be positive, got %d", c.PPN)
 	}
+	// Request records hold rank ids and chunk sizes as int32.
+	if c.Nodes > math.MaxInt32/c.PPN {
+		return fmt.Errorf("armci: Nodes*PPN must be below 2^31, got %d*%d", c.Nodes, c.PPN)
+	}
 	if c.BufSize != 0 && c.BufSize < 256 {
 		return fmt.Errorf("armci: BufSize %d too small (need >= 256 for headers)", c.BufSize)
+	}
+	if c.BufSize > math.MaxInt32 {
+		return fmt.Errorf("armci: BufSize %d too large (need < 2^31)", c.BufSize)
 	}
 	if c.BufsPerProc < 0 {
 		return fmt.Errorf("armci: BufsPerProc must not be negative, got %d", c.BufsPerProc)

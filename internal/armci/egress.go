@@ -311,7 +311,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	if !cfg.Agg.Enabled || eg.pending.len() == 0 || !coalescable(head.req) {
 		return group
 	}
-	tn := head.req.target / cfg.PPN
+	tn := int(head.req.target) / cfg.PPN
 	ops := subCount(head.req)
 	wire := headerBytes + subWireOf(head.req)
 	// Merged sends leave the FIFO; the rest are compacted in place, in
@@ -320,7 +320,7 @@ func (eg *egress) gather(head *pendingSend) []*pendingSend {
 	rest := live[:0]
 	scanning := true
 	for _, ps := range live {
-		if scanning && ps.req.target/cfg.PPN == tn {
+		if scanning && int(ps.req.target)/cfg.PPN == tn {
 			if coalescable(ps.req) &&
 				ops+subCount(ps.req) <= aggMaxOps &&
 				wire+subWireOf(ps.req) <= cfg.BufSize {
@@ -383,8 +383,8 @@ func (eg *egress) regenCheck(lastSeen uint64) {
 
 // transmit consumes a credit and injects the request into the fabric toward
 // the peer's CHT. Delivery rides the runtime's pooled trampoline (enqueueFn)
-// with the request itself as the argument — up/nextNode stamped here are the
-// delivery context a closure used to capture.
+// with the request itself as the argument — up stamped here is the delivery
+// context a closure used to capture: the hop is delivered at up.to.
 func (eg *egress) transmit(req *request) {
 	if eg.credits <= 0 {
 		panic(fmt.Sprintf("armci: egress %d->%d transmitting without credit", eg.from, eg.to))
@@ -393,7 +393,7 @@ func (eg *egress) transmit(req *request) {
 	eg.transmits++
 	if req.kind == opBatch {
 		eg.rt.st(eg.from).AggBatches++
-		eg.rt.st(eg.from).AggBatchedOps += uint64(len(req.subs))
+		eg.rt.st(eg.from).AggBatchedOps += uint64(len(*req.subs))
 		if o := eg.rt.obs; o != nil {
 			o.noteBatch(req)
 		}
@@ -404,9 +404,8 @@ func (eg *egress) transmit(req *request) {
 		}
 	}
 	req.up = eg
-	req.nextNode = eg.to
 	eg.rt.st(eg.from).Requests++
-	eg.rt.net.SendArg(eg.from, eg.to, req.wire, eg.rt.enqueueFn, req)
+	eg.rt.net.SendArg(eg.from, eg.to, int(req.wire), eg.rt.enqueueFn, req)
 }
 
 // inUse reports credits currently consumed (buffers occupied at the peer).

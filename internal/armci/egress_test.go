@@ -33,11 +33,11 @@ func mkReq(rt *Runtime, h *Handle) *request {
 }
 
 func TestEgressImmediateTransmitUsesCredit(t *testing.T) {
-	eng, rt, eg := egressHarness(t)
+	_, rt, eg := egressHarness(t)
 	if eg.credits != 2 {
 		t.Fatalf("initial credits = %d, want 2", eg.credits)
 	}
-	h := newHandle(eng, 1, 0)
+	h := newHandle(1, 0)
 	eg.submitForward(mkReq(rt, h), nil, nil)
 	if eg.credits != 1 {
 		t.Errorf("credits after transmit = %d, want 1", eg.credits)
@@ -53,7 +53,7 @@ func TestEgressImmediateTransmitUsesCredit(t *testing.T) {
 func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 	eng, rt, eg := egressHarness(t)
 	for i := 0; i < 5; i++ {
-		h := newHandle(eng, 1, 0)
+		h := newHandle(1, 0)
 		req := mkReq(rt, h)
 		req.off = i // submission order marker, read back at the receiver
 		eg.submitForward(req, nil, nil)
@@ -93,11 +93,11 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 func TestEgressRankBlocksUntilTransmit(t *testing.T) {
 	eng, rt, eg := egressHarness(t)
 	// Exhaust the pool from engine context.
-	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, nil)
-	eg.submitForward(mkReq(rt, newHandle(eng, 1, 0)), nil, nil)
+	eg.submitForward(mkReq(rt, newHandle(1, 0)), nil, nil)
+	eg.submitForward(mkReq(rt, newHandle(1, 0)), nil, nil)
 	var sentAt sim.Time = -1
 	eng.Spawn("sender", func(p *sim.Proc) {
-		eg.submitRank(p, mkReq(rt, newHandle(eng, 1, 0)))
+		eg.submitRank(p, mkReq(rt, newHandle(1, 0)))
 		sentAt = p.Now()
 	})
 	eng.At(500, func() { eg.release() })

@@ -6,6 +6,8 @@ package armci
 // and the allocs/op contract").
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"armcivt/internal/core"
@@ -159,5 +161,26 @@ func TestPoolHandleCrashFailsHeld(t *testing.T) {
 	}
 	if woke != crash {
 		t.Errorf("blocked fetch-&-add woke at %v, want the crash instant %v", woke, crash)
+	}
+}
+
+// TestHandleWaitShowsEventOp pins the deadlock text of a rank waiting on a
+// handle that never completes: handles store no name, and the label their
+// waiters pass keeps the report's "event op".
+func TestHandleWaitShowsEventOp(t *testing.T) {
+	cfg := DefaultConfig(2, 1)
+	cfg.Topology = core.MustNew(core.FCG, 2)
+	rt := MustNew(sim.New(), cfg)
+	err := rt.Run(func(r *Rank) {
+		if r.Rank() == 1 {
+			r.Wait(newHandle(1, 0))
+		}
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	if want := []string{"rank1: event op"}; !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("Blocked = %q, want %q", dl.Blocked, want)
 	}
 }

@@ -432,7 +432,7 @@ func (ns *nodeState) healDeadNeighbor(i int) {
 func (ns *nodeState) replayParked(ps *pendingSend, dead int) {
 	rt := ns.rt
 	req := ps.req
-	targetNode := req.target / rt.cfg.PPN
+	targetNode := int(req.target) / rt.cfg.PPN
 	hop, ok := core.ReplacementHop(rt.topo, ns.id, targetNode, ns.isDead)
 	if !ok {
 		rt.st(ns.id).HealFails++
@@ -585,12 +585,13 @@ func (rt *Runtime) deadRouteErr(originNode, targetNode int) error {
 // synchronously: the issuing rank may be about to park on the handle).
 func (rt *Runtime) abortChunks(err error, reqs ...*request) {
 	for _, req := range reqs {
-		rt.st(req.originNode).NodeAborts++
-		h, chunk := req.h, req.chunk
+		origin := int(req.originNode)
+		rt.st(origin).NodeAborts++
+		h, chunk := req.h, int(req.chunk)
 		if h == nil {
 			continue
 		}
-		rt.eng.AfterOn(req.originNode, rt.cfg.LocalLatency, func() { h.failChunk(chunk, err) })
+		rt.eng.AfterOn(origin, rt.cfg.LocalLatency, func() { h.failChunk(chunk, err) })
 	}
 }
 

@@ -77,17 +77,17 @@ func (o *obsState) noteService(node int, req *request, forwarded bool, start, sv
 		o.chtServed[node]++
 	}
 	args := map[string]any{
-		"origin": req.origin, "target": req.target, "wire_bytes": req.wire,
+		"origin": int(req.origin), "target": int(req.target), "wire_bytes": int(req.wire),
 	}
 	if req.kind == opBatch {
-		args["ops"] = len(req.subs)
+		args["ops"] = len(*req.subs)
 	}
 	o.tr.Complete(name, "cht", o.pid, node, start, svc, args)
 }
 
 // noteBatch records one injected batch packet's shape.
 func (o *obsState) noteBatch(req *request) {
-	o.aggOps.Observe(float64(len(req.subs)))
+	o.aggOps.Observe(float64(len(*req.subs)))
 	o.aggBytes.Observe(float64(req.wire))
 }
 

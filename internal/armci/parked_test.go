@@ -98,7 +98,7 @@ func FuzzEgressFIFO(f *testing.F) {
 		for i, b := range steps {
 			switch b & 7 {
 			case 0, 5, 6, 7: // push
-				req := &request{kind: opAcc, origin: 0, originNode: 0, target: 2 + int(b>>3&3),
+				req := &request{kind: opAcc, origin: 0, originNode: 0, target: 2 + int32(b>>3&3),
 					alloc: rt.alloc("m"), data: make([]byte, 8), wire: headerBytes + 8}
 				if b&0x20 != 0 {
 					req.kind = opGet // not batchable: stops a gather's scan
@@ -160,11 +160,11 @@ func refGather(rt *Runtime, head *pendingSend, parked []*pendingSend) (group, re
 	if !coalescable(head.req) {
 		return group, slices.Clone(parked)
 	}
-	tn := head.req.target / rt.cfg.PPN
+	tn := int(head.req.target) / rt.cfg.PPN
 	ops, wire := subCount(head.req), headerBytes+subWireOf(head.req)
 	scanning := true
 	for _, ps := range parked {
-		if scanning && ps.req.target/rt.cfg.PPN == tn {
+		if scanning && int(ps.req.target)/rt.cfg.PPN == tn {
 			if coalescable(ps.req) && ops+subCount(ps.req) <= aggMaxOps &&
 				wire+subWireOf(ps.req) <= rt.cfg.BufSize {
 				group = append(group, ps)

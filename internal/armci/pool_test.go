@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"armcivt/internal/ckpt"
 	"armcivt/internal/core"
@@ -42,7 +43,7 @@ func TestRequestPoolRecycleClearsState(t *testing.T) {
 	req.buf = append(req.buf, 1, 2, 3)
 	req.data = req.buf
 	req.segs = append(req.segs, Seg{Off: 4, Len: 8}, Seg{Off: 16, Len: 8})
-	req.respData = []byte{9}
+	req.respBuf = true
 	segsCap, bufCap := cap(req.segs), cap(req.buf)
 
 	rt.nodes[0].putReq(req)
@@ -50,7 +51,7 @@ func TestRequestPoolRecycleClearsState(t *testing.T) {
 	if got != req {
 		t.Fatal("free list did not recycle the released record")
 	}
-	if got.kind != opPut || got.data != nil || got.respData != nil ||
+	if got.kind != opPut || got.data != nil || got.respBuf ||
 		got.origin != 0 || got.target != 0 || got.h != nil {
 		t.Errorf("recycled record retains state: %+v", got)
 	}
@@ -140,7 +141,7 @@ type reqTracker struct {
 
 type reqIdentity struct {
 	h     *Handle
-	chunk int
+	chunk int32
 	rid   uint64
 }
 
@@ -563,5 +564,85 @@ func TestSlabGrowthAcrossShardBoundaries(t *testing.T) {
 		} else if h != digest {
 			t.Errorf("shards=%d: digest %x, serial %x", shards, h, digest)
 		}
+	}
+}
+
+// TestGetBurstRecordBytes is the deterministic gate for the host bytes a get
+// burst holds per chunk in flight. It runs a reduced copy of app_dft's
+// end-of-iteration read: MFCG 32 x 12, every rank issues 12 strided pooled
+// gets at one instant and only then waits, so the burst's chunks are all in
+// flight at once. Credits are ample (no issue blocks: CreditWaits is
+// asserted 0), which makes that instant the peak, read exactly one
+// nanosecond after it, before any response can return. The bytes the
+// runtime's slabs carved for request records and pooled handles, divided by
+// that peak, must stay within the compact layouts: 200 B per request record
+// and 144 B per handle (the 304 B and 184 B layouts before them read 304
+// and 184). A pool that over-carved, or a record that grew, fails here.
+func TestGetBurstRecordBytes(t *testing.T) {
+	const (
+		nodes, ppn, gets = 32, 12, 12
+		burstAt          = 100 * sim.Microsecond
+		reqBudget        = 200 // bytes per chunk in flight
+		handleBudget     = 144
+	)
+	cfg := DefaultConfig(nodes, ppn)
+	cfg.Topology = core.MustNew(core.MFCG, nodes)
+	cfg.BufsPerProc = 256
+	eng := sim.New()
+	rt := MustNew(eng, cfg)
+	rt.Alloc("fock", 256)
+	rt.Start(func(r *Rank) {
+		r.Sleep(burstAt - r.Now())
+		p := Pool(r)
+		hs := p.Handles()
+		for k := 0; k < gets; k++ {
+			// One owner on each of the 12 nodes after this one: every
+			// get is remote, so none completes at issue.
+			owner := (r.Node()+1+k)%nodes*ppn + k
+			hs = append(hs, p.NbGetS(owner, "fock", 8*(r.Rank()%4), 16, 48, 4))
+		}
+		for _, h := range hs {
+			r.Wait(h)
+		}
+		for _, h := range hs {
+			p.Release(h)
+		}
+		p.KeepHandles(hs)
+	})
+	liveReqs, liveHandles := -1, -1
+	eng.At(burstAt+1, func() {
+		liveReqs = rt.slabs.nreqs
+		for n := range rt.nodes {
+			liveReqs -= rt.nodes[n].nreqFree
+		}
+		liveHandles = rt.slabs.nhandles
+		for i := range rt.ranks {
+			if sc := rt.ranks[i].pool; sc != nil {
+				for h := sc.free; h != nil; h = h.next {
+					liveHandles--
+				}
+			}
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	const burst = nodes * ppn * gets
+	if st.CreditWaits != 0 || liveReqs != burst || liveHandles != burst {
+		t.Fatalf("burst not fully in flight at once: %d credit waits, %d request records and %d handles live, want 0, %d and %d",
+			st.CreditWaits, liveReqs, liveHandles, burst, burst)
+	}
+	if st.Completions != burst {
+		t.Fatalf("%d chunks completed, want %d", st.Completions, burst)
+	}
+	reqPer := float64(rt.slabs.nreqs) * float64(unsafe.Sizeof(request{})) / burst
+	handlePer := float64(rt.slabs.nhandles) * float64(unsafe.Sizeof(Handle{})) / burst
+	t.Logf("per chunk in flight: %.1f B of request records, %.1f B of handles", reqPer, handlePer)
+	if reqPer > reqBudget {
+		t.Errorf("request records: %.1f B carved per chunk in flight, budget %d B", reqPer, reqBudget)
+	}
+	if handlePer > handleBudget {
+		t.Errorf("handles: %.1f B carved per chunk in flight, budget %d B", handlePer, handleBudget)
 	}
 }

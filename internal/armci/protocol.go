@@ -9,7 +9,7 @@ import (
 )
 
 // opKind enumerates the one-sided request types the CHT protocol carries.
-type opKind int
+type opKind uint8
 
 const (
 	opPut opKind = iota
@@ -67,103 +67,136 @@ type Seg struct {
 // request is one chunk of a one-sided operation traveling through the
 // virtual topology. It occupies exactly one request buffer at each node it
 // visits.
+//
+// A get burst holds one record per chunk in flight, so the layout is kept
+// compact (200 B, pinned by TestProtocolRecordSizesArePinned): ids, chunk
+// indices and per-chunk byte counts are int32, offsets keep full width, the
+// scalar operand of every kind shares one word (arg), and the batch-only
+// sub-op list sits behind a pointer.
 type request struct {
-	kind       opKind
-	origin     int // issuing rank
-	originNode int
-	target     int         // target rank
-	alloc      *allocation // resolved once, by the issuing call
-	off        int         // contiguous ops: target offset
-	data       []byte      // put/acc payload for this chunk: the caller's bytes, or buf
-	segs       []Seg       // vectored ops: target segments of this chunk (owned, kept across recycling)
-	buf        []byte      // owned payload storage: accumulate encodings, clone copies (kept across recycling)
-	scale      float64     // accumulate scale factor
-	delta      int64       // rmw addend
-	mutex      int         // lock/unlock: mutex index
-	getBytes   int         // get: bytes requested (contiguous)
-	flatOff    int         // get: this chunk's offset into the assembled result
-	wire       int         // message size on the fabric
-	up         *egress     // edge last crossed: its far end holds the buffer, its near end is owed the credit (nil: none)
-	nextNode   int         // hop in flight: delivery target (stamped by transmit)
-	h          *Handle     // origin-side completion handle
+	alloc *allocation // resolved once, by the issuing call
+	off   int         // contiguous ops: target offset
+	data  []byte      // put/acc payload for this chunk: the caller's bytes, or buf
+	segs  []Seg       // vectored ops: target segments of this chunk (owned, kept across recycling)
+	buf   []byte      // owned payload storage: accumulate encodings, clone copies, get responses (kept across recycling)
+	// arg is the operation's scalar operand: an accumulate's scale (see
+	// scale), a read-modify-write's addend or a swap's new value (delta),
+	// or a lock's mutex index (mutex).
+	arg     uint64
+	flatOff int     // get: this chunk's offset into the assembled result
+	up      *egress // edge last crossed: its far end holds the buffer (the hop in flight is delivered there), its near end is owed the credit (nil: none)
+	h       *Handle // origin-side completion handle
 	// subs carries the aggregated sub-operations of an opBatch packet, in
 	// issue (rid) order; nil for every other kind. Each sub keeps its own
-	// handle/rid/chunk, so completion, dedup and retry act per sub-op.
-	subs []*request
+	// handle/rid/chunk, so completion, dedup and retry act per sub-op. It
+	// points into the batch's own allocation (see buildBatch).
+	subs *[]*request
+	next *request // free-list link, nil while in use
 
-	// freed marks the record as parked on its origin node's free list; holds
-	// counts the parties that can still reach it (see Runtime.release).
-	freed bool
-	holds int32
-	next  *request // free-list link, nil while in use
-
-	// Response parameters, stamped by the target's respond: the request
-	// record itself rides the response message back to the origin, where
-	// completeResp applies them (no per-response closure, no separate
-	// response record).
-	respData []byte
-	respOld  int64
-
-	chunk int // index into the handle's chunkDone bitset
+	// respOld is the rmw old value the target's respond stamps: the
+	// request record itself rides the response message back to the origin,
+	// where completeResp applies it (no per-response closure, no separate
+	// response record). A get's response payload is buf (see respBuf).
+	respOld int64
 
 	// Resilience fields, populated only when Config.RequestTimeout > 0.
 	rid     uint64   // runtime-unique request id, the target's dedup key
-	attempt int      // transmissions so far beyond the first
 	issued  sim.Time // first transmission instant, for TimeoutError
 	timeout sim.Time // the armed timer's interval, backed off per retry
+
+	origin     int32 // issuing rank
+	originNode int32
+	target     int32 // target rank
+	chunk      int32 // index into the handle's chunkDone bitset
+	attempt    int32 // transmissions so far beyond the first (resilience)
+	getBytes   int32 // get: bytes requested (contiguous); at most BufSize
+	wire       int32 // message size on the fabric; at most BufSize
+	kind       opKind
+	// holds counts the parties that can still reach the record (at most
+	// two: its response and its timer; see Runtime.release), and freed
+	// marks it as parked on its origin node's free list.
+	holds int8
+	freed bool
+	// respBuf marks a response that carries buf as its payload, stamped
+	// by the target's respond for gets.
+	respBuf bool
+}
+
+// scale returns an accumulate's scale factor.
+func (req *request) scale() float64 { return math.Float64frombits(req.arg) }
+
+// delta returns a read-modify-write's addend or a swap's new value.
+func (req *request) delta() int64 { return int64(req.arg) }
+
+// mutex returns a lock or unlock's mutex index.
+func (req *request) mutex() int { return int(req.arg) }
+
+// setOp stamps the operation kind, the issuing rank r with its node, and
+// the target rank.
+func (req *request) setOp(kind opKind, r *Rank, target int) {
+	req.kind, req.target = kind, int32(target)
+	req.origin, req.originNode = int32(r.rank), int32(r.node)
 }
 
 // setHandle points req at chunk chunk of h; the record holds h until it
 // returns to its origin's free list (putReq).
 func (req *request) setHandle(h *Handle, chunk int) {
-	req.h, req.chunk = h, chunk
+	req.h, req.chunk = h, int32(chunk)
 	h.holds++
 }
 
 // Handle tracks completion of a (possibly multi-chunk) non-blocking
 // operation. Obtain one from the Nb* methods on Rank and finish it with
 // Rank.Wait.
+//
+// A get burst holds one handle per operation in flight, so the layout is
+// kept compact (144 B, pinned by TestProtocolRecordSizesArePinned): int32
+// counters, the overflow bitset behind a pointer, and a completion flag that
+// stores no name (every handle's waiters show as blocked on "event op").
 type Handle struct {
-	pending int
-	// done is embedded by value (sim.Event.Init) so a handle is one heap
-	// object, not two.
-	done sim.Event
+	// done is embedded by value so a handle is one heap object, not two.
+	done sim.Flag
 	// Get results are assembled here in chunk order.
 	data []byte
 	// Rmw old value.
 	old int64
-	// issued total chunks, for diagnostics.
-	chunks int
 	// doneBits marks chunks already completed (or failed), making completion
 	// idempotent under retransmission: a retried chunk whose original
 	// response arrives late must not over-complete the handle. Operations
 	// span a handful of chunks, so an inline 64-bit set covers all but
 	// pathological ops; doneOv is the overflow bitset past 64 chunks.
 	doneBits uint64
-	doneOv   []bool
+	doneOv   *[]bool
 	// err is the first failure recorded against any chunk.
 	err error
 
 	// pool is the rank pool whose free list a pooled handle returns to,
 	// nil for a handle an Nb* method returns to its caller: Handle is
 	// public, so such a handle stays a heap object the caller may keep.
+	pool *rankPool
+	// prev and next link a pooled handle into its rank pool's held list,
+	// next alone into its free list.
+	prev, next *Handle
+	// pending counts chunks not yet complete; chunks is the total issued,
+	// for diagnostics.
+	pending, chunks int32
 	// holds counts the parties that can still reach the handle: the
 	// issuing rank until it has read the result, and every request record
 	// pointing at it (setHandle, cloneReq; dropped in putReq). A pooled
 	// handle is recycled at zero holds (drop), so a late response to a
 	// record that still points at it can never complete the next operation
 	// reusing it.
-	pool  *rankPool
 	holds int32
 	freed bool
-	// prev and next link a pooled handle into its rank pool's held list,
-	// next alone into its free list.
-	prev, next *Handle
 }
 
-func newHandle(eng *sim.Engine, chunks int, dataBytes int) *Handle {
+// handleLabel is the blocking point a rank waiting on a handle shows in
+// deadlock and stall reports.
+const handleLabel = "event op"
+
+func newHandle(chunks int, dataBytes int) *Handle {
 	h := &Handle{}
-	h.reset(eng, chunks)
+	h.reset(chunks)
 	if dataBytes > 0 {
 		h.data = make([]byte, dataBytes)
 	}
@@ -173,12 +206,13 @@ func newHandle(eng *sim.Engine, chunks int, dataBytes int) *Handle {
 // reset arms h for an operation of chunks chunks, held by its issuer. The
 // caller sizes the result buffer: a pooled handle keeps its backing array
 // across operations.
-func (h *Handle) reset(eng *sim.Engine, chunks int) {
-	h.pending, h.chunks = chunks, chunks
-	h.done.Init(eng, "op")
+func (h *Handle) reset(chunks int) {
+	h.pending, h.chunks = int32(chunks), int32(chunks)
+	h.done.Reset()
 	h.old, h.err, h.doneBits, h.doneOv = 0, nil, 0, nil
 	if chunks > 64 {
-		h.doneOv = make([]bool, chunks)
+		ov := make([]bool, chunks)
+		h.doneOv = &ov
 	}
 	h.holds = 1
 	if chunks == 0 {
@@ -240,25 +274,25 @@ func (h *Handle) failChunk(i int, err error) {
 // failAll fails every chunk not yet complete with err, for crash-stop
 // aborts; chunks that already completed or failed are untouched.
 func (h *Handle) failAll(err error) {
-	for i := 0; i < h.chunks; i++ {
+	for i := 0; i < int(h.chunks); i++ {
 		h.failChunk(i, err)
 	}
 }
 
 // chunkComplete reports whether chunk i has already completed or failed.
 func (h *Handle) chunkComplete(i int) bool {
-	if i < 0 || i >= h.chunks {
+	if i < 0 || i >= int(h.chunks) {
 		return false
 	}
 	if h.doneOv != nil {
-		return h.doneOv[i]
+		return (*h.doneOv)[i]
 	}
 	return h.doneBits&(1<<uint(i)) != 0
 }
 
 func (h *Handle) markChunk(i int) {
 	if h.doneOv != nil {
-		h.doneOv[i] = true
+		(*h.doneOv)[i] = true
 	} else {
 		h.doneBits |= 1 << uint(i)
 	}

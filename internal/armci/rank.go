@@ -2,6 +2,7 @@ package armci
 
 import (
 	"fmt"
+	"math"
 
 	"armcivt/internal/sim"
 )
@@ -141,7 +142,7 @@ func (r *Rank) track(h *Handle) *Handle {
 // heap object for an Nb* caller to keep.
 func (r *Rank) handle(chunks, dataBytes int, pooled bool) *Handle {
 	if !pooled {
-		return newHandle(r.rt.eng, chunks, dataBytes)
+		return newHandle(chunks, dataBytes)
 	}
 	sc := r.scratch()
 	h := sc.free
@@ -152,7 +153,7 @@ func (r *Rank) handle(chunks, dataBytes int, pooled bool) *Handle {
 		h = r.rt.slabs.carveHandle()
 		h.pool = sc
 	}
-	h.reset(r.rt.eng, chunks)
+	h.reset(chunks)
 	h.data = r.rt.growBytes(h.data, dataBytes)[:dataBytes]
 	clear(h.data)
 	return h
@@ -228,7 +229,7 @@ func (p Pooled) KeepHandles(hs []*Handle) { p.r.scratch().hs = hs[:0] }
 // the rank's aggregation buffers — h may be riding in one.
 func (r *Rank) Wait(h *Handle) {
 	r.flushAllAgg()
-	h.done.Wait(r.proc)
+	h.done.Wait(r.proc, handleLabel)
 }
 
 // WaitAll completes every given handle.
@@ -252,7 +253,7 @@ func (r *Rank) Fence() {
 // (ARMCI's sender-side flow control).
 func (r *Rank) send(req *request) {
 	rt := r.rt
-	targetNode := req.target / rt.cfg.PPN
+	targetNode := int(req.target) / rt.cfg.PPN
 	// Crash-stop fast path: a crashed origin cannot inject, and a target
 	// this node's membership view has confirmed dead is not worth the full
 	// retry schedule. Both fail the chunk with *NodeFailedError.
@@ -301,10 +302,10 @@ func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Ha
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, len(data), func(o, ln int) {
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opPut, r.rank, r.node, dst
+		req.setOp(opPut, r, dst)
 		req.alloc, req.off = a, o
 		req.data = data[o-off : o-off+ln]
-		req.wire = headerBytes + ln
+		req.wire = int32(headerBytes + ln)
 		reqs = append(reqs, req)
 	})
 	sc.reqs = reqs[:0]
@@ -348,9 +349,9 @@ func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, n, func(o, ln int) {
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opGet, r.rank, r.node, src
+		req.setOp(opGet, r, src)
 		req.alloc, req.off = a, o
-		req.getBytes, req.flatOff = ln, o-off
+		req.getBytes, req.flatOff = int32(ln), o-off
 		req.wire = headerBytes
 		reqs = append(reqs, req)
 	})
@@ -398,11 +399,11 @@ func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64
 			ln = per
 		}
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opAcc, r.rank, r.node, dst
+		req.setOp(opAcc, r, dst)
 		req.alloc, req.off = a, off+done
 		req.buf = appendFloat64s(rt.growBytes(req.buf, ln), vals[done/8:(done+ln)/8])
-		req.data, req.scale = req.buf, scale
-		req.wire = headerBytes + ln
+		req.data, req.arg = req.buf, math.Float64bits(scale)
+		req.wire = int32(headerBytes + ln)
 		reqs = append(reqs, req)
 	}
 	sc.reqs = reqs[:0]
@@ -449,11 +450,11 @@ func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool)
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opPutV, r.rank, r.node, dst
+		req.setOp(opPutV, r, dst)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.data = data[flatOff : flatOff+payload]
-		req.wire = headerBytes + len(group)*segDescBytes + payload
+		req.wire = int32(headerBytes + len(group)*segDescBytes + payload)
 		reqs = append(reqs, req)
 	})
 	sc.reqs = reqs[:0]
@@ -497,11 +498,11 @@ func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opGetV, r.rank, r.node, src
+		req.setOp(opGetV, r, src)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.flatOff = flatOff
-		req.wire = headerBytes + len(group)*segDescBytes
+		req.wire = int32(headerBytes + len(group)*segDescBytes)
 		reqs = append(reqs, req)
 	})
 	sc.reqs = reqs[:0]
@@ -575,8 +576,8 @@ func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool
 		return h
 	}
 	req := rt.getReq(r.node)
-	req.kind, req.origin, req.originNode, req.target = opRmw, r.rank, r.node, dst
-	req.alloc, req.off, req.delta = a, off, delta
+	req.setOp(opRmw, r, dst)
+	req.alloc, req.off, req.arg = a, off, uint64(delta)
 	req.wire = headerBytes + 8
 	h := r.handle(1, 0, pooled)
 	r.submitOne(req, h)
@@ -614,8 +615,8 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	ownerNode := m % rt.cfg.Nodes
 	ownerRank := ownerNode * rt.cfg.PPN
 	req := rt.getReq(r.node)
-	req.kind, req.origin, req.originNode, req.target = kind, r.rank, r.node, ownerRank
-	req.mutex, req.wire = m, headerBytes
+	req.setOp(kind, r, ownerRank)
+	req.arg, req.wire = uint64(m), headerBytes
 	h := r.handle(1, 0, true)
 	req.setHandle(h, 0)
 	// Crash-stop fast path, as in send. A mutex whose owner node crashed

@@ -29,13 +29,14 @@ func (rt *Runtime) armTimeout(req *request) {
 	if rt.cfg.RequestTimeout <= 0 {
 		return
 	}
-	ns := &rt.nodes[req.originNode]
+	origin := int(req.originNode)
+	ns := &rt.nodes[origin]
 	ns.ridSeq++
-	req.rid = uint64(req.originNode+1)<<32 | ns.ridSeq
-	req.issued = rt.eng.NowOn(req.originNode)
+	req.rid = uint64(origin+1)<<32 | ns.ridSeq
+	req.issued = rt.eng.NowOn(origin)
 	req.timeout = rt.cfg.RequestTimeout
 	req.holds++
-	rt.eng.AfterOnArg(req.originNode, req.timeout, rt.timeoutFn, req)
+	rt.eng.AfterOnArg(origin, req.timeout, rt.timeoutFn, req)
 }
 
 // onTimeout runs when req's timer fires, as an event pinned to the origin
@@ -46,7 +47,7 @@ func (rt *Runtime) armTimeout(req *request) {
 func (rt *Runtime) onTimeout(req *request) {
 	if rt.retryOrFail(req) {
 		req.timeout = sim.Time(float64(req.timeout) * retryBackoff)
-		rt.eng.AfterOnArg(req.originNode, req.timeout, rt.timeoutFn, req)
+		rt.eng.AfterOnArg(int(req.originNode), req.timeout, rt.timeoutFn, req)
 		return
 	}
 	rt.release(req)
@@ -55,10 +56,10 @@ func (rt *Runtime) onTimeout(req *request) {
 // retryOrFail decides one timer firing: it returns true after injecting a
 // retransmission, false when the chunk has completed or has just failed.
 func (rt *Runtime) retryOrFail(req *request) bool {
-	origin := req.originNode
-	targetNode := req.target / rt.cfg.PPN
-	h := req.h
-	if h == nil || h.chunkComplete(req.chunk) {
+	origin := int(req.originNode)
+	targetNode := int(req.target) / rt.cfg.PPN
+	h, chunk := req.h, int(req.chunk)
+	if h == nil || h.chunkComplete(chunk) {
 		return false // completed (or already failed) — timer expires silently
 	}
 	rt.st(origin).Timeouts++
@@ -70,20 +71,20 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 		rt.st(origin).Failures++
 		rt.st(origin).NodeAborts++
 		rt.noteRetry("node-fail", req, elapsed)
-		h.failChunk(req.chunk, err)
+		h.failChunk(chunk, err)
 		return false
 	}
-	if req.attempt >= rt.cfg.MaxRetries {
+	if int(req.attempt) >= rt.cfg.MaxRetries {
 		rt.st(origin).Failures++
 		err := &TimeoutError{
 			Kind:     req.kind.String(),
-			Origin:   req.origin,
-			Target:   req.target,
-			Attempts: req.attempt + 1,
+			Origin:   int(req.origin),
+			Target:   int(req.target),
+			Attempts: int(req.attempt) + 1,
 			Elapsed:  elapsed,
 		}
 		rt.noteRetry("timeout-fail", req, elapsed)
-		h.failChunk(req.chunk, err)
+		h.failChunk(chunk, err)
 		return false
 	}
 	req.attempt++
@@ -94,7 +95,7 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 	if err != nil {
 		rt.st(origin).NoRoutes++
 		rt.st(origin).Failures++
-		h.failChunk(req.chunk, err)
+		h.failChunk(chunk, err)
 		return false
 	}
 	// Non-blocking submission: the timer runs in engine context and the
@@ -111,7 +112,7 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 // is still travelling. The clone's one hold is its response's; the timer
 // stays with the original. Like the original, the clone holds the handle.
 func (rt *Runtime) cloneReq(req *request) *request {
-	c := rt.getReq(req.originNode)
+	c := rt.getReq(int(req.originNode))
 	segs, buf := c.segs, c.buf
 	*c = *req
 	c.segs = append(rt.growSegs(segs, len(req.segs)), req.segs...)
@@ -134,7 +135,7 @@ func (rt *Runtime) noteRetry(what string, req *request, elapsed sim.Time) {
 		return
 	}
 	o.tr.Instant(fmt.Sprintf("%s %s rank%d->rank%d", what, req.kind, req.origin, req.target),
-		"fault", o.pid, req.originNode, rt.eng.Now(), map[string]any{
-			"attempt": req.attempt, "rid": req.rid, "elapsed_us": elapsed.Micros(),
+		"fault", o.pid, int(req.originNode), rt.eng.Now(), map[string]any{
+			"attempt": int(req.attempt), "rid": req.rid, "elapsed_us": elapsed.Micros(),
 		})
 }

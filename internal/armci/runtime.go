@@ -487,7 +487,7 @@ func (rt *Runtime) bindDispatch() {
 	// Request delivery at its next hop.
 	rt.enqueueFn = func(arg any, _ bool) {
 		req := arg.(*request)
-		rt.nodes[req.nextNode].enqueue(req)
+		rt.nodes[req.up.to].enqueue(req)
 	}
 	// Credit ack back at the sender: the egress record itself travels as the
 	// argument. The ack doubles as a membership heartbeat at the receiver
@@ -512,13 +512,14 @@ func (rt *Runtime) bindDispatch() {
 	// respond).
 	rt.respFn = func(arg any, _ bool) {
 		req := arg.(*request)
-		ns := &rt.nodes[req.originNode]
+		origin := int(req.originNode)
+		ns := &rt.nodes[origin]
 		// Only a neighbor's response is proof of life, and a neighbor is
 		// reached over the direct edge on every route (each admissible hop
 		// toward it is the neighbor itself), so the request's last edge
 		// left the origin exactly when the responder is a neighbor, and
 		// it names the responder's slot there.
-		if up := req.up; up != nil && up.from == req.originNode {
+		if up := req.up; up != nil && up.from == origin {
 			ns.heardAt(int(up.slot))
 		}
 		rt.completeResp(req)
@@ -539,15 +540,15 @@ func (rt *Runtime) bindDispatch() {
 // into the handle's buffer at the chunk's flat offset, rmw carries the old
 // value, and the response's hold on the request record is released.
 func (rt *Runtime) completeResp(req *request) {
-	h, chunk := req.h, req.chunk
+	h, chunk := req.h, int(req.chunk)
 	if !h.chunkComplete(chunk) { // duplicate or raced response: idempotent
-		if req.respData != nil {
-			copy(h.data[req.flatOff:req.flatOff+len(req.respData)], req.respData)
+		if req.respBuf {
+			copy(h.data[req.flatOff:req.flatOff+len(req.buf)], req.buf)
 		}
 		if req.kind == opRmw || req.kind == opSwap {
 			h.old = req.respOld
 		}
-		rt.st(req.originNode).Completions++
+		rt.st(int(req.originNode)).Completions++
 		h.completeChunkAt(chunk)
 	}
 	rt.release(req)

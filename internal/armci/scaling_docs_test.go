@@ -69,6 +69,34 @@ func TestNodeStateSizeIsPinned(t *testing.T) {
 	}
 }
 
+// TestProtocolRecordSizesArePinned holds the records an operation keeps live
+// while its chunks are in flight at their measured sizes (the fabric's msg
+// is pinned beside them in internal/fabric). app_dft's end-of-iteration read
+// puts every rank's gets in flight at once, about 18 400 chunks on its
+// 1 536 ranks, so each byte of a request record or handle is about 20 KB of
+// live heap per runtime, and the collector's heap goal is twice the live
+// heap. At the earlier layouts (request 304 B, Handle 184 B, msg 112 B) an
+// FCG runtime's live heap peaked at 20.4 MB during that read; at these
+// (request 200 B, Handle 144 B, msg 96 B) it peaks at 17.4 MB, and app_dft's
+// peak_rss_mb fell from 50.2 to 45.8 MiB (medians of ten alternating pairs,
+// go1.24.0, 2 cores; docs/SCALING.md, "What sets app_dft's peak RSS").
+// pendingSend, the parked-send record, is pinned at its size too. Growing
+// any of them needs a fresh app_dft peak_rss_mb measurement.
+func TestProtocolRecordSizesArePinned(t *testing.T) {
+	for _, row := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"request", unsafe.Sizeof(request{}), 200},
+		{"Handle", unsafe.Sizeof(Handle{}), 144},
+		{"pendingSend", unsafe.Sizeof(pendingSend{}), 96},
+	} {
+		if row.size != row.want {
+			t.Errorf("%s is %d B, pinned at %d B: re-measure app_dft peak_rss_mb before moving it", row.name, row.size, row.want)
+		}
+	}
+}
+
 func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{

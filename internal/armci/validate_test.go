@@ -19,6 +19,8 @@ func TestValidateRejects(t *testing.T) {
 		{"zero nodes", func(c *Config) { c.Nodes = 0 }, "Nodes"},
 		{"zero ppn", func(c *Config) { c.PPN = 0 }, "PPN"},
 		{"tiny bufsize", func(c *Config) { c.BufSize = 100 }, "BufSize"},
+		{"huge bufsize", func(c *Config) { c.BufSize = 1 << 31 }, "BufSize"},
+		{"too many ranks", func(c *Config) { c.Nodes, c.PPN = 1<<20, 1<<11 }, "Nodes*PPN"},
 		{"negative bufs", func(c *Config) { c.BufsPerProc = -1 }, "BufsPerProc"},
 		{"negative overhead", func(c *Config) { c.CHTBaseOverhead = -sim.Microsecond }, "CHTBaseOverhead"},
 		{"negative timeout", func(c *Config) { c.RequestTimeout = -sim.Millisecond }, "RequestTimeout"},

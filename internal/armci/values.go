@@ -1,6 +1,9 @@
 package armci
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Convenience value operations mirroring ARMCI_PutValueInt/ARMCI_GetValueInt
 // and friends: single-element transfers without caller-side byte packing.
@@ -50,8 +53,8 @@ func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 		return old
 	}
 	req := rt.getReq(r.node)
-	req.kind, req.origin, req.originNode, req.target = opSwap, r.rank, r.node, dst
-	req.alloc, req.off, req.delta = a, off, v
+	req.setOp(opSwap, r, dst)
+	req.alloc, req.off, req.arg = a, off, uint64(v)
 	req.wire = headerBytes + 8
 	h := r.handle(1, 0, true)
 	r.submitOne(req, h)
@@ -108,12 +111,12 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 8, &sc.segs, func(group []Seg, payload, flatOff int) {
 		req := rt.getReq(r.node)
-		req.kind, req.origin, req.originNode, req.target = opAccV, r.rank, r.node, dst
+		req.setOp(opAccV, r, dst)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
 		req.buf = appendFloat64s(rt.growBytes(req.buf, payload), vals[flatOff/8:(flatOff+payload)/8])
-		req.data, req.scale = req.buf, scale
-		req.wire = headerBytes + len(group)*segDescBytes + payload
+		req.data, req.arg = req.buf, math.Float64bits(scale)
+		req.wire = int32(headerBytes + len(group)*segDescBytes + payload)
 		reqs = append(reqs, req)
 	})
 	sc.reqs = reqs[:0]

@@ -230,6 +230,9 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 	// the torus, routes still pass through the unpopulated positions'
 	// routers (on the real machine those nodes belong to other jobs).
 	capacity := cfg.Shape[0] * cfg.Shape[1] * cfg.Shape[2]
+	if capacity > math.MaxInt32 {
+		panic(fmt.Sprintf("fabric: shape %v has more than 2^31-1 positions", cfg.Shape))
+	}
 	nw := &Network{
 		eng:       e,
 		cfg:       cfg,
@@ -405,11 +408,15 @@ type msg struct {
 	serLink    sim.Time // per-link serialization time
 	serNIC     sim.Time // NIC serialization time
 	stallSince sim.Time // when the message first parked at a failed link
-	src, dst   int
-	pos        int      // torus position the message is at (the next link's from end)
-	cur, tgt   [3]int32 // torus coordinates of pos and of dst
-	dir        [3]int8  // ring direction per dimension: 1 plus, 0 minus
-	freed      bool     // double-release guard
+	// Node ids and coordinates are int32 (a Network has at most 2^31
+	// nodes), which keeps the record at 96 B (pinned by
+	// TestMsgSizeIsPinned): an incast burst holds one per message in
+	// flight.
+	src, dst int32
+	pos      int32    // torus position the message is at (the next link's from end)
+	cur, tgt [3]int32 // torus coordinates of pos and of dst
+	dir      [3]int8  // ring direction per dimension: 1 plus, 0 minus
+	freed    bool     // double-release guard
 	// deliver(darg, false) runs when the message arrives (see SendArg).
 	deliver func(arg any, ce bool)
 	darg    any
@@ -481,7 +488,7 @@ func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), a
 	st.Messages++
 	st.Bytes += uint64(size)
 	m := nw.getMsg(src)
-	m.src, m.dst = src, dst
+	m.src, m.dst = int32(src), int32(dst)
 	m.deliver, m.darg = deliver, arg
 	if src == dst {
 		nw.eng.AfterOnArg(src, nw.cfg.SoftwareOverhead, nw.loopFn, m)
@@ -494,7 +501,7 @@ func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), a
 
 // loop completes a loopback message after the software overhead.
 func (nw *Network) loop(m *msg) {
-	src := m.src
+	src := int(m.src)
 	if nw.cfg.Faults != nil && nw.cfg.Faults.NodeDown(src) {
 		nw.stats[src].NodeDrops++
 		nw.putMsg(src, m)
@@ -507,7 +514,7 @@ func (nw *Network) loop(m *msg) {
 // at injection time so it reflects the fault state then, not at the Send
 // call — reserves the injection NIC, and schedules the first walk step.
 func (nw *Network) inject(m *msg) {
-	src := m.src
+	src := int(m.src)
 	// A crashed source NIC injects nothing: anything its software stack had
 	// queued dies with the node.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(src) {
@@ -530,10 +537,10 @@ func (nw *Network) inject(m *msg) {
 // is clear. Choosing once per dimension (never mid-arc) keeps routes minimal
 // per dimension and rules out ping-pong livelock.
 func (nw *Network) aim(m *msg) {
-	src := m.src
+	src := int(m.src)
 	linkFaults := nw.cfg.Faults.LinkFaults() > 0
-	cur, tgt := nw.Coord(src), nw.Coord(m.dst)
-	m.pos = src
+	cur, tgt := nw.Coord(src), nw.Coord(int(m.dst))
+	m.pos = m.src
 	node := src // where the walk enters dimension d
 	for d := 0; d < 3; d++ {
 		m.cur[d], m.tgt[d] = int32(cur[d]), int32(tgt[d])
@@ -563,8 +570,9 @@ func (nw *Network) nextHop(m *msg) (li, d, to int, ok bool) {
 	for d = 0; d < 3; d++ {
 		if m.cur[d] != m.tgt[d] {
 			c := nw.ringStep(m, d)
-			to = m.pos + (int(c)-int(m.cur[d]))*nw.stride[d]
-			return m.pos*6 + d*2 + int(m.dir[d]), d, to, true
+			pos := int(m.pos)
+			to = pos + (int(c)-int(m.cur[d]))*nw.stride[d]
+			return pos*6 + d*2 + int(m.dir[d]), d, to, true
 		}
 	}
 	return 0, 0, 0, false
@@ -574,7 +582,7 @@ func (nw *Network) nextHop(m *msg) (li, d, to int, ok bool) {
 // position to).
 func (nw *Network) advance(m *msg, d, to int) {
 	m.cur[d] = nw.ringStep(m, d)
-	m.pos = to
+	m.pos = int32(to)
 }
 
 // ringStep returns m's coordinate in dimension d after one hop along its
@@ -601,7 +609,7 @@ func (nw *Network) ringStep(m *msg, d int) int32 {
 // touch their own links. Every step is scheduled at least HopLatency ahead,
 // the bound Lookahead() reports.
 func (nw *Network) scheduleStep(from int, m *msg) {
-	nw.eng.AtFromArg(from, m.pos, m.arrive, nw.stepFn, m)
+	nw.eng.AtFromArg(from, int(m.pos), m.arrive, nw.stepFn, m)
 }
 
 // step executes one walk step at its owning position: a link traversal when
@@ -609,7 +617,7 @@ func (nw *Network) scheduleStep(from int, m *msg) {
 func (nw *Network) step(m *msg) {
 	now := m.arrive
 	if li, d, to, ok := nw.nextHop(m); ok {
-		hop := m.pos
+		hop := int(m.pos)
 		ser := m.serLink
 		if fi := nw.cfg.Faults; fi.LinkFaults() > 0 {
 			if fi.LinkDown(hop, to) {
@@ -629,7 +637,7 @@ func (nw *Network) step(m *msg) {
 		nw.scheduleStep(hop, m)
 		return
 	}
-	src, dst := m.src, m.dst
+	src, dst := int(m.src), int(m.dst)
 	// A crashed destination NIC ejects nothing: the message has
 	// traversed the torus (SeaStar routers forward in hardware) but
 	// dies at the dead node's ejection port.
@@ -671,7 +679,7 @@ func (nw *Network) step(m *msg) {
 // eject completes ejection at dst: the source's stream-occupancy entry is
 // retired and the message delivered (or lost, if dst crashed mid-ejection).
 func (nw *Network) eject(m *msg) {
-	src, dst := m.src, m.dst
+	src, dst := int(m.src), int(m.dst)
 	srcs := nw.ejSources[dst]
 	if srcs[src] <= 1 {
 		delete(srcs, src)
@@ -695,7 +703,7 @@ func (nw *Network) eject(m *msg) {
 // dropped. Dropping instead of waiting forever keeps the event queue finite;
 // the runtime's request timeouts retransmit the payload.
 func (nw *Network) stallAt(m *msg, now sim.Time) {
-	pos := m.pos
+	pos := int(m.pos)
 	_, _, to, _ := nw.nextHop(m)
 	if !nw.cfg.Faults.LinkDown(pos, to) {
 		nw.noteWait(pos, now-m.stallSince, nw.waitStall)

@@ -109,7 +109,7 @@ func (nw *Network) linkEnds(idx int) (from, to int) {
 // link's ends must agree with the position the walk was at and reached.
 func walk(t *testing.T, nw *Network, src, dst int) []int {
 	t.Helper()
-	m := &msg{src: src, dst: dst}
+	m := &msg{src: int32(src), dst: int32(dst)}
 	nw.aim(m)
 	var links []int
 	for {
@@ -117,7 +117,7 @@ func walk(t *testing.T, nw *Network, src, dst int) []int {
 		if !ok {
 			break
 		}
-		if from, end := nw.linkEnds(li); from != m.pos || end != to {
+		if from, end := nw.linkEnds(li); from != int(m.pos) || end != to {
 			t.Fatalf("walk %d->%d: link %d joins %d->%d, walk says %d->%d", src, dst, li, from, end, m.pos, to)
 		}
 		links = append(links, li)
@@ -126,7 +126,7 @@ func walk(t *testing.T, nw *Network, src, dst int) []int {
 			t.Fatalf("walk %d->%d does not terminate", src, dst)
 		}
 	}
-	if m.pos != dst {
+	if int(m.pos) != dst {
 		t.Fatalf("walk %d->%d ended at %d", src, dst, m.pos)
 	}
 	return links
@@ -226,5 +226,20 @@ func TestMsgSizeMatchesBudget(t *testing.T) {
 	size := unsafe.Sizeof(msg{})
 	if want := fmt.Sprintf("| `msg` | %d B |", size); !strings.Contains(string(doc), want) {
 		t.Errorf("docs/SCALING.md byte budget is stale for msg: expected the row %q (actual size %d bytes)", want, size)
+	}
+}
+
+// TestMsgSizeIsPinned holds the in-flight message record at its measured
+// size: app_dft's end-of-iteration get burst keeps about 20 000 messages in
+// flight at once per runtime, and int32 node ids and positions took the
+// record from 112 to 96 B (TestProtocolRecordSizesArePinned in
+// internal/armci pins the protocol records the same burst holds). Growing it
+// needs a fresh app_dft peak_rss_mb measurement.
+func TestMsgSizeIsPinned(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(msg{}); got != 96 {
+		t.Fatalf("msg is %d B, pinned at 96 B: re-measure app_dft peak_rss_mb before moving it", got)
 	}
 }

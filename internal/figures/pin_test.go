@@ -14,7 +14,7 @@ import (
 	"armcivt/internal/sim"
 )
 
-// TestPinnedArmedRuns pins the exact outcome of two runs with the optional
+// TestPinnedArmedRuns pins the exact outcome of runs with the optional
 // subsystems armed — aggregation, healing and storms — to values recorded
 // from an earlier build. The
 // subsystems' tuning values are model constants; any change to one of them,
@@ -34,26 +34,33 @@ func TestPinnedArmedRuns(t *testing.T) {
 		wantStats armci.Stats
 	}{
 		{
+			// This row pins the window path: its 32 x 256 B vectored puts
+			// are above the aggregation size threshold, so none batches
+			// (AggBatches 0). The fetch-add row below pins batching.
 			name: "contention/vput+window8+agg/MFCG32x2",
 			run: func() (uint64, armci.Stats, error) {
-				reg := obs.NewRegistry()
-				s, err := Contention(ContentionConfig{
+				return pinnedContention(ContentionConfig{
 					Kind: core.MFCG, Nodes: 32, PPN: 2, Iters: 5, ContenderEvery: 2,
 					Window: 8, Aggregation: true,
-					Metrics: reg,
 				})
-				if err != nil {
-					return 0, armci.Stats{}, err
-				}
-				h := fnv.New64a()
-				for i := range s.X {
-					fmt.Fprintf(h, "%x:%x;", math.Float64bits(s.X[i]), math.Float64bits(s.Y[i]))
-				}
-				return h.Sum64(), statsFromMetrics(reg), nil
 			},
 			wantTime: 12787699613694857544,
 			wantStats: armci.Stats{Ops: 43134, Requests: 62944, Forwards: 19810, CreditWaits: 25495,
 				CreditWaited: 21700234242, MaxCHTBacklog: 24},
+		},
+		{
+			// Fetch-adds are small enough to batch: this row pins the
+			// aggregation path (opBatch packets and their sub-op records).
+			name: "contention/fadd+window8+agg/MFCG32x2",
+			run: func() (uint64, armci.Stats, error) {
+				return pinnedContention(ContentionConfig{
+					Kind: core.MFCG, Nodes: 32, PPN: 2, Iters: 5, ContenderEvery: 2,
+					Op: OpFetchAdd, Window: 8, Aggregation: true,
+				})
+			},
+			wantTime: 16172483435389685517,
+			wantStats: armci.Stats{Ops: 19174, Requests: 3953, Forwards: 1533, MaxCHTBacklog: 28,
+				AggBatches: 3953, AggBatchedOps: 31312},
 		},
 		{
 			name: "chaos/heal+storms/MFCG32x2",
@@ -88,6 +95,23 @@ func TestPinnedArmedRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pinnedContention runs cfg with a fresh metrics registry and returns an
+// FNV-64a hash of the series' exact float bits with the Stats rebuilt from
+// the exported counters.
+func pinnedContention(cfg ContentionConfig) (uint64, armci.Stats, error) {
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	s, err := Contention(cfg)
+	if err != nil {
+		return 0, armci.Stats{}, err
+	}
+	h := fnv.New64a()
+	for i := range s.X {
+		fmt.Fprintf(h, "%x:%x;", math.Float64bits(s.X[i]), math.Float64bits(s.Y[i]))
+	}
+	return h.Sum64(), statsFromMetrics(reg), nil
 }
 
 // statsFromMetrics rebuilds the Stats a contention run exported through

@@ -146,48 +146,32 @@ func (q *Queue[T]) TryGet() (T, bool) {
 }
 
 // Event is a broadcast completion flag: processes Wait until some actor calls
-// Fire, after which all current and future waiters proceed immediately. Like
-// Queue it holds its first waiter inline and later ones in an overflow
-// slice, so an event with one waiter allocates nothing to park it.
+// Fire, after which all current and future waiters proceed immediately. It is
+// a Flag that carries its own name for deadlock reports.
 type Event struct {
-	name    string
-	fired   bool
-	w0      *Proc   // the first waiter, nil when none waits
-	waiters []*Proc // waiters after w0, in registration order
+	name string
+	f    Flag
 }
 
 // NewEvent creates an unfired event for the processes of e.
 func NewEvent(e *Engine, name string) *Event { return &Event{name: name} }
 
-// Init (re)initializes an Event in place — for events embedded by value in a
-// larger record (e.g. an operation handle), sparing the separate allocation
-// NewEvent implies. It must not be called while waiters are parked.
+// Init (re)initializes an Event in place, for events embedded by value in a
+// larger record, sparing the separate allocation NewEvent implies. It must
+// not be called while waiters are parked.
 func (ev *Event) Init(e *Engine, name string) {
-	if ev.w0 != nil {
+	if ev.f.w0 != nil {
 		panic("sim: Event.Init with parked waiters")
 	}
-	ev.name, ev.fired = name, false
+	ev.name, ev.f.fired = name, false
 }
 
 // Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
+func (ev *Event) Fired() bool { return ev.f.fired }
 
 // Fire marks the event complete and wakes all waiters. Firing twice is a
 // no-op.
-func (ev *Event) Fire() {
-	if ev.fired {
-		return
-	}
-	ev.fired = true
-	if ev.w0 == nil {
-		return
-	}
-	ev.w0.wake()
-	for _, p := range ev.waiters {
-		p.wake()
-	}
-	ev.w0, ev.waiters = nil, nil
-}
+func (ev *Event) Fire() { ev.f.Fire() }
 
 // Wait blocks p until the event fires (returns immediately if already fired).
 func (ev *Event) Wait(p *Proc) {
@@ -198,18 +182,81 @@ func (ev *Event) Wait(p *Proc) {
 // Poll reports whether the event has fired; if not, it first registers p as
 // a waiter and parks it. Like Queue.Poll it is the wait of a step process.
 func (ev *Event) Poll(p *Proc) bool {
-	if !ev.fired {
-		if ev.w0 == nil {
-			ev.w0 = p
-		} else {
-			ev.waiters = append(ev.waiters, p)
-		}
+	if !ev.f.fired {
+		ev.f.add(p)
 		p.parkOn(ev, 0)
 	}
-	return ev.fired
+	return ev.f.fired
 }
 
 func (ev *Event) blockLabel(int64) string { return "event " + ev.name }
+
+// Flag is an Event that stores no name: the waiter passes the label its
+// deadlock reports show, which for a record of a fixed kind is a constant, so
+// a Flag embedded by value in many records (an operation handle) does not
+// carry the same string in each. Like Queue it holds its first waiter inline
+// and later ones in an overflow slice, so a flag with one waiter allocates
+// nothing to park it. The zero Flag is unfired.
+type Flag struct {
+	fired   bool
+	w0      *Proc   // the first waiter, nil when none waits
+	waiters []*Proc // waiters after w0, in registration order
+}
+
+// Reset re-arms f: unfired. It must not be called while waiters are parked.
+func (f *Flag) Reset() {
+	if f.w0 != nil {
+		panic("sim: Flag.Reset with parked waiters")
+	}
+	f.fired = false
+}
+
+// Fired reports whether Fire has been called since the last Reset.
+func (f *Flag) Fired() bool { return f.fired }
+
+// Fire marks the flag complete and wakes all waiters in registration order.
+// Firing twice is a no-op.
+func (f *Flag) Fire() {
+	if f.fired {
+		return
+	}
+	f.fired = true
+	if f.w0 == nil {
+		return
+	}
+	f.w0.wake()
+	for _, p := range f.waiters {
+		p.wake()
+	}
+	f.w0, f.waiters = nil, nil
+}
+
+// Wait blocks p until the flag fires (returns immediately if already fired);
+// while p is parked, deadlock reports show it blocked on label.
+func (f *Flag) Wait(p *Proc, label string) {
+	for !f.Poll(p, label) {
+	}
+}
+
+// Poll reports whether the flag has fired; if not, it first registers p as a
+// waiter and parks it on label. Like Queue.Poll it is the wait of a step
+// process.
+func (f *Flag) Poll(p *Proc, label string) bool {
+	if !f.fired {
+		f.add(p)
+		p.park(label)
+	}
+	return f.fired
+}
+
+// add registers p as a waiter.
+func (f *Flag) add(p *Proc) {
+	if f.w0 == nil {
+		f.w0 = p
+	} else {
+		f.waiters = append(f.waiters, p)
+	}
+}
 
 // Gate is a single-waiter, reusable completion signal: the free-list cousin
 // of Event for pooled protocol records (e.g. a send parked on a buffer

@@ -811,3 +811,41 @@ func TestShutdownIdempotentAndRunnableAfter(t *testing.T) {
 	e.Shutdown()
 	e.Shutdown() // second call is a no-op
 }
+
+// TestFlagWaiterShowsItsLabel pins that a Flag, which stores no name, shows
+// the label its waiter passed in deadlock reports, next to an Event's
+// "event <name>", and that a fired and reset flag parks its next waiter
+// again.
+func TestFlagWaiterShowsItsLabel(t *testing.T) {
+	e := New()
+	var f Flag
+	ev := NewEvent(e, "ev")
+	woke := 0
+	e.Spawn("p1", func(p *Proc) {
+		f.Wait(p, "event op")
+		woke++
+		p.Sleep(20)
+		f.Wait(p, "event op") // reset at 20: parks until the deadlock
+	})
+	e.Spawn("p2", func(p *Proc) { ev.Wait(p) })
+	e.At(10, func() {
+		f.Fire()
+	})
+	e.At(20, func() {
+		if !f.Fired() {
+			t.Error("Fired = false after Fire")
+		}
+		f.Reset()
+	})
+	err := e.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	if want := []string{"p1: event op", "p2: event ev"}; !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("Blocked = %q, want %q", dl.Blocked, want)
+	}
+	if woke != 1 {
+		t.Errorf("p1 woke %d times, want 1", woke)
+	}
+}
