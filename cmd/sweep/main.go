@@ -106,7 +106,6 @@ func main() {
 	traceSched := flag.Bool("trace-sched", false, "with -trace: include scheduler run-slices of contention points (verbose)")
 	progress := flag.Bool("progress", false, "report per-point progress and ETA on stderr")
 	list := flag.Bool("list", false, "print the expanded points and cache keys without running")
-	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	assertAgg := flag.Bool("assert-agg", false, "compare aggregation off/on pairs and fail if aggregation regressed latency (needs agg=off,on in the grid)")
 	flag.Parse()
 	if *traceSched && *traceFile == "" {
@@ -164,7 +163,7 @@ func main() {
 		Workers:     *j,
 		CacheDir:    *cacheDir,
 		Metrics:     reg,
-		ExecOptions: sweep.ExecOptions{Trace: tracer, TraceSched: *traceSched, Shards: *shards},
+		ExecOptions: sweep.ExecOptions{Trace: tracer, TraceSched: *traceSched},
 	}
 	if *progress {
 		runner.Progress = func(done, total int, st sweep.Stats, eta time.Duration) {

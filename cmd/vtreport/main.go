@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	vtreport [-quick|-full] [-j N] [-metrics] [-trace FILE] [-shards K] > report.md
+//	vtreport [-quick|-full] [-j N] [-metrics] [-trace FILE] > report.md
 package main
 
 import (
@@ -89,7 +89,6 @@ func main() {
 	jobs := flag.Int("j", 1, "worker-pool size for every figure's points")
 	metrics := flag.Bool("metrics", false, "append observability snapshots to the contention sections")
 	traceFile := flag.String("trace", "", "write contention runs as one Chrome-trace JSON file (forces -j 1)")
-	shards := flag.Int("shards", 1, "conservative-parallel kernel shards per run (1 = serial; results are bit-identical, see docs/PARALLELISM.md)")
 	flag.Parse()
 	figs := quickScale()
 	mode := "quick"
@@ -123,7 +122,7 @@ func main() {
 		bounds[i+1] = len(points)
 	}
 	sweep.Reindex(points)
-	runner := &sweep.Runner{Workers: *jobs, ExecOptions: sweep.ExecOptions{Trace: tracer, Shards: *shards}}
+	runner := &sweep.Runner{Workers: *jobs, ExecOptions: sweep.ExecOptions{Trace: tracer}}
 	results, _ := runner.Run(points)
 	for _, r := range results {
 		if r.Err != "" {

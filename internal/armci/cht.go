@@ -195,8 +195,7 @@ func (ns *nodeState) fail(req *request, err error) {
 // failSubs routes a failure notice back to the origin of every sub-operation
 // of req. A failed batch fails every sub on its own handle (batches carry no
 // handle themselves). Notices travel as messages — never synchronous handle
-// mutation — because the handle lives in the origin node's owner context,
-// which may be another shard.
+// mutation — because the handle lives in the origin node's owner context.
 func (ns *nodeState) failSubs(req *request, err error) {
 	rt := ns.rt
 	for _, sub := range batchSubs(req) {

@@ -41,7 +41,7 @@ func (rt *Runtime) startRef(body func(r *Rank)) {
 		r.proc = rt.eng.SpawnOn(r.node, fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
 			body(r)
 			r.flushAllAgg()
-			rt.eng.AtGlobal(r.node, func() { rt.liveRanks-- })
+			rt.eng.AtGlobal(func() { rt.liveRanks-- })
 		})
 	}
 	if rt.healArmed {

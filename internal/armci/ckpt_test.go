@@ -12,10 +12,11 @@ import (
 )
 
 // armedChaosSections runs the fully armed chaos mix — crash-stops with
-// healing, an ejection storm on node 0, timeouts and retries — on 32x2 nodes of the given family, steps it through horizons
-// every 250 µs, and returns the sim, fabric, faults and armci sections read
-// at each horizon the run stops at.
-func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]byte {
+// healing, an ejection storm on node 0, timeouts and retries — on 32x2
+// nodes of the given family, steps it through horizons every step, and
+// returns the sim, fabric, faults and armci sections read at each horizon
+// the run stops at that is a multiple of 250 µs.
+func armedChaosSections(t *testing.T, kind core.Kind, crashes int, step sim.Time) [][]byte {
 	t.Helper()
 	const (
 		nodes, ppn = 32, 2
@@ -40,7 +41,6 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 	cfg.RequestTimeout = 200 * sim.Microsecond
 	cfg.MaxRetries = 4
 	cfg.CreditTimeout = 400 * sim.Microsecond
-	cfg.Shards = shards
 	sim.NewWatchdog(eng, 0, 0).Start()
 	rt, err := New(eng, cfg)
 	if err != nil {
@@ -68,49 +68,53 @@ func armedChaosSections(t *testing.T, kind core.Kind, crashes, shards int) [][]b
 		}
 	})
 	var sections [][]byte
-	for h := every; ; h += every {
+	for h := step; ; h += step {
 		err := eng.RunUntil(h)
 		var tl *sim.TimeLimitError
 		if !errors.As(err, &tl) {
 			if err != nil {
-				t.Fatalf("shards=%d: RunUntil(%v): %v", shards, h, err)
+				t.Fatalf("step %v: RunUntil(%v): %v", step, h, err)
 			}
 			break
 		}
-		sections = append(sections, bytes.Join([][]byte{eng.CheckpointSection(), rt.net.CheckpointSection(),
-			inj.CheckpointSection(), rt.checkpointSection()}, nil))
+		if h%every == 0 {
+			sections = append(sections, bytes.Join([][]byte{eng.CheckpointSection(), rt.net.CheckpointSection(),
+				inj.CheckpointSection(), rt.checkpointSection()}, nil))
+		}
 	}
-	// Membership notices cross shards (a line spans nodes on several), so
-	// the mix must send some.
+	// The mix must exercise membership: confirmations and the notices that
+	// announce them along the lines.
 	if s := rt.Stats(); s.Confirms == 0 || s.Notices == 0 || s.Completions == 0 {
-		t.Fatalf("shards=%d: the mix never confirmed and announced a crash or completed an op: %+v", shards, s)
+		t.Fatalf("step %v: the mix never confirmed and announced a crash or completed an op: %+v", step, s)
 	}
 	return sections
 }
 
-// Every layer's state digest must match byte for byte at every horizon,
-// whether the armed mix runs serially or on eight shards: the per-horizon
-// form of the bit-identity contract, which also localizes a divergence to
-// its first horizon. The CFCG case adds a third crash, so reboot
-// announcements and dead-set hand-overs cross shards too.
-func TestArmedChaosSectionsMatchAcrossShards(t *testing.T) {
+// Every layer's state digest must match byte for byte at every 250 µs
+// horizon, whether the armed mix stops there alone or also at every 50 µs
+// between: the per-horizon form of the bit-identity contract (a run resumed
+// from any horizon continues as one that never stopped), which also
+// localizes a divergence to its first horizon. The CFCG case adds a third
+// crash, so reboot announcements and dead-set hand-overs are cut by
+// horizons too.
+func TestArmedChaosSectionsMatchAcrossHorizons(t *testing.T) {
 	for _, tc := range []struct {
 		kind    core.Kind
 		crashes int
 	}{{core.MFCG, 2}, {core.CFCG, 3}} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
-			serial := armedChaosSections(t, tc.kind, tc.crashes, 1)
-			if len(serial) < 17 {
-				t.Fatalf("run passed only %d horizons; want at least 17", len(serial))
+			coarse := armedChaosSections(t, tc.kind, tc.crashes, 250*sim.Microsecond)
+			if len(coarse) < 17 {
+				t.Fatalf("run passed only %d horizons; want at least 17", len(coarse))
 			}
-			t.Logf("%d horizons", len(serial))
-			sharded := armedChaosSections(t, tc.kind, tc.crashes, 8)
-			if len(sharded) != len(serial) {
-				t.Fatalf("shards=8 passed %d horizons, serial %d", len(sharded), len(serial))
+			t.Logf("%d horizons", len(coarse))
+			fine := armedChaosSections(t, tc.kind, tc.crashes, 50*sim.Microsecond)
+			if len(fine) != len(coarse) {
+				t.Fatalf("50 µs steps passed %d 250 µs horizons, 250 µs steps %d", len(fine), len(coarse))
 			}
-			for i := range serial {
-				if !bytes.Equal(serial[i], sharded[i]) {
-					t.Fatalf("horizon %d: shards=8 sections differ from serial", i)
+			for i := range coarse {
+				if !bytes.Equal(coarse[i], fine[i]) {
+					t.Fatalf("horizon %d: sections of the 50 µs-stepped run differ", i)
 				}
 			}
 		})

@@ -56,13 +56,6 @@ type Config struct {
 	PPN int
 	// Topology is the virtual topology; nil selects FCG over Nodes.
 	Topology core.Topology
-	// Shards is the number of conservative-parallel shards the simulation
-	// kernel partitions the node space into (0 and 1 both select serial
-	// execution). Results are bit-identical for every shard count — the
-	// determinism contract docs/PARALLELISM.md specifies and the regression
-	// tests enforce — so Shards is purely a wall-clock knob. Incompatible
-	// with Trace (the Chrome tracer is single-writer).
-	Shards int
 	// BufSize is the size of one request buffer in bytes (paper: 16 KB).
 	// With BufsPerProc it sets the topology-dependent memory term of
 	// Figure 5 and the chunk size large transfers are split into.
@@ -330,12 +323,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("armci: counts must not be negative (CHTPollCap=%d, Mutexes=%d, MaxRetries=%d)",
 			c.CHTPollCap, c.Mutexes, c.MaxRetries)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("armci: Shards must not be negative, got %d", c.Shards)
-	}
-	if c.Shards > 1 && c.Trace != nil {
-		return fmt.Errorf("armci: Trace requires serial execution (Shards <= 1), got Shards=%d", c.Shards)
-	}
 	if c.BaseRSSBytes < 0 || c.ConnBytes < 0 {
 		return fmt.Errorf("armci: memory-model bytes must not be negative (BaseRSSBytes=%d, ConnBytes=%d)",
 			c.BaseRSSBytes, c.ConnBytes)
@@ -390,9 +377,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Mutexes == 0 {
 		c.Mutexes = d.Mutexes
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
 	}
 	if c.Topology == nil {
 		c.Topology = core.MustNew(core.FCG, c.Nodes)

@@ -169,7 +169,7 @@ func (eg *egress) submitRank(p *sim.Proc, req *request) {
 	ps.req = req
 	ps.hasGate = true
 	ps.gate.Init(eg.rt.eng, eg.creditLabel())
-	ps.enq = eg.rt.eng.NowOn(eg.from)
+	ps.enq = eg.rt.eng.Now()
 	eg.pending.push(ps)
 	eg.maybeArmRegen()
 	ps.gate.Wait(p) // wait time is accounted in drain()
@@ -196,7 +196,7 @@ func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
 	ps.req = req
 	ps.fwdOwner = owner
 	ps.fwdUp = up
-	ps.enq = eg.rt.eng.NowOn(eg.from)
+	ps.enq = eg.rt.eng.Now()
 	eg.pending.push(ps)
 	eg.maybeArmRegen()
 }
@@ -215,7 +215,7 @@ func (eg *egress) submitParked(ps *pendingSend) {
 		return
 	}
 	eg.rt.st(eg.from).CreditWaits++
-	ps.enq = eg.rt.eng.NowOn(eg.from)
+	ps.enq = eg.rt.eng.Now()
 	eg.pending.push(ps)
 	eg.maybeArmRegen()
 }
@@ -283,7 +283,7 @@ func (eg *egress) drain() {
 			req = buildBatch(subs)
 		}
 		eg.transmit(req)
-		now := eg.rt.eng.NowOn(eg.from)
+		now := eg.rt.eng.Now()
 		owner := &eg.rt.nodes[eg.from]
 		for _, g := range group {
 			waited := now - g.enq

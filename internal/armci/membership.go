@@ -242,7 +242,7 @@ func (ns *nodeState) heardAt(i int) {
 	if mv == nil {
 		return
 	}
-	mv.lastHeard[i] = ns.rt.eng.NowOn(ns.id)
+	mv.lastHeard[i] = ns.rt.eng.Now()
 	if was := mv.state[i]; was != memberAlive {
 		mv.setState(i, memberAlive)
 		if was == memberDead {
@@ -267,7 +267,7 @@ func (ns *nodeState) monitorTick() {
 	if fi := rt.faultInj; fi != nil && fi.NodeDown(ns.id) {
 		return // a crashed node probes and judges nothing until it reboots
 	}
-	now := rt.eng.NowOn(ns.id)
+	now := rt.eng.Now()
 	mv := ns.mv
 	rings := ns.rings()
 	for l := range rings {
@@ -345,7 +345,7 @@ func (ns *nodeState) sendNotice(to, subject int, alive bool) {
 	rt := ns.rt
 	rt.st(ns.id).Notices++
 	rt.net.SendArg(ns.id, to, heartbeatBytes, rt.noticeFn,
-		&notice{from: ns.id, to: to, subject: subject, alive: alive, sent: rt.eng.NowOn(ns.id)})
+		&notice{from: ns.id, to: to, subject: subject, alive: alive, sent: rt.eng.Now()})
 }
 
 // onNotice applies a notice at its receiver. A death is taken as if this
@@ -476,7 +476,7 @@ func (ns *nodeState) recordDetection(peer int, judging sim.Time) {
 // its reboot) and from. It reports false when peer never crashed.
 func (ns *nodeState) sinceCrash(peer int, from sim.Time) (sim.Time, bool) {
 	rt := ns.rt
-	now := rt.eng.NowOn(ns.id)
+	now := rt.eng.Now()
 	crashed, ok := rt.faultInj.CrashedAt(peer)
 	if !ok || crashed > now {
 		return 0, false

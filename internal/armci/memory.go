@@ -2,7 +2,6 @@ package armci
 
 import (
 	"bytes"
-	"sync/atomic"
 
 	"armcivt/internal/ckpt"
 )
@@ -21,12 +20,8 @@ import (
 // Every byte access of the protocol (the CHT's handle, the ranks' local
 // paths and the collectives) goes through the helpers below: write, read, loadInt64/storeInt64
 // and accFloat64, each of which handles an access that straddles a page.
-//
-// A rank's slab and pages are only ever touched from its node's owner
-// context, so they need no lock under sharding. The one shared step is
-// creating the allocation's per-rank table, at its first touch by any rank
-// (a read of an allocation nobody has touched creates none); it is
-// published with a compare-and-swap.
+// The allocation's per-rank table is made at its first touch by any rank (a
+// read of an allocation nobody has touched makes none).
 
 const (
 	pageShift = 12
@@ -45,7 +40,7 @@ type allocation struct {
 	// tab holds one entry per rank, nil until the allocation's first touch
 	// by any rank: registering an allocation on a 64k-rank job (the
 	// collective scratch region is one) costs no per-rank table.
-	tab atomic.Pointer[[]rankMem]
+	tab []rankMem
 }
 
 // rankMem is one rank's memory of one allocation: its slab once flattened,
@@ -69,19 +64,13 @@ type pageTable struct {
 // entry returns rank's entry, creating the allocation's table if this is
 // its first touch and create is set; it is nil while there is no table.
 func (a *allocation) entry(rank int, create bool) *rankMem {
-	tab := a.tab.Load()
-	if tab == nil {
+	if a.tab == nil {
 		if !create {
 			return nil
 		}
-		fresh := make([]rankMem, a.ranks)
-		if a.tab.CompareAndSwap(nil, &fresh) {
-			tab = &fresh
-		} else {
-			tab = a.tab.Load()
-		}
+		a.tab = make([]rankMem, a.ranks)
 	}
-	return &(*tab)[rank]
+	return &a.tab[rank]
 }
 
 // slab flattens rank: it returns the rank's contiguous slab, materializing
@@ -200,11 +189,7 @@ func (a *allocation) accFloat64(rank, off int, scale, v float64) {
 // bytes, so a flat rank and a paged rank holding the same bytes digest the
 // same, and memory never written contributes nothing.
 func (a *allocation) digest(h uint64) uint64 {
-	tab := a.tab.Load()
-	if tab == nil {
-		return h
-	}
-	for r, e := range *tab {
+	for r, e := range a.tab {
 		if e.flat == nil && e.paged == nil {
 			continue
 		}
@@ -230,12 +215,8 @@ func (a *allocation) digest(h uint64) uint64 {
 // summed over ranks: every page of a flat rank, the written pages of a
 // paged one.
 func (a *allocation) residentPages() int {
-	tab := a.tab.Load()
-	if tab == nil {
-		return 0
-	}
 	n := 0
-	for _, e := range *tab {
+	for _, e := range a.tab {
 		if e.flat != nil {
 			n += (a.bytes + pageMask) >> pageShift
 		} else if e.paged != nil {

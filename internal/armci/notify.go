@@ -30,8 +30,8 @@ type notifyWaiter struct {
 
 // notify returns the node's notify-wait state (allocated lazily). State
 // lives on the *consumer's* node: deliveries arrive in that node's owner
-// context and waiters are that node's own ranks, so all access is owner-local
-// and sharded runs never contend.
+// context and waiters are that node's own ranks, so all access is
+// owner-local.
 func (ns *nodeState) notify() *notifyState {
 	if ns.notifies == nil {
 		ns.notifies = &notifyState{

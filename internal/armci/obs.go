@@ -216,27 +216,8 @@ func (rt *Runtime) FillMetrics() {
 		reg.Gauge("armci_mem_pages", obs.L("alloc", a.name)).Set(float64(a.residentPages()))
 	}
 
-	// Kernel execution counters (schema in docs/PARALLELISM.md).
-	// sim_events_total is every event the engine ran, identical at every
-	// shard count. sim_shards reports the effective shard count (1 = serial
-	// kernel); the remaining counters are zero on serial runs. Shard
-	// utilization is the fraction of (window, shard) slots that had work:
-	// 1 - idle_lane_windows / (windows * shards).
-	rep := rt.eng.ShardReport()
+	// Kernel progress: every event the engine ran.
 	reg.Counter("sim_events_total").Add(float64(rt.eng.Executed()))
-	reg.Gauge("sim_shards").Set(float64(rt.eng.Shards()))
-	reg.Counter("sim_windows_total").Add(float64(rep.Windows))
-	reg.Counter("sim_serial_instants_total").Add(float64(rep.Instants))
-	reg.Counter("sim_idle_lane_windows_total").Add(float64(rep.IdleLaneWindows))
-	var laneEvents uint64
-	for _, n := range rep.LaneEvents {
-		laneEvents += n
-	}
-	reg.Counter("sim_lane_events_total").Add(float64(laneEvents))
-	if rep.Windows > 0 && rep.Shards > 0 {
-		busy := 1 - float64(rep.IdleLaneWindows)/float64(rep.Windows*uint64(rep.Shards))
-		reg.Gauge("sim_shard_utilization").Set(busy)
-	}
 
 	rt.net.FillMetrics()
 }

@@ -8,7 +8,7 @@ package armci
 // silently sharing storage, a record returns to its free list only once
 // nothing can reach it (timers, retransmission clones, aggregation batches
 // and crash aborts included), and slabs materialize on first touch without
-// perturbing results at any shard count.
+// perturbing results.
 
 import (
 	"bytes"
@@ -459,7 +459,7 @@ func TestSlabsMaterializeLazily(t *testing.T) {
 	rt := poolHarness(t)
 	rt.Alloc("m", 256)
 	a := rt.alloc("m")
-	if a.tab.Load() != nil {
+	if a.tab != nil {
 		t.Fatal("Alloc built a per-rank table")
 	}
 	// A one-page allocation is flat from its first touch.
@@ -482,7 +482,7 @@ func TestSlabsMaterializeLazily(t *testing.T) {
 	rt.Alloc("big", 3*pageSize)
 	b := rt.alloc("big")
 	b.read(2, 0, make([]byte, 8))
-	if b.tab.Load() != nil {
+	if b.tab != nil {
 		t.Fatal("a read of untouched memory built a per-rank table")
 	}
 	b.write(2, pageSize-1, []byte{1, 2})
@@ -502,21 +502,18 @@ func TestSlabsMaterializeLazily(t *testing.T) {
 	}
 }
 
-// TestSlabGrowthAcrossShardBoundaries drives traffic between ranks owned by
-// different shards so slabs and pages materialize inside concurrent lane
-// windows (and every rank's first paged write races to create the page
-// index), then checks the data landed intact: lazy growth must be invisible
-// to the protocol at any shard count. The paged allocation's writes and
-// fetch-adds straddle page boundaries, and its checkpoint digest must be
-// the same at every shard count and across a flatten.
-func TestSlabGrowthAcrossShardBoundaries(t *testing.T) {
-	const peerOff = 8 // the diametrically opposite rank: cross-shard at every shard count > 1
+// TestSlabGrowthAcrossPageBoundaries drives traffic between opposite ranks
+// so slabs and pages materialize on first remote touch, then checks the
+// data landed intact: lazy growth must be invisible to the protocol. The
+// paged allocation's writes and fetch-adds straddle page boundaries, and
+// its checkpoint digest must be the same on a rerun and across a flatten.
+func TestSlabGrowthAcrossPageBoundaries(t *testing.T) {
+	const peerOff = 8 // the diametrically opposite rank
 	var digest uint64
-	for _, shards := range []int{1, 2, 8} {
+	for run := 0; run < 2; run++ {
 		eng := sim.New()
 		cfg := DefaultConfig(16, 1)
 		cfg.Topology = core.MustNew(core.Hypercube, 16)
-		cfg.Shards = shards
 		rt, err := New(eng, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -537,32 +534,32 @@ func TestSlabGrowthAcrossShardBoundaries(t *testing.T) {
 		}
 		a, p := rt.alloc("m"), rt.alloc("p")
 		if got := p.residentPages(); got != 16*3 {
-			t.Errorf("shards=%d: %d pages materialized, want 3 per rank", shards, got)
+			t.Errorf("run %d: %d pages materialized, want 3 per rank", run, got)
 		}
 		var h uint64
 		for rank := 0; rank < 16; rank++ {
 			want := byte((rank + peerOff) % 16)
 			if got := a.entry(rank, false).flat[0]; got != want {
-				t.Errorf("shards=%d rank %d slab[0] = %d, want %d", shards, rank, got, want)
+				t.Errorf("run %d rank %d slab[0] = %d, want %d", run, rank, got, want)
 			}
 			if rank == 8 {
 				h = p.digest(ckpt.MixInit) // half the ranks flattened, half paged
 			}
 			mem := rt.Memory(rank, "p")
-			if run := mem[pageSize-32 : pageSize+32]; !bytes.Equal(run, bytes.Repeat([]byte{want}, 64)) {
-				t.Errorf("shards=%d rank %d straddling put = % x", shards, rank, run)
+			if span := mem[pageSize-32 : pageSize+32]; !bytes.Equal(span, bytes.Repeat([]byte{want}, 64)) {
+				t.Errorf("run %d rank %d straddling put = % x", run, rank, span)
 			}
 			if got := GetInt64(mem, 2*pageSize-4); got != int64(want)<<32|1 {
-				t.Errorf("shards=%d rank %d straddling word = %#x", shards, rank, got)
+				t.Errorf("run %d rank %d straddling word = %#x", run, rank, got)
 			}
 		}
 		if after := p.digest(ckpt.MixInit); after != h {
-			t.Errorf("shards=%d: flattening moved the digest %x -> %x", shards, h, after)
+			t.Errorf("run %d: flattening moved the digest %x -> %x", run, h, after)
 		}
-		if shards == 1 {
+		if run == 0 {
 			digest = h
 		} else if h != digest {
-			t.Errorf("shards=%d: digest %x, serial %x", shards, h, digest)
+			t.Errorf("rerun: digest %x, first run %x", h, digest)
 		}
 	}
 }

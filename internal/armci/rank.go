@@ -650,16 +650,15 @@ func (r *Rank) lockOp(m int, kind opKind) {
 // ceil(log2(N)) rounds of BarrierStep each after the last rank arrives.
 //
 // The arrival counter is shared by every rank, so each arrival is registered
-// through a global event (a serial instant in sharded mode): the rank posts
-// its own gate event, the arrival lands on the global lane one lookahead
-// later, and the final arrival fires every gate. The +lookahead hop applies
-// identically in serial mode, keeping both modes bit-identical.
+// through a global event: the rank posts its own gate event, the arrival
+// lands one link hop latency later (sim.Engine.AtGlobal), and the final
+// arrival fires every gate.
 func (r *Rank) Barrier() {
 	r.flushAllAgg()
 	rt := r.rt
 	gate := &r.scratch().gate
 	gate.Init(rt.eng, "event barrier")
-	rt.eng.AtGlobalArg(r.node, rt.arriveFn, gate)
+	rt.eng.AtGlobalArg(rt.arriveFn, gate)
 	gate.Wait(r.proc)
 	steps := 0
 	for 1<<steps < len(rt.ranks) {

@@ -33,7 +33,7 @@ func (rt *Runtime) armTimeout(req *request) {
 	ns := &rt.nodes[origin]
 	ns.ridSeq++
 	req.rid = uint64(origin+1)<<32 | ns.ridSeq
-	req.issued = rt.eng.NowOn(origin)
+	req.issued = rt.eng.Now()
 	req.timeout = rt.cfg.RequestTimeout
 	req.holds++
 	rt.eng.AfterOnArg(origin, req.timeout, rt.timeoutFn, req)
@@ -63,7 +63,7 @@ func (rt *Runtime) retryOrFail(req *request) bool {
 		return false // completed (or already failed) — timer expires silently
 	}
 	rt.st(origin).Timeouts++
-	elapsed := rt.eng.NowOn(origin) - req.issued
+	elapsed := rt.eng.Now() - req.issued
 	// A target the origin's membership view has confirmed dead (or an
 	// origin node that has itself crashed) cannot complete the chunk;
 	// fail fast instead of burning the remaining retries.

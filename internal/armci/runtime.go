@@ -3,7 +3,6 @@ package armci
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"armcivt/internal/core"
 	"armcivt/internal/fabric"
@@ -35,10 +34,6 @@ type Runtime struct {
 	slabs edgeSlabs
 
 	allocs map[string]*allocation
-	// allocsMu guards the allocs map: Malloc may be called concurrently from
-	// rank processes on different shards. Allocation contents need no lock —
-	// each rank's partition is only touched from its node's owner context.
-	allocsMu sync.RWMutex
 
 	barrier barrierState
 	mutexes []mutexState
@@ -47,9 +42,8 @@ type Runtime struct {
 	// nstats holds each node's Stats block, nil until the node's first
 	// counter write carves one from slabs.stats (see st). Every counter is
 	// incremented only from its node's owner context (rank process, CHT, or
-	// an event pinned to the node), so sharded workers never contend and
-	// runs stay bit-identical. Stats() merges the blocks; a nil one reads as
-	// zero everywhere.
+	// an event pinned to the node). Stats() merges the blocks; a nil one
+	// reads as zero everywhere.
 	nstats []*Stats
 	// obs is the observability side-car (nil unless Config.Metrics or
 	// Config.Trace is set); see obs.go and docs/OBSERVABILITY.md.
@@ -183,12 +177,11 @@ type nodeState struct {
 	ridSeq uint64
 	// notifies is this node's notify-wait state, keyed by consuming rank.
 	// Both delivery and waiting run in this node's owner context (see
-	// notify.go), so no lock is needed.
+	// notify.go).
 	notifies *notifyState
 
-	// Free lists (owner-context discipline: every take and put runs in this
-	// node's owner context, so no lock is needed and sharded runs stay
-	// deterministic). psFree recycles pendingSend records parked on this
+	// Free lists (every take and put runs in this node's owner context).
+	// psFree recycles pendingSend records parked on this
 	// node's egresses; reqFree recycles request records originated by this
 	// node's ranks (see getReq and Runtime.release). Both are stacks linked
 	// through the records themselves, so they never grow a backing array;
@@ -245,10 +238,8 @@ func (ns *nodeState) egAt(i int) *egress {
 // first use, a Stats block on the node's first counter write, a request
 // record, handle, rank pool or buffer when its free list or owner has none
 // to reuse; a run that touches a handful of nodes allocates a handful of
-// small chunks, one that touches thousands a few large ones. mu guards it
-// all: shards build their nodes' state concurrently.
+// small chunks, one that touches thousands a few large ones.
 type edgeSlabs struct {
-	mu sync.Mutex
 	// carved counts the per-edge entries carved so far (the edges of every
 	// built node), built the egresses built so far. They size the next
 	// chunks, and carved - built bounds an egress chunk: no egress can be
@@ -318,7 +309,6 @@ func (ns *nodeState) buildEdges() {
 	rt := ns.rt
 	deg := rt.topo.Degree(ns.id)
 	sl := &rt.slabs
-	sl.mu.Lock()
 	chunk := min(max(sl.carved, 64), edgeChunk)
 	sl.carved += deg
 	nbrs := carve(&sl.nbrs, deg, chunk)
@@ -328,7 +318,6 @@ func (ns *nodeState) buildEdges() {
 		ns.mv.lastHeard = carve(&sl.times, deg, chunk)
 		ns.mv.state = carve(&sl.states, deg, chunk)
 	}
-	sl.mu.Unlock()
 	ns.nbrs = rt.topo.AppendNeighbors(nbrs[:0], ns.id)
 }
 
@@ -339,10 +328,8 @@ func (ns *nodeState) buildEdges() {
 func (ns *nodeState) buildEg(i int) *egress {
 	rt := ns.rt
 	sl := &rt.slabs
-	sl.mu.Lock()
 	eg := &carve(&sl.egress, 1, min(max(sl.built, 16), egChunk, sl.carved-sl.built))[0]
 	sl.built++
-	sl.mu.Unlock()
 	*eg = egress{rt: rt, from: ns.id, to: ns.nbrs[i], credits: rt.poolCap, slot: int32(i), rev: -1}
 	ns.eg[i] = eg
 	return eg
@@ -377,8 +364,7 @@ type dupState struct {
 }
 
 // barrierState counts arrivals of the current world barrier. It is mutated
-// only from global events (serial instants — see Rank.Barrier), so sharded
-// ranks never touch it concurrently.
+// only from global events (see Rank.Barrier).
 type barrierState struct {
 	arrived int
 	// gates holds the arrived ranks' gates; the last arrival fires them
@@ -426,15 +412,12 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		poolCap:  cfg.PPN * cfg.BufsPerProc,
 	}
 	cfg.Faults.Instrument(cfg.Metrics, cfg.Trace, cfg.TracePID)
-	// Arm the kernel's conservative-parallel mode (a no-op beyond recording
-	// the lookahead when Shards <= 1): node ids are the scheduling owners,
-	// partitioned into contiguous torus slabs so LDF traffic stays mostly
-	// shard-local, with the minimum link latency as the lookahead window.
-	// The owner space is the fabric's full torus capacity, not just the
-	// node count: messages traverse intermediate torus positions, and each
-	// hop's event is owned by the position whose link it reserves.
-	eng.ConfigureShards(cfg.Shards, rt.net.Capacity(), rt.net.ShardOf(cfg.Shards), rt.net.Lookahead())
-	rt.net.SetLanes(cfg.Shards)
+	// Node ids are the scheduling owners. The owner space is the fabric's
+	// full torus capacity, not just the node count: messages traverse
+	// intermediate torus positions, and each hop's event is owned by the
+	// position whose link it reserves. Global events (barrier arrivals,
+	// rank exits) land one link hop latency after their caller.
+	eng.ConfigureOwners(rt.net.Capacity(), rt.net.Config().HopLatency)
 	rt.nstats = make([]*Stats, cfg.Nodes)
 	rt.mutexes = make([]mutexState, cfg.Mutexes)
 	for m := range rt.mutexes {
@@ -666,9 +649,7 @@ func (rt *Runtime) NRanks() int { return len(rt.ranks) }
 
 // st returns the stats block counters for node should be charged to,
 // carving it on the node's first write. Every call site runs in node's owner
-// context, which is what keeps the blocks contention-free (and
-// deterministic) under sharded execution. The carve is a separate call so
-// that st inlines.
+// context. The carve is a separate call so that st inlines.
 func (rt *Runtime) st(node int) *Stats {
 	if s := rt.nstats[node]; s != nil {
 		return s
@@ -676,12 +657,9 @@ func (rt *Runtime) st(node int) *Stats {
 	return rt.carveStats(node)
 }
 
-// carveShared carves n elements from *slab under sl.mu, since shards carve
-// concurrently, in chunks that grow with *carved, the elements carved so
-// far, from lo up to hi.
-func carveShared[T any](sl *edgeSlabs, slab *[]T, carved *int, n, lo, hi int) []T {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
+// carveGrowing carves n elements from *slab in chunks that grow with
+// *carved, the elements carved so far, from lo up to hi.
+func carveGrowing[T any](slab *[]T, carved *int, n, lo, hi int) []T {
 	s := carve(slab, n, min(max(*carved, lo), hi))
 	*carved += n
 	return s
@@ -691,19 +669,19 @@ func carveShared[T any](sl *edgeSlabs, slab *[]T, carved *int, n, lo, hi int) []
 // parked-send record, carveHandle a pooled handle and carvePool a rank's
 // pool.
 func (sl *edgeSlabs) carveReq() *request {
-	return &carveShared(sl, &sl.reqs, &sl.nreqs, 1, 16, poolChunk)[0]
+	return &carveGrowing(&sl.reqs, &sl.nreqs, 1, 16, poolChunk)[0]
 }
 
 func (sl *edgeSlabs) carvePS() *pendingSend {
-	return &carveShared(sl, &sl.sends, &sl.nsends, 1, 16, poolChunk)[0]
+	return &carveGrowing(&sl.sends, &sl.nsends, 1, 16, poolChunk)[0]
 }
 
 func (sl *edgeSlabs) carveHandle() *Handle {
-	return &carveShared(sl, &sl.handles, &sl.nhandles, 1, 16, poolChunk)[0]
+	return &carveGrowing(&sl.handles, &sl.nhandles, 1, 16, poolChunk)[0]
 }
 
 func (sl *edgeSlabs) carvePool() *rankPool {
-	return &carveShared(sl, &sl.pools, &sl.npools, 1, 16, poolChunk)[0]
+	return &carveGrowing(&sl.pools, &sl.npools, 1, 16, poolChunk)[0]
 }
 
 // growBytes returns b emptied with room for n bytes: b itself when its
@@ -716,7 +694,7 @@ func (rt *Runtime) growBytes(b []byte, n int) []byte {
 		return b[:0]
 	}
 	sl := &rt.slabs
-	return carveShared(sl, &sl.bytes, &sl.nbytes, n, 1<<10, bufChunk)[:0]
+	return carveGrowing(&sl.bytes, &sl.nbytes, n, 1<<10, bufChunk)[:0]
 }
 
 func (rt *Runtime) growSegs(s []Seg, n int) []Seg {
@@ -724,14 +702,14 @@ func (rt *Runtime) growSegs(s []Seg, n int) []Seg {
 		return s[:0]
 	}
 	sl := &rt.slabs
-	return carveShared(sl, &sl.segs, &sl.nsegs, n, 64, segChunk)[:0]
+	return carveGrowing(&sl.segs, &sl.nsegs, n, 64, segChunk)[:0]
 }
 
 // carveStats carves node's Stats block from the runtime's slab, in chunks
 // that grow with the blocks carved so far, from 16 up to statsChunk.
 func (rt *Runtime) carveStats(node int) *Stats {
 	sl := &rt.slabs
-	s := &carveShared(sl, &sl.stats, &sl.counted, 1, 16, statsChunk)[0]
+	s := &carveGrowing(&sl.stats, &sl.counted, 1, 16, statsChunk)[0]
 	rt.nstats[node] = s
 	return s
 }
@@ -795,8 +773,6 @@ func (rt *Runtime) Alloc(name string, bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("armci: Alloc(%q) with negative size", name))
 	}
-	rt.allocsMu.Lock()
-	defer rt.allocsMu.Unlock()
 	if a, ok := rt.allocs[name]; ok {
 		if a.bytes != bytes {
 			panic(fmt.Sprintf("armci: Alloc(%q) size conflict: %d vs %d", name, a.bytes, bytes))
@@ -821,8 +797,6 @@ func (rt *Runtime) Memory(rank int, name string) []byte {
 
 // sortedAllocs returns the registered allocations in name order.
 func (rt *Runtime) sortedAllocs() []*allocation {
-	rt.allocsMu.RLock()
-	defer rt.allocsMu.RUnlock()
 	as := make([]*allocation, 0, len(rt.allocs))
 	for _, a := range rt.allocs {
 		as = append(as, a)
@@ -832,9 +806,7 @@ func (rt *Runtime) sortedAllocs() []*allocation {
 }
 
 func (rt *Runtime) alloc(name string) *allocation {
-	rt.allocsMu.RLock()
 	a, ok := rt.allocs[name]
-	rt.allocsMu.RUnlock()
 	if !ok {
 		panic(fmt.Sprintf("armci: unknown allocation %q", name))
 	}
@@ -872,8 +844,7 @@ func (rt *Runtime) Shutdown() { rt.eng.Shutdown() }
 // callers that schedule additional activity or use RunUntil.
 func (rt *Runtime) Start(body func(r *Rank)) {
 	// Every process and recurring event is pinned to its node's scheduling
-	// owner, so in sharded mode all of a node's activity runs on one shard.
-	// One step function serves every CHT and one body wrapper and exit
+	// owner. One step function serves every CHT and one body wrapper and exit
 	// callback every rank: a process's number is its node or rank, so
 	// spawning allocates no closure (a method value per node would).
 	rt.eng.ReserveSpawns(len(rt.nodes) + len(rt.ranks))
@@ -889,9 +860,9 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 		// Aggregated operations still buffered when the body returns
 		// would otherwise never be injected.
 		r.flushAllAgg()
-		// liveRanks is shared across nodes, so the decrement must land
-		// on the global lane (a serial instant).
-		rt.eng.AtGlobal(r.node, exited)
+		// liveRanks is shared across nodes, so the decrement is a global
+		// event.
+		rt.eng.AtGlobal(exited)
 	}
 	for i := range rt.ranks {
 		r := &rt.ranks[i]
@@ -922,17 +893,15 @@ func MasterRSSFor(cfg Config, topo core.Topology, node int) int64 {
 	if err != nil {
 		panic(err)
 	}
-	deg := int64(topo.Degree(node))
-	remoteProcs := deg * int64(c.PPN)
-	buffers := remoteProcs * int64(c.BufsPerProc) * int64(c.BufSize)
-	conn := remoteProcs * c.ConnBytes
+	buffers := core.NodeBufferBytes(topo, node, c.PPN, c.BufsPerProc, c.BufSize)
+	conn := int64(topo.Degree(node)) * int64(c.PPN) * c.ConnBytes
 	return c.BaseRSSBytes + buffers + conn
 }
 
 // BufferBytes returns just the request-buffer memory on a node, the
 // topology-dependent term of MasterRSS.
 func (rt *Runtime) BufferBytes(node int) int64 {
-	return int64(rt.topo.Degree(node)) * int64(rt.cfg.PPN) * int64(rt.cfg.BufsPerProc) * int64(rt.cfg.BufSize)
+	return core.NodeBufferBytes(rt.topo, node, rt.cfg.PPN, rt.cfg.BufsPerProc, rt.cfg.BufSize)
 }
 
 // nextHop is the forwarding rule: the topology's NextHop (LDF), unless src

@@ -172,10 +172,10 @@ func TestBarrierStepCostModel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Arrivals propagate to the global barrier state after one fabric
-	// lookahead (the same delay in serial and sharded runs), then the
-	// dissemination sleep costs ceil(log2(8)) = 3 steps.
-	want := rt.eng.Lookahead() + 3000
+	// Arrivals propagate to the global barrier state after one link hop
+	// latency (the engine's global delay), then the dissemination sleep
+	// costs ceil(log2(8)) = 3 steps.
+	want := rt.net.Config().HopLatency + 3000
 	if exitAt != want {
 		t.Errorf("barrier exit at %v, want %v", exitAt, want)
 	}

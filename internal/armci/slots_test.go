@@ -2,7 +2,6 @@ package armci
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -59,8 +58,8 @@ func checkEdgeSlots(t *testing.T, rt *Runtime) (revs, dead int) {
 }
 
 // TestEdgeSlotsMatchNeighborIndex runs a heal-armed chaos mix — crash-stops
-// (some rebooting), timeouts and retries — on every topology family,
-// serially and on two shards, and checks the edge slots and dead counts
+// (some rebooting), timeouts and retries — on every topology family, and
+// checks the edge slots and dead counts
 // against the neighbor lists at every 100 µs horizon and at the end.
 func TestEdgeSlotsMatchNeighborIndex(t *testing.T) {
 	const (
@@ -71,71 +70,68 @@ func TestEdgeSlotsMatchNeighborIndex(t *testing.T) {
 	var confirms, rejoins uint64
 	deadSeen := 0
 	for _, kind := range []core.Kind{core.FCG, core.MFCG, core.CFCG, core.Hypercube, core.HyperX, core.Dragonfly} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%v/shards=%d", kind, shards), func(t *testing.T) {
-				eng := sim.New()
-				schedule := faults.RandomNodeFaults(int64(kind)+1, nodes, 3, horizon)
-				victim := map[int]bool{}
-				for _, f := range schedule {
-					victim[f.A] = true
+		t.Run(kind.String(), func(t *testing.T) {
+			eng := sim.New()
+			schedule := faults.RandomNodeFaults(int64(kind)+1, nodes, 3, horizon)
+			victim := map[int]bool{}
+			for _, f := range schedule {
+				victim[f.A] = true
+			}
+			cfg := DefaultConfig(nodes, ppn)
+			cfg.Topology = core.MustNew(kind, nodes)
+			cfg.Faults = faults.NewInjector(eng, nodes, &faults.Spec{Faults: schedule})
+			cfg.Heal.Enabled = true
+			cfg.RequestTimeout = 200 * sim.Microsecond
+			cfg.MaxRetries = 4
+			cfg.CreditTimeout = 400 * sim.Microsecond
+			rt, err := New(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			var survivors []int
+			for rank := 0; rank < rt.NRanks(); rank++ {
+				if !victim[rank/ppn] {
+					survivors = append(survivors, rank)
 				}
-				cfg := DefaultConfig(nodes, ppn)
-				cfg.Topology = core.MustNew(kind, nodes)
-				cfg.Faults = faults.NewInjector(eng, nodes, &faults.Spec{Faults: schedule})
-				cfg.Heal.Enabled = true
-				cfg.RequestTimeout = 200 * sim.Microsecond
-				cfg.MaxRetries = 4
-				cfg.CreditTimeout = 400 * sim.Microsecond
-				cfg.Shards = shards
-				rt, err := New(eng, cfg)
-				if err != nil {
-					t.Fatal(err)
+			}
+			rt.Alloc("ledger", 8*rt.NRanks())
+			rt.Start(func(r *Rank) {
+				if victim[r.Node()] {
+					r.Sleep(2 * horizon)
+					return
 				}
-				defer rt.Shutdown()
-				var survivors []int
-				for rank := 0; rank < rt.NRanks(); rank++ {
-					if !victim[rank/ppn] {
-						survivors = append(survivors, rank)
-					}
+				rng := rand.New(sim.NewSource(int64(r.Rank())))
+				for i := 0; i < 12; i++ {
+					r.Wait(r.NbAcc(survivors[rng.Intn(len(survivors))], "ledger", 8*r.Rank(), 1.0, []float64{1}))
+					r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
 				}
-				rt.Alloc("ledger", 8*rt.NRanks())
-				rt.Start(func(r *Rank) {
-					if victim[r.Node()] {
-						r.Sleep(2 * horizon)
-						return
-					}
-					rng := rand.New(sim.NewSource(int64(r.Rank())))
-					for i := 0; i < 12; i++ {
-						r.Wait(r.NbAcc(survivors[rng.Intn(len(survivors))], "ledger", 8*r.Rank(), 1.0, []float64{1}))
-						r.Sleep(sim.Time(int64(20*sim.Microsecond) + rng.Int63n(int64(60*sim.Microsecond))))
-					}
-				})
-				revs := 0
-				for h := every; ; h += every {
-					err := eng.RunUntil(h)
-					var tl *sim.TimeLimitError
-					if !errors.As(err, &tl) {
-						if err != nil {
-							t.Fatalf("RunUntil(%v): %v", h, err)
-						}
-						break
-					}
-					r, d := checkEdgeSlots(t, rt)
-					revs = max(revs, r)
-					deadSeen += d
-				}
-				r, _ := checkEdgeSlots(t, rt)
-				if revs = max(revs, r); revs == 0 {
-					t.Fatal("no edge cached a reverse slot")
-				}
-				s := rt.Stats()
-				if s.Confirms == 0 || s.Completions == 0 {
-					t.Fatalf("the mix never confirmed a crash or completed an op: %+v", s)
-				}
-				confirms += s.Confirms
-				rejoins += s.Rejoins
 			})
-		}
+			revs := 0
+			for h := every; ; h += every {
+				err := eng.RunUntil(h)
+				var tl *sim.TimeLimitError
+				if !errors.As(err, &tl) {
+					if err != nil {
+						t.Fatalf("RunUntil(%v): %v", h, err)
+					}
+					break
+				}
+				r, d := checkEdgeSlots(t, rt)
+				revs = max(revs, r)
+				deadSeen += d
+			}
+			r, _ := checkEdgeSlots(t, rt)
+			if revs = max(revs, r); revs == 0 {
+				t.Fatal("no edge cached a reverse slot")
+			}
+			s := rt.Stats()
+			if s.Confirms == 0 || s.Completions == 0 {
+				t.Fatalf("the mix never confirmed a crash or completed an op: %+v", s)
+			}
+			confirms += s.Confirms
+			rejoins += s.Rejoins
+		})
 	}
 	t.Logf("%d dead entries seen at horizons, %d confirms, %d rejoins", deadSeen, confirms, rejoins)
 	if !t.Failed() && (deadSeen == 0 || rejoins == 0) {

@@ -4,10 +4,9 @@
 // Each simulation layer (sim kernel, fabric, fault injector, armci runtime)
 // exposes a CheckpointSection: a digest of its state, read between runs of
 // the engine — after Run, or at a sim.Engine.RunUntil horizon, where every
-// event at or before the horizon has run and no sharded window is open.
-// Because the kernel is bit-identical at every shard count, two runs of the
-// same workload stepped through the same horizons produce byte-equal
-// sections at each; tests use them as the determinism oracle. Horizon rule
+// event at or before the horizon has run and none after it. Because a run is
+// a pure function of its configuration, two runs of the same workload
+// stepped through the same horizons produce byte-equal sections at each; tests use them as the determinism oracle. Horizon rule
 // and section contents: docs/CHECKPOINT.md.
 //
 // The package is a pure-stdlib leaf: sim, fabric, faults, armci and sweep all

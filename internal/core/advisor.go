@@ -39,31 +39,41 @@ type Advice struct {
 	Reason string
 }
 
-// BufferBytes returns the per-node request-buffer footprint in bytes —
-// degree(0) * ppn * bufsPerProc * bufSize, the topology-dependent memory
-// term Figure 5 plots — for a topology kind over n nodes. It uses node 0
-// (the maximum-degree node for partially populated shapes is within one
-// group of it).
+// NodeBufferBytes returns node's request-buffer footprint in t in bytes —
+// degree * ppn * bufsPerProc * bufSize, the topology-dependent memory term
+// Figure 5 plots: a pool of bufsPerProc buffers of bufSize bytes for every
+// process on each of the node's buffer edges.
+func NodeBufferBytes(t Topology, node, ppn, bufsPerProc, bufSize int) int64 {
+	return int64(t.Degree(node)) * int64(ppn) * int64(bufsPerProc) * int64(bufSize)
+}
+
+// BufferBytes returns NodeBufferBytes of node 0 for a topology kind over n
+// nodes. Node 0 is a maximum-degree node of the grid families (the fully
+// populated corner) but not of Dragonfly, whose hub routers exceed it (at
+// 128 nodes, 22 edges against node 0's 7); footprint math for arbitrary
+// specs uses MaxDegreeNode.
 func BufferBytes(kind Kind, n, ppn, bufsPerProc, bufSize int) (int64, error) {
 	t, err := New(kind, n)
 	if err != nil {
 		return 0, err
 	}
-	return int64(t.Degree(0)) * int64(ppn) * int64(bufsPerProc) * int64(bufSize), nil
+	return NodeBufferBytes(t, 0, ppn, bufsPerProc, bufSize), nil
 }
 
-// MaxDegree returns the maximum buffer out-degree over all nodes. For the
-// grid family node 0 is maximal (the fully populated corner), but
-// Dragonfly's hub routers exceed node 0, so footprint math for arbitrary
-// specs must scan.
-func MaxDegree(t Topology) int {
-	max := 0
+// MaxDegree returns the maximum buffer out-degree over all nodes.
+func MaxDegree(t Topology) int { return t.Degree(MaxDegreeNode(t)) }
+
+// MaxDegreeNode returns the first node of maximum buffer out-degree. For
+// the grid family it is node 0 (the fully populated corner), but
+// Dragonfly's hub routers exceed node 0, so it scans.
+func MaxDegreeNode(t Topology) int {
+	best, max := 0, -1
 	for v := 0; v < t.Nodes(); v++ {
 		if d := t.Degree(v); d > max {
-			max = d
+			best, max = v, d
 		}
 	}
-	return max
+	return best
 }
 
 // Recommend picks a virtual topology — and its shape — for n nodes x ppn
@@ -155,7 +165,7 @@ func recommendFrontier(n, ppn int, memBudget int64, bufsPerProc, bufSize int) (A
 		if err != nil {
 			continue
 		}
-		b := int64(MaxDegree(t)) * int64(ppn) * int64(bufsPerProc) * int64(bufSize)
+		b := NodeBufferBytes(t, MaxDegreeNode(t), ppn, bufsPerProc, bufSize)
 		if b > memBudget {
 			continue
 		}
@@ -177,7 +187,7 @@ func Evaluate(spec Spec, n, ppn int, memBudget int64, bufsPerProc, bufSize int) 
 	if err != nil {
 		return Advice{}, err
 	}
-	b := int64(MaxDegree(t)) * int64(ppn) * int64(bufsPerProc) * int64(bufSize)
+	b := NodeBufferBytes(t, MaxDegreeNode(t), ppn, bufsPerProc, bufSize)
 	reason := fmt.Sprintf("requested spec %v: fits the budget", t)
 	if memBudget > 0 && b > memBudget {
 		reason = fmt.Sprintf("requested spec %v: footprint exceeds the budget by %d bytes", t, b-memBudget)

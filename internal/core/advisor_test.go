@@ -19,6 +19,29 @@ func TestBufferBytes(t *testing.T) {
 	}
 }
 
+// TestNodeBufferBytesOnDragonfly: the one footprint function is per node.
+// BufferBytes reads node 0 and Evaluate the maximum-degree node, which on
+// Dragonfly at 128 nodes are different routers (7 edges against 22).
+func TestNodeBufferBytesOnDragonfly(t *testing.T) {
+	d := MustNew(Dragonfly, 128)
+	hub := MaxDegreeNode(d)
+	if d.Degree(0) != 7 || d.Degree(hub) != 22 || MaxDegree(d) != 22 {
+		t.Fatalf("degree(0) = %d, degree(%d) = %d, MaxDegree = %d; want 7, 22, 22",
+			d.Degree(0), hub, d.Degree(hub), MaxDegree(d))
+	}
+	const unit = 4 * 4 * (16 << 10)
+	if b, _ := BufferBytes(Dragonfly, 128, 4, 4, 16<<10); b != NodeBufferBytes(d, 0, 4, 4, 16<<10) || b != 7*unit {
+		t.Errorf("BufferBytes = %d, want node 0's %d", b, 7*unit)
+	}
+	a, err := Evaluate(Spec{Kind: Dragonfly}, 128, 4, 0, 4, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.BufferBytesPerNode != NodeBufferBytes(d, hub, 4, 4, 16<<10) || a.BufferBytesPerNode != 22*unit {
+		t.Errorf("Evaluate footprint = %d, want the hub's %d", a.BufferBytesPerNode, 22*unit)
+	}
+}
+
 func TestRecommendPrefersFCGForNeighborlyWhenItFits(t *testing.T) {
 	a := Recommend(64, 4, 1<<30, Neighborly, 4, 16<<10)
 	if a.Kind != FCG {

@@ -10,9 +10,9 @@ import (
 // link/injection/ejection port reservations, per-source ejection queue
 // occupancy and per-position counters. Every field digested here is
 // deterministic under the bit-identity contract, so two runs of the same
-// workload paused at the same horizon produce equal sections regardless of
-// shard count (docs/CHECKPOINT.md). Message free-list depths are left out:
-// they depend on the shard count, and no run observes them.
+// workload paused at the same horizon produce equal sections
+// (docs/CHECKPOINT.md). Message free-list depths are left out: they are
+// host-side cache state, and no run observes them.
 func (nw *Network) CheckpointSection() []byte {
 	var enc ckpt.Enc
 

@@ -132,9 +132,9 @@ func (l *link) reserve(t sim.Time, ser sim.Time) sim.Time {
 }
 
 // Stats aggregates fabric-wide counters. Internally the network keeps one
-// Stats per torus position — each mutated only by events owned by that
-// position, which is what lets shard workers update them without locks —
-// and Stats() merges them (sums, and maxima for the two high-water marks).
+// Stats per torus position, each mutated only by events owned by that
+// position, and Stats() merges them (sums, and maxima for the two
+// high-water marks).
 type Stats struct {
 	Messages     uint64
 	Bytes        uint64
@@ -168,18 +168,15 @@ type Network struct {
 	// the Stats doc comment.
 	stats []Stats
 
-	// lanes holds the message records of each kernel lane: one lane on a
-	// serial engine, one per shard of ShardOf(shards) after SetLanes. A
-	// record is taken in the sender's lane and released in the lane of the
-	// position where the message ends, and each lane's events run on one
-	// worker at a time, so shard workers recycle without locks. A free
-	// list's depth is host-side cache state, not model state: it depends on
-	// the shard count and no run observes it.
-	lanes []msgLane
-	// laneOf is ShardOf(shards) after SetLanes, nil for one lane.
-	laneOf func(pos int) int
+	// free holds recycled message records; fresh ones are carved from slab,
+	// in chunks that grow with the records carved so far, from 16 up to
+	// msgChunk (24 KiB). The free list's depth is host-side cache state, not
+	// model state: no run observes it.
+	free   []*msg
+	slab   []msg
+	carved int
 	// Stored step functions for the pooled walk: allocated once here so the
-	// per-hop schedule calls (AtFromArg and friends) carry a long-lived func
+	// per-hop schedule calls (AtOnArg and friends) carry a long-lived func
 	// value plus a *msg and allocate nothing.
 	stepFn, injectFn, loopFn, ejectFn, stallFn func(any)
 
@@ -244,7 +241,6 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 		ej:        make([]link, n),
 		ejSources: make([]map[int]int, n),
 		stats:     make([]Stats, capacity),
-		lanes:     make([]msgLane, 1),
 	}
 	nw.stepFn = func(a any) { nw.step(a.(*msg)) }
 	nw.injectFn = func(a any) { nw.inject(a.(*msg)) }
@@ -283,64 +279,12 @@ func (nw *Network) Stats() Stats {
 
 // Capacity returns the number of torus positions (>= Nodes): when the job
 // does not fill the torus, routes still pass through unpopulated positions'
-// routers, so the sharded engine's owner space must cover all of them.
+// routers, which own the events of the links they drive, so the engine's
+// owner space must cover all of them.
 func (nw *Network) Capacity() int { return len(nw.links) / 6 }
 
-// Lookahead returns the conservative-parallel synchronization window this
-// fabric guarantees: every event that crosses torus positions — hop to hop,
-// last hop to ejection — is scheduled at least one HopLatency in the
-// future, so it is the minimum cross-shard event-creation gap.
-func (nw *Network) Lookahead() sim.Time { return nw.cfg.HopLatency }
-
-// ShardOf returns the topology-aware position→shard partition for `shards`
-// shards: contiguous position-id slabs of near-equal size. Position ids are
-// x-major, so a slab is a stack of whole xy-planes (plus partial planes at
-// its edges); dimension-order routes resolve x and y before z, which keeps
-// most hops of a route inside the slab that contains its source plane and
-// confines shard crossings to the final z leg.
-func (nw *Network) ShardOf(shards int) func(pos int) int {
-	capacity := nw.Capacity()
-	return func(pos int) int {
-		s := pos * shards / capacity
-		if s >= shards {
-			s = shards - 1
-		}
-		return s
-	}
-}
-
-// msgLane is one kernel lane's message records: the free list of recycled
-// ones and the chunk fresh ones are carved from, in chunks that grow with
-// the records carved so far, from 16 up to msgChunk (28 KiB).
-type msgLane struct {
-	free   []*msg
-	slab   []msg
-	carved int
-}
-
+// msgChunk is the most message records one slab chunk holds.
 const msgChunk = 256
-
-// SetLanes splits the message records into one lane per shard of
-// ShardOf(shards), so each shard worker recycles records without a lock. Call
-// it before the engine runs, with the shard count the engine is configured
-// with; a network that never calls it keeps one lane, which serves a serial
-// engine.
-func (nw *Network) SetLanes(shards int) {
-	if shards <= 1 {
-		nw.lanes, nw.laneOf = make([]msgLane, 1), nil
-		return
-	}
-	nw.lanes, nw.laneOf = make([]msgLane, shards), nw.ShardOf(shards)
-}
-
-// lane returns the lane a message event at position pos may touch: its
-// shard's.
-func (nw *Network) lane(pos int) *msgLane {
-	if nw.laneOf == nil {
-		return &nw.lanes[0]
-	}
-	return &nw.lanes[nw.laneOf(pos)]
-}
 
 // Coord maps a node ID to its torus coordinates.
 func (nw *Network) Coord(node int) [3]int {
@@ -422,52 +366,46 @@ type msg struct {
 	darg    any
 }
 
-// getMsg takes a recycled record from the free list of position pos's lane,
-// or carves a fresh one when the list is empty. It must run in pos's owner
-// context or with workers quiesced.
-func (nw *Network) getMsg(pos int) *msg {
-	ln := nw.lane(pos)
-	if n := len(ln.free); n > 0 {
-		m := ln.free[n-1]
-		ln.free[n-1] = nil
-		ln.free = ln.free[:n-1]
+// getMsg takes a recycled record from the free list, or carves a fresh one
+// when the list is empty.
+func (nw *Network) getMsg() *msg {
+	if n := len(nw.free); n > 0 {
+		m := nw.free[n-1]
+		nw.free[n-1] = nil
+		nw.free = nw.free[:n-1]
 		m.freed = false
 		return m
 	}
-	if len(ln.slab) == 0 {
-		ln.slab = make([]msg, min(max(ln.carved, 16), msgChunk))
+	if len(nw.slab) == 0 {
+		nw.slab = make([]msg, min(max(nw.carved, 16), msgChunk))
 	}
-	m := &ln.slab[0]
-	ln.slab = ln.slab[1:]
-	ln.carved++
+	m := &nw.slab[0]
+	nw.slab = nw.slab[1:]
+	nw.carved++
 	return m
 }
 
-// putMsg zeroes m and releases it to the free list of position pos's lane.
-// Releasing twice panics.
-func (nw *Network) putMsg(pos int, m *msg) {
+// putMsg zeroes m and releases it to the free list. Releasing twice panics.
+func (nw *Network) putMsg(m *msg) {
 	if m.freed {
 		panic("fabric: message record released twice")
 	}
 	*m = msg{freed: true}
-	ln := nw.lane(pos)
-	ln.free = append(ln.free, m)
+	nw.free = append(nw.free, m)
 }
 
-// finish releases m to pos's free list and then invokes its delivery
-// callback — in that order, so a delivery that immediately Sends from pos
-// reuses the record it just completed.
-func (nw *Network) finish(pos int, m *msg) {
+// finish releases m to the free list and then invokes its delivery callback
+// — in that order, so a delivery that immediately Sends reuses the record it
+// just completed.
+func (nw *Network) finish(m *msg) {
 	deliver, arg := m.deliver, m.darg
-	nw.putMsg(pos, m)
+	nw.putMsg(m)
 	deliver(arg, false)
 }
 
 // SendArg injects a message of size bytes from node src to node dst and
 // calls deliver(arg, false) (in engine context, as owner dst) when the last byte
-// is ejected at dst. It must be called from src's owner context (a process or
-// event of node src) or from coordinator/serial context. Loopback (src ==
-// dst) pays only the software overhead.
+// is ejected at dst. Loopback (src == dst) pays only the software overhead.
 //
 // The callback's second argument, ce, is always false: the fabric marks no
 // congestion. It stays in the signature only because existing callers
@@ -487,7 +425,7 @@ func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), a
 	st := &nw.stats[src]
 	st.Messages++
 	st.Bytes += uint64(size)
-	m := nw.getMsg(src)
+	m := nw.getMsg()
 	m.src, m.dst = int32(src), int32(dst)
 	m.deliver, m.darg = deliver, arg
 	if src == dst {
@@ -504,10 +442,10 @@ func (nw *Network) loop(m *msg) {
 	src := int(m.src)
 	if nw.cfg.Faults != nil && nw.cfg.Faults.NodeDown(src) {
 		nw.stats[src].NodeDrops++
-		nw.putMsg(src, m)
+		nw.putMsg(m)
 		return
 	}
-	nw.finish(src, m)
+	nw.finish(m)
 }
 
 // inject runs at src after the software overhead: it fixes the route —
@@ -519,15 +457,15 @@ func (nw *Network) inject(m *msg) {
 	// queued dies with the node.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(src) {
 		nw.stats[src].NodeDrops++
-		nw.putMsg(src, m)
+		nw.putMsg(m)
 		return
 	}
 	nw.aim(m)
-	now := nw.eng.NowOn(src)
+	now := nw.eng.Now()
 	start := nw.inj[src].reserve(now, m.serNIC)
 	nw.noteWait(src, start-now, nw.waitInj)
 	m.arrive = start + m.serNIC + nw.cfg.HopLatency
-	nw.scheduleStep(src, m)
+	nw.scheduleStep(m)
 }
 
 // aim places m at its source and fixes its route to dst: dimension order
@@ -602,14 +540,11 @@ func (nw *Network) ringStep(m *msg, d int) int32 {
 }
 
 // scheduleStep schedules m's next step — traversal of the next link on its
-// route, or ejection at dst once it has arrived — at m.arrive. It must be
-// called in the context of owner `from` (the torus position the message is
-// leaving); each step's event is owned by the position whose link or port it
-// reserves — the message's current position — so shard workers only ever
-// touch their own links. Every step is scheduled at least HopLatency ahead,
-// the bound Lookahead() reports.
-func (nw *Network) scheduleStep(from int, m *msg) {
-	nw.eng.AtFromArg(from, int(m.pos), m.arrive, nw.stepFn, m)
+// route, or ejection at dst once it has arrived — at m.arrive. Each step's
+// event is owned by the position whose link or port it reserves: the
+// message's current position.
+func (nw *Network) scheduleStep(m *msg) {
+	nw.eng.AtOnArg(int(m.pos), m.arrive, nw.stepFn, m)
 }
 
 // step executes one walk step at its owning position: a link traversal when
@@ -634,7 +569,7 @@ func (nw *Network) step(m *msg) {
 		nw.noteWait(hop, start-now, nw.waitLink)
 		nw.advance(m, d, to)
 		m.arrive = start + ser + nw.cfg.HopLatency
-		nw.scheduleStep(hop, m)
+		nw.scheduleStep(m)
 		return
 	}
 	src, dst := int(m.src), int(m.dst)
@@ -643,7 +578,7 @@ func (nw *Network) step(m *msg) {
 	// dies at the dead node's ejection port.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(dst) {
 		nw.stats[dst].NodeDrops++
-		nw.putMsg(dst, m)
+		nw.putMsg(m)
 		return
 	}
 	// Ejection with the stream-overload model: the port slows down
@@ -690,10 +625,10 @@ func (nw *Network) eject(m *msg) {
 	// message is lost with it.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(dst) {
 		nw.stats[dst].NodeDrops++
-		nw.putMsg(dst, m)
+		nw.putMsg(m)
 		return
 	}
-	nw.finish(dst, m)
+	nw.finish(m)
 }
 
 // stallAt parks a message in front of the hard-failed next link on its
@@ -708,12 +643,12 @@ func (nw *Network) stallAt(m *msg, now sim.Time) {
 	if !nw.cfg.Faults.LinkDown(pos, to) {
 		nw.noteWait(pos, now-m.stallSince, nw.waitStall)
 		m.arrive = now
-		nw.scheduleStep(pos, m)
+		nw.scheduleStep(m)
 		return
 	}
 	if now-m.stallSince >= nw.cfg.LinkStallLimit {
 		nw.stats[pos].Dropped++
-		nw.putMsg(pos, m)
+		nw.putMsg(m)
 		return
 	}
 	m.arrive = now + nw.cfg.LinkRetry

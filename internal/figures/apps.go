@@ -41,16 +41,15 @@ func CCSD(cfg ccsd.Config) App {
 
 // AppPoint computes a single cell of Figures 8-9: app on a fresh runtime of
 // procs/ppn nodes of spec, returning rank 0's execution time in seconds.
-// shards selects the kernel's parallel shard count (<= 1 serial; results
-// are bit-identical for every value). metrics and trace, when non-nil,
+// metrics and trace, when non-nil,
 // record the run as they do for the other harnesses, the trace under
 // process id tracePID. It is the per-point unit the sweep runner executes,
 // as Fig5PointSpec is for Figure 5.
-func AppPoint(spec core.Spec, procs, ppn, shards int, app App, metrics *obs.Registry, trace *obs.Tracer, tracePID int) (float64, error) {
+func AppPoint(spec core.Spec, procs, ppn int, app App, metrics *obs.Registry, trace *obs.Tracer, tracePID int) (float64, error) {
 	if procs%ppn != 0 {
 		return 0, fmt.Errorf("figures: %d processes not divisible by ppn %d", procs, ppn)
 	}
-	rt, err := run{spec: spec, nodes: procs / ppn, ppn: ppn, shards: shards,
+	rt, err := run{spec: spec, nodes: procs / ppn, ppn: ppn,
 		metrics: metrics, trace: trace, tracePID: tracePID}.start(fmt.Sprintf("app %v x%d", spec, procs), nil)
 	if err != nil {
 		return 0, err

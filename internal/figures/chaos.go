@@ -65,9 +65,8 @@ type ChaosConfig struct {
 	// Zero (the default) keeps the schedule crash-only and bit-identical to
 	// pre-storm chaos runs.
 	Storms int
-	// Shards runs the kernel conservatively in parallel (armci.Config.Shards);
-	// ledger results are bit-identical for every value. Forced serial when
-	// Trace is set.
+	// Deprecated: Shards is read by nothing. The simulation kernel is
+	// serial; the field stays only so existing callers compile.
 	Shards int
 
 	// Metrics/Trace/TracePID attach observability exactly as in
@@ -94,8 +93,8 @@ type ChaosResult struct {
 	Stats       armci.Stats
 	// Fingerprint folds the per-rank ledgers, the per-rank outcome counters
 	// and the final clock into one value: two runs with equal fingerprints
-	// finished in the same end-to-end state. It is the oracle runs at
-	// different shard counts are compared against.
+	// finished in the same end-to-end state. It is the oracle reruns,
+	// resumed runs and parallel sweep workers are compared against.
 	Fingerprint uint64
 }
 
@@ -147,7 +146,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 		heal = "heal on"
 	}
 	rt, err := run{
-		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, shards: c.Shards,
+		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed,
 		faults: &faults.Spec{Faults: schedule}, metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID,
 	}.start(fmt.Sprintf("chaos %v %d nodes, %d crashes, %s", spec, c.Nodes, c.Crashes, heal), func(cfg *armci.Config) {
 		cfg.Heal.Enabled = c.Heal
@@ -259,7 +258,7 @@ func Chaos(c ChaosConfig) (*ChaosResult, error) {
 	}
 	// The ledger fingerprint: every rank's outcome counters plus the full
 	// applied matrix plus the final clock. This is the bit-identity oracle —
-	// every shard count must reproduce it exactly.
+	// every rerun must reproduce it exactly.
 	h := ckpt.MixInit
 	for o := range led {
 		row := &led[o]

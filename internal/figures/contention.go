@@ -74,13 +74,6 @@ type ContentionConfig struct {
 	// coalesce into multi-op packets at credit and flush boundaries. The
 	// workload shape is unchanged — only the protocol under it.
 	Aggregation bool
-	// Shards runs the simulation kernel conservatively in parallel across
-	// this many topology-aware shards (armci.Config.Shards). Results are
-	// bit-identical for every value; 0 or 1 keeps the serial kernel. When
-	// Trace is set the run is forced serial (tracing is a serial-only
-	// observation tool), which by the same contract changes nothing.
-	Shards int
-
 	// Metrics, when non-nil, collects the run's observability counters,
 	// gauges and histograms (see docs/OBSERVABILITY.md). Use a fresh
 	// registry per run: metric names carry no topology label, so sharing
@@ -146,7 +139,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	// the watchdog, which turns that into a Run error with a blocked-process
 	// report instead of a wall-clock hang.
 	rt, err := run{
-		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, shards: c.Shards, faults: c.Faults,
+		spec: spec, nodes: c.Nodes, ppn: c.PPN, seed: c.Seed, faults: c.Faults,
 		metrics: c.Metrics, trace: c.Trace, tracePID: c.TracePID, traceSched: c.TraceSched,
 	}.start(fmt.Sprintf("contention %v %v, %s", c.Op, spec, contend), func(cfg *armci.Config) {
 		if c.StreamLimit > 0 {
@@ -179,13 +172,11 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 		order = append(order, rank)
 	}
 	finished := sim.NewEvent(eng, "finished")
-	// next hands the token to the following measured rank. It is called from
-	// rank context, but the next rank may live on another shard, so the Fire
-	// is routed through a global event (one fabric lookahead later — the same
-	// instant in serial and sharded runs).
+	// next hands the token to the following measured rank through a global
+	// event, one link hop latency later.
 	next := func(r *armci.Rank) {
 		rank := r.Rank()
-		eng.AtGlobal(r.Node(), func() {
+		eng.AtGlobal(func() {
 			for i, v := range order {
 				if v == rank {
 					if i+1 < len(order) {
@@ -207,8 +198,7 @@ func Contention(c ContentionConfig) (*stats.Series, error) {
 	})
 
 	series := &stats.Series{Label: spec.String()}
-	// Per-rank measurement slots: each rank writes only its own index from
-	// its own owner context, so sharded runs never contend.
+	// Per-rank measurement slots: each rank writes only its own index.
 	times := make([]float64, n)
 	measured := make([]bool, n)
 

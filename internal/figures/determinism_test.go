@@ -2,6 +2,7 @@ package figures
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"armcivt/internal/apps/lu"
@@ -9,157 +10,137 @@ import (
 	"armcivt/internal/obs"
 )
 
-// The sharded-kernel determinism contract (docs/PARALLELISM.md): every
-// figure driver and the chaos harness must produce bit-identical results at
-// every shard count. These tests run each driver at -shards 1, 2 and 8 over
-// all four topologies and compare the full result structures, not summaries:
-// any divergence in any series point, stats counter or ledger tally fails.
+// The determinism contract (docs/ARCHITECTURE.md): a run is a function of
+// its configuration alone, so a rerun and a run that shares the process
+// with other runs — as `sweep -j N` workers do — are bit-identical to a lone
+// run. These tests run each figure driver and the chaos harness once alone
+// and then twice at once, and compare the full result structures, not
+// summaries: any divergence in any series point, stats counter or ledger
+// tally fails, and under -race any state two runs share is reported.
 
-var shardCounts = []int{1, 2, 8}
+// sameAcrossWorkers runs run alone, then twice concurrently, and fails
+// unless all three return the same text.
+func sameAcrossWorkers(t *testing.T, run func() (string, error)) {
+	t.Helper()
+	base, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if got[i] != base {
+			t.Fatalf("concurrent run %d diverges from the lone run:\n%s\nvs\n%s", i, got[i], base)
+		}
+	}
+}
 
-func TestContentionShardDeterminism(t *testing.T) {
-	ops := []struct {
+// contentionText runs one contention configuration and renders its series.
+func contentionText(c ContentionConfig) func() (string, error) {
+	return func() (string, error) {
+		s, err := Contention(c)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%s %v %v", s.Label, s.X, s.Y), nil
+	}
+}
+
+// chaosText runs one chaos configuration and renders its full result: the
+// ledger tallies and the merged stats block (timeouts, retries, heals,
+// detection latencies).
+func chaosText(c ChaosConfig) func() (string, error) {
+	return func() (string, error) {
+		res, err := Chaos(c)
+		if err != nil {
+			return "", err
+		}
+		if res.Issued == 0 || res.Completed == 0 {
+			return "", fmt.Errorf("degenerate workload %+v", res)
+		}
+		return fmt.Sprintf("%+v", *res), nil
+	}
+}
+
+func TestContentionDeterminismAcrossWorkers(t *testing.T) {
+	for _, tc := range []struct {
 		name string
 		op   ContentionOp
-	}{
-		{"fig6-vput", OpVectoredPut},
-		{"fig7-fadd", OpFetchAdd},
-	}
-	for _, tc := range ops {
+	}{{"fig6-vput", OpVectoredPut}, {"fig7-fadd", OpFetchAdd}} {
 		for _, kind := range core.Kinds {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, kind), func(t *testing.T) {
-				var base string
-				for _, shards := range shardCounts {
-					s, err := Contention(ContentionConfig{
-						Kind: kind, Nodes: 32, PPN: 2, Iters: 5,
-						ContenderEvery: 5, Op: tc.op, Shards: shards,
-					})
-					if err != nil {
-						t.Fatalf("shards=%d: %v", shards, err)
-					}
-					got := fmt.Sprintf("%v %v", s.X, s.Y)
-					if shards == shardCounts[0] {
-						base = got
-					} else if got != base {
-						t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-					}
-				}
+				sameAcrossWorkers(t, contentionText(ContentionConfig{
+					Kind: kind, Nodes: 32, PPN: 2, Iters: 5, ContenderEvery: 5, Op: tc.op,
+				}))
 			})
 		}
 	}
-}
-
-// TestContentionShardDeterminismWithProtocolToggles covers the aggregation +
-// windowed pipeline paths, which exercise batching and credit machinery
-// under the sharded kernel.
-func TestContentionShardDeterminismWithProtocolToggles(t *testing.T) {
-	var base string
-	for _, shards := range shardCounts {
-		s, err := Contention(ContentionConfig{
+	// The aggregation + windowed pipeline paths exercise batching and the
+	// credit machinery.
+	t.Run("window4+agg/MFCG", func(t *testing.T) {
+		sameAcrossWorkers(t, contentionText(ContentionConfig{
 			Kind: core.MFCG, Nodes: 32, PPN: 2, Iters: 6, ContenderEvery: 5,
-			Window: 4, Aggregation: true, Shards: shards,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		got := fmt.Sprintf("%v %v", s.X, s.Y)
-		if shards == shardCounts[0] {
-			base = got
-		} else if got != base {
-			t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-		}
-	}
+			Window: 4, Aggregation: true,
+		}))
+	})
 }
 
-func TestChaosShardDeterminism(t *testing.T) {
+func TestChaosDeterminismAcrossWorkers(t *testing.T) {
 	for _, kind := range core.Kinds {
 		for _, heal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/heal=%v", kind, heal), func(t *testing.T) {
-				var base string
-				for _, shards := range shardCounts {
-					res, err := Chaos(ChaosConfig{
-						Kind: kind, Nodes: 32, PPN: 2, Heal: heal, Shards: shards,
-					})
-					if err != nil {
-						t.Fatalf("shards=%d: %v", shards, err)
-					}
-					// Compare the ledger tallies AND the full merged stats
-					// block: timeouts, retries, heals, detection latencies.
-					got := fmt.Sprintf("%+v", *res)
-					if shards == shardCounts[0] {
-						base = got
-					} else if got != base {
-						t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-					}
-				}
+				sameAcrossWorkers(t, chaosText(ChaosConfig{Kind: kind, Nodes: 32, PPN: 2, Heal: heal}))
 			})
 		}
 	}
 }
 
-// TestAppShardDeterminism runs the NAS LU proxy (notify-wait wavefronts,
-// allreduce collectives) across shard counts: the app figures must honour
-// the same contract as the microbenchmarks.
-func TestAppShardDeterminism(t *testing.T) {
+// TestAppDeterminismAcrossWorkers runs the NAS LU proxy (notify-wait
+// wavefronts, allreduce collectives): the app figures must honour the same
+// contract as the microbenchmarks.
+func TestAppDeterminismAcrossWorkers(t *testing.T) {
 	cfg := lu.Config{NX: 64, NY: 64, Iters: 3, CellFlop: 100, ResidualEvery: 2}
-	var base string
-	for _, shards := range shardCounts {
-		ss := appFigure(t, core.Kinds, []int{32}, 2, shards, LU(cfg))
-		var got string
-		for _, s := range ss {
-			got += fmt.Sprintf("%s %v %v\n", s.Label, s.X, s.Y)
+	sameAcrossWorkers(t, func() (string, error) {
+		var out string
+		for _, kind := range core.Kinds {
+			v, err := AppPoint(core.Spec{Kind: kind}, 32, 2, LU(cfg), nil, nil, 0)
+			if err != nil {
+				return "", err
+			}
+			out += fmt.Sprintf("%v %v\n", kind, v)
 		}
-		if shards == shardCounts[0] {
-			base = got
-		} else if got != base {
-			t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-		}
-	}
+		return out, nil
+	})
 }
 
-// TestShardMetricsExported: a sharded instrumented run reports the kernel's
-// execution counters, and sim_shards reflects the configured count.
-func TestShardMetricsExported(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, err := Contention(ContentionConfig{
+// TestTracedRunMatchesUntraced: tracing observes a run without changing it.
+func TestTracedRunMatchesUntraced(t *testing.T) {
+	plain, err := contentionText(ContentionConfig{
 		Kind: core.FCG, Nodes: 16, PPN: 2, Iters: 3, SampleEvery: 4,
-		Shards: 4, Metrics: reg,
-	})
+	})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, n := range reg.Names() {
-		names[n] = true
-	}
-	for _, want := range []string{
-		"sim_shards", "sim_windows_total", "sim_serial_instants_total",
-		"sim_idle_lane_windows_total", "sim_lane_events_total", "sim_shard_utilization",
-	} {
-		if !names[want] {
-			t.Errorf("sharded run did not export %q", want)
-		}
-	}
-}
-
-// TestShardsIncompatibleWithTraceIsForcedSerial: tracing forces the serial
-// kernel rather than erroring, and — per the contract — the result is
-// unchanged.
-func TestShardsIncompatibleWithTraceIsForcedSerial(t *testing.T) {
-	serial, err := Contention(ContentionConfig{
+	traced, err := contentionText(ContentionConfig{
 		Kind: core.FCG, Nodes: 16, PPN: 2, Iters: 3, SampleEvery: 4,
-	})
+		Trace: obs.NewTracer(), TracePID: 1,
+	})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Contention(ContentionConfig{
-		Kind: core.FCG, Nodes: 16, PPN: 2, Iters: 3, SampleEvery: 4,
-		Shards: 8, Trace: obs.NewTracer(), TracePID: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%v %v", serial.X, serial.Y) != fmt.Sprintf("%v %v", traced.X, traced.Y) {
-		t.Fatal("trace-forced serial run diverges from plain serial run")
+	if traced != plain {
+		t.Fatalf("traced run diverges from the untraced one:\n%s\nvs\n%s", traced, plain)
 	}
 }

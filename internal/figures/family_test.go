@@ -8,11 +8,9 @@ import (
 	"armcivt/internal/core"
 )
 
-// The new topology families must honour the same sharded-determinism and
+// The new topology families must honour the same determinism and
 // chaos-invariant contracts as the paper's four, through the same unchanged
-// runtime: sharding is physical-torus based and independent of the virtual
-// topology, so shard counts {1, 2, 8} must stay bit-identical on HyperX and
-// Dragonfly too.
+// runtime.
 
 var familySpecs = []string{
 	"hyperx",
@@ -21,32 +19,23 @@ var familySpecs = []string{
 	"dragonfly:g=8,a=4,h=2",
 }
 
-func TestFamilyContentionShardDeterminism(t *testing.T) {
+func TestFamilyContentionDeterminismAcrossWorkers(t *testing.T) {
 	for _, specStr := range familySpecs {
 		spec, err := core.ParseSpec(specStr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(specStr, func(t *testing.T) {
-			var base string
-			for _, shards := range shardCounts {
-				s, err := Contention(ContentionConfig{
-					Topo: spec, Nodes: 32, PPN: 2, Iters: 5,
-					ContenderEvery: 5, Shards: shards,
-				})
+			sameAcrossWorkers(t, func() (string, error) {
+				s, err := Contention(ContentionConfig{Topo: spec, Nodes: 32, PPN: 2, Iters: 5, ContenderEvery: 5})
+				if err == nil && s.Label != spec.String() {
+					err = fmt.Errorf("series label %q, want %q", s.Label, spec.String())
+				}
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					return "", err
 				}
-				if s.Label != spec.String() {
-					t.Fatalf("series label %q, want %q", s.Label, spec.String())
-				}
-				got := fmt.Sprintf("%v %v", s.X, s.Y)
-				if shards == shardCounts[0] {
-					base = got
-				} else if got != base {
-					t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-				}
-			}
+				return fmt.Sprintf("%v %v", s.X, s.Y), nil
+			})
 		})
 	}
 }
@@ -62,33 +51,10 @@ var allFamilySpecs = []string{
 	"dragonfly:g=8,a=4,h=2",
 }
 
-// chaosShardIdentical runs one chaos configuration at every shard count and
-// fails unless each result equals the serial one field for field.
-func chaosShardIdentical(t *testing.T, c ChaosConfig) {
-	t.Helper()
-	var base string
-	for _, shards := range shardCounts {
-		c.Shards = shards
-		res, err := Chaos(c)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Issued == 0 || res.Completed == 0 {
-			t.Fatalf("shards=%d: degenerate workload %+v", shards, res)
-		}
-		got := fmt.Sprintf("%+v", *res)
-		if shards == shardCounts[0] {
-			base = got
-		} else if got != base {
-			t.Fatalf("shards=%d diverges from serial:\n%s\nvs\n%s", shards, got, base)
-		}
-	}
-}
-
 // TestFamilyChaos runs the crash/recover harness — with its internal ledger,
 // credit and detection-latency invariants — on both new families, with and
-// without healing, across shard counts. Healing exercises ReplacementHop on
-// Dragonfly's class-ordered admissible hops.
+// without healing, alone and on concurrent workers. Healing exercises
+// ReplacementHop on Dragonfly's class-ordered admissible hops.
 func TestFamilyChaos(t *testing.T) {
 	for _, specStr := range familySpecs {
 		spec, err := core.ParseSpec(specStr)
@@ -97,27 +63,26 @@ func TestFamilyChaos(t *testing.T) {
 		}
 		for _, heal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/heal=%v", specStr, heal), func(t *testing.T) {
-				chaosShardIdentical(t, ChaosConfig{Topo: spec, Nodes: 32, PPN: 2, Heal: heal})
+				sameAcrossWorkers(t, chaosText(ChaosConfig{Topo: spec, Nodes: 32, PPN: 2, Heal: heal}))
 			})
 		}
 	}
 }
 
-// TestRecoverBitIdentityAcrossFamiliesAndShards stacks every crash/recover
-// chaos feature at once (crashes, a storm, healing) on
-// all six families and requires each shard count to reproduce the serial
-// result field for field.
-func TestRecoverBitIdentityAcrossFamiliesAndShards(t *testing.T) {
+// TestRecoverBitIdentityAcrossFamiliesAndWorkers stacks every crash/recover
+// chaos feature at once (crashes, a storm, healing) on all six families and
+// requires concurrent workers to reproduce the lone run field for field.
+func TestRecoverBitIdentityAcrossFamiliesAndWorkers(t *testing.T) {
 	for _, specStr := range allFamilySpecs {
 		spec, err := core.ParseSpec(specStr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(specStr, func(t *testing.T) {
-			chaosShardIdentical(t, ChaosConfig{
+			sameAcrossWorkers(t, chaosText(ChaosConfig{
 				Topo: spec, Nodes: 32, PPN: 2, OpsPerRank: 8,
 				Crashes: 2, Storms: 1, Heal: true,
-			})
+			}))
 		})
 	}
 }

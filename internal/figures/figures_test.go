@@ -47,9 +47,9 @@ func cellSeries(t *testing.T, kinds []core.Kind, procs []int, ppn int,
 }
 
 // appFigure is one application figure through AppPoint.
-func appFigure(t *testing.T, kinds []core.Kind, procs []int, ppn, shards int, app App) []*stats.Series {
+func appFigure(t *testing.T, kinds []core.Kind, procs []int, ppn int, app App) []*stats.Series {
 	return cellSeries(t, kinds, procs, ppn, func(spec core.Spec, n int) (float64, error) {
-		return AppPoint(spec, n, ppn, shards, app, nil, nil, 0)
+		return AppPoint(spec, n, ppn, app, nil, nil, 0)
 	})
 }
 
@@ -247,7 +247,7 @@ func TestFig8LUShape(t *testing.T) {
 	// Paper Fig 8: time decreases with process count and topologies stay
 	// comparable (within ~40% of FCG).
 	import8 := []int{16, 64}
-	ss := appFigure(t, core.Kinds, import8, 4, 1, LU(luSmall()))
+	ss := appFigure(t, core.Kinds, import8, 4, LU(luSmall()))
 	fcg := seriesByLabel(t, ss, "FCG")
 	if !(fcg.YAt(64) < fcg.YAt(16)) {
 		t.Errorf("LU does not scale: %v -> %v", fcg.YAt(16), fcg.YAt(64))
@@ -269,7 +269,7 @@ func TestFig8LUShape(t *testing.T) {
 func TestFig9aDFTShape(t *testing.T) {
 	// Paper Fig 9(a): with hot-spot-prone DFT, MFCG beats FCG and
 	// Hypercube is the worst at scale.
-	ss := appFigure(t, core.Kinds, []int{128}, 2, 1, DFT(dftSmall()))
+	ss := appFigure(t, core.Kinds, []int{128}, 2, DFT(dftSmall()))
 	fcg := seriesByLabel(t, ss, "FCG").YAt(128)
 	mfcg := seriesByLabel(t, ss, "MFCG").YAt(128)
 	hc := seriesByLabel(t, ss, "Hypercube").YAt(128)
@@ -284,7 +284,7 @@ func TestFig9aDFTShape(t *testing.T) {
 func TestFig9bCCSDShape(t *testing.T) {
 	// Paper Fig 9(b): without hot-spots, FCG is comparable to or better
 	// than MFCG (within 25%).
-	ss := appFigure(t, []core.Kind{core.FCG, core.MFCG}, []int{32}, 2, 1, CCSD(ccsdSmall()))
+	ss := appFigure(t, []core.Kind{core.FCG, core.MFCG}, []int{32}, 2, CCSD(ccsdSmall()))
 	fcg := seriesByLabel(t, ss, "FCG").YAt(32)
 	mfcg := seriesByLabel(t, ss, "MFCG").YAt(32)
 	if fcg > mfcg*1.25 {

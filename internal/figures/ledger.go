@@ -7,8 +7,7 @@ import (
 )
 
 // ledger is the outcome book every invariant-checked harness keeps: one row
-// per origin rank, written only from that rank's own process (so sharded runs
-// never contend), and one check of the paper's two correctness properties —
+// per origin rank, written only from that rank's own process, and one check of the paper's two correctness properties —
 // per-edge request buffers are conserved, and every forwarded request is
 // applied exactly once.
 type ledger []ledgerRow

@@ -20,7 +20,7 @@ import (
 // subsystems' tuning values are model constants; any change to one of them,
 // or to the code paths they steer, moves these numbers, so a refactor that
 // must keep every run bit-identical is checked here rather than only in the
-// shard-determinism tests (which compare a build against itself).
+// determinism tests (which compare a build against itself).
 //
 // Chaos reports its virtual makespan and the runtime's full Stats. Contention reports only its series, so its row pins an FNV-64a hash
 // of the series' exact float bits as the time witness and rebuilds Stats

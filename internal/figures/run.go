@@ -15,7 +15,6 @@ type run struct {
 	spec       core.Spec
 	nodes, ppn int
 	seed       int64 // 0 keeps the engine's default seed
-	shards     int
 	// faults, when non-nil, is injected into the run and arms the watchdog,
 	// which turns a wedged run into an *armci.StallError instead of a hang.
 	faults     *faults.Spec
@@ -34,9 +33,7 @@ func specOf(kind core.Kind, topo core.Spec) core.Spec {
 }
 
 // start builds the runtime. title names the run in the trace; edit, when
-// non-nil, sets what the harness needs beyond the shared fields. Tracing
-// forces the serial kernel: it is a serial-only observation tool, and by the
-// determinism contract the shard count changes no result.
+// non-nil, sets what the harness needs beyond the shared fields.
 func (r run) start(title string, edit func(*armci.Config)) (*armci.Runtime, error) {
 	eng := sim.New()
 	if r.seed != 0 {
@@ -48,7 +45,6 @@ func (r run) start(title string, edit func(*armci.Config)) (*armci.Runtime, erro
 	}
 	cfg := armci.DefaultConfig(r.nodes, r.ppn)
 	cfg.Topology = topo
-	cfg.Shards = r.shards
 	cfg.Metrics, cfg.Trace, cfg.TracePID = r.metrics, r.trace, r.tracePID
 	if r.faults != nil {
 		cfg.Faults = faults.NewInjector(eng, r.nodes, r.faults)
@@ -57,7 +53,6 @@ func (r run) start(title string, edit func(*armci.Config)) (*armci.Runtime, erro
 		edit(&cfg)
 	}
 	if r.trace != nil {
-		cfg.Shards = 1
 		r.trace.ProcessName(r.tracePID, title)
 		if r.traceSched {
 			eng.SetTracer(obs.NewSimTracer(r.trace, r.tracePID))

@@ -28,17 +28,12 @@ type ScaleConfig struct {
 	// ~2*sqrt(N) edges are infeasible per-node state at this scale) and at
 	// least 2, one target plus one active (default 1024).
 	Nodes int
-	// Shards runs the kernel conservatively in parallel (bit-identical
-	// per the docs/PARALLELISM.md contract; Fingerprint witnesses it).
-	Shards int
 	// Seed reseeds the engine's deterministic RNG (0 keeps the default).
 	Seed int64
 	// Measure takes runtime.MemStats snapshots around the measured phase
 	// (from the start gate to the last active's completion) to fill
-	// MallocsDelta/AllocsPerOp/LiveBytes. Snapshots are taken at serial
-	// instants and never perturb virtual time, but allocation counts are
-	// only meaningful on a serial engine (Shards <= 1): sharded windows
-	// interleave scheduler bookkeeping from concurrent lanes.
+	// MallocsDelta/AllocsPerOp/LiveBytes. Snapshots are taken in global
+	// events and never perturb virtual time.
 	Measure bool
 }
 
@@ -79,7 +74,7 @@ type ScaleResult struct {
 	// dominated at large N by per-node runtime state (zero unless Measure).
 	LiveBytes uint64
 	// Fingerprint hashes every active's completion instant; per the
-	// determinism contract it must be identical at every shard count.
+	// determinism contract every rerun must reproduce it.
 	Fingerprint uint64
 	// MasterRSS is the analytic Fig 5 memory model for the target node, the
 	// companion number the simulation's own footprint is compared against
@@ -99,7 +94,7 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 		return nil, fmt.Errorf("figures: the scaling harness needs at least 2 nodes (a target and an active), got %d", c.Nodes)
 	}
 	actives := min(scaleActives, c.Nodes-1)
-	rt, err := run{spec: core.Spec{Kind: core.Hypercube}, nodes: c.Nodes, ppn: 1, seed: c.Seed, shards: c.Shards}.start("", nil)
+	rt, err := run{spec: core.Spec{Kind: core.Hypercube}, nodes: c.Nodes, ppn: 1, seed: c.Seed}.start("", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,9 +109,7 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 
 	// The measured phase opens at startAt — far enough past t=0 that every
 	// idle rank has exited and its teardown events have drained — and closes
-	// when the last active's completion lands on the global lane. Both
-	// boundaries are serial instants, so the MemStats snapshots are taken
-	// with no shard worker running.
+	// when the last active's completion lands in a global event.
 	const startAt = 10 * sim.Microsecond
 	start := sim.NewEvent(eng, "scale-start")
 	var before, after runtime.MemStats
@@ -157,7 +150,7 @@ func Scale(c ScaleConfig) (*ScaleResult, error) {
 			r.WaitAll(hs...)
 		}
 		doneAt[idx] = r.Now()
-		eng.AtGlobal(r.Node(), func() {
+		eng.AtGlobal(func() {
 			remaining--
 			if remaining == 0 && c.Measure {
 				runtime.GC()

@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"armcivt/internal/stats"
 )
@@ -121,12 +120,6 @@ func (g *Gauge) Max() float64 {
 // rest. Percentiles are estimated by linear interpolation within the
 // containing bucket, so the layout determines resolution.
 type Histogram struct {
-	// mu serializes Observe: histograms are the one observability sink
-	// shard workers write concurrently (per-port waits, queue depths).
-	// Bucket counts, n, min and max are order-independent, so sharded runs
-	// report identical values; only the float sum may differ in its last
-	// ulp from a serial run (see docs/PARALLELISM.md).
-	mu     sync.Mutex
 	bounds []float64
 	counts []uint64 // len(bounds)+1, last is overflow
 	n      uint64
@@ -157,14 +150,11 @@ func expBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Observe records one sample. It is safe to call from concurrent shard
-// workers.
+// Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}

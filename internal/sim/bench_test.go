@@ -28,7 +28,7 @@ func BenchmarkEventQueue(b *testing.B) {
 // benchBurst fires b.N events in bursts of up to burst, each pushed in key
 // order, the shape of a 64k-node job's start: half of a burst lands at the
 // instant that pushes it (the spawn switches at t = 0), half one nanosecond
-// later, through a bucket (the rank exits one lookahead later). The next
+// later, through a bucket (the rank exits one global delay later). The next
 // burst is pushed once both halves have fired.
 func benchBurst(b *testing.B, burst int) {
 	e := New()

@@ -31,10 +31,11 @@ func newCarrier() *carrier {
 }
 
 // resumeBody switches to p's body until it parks or exits. A process borrows
-// its carrier from idle (the free list of the runner resuming it) at its first
-// resume, so one that never starts never owns a goroutine, and returns it when
-// the body exits, so run-to-exit processes share a single carrier.
-func (p *Proc) resumeBody(idle *[]*carrier) {
+// its carrier from the engine's idle list at its first resume, so one that
+// never starts never owns a goroutine, and returns it when the body exits, so
+// run-to-exit processes share a single carrier.
+func (p *Proc) resumeBody() {
+	idle := &p.e.idle
 	c := p.co
 	if c == nil {
 		if n := len(*idle); n > 0 {
@@ -49,12 +50,4 @@ func (p *Proc) resumeBody(idle *[]*carrier) {
 		c.p, p.co = nil, nil
 		*idle = append(*idle, c)
 	}
-}
-
-// stopCarriers ends every idle carrier's goroutine and empties the list.
-func stopCarriers(idle *[]*carrier) {
-	for _, c := range *idle {
-		c.stop()
-	}
-	*idle = nil
 }

@@ -9,10 +9,10 @@ import (
 // CheckpointSection digests the kernel's state between runs (after Run, or at
 // a RunUntil horizon) into a byte-comparable section: per-origin seq
 // counters, progress counters, the full pending-event set in key order,
-// process lifecycle state, and the RNG position (seed, draws). Two runs of the same workload are at the same
-// kernel state iff the sections compare equal byte-for-byte — regardless of
-// shard count, which is why lane clocks and e.now stay out of the digest
-// (they are window bookkeeping, not simulation state).
+// process lifecycle state, and the RNG position (seed, draws). Two runs of
+// the same workload are at the same kernel state iff the sections compare
+// equal byte-for-byte. The clock stays out of the digest: the horizon a
+// section is read at already names it.
 func (e *Engine) CheckpointSection() []byte {
 	var enc ckpt.Enc
 
@@ -28,14 +28,11 @@ func (e *Engine) CheckpointSection() []byte {
 	enc.U64(e.executed)
 	enc.U64(e.resumes)
 
-	// Pending events across the global lane and every shard lane, sorted by
-	// the determinism-contract key so serial and sharded runs digest the same
-	// byte stream. Payloads (closures/args) are not hashable, but at equal
-	// keys with equal seq streams they are the same events.
+	// Pending events, sorted by the determinism-contract key so the digest
+	// does not depend on the queue's internal layout. Payloads
+	// (closures/args) are not hashable, but at equal keys with equal seq
+	// streams they are the same events.
 	pending := e.events.appendPending(make([]event, 0, e.PendingEvents()))
-	for _, ln := range e.lanes {
-		pending = ln.queue.appendPending(pending)
-	}
 	sort.Slice(pending, func(i, j int) bool { return pending[i].less(pending[j].eventKey) })
 	enc.Str("events")
 	enc.U32(uint32(len(pending)))

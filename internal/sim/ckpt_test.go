@@ -27,30 +27,90 @@ func stepHorizons(t *testing.T, eng *Engine, every Time) [][]byte {
 	}
 }
 
-// The headline kernel property for digests: a run stepped through horizons
-// reads the same sim section at every horizon, and ends with the same logs
-// and clock, at every shard count.
-func TestCheckpointCapturesBitIdenticalAcrossShards(t *testing.T) {
+// pingWorkload runs a synthetic owner-pinned workload — a ring of processes
+// exchanging timestamped messages across owners, plus global barrier-style
+// rendezvous — and returns every owner's event log, the sim sections and the
+// final clock. With every > 0 the run is stepped through the horizons every,
+// 2*every, ... and a section is read at each; the last section is always the
+// one after the run.
+func pingWorkload(t *testing.T, every Time) (logs [][]string, sections [][]byte, end Time) {
+	t.Helper()
+	const (
+		owners = 8
+		delay  = Time(100)
+		rounds = 12
+	)
+	eng := New()
+	eng.ConfigureOwners(owners, delay)
+
+	logs = make([][]string, owners)
+	logAt := func(owner int, format string, args ...any) {
+		logs[owner] = append(logs[owner], fmt.Sprintf(format, args...))
+	}
+
+	// Cross-owner message chains: each owner forwards a token around the
+	// ring, every hop at least one delay ahead (the fabric's rule).
+	var hop func(from, depth int)
+	hop = func(from, depth int) {
+		if depth >= rounds {
+			return
+		}
+		to := (from + 1) % owners
+		eng.AtOn(to, eng.Now()+delay+Time(depth%3), func() {
+			logAt(to, "hop d=%d t=%v from=%d", depth, eng.Now(), from)
+			hop(to, depth+1)
+		})
+	}
+
+	// Global rendezvous: every owner reaches back to a global event, which
+	// mutates cross-owner state.
+	arrivals := 0
+	for o := 0; o < owners; o++ {
+		o := o
+		eng.SpawnOn(o, fmt.Sprintf("proc%d", o), func(p *Proc) {
+			logAt(o, "start t=%v", p.Now())
+			hop(o, 0)
+			p.Sleep(Time(10 * (o + 1)))
+			eng.AtGlobal(func() {
+				arrivals++
+				logAt(o, "arrived t=%v n=%d", eng.Now(), arrivals)
+			})
+			p.Sleep(Time(500))
+			logAt(o, "end t=%v", p.Now())
+		})
+	}
+	if every > 0 {
+		sections = stepHorizons(t, eng, every)
+	} else if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if arrivals != owners {
+		t.Fatalf("%d arrivals, want %d", arrivals, owners)
+	}
+	sections = append(sections, eng.CheckpointSection())
+	eng.Shutdown()
+	return logs, sections, eng.Now()
+}
+
+// The headline kernel property for digests: two runs stepped through the
+// same horizons read the same sim section at every horizon, and end with
+// the same logs and clock.
+func TestCheckpointCapturesBitIdenticalAcrossReruns(t *testing.T) {
 	for _, every := range []Time{64, 100, 333} {
-		baseLogs, baseSecs, baseEnd := shardPingWorkload(t, 1, every)
+		baseLogs, baseSecs, baseEnd := pingWorkload(t, every)
 		if len(baseSecs) < 3 {
 			t.Fatalf("every=%d: the run passed only %d horizons", every, len(baseSecs)-1)
 		}
-		for _, shards := range []int{2, 3, 8} {
-			logs, secs, end := shardPingWorkload(t, shards, every)
-			if end != baseEnd {
-				t.Errorf("every=%d shards=%d: final clock %v, serial %v", every, shards, end, baseEnd)
-			}
-			if !reflect.DeepEqual(logs, baseLogs) {
-				t.Errorf("every=%d shards=%d: event logs diverge from serial", every, shards)
-			}
-			if len(secs) != len(baseSecs) {
-				t.Fatalf("every=%d shards=%d: %d sections, serial %d", every, shards, len(secs), len(baseSecs))
-			}
-			for i := range secs {
-				if !bytes.Equal(secs[i], baseSecs[i]) {
-					t.Errorf("every=%d shards=%d: section %d diverges from serial", every, shards, i)
-				}
+		logs, secs, end := pingWorkload(t, every)
+		if end != baseEnd || !reflect.DeepEqual(logs, baseLogs) {
+			t.Errorf("every=%d: rerun ends at %v with different logs (first run %v)", every, end, baseEnd)
+		}
+		if len(secs) != len(baseSecs) {
+			t.Fatalf("every=%d: %d sections, first run %d", every, len(secs), len(baseSecs))
+		}
+		for i := range secs {
+			if !bytes.Equal(secs[i], baseSecs[i]) {
+				t.Errorf("every=%d: section %d diverges from the first run's", every, i)
 			}
 		}
 	}
@@ -59,8 +119,8 @@ func TestCheckpointCapturesBitIdenticalAcrossShards(t *testing.T) {
 // Stepping through horizons must not perturb the workload: a stepped serial
 // run ends with the logs, clock and section of one uninterrupted Run.
 func TestArmedRunMatchesUnarmed(t *testing.T) {
-	whole, wholeSecs, wholeEnd := shardPingWorkload(t, 1, 0)
-	stepped, steppedSecs, steppedEnd := shardPingWorkload(t, 1, 100)
+	whole, wholeSecs, wholeEnd := pingWorkload(t, 0)
+	stepped, steppedSecs, steppedEnd := pingWorkload(t, 100)
 	if steppedEnd != wholeEnd || !reflect.DeepEqual(stepped, whole) {
 		t.Fatal("stepping through horizons perturbed the run")
 	}
@@ -71,33 +131,30 @@ func TestArmedRunMatchesUnarmed(t *testing.T) {
 
 // Horizon semantics: RunUntil(h) runs every event at exactly h before it
 // returns, and a horizon inside an event gap stops with the clock at h and
-// the later events pending, in serial and sharded mode alike.
+// the later events pending.
 func TestCheckpointBoundarySemantics(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		eng := New()
-		eng.ConfigureShards(shards, 2, func(pos int) int { return pos % shards }, 10)
-		var trace []string
-		for _, at := range []Time{100, 150, 500} {
-			at := at
-			eng.AtOn(0, at, func() { trace = append(trace, fmt.Sprintf("ev@%d", at)) })
-		}
-		for h := Time(100); ; h += 100 {
-			err := eng.RunUntil(h)
-			var tl *TimeLimitError
-			if !errors.As(err, &tl) {
-				if err != nil {
-					t.Fatalf("shards=%d: RunUntil(%v): %v", shards, h, err)
-				}
-				break
+	eng := New()
+	var trace []string
+	for _, at := range []Time{100, 150, 500} {
+		at := at
+		eng.AtOn(0, at, func() { trace = append(trace, fmt.Sprintf("ev@%d", at)) })
+	}
+	for h := Time(100); ; h += 100 {
+		err := eng.RunUntil(h)
+		var tl *TimeLimitError
+		if !errors.As(err, &tl) {
+			if err != nil {
+				t.Fatalf("RunUntil(%v): %v", h, err)
 			}
-			trace = append(trace, fmt.Sprintf("h@%d now=%d pending=%d", h, eng.Now(), tl.Pending))
+			break
 		}
-		eng.Shutdown()
-		want := []string{"ev@100", "h@100 now=100 pending=2", "ev@150", "h@200 now=200 pending=1",
-			"h@300 now=300 pending=1", "h@400 now=400 pending=1", "ev@500"}
-		if !reflect.DeepEqual(trace, want) {
-			t.Fatalf("shards=%d: trace %v, want %v", shards, trace, want)
-		}
+		trace = append(trace, fmt.Sprintf("h@%d now=%d pending=%d", h, eng.Now(), tl.Pending))
+	}
+	eng.Shutdown()
+	want := []string{"ev@100", "h@100 now=100 pending=2", "ev@150", "h@200 now=200 pending=1",
+		"h@300 now=300 pending=1", "h@400 now=400 pending=1", "ev@500"}
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatalf("trace %v, want %v", trace, want)
 	}
 }
 

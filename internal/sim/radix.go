@@ -37,9 +37,8 @@ type payload struct {
 	arg   any
 }
 
-// event is an event in transit — built by scheduleEv, buffered in the
-// shard outboxes — before push files its payload in a slab slot (key.slot
-// is unset until then).
+// event is a pending event's key and payload together, as appendPending
+// reports them and push files them.
 type event struct {
 	eventKey
 	payload
@@ -90,14 +89,13 @@ type bucket struct {
 // tail's next; no storage grows with how many keys share a chain.
 //
 // now is a sorted run, popped from nowHead, while keys arrive in key order:
-// a job's spawn switches at t = 0 and its rank exits one lookahead later
+// a job's spawn switches at t = 0 and its rank exits one global delay later
 // are such bursts, each key one append and one increment. The first key
 // below the run's tail turns the run into a binary heap on (seq, origin) —
 // a sorted slice already is one — which it stays until now empties.
 //
-// head is a pure peek and never moves last: the sharded barrier peeks a
-// lane, then merges outbox events that fall below that lane's head but not
-// below its last pop.
+// head is a pure peek and never moves last, so a push may still land below
+// the head as long as it is not below the last pop.
 type eventQueue struct {
 	last    Time
 	n       int
@@ -235,7 +233,7 @@ func (q *eventQueue) key(slot int32) eventKey {
 	return eventKey{t: l.t, seq: l.seq, origin: l.origin, slot: slot}
 }
 
-// push files an event built whole, as the shard outboxes carry them.
+// push files an event built whole.
 func (q *eventQueue) push(ev *event) { q.put(ev.eventKey, ev.owner, ev.kind, ev.afn, ev.arg) }
 
 // put files an event field by field: the payload fields go straight into a

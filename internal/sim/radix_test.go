@@ -150,8 +150,8 @@ func queueAt(class byte, i int, now Time) Time {
 // pops; otherwise its low two bits pick one of four origins with per-origin
 // seq counters, as the engine assigns them (heavy ties on seq across
 // origins), and the next five bits pick a time class (queueAt) — except
-// class 31, the sharded barrier's pattern: peek the head, then push at a
-// time at or after last but below it. Random inputs keep the pending set
+// class 31: peek the head, then push at a time at or after last but below
+// it. Random inputs keep the pending set
 // churning, so slab slots, their links and wheel slots are reused many
 // times; one seed first builds a deep queue, others cross wheel windows.
 func FuzzEventHeap(f *testing.F) {
@@ -416,44 +416,34 @@ func TestPopReleasesPayload(t *testing.T) {
 }
 
 // TestShutdownDropsHeaps: Shutdown releases the event queue's arrays — keys
-// at now, wheel, payload slab and its links — on the global lane and on every shard
-// lane, whether the engine never ran, was cut off by a time limit with
-// events pending, or drained.
+// at now, wheel, payload slab and its links — whether the engine never
+// ran, was cut off by a time limit with events pending, or drained.
 func TestShutdownDropsHeaps(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		limit Time // < 0: no run; 0: run to completion
 	}{{"never-run", -1}, {"time-limit", 50}, {"drained", 0}} {
-		for _, shards := range []int{1, 2} {
-			eng := New()
-			eng.ConfigureShards(shards, 4, func(o int) int { return o % shards }, 10)
-			for o := 0; o < 4; o++ {
-				for i := 0; i < 5; i++ {
-					eng.AtOn(o, Time(20*i+o), func() {})
-				}
+		eng := New()
+		for o := 0; o < 4; o++ {
+			for i := 0; i < 5; i++ {
+				eng.AtOn(o, Time(20*i+o), func() {})
 			}
-			eng.At(30, func() {})
-			switch {
-			case tc.limit > 0:
-				if _, ok := eng.RunUntil(tc.limit).(*TimeLimitError); !ok {
-					t.Fatalf("%s/shards=%d: expected a time limit with events pending", tc.name, shards)
-				}
-			case tc.limit == 0:
-				if err := eng.Run(); err != nil {
-					t.Fatal(err)
-				}
+		}
+		eng.At(30, func() {})
+		switch {
+		case tc.limit > 0:
+			if _, ok := eng.RunUntil(tc.limit).(*TimeLimitError); !ok {
+				t.Fatalf("%s: expected a time limit with events pending", tc.name)
 			}
-			eng.Shutdown()
-			queues := []*eventQueue{&eng.events}
-			for _, ln := range eng.lanes {
-				queues = append(queues, &ln.queue)
+		case tc.limit == 0:
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
 			}
-			for i, q := range queues {
-				if q.now != nil || q.slab != nil || q.wheel != nil || q.links != nil {
-					t.Errorf("%s/shards=%d: queue %d keeps %d keys / %d slots / wheel %p / %d link chunks after Shutdown",
-						tc.name, shards, i, cap(q.now), cap(q.slab), q.wheel, cap(q.links))
-				}
-			}
+		}
+		eng.Shutdown()
+		if q := &eng.events; q.now != nil || q.slab != nil || q.wheel != nil || q.links != nil {
+			t.Errorf("%s: queue keeps %d keys / %d slots / wheel %p / %d link chunks after Shutdown",
+				tc.name, cap(q.now), cap(q.slab), q.wheel, cap(q.links))
 		}
 	}
 }

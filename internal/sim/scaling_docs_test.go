@@ -4,7 +4,7 @@ package sim
 // record row and the pending-event row must state the actual sizes of a
 // Proc, the queue key and the slab payload (checked against unsafe.Sizeof,
 // so a field added to any of them fails here), of a parked key's link and
-// the wheel, and of the transport event the shard outboxes carry.
+// the wheel, and of the key-and-payload event appendPending reports.
 
 import (
 	"fmt"

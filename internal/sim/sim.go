@@ -1,9 +1,8 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel.
 //
-// Simulated processes are cooperatively scheduled by the Engine: in serial
-// mode exactly one of them (or the engine's Run loop) executes at any moment,
-// and control is handed over explicitly at blocking points (Sleep, Queue.Get,
+// Simulated processes are cooperatively scheduled by the Engine: exactly one
+// of them (or the engine's Run loop) executes at any moment, and control is handed over explicitly at blocking points (Sleep, Queue.Get,
 // Event.Wait, ...). A process is either a body function running on a
 // coroutine carrier (carrier.go) — the runner switches to it directly, with no
 // scheduler, channel or futex in between — or a step function (SpawnStepOn)
@@ -11,11 +10,10 @@
 //
 // Events are ordered by the three-part key (time, seq, origin), where origin
 // is the owner id of the context that created the event and seq is a
-// per-origin creation counter. Because each origin's creation stream is
-// independent of how other origins interleave, the key — and therefore the
-// execution order — is identical whether the engine runs serially or sharded
-// (see shard.go), which is the repository's bit-identical determinism
-// contract (docs/PARALLELISM.md).
+// per-origin creation counter. The key fixes the execution order, so a run is
+// a function of its inputs alone: a rerun, a run resumed from a RunUntil
+// horizon and a run in one of many parallel sweep workers are bit-identical
+// (docs/ARCHITECTURE.md, "The determinism contract").
 //
 // The kernel is the substrate on which the repository models the Cray XT5
 // interconnect (package fabric) and the ARMCI runtime (package armci); in
@@ -30,7 +28,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 )
 
 // Time is virtual time in nanoseconds.
@@ -66,9 +63,7 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // GlobalOwner is the pseudo-owner of engine-level events: fault schedules,
-// watchdog checks, run-wide coordination. Global events always execute on
-// the coordinator with every shard quiesced (a "serial instant"), so they
-// may touch any owner's state.
+// watchdog checks, run-wide coordination.
 const GlobalOwner = -1
 
 // Event payload kinds. The hot paths of a large simulation — process
@@ -126,8 +121,7 @@ type Proc struct {
 	wakePending bool
 	num         int
 	// owner pins the process to a scheduling owner: its resume events carry
-	// this owner, so in sharded mode the process always runs on the owner's
-	// shard (or on the coordinator during serial instants).
+	// this owner, which becomes the origin of the events it creates.
 	owner int
 }
 
@@ -158,7 +152,7 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time in the process's context.
-func (p *Proc) Now() Time { return p.e.NowOn(p.owner) }
+func (p *Proc) Now() Time { return p.e.now }
 
 // BlockedOn reports the label of the blocking point the process is currently
 // parked at ("" if running or done). Used by the deadlock reporter.
@@ -181,22 +175,20 @@ type blocker interface {
 // (or GoAt), then call Run.
 type Engine struct {
 	now    Time
-	events eventQueue // the global lane; the only queue in serial mode
+	events eventQueue
 	// seqs holds the per-origin event-creation counters that form the seq
 	// component of the ordering key; index is origin+1 so GlobalOwner maps
-	// to slot 0. Distinct origins never share a slot, so shard workers
-	// advance their owners' counters without contention.
+	// to slot 0.
 	seqs  []uint64
 	procs []*Proc
 	// procSlab is the unused tail of the chunk spawned processes are carved
 	// from (see spawnAt).
 	procSlab []Proc
-	// idle holds the carriers free for the serial loop and the coordinator to
-	// borrow (each shard lane has its own list).
+	// idle holds the carriers free for the run loop to borrow.
 	idle []*carrier
-	// ctxOwner is the owner of the event the coordinator (or serial loop) is
-	// currently executing; events created from that context inherit it as
-	// their origin and default placement.
+	// ctxOwner is the owner of the event the run loop is currently
+	// executing; events created from that context inherit it as their
+	// origin and default placement.
 	ctxOwner int
 	rng      *rand.Rand
 	running  bool
@@ -213,23 +205,22 @@ type Engine struct {
 	halt error
 	// live counts non-daemon processes spawned and not yet exited, so a
 	// drained run and the Watchdog learn whether any is left without
-	// walking procs. Processes exit on their owners' shard workers, hence
-	// the atomic; it changes once per process, never per event.
-	live atomic.Int64
+	// walking procs.
+	live int
+	// globalDelay is the fixed delay AtGlobal adds (see ConfigureOwners).
+	globalDelay Time
 
 	// rngSrc wraps the RNG's source to count draws, and rngSeed remembers
 	// the seed, so CheckpointSection can digest the generator's position
 	// (seed, draws) without serializing its internal state.
 	rngSrc  *countingSource
 	rngSeed int64
-
-	shardState
 }
 
 // countingSource is the engine's generator, counting draws. Capture needs
-// only (seed, draws) to identify the generator's position: both run modes
-// draw in the same deterministic order, so equal counts at a RunUntil
-// horizon mean equal generator state. The generator is NewSource's, so
+// only (seed, draws) to identify the generator's position: runs draw in the
+// same deterministic order, so equal counts at a RunUntil horizon mean equal
+// generator state. The generator is NewSource's, so
 // seeding an engine (New seeds 1, and harnesses reseed) costs nothing.
 type countingSource struct {
 	src   lazySource
@@ -267,43 +258,16 @@ func (e *Engine) Seed(s int64) {
 	e.rng = rand.New(e.rngSrc)
 }
 
-// Rand returns the engine's RNG. Using it from process bodies keeps serial
-// simulations deterministic (there is only ever one runner at a time). It is
-// not part of the sharded determinism contract: workloads that run with
-// shards > 1 must draw randomness from per-owner sources instead.
+// Rand returns the engine's RNG. Process bodies and event callbacks draw
+// from it in event-key order (only one runs at a time), so every run of a
+// seeded engine draws the same stream.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// Now returns current virtual time in coordinator context. During a sharded
-// window it does not see the executing shard's clock — use NowOn (or
-// Proc.Now) from owner contexts.
+// Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// NowOn returns current virtual time in owner's context: the owner's shard
-// clock while a sharded window is executing, the engine clock otherwise
-// (serial mode, setup, and serial instants).
-func (e *Engine) NowOn(owner int) Time {
-	if owner >= 0 && e.windowActive.Load() {
-		return e.lanes[e.shardOf[owner]].now
-	}
-	return e.now
-}
-
-// ctxFor resolves the scheduling context for an event created by owner
-// `from`: the shard lane executing it (nil for the coordinator or serial
-// loop), that context's current time, and the origin for the ordering key.
-func (e *Engine) ctxFor(from int) (*lane, Time, int) {
-	if e.windowActive.Load() {
-		if from < 0 {
-			panic("sim: global-context scheduling from a shard worker; use AtGlobal with the owner the caller runs as")
-		}
-		ln := e.lanes[e.shardOf[from]]
-		return ln, ln.now, ln.ctxOwner
-	}
-	return nil, e.now, e.ctxOwner
-}
-
 // exec dispatches one popped event by kind. It replaces direct fn() calls in
-// the run loops so the hot event kinds carry no closure.
+// the run loop so the hot event kinds carry no closure.
 func (e *Engine) exec(p *payload) {
 	switch p.kind {
 	case evFn:
@@ -319,156 +283,82 @@ func (e *Engine) exec(p *payload) {
 	}
 }
 
-// schedule creates a closure event at time t; it is the evFn-kind shorthand
-// for scheduleEv. A func value is pointer-shaped, so storing it in arg
-// allocates nothing.
-func (e *Engine) schedule(src *lane, now Time, origin, owner int, t Time, fn func()) {
-	e.scheduleEv(src, now, origin, owner, t, evFn, nil, fn)
-}
-
-// scheduleArg creates an evArg event running fn(arg) at time t.
-func (e *Engine) scheduleArg(src *lane, now Time, origin, owner int, t Time, fn func(any), arg any) {
-	e.scheduleEv(src, now, origin, owner, t, evArg, fn, arg)
-}
-
-// scheduleProc creates an evSwitch or evWake event resuming p at time t.
-func (e *Engine) scheduleProc(src *lane, now Time, origin, owner int, t Time, kind uint8, p *Proc) {
-	e.scheduleEv(src, now, origin, owner, t, kind, nil, p)
-}
-
-// scheduleEv stamps the event's ordering key — time t clamped to the
-// creating context's now, the next seq of origin's creation stream — and
-// routes it to the right queue or cross-shard outbox. src is the creating
-// lane (nil = coordinator). Payload representation (closure vs kind record)
-// plays no part in the key, which is what lets hot paths switch
-// representations without disturbing the bit-identity contract. An event
-// that stays on its lane is filed field by field; only one bound for an
-// outbox is built whole.
-func (e *Engine) scheduleEv(src *lane, now Time, origin, owner int, t Time, kind uint8, afn func(any), arg any) {
-	if t < now {
-		t = now
+// scheduleEv files an event at time t, clamped to now, executing as owner.
+// Its ordering key takes the running event's owner as origin and the next
+// seq of that origin's creation stream. Payload representation (closure vs
+// kind record) plays no part in the key, which is what lets hot paths switch
+// representations without disturbing the bit-identity contract. A func
+// value is pointer-shaped, so an evFn event storing one in arg allocates
+// nothing.
+func (e *Engine) scheduleEv(owner int, t Time, kind uint8, afn func(any), arg any) {
+	if t < e.now {
+		t = e.now
 	}
-	idx := origin + 1
+	idx := e.ctxOwner + 1
 	if idx >= len(e.seqs) {
-		if e.nshards > 1 {
-			panic(fmt.Sprintf("sim: origin %d outside the sharded owner space", origin))
-		}
 		grown := make([]uint64, idx+1)
 		copy(grown, e.seqs)
 		e.seqs = grown
 	}
 	e.seqs[idx]++
-	k := eventKey{t: t, seq: e.seqs[idx], origin: int32(origin)}
-	var dst *lane
-	if owner >= 0 && e.nshards > 1 {
-		dst = e.lanes[e.shardOf[owner]]
-	}
-	if src == nil {
-		q := &e.events
-		if dst != nil {
-			q = &dst.queue
-		}
-		q.put(k, int32(owner), kind, afn, arg)
-		return
-	}
-	if dst == src {
-		src.queue.put(k, int32(owner), kind, afn, arg)
-		return
-	}
-	// Leaving the creating shard: the event must clear the current lookahead
-	// window, or conservative execution would already have passed its time.
-	if t < src.end {
-		panic(fmt.Sprintf("sim: cross-shard event at t=%v violates the lookahead window ending at %v (lookahead %v too large for this workload)",
-			t, src.end, e.lookahead))
-	}
-	ev := event{k, payload{owner: int32(owner), kind: kind, afn: afn, arg: arg}}
-	if dst == nil {
-		src.outGlobal = append(src.outGlobal, ev)
-		return
-	}
-	src.outCross[dst.idx] = append(src.outCross[dst.idx], ev)
+	e.events.put(eventKey{t: t, seq: e.seqs[idx], origin: int32(e.ctxOwner)}, int32(owner), kind, afn, arg)
 }
 
-// At schedules fn to run in engine context at absolute virtual time t.
-// Scheduling in the past is clamped to now. It may be called from serial
-// mode, setup, or coordinator context; shard-worker contexts must use
-// AtOn/AtFrom with an explicit owner.
-func (e *Engine) At(t Time, fn func()) {
-	if e.windowActive.Load() {
-		panic("sim: At called from a shard worker; use AtOn/AtFrom with an explicit owner")
-	}
-	e.schedule(nil, e.now, e.ctxOwner, e.ctxOwner, t, fn)
-}
+// At schedules fn to run in engine context at absolute virtual time t, as
+// the running event's owner. Scheduling in the past is clamped to now.
+func (e *Engine) At(t Time, fn func()) { e.scheduleEv(e.ctxOwner, t, evFn, nil, fn) }
 
 // After schedules fn to run in engine context d after the current time.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// AtOn schedules fn at absolute time t executing as owner. The caller must
-// be running as owner (or on the coordinator): it is the owner-explicit form
-// of At for code that runs inside sharded windows.
-func (e *Engine) AtOn(owner int, t Time, fn func()) { e.AtFrom(owner, owner, t, fn) }
+// AtOn schedules fn at absolute time t executing as owner: events fn
+// creates take owner as their origin.
+func (e *Engine) AtOn(owner int, t Time, fn func()) { e.scheduleEv(owner, t, evFn, nil, fn) }
 
-// AfterOn schedules fn to run as owner d after owner's current time.
-func (e *Engine) AfterOn(owner int, d Time, fn func()) {
-	src, now, origin := e.ctxFor(owner)
-	e.schedule(src, now, origin, owner, now+d, fn)
-}
-
-// AtFrom schedules fn at absolute time t executing as owner `to`, created
-// from the context of owner `from` (which the caller must be running as).
-// When from and to live on different shards the event crosses shards at the
-// next window edge and t must be at least one lookahead in the future.
-func (e *Engine) AtFrom(from, to int, t Time, fn func()) {
-	src, now, origin := e.ctxFor(from)
-	e.schedule(src, now, origin, to, t, fn)
-}
+// AfterOn schedules fn to run as owner d after the current time.
+func (e *Engine) AfterOn(owner int, d Time, fn func()) { e.AtOn(owner, e.now+d, fn) }
 
 // AtOnArg is AtOn without the closure: it schedules fn(arg) at absolute time
 // t executing as owner. Pass a long-lived func value (typically a method
 // value stored once at setup) and a pointer-shaped arg — then the event
 // allocates nothing, which is why the fabric and protocol hot paths use the
-// Arg forms (see docs/SCALING.md). Timing, ordering and sharding semantics
-// are exactly AtOn's.
+// Arg forms (see docs/SCALING.md). Timing and ordering are exactly AtOn's.
 func (e *Engine) AtOnArg(owner int, t Time, fn func(any), arg any) {
-	e.AtFromArg(owner, owner, t, fn, arg)
+	e.scheduleEv(owner, t, evArg, fn, arg)
 }
 
 // AfterOnArg is AfterOn without the closure: fn(arg) runs as owner d after
-// owner's current time. See AtOnArg for the allocation contract.
+// the current time. See AtOnArg for the allocation contract.
 func (e *Engine) AfterOnArg(owner int, d Time, fn func(any), arg any) {
-	src, now, origin := e.ctxFor(owner)
-	e.scheduleArg(src, now, origin, owner, now+d, fn, arg)
+	e.AtOnArg(owner, e.now+d, fn, arg)
 }
 
-// AtFromArg is AtFrom without the closure: fn(arg) runs at absolute time t
-// as owner `to`, created from owner `from`'s context. See AtOnArg for the
-// allocation contract and AtFrom for the cross-shard timing rule.
-func (e *Engine) AtFromArg(from, to int, t Time, fn func(any), arg any) {
-	src, now, origin := e.ctxFor(from)
-	e.scheduleArg(src, now, origin, to, t, fn, arg)
-}
-
-// AtGlobal schedules fn on the global lane one lookahead after the caller's
-// current time. Global events execute as serial instants with every shard
-// quiesced, so fn may mutate state shared across owners (barrier counters,
-// run-wide tallies). The fixed +lookahead delay is what lets a shard safely
-// reach back to the global lane, and it is applied identically in serial
-// mode so both modes agree on timing.
-func (e *Engine) AtGlobal(from int, fn func()) {
-	src, now, origin := e.ctxFor(from)
-	e.schedule(src, now, origin, GlobalOwner, now+e.lookahead, fn)
-}
+// AtGlobal schedules fn as GlobalOwner one global delay (ConfigureOwners)
+// after the current time, for state shared across owners: barrier counters,
+// run-wide tallies. The fixed delay is part of every such event's key.
+func (e *Engine) AtGlobal(fn func()) { e.AtOn(GlobalOwner, e.now+e.globalDelay, fn) }
 
 // AtGlobalArg is AtGlobal for a long-lived fn and a pointer-shaped arg, so
 // the call allocates no closure.
-func (e *Engine) AtGlobalArg(from int, fn func(any), arg any) {
-	src, now, origin := e.ctxFor(from)
-	e.scheduleArg(src, now, origin, GlobalOwner, now+e.lookahead, fn, arg)
+func (e *Engine) AtGlobalArg(fn func(any), arg any) {
+	e.AtOnArg(GlobalOwner, e.now+e.globalDelay, fn, arg)
 }
 
-// Lookahead returns the conservative synchronization window configured by
-// ConfigureShards (0 if never configured).
-func (e *Engine) Lookahead() Time { return e.lookahead }
+// ConfigureOwners sizes the per-origin seq counters for owners [0, owners)
+// in one allocation, instead of one growth copy per new origin, and sets the
+// delay AtGlobal adds (for the fabric, one link hop latency). Call it before
+// Run.
+func (e *Engine) ConfigureOwners(owners int, globalDelay Time) {
+	if e.running {
+		panic("sim: ConfigureOwners while engine is running")
+	}
+	e.globalDelay = globalDelay
+	if grown := owners + 1; grown > len(e.seqs) {
+		s := make([]uint64, grown)
+		copy(s, e.seqs)
+		e.seqs = s
+	}
+}
 
 // Spawn creates a simulated process that starts executing body at the current
 // virtual time, pinned to the creating context's owner. The returned Proc
@@ -478,7 +368,7 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // SpawnOn is Spawn with an explicit owner pin: the process and all events it
-// creates belong to owner, so in sharded mode it runs on owner's shard.
+// creates belong to owner.
 func (e *Engine) SpawnOn(owner int, name string, body func(p *Proc)) *Proc {
 	return e.spawnAt(owner, e.now, name, -1, body, false)
 }
@@ -526,12 +416,10 @@ func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Pro
 
 // ReserveSpawns tells the engine that n processes are about to be spawned at
 // the current instant, as a job's start spawns one per node and one per
-// rank. The process records, the process table and, in serial mode, the
-// event queue's same-instant run are then each allocated once at their final
-// size instead of growing by doubling, and the queue's payload slab gains
-// the burst's chunks in one allocation. A sharded engine reserves no queue
-// storage: which lane a spawn lands in is its owner's. Reserving changes no
-// event, key or order.
+// rank. The process records, the process table and the event queue's
+// same-instant run are then each allocated once at their final size instead
+// of growing by doubling, and the queue's payload slab gains the burst's
+// chunks in one allocation. Reserving changes no event, key or order.
 func (e *Engine) ReserveSpawns(n int) {
 	if n <= 0 {
 		return
@@ -540,9 +428,7 @@ func (e *Engine) ReserveSpawns(n int) {
 	if len(e.procSlab) < n {
 		e.procSlab = make([]Proc, n)
 	}
-	if e.nshards <= 1 {
-		e.events.reserve(n, e.now)
-	}
+	e.events.reserve(n, e.now)
 }
 
 // procChunk is the most processes one slab chunk holds.
@@ -554,9 +440,6 @@ const procChunk = 1024
 // node allocates a chunk per thousand processes, not one record each (one
 // chunk in all after ReserveSpawns).
 func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *Proc), daemon bool) *Proc {
-	if e.windowActive.Load() {
-		panic("sim: Spawn from a shard worker is not supported; spawn before Run or from a global event")
-	}
 	if len(e.procSlab) == 0 {
 		e.procSlab = make([]Proc, min(max(len(e.procs), 16), procChunk))
 	}
@@ -574,10 +457,10 @@ func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *P
 	}
 	e.procs = append(e.procs, p)
 	if !daemon {
-		e.live.Add(1)
+		e.live++
 	}
 	e.trace(TraceSpawn, p, "")
-	e.scheduleProc(nil, e.now, e.ctxOwner, owner, t, evSwitch, p)
+	e.scheduleEv(owner, t, evSwitch, nil, p)
 	return p
 }
 
@@ -602,7 +485,7 @@ func runBody(p *Proc) {
 
 func (p *Proc) exit() {
 	if !p.daemon && p.state != procDone {
-		p.e.live.Add(-1)
+		p.e.live--
 	}
 	p.state = procDone
 	p.blockedOn, p.blockedAt = "", nil
@@ -610,25 +493,17 @@ func (p *Proc) exit() {
 }
 
 // switchTo hands control to p and returns when p parks or finishes. It must
-// be invoked from a runner context (inside an event callback): the serial
-// loop, the coordinator during an instant, or the shard worker owning p.
+// be invoked from the run loop (inside an event callback).
 func (e *Engine) switchTo(p *Proc) {
 	if p.state == procDone || p.state == procRunning {
 		return
 	}
-	idle := &e.idle
-	if e.windowActive.Load() {
-		ln := e.lanes[e.shardOf[p.owner]]
-		ln.resumes++
-		idle = &ln.idle
-	} else {
-		e.resumes++
-		e.trace(TraceResume, p, "")
-	}
+	e.resumes++
+	e.trace(TraceResume, p, "")
 	p.state = procRunning
 	p.blockedOn, p.blockedAt = "", nil
 	if p.step == nil {
-		p.resumeBody(idle)
+		p.resumeBody()
 		return
 	}
 	p.step(p)
@@ -677,15 +552,13 @@ func (p *Proc) parkWait(traceLabel string) {
 // wake schedules the process to be resumed at the current virtual time. It
 // is idempotent: a process with a wake already pending is not scheduled
 // again, so primitives may over-notify safely. The wake event carries the
-// process's owner, so callers must run as that owner or on the coordinator.
+// process's owner.
 func (p *Proc) wake() {
 	if p.wakePending || p.state == procDone {
 		return
 	}
 	p.wakePending = true
-	e := p.e
-	src, now, origin := e.ctxFor(p.owner)
-	e.scheduleProc(src, now, origin, p.owner, now, evWake, p)
+	p.e.scheduleEv(p.owner, p.e.now, evWake, nil, p)
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -695,9 +568,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	e := p.e
-	src, now, origin := e.ctxFor(p.owner)
-	e.scheduleProc(src, now, origin, p.owner, now+d, evSwitch, p)
+	p.e.scheduleEv(p.owner, p.e.now+d, evSwitch, nil, p)
 	p.parkOn(sleepLabel{}, int64(d))
 }
 
@@ -741,8 +612,7 @@ func (e *Engine) Run() error { return e.run(-1) }
 // RunUntil executes events with timestamps <= limit. If the queue drains it
 // behaves like Run; otherwise it returns a *TimeLimitError with the clock at
 // limit (or where it was, if already past limit). The engine is then at a
-// quiescent horizon — every event at or before limit has run, no sharded
-// window is open — so any layer's CheckpointSection may be read, and
+// quiescent horizon — every event at or before limit has run — so any layer's CheckpointSection may be read, and
 // RunUntil or Run may be called again to continue (docs/CHECKPOINT.md).
 func (e *Engine) RunUntil(limit Time) error { return e.run(limit) }
 
@@ -751,12 +621,9 @@ func (e *Engine) run(limit Time) error {
 		panic("sim: Engine.Run re-entered")
 	}
 	e.running = true
-	// Every return leaves the coordinator context global, so events the
-	// caller schedules between runs get the same origin in both run modes.
+	// Every return leaves the context global, so events the caller
+	// schedules between runs get the same origin however the run was cut.
 	defer func() { e.running, e.ctxOwner = false, GlobalOwner }()
-	if e.nshards > 1 {
-		return e.runSharded(limit)
-	}
 	for e.events.Len() > 0 {
 		if e.halt != nil {
 			return e.halt
@@ -777,7 +644,7 @@ func (e *Engine) run(limit Time) error {
 // non-daemon process has finished, a *DeadlockError naming the blocked ones
 // otherwise. Only a deadlock walks the process table.
 func (e *Engine) drained() error {
-	if e.live.Load() == 0 {
+	if e.live == 0 {
 		return nil
 	}
 	if blocked := e.blockedNonDaemons(); len(blocked) > 0 {
@@ -806,9 +673,8 @@ func (e *Engine) blockedNonDaemons() []string {
 	return blocked
 }
 
-// Shutdown terminates every parked or not-yet-started process, stops the
-// pooled carriers and any shard workers, releasing every goroutine the engine
-// holds. Call it after Run (or after abandoning a simulation) in long-lived
+// Shutdown terminates every parked or not-yet-started process and stops the
+// pooled carriers, releasing every goroutine the engine holds. Call it after Run (or after abandoning a simulation) in long-lived
 // programs that create many engines; the engine must not be running. A body
 // parked mid-way is unwound via a recovered panic, so its deferred functions
 // still execute; never-started processes and step daemons own no goroutine.
@@ -826,13 +692,11 @@ func (e *Engine) Shutdown() {
 			p.exit()
 		}
 	}
-	stopCarriers(&e.idle)
-	e.events = eventQueue{}
-	for _, ln := range e.lanes {
-		stopCarriers(&ln.idle)
-		ln.queue = eventQueue{}
+	for _, c := range e.idle {
+		c.stop()
 	}
-	e.stopWorkers()
+	e.idle = nil
+	e.events = eventQueue{}
 }
 
 // BlockedProcs returns the names of all currently blocked non-daemon
@@ -841,30 +705,20 @@ func (e *Engine) BlockedProcs() []string {
 	return e.blockedNonDaemons()
 }
 
-// Executed returns how many events the engine has run, on the global lane
-// and every shard lane. The count is the same at every shard count; in
-// sharded mode it is exact at serial instants and after Run returns.
+// Executed returns how many events the engine has run.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// PendingEvents returns the number of scheduled events not yet executed,
-// across the global lane and every shard.
-func (e *Engine) PendingEvents() int {
-	n := e.events.Len()
-	for _, ln := range e.lanes {
-		n += ln.queue.Len()
-	}
-	return n
-}
+// PendingEvents returns the number of scheduled events not yet executed.
+func (e *Engine) PendingEvents() int { return e.events.Len() }
 
-// Halt requests that the run loop stop before executing its next event (or,
-// sharded, before dispatching the next window) and return err from
-// Run/RunUntil. It is how the Watchdog aborts a wedged simulation: the
+// Halt requests that the run loop stop before executing its next event and
+// return err from Run/RunUntil. It is how the Watchdog aborts a wedged simulation: the
 // engine state stays consistent, so Shutdown still works. Calling it outside
 // a run (or with nil) is harmless.
 func (e *Engine) Halt(err error) { e.halt = err }
 
 // liveNonDaemons counts non-daemon processes that have not finished.
-func (e *Engine) liveNonDaemons() int { return int(e.live.Load()) }
+func (e *Engine) liveNonDaemons() int { return e.live }
 
 // BlockedDaemons returns the blocking points of all parked daemon processes,
 // for diagnosing deadlocks that thread through server loops (e.g. CHTs

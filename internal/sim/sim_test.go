@@ -448,55 +448,88 @@ func walkLive(e *Engine) int {
 
 // TestLiveCountMatchesWalk checks the live non-daemon count against a walk
 // of the process table after spawns, exits, a deadlocked drain (whose
-// report text must not change) and Shutdown, serial and sharded.
+// report text must not change) and Shutdown.
 func TestLiveCountMatchesWalk(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := New()
-			e.ConfigureShards(shards, 4, func(o int) int { return o % shards }, 1)
-			check := func(when string) {
-				t.Helper()
-				if got, want := e.liveNonDaemons(), walkLive(e); got != want {
-					t.Fatalf("%s: live count %d, walk %d", when, got, want)
-				}
-			}
-			q := NewQueue[int](e, "q")
-			e.SpawnDaemonOn(0, "server", func(p *Proc) {
-				for {
-					q.Get(p)
+	e := New()
+	check := func(when string) {
+		t.Helper()
+		if got, want := e.liveNonDaemons(), walkLive(e); got != want {
+			t.Fatalf("%s: live count %d, walk %d", when, got, want)
+		}
+	}
+	q := NewQueue[int](e, "q")
+	e.SpawnDaemonOn(0, "server", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	for i := 0; i < 4; i++ {
+		e.SpawnOn(i, fmt.Sprintf("done%d", i), func(p *Proc) { p.Sleep(Time(i + 1)) })
+	}
+	e.SpawnOn(1, "stuck", func(p *Proc) {
+		p.Sleep(10)
+		NewEvent(e, "never").Wait(p)
+	})
+	e.SpawnOn(2, "unstarted", func(p *Proc) {})
+	check("after spawn")
+	if got := e.liveNonDaemons(); got != 6 {
+		t.Fatalf("live count %d after spawning 6 non-daemons", got)
+	}
+	if err := e.RunUntil(5); err == nil {
+		t.Fatal("RunUntil(5) = nil, want a time limit")
+	}
+	check("mid-run")
+	err := e.Run()
+	check("after drain")
+	want := "sim: deadlock at t=10ns, 1 blocked process(es): stuck: event never"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+	if got := e.liveNonDaemons(); got != 1 {
+		t.Fatalf("live count %d, want the one stuck process", got)
+	}
+	e.Shutdown()
+	check("after Shutdown")
+	if got := e.liveNonDaemons(); got != 0 {
+		t.Fatalf("live count %d after Shutdown", got)
+	}
+}
+
+// TestSerialInstantRunsGlobalEventsAlone checks that global events may
+// mutate cross-owner state: the classic barrier-counter pattern, with every
+// arrival one global delay after its process's call.
+func TestSerialInstantRunsGlobalEventsAlone(t *testing.T) {
+	eng := New()
+	const owners = 4
+	eng.ConfigureOwners(owners, 50)
+	counter := 0
+	var arrived []Time
+	releases := make([]*Event, owners)
+	for o := 0; o < owners; o++ {
+		releases[o] = NewEvent(eng, fmt.Sprintf("rel%d", o))
+	}
+	for o := 0; o < owners; o++ {
+		o := o
+		eng.SpawnOn(o, fmt.Sprintf("p%d", o), func(p *Proc) {
+			p.Sleep(Time(5 * (o + 1)))
+			eng.AtGlobal(func() {
+				counter++
+				arrived = append(arrived, eng.Now())
+				if counter == owners {
+					for _, ev := range releases {
+						ev.Fire()
+					}
 				}
 			})
-			for i := 0; i < 4; i++ {
-				e.SpawnOn(i, fmt.Sprintf("done%d", i), func(p *Proc) { p.Sleep(Time(i + 1)) })
-			}
-			e.SpawnOn(1, "stuck", func(p *Proc) {
-				p.Sleep(10)
-				NewEvent(e, "never").Wait(p)
-			})
-			e.SpawnOn(2, "unstarted", func(p *Proc) {})
-			check("after spawn")
-			if got := e.liveNonDaemons(); got != 6 {
-				t.Fatalf("live count %d after spawning 6 non-daemons", got)
-			}
-			if err := e.RunUntil(5); err == nil {
-				t.Fatal("RunUntil(5) = nil, want a time limit")
-			}
-			check("mid-run")
-			err := e.Run()
-			check("after drain")
-			want := "sim: deadlock at t=10ns, 1 blocked process(es): stuck: event never"
-			if err == nil || err.Error() != want {
-				t.Fatalf("Run = %v, want %q", err, want)
-			}
-			if got := e.liveNonDaemons(); got != 1 {
-				t.Fatalf("live count %d, want the one stuck process", got)
-			}
-			e.Shutdown()
-			check("after Shutdown")
-			if got := e.liveNonDaemons(); got != 0 {
-				t.Fatalf("live count %d after Shutdown", got)
-			}
+			releases[o].Wait(p)
 		})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Shutdown()
+	if want := []Time{55, 60, 65, 70}; !reflect.DeepEqual(arrived, want) {
+		t.Fatalf("global events ran at %v, want %v", arrived, want)
 	}
 }
 
@@ -553,61 +586,57 @@ func TestRunUntilCompletesEarly(t *testing.T) {
 // A horizon earlier than the clock leaves the clock where it is: moving it
 // back would let the caller schedule below the queue's last pop.
 func TestRunUntilNeverMovesClockBack(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		e := New()
-		e.ConfigureShards(shards, 2, func(o int) int { return o % shards }, 10)
-		var ran []Time
-		note := func() { ran = append(ran, e.NowOn(1)) }
-		e.At(150, note)
-		e.AtOn(1, 1000, note)
-		for _, limit := range []Time{200, 100} {
-			var tl *TimeLimitError
-			if err := e.RunUntil(limit); !errors.As(err, &tl) {
-				t.Fatalf("shards=%d: RunUntil(%v) = %v, want TimeLimitError", shards, limit, err)
-			}
-			if e.Now() != 200 {
-				t.Fatalf("shards=%d: after RunUntil(%v) Now = %v, want 200", shards, limit, e.Now())
-			}
+	e := New()
+	var ran []Time
+	note := func() { ran = append(ran, e.Now()) }
+	e.At(150, note)
+	e.AtOn(1, 1000, note)
+	for _, limit := range []Time{200, 100} {
+		var tl *TimeLimitError
+		if err := e.RunUntil(limit); !errors.As(err, &tl) {
+			t.Fatalf("RunUntil(%v) = %v, want TimeLimitError", limit, err)
 		}
-		e.At(e.Now()+10, note)
-		mustRun(t, e)
-		if want := []Time{150, 210, 1000}; !reflect.DeepEqual(ran, want) {
-			t.Errorf("shards=%d: events ran at %v, want %v", shards, ran, want)
+		if e.Now() != 200 {
+			t.Fatalf("after RunUntil(%v) Now = %v, want 200", limit, e.Now())
 		}
-		e.Shutdown()
 	}
+	e.At(e.Now()+10, note)
+	mustRun(t, e)
+	if want := []Time{150, 210, 1000}; !reflect.DeepEqual(ran, want) {
+		t.Errorf("events ran at %v, want %v", ran, want)
+	}
+	e.Shutdown()
 }
 
-// Every RunUntil return leaves the coordinator context global, so an event
-// the caller schedules between horizons has the same origin and owner in
-// serial and sharded runs.
+// Every RunUntil return leaves the scheduling context global, so an event
+// the caller schedules between horizons has the origin and owner it would
+// have had if scheduled before the run began.
 func TestRunUntilResetsSchedulingOwner(t *testing.T) {
-	run := func(shards int) (sections [][]byte, owner int) {
+	run := func(cut bool) (section []byte, owner int) {
 		e := New()
-		e.ConfigureShards(shards, 2, func(o int) int { return o % shards }, 10)
 		e.AtOn(1, 100, func() {})
 		e.AtOn(0, 300, func() {})
-		var tl *TimeLimitError
-		if err := e.RunUntil(200); !errors.As(err, &tl) {
-			t.Fatalf("shards=%d: RunUntil(200) = %v, want TimeLimitError", shards, err)
-		}
 		owner = GlobalOwner - 1 // no owner: the event has not run
-		e.At(250, func() { owner = e.ctxOwner })
-		sections = append(sections, e.CheckpointSection())
+		late := func() { owner = e.ctxOwner }
+		if cut {
+			var tl *TimeLimitError
+			if err := e.RunUntil(200); !errors.As(err, &tl) {
+				t.Fatalf("RunUntil(200) = %v, want TimeLimitError", err)
+			}
+		}
+		e.At(250, late)
 		mustRun(t, e)
 		e.Shutdown()
-		return append(sections, e.CheckpointSection()), owner
+		return e.CheckpointSection(), owner
 	}
-	serial, serialOwner := run(1)
-	sharded, shardedOwner := run(2)
-	if serialOwner != GlobalOwner || shardedOwner != GlobalOwner {
-		t.Errorf("event scheduled between horizons ran as owner %d serially, %d sharded; want %d",
-			serialOwner, shardedOwner, GlobalOwner)
+	whole, wholeOwner := run(false)
+	cut, cutOwner := run(true)
+	if wholeOwner != GlobalOwner || cutOwner != GlobalOwner {
+		t.Errorf("event ran as owner %d scheduled before the run, %d between horizons; want %d",
+			wholeOwner, cutOwner, GlobalOwner)
 	}
-	for i := range serial {
-		if !bytes.Equal(serial[i], sharded[i]) {
-			t.Errorf("section %d: serial and 2-shard runs differ", i)
-		}
+	if !bytes.Equal(whole, cut) {
+		t.Error("a run cut at a horizon ends in a different kernel state than one Run")
 	}
 }
 
@@ -739,42 +768,35 @@ func TestPropertySleepExactness(t *testing.T) {
 }
 
 func TestShutdownReleasesParkedProcs(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		before := runtime.NumGoroutine()
-		e := New()
-		e.ConfigureShards(shards, 4, func(o int) int { return o * shards / 4 }, 10)
-		deferRan, lateRan := 0, 0
-		for i := 0; i < 20; i++ {
-			q := NewQueue[int](e, "never")
-			e.SpawnDaemonOn(i%4, fmt.Sprintf("d%d", i), func(p *Proc) {
-				defer func() { deferRan++ }() // runs in Shutdown, on the test's goroutine
-				q.Get(p)
-			})
-			// Step daemons and processes that never start own no goroutine.
-			e.SpawnStepOn(i%4, "s", i, func(p *Proc) { q.Poll(p) })
-			e.GoAtOn(i%4, 1000, fmt.Sprintf("late%d", i), func(p *Proc) { lateRan++ })
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("shards=%d: spawning created %d goroutines", shards, n-before)
-		}
-		if _, ok := e.RunUntil(500).(*TimeLimitError); !ok {
-			t.Fatalf("shards=%d: expected the late starts to outlive the horizon", shards)
-		}
-		// One carrier per parked body, plus the shard workers.
-		held := 20
-		if shards > 1 {
-			held += shards
-		}
-		if n := runtime.NumGoroutine(); n > before+held {
-			t.Errorf("shards=%d: engine holds %d goroutines, want at most %d", shards, n-before, held)
-		}
-		e.Shutdown()
-		if deferRan != 20 || lateRan != 0 {
-			t.Errorf("shards=%d: %d deferred cleanups ran (want 20), %d never-started bodies ran (want 0)", shards, deferRan, lateRan)
-		}
-		if got := waitGoroutines(before); got > before {
-			t.Errorf("shards=%d: goroutines leaked: %d before, %d after shutdown", shards, before, got)
-		}
+	before := runtime.NumGoroutine()
+	e := New()
+	deferRan, lateRan := 0, 0
+	for i := 0; i < 20; i++ {
+		q := NewQueue[int](e, "never")
+		e.SpawnDaemonOn(i%4, fmt.Sprintf("d%d", i), func(p *Proc) {
+			defer func() { deferRan++ }() // runs in Shutdown, on the test's goroutine
+			q.Get(p)
+		})
+		// Step daemons and processes that never start own no goroutine.
+		e.SpawnStepOn(i%4, "s", i, func(p *Proc) { q.Poll(p) })
+		e.GoAtOn(i%4, 1000, fmt.Sprintf("late%d", i), func(p *Proc) { lateRan++ })
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("spawning created %d goroutines", n-before)
+	}
+	if _, ok := e.RunUntil(500).(*TimeLimitError); !ok {
+		t.Fatal("expected the late starts to outlive the horizon")
+	}
+	// One carrier per parked body.
+	if n := runtime.NumGoroutine(); n > before+20 {
+		t.Errorf("engine holds %d goroutines, want at most 20", n-before)
+	}
+	e.Shutdown()
+	if deferRan != 20 || lateRan != 0 {
+		t.Errorf("%d deferred cleanups ran (want 20), %d never-started bodies ran (want 0)", deferRan, lateRan)
+	}
+	if got := waitGoroutines(before); got > before {
+		t.Errorf("goroutines leaked: %d before, %d after shutdown", before, got)
 	}
 }
 

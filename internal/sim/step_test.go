@@ -58,23 +58,19 @@ func (s *stepServer) step(p *Proc) {
 // runStepServers drives four servers in a ring (each passes a served job to
 // the next owner until it has made `hops` hops), fed by one client per owner,
 // with a maintenance window that closes at t=300. It returns the scheduling
-// trace (serial only: the tracer needs a serial engine), the sim sections
-// read at horizons every 64 time units plus the final one, and the order
-// jobs were served in.
-func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecord, sections [][]byte, served []string) {
+// trace, the sim sections read at horizons every 64 time units plus the
+// final one, and the order jobs were served in.
+func runStepServers(t *testing.T, stepForm bool) (trace []TraceRecord, sections [][]byte, served []string) {
 	t.Helper()
 	const (
-		owners    = 4
-		lookahead = Time(50)
-		hops      = 3
+		owners = 4
+		delay  = Time(50)
+		hops   = 3
 	)
 	e := New()
-	e.ConfigureShards(shards, owners, func(o int) int { return o * shards / owners }, lookahead)
-	if shards == 1 {
-		e.SetTracer(TracerFunc(func(r TraceRecord) { trace = append(trace, r) }))
-	}
+	e.SetTracer(TracerFunc(func(r TraceRecord) { trace = append(trace, r) }))
 
-	logs := make([][]string, owners) // per owner: shard workers never share one
+	logs := make([][]string, owners)
 	servers := make([]*stepServer, owners)
 	for o := range servers {
 		servers[o] = &stepServer{owner: o, q: NewQueue[int](e, fmt.Sprintf("jobs%d", o)), open: NewEvent(e, "maintenance")}
@@ -82,10 +78,10 @@ func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecor
 	for _, s := range servers {
 		s := s
 		s.done = func(x int) {
-			logs[s.owner] = append(logs[s.owner], fmt.Sprintf("%d@%v", x, e.NowOn(s.owner)))
+			logs[s.owner] = append(logs[s.owner], fmt.Sprintf("%d@%v", x, e.Now()))
 			if x/1000 < hops {
 				next := servers[(s.owner+1)%owners]
-				e.AtFrom(s.owner, next.owner, e.NowOn(s.owner)+lookahead, func() { next.q.Put(x + 1000) })
+				e.AtOn(next.owner, e.Now()+delay, func() { next.q.Put(x + 1000) })
 			}
 		}
 		if stepForm {
@@ -114,28 +110,23 @@ func runStepServers(t *testing.T, shards int, stepForm bool) (trace []TraceRecor
 }
 
 func TestStepProcessIndistinguishableFromBody(t *testing.T) {
-	wantTrace, wantSections, wantServed := runStepServers(t, 1, false)
+	wantTrace, wantSections, wantServed := runStepServers(t, false)
 	if len(wantServed) != 4*6*4 || len(wantSections) < 5 {
 		t.Fatalf("workload too small to prove anything: %d jobs served, %d sections", len(wantServed), len(wantSections))
 	}
-	for _, c := range []struct {
-		shards   int
-		stepForm bool
-	}{{1, true}, {2, false}, {2, true}} {
-		trace, sections, served := runStepServers(t, c.shards, c.stepForm)
-		if c.shards == 1 && !reflect.DeepEqual(trace, wantTrace) {
-			t.Errorf("step form: trace differs from the body form's (%d vs %d records)", len(trace), len(wantTrace))
-		}
-		if !reflect.DeepEqual(served, wantServed) {
-			t.Errorf("shards=%d step=%v: service order differs\n got %v\nwant %v", c.shards, c.stepForm, served, wantServed)
-		}
-		if len(sections) != len(wantSections) {
-			t.Fatalf("shards=%d step=%v: %d sections, want %d", c.shards, c.stepForm, len(sections), len(wantSections))
-		}
-		for i := range sections {
-			if !bytes.Equal(sections[i], wantSections[i]) {
-				t.Errorf("shards=%d step=%v: checkpoint section %d differs from the serial body form's", c.shards, c.stepForm, i)
-			}
+	trace, sections, served := runStepServers(t, true)
+	if !reflect.DeepEqual(trace, wantTrace) {
+		t.Errorf("step form: trace differs from the body form's (%d vs %d records)", len(trace), len(wantTrace))
+	}
+	if !reflect.DeepEqual(served, wantServed) {
+		t.Errorf("step form: service order differs\n got %v\nwant %v", served, wantServed)
+	}
+	if len(sections) != len(wantSections) {
+		t.Fatalf("step form: %d sections, want %d", len(sections), len(wantSections))
+	}
+	for i := range sections {
+		if !bytes.Equal(sections[i], wantSections[i]) {
+			t.Errorf("step form: checkpoint section %d differs from the body form's", i)
 		}
 	}
 }
@@ -202,37 +193,34 @@ func TestRunToExitProcsShareOneCarrier(t *testing.T) {
 // A panic in a process body comes out of Run on the caller's goroutine, and
 // the engine can still be shut down cleanly afterwards.
 func TestBodyPanicSurfacesFromRun(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		before := runtime.NumGoroutine()
-		e := New()
-		e.ConfigureShards(shards, 2, func(o int) int { return o * shards / 2 }, 10)
-		unwound := 0
-		for o := 0; o < 2; o++ {
-			q := NewQueue[int](e, "never")
-			e.SpawnOn(o, "waiter", func(p *Proc) {
-				defer func() { unwound++ }() // runs in Shutdown, on the test's goroutine
-				q.Get(p)
-			})
-		}
-		e.SpawnOn(1, "faulty", func(p *Proc) {
-			p.Sleep(5)
-			panic("rank bug")
+	before := runtime.NumGoroutine()
+	e := New()
+	unwound := 0
+	for o := 0; o < 2; o++ {
+		q := NewQueue[int](e, "never")
+		e.SpawnOn(o, "waiter", func(p *Proc) {
+			defer func() { unwound++ }() // runs in Shutdown, on the test's goroutine
+			q.Get(p)
 		})
-		func() {
-			defer func() {
-				if r := recover(); r != "rank bug" {
-					t.Errorf("shards=%d: Run panicked with %v, want the body's panic", shards, r)
-				}
-			}()
-			err := e.Run()
-			t.Errorf("shards=%d: Run returned %v instead of panicking", shards, err)
+	}
+	e.SpawnOn(1, "faulty", func(p *Proc) {
+		p.Sleep(5)
+		panic("rank bug")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "rank bug" {
+				t.Errorf("Run panicked with %v, want the body's panic", r)
+			}
 		}()
-		e.Shutdown()
-		if unwound != 2 {
-			t.Errorf("shards=%d: %d parked bodies unwound by Shutdown, want 2", shards, unwound)
-		}
-		if got := waitGoroutines(before); got > before {
-			t.Errorf("shards=%d: goroutines leaked: %d before, %d after shutdown", shards, before, got)
-		}
+		err := e.Run()
+		t.Errorf("Run returned %v instead of panicking", err)
+	}()
+	e.Shutdown()
+	if unwound != 2 {
+		t.Errorf("%d parked bodies unwound by Shutdown, want 2", unwound)
+	}
+	if got := waitGoroutines(before); got > before {
+		t.Errorf("goroutines leaked: %d before, %d after shutdown", before, got)
 	}
 }

@@ -51,7 +51,7 @@ func TestAppExperimentsMatchAppPoint(t *testing.T) {
 		for _, kind := range tc.kinds {
 			s := &stats.Series{Label: kind.String()}
 			for _, procs := range tc.procs {
-				secs, err := figures.AppPoint(core.Spec{Kind: kind}, procs, tc.ppn, 1, tc.app, nil, nil, 0)
+				secs, err := figures.AppPoint(core.Spec{Kind: kind}, procs, tc.ppn, tc.app, nil, nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

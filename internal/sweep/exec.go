@@ -54,12 +54,6 @@ type ExecOptions struct {
 	// TraceSched additionally records every simulated process's scheduler
 	// run-slices into Trace (verbose). Only contention points honor it.
 	TraceSched bool
-	// Shards is the simulation kernel's conservative-parallel shard count
-	// for every executed point (<= 1 serial). Results are bit-identical for
-	// every value — the sharded-kernel determinism contract
-	// (docs/PARALLELISM.md) — which is why cached results stay valid across
-	// shard counts.
-	Shards int
 }
 
 // Execute runs one point to completion and returns its result. It is a pure
@@ -120,7 +114,6 @@ func runContention(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry,
 		Window:         p.Window,
 		Aggregation:    p.Agg == "on",
 		Heal:           p.Heal == "on",
-		Shards:         opts.Shards,
 		Metrics:        reg,
 		Trace:          opts.Trace,
 		TracePID:       p.Index,
@@ -156,7 +149,7 @@ func runMemscale(p Point, spec core.Spec, _ ExecOptions, _ *obs.Registry, res *R
 // 0's execution time in seconds for the proxy app builds.
 func runApp(app func(Point) figures.App) func(Point, core.Spec, ExecOptions, *obs.Registry, *Result) (string, error) {
 	return func(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res *Result) (string, error) {
-		v, err := figures.AppPoint(spec, p.Procs, p.PPN, opts.Shards, app(p), reg, opts.Trace, p.Index)
+		v, err := figures.AppPoint(spec, p.Procs, p.PPN, app(p), reg, opts.Trace, p.Index)
 		if err != nil {
 			return "", err
 		}
@@ -191,7 +184,6 @@ func runChaos(p Point, spec core.Spec, opts ExecOptions, reg *obs.Registry, res 
 		Crashes:    p.Crashes,
 		Seed:       p.EffectiveSeed(),
 		Heal:       p.Heal == "on",
-		Shards:     opts.Shards,
 		Metrics:    reg,
 		Trace:      opts.Trace,
 		TracePID:   p.Index,

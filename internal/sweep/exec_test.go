@@ -23,20 +23,6 @@ func metricValue(t *testing.T, res sweep.Result, name string) string {
 	return ""
 }
 
-// A chaos point runs on the kernel shard count the sweep was given, as
-// contention points do.
-func TestExecuteChaosHonorsShards(t *testing.T) {
-	p := sweep.Point{Experiment: sweep.ExpChaos, Topo: "MFCG", Nodes: 16, PPN: 1,
-		Iters: 4, Crashes: 1, Heal: "on", Metrics: true}
-	res := sweep.Execute(p, sweep.ExecOptions{Shards: 2})
-	if res.Err != "" {
-		t.Fatal(res.Err)
-	}
-	if got := metricValue(t, res, "sim_shards"); got != "2" {
-		t.Fatalf("sim_shards = %s, want 2", got)
-	}
-}
-
 // Scheduler-slice tracing rides the ordinary executor: a traced point with
 // TraceSched still returns its metrics snapshot, and the trace holds the
 // scheduler run-slices next to the CHT spans.

@@ -82,9 +82,8 @@ type Runner struct {
 	// Progress, when non-nil, is called after every completed point with
 	// the running tally and an ETA extrapolated from throughput so far.
 	Progress func(done, total int, st Stats, eta time.Duration)
-	// ExecOptions is forwarded to the executor for every point. Shards
-	// multiplies with Workers: Workers points run concurrently, each on
-	// Shards lanes. Trace is not goroutine-safe, so a non-nil Trace forces a
+	// ExecOptions is forwarded to the executor for every point. Trace is
+	// not goroutine-safe, so a non-nil Trace forces a
 	// serial pool and, because a cache hit would silently drop the run's
 	// spans, bypasses the cache. Results and cache keys are unaffected.
 	ExecOptions

@@ -39,21 +39,35 @@ func mustExpand(t *testing.T, g Grid) []Point {
 // TestMergedOutputIndependentOfWorkers is the determinism-under-parallelism
 // contract: a serial pool and an 8-wide pool must render byte-identical
 // merged tables (and identical raw results), because every point is an
-// independent deterministic simulation returned in expansion order.
+// independent deterministic simulation returned in expansion order. The
+// chaos grid covers the armed path — crash-stops, timeouts, retries and
+// healing — down to every point's metrics snapshot.
 func TestMergedOutputIndependentOfWorkers(t *testing.T) {
-	points := mustExpand(t, tinyGrid())
-	serial, sst := (&Runner{Workers: 1}).Run(points)
-	wide, wst := (&Runner{Workers: 8}).Run(points)
-	if sst.Executed != len(points) || wst.Executed != len(points) {
-		t.Fatalf("executed %d/%d of %d", sst.Executed, wst.Executed, len(points))
-	}
-	a, b := Fingerprint(Tables(serial)), Fingerprint(Tables(wide))
-	if a != b {
-		t.Fatalf("merged tables differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", a, b)
-	}
-	for i := range serial {
-		if fmt.Sprint(serial[i].X, serial[i].Y) != fmt.Sprint(wide[i].X, wide[i].Y) {
-			t.Fatalf("point %d raw results differ across worker counts", i)
+	chaos := Grid{Experiment: ExpChaos, Topos: []string{"MFCG", "CFCG"}, Nodes: []int{16},
+		PPN: 2, Iters: 4, Crashes: []int{1}, Heals: []string{"on"}, Seeds: []int64{1, 2}, Metrics: true}
+	for _, g := range []struct {
+		name string
+		grid Grid
+	}{{"contention", tinyGrid()}, {"chaos", chaos}} {
+		points := mustExpand(t, g.grid)
+		serial, sst := (&Runner{Workers: 1}).Run(points)
+		wide, wst := (&Runner{Workers: 8}).Run(points)
+		if sst.Executed != len(points) || wst.Executed != len(points) || sst.Failures+wst.Failures != 0 {
+			t.Fatalf("%s: executed %d/%d of %d, %d/%d failed", g.name, sst.Executed, wst.Executed, len(points),
+				sst.Failures, wst.Failures)
+		}
+		a, b := Fingerprint(Tables(serial)), Fingerprint(Tables(wide))
+		if a != b {
+			t.Fatalf("%s: merged tables differ between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", g.name, a, b)
+		}
+		for i := range serial {
+			if g.grid.Metrics && serial[i].Snapshot == nil {
+				t.Fatalf("%s: point %d has no metrics snapshot", g.name, i)
+			}
+			if fmt.Sprint(serial[i].X, serial[i].Y, serial[i].Value, serial[i].Snapshot) !=
+				fmt.Sprint(wide[i].X, wide[i].Y, wide[i].Value, wide[i].Snapshot) {
+				t.Fatalf("%s: point %d raw results differ across worker counts", g.name, i)
+			}
 		}
 	}
 }
