@@ -2,6 +2,7 @@ package armci
 
 import (
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -41,6 +42,13 @@ func TestCreditWaitSteadyStateAllocatesNothing(t *testing.T) {
 			return
 		}
 		r.Barrier()
+		// Quiesce the runtime first: the counters are process-wide, and a
+		// collection still in flight or a background scavenger with pages
+		// left to release (its sleep timer grows a P's timer heap) mallocs
+		// on its own. FreeOSMemory finishes a full cycle and releases every
+		// free page, and a window that allocates nothing starts neither
+		// again.
+		debug.FreeOSMemory()
 		runtime.ReadMemStats(&before)
 		for finished < workers {
 			r.Sleep(sim.Microsecond)
