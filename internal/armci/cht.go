@@ -156,10 +156,13 @@ func (ns *nodeState) serve(req *request) {
 // deliver applies one request (or batch sub-operation) at its target node,
 // deduplicating retransmissions by request id first.
 func (ns *nodeState) deliver(req *request) {
-	if ns.rids != nil && req.rid != 0 {
+	if req.rid != 0 {
 		if rec, ok := ns.rids[req.rid]; ok {
 			ns.handleDup(req, rec)
 			return
+		}
+		if ns.rids == nil {
+			ns.rids = map[uint64]dupState{}
 		}
 		ns.rids[req.rid] = dupState{}
 	}
@@ -210,7 +213,7 @@ func (ns *nodeState) failSubs(req *request, err error) {
 			rt.eng.AfterOn(ns.id, rt.cfg.LocalLatency, deliver)
 		} else {
 			rt.net.SendArg(ns.id, origin, respBytes, func(any, bool) {
-				rt.nodes[origin].heard(ns.id)
+				rt.node(origin).heard(ns.id)
 				deliver()
 			}, nil)
 		}
@@ -362,7 +365,7 @@ func (ns *nodeState) handle(req *request) {
 // allocated per response.
 func (ns *nodeState) respond(req *request, old int64) {
 	rt := ns.rt
-	if ns.rids != nil && req.rid != 0 {
+	if req.rid != 0 {
 		if rec, ok := ns.rids[req.rid]; ok {
 			// Remember that (and what) we answered, so a retransmit whose
 			// original response was lost can be re-answered without

@@ -31,8 +31,8 @@ func (ns *nodeState) chtLoopRef(p *sim.Proc) {
 // startRef is Runtime.Start with chtLoopRef daemons in place of the step
 // CHTs (same spawn order, so process ids and names match).
 func (rt *Runtime) startRef(body func(r *Rank)) {
-	for i := range rt.nodes {
-		ns := &rt.nodes[i]
+	for i := range rt.cfg.Nodes {
+		ns := rt.node(i)
 		rt.eng.SpawnDaemonOn(ns.id, fmt.Sprintf("cht%d", ns.id), ns.chtLoopRef)
 	}
 	rt.liveRanks = len(rt.ranks)
@@ -45,8 +45,8 @@ func (rt *Runtime) startRef(body func(r *Rank)) {
 		})
 	}
 	if rt.healArmed {
-		for i := range rt.nodes {
-			ns := &rt.nodes[i]
+		for i := range rt.cfg.Nodes {
+			ns := rt.node(i)
 			rt.eng.AfterOn(ns.id, heartbeatInterval, ns.monitorTick)
 		}
 	}
@@ -78,9 +78,9 @@ func runCHTScenario(t *testing.T, ref bool) chtScenario {
 	var out chtScenario
 	eng.SetTracer(sim.TracerFunc(func(r sim.TraceRecord) { out.trace = append(out.trace, r) }))
 	rt.Alloc("counter", 64)
-	eng.At(100*sim.Microsecond, func() { rt.nodes[2].inbox.Put(&request{}) })
+	eng.At(100*sim.Microsecond, func() { rt.node(2).inbox.Put(&request{}) })
 	eng.At(300*sim.Microsecond, func() {
-		ns := &rt.nodes[7]
+		ns := rt.node(7)
 		ns.inbox.Put(&request{})
 		ns.crashStop()
 	})
@@ -154,7 +154,7 @@ func TestStepCHTMatchesBlockingLoop(t *testing.T) {
 func TestStepCHTStateAtEachWait(t *testing.T) {
 	eng, rt := faultedRuntime(t, core.FCG, 2, 1, "cht:1@t=10us@for=100us", nil)
 	rt.Alloc("counter", 8)
-	ns := &rt.nodes[1]
+	ns := rt.node(1)
 	var stalled *request
 	var stalledSvc sim.Time
 	eng.At(50*sim.Microsecond, func() { stalled, stalledSvc = ns.cur, ns.curSvc })

@@ -73,14 +73,12 @@ func (rt *Runtime) checkpointSection() []byte {
 
 	enc.Str("nodes")
 	h = ckpt.MixInit
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
-		if nodeStateVirgin(ns) {
-			continue
+	rt.eachNode(func(ns *nodeState) {
+		if !nodeStateVirgin(ns) {
+			h = ckpt.Mix(h, uint64(ns.id))
+			h = rt.mixNodeState(h, ns)
 		}
-		h = ckpt.Mix(h, uint64(n))
-		h = rt.mixNodeState(h, ns)
-	}
+	})
 	enc.U64(h)
 
 	enc.Str("misc")

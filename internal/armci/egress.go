@@ -164,7 +164,7 @@ func (eg *egress) submitRank(p *sim.Proc, req *request) {
 		return
 	}
 	eg.rt.st(eg.from).CreditWaits++
-	ns := &eg.rt.nodes[eg.from]
+	ns := eg.rt.node(eg.from)
 	ps := ns.getPS()
 	ps.req = req
 	ps.hasGate = true
@@ -192,7 +192,7 @@ func (eg *egress) submitForward(req *request, owner *nodeState, up *egress) {
 		return
 	}
 	eg.rt.st(eg.from).CreditWaits++
-	ps := eg.rt.nodes[eg.from].getPS()
+	ps := eg.rt.node(eg.from).getPS()
 	ps.req = req
 	ps.fwdOwner = owner
 	ps.fwdUp = up
@@ -211,7 +211,7 @@ func (eg *egress) submitParked(ps *pendingSend) {
 		if o := eg.rt.obs; o != nil {
 			o.creditWait.Observe(0)
 		}
-		eg.rt.nodes[eg.from].completeParked(ps)
+		eg.rt.node(eg.from).completeParked(ps)
 		return
 	}
 	eg.rt.st(eg.from).CreditWaits++
@@ -284,7 +284,7 @@ func (eg *egress) drain() {
 		}
 		eg.transmit(req)
 		now := eg.rt.eng.Now()
-		owner := &eg.rt.nodes[eg.from]
+		owner := eg.rt.node(eg.from)
 		for _, g := range group {
 			waited := now - g.enq
 			eg.rt.st(eg.from).CreditWaited += waited

@@ -83,7 +83,7 @@ func TestEgressQueuesWhenExhaustedAndDrainsFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	for want := 0; want < 5; want++ {
-		req, ok := rt.nodes[1].inbox.TryGet()
+		req, ok := rt.node(1).inbox.TryGet()
 		if !ok || req.off != want {
 			t.Fatalf("delivery %d: got %+v ok=%v", want, req, ok)
 		}
@@ -183,8 +183,8 @@ func TestEgressesFollowUse(t *testing.T) {
 	}
 	lists := func(rt *Runtime) []int {
 		var out []int
-		for n := range rt.nodes {
-			if rt.nodes[n].nbrs != nil {
+		for n := range rt.cfg.Nodes {
+			if rt.node(n).nbrs != nil {
 				out = append(out, n)
 			}
 		}
@@ -192,8 +192,8 @@ func TestEgressesFollowUse(t *testing.T) {
 	}
 	built := func(rt *Runtime) [][2]int {
 		var out [][2]int
-		for n := range rt.nodes {
-			for _, eg := range rt.nodes[n].eg {
+		for n := range rt.cfg.Nodes {
+			for _, eg := range rt.node(n).eg {
 				if eg != nil {
 					out = append(out, [2]int{eg.from, eg.to})
 				}
@@ -228,8 +228,8 @@ func TestEgressesFollowUse(t *testing.T) {
 	if got := built(rt); !slices.Equal(got, want) {
 		t.Errorf("one fetch-add along %v built egresses %v, want one per hop %v", route, got, want)
 	}
-	for n := range rt.nodes {
-		for _, eg := range rt.nodes[n].eg {
+	for n := range rt.cfg.Nodes {
+		for _, eg := range rt.node(n).eg {
 			if eg != nil && (eg.transmits != 1 || eg.credits != rt.poolCap) {
 				t.Errorf("egress %d->%d: %d transmits, credits %d/%d; want 1 transmit and its credit acked back",
 					eg.from, eg.to, eg.transmits, eg.credits, rt.poolCap)
@@ -254,7 +254,7 @@ func TestEdgeArenaMatchesTotalEdges(t *testing.T) {
 			cfg.Topology = topo
 			rt := MustNew(sim.New(), cfg)
 			for v := 0; v < n; v += 2 { // build every other node
-				rt.nodes[v].neighbors()
+				rt.node(v).neighbors()
 			}
 			next := 0
 			total := rt.nodeEdges(func(ns *nodeState, base, deg int) {
@@ -300,8 +300,8 @@ func TestUnbuiltEdgesDigestAsFresh(t *testing.T) {
 		t.Fatal("the run drained before its horizon")
 	}
 	built := 0
-	for n := range rt.nodes {
-		if rt.nodes[n].nbrs != nil {
+	for n := range rt.cfg.Nodes {
+		if rt.node(n).nbrs != nil {
 			built++
 		}
 	}
@@ -309,8 +309,8 @@ func TestUnbuiltEdgesDigestAsFresh(t *testing.T) {
 		t.Fatalf("%d of %d nodes built at the horizon; want some but not all", built, nodes)
 	}
 	before := rt.checkpointSection()
-	for n := range rt.nodes {
-		rt.nodes[n].neighbors()
+	for n := range rt.cfg.Nodes {
+		rt.node(n).neighbors()
 	}
 	if after := rt.checkpointSection(); !bytes.Equal(before, after) {
 		t.Errorf("building the %d unbuilt nodes' edge state changed the armci section", nodes-built)

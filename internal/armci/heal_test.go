@@ -42,7 +42,7 @@ func TestMembershipDetectsCrashWithinBound(t *testing.T) {
 		t.Errorf("confirms = %d, want one per line = %d", s.Confirms, want)
 	}
 	for _, u := range rt.Topology().Neighbors(victim) {
-		if !rt.nodes[u].isDead(victim) {
+		if !rt.node(u).isDead(victim) {
 			t.Errorf("neighbor %d was never informed of the crash", u)
 		}
 	}

@@ -133,16 +133,6 @@ func (ln *ringLine) pred(mv *memberView) int32 {
 	return -1
 }
 
-// newMemberViews gives every node a membership view over its neighbors, all
-// from one slab of views. A view's per-neighbor slices come with the node's
-// edge state, so New walks no neighbors here either.
-func (rt *Runtime) newMemberViews() {
-	views := make([]memberView, len(rt.nodes))
-	for n := range rt.nodes {
-		rt.nodes[n].mv = &views[n]
-	}
-}
-
 // rings returns this node's rings, building them on first use — its first
 // heartbeat round, unless a notice comes first. Built in New for every
 // node, they added half again to a heal-armed 256-node set-up, so each
@@ -492,9 +482,9 @@ func (ns *nodeState) sinceCrash(peer int, from sim.Time) (sim.Time, bool) {
 // comes only from membership detection.
 func (rt *Runtime) onNodeChange(node int, down bool) {
 	if down {
-		rt.nodes[node].crashStop()
+		rt.node(node).crashStop()
 	} else {
-		rt.nodes[node].recoverNode()
+		rt.node(node).recoverNode()
 	}
 }
 
@@ -575,7 +565,7 @@ func (rt *Runtime) deadRouteErr(originNode, targetNode int) error {
 	if fi := rt.faultInj; fi != nil && fi.NodeDown(originNode) {
 		return &NodeFailedError{Node: originNode}
 	}
-	if rt.healArmed && rt.nodes[originNode].isDead(targetNode) {
+	if rt.healArmed && rt.node(originNode).isDead(targetNode) {
 		return &NodeFailedError{Node: targetNode}
 	}
 	return nil

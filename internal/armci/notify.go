@@ -57,14 +57,13 @@ func (r *Rank) NotifyTag(dst int, tag string) {
 	}
 	rt.st(r.node).Ops++
 	dstNode := rt.ranks[dst].node
-	dn := &rt.nodes[dstNode]
 	key := notifyKey{to: dst, from: r.rank, tag: tag}
 	if dstNode == r.node {
 		rt.st(r.node).LocalOps++
-		rt.eng.AfterOn(dstNode, rt.cfg.LocalLatency, func() { dn.notifyArrive(key) })
+		rt.eng.AfterOn(dstNode, rt.cfg.LocalLatency, func() { rt.node(dstNode).notifyArrive(key) })
 		return
 	}
-	rt.net.SendArg(r.node, dstNode, respBytes, func(any, bool) { dn.notifyArrive(key) }, nil)
+	rt.net.SendArg(r.node, dstNode, respBytes, func(any, bool) { rt.node(dstNode).notifyArrive(key) }, nil)
 }
 
 // notifyArrive counts one notification at its consumer's node. It runs in
@@ -89,7 +88,7 @@ func (r *Rank) WaitNotifyTag(src int, tag string, count int64) {
 	if src < 0 || src >= len(rt.ranks) {
 		panic(fmt.Sprintf("armci: WaitNotify(%d) out of range", src))
 	}
-	ns := rt.nodes[r.node].notify()
+	ns := rt.node(r.node).notify()
 	key := notifyKey{to: r.rank, from: src, tag: tag}
 	if ns.count[key] >= count {
 		return
@@ -108,5 +107,5 @@ func (r *Rank) WaitNotifyTag(src int, tag string, count int64) {
 // Notifications returns the cumulative untagged notification count received
 // by rank `to` from rank `from` (for tests and diagnostics).
 func (rt *Runtime) Notifications(to, from int) int64 {
-	return rt.nodes[rt.ranks[to].node].notify().count[notifyKey{to: to, from: from}]
+	return rt.node(rt.ranks[to].node).notify().count[notifyKey{to: to, from: from}]
 }

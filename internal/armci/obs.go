@@ -29,10 +29,15 @@ type obsState struct {
 	aggBytes   *obs.Histogram // wire bytes per injected batch packet
 	detectLat  *obs.Histogram // us from node crash to observer confirmation
 	notifyLat  *obs.Histogram // us from node crash to a notice receiver's learning of it
+
+	// onDepth feeds inboxDepth. Bound once here, it is every carved node's
+	// inbox hook (see carvePage); nil when metrics are off.
+	onDepth func(depth int)
 }
 
 // newObsState wires the side-car: fabric shares the registry, every CHT
-// inbox reports its depth, and trace thread names are pre-registered.
+// inbox reports its depth once its node is carved, and trace thread names
+// are pre-registered. New calls it before any node is carved.
 func newObsState(rt *Runtime) *obsState {
 	cfg := rt.cfg
 	o := &obsState{
@@ -53,9 +58,7 @@ func newObsState(rt *Runtime) *obsState {
 			o.notifyLat = o.reg.Histogram("armci_membership_notify_latency_us", obs.TimeBuckets)
 		}
 		rt.net.Instrument(o.reg)
-		for i := range rt.nodes {
-			rt.nodes[i].inbox.OnDepth(func(d int) { o.inboxDepth.Observe(float64(d)) })
-		}
+		o.onDepth = func(d int) { o.inboxDepth.Observe(float64(d)) }
 	}
 	if o.tr != nil {
 		for n := 0; n < cfg.Nodes; n++ {

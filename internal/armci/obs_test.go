@@ -54,8 +54,12 @@ func TestFillMetricsExportsSchema(t *testing.T) {
 	if n := reg.Histogram("armci_credit_wait_us", obs.TimeBuckets).Count(); n == 0 {
 		t.Error("no credit-wait observations")
 	}
-	if n := reg.Histogram("armci_cht_inbox_depth", obs.CountBuckets).Count(); n == 0 {
-		t.Error("no inbox-depth observations")
+	// Every node's inbox reports its depth at every Put, through the one
+	// hook installed as its page was carved.
+	var puts uint64
+	rt.eachCarved(func(ns *nodeState) { puts += ns.inbox.Puts() })
+	if n := reg.Histogram("armci_cht_inbox_depth", obs.CountBuckets).Count(); n == 0 || uint64(n) != puts {
+		t.Errorf("%d inbox-depth observations for %d inbox puts", n, puts)
 	}
 	if v := reg.Counter("armci_forwards_total").Value(); v == 0 {
 		t.Error("MFCG workload should forward")

@@ -52,8 +52,8 @@ func TestCreditWaitSteadyStateAllocatesNothing(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		for finished < workers {
 			r.Sleep(sim.Microsecond)
-			for n := range rt.nodes {
-				for _, eg := range rt.nodes[n].eg {
+			for n := range rt.cfg.Nodes {
+				for _, eg := range rt.node(n).eg {
 					if eg == nil {
 						continue
 					}

@@ -46,7 +46,7 @@ func TestRequestPoolRecycleClearsState(t *testing.T) {
 	req.respBuf = true
 	segsCap, bufCap := cap(req.segs), cap(req.buf)
 
-	rt.nodes[0].putReq(req)
+	rt.node(0).putReq(req)
 	got := rt.getReq(0)
 	if got != req {
 		t.Fatal("free list did not recycle the released record")
@@ -72,20 +72,20 @@ func TestRequestPoolRecycleClearsState(t *testing.T) {
 func TestRequestDoubleReleasePanics(t *testing.T) {
 	rt := poolHarness(t)
 	req := rt.getReq(0)
-	rt.nodes[0].putReq(req)
+	rt.node(0).putReq(req)
 	defer func() {
 		if recover() == nil {
 			t.Error("second putReq did not panic")
 		}
 	}()
-	rt.nodes[0].putReq(req)
+	rt.node(0).putReq(req)
 }
 
 func TestRequestReleasePastLastHoldPanics(t *testing.T) {
 	rt := poolHarness(t)
 	req := rt.getReq(0)
 	rt.release(req) // the response's hold: back on the free list
-	if n := rt.nodes[0].nreqFree; n != 1 {
+	if n := rt.node(0).nreqFree; n != 1 {
 		t.Fatalf("free list holds %d records after the last release, want 1", n)
 	}
 	defer func() {
@@ -98,7 +98,7 @@ func TestRequestReleasePastLastHoldPanics(t *testing.T) {
 
 func TestPendingSendPoolRecycleClearsState(t *testing.T) {
 	rt := poolHarness(t)
-	ns := &rt.nodes[0]
+	ns := rt.node(0)
 	ps := ns.getPS()
 	ps.req = &request{kind: opPut}
 	ps.fwdOwner = ns
@@ -116,7 +116,7 @@ func TestPendingSendPoolRecycleClearsState(t *testing.T) {
 
 func TestPendingSendDoubleReleasePanics(t *testing.T) {
 	rt := poolHarness(t)
-	ns := &rt.nodes[0]
+	ns := rt.node(0)
 	ps := ns.getPS()
 	ns.putPS(ps)
 	defer func() {
@@ -197,9 +197,9 @@ func checkReqPools(t *testing.T, rt *Runtime) (free map[*request]bool) {
 		}
 		arrays[key] = req
 	}
-	for n := range rt.nodes {
+	for n := range rt.cfg.Nodes {
 		depth := 0
-		for req := rt.nodes[n].reqFree; req != nil; req = req.next {
+		for req := rt.node(n).reqFree; req != nil; req = req.next {
 			if free[req] {
 				t.Errorf("request %p is on the free lists twice", req)
 				break
@@ -216,8 +216,8 @@ func checkReqPools(t *testing.T, rt *Runtime) (free map[*request]bool) {
 				owns(req, "buf", &req.buf[:1][0])
 			}
 		}
-		if depth != rt.nodes[n].nreqFree {
-			t.Errorf("node %d free list links %d records, depth count says %d", n, depth, rt.nodes[n].nreqFree)
+		if depth != rt.node(n).nreqFree {
+			t.Errorf("node %d free list links %d records, depth count says %d", n, depth, rt.node(n).nreqFree)
 		}
 	}
 	return free
@@ -249,7 +249,7 @@ func TestPoolLateTimerLeavesNewOccupantUntouched(t *testing.T) {
 		if rtt >= timeout/2 {
 			t.Fatalf("round trip %v too slow for a %v timeout", rtt, timeout)
 		}
-		if n := rt.nodes[0].nreqFree; n != 0 {
+		if n := rt.node(0).nreqFree; n != 0 {
 			t.Errorf("%d records recycled while the first chunk's timer is still armed", n)
 		}
 		r.Sleep(timeout - rtt - sim.Microsecond)
@@ -609,8 +609,8 @@ func TestGetBurstRecordBytes(t *testing.T) {
 	liveReqs, liveHandles := -1, -1
 	eng.At(burstAt+1, func() {
 		liveReqs = rt.slabs.nreqs
-		for n := range rt.nodes {
-			liveReqs -= rt.nodes[n].nreqFree
+		for n := range rt.cfg.Nodes {
+			liveReqs -= rt.node(n).nreqFree
 		}
 		liveHandles = rt.slabs.nhandles
 		for i := range rt.ranks {

@@ -634,7 +634,7 @@ func (r *Rank) lockOp(m int, kind opKind) {
 		// authority for the mutex) but over shared memory: no credits.
 		rt.st(r.node).LocalOps++
 		req.up = nil
-		node := &rt.nodes[ownerNode]
+		node := rt.node(ownerNode)
 		rt.eng.AfterOn(ownerNode, rt.cfg.LocalLatency, func() { node.enqueue(req) })
 	} else {
 		r.send(req)

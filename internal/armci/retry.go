@@ -30,7 +30,7 @@ func (rt *Runtime) armTimeout(req *request) {
 		return
 	}
 	origin := int(req.originNode)
-	ns := &rt.nodes[origin]
+	ns := rt.node(origin)
 	ns.ridSeq++
 	req.rid = uint64(origin+1)<<32 | ns.ridSeq
 	req.issued = rt.eng.Now()

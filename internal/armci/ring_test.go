@@ -58,8 +58,8 @@ func TestRingObserversCoverEveryNeighbor(t *testing.T) {
 			_, rt := healedRuntime(t, tc.kind, tc.nodes, 1, "node:0@t=1s", nil)
 			defer rt.Shutdown()
 			observers := make([][]int, tc.nodes) // observers[x]: nodes judging x
-			for u := range rt.nodes {
-				ns := &rt.nodes[u]
+			for u := range rt.cfg.Nodes {
+				ns := rt.node(u)
 				for _, ln := range ns.rings() {
 					if ln.judged >= 0 {
 						x := ns.nbrs[ln.judged]
@@ -67,8 +67,8 @@ func TestRingObserversCoverEveryNeighbor(t *testing.T) {
 					}
 				}
 			}
-			for x := range rt.nodes {
-				for _, u := range rt.nodes[x].nbrs {
+			for x := range rt.cfg.Nodes {
+				for _, u := range rt.node(x).nbrs {
 					if covered(rt, u, x, observers[x]) {
 						continue
 					}
@@ -83,7 +83,7 @@ func TestRingObserversCoverEveryNeighbor(t *testing.T) {
 // covered reports whether u judges x or shares its line through x with one
 // of x's observers (adjacent to it, the line being a clique).
 func covered(rt *Runtime, u, x int, observers []int) bool {
-	ns := &rt.nodes[u]
+	ns := rt.node(u)
 	ln := ns.lineOf(int32(ns.nbrIdx(x)))
 	for _, o := range observers {
 		if o == u {
@@ -159,7 +159,7 @@ func TestRingAdjacentCrashes(t *testing.T) {
 			}
 			for v := 2; v < 2+k; v++ {
 				for _, u := range rt.Topology().Neighbors(v) {
-					if !victim(u) && !rt.nodes[u].isDead(v) {
+					if !victim(u) && !rt.node(u).isDead(v) {
 						t.Errorf("live neighbor %d of victim %d was never informed", u, v)
 					}
 				}
@@ -197,8 +197,8 @@ func TestRingLateDeathNoticeAfterReboot(t *testing.T) {
 			continue // the announcement beat the tick: nothing to race
 		}
 		raced++
-		for _, u := range rt.nodes[x].nbrs {
-			if rt.nodes[u].isDead(x) {
+		for _, u := range rt.node(x).nbrs {
+			if rt.node(u).isDead(x) {
 				t.Errorf("reboot %v before the confirming tick: neighbor %d still holds %d dead", early, u, x)
 			}
 		}
@@ -219,7 +219,7 @@ func TestRingRebootLearnsDeadSet(t *testing.T) {
 	_, rt := healedRuntime(t, core.MFCG, 64, 1,
 		fmt.Sprintf("node:%d@t=200us@for=1ms,node:%d@t=300us", rebooted, dead), nil)
 	runAll(t, rt, func(r *Rank) { r.Sleep(3 * sim.Millisecond) })
-	ns := &rt.nodes[rebooted]
+	ns := rt.node(rebooted)
 	for _, u := range ns.nbrs {
 		if got, want := ns.isDead(u), u == dead; got != want {
 			t.Errorf("after reboot node %d holds %d dead = %v, want %v", rebooted, u, got, want)

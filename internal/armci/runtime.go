@@ -18,13 +18,17 @@ type Runtime struct {
 	eng  *sim.Engine
 	topo core.Topology
 	net  *fabric.Network
-	// nodes and ranks are value slices: per-node and per-rank hot state lives
-	// in two contiguous index-addressed arrays instead of N heap objects, so
-	// a 64k-node job costs two allocations here, not 128k, and neighboring
-	// nodes share cache lines. Pointers into the slices (taken freely — the
-	// slices are never reallocated after New) stay valid for the runtime's
+	// pages is the node page table: node n's state is entry n&nodePageMask
+	// of page n>>nodePageBits. A page is nil until one of its nodes is first
+	// touched (see node), and then carved from slabs.pages, so a 64k-node job
+	// whose traffic crosses a few dozen nodes holds a page or two of node
+	// state, not 65 536 records. Readers that walk every node read a nil page
+	// as fresh nodes (see eachNode). Pages never move once carved, so
+	// pointers into them (taken freely) stay valid for the runtime's
 	// lifetime.
-	nodes []nodeState
+	pages []*nodePage
+	// ranks is a value slice: per-rank state lives in one index-addressed
+	// array instead of a heap object per rank.
 	ranks []Rank
 	// slabs holds what a node's edge state is carved from on its first edge
 	// use (nodeState.buildEdges) and an edge's egress on the edge's first
@@ -59,6 +63,10 @@ type Runtime struct {
 	// the receiver dedicates to the edge and the credits a fresh or reset
 	// egress holds.
 	poolCap int
+	// cht0 is the process id of node 0's CHT once Start has spawned the
+	// CHTs (node n's is cht0+n), and -1 before: carving a page hands each
+	// of its CHTs that already parked on chtStub to its node's inbox.
+	cht0 int
 	// liveRanks counts rank processes still executing their body; the
 	// membership monitors stop re-arming when it reaches zero so the event
 	// queue can drain (the same termination rule sim.Watchdog uses).
@@ -158,9 +166,11 @@ type nodeState struct {
 	cur      *request
 	curStart sim.Time
 	curSvc   sim.Time
-	// rids deduplicates retransmitted requests at the target (allocated
-	// only when request timeouts are enabled). Entries survive the node's
-	// own crash/recovery: a rebooted node keeping its dedup table is the
+	// rids deduplicates retransmitted requests at the target. It is made at
+	// the node's first request carrying a rid (only request timeouts issue
+	// them), so an armed runtime holds one map per node that was ever a
+	// target, not one per node. Entries survive the node's own
+	// crash/recovery: a rebooted node keeping its dedup table is the
 	// stable-storage simplification that preserves at-most-once apply for
 	// requests retried across the outage.
 	rids map[uint64]dupState
@@ -189,6 +199,115 @@ type nodeState struct {
 	psFree            *pendingSend
 	reqFree           *request
 	npsFree, nreqFree int
+}
+
+// A node page holds the state of nodePageLen consecutive nodes (64, about
+// 20 KB): small enough that a run touching a handful of nodes carves a page
+// or two, large enough that the page table of a 64k-node job is 8 KB.
+const (
+	nodePageBits = 6
+	nodePageLen  = 1 << nodePageBits
+	nodePageMask = nodePageLen - 1
+	pageChunkMin = 4
+)
+
+type nodePage [nodePageLen]nodeState
+
+// chtStub is what a CHT waits on before its node is carved: its step at t=0
+// on an uncarved node parks there and writes nothing, and carving the node
+// hands it to the node's inbox as that queue's waiter (see carvePage).
+var chtStub = sim.NewQueueStub("cht")
+
+// node returns node n's state, carving its page on the page's first touch.
+// The carve is a separate call so that node inlines.
+func (rt *Runtime) node(n int) *nodeState {
+	pg := rt.pages[n>>nodePageBits]
+	if pg == nil {
+		pg = rt.carvePage(n)
+	}
+	return &pg[n&nodePageMask]
+}
+
+// carved returns node n's state, or nil while its page has never been
+// carved: a reader's view that carves nothing.
+func (rt *Runtime) carved(n int) *nodeState {
+	if pg := rt.pages[n>>nodePageBits]; pg != nil {
+		return &pg[n&nodePageMask]
+	}
+	return nil
+}
+
+// carvePage carves node n's page from the runtime's slab and sets up each
+// of its nodes fresh: id, inbox name, the observability side-car's depth hook, and
+// with healing armed a membership view from a slab of views. Chunks grow with the pages carved so far, from
+// pageChunkMin (a runtime of up to 256 nodes carves one), and never exceed
+// the pages still uncarved, so a runtime that touches every node pays about
+// log2 of its page count in mallocs and at most its page count in pages. A
+// CHT already parked on chtStub becomes its inbox's waiter, as if it had
+// polled the inbox empty.
+func (rt *Runtime) carvePage(n int) *nodePage {
+	p := n >> nodePageBits
+	sl := &rt.slabs
+	chunk := min(max(sl.npages, pageChunkMin), len(rt.pages)-sl.npages)
+	pg := &carve(&sl.pages, 1, chunk)[0]
+	sl.npages++
+	var views []memberView
+	if rt.healArmed {
+		views = carve(&sl.views, nodePageLen, chunk*nodePageLen)
+	}
+	var onDepth func(int)
+	if rt.obs != nil {
+		onDepth = rt.obs.onDepth
+	}
+	lo := p << nodePageBits
+	for v := lo; v < min(lo+nodePageLen, rt.cfg.Nodes); v++ {
+		ns := &pg[v-lo]
+		ns.id, ns.rt = v, rt
+		ns.inbox.Init("cht", v)
+		ns.inbox.OnDepth(onDepth)
+		if views != nil {
+			ns.mv = &views[v-lo]
+		}
+		if rt.cht0 >= 0 {
+			ns.inbox.Adopt(chtStub, rt.eng.Proc(rt.cht0+v))
+		}
+	}
+	rt.pages[p] = pg
+	return pg
+}
+
+// eachNode calls fn for every node in id order. A node whose page was never
+// carved is passed as a scratch record reading exactly as a carved,
+// untouched node (its id and, with healing armed, an empty membership
+// view; nothing else is set at carving time that a reader sees), so fn
+// must only read, and must not keep the pointer.
+func (rt *Runtime) eachNode(fn func(ns *nodeState)) {
+	fresh := nodeState{rt: rt}
+	if rt.healArmed {
+		fresh.mv = &memberView{}
+	}
+	for n := 0; n < rt.cfg.Nodes; n++ {
+		if ns := rt.carved(n); ns != nil {
+			fn(ns)
+			continue
+		}
+		fresh.id = n
+		fn(&fresh)
+	}
+}
+
+// eachCarved calls fn for every carved node in id order: the walk for
+// readers to which a fresh node contributes nothing.
+func (rt *Runtime) eachCarved(fn func(ns *nodeState)) {
+	for p, pg := range rt.pages {
+		if pg == nil {
+			continue
+		}
+		lo := p << nodePageBits
+		for n := lo; n < min(lo+nodePageLen, rt.cfg.Nodes); n++ {
+			fn(&pg[n-lo])
+		}
+	}
 }
 
 // nbrIdx returns the index of peer in ns.nbrs (the per-edge slice index
@@ -255,6 +374,13 @@ type edgeSlabs struct {
 	// counted counts the Stats blocks carved so far, sizing the next chunk.
 	counted int
 	stats   []Stats
+
+	// pages and views are what node pages and, with healing armed, their
+	// membership views are carved from (see carvePage); npages counts the
+	// pages carved so far.
+	npages int
+	pages  []nodePage
+	views  []memberView
 
 	// reqs, sends and handles are what request records, parked-send
 	// records and pooled handles are carved from when a free list runs dry,
@@ -342,15 +468,14 @@ func (ns *nodeState) buildEg(i int) *egress {
 // edge metrics) derive the bases here; no node stores one.
 func (rt *Runtime) nodeEdges(fn func(ns *nodeState, base, deg int)) int {
 	base := 0
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
+	rt.eachNode(func(ns *nodeState) {
 		deg := len(ns.nbrs)
 		if ns.nbrs == nil {
-			deg = rt.topo.Degree(n)
+			deg = rt.topo.Degree(ns.id)
 		}
 		fn(ns, base, deg)
 		base += deg
-	}
+	})
 	return base
 }
 
@@ -410,6 +535,7 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 		allocs:   map[string]*allocation{},
 		faultInj: cfg.Faults,
 		poolCap:  cfg.PPN * cfg.BufsPerProc,
+		cht0:     -1,
 	}
 	cfg.Faults.Instrument(cfg.Metrics, cfg.Trace, cfg.TracePID)
 	// Node ids are the scheduling owners. The owner space is the fabric's
@@ -423,25 +549,21 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	for m := range rt.mutexes {
 		rt.mutexes[m].owner = -1
 	}
-	// Per-node state lives in one contiguous array, inbox included. A
-	// node's per-edge slices — neighbor list, egress pointers, pending
-	// counts — are carved on its first edge use (see buildEdges) and its
-	// counters on its first write (see st), so New walks no neighbors and a
-	// 64k-node job whose traffic crosses a few hundred nodes builds edge
-	// state for those alone.
-	rt.nodes = make([]nodeState, cfg.Nodes)
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
-		ns.id, ns.rt = n, rt
-		ns.inbox.Init("cht", n)
-		if cfg.RequestTimeout > 0 {
-			ns.rids = map[uint64]dupState{}
-		}
-	}
+	// Per-node state, inbox included, lives in pages carved on a node's
+	// first touch (see node); a node's per-edge slices — neighbor list,
+	// egress pointers, pending counts — are carved on its first edge use
+	// (see buildEdges) and its counters on its first write (see st), so New
+	// touches no node and a 64k-node job whose traffic crosses a few hundred
+	// nodes pays for those alone.
+	rt.pages = make([]*nodePage, (cfg.Nodes+nodePageMask)>>nodePageBits)
 	rt.ranks = make([]Rank, cfg.Nodes*cfg.PPN)
 	rt.world = make([]int, len(rt.ranks))
 	for r := range rt.ranks {
-		rt.ranks[r] = Rank{rt: rt, rank: r, node: r / cfg.PPN}
+		// Field by field into the zeroed array: a composite-literal store
+		// would zero each record again, under a bulk write barrier over
+		// its pointer words whenever a GC cycle is marking.
+		rk := &rt.ranks[r]
+		rk.rt, rk.rank, rk.node = rt, r, r/cfg.PPN
 		rt.world[r] = r
 	}
 	rt.bindDispatch()
@@ -450,9 +572,6 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	// without node faults (and heal-off ablations) are bit-identical.
 	if cfg.Faults.HasNodeFaults() {
 		rt.healArmed = cfg.Heal.Enabled
-		if rt.healArmed {
-			rt.newMemberViews()
-		}
 		cfg.Faults.OnNodeChange(rt.onNodeChange)
 	}
 	rt.collInit()
@@ -470,33 +589,33 @@ func (rt *Runtime) bindDispatch() {
 	// Request delivery at its next hop.
 	rt.enqueueFn = func(arg any, _ bool) {
 		req := arg.(*request)
-		rt.nodes[req.up.to].enqueue(req)
+		rt.node(req.up.to).enqueue(req)
 	}
 	// Credit ack back at the sender: the egress record itself travels as the
 	// argument. The ack doubles as a membership heartbeat at the receiver
 	// (heard is a no-op unless healing is armed).
 	rt.ackFn = func(arg any, _ bool) {
 		eg := arg.(*egress)
-		rt.nodes[eg.from].heardAt(int(eg.slot))
+		rt.node(eg.from).heardAt(int(eg.slot))
 		eg.release()
 	}
 	// Heartbeat probe over the edge eg.from -> eg.to (see monitorTick).
 	rt.probeFn = func(arg any, _ bool) {
 		eg := arg.(*egress)
-		ns := &rt.nodes[eg.to]
+		ns := rt.node(eg.to)
 		ns.heardAt(ns.upSlot(eg))
 	}
 	// Membership notice (see announce): rare, so the record is allocated.
 	rt.noticeFn = func(arg any, _ bool) {
 		n := arg.(*notice)
-		rt.nodes[n.to].onNotice(n)
+		rt.node(n.to).onNotice(n)
 	}
 	// Response arrival at the origin node: completion bookkeeping (see
 	// respond).
 	rt.respFn = func(arg any, _ bool) {
 		req := arg.(*request)
 		origin := int(req.originNode)
-		ns := &rt.nodes[origin]
+		ns := rt.node(origin)
 		// Only a neighbor's response is proof of life, and a neighbor is
 		// reached over the direct edge on every route (each admissible hop
 		// toward it is the neighbor itself), so the request's last edge
@@ -544,7 +663,7 @@ func (rt *Runtime) completeResp(req *request) {
 // but the compiler cannot check a field-assignment block the way it checks a
 // composite literal.
 func (rt *Runtime) getReq(node int) *request {
-	ns := &rt.nodes[node]
+	ns := rt.node(node)
 	if req := ns.reqFree; req != nil {
 		ns.reqFree, req.next = req.next, nil
 		ns.nreqFree--
@@ -571,7 +690,7 @@ func (rt *Runtime) release(req *request) {
 		panic("armci: request record released twice")
 	}
 	if req.holds--; req.holds == 0 {
-		rt.nodes[req.originNode].putReq(req)
+		rt.node(int(req.originNode)).putReq(req)
 	}
 }
 
@@ -758,11 +877,11 @@ func (rt *Runtime) Stats() Stats {
 			s.MaxCHTBacklog = n.MaxCHTBacklog
 		}
 	}
-	for i := range rt.nodes {
-		if m := rt.nodes[i].inbox.MaxLen(); m > s.MaxCHTBacklog {
+	rt.eachCarved(func(ns *nodeState) {
+		if m := ns.inbox.MaxLen(); m > s.MaxCHTBacklog {
 			s.MaxCHTBacklog = m
 		}
-	}
+	})
 	return s
 }
 
@@ -825,13 +944,13 @@ func (rt *Runtime) Run(body func(r *Rank)) error {
 		return err
 	}
 	stall := &StallError{WatchdogError: we}
-	for n := range rt.nodes {
-		for _, eg := range rt.nodes[n].eg {
+	rt.eachCarved(func(ns *nodeState) {
+		for _, eg := range ns.eg {
 			if eg != nil && eg.pending.len() > 0 {
 				stall.Edges = append(stall.Edges, StalledEdge{eg.from, eg.to, eg.credits, rt.poolCap, eg.pending.len()})
 			}
 		}
-	}
+	})
 	return stall
 }
 
@@ -847,10 +966,24 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	// owner. One step function serves every CHT and one body wrapper and exit
 	// callback every rank: a process's number is its node or rank, so
 	// spawning allocates no closure (a method value per node would).
-	rt.eng.ReserveSpawns(len(rt.nodes) + len(rt.ranks))
-	chtStep := func(p *sim.Proc) { rt.nodes[p.Num()].chtStep(p) }
-	for n := range rt.nodes {
-		rt.eng.SpawnStepOn(n, "cht", n, chtStep)
+	//
+	// A CHT's step on a node never carved parks on chtStub instead of its
+	// inbox, so its t=0 poll writes nothing; carving the node hands it to
+	// the inbox (see carvePage). The spawn events, and so every event key,
+	// are the same either way.
+	rt.eng.ReserveSpawns(rt.cfg.Nodes + len(rt.ranks))
+	chtStep := func(p *sim.Proc) {
+		if ns := rt.carved(p.Num()); ns != nil {
+			ns.chtStep(p)
+			return
+		}
+		chtStub.Park(p)
+	}
+	for n := range rt.cfg.Nodes {
+		p := rt.eng.SpawnStepOn(n, "cht", n, chtStep)
+		if n == 0 {
+			rt.cht0 = p.ID()
+		}
 	}
 	rt.liveRanks = len(rt.ranks)
 	exited := func() { rt.liveRanks-- }
@@ -869,9 +1002,8 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 		r.proc = rt.eng.SpawnNumberedOn(r.node, "rank", r.rank, rankBody)
 	}
 	if rt.healArmed {
-		for i := range rt.nodes {
-			ns := &rt.nodes[i]
-			rt.eng.AfterOnArg(ns.id, heartbeatInterval, rt.tickFn, ns)
+		for n := range rt.cfg.Nodes {
+			rt.eng.AfterOnArg(n, heartbeatInterval, rt.tickFn, rt.node(n))
 		}
 	}
 }
@@ -916,7 +1048,7 @@ func (rt *Runtime) nextHop(src, dst int) int {
 	if next == dst || !rt.hopAvoided(src, next) {
 		return next
 	}
-	if alt, ok := rt.topo.Hop(src, dst, rt.nodes[src].avoids()); ok {
+	if alt, ok := rt.topo.Hop(src, dst, rt.node(src).avoids()); ok {
 		rt.st(src).Reroutes++
 		return alt
 	}
@@ -940,12 +1072,12 @@ func (rt *Runtime) hopAvoided(src, node int) bool {
 	if fi := rt.faultInj; fi != nil && fi.CHTStalled(node) {
 		return true
 	}
-	return rt.healArmed && rt.nodes[src].isDead(node)
+	return rt.healArmed && rt.node(src).isDead(node)
 }
 
 // egressTo returns node's egress over the direct edge to peer.
 func (rt *Runtime) egressTo(node, peer int) *egress {
-	ns := &rt.nodes[node]
+	ns := rt.node(node)
 	i := ns.nbrIdx(peer)
 	if i < 0 {
 		panic(fmt.Sprintf("armci: no edge %d->%d in %v", node, peer, rt.topo))
@@ -957,8 +1089,8 @@ func (rt *Runtime) egressTo(node, peer int) *egress {
 // forward path: a request routed onto a non-edge must fail back to its
 // origin, not crash the simulation or vanish.
 func (rt *Runtime) egressFor(node, peer int) (*egress, error) {
-	if peer >= 0 && peer < len(rt.nodes) {
-		ns := &rt.nodes[node]
+	if peer >= 0 && peer < rt.cfg.Nodes {
+		ns := rt.node(node)
 		if i := ns.nbrIdx(peer); i >= 0 {
 			return ns.egAt(i), nil
 		}
@@ -972,22 +1104,20 @@ func (rt *Runtime) egressFor(node, peer int) (*egress, error) {
 // debt (an unbuilt one is a full pool and holds them trivially). The chaos
 // harness and property tests call it after every run.
 func (rt *Runtime) CheckCreditInvariants() error {
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
+	var err error
+	rt.eachCarved(func(ns *nodeState) {
 		for i, peer := range ns.nbrs {
 			eg := ns.eg[i]
-			if eg == nil {
-				continue
-			}
-			if eg.credits < 0 || eg.credits > rt.poolCap {
-				return fmt.Errorf("armci: egress %d->%d credits %d outside [0,%d]",
+			switch {
+			case err != nil || eg == nil:
+			case eg.credits < 0 || eg.credits > rt.poolCap:
+				err = fmt.Errorf("armci: egress %d->%d credits %d outside [0,%d]",
 					ns.id, peer, eg.credits, rt.poolCap)
-			}
-			if eg.regenDebt < 0 {
-				return fmt.Errorf("armci: egress %d->%d negative regen debt %d",
+			case eg.regenDebt < 0:
+				err = fmt.Errorf("armci: egress %d->%d negative regen debt %d",
 					ns.id, peer, eg.regenDebt)
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }

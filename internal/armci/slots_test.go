@@ -18,8 +18,8 @@ import (
 // saw, so callers can tell the run exercised them.
 func checkEdgeSlots(t *testing.T, rt *Runtime) (revs, dead int) {
 	t.Helper()
-	for n := range rt.nodes {
-		ns := &rt.nodes[n]
+	for n := range rt.cfg.Nodes {
+		ns := rt.node(n)
 		for i, eg := range ns.eg {
 			if eg == nil {
 				continue
@@ -31,7 +31,7 @@ func checkEdgeSlots(t *testing.T, rt *Runtime) (revs, dead int) {
 			if eg.rev < 0 {
 				continue
 			}
-			to := &rt.nodes[eg.to]
+			to := rt.node(eg.to)
 			if to.nbrs == nil {
 				t.Fatalf("egress %d->%d caches reverse slot %d at a node with no neighbor list", eg.from, eg.to, eg.rev)
 			}

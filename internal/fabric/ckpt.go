@@ -16,35 +16,48 @@ import (
 func (nw *Network) CheckpointSection() []byte {
 	var enc ckpt.Enc
 
-	// The port arrays and per-position counters are O(links)/O(nodes) and
-	// dominate fabric digest cost at large scale, so they are digested
-	// sparsely — a port no message ever crossed contributes nothing, and a
-	// used port folds with its index so position stays part of the digest.
-	ports := func(label string, ls []link) {
+	// Ports and per-position counters are O(links)/O(nodes) and dominate
+	// fabric digest cost at large scale, so they are digested sparsely — a
+	// port no message ever crossed contributes nothing, and a used port
+	// folds with its index so position stays part of the digest. Links are
+	// numbered position-major (position*6 + link); a position never carved
+	// contributes nothing anywhere.
+	port := func(h uint64, i int, l *link) uint64 {
+		if l.nextFree == 0 && l.busy == 0 && l.msgs == 0 {
+			return h
+		}
+		h = ckpt.Mix(h, uint64(i))
+		h = ckpt.Mix(h, uint64(l.nextFree))
+		h = ckpt.Mix(h, uint64(l.busy))
+		return ckpt.Mix(h, l.msgs)
+	}
+	ports := func(label string, n int, at func(h uint64, p int, ps *position) uint64) {
 		enc.Str(label)
-		enc.U32(uint32(len(ls)))
+		enc.U32(uint32(n))
 		h := ckpt.MixInit
-		for i := range ls {
-			if ls[i].nextFree == 0 && ls[i].busy == 0 && ls[i].msgs == 0 {
-				continue
+		for p, ps := range nw.pos {
+			if ps != nil {
+				h = at(h, p, ps)
 			}
-			h = ckpt.Mix(h, uint64(i))
-			h = ckpt.Mix(h, uint64(ls[i].nextFree))
-			h = ckpt.Mix(h, uint64(ls[i].busy))
-			h = ckpt.Mix(h, ls[i].msgs)
 		}
 		enc.U64(h)
 	}
-	ports("links", nw.links)
-	ports("inj", nw.inj)
-	ports("ej", nw.ej)
+	ports("links", len(nw.pos)*6, func(h uint64, p int, ps *position) uint64 {
+		for j := range ps.links {
+			h = port(h, p*6+j, &ps.links[j])
+		}
+		return h
+	})
+	ports("inj", nw.n, func(h uint64, p int, ps *position) uint64 { return port(h, p, &ps.inj) })
+	ports("ej", nw.n, func(h uint64, p int, ps *position) uint64 { return port(h, p, &ps.ej) })
 
 	enc.Str("ejSources")
 	h := ckpt.MixInit
-	for node, srcs := range nw.ejSources {
-		if len(srcs) == 0 {
+	for node, ps := range nw.pos {
+		if ps == nil || len(ps.ejSources) == 0 {
 			continue
 		}
+		srcs := ps.ejSources
 		keys := make([]int, 0, len(srcs))
 		for src := range srcs {
 			keys = append(keys, src)
@@ -61,8 +74,11 @@ func (nw *Network) CheckpointSection() []byte {
 
 	enc.Str("stats")
 	h = ckpt.MixInit
-	for i := range nw.stats {
-		s := &nw.stats[i]
+	for i, ps := range nw.pos {
+		if ps == nil {
+			continue
+		}
+		s := &ps.stats
 		if s.Messages|s.Bytes|uint64(s.MaxQueueWait)|uint64(s.MaxStreams)|
 			s.LinkStalls|s.Reroutes|s.Dropped|s.NodeDrops == 0 {
 			continue

@@ -146,6 +146,21 @@ type Stats struct {
 	NodeDrops    uint64   // messages dropped because their source or destination node crashed
 }
 
+// position is the state of one torus position: the six directed links
+// leaving its router, lowest dimension first, minus direction before plus
+// (link index dim*2 + dir); its NIC's injection and ejection ports and
+// ejection stream counts (used only at node positions); and the counters
+// attributed to it (see the Stats doc comment).
+type position struct {
+	links   [6]link
+	inj, ej link
+	// ejSources counts queued messages per source node at the ejection
+	// port, for the stream-overload model, made on the node's first
+	// ejection.
+	ejSources map[int]int
+	stats     Stats
+}
+
 // Network is a simulated torus interconnect for n nodes.
 type Network struct {
 	eng   *sim.Engine
@@ -155,18 +170,16 @@ type Network struct {
 	// stride[d] is the position-id distance between torus neighbors along
 	// dimension d (ids are x-major).
 	stride [3]int
-	// Directed links: index (node*6 + dim*2 + dir), dir 0 = minus, 1 = plus.
-	links []link
-	// NIC injection (inj) and ejection (ej) ports per node.
-	inj []link
-	ej  []link
-	// ejSources[node] counts queued messages per source node at the
-	// ejection port, for the stream-overload model. A node's map is made on
-	// its first ejection: most nodes of a large job never receive one.
-	ejSources []map[int]int
-	// stats[pos] holds the counters attributed to torus position pos; see
-	// the Stats doc comment.
-	stats []Stats
+	// pos[p] is torus position p's record, nil until the first reservation
+	// or counter write there (see at): a large job's traffic crosses a few
+	// hundred positions, and a nil record reads as all zero everywhere
+	// (Stats, CheckpointSection, LinkBusy, EjectionBusy, HottestEjection).
+	// Records are carved from posSlab in chunks of posChunk, never more
+	// than the positions still uncarved (nposCarved counts the carved
+	// ones), and never move.
+	pos        []*position
+	posSlab    []position
+	nposCarved int
 
 	// free holds recycled message records; fresh ones are carved from slab,
 	// in chunks that grow with the records carved so far, from 16 up to
@@ -231,16 +244,12 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 		panic(fmt.Sprintf("fabric: shape %v has more than 2^31-1 positions", cfg.Shape))
 	}
 	nw := &Network{
-		eng:       e,
-		cfg:       cfg,
-		n:         n,
-		shape:     cfg.Shape,
-		stride:    [3]int{1, cfg.Shape[0], cfg.Shape[0] * cfg.Shape[1]},
-		links:     make([]link, capacity*6),
-		inj:       make([]link, n),
-		ej:        make([]link, n),
-		ejSources: make([]map[int]int, n),
-		stats:     make([]Stats, capacity),
+		eng:    e,
+		cfg:    cfg,
+		n:      n,
+		shape:  cfg.Shape,
+		stride: [3]int{1, cfg.Shape[0], cfg.Shape[0] * cfg.Shape[1]},
+		pos:    make([]*position, capacity),
 	}
 	nw.stepFn = func(a any) { nw.step(a.(*msg)) }
 	nw.injectFn = func(a any) { nw.inject(a.(*msg)) }
@@ -248,6 +257,26 @@ func New(e *sim.Engine, n int, cfg Config) *Network {
 	nw.ejectFn = func(a any) { nw.eject(a.(*msg)) }
 	nw.stallFn = func(a any) { m := a.(*msg); nw.stallAt(m, m.arrive) }
 	return nw
+}
+
+// at returns position p's record, carving it on first use. The carve is a
+// separate call so that at inlines.
+func (nw *Network) at(p int) *position {
+	if ps := nw.pos[p]; ps != nil {
+		return ps
+	}
+	return nw.carvePos(p)
+}
+
+func (nw *Network) carvePos(p int) *position {
+	if len(nw.posSlab) == 0 {
+		nw.posSlab = make([]position, min(posChunk, len(nw.pos)-nw.nposCarved))
+	}
+	ps := &nw.posSlab[0]
+	nw.posSlab = nw.posSlab[1:]
+	nw.nposCarved++
+	nw.pos[p] = ps
+	return ps
 }
 
 // Nodes returns the node count.
@@ -259,8 +288,11 @@ func (nw *Network) Config() Config { return nw.cfg }
 // Stats returns the aggregate counters, merged across torus positions.
 func (nw *Network) Stats() Stats {
 	var out Stats
-	for i := range nw.stats {
-		s := &nw.stats[i]
+	for _, ps := range nw.pos {
+		if ps == nil {
+			continue
+		}
+		s := &ps.stats
 		out.Messages += s.Messages
 		out.Bytes += s.Bytes
 		if s.MaxQueueWait > out.MaxQueueWait {
@@ -281,10 +313,14 @@ func (nw *Network) Stats() Stats {
 // does not fill the torus, routes still pass through unpopulated positions'
 // routers, which own the events of the links they drive, so the engine's
 // owner space must cover all of them.
-func (nw *Network) Capacity() int { return len(nw.links) / 6 }
+func (nw *Network) Capacity() int { return len(nw.pos) }
 
-// msgChunk is the most message records one slab chunk holds.
-const msgChunk = 256
+// msgChunk is the most message records one slab chunk holds, posChunk the
+// most position records (66 KiB).
+const (
+	msgChunk = 256
+	posChunk = 256
+)
 
 // Coord maps a node ID to its torus coordinates.
 func (nw *Network) Coord(node int) [3]int {
@@ -422,7 +458,7 @@ func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), a
 	if size < 0 {
 		panic("fabric: negative message size")
 	}
-	st := &nw.stats[src]
+	st := &nw.at(src).stats
 	st.Messages++
 	st.Bytes += uint64(size)
 	m := nw.getMsg()
@@ -441,7 +477,7 @@ func (nw *Network) SendArg(src, dst, size int, deliver func(arg any, ce bool), a
 func (nw *Network) loop(m *msg) {
 	src := int(m.src)
 	if nw.cfg.Faults != nil && nw.cfg.Faults.NodeDown(src) {
-		nw.stats[src].NodeDrops++
+		nw.at(src).stats.NodeDrops++
 		nw.putMsg(m)
 		return
 	}
@@ -456,14 +492,15 @@ func (nw *Network) inject(m *msg) {
 	// A crashed source NIC injects nothing: anything its software stack had
 	// queued dies with the node.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(src) {
-		nw.stats[src].NodeDrops++
+		nw.at(src).stats.NodeDrops++
 		nw.putMsg(m)
 		return
 	}
 	nw.aim(m)
 	now := nw.eng.Now()
-	start := nw.inj[src].reserve(now, m.serNIC)
-	nw.noteWait(src, start-now, nw.waitInj)
+	ps := nw.at(src)
+	start := ps.inj.reserve(now, m.serNIC)
+	nw.noteWait(ps, start-now, nw.waitInj)
 	m.arrive = start + m.serNIC + nw.cfg.HopLatency
 	nw.scheduleStep(m)
 }
@@ -494,16 +531,17 @@ func (nw *Network) aim(m *msg) {
 		if linkFaults && nw.arcBlocked(node, d, dir, dist) &&
 			!nw.arcBlocked(node, d, 1-dir, nw.shape[d]-dist) {
 			dir = 1 - dir
-			nw.stats[src].Reroutes++
+			nw.at(src).stats.Reroutes++
 		}
 		m.dir[d] = int8(dir)
 		node += (tgt[d] - cur[d]) * nw.stride[d]
 	}
 }
 
-// nextHop returns the link m crosses next from its current position, the
-// dimension it moves along, and the position it reaches; ok is false once
-// m is at its destination (ejection is next).
+// nextHop returns the link m crosses next from its current position
+// (numbered position-major: position*6 + dim*2 + dir), the dimension it
+// moves along, and the position it reaches; ok is false once m is at its
+// destination (ejection is next).
 func (nw *Network) nextHop(m *msg) (li, d, to int, ok bool) {
 	for d = 0; d < 3; d++ {
 		if m.cur[d] != m.tgt[d] {
@@ -556,7 +594,7 @@ func (nw *Network) step(m *msg) {
 		ser := m.serLink
 		if fi := nw.cfg.Faults; fi.LinkFaults() > 0 {
 			if fi.LinkDown(hop, to) {
-				nw.stats[hop].LinkStalls++
+				nw.at(hop).stats.LinkStalls++
 				m.stallSince = now
 				nw.stallAt(m, now)
 				return
@@ -565,8 +603,9 @@ func (nw *Network) step(m *msg) {
 				ser = sim.Time(float64(m.serLink) / f)
 			}
 		}
-		start := nw.links[li].reserve(now, ser)
-		nw.noteWait(hop, start-now, nw.waitLink)
+		ps := nw.at(hop)
+		start := ps.links[li-hop*6].reserve(now, ser)
+		nw.noteWait(ps, start-now, nw.waitLink)
 		nw.advance(m, d, to)
 		m.arrive = start + ser + nw.cfg.HopLatency
 		nw.scheduleStep(m)
@@ -577,18 +616,19 @@ func (nw *Network) step(m *msg) {
 	// traversed the torus (SeaStar routers forward in hardware) but
 	// dies at the dead node's ejection port.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(dst) {
-		nw.stats[dst].NodeDrops++
+		nw.at(dst).stats.NodeDrops++
 		nw.putMsg(m)
 		return
 	}
 	// Ejection with the stream-overload model: the port slows down
 	// when more distinct sources than StreamLimit are queued, the
 	// BEER-throttling behaviour hot-spot nodes exhibit on the XT5.
-	st := &nw.stats[dst]
-	srcs := nw.ejSources[dst]
+	ps := nw.at(dst)
+	st := &ps.stats
+	srcs := ps.ejSources
 	if srcs == nil {
 		srcs = make(map[int]int)
-		nw.ejSources[dst] = srcs
+		ps.ejSources = srcs
 	}
 	srcs[src]++
 	if n := len(srcs); n > st.MaxStreams {
@@ -606,8 +646,8 @@ func (nw *Network) step(m *msg) {
 			ser = sim.Time(float64(ser) * f)
 		}
 	}
-	start := nw.ej[dst].reserve(now, ser)
-	nw.noteWait(dst, start-now, nw.waitEj)
+	start := ps.ej.reserve(now, ser)
+	nw.noteWait(ps, start-now, nw.waitEj)
 	nw.eng.AtOnArg(dst, start+ser, nw.ejectFn, m)
 }
 
@@ -615,7 +655,8 @@ func (nw *Network) step(m *msg) {
 // retired and the message delivered (or lost, if dst crashed mid-ejection).
 func (nw *Network) eject(m *msg) {
 	src, dst := int(m.src), int(m.dst)
-	srcs := nw.ejSources[dst]
+	ps := nw.at(dst)
+	srcs := ps.ejSources
 	if srcs[src] <= 1 {
 		delete(srcs, src)
 	} else {
@@ -624,7 +665,7 @@ func (nw *Network) eject(m *msg) {
 	// The node can crash mid-ejection; the partially ejected
 	// message is lost with it.
 	if fi := nw.cfg.Faults; fi != nil && fi.NodeDown(dst) {
-		nw.stats[dst].NodeDrops++
+		ps.stats.NodeDrops++
 		nw.putMsg(m)
 		return
 	}
@@ -641,13 +682,13 @@ func (nw *Network) stallAt(m *msg, now sim.Time) {
 	pos := int(m.pos)
 	_, _, to, _ := nw.nextHop(m)
 	if !nw.cfg.Faults.LinkDown(pos, to) {
-		nw.noteWait(pos, now-m.stallSince, nw.waitStall)
+		nw.noteWait(nw.at(pos), now-m.stallSince, nw.waitStall)
 		m.arrive = now
 		nw.scheduleStep(m)
 		return
 	}
 	if now-m.stallSince >= nw.cfg.LinkStallLimit {
-		nw.stats[pos].Dropped++
+		nw.at(pos).stats.Dropped++
 		nw.putMsg(m)
 		return
 	}
@@ -655,9 +696,9 @@ func (nw *Network) stallAt(m *msg, now sim.Time) {
 	nw.eng.AtOnArg(pos, m.arrive, nw.stallFn, m)
 }
 
-func (nw *Network) noteWait(pos int, w sim.Time, h *obs.Histogram) {
-	if w > nw.stats[pos].MaxQueueWait {
-		nw.stats[pos].MaxQueueWait = w
+func (nw *Network) noteWait(ps *position, w sim.Time, h *obs.Histogram) {
+	if w > ps.stats.MaxQueueWait {
+		ps.stats.MaxQueueWait = w
 	}
 	if h != nil {
 		h.Observe(w.Micros())
@@ -668,18 +709,35 @@ func (nw *Network) noteWait(pos int, w sim.Time, h *obs.Histogram) {
 // node, a utilization signal for tests.
 func (nw *Network) LinkBusy(node int) sim.Time {
 	var t sim.Time
-	for d := 0; d < 6; d++ {
-		t += nw.links[node*6+d].busy
+	for _, l := range nw.peek(node).links {
+		t += l.busy
 	}
 	return t
 }
 
 // EjectionBusy returns total serialization time at node's ejection port; the
 // hot-spot node in the contention experiments shows this saturating.
-func (nw *Network) EjectionBusy(node int) sim.Time { return nw.ej[node].busy }
+func (nw *Network) EjectionBusy(node int) sim.Time { return nw.peek(node).ej.busy }
 
 // EjectionMsgs returns how many messages were delivered to node.
-func (nw *Network) EjectionMsgs(node int) uint64 { return nw.ej[node].msgs }
+func (nw *Network) EjectionMsgs(node int) uint64 { return nw.peek(node).ej.msgs }
+
+// Carved reports whether torus position p holds state of its own, which it
+// does from its first port reservation or counter write on. It is a
+// footprint probe for tests and reports: nothing in the model reads it.
+func (nw *Network) Carved(p int) bool { return nw.pos[p] != nil }
+
+// zeroPos is what every reader sees at a position never carved.
+var zeroPos position
+
+// peek returns position p's record for reading, zeroPos while it has never
+// been carved: readers carve nothing.
+func (nw *Network) peek(p int) *position {
+	if ps := nw.pos[p]; ps != nil {
+		return ps
+	}
+	return &zeroPos
+}
 
 // linkNames labels the six directed links leaving a torus node, lowest
 // dimension first, minus direction before plus.
@@ -707,7 +765,7 @@ func (nw *Network) Instrument(reg *obs.Registry) {
 func (nw *Network) HottestEjection() int {
 	hot := 0
 	for n := 1; n < nw.n; n++ {
-		if nw.ej[n].busy > nw.ej[hot].busy {
+		if nw.peek(n).ej.busy > nw.peek(hot).ej.busy {
 			hot = n
 		}
 	}
@@ -745,11 +803,12 @@ func (nw *Network) FillMetrics() {
 	hot := nw.HottestEjection()
 	node := obs.L("node", fmt.Sprint(hot))
 	reg.Gauge("fabric_hot_node").Set(float64(hot))
-	reg.Gauge("fabric_nic_util", node, obs.L("port", "ej")).Set(util(nw.ej[hot].busy))
-	reg.Gauge("fabric_nic_util", node, obs.L("port", "inj")).Set(util(nw.inj[hot].busy))
-	reg.Counter("fabric_nic_ej_msgs", node).Add(float64(nw.ej[hot].msgs))
-	for d := 0; d < 6; d++ {
+	ps := nw.peek(hot)
+	reg.Gauge("fabric_nic_util", node, obs.L("port", "ej")).Set(util(ps.ej.busy))
+	reg.Gauge("fabric_nic_util", node, obs.L("port", "inj")).Set(util(ps.inj.busy))
+	reg.Counter("fabric_nic_ej_msgs", node).Add(float64(ps.ej.msgs))
+	for d := range ps.links {
 		reg.Gauge("fabric_link_util", node, obs.L("link", linkNames[d])).
-			Set(util(nw.links[hot*6+d].busy))
+			Set(util(ps.links[d].busy))
 	}
 }

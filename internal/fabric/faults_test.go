@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"armcivt/internal/faults"
@@ -141,5 +143,69 @@ func TestLinkEndsInverse(t *testing.T) {
 		if back != to || home != from {
 			t.Fatalf("linkEnds(%d) = (%d,%d) but reverse %d = (%d,%d)", idx, from, to, rev, back, home)
 		}
+	}
+}
+
+// TestUncarvedPositionsDigestAsFresh pins that a torus position whose record
+// was never carved reads exactly as a carved, untouched one. A 60-node job on
+// a 4x4x4 torus (four positions unpopulated) runs an incast into node 0
+// under a storm there: both z links into node 0 are hard-failed, so
+// messages stall in front of them; a failed x link reroutes others; one link
+// is degraded; and a crashed node drops what it sends and receives. The run
+// stops at a horizon with messages in flight. Carving every remaining
+// position must leave the checkpoint section, Stats and every per-node
+// reader unchanged.
+func TestUncarvedPositionsDigestAsFresh(t *testing.T) {
+	const n = 60
+	e := sim.New()
+	inj := faults.NewInjector(e, n, faults.MustParseSpec("link:0-1@t=0s@for=1ms,link:16-0@t=0s@for=1ms,link:48-0@t=0s@for=1ms,degrade:4-0@t=0s@bw=0.5,node:9@t=0s,storm:0@t=0s@for=1ms@bw=0.5"))
+	nw := New(e, n, Config{Shape: [3]int{4, 4, 4}, Faults: inj})
+	for src := 1; src < n; src += 2 {
+		for k := range 3 {
+			nw.SendArg(src, 0, 512*(k+1), func(any, bool) {}, nil)
+		}
+	}
+	nw.SendArg(0, 9, 64, func(any, bool) {}, nil)
+	if _, ok := e.RunUntil(20 * sim.Microsecond).(*sim.TimeLimitError); !ok {
+		t.Fatal("the run drained before its horizon")
+	}
+	st := nw.Stats()
+	if st.LinkStalls == 0 || st.NodeDrops == 0 {
+		t.Fatalf("the horizon saw %+v; want stalled and dropped messages", st)
+	}
+	type reading struct {
+		linkBusy, ejBusy sim.Time
+		ejMsgs           uint64
+	}
+	read := func() (out []reading) {
+		for v := range n {
+			out = append(out, reading{nw.LinkBusy(v), nw.EjectionBusy(v), nw.EjectionMsgs(v)})
+		}
+		return out
+	}
+	uncarved := 0
+	for p := range nw.Capacity() {
+		if !nw.Carved(p) {
+			uncarved++
+		}
+	}
+	if uncarved == 0 {
+		t.Fatal("every position carved at the horizon; want some untouched")
+	}
+	section, readings, hot := nw.CheckpointSection(), read(), nw.HottestEjection()
+	for p := range nw.Capacity() {
+		nw.at(p)
+	}
+	if got := nw.Stats(); got != st {
+		t.Errorf("carving the %d uncarved positions changed Stats:\n got %+v\nwant %+v", uncarved, got, st)
+	}
+	if got := nw.CheckpointSection(); !bytes.Equal(got, section) {
+		t.Errorf("carving the %d uncarved positions changed the fabric section", uncarved)
+	}
+	if got := read(); !slices.Equal(got, readings) {
+		t.Errorf("carving the %d uncarved positions changed LinkBusy, EjectionBusy or EjectionMsgs", uncarved)
+	}
+	if got := nw.HottestEjection(); got != hot {
+		t.Errorf("carving the %d uncarved positions moved the hottest ejection from %d to %d", uncarved, hot, got)
 	}
 }

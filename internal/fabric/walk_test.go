@@ -74,7 +74,7 @@ func (nw *Network) routeFaultAware(src, dst int, buf []int) []int {
 			altDir, altDist := 1-dir, nw.shape[d]-dist
 			if altDist > 0 && !nw.arcBlocked(node, d, altDir, altDist) {
 				dir, dist = altDir, altDist
-				nw.stats[src].Reroutes++
+				nw.at(src).stats.Reroutes++
 			}
 		}
 		for s := 0; s < dist; s++ {
@@ -213,8 +213,8 @@ func TestWalkMatchesRouteEverywhere(t *testing.T) {
 }
 
 // TestMsgSizeMatchesBudget is the documentation-drift check for the `msg`
-// row of docs/SCALING.md's byte budget: the row must state the in-flight
-// message record's actual size on a 64-bit platform.
+// and `position` rows of docs/SCALING.md's byte budget: each must state
+// its record's actual size on a 64-bit platform.
 func TestMsgSizeMatchesBudget(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the byte budget is stated for 64-bit platforms")
@@ -223,9 +223,16 @@ func TestMsgSizeMatchesBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := unsafe.Sizeof(msg{})
-	if want := fmt.Sprintf("| `msg` | %d B |", size); !strings.Contains(string(doc), want) {
-		t.Errorf("docs/SCALING.md byte budget is stale for msg: expected the row %q (actual size %d bytes)", want, size)
+	for _, row := range []struct {
+		name string
+		size uintptr
+	}{
+		{"msg", unsafe.Sizeof(msg{})},
+		{"position", unsafe.Sizeof(position{})},
+	} {
+		if want := fmt.Sprintf("| `%s` | %d B |", row.name, row.size); !strings.Contains(string(doc), want) {
+			t.Errorf("docs/SCALING.md byte budget is stale for %s: expected the row %q (actual size %d bytes)", row.name, want, row.size)
+		}
 	}
 }
 

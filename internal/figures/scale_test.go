@@ -105,8 +105,8 @@ func TestScaleDeterminism16k(t *testing.T) {
 
 // TestScaleFootprint is the large-N live-footprint gate of docs/SCALING.md:
 // one measured 16k-node and one measured 64k-node point must stay under
-// live-byte ceilings of 48 MB and 172 MB, about 2x what they measure
-// (20.9 MB and 77.1 MB, go1.24, linux/amd64, 2 cores), and each must
+// live-byte ceilings of 22 MB and 75 MB, about 2x what they measure
+// (10.9 MB and 37.6 MB, go1.24, linux/amd64, 2 cores), and each must
 // produce its pinned completion fingerprint. It logs each point's nodes,
 // wall time, live footprint and allocation rate; CI runs it with -v and
 // copies the log into the job summary.
@@ -115,7 +115,7 @@ func TestScaleFootprint(t *testing.T) {
 		nodes     int
 		ceilingMB float64
 		want      uint64
-	}{{16384, 48, scaleFingerprint16k}, {65536, 172, scaleFingerprint64k}} {
+	}{{16384, 22, scaleFingerprint16k}, {65536, 75, scaleFingerprint64k}} {
 		t0 := time.Now()
 		res, err := Scale(ScaleConfig{Nodes: tc.nodes, Measure: true})
 		if err != nil {

@@ -145,6 +145,45 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	return q.pop(), true
 }
 
+// QueueStub stands in for a Queue whose owner has not built it yet, so that
+// a step process can wait on its queue-to-be without the owner writing
+// anything: a job's 64k CHTs each poll their node's inbox at t=0, and most
+// of those nodes never see a request. The stub holds only the queues'
+// common name prefix; a process parked on it is labelled exactly as one
+// parked on the empty queue named prefix followed by its number (see
+// Init), so deadlock reports and traces cannot tell the two apart.
+type QueueStub struct{ prefix string }
+
+// NewQueueStub returns the stub for queues named prefix followed by their
+// getter's process number.
+func NewQueueStub(prefix string) *QueueStub { return &QueueStub{prefix: prefix} }
+
+func (s *QueueStub) blockLabel(num int64) string {
+	return "queue " + numberedName(s.prefix, int(num))
+}
+
+// Park parks step process p on the stub, as Poll parks it on an empty
+// queue. Only Adopt, on the queue built for p, makes it wakeable: nothing
+// else ever resumes it.
+func (s *QueueStub) Park(p *Proc) { p.parkOn(s, int64(p.num)) }
+
+// Adopt makes p, if it is parked on stub s, the longest-waiting getter of q,
+// exactly as if p had polled q while q was empty, and reports whether it
+// did. A p that has not run yet, or waits on anything else, is left alone.
+// Call it on a freshly built queue, before its first Put.
+func (q *Queue[T]) Adopt(s *QueueStub, p *Proc) bool {
+	if p.state != procBlocked || p.blockedAt != blocker(s) {
+		return false
+	}
+	if q.w0 == nil {
+		q.w0 = p
+	} else {
+		q.waiters = append(q.waiters, p)
+	}
+	p.blockedAt, p.blockArg = q, 0
+	return true
+}
+
 // Event is a broadcast completion flag: processes Wait until some actor calls
 // Fire, after which all current and future waiters proceed immediately. It is
 // a Flag that carries its own name for deadlock reports.

@@ -266,6 +266,11 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Proc returns the process whose spawn-order identifier is id (see
+// Proc.ID): processes spawned back to back have consecutive ids, so a
+// caller that spawned a run of them can find any one again from the first.
+func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
+
 // exec dispatches one popped event by kind. It replaces direct fn() calls in
 // the run loop so the hot event kinds carry no closure.
 func (e *Engine) exec(p *payload) {

@@ -871,3 +871,86 @@ func TestFlagWaiterShowsItsLabel(t *testing.T) {
 		t.Errorf("p1 woke %d times, want 1", woke)
 	}
 }
+
+// TestQueueStubAdoptMatchesPoll: a step process that parks on a QueueStub at
+// t=0 and is adopted by its queue when the queue is built at t=3 runs
+// exactly as one that polled the built queue at t=0. Both see the same
+// items at the same instants, trace the same park labels, and leave the
+// kernel's checkpoint section equal. Adopt leaves alone a process that has
+// not run yet and one waiting on anything else.
+func TestQueueStubAdoptMatchesPoll(t *testing.T) {
+	stub := NewQueueStub("cht")
+	run := func(lazy bool) (got []string, trace []TraceRecord, section []byte) {
+		e := New()
+		e.SetTracer(TracerFunc(func(r TraceRecord) { trace = append(trace, r) }))
+		var q *Queue[int]
+		step := func(p *Proc) {
+			if q == nil || p.Num() != 7 { // the others' queues are never built
+				stub.Park(p)
+				return
+			}
+			for {
+				x, ok := q.Poll(p)
+				if !ok {
+					return
+				}
+				got = append(got, fmt.Sprintf("%d@%v", x, p.Now()))
+			}
+		}
+		build := func() {
+			q = &Queue[int]{}
+			q.Init("cht", 7)
+		}
+		if !lazy {
+			build()
+		}
+		var p *Proc
+		for n := range 8 {
+			if pn := e.SpawnStepOn(n, "cht", n, step); n == 7 {
+				p = pn
+			}
+		}
+		e.At(3, func() {
+			if lazy {
+				build()
+				if !q.Adopt(stub, p) {
+					t.Error("Adopt refused the process parked on the stub")
+				}
+			}
+		})
+		e.At(5, func() { q.Put(1); q.Put(2) })
+		e.At(9, func() { q.Put(3) })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return got, trace, e.CheckpointSection()
+	}
+	wantGot, wantTrace, wantSection := run(false)
+	got, trace, section := run(true)
+	if !reflect.DeepEqual(got, wantGot) || len(got) != 3 {
+		t.Errorf("adopted process took %q, polling one %q", got, wantGot)
+	}
+	if !reflect.DeepEqual(trace, wantTrace) {
+		t.Errorf("traces differ:\n adopted %v\n polling %v", trace, wantTrace)
+	}
+	if !bytes.Equal(section, wantSection) {
+		t.Error("kernel checkpoint sections differ")
+	}
+
+	e := New()
+	var q Queue[int]
+	fresh := e.SpawnStepOn(0, "cht", 0, func(p *Proc) { stub.Park(p) })
+	if q.Adopt(stub, fresh) {
+		t.Error("Adopt took a process that has not run")
+	}
+	sleeper := e.SpawnStepOn(1, "cht", 1, func(p *Proc) { p.Sleep(10) })
+	if err := e.RunUntil(1); err == nil {
+		t.Fatal("RunUntil(1) drained a queue holding a sleeper's wake-up")
+	}
+	if q.Adopt(stub, sleeper) {
+		t.Error("Adopt took a sleeping process")
+	}
+	if got := fresh.BlockedOn(); got != "queue cht0" {
+		t.Errorf("a process parked on the stub reads blocked on %q, want %q", got, "queue cht0")
+	}
+}
