@@ -142,10 +142,11 @@ func (r *Rank) submitOne(req *request, h *Handle) {
 // the addition would cross the aggMaxOps or BufSize boundary.
 func (r *Rank) aggAdd(req *request, targetNode int) {
 	cfg := &r.rt.cfg
-	if r.agg == nil {
-		r.agg = map[int][]*request{}
+	sc := r.scratch()
+	if sc.agg == nil {
+		sc.agg = map[int][]*request{}
 	}
-	cur := r.agg[targetNode]
+	cur := sc.agg[targetNode]
 	if len(cur) > 0 {
 		wire := headerBytes
 		for _, s := range cur {
@@ -155,24 +156,24 @@ func (r *Rank) aggAdd(req *request, targetNode int) {
 			r.flushAgg(targetNode)
 		}
 	}
-	r.agg[targetNode] = append(r.agg[targetNode], req)
+	sc.agg[targetNode] = append(sc.agg[targetNode], req)
 }
 
 // flushAgg injects the aggregation buffer for one target node: a lone
 // buffered request goes out as itself, two or more as one batch packet. Each
 // sub arms its own timeout at injection, exactly as an unbatched send would.
 func (r *Rank) flushAgg(targetNode int) {
-	subs := r.agg[targetNode]
+	subs := r.pool.agg[targetNode]
 	if len(subs) == 0 {
 		return
 	}
-	delete(r.agg, targetNode)
+	delete(r.pool.agg, targetNode)
 	if len(subs) == 1 {
 		r.send(subs[0])
 		return
 	}
 	rt := r.rt
-	if err := rt.deadRouteErr(r.node, targetNode); err != nil {
+	if err := rt.deadRouteErr(r.Node(), targetNode); err != nil {
 		rt.abortChunks(err, subs...)
 		return
 	}
@@ -180,19 +181,19 @@ func (r *Rank) flushAgg(targetNode int) {
 		rt.armTimeout(sub)
 	}
 	batch := buildBatch(subs)
-	first := rt.nextHop(r.node, targetNode)
-	rt.egressTo(r.node, first).submitRank(r.proc, batch)
+	first := rt.nextHop(r.Node(), targetNode)
+	rt.egressTo(r.Node(), first).submitRank(r.proc, batch)
 }
 
 // flushAllAgg flushes every target's aggregation buffer in target order
 // (sorted, so results are independent of map iteration). Called on every
 // Wait/Fence/Barrier and when the rank's body returns.
 func (r *Rank) flushAllAgg() {
-	if len(r.agg) == 0 {
+	if r.pool == nil || len(r.pool.agg) == 0 {
 		return
 	}
-	tns := make([]int, 0, len(r.agg))
-	for tn := range r.agg {
+	tns := make([]int, 0, len(r.pool.agg))
+	for tn := range r.pool.agg {
 		tns = append(tns, tn)
 	}
 	sort.Ints(tns)

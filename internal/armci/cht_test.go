@@ -38,10 +38,12 @@ func (rt *Runtime) startRef(body func(r *Rank)) {
 	rt.liveRanks = len(rt.ranks)
 	for i := range rt.ranks {
 		r := &rt.ranks[i]
-		r.proc = rt.eng.SpawnOn(r.node, fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
+		rt.eng.SpawnOn(r.Node(), fmt.Sprintf("rank%d", r.Rank()), func(p *sim.Proc) {
+			r.rt, r.proc = rt, p
 			body(r)
 			r.flushAllAgg()
 			rt.eng.AtGlobal(func() { rt.liveRanks-- })
+			r.proc = nil
 		})
 	}
 	if rt.healArmed {

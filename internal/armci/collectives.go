@@ -54,29 +54,31 @@ func (r *Rank) collBase(bufIdx int64, slot int) int {
 // collSend writes payload into dst's scratch slot and notifies. The buffer
 // index alternates with the pair's cumulative message count.
 func (r *Rank) collSend(dst int, slot int, payload []byte) {
-	if r.collSent == nil {
-		r.collSent = map[int]int64{}
+	sc := r.scratch()
+	if sc.collSent == nil {
+		sc.collSent = map[int]int64{}
 	}
-	r.collSent[dst]++
+	sc.collSent[dst]++
 	buf := make([]byte, 8+len(payload))
 	PutInt64(buf, 0, int64(len(payload)))
 	copy(buf[8:], payload)
-	r.Put(dst, collAlloc, r.collBase(r.collSent[dst]%2, slot), buf)
+	r.Put(dst, collAlloc, r.collBase(sc.collSent[dst]%2, slot), buf)
 	r.NotifyTag(dst, "coll")
 }
 
 // collRecvFrom waits for src's next collective message and returns the
 // payload stored in the caller's slot.
 func (r *Rank) collRecvFrom(src int, slot int) []byte {
-	if r.collRecv == nil {
-		r.collRecv = map[int]int64{}
+	sc := r.scratch()
+	if sc.collRecv == nil {
+		sc.collRecv = map[int]int64{}
 	}
-	r.collRecv[src]++
-	r.WaitNotifyTag(src, "coll", r.collRecv[src])
+	sc.collRecv[src]++
+	r.WaitNotifyTag(src, "coll", sc.collRecv[src])
 	a := r.rt.alloc(collAlloc)
-	base := r.collBase(r.collRecv[src]%2, slot)
-	out := make([]byte, a.loadInt64(r.rank, base))
-	a.read(r.rank, base+8, out)
+	base := r.collBase(sc.collRecv[src]%2, slot)
+	out := make([]byte, a.loadInt64(r.Rank(), base))
+	a.read(r.Rank(), base+8, out)
 	return out
 }
 
@@ -101,7 +103,7 @@ func (r *Rank) bcastOver(members []int, rootIdx int, data []byte) []byte {
 	if m == 1 {
 		return append([]byte(nil), data...)
 	}
-	myIdx := indexOf(members, r.rank)
+	myIdx := indexOf(members, r.Rank())
 	vrank := (myIdx - rootIdx + m) % m
 	abs := func(v int) int { return members[(v+rootIdx)%m] }
 
@@ -186,7 +188,7 @@ func (r *Rank) reduceOver(members []int, rootIdx int, vals []float64, op reduceO
 	if m == 1 {
 		return acc
 	}
-	myIdx := indexOf(members, r.rank)
+	myIdx := indexOf(members, r.Rank())
 	vrank := (myIdx - rootIdx + m) % m
 	abs := func(v int) int { return members[(v+rootIdx)%m] }
 	phase := 0
@@ -219,7 +221,7 @@ func (r *Rank) ReduceMax(root int, vals []float64) []float64 { return r.reduce(r
 func (r *Rank) AllreduceSum(vals []float64) []float64 {
 	red := r.reduce(0, vals, sumOp)
 	var payload []byte
-	if r.rank == 0 {
+	if r.Rank() == 0 {
 		payload = Float64sToBytes(red)
 	}
 	return BytesToFloat64s(r.Bcast(0, payload))
@@ -229,7 +231,7 @@ func (r *Rank) AllreduceSum(vals []float64) []float64 {
 func (r *Rank) AllreduceMax(vals []float64) []float64 {
 	red := r.reduce(0, vals, maxOp)
 	var payload []byte
-	if r.rank == 0 {
+	if r.Rank() == 0 {
 		payload = Float64sToBytes(red)
 	}
 	return BytesToFloat64s(r.Bcast(0, payload))

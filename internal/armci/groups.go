@@ -62,7 +62,7 @@ func (g *Group) Contains(rank int) bool { _, ok := g.index[rank]; return ok }
 
 // GroupRank returns r's position within the group, or -1 if not a member.
 func (g *Group) GroupRank(r *Rank) int {
-	if i, ok := g.index[r.rank]; ok {
+	if i, ok := g.index[r.Rank()]; ok {
 		return i
 	}
 	return -1
@@ -70,9 +70,9 @@ func (g *Group) GroupRank(r *Rank) int {
 
 // mustMember panics if r is not in g.
 func (g *Group) mustMember(r *Rank) int {
-	i, ok := g.index[r.rank]
+	i, ok := g.index[r.Rank()]
 	if !ok {
-		panic(fmt.Sprintf("armci: rank %d is not a member of group %q", r.rank, g.name))
+		panic(fmt.Sprintf("armci: rank %d is not a member of group %q", r.Rank(), g.name))
 	}
 	return i
 }
@@ -127,7 +127,7 @@ func (r *Rank) GroupAllreduceSum(g *Group, vals []float64) []float64 {
 	red := r.reduceOver(g.members, 0, vals, sumOp)
 	r.GroupBarrier(g)
 	var payload []byte
-	if g.index[r.rank] == 0 {
+	if g.index[r.Rank()] == 0 {
 		payload = Float64sToBytes(red)
 	}
 	out := r.bcastOver(g.members, 0, payload)

@@ -522,15 +522,16 @@ func (ns *nodeState) crashStop() {
 	}
 	err := &NodeFailedError{Node: ns.id}
 	for r := ns.id * rt.cfg.PPN; r < (ns.id+1)*rt.cfg.PPN; r++ {
-		rk := &rt.ranks[r]
-		rk.agg = nil // buffered aggregation dies unflushed
-		for _, h := range rk.outstanding {
+		sc := rt.ranks[r].pool
+		if sc == nil {
+			continue
+		}
+		sc.agg = nil // buffered aggregation dies unflushed
+		for _, h := range sc.outstanding {
 			h.failAll(err)
 		}
-		if rk.pool != nil {
-			for h := rk.pool.held; h != nil; h = h.next {
-				h.failAll(err)
-			}
+		for h := sc.held; h != nil; h = h.next {
+			h.failAll(err)
 		}
 	}
 }

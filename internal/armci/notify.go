@@ -55,15 +55,15 @@ func (r *Rank) NotifyTag(dst int, tag string) {
 	if dst < 0 || dst >= len(rt.ranks) {
 		panic(fmt.Sprintf("armci: Notify(%d) out of range", dst))
 	}
-	rt.st(r.node).Ops++
-	dstNode := rt.ranks[dst].node
-	key := notifyKey{to: dst, from: r.rank, tag: tag}
-	if dstNode == r.node {
-		rt.st(r.node).LocalOps++
+	rt.st(r.Node()).Ops++
+	dstNode := rt.ranks[dst].Node()
+	key := notifyKey{to: dst, from: r.Rank(), tag: tag}
+	if dstNode == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		rt.eng.AfterOn(dstNode, rt.cfg.LocalLatency, func() { rt.node(dstNode).notifyArrive(key) })
 		return
 	}
-	rt.net.SendArg(r.node, dstNode, respBytes, func(any, bool) { rt.node(dstNode).notifyArrive(key) }, nil)
+	rt.net.SendArg(r.Node(), dstNode, respBytes, func(any, bool) { rt.node(dstNode).notifyArrive(key) }, nil)
 }
 
 // notifyArrive counts one notification at its consumer's node. It runs in
@@ -88,17 +88,17 @@ func (r *Rank) WaitNotifyTag(src int, tag string, count int64) {
 	if src < 0 || src >= len(rt.ranks) {
 		panic(fmt.Sprintf("armci: WaitNotify(%d) out of range", src))
 	}
-	ns := rt.node(r.node).notify()
-	key := notifyKey{to: r.rank, from: src, tag: tag}
+	ns := rt.node(r.Node()).notify()
+	key := notifyKey{to: r.Rank(), from: src, tag: tag}
 	if ns.count[key] >= count {
 		return
 	}
 	if ns.waiters[key] != nil {
-		panic(fmt.Sprintf("armci: rank %d has two concurrent WaitNotify on src %d tag %q", r.rank, src, tag))
+		panic(fmt.Sprintf("armci: rank %d has two concurrent WaitNotify on src %d tag %q", r.Rank(), src, tag))
 	}
 	w := &notifyWaiter{
 		threshold: count,
-		ev:        sim.NewEvent(rt.eng, fmt.Sprintf("notify %d<-%d %q", r.rank, src, tag)),
+		ev:        sim.NewEvent(rt.eng, fmt.Sprintf("notify %d<-%d %q", r.Rank(), src, tag)),
 	}
 	ns.waiters[key] = w
 	w.ev.Wait(r.proc)
@@ -107,5 +107,5 @@ func (r *Rank) WaitNotifyTag(src int, tag string, count int64) {
 // Notifications returns the cumulative untagged notification count received
 // by rank `to` from rank `from` (for tests and diagnostics).
 func (rt *Runtime) Notifications(to, from int) int64 {
-	return rt.node(rt.ranks[to].node).notify().count[notifyKey{to: to, from: from}]
+	return rt.node(rt.ranks[to].Node()).notify().count[notifyKey{to: to, from: from}]
 }

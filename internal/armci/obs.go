@@ -1,8 +1,6 @@
 package armci
 
 import (
-	"fmt"
-
 	"armcivt/internal/obs"
 	"armcivt/internal/sim"
 )
@@ -36,8 +34,9 @@ type obsState struct {
 }
 
 // newObsState wires the side-car: fabric shares the registry, every CHT
-// inbox reports its depth once its node is carved, and trace thread names
-// are pre-registered. New calls it before any node is carved.
+// inbox reports its depth once its node is carved, and the CHTs' trace
+// thread names are registered as one range, formatted only when the trace
+// is written. New calls it before any node is carved.
 func newObsState(rt *Runtime) *obsState {
 	cfg := rt.cfg
 	o := &obsState{
@@ -60,11 +59,7 @@ func newObsState(rt *Runtime) *obsState {
 		rt.net.Instrument(o.reg)
 		o.onDepth = func(d int) { o.inboxDepth.Observe(float64(d)) }
 	}
-	if o.tr != nil {
-		for n := 0; n < cfg.Nodes; n++ {
-			o.tr.ThreadName(o.pid, n, fmt.Sprintf("cht%d", n))
-		}
-	}
+	o.tr.ThreadNames(o.pid, 0, cfg.Nodes, "cht")
 	return o
 }
 

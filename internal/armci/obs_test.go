@@ -1,6 +1,7 @@
 package armci
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -167,4 +168,24 @@ func TestFillMetricsWithoutObsIsNoOp(t *testing.T) {
 		t.Error("uninstrumented HotNode should be 0")
 	}
 	rt.Shutdown()
+}
+
+// TestTracedNewAllocatesNothingPerNode: a traced runtime registers its CHTs'
+// trace thread names as one range, so a traced 64k-node New makes a few
+// dozen mallocs, not one name per node (327 549 mallocs and 65.3 MiB when
+// each chtN name was formatted and registered in New).
+func TestTracedNewAllocatesNothingPerNode(t *testing.T) {
+	const nodes = 65536
+	cfg := DefaultConfig(nodes, 1)
+	cfg.Topology = core.MustNew(core.Hypercube, nodes)
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Trace = obs.NewTracer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt := MustNew(sim.New(), cfg)
+	runtime.ReadMemStats(&after)
+	defer rt.Shutdown()
+	if got, limit := after.Mallocs-before.Mallocs, uint64(400); got > limit {
+		t.Errorf("traced New of a %d-node job made %d mallocs, want at most %d", nodes, got, limit)
+	}
 }

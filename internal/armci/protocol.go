@@ -135,7 +135,7 @@ func (req *request) mutex() int { return int(req.arg) }
 // the target rank.
 func (req *request) setOp(kind opKind, r *Rank, target int) {
 	req.kind, req.target = kind, int32(target)
-	req.origin, req.originNode = int32(r.rank), int32(r.node)
+	req.origin, req.originNode = r.rank, r.node
 }
 
 // setHandle points req at chunk chunk of h; the record holds h until it

@@ -15,30 +15,34 @@ import (
 // variants return a *Handle to overlap communication with computation, and
 // Wait/WaitAll/Fence complete them.
 type Rank struct {
-	rt   *Runtime
-	rank int
-	node int
+	// rt is set when the rank's body first runs, as proc is, so New writes
+	// no pointer into the rank array.
+	rt *Runtime
+	// proc is the rank's process while its body runs, nil before and after:
+	// the engine carves the process record at the first resume and reuses
+	// it once the body exits.
 	proc *sim.Proc
+	// pool holds the rank's per-operation storage and everything else a
+	// rank keeps beyond its identity, nil until first use (see scratch).
+	pool       *rankPool
+	rank, node int32
+}
 
+// rankPool is a rank's reusable per-operation storage and state, carved on
+// the rank's first use of any of it, so a rank that issues nothing costs a
+// Rank alone. Only the rank's own process and events of its node touch it,
+// so it needs no lock.
+type rankPool struct {
 	// outstanding lists the handles Nb* calls returned, for Fence.
 	outstanding []*Handle
-	// pool holds the rank's reusable per-operation storage, nil until its
-	// first remote operation (see scratch).
-	pool        *rankPool
 	heldMutexes map[int]bool
-
 	// agg buffers batchable nonblocking requests per target node when
 	// Config.Agg is enabled; see agg.go for the flush boundaries.
 	agg map[int][]*request
-
 	// collective-layer state (see collectives.go)
 	collSent map[int]int64
 	collRecv map[int]int64
-}
 
-// rankPool is a rank's reusable per-operation storage. Only the rank's own
-// process and events of its node touch it, so it needs no lock.
-type rankPool struct {
 	// held and last are the ends of the list, in issue order, of the
 	// pooled handles of operations the rank has issued and not yet read
 	// (blocking calls, Pooled), so a crash of its node can fail them; free
@@ -76,10 +80,10 @@ func (r *Rank) scratch() *rankPool {
 }
 
 // Rank returns the process's global rank in [0, N).
-func (r *Rank) Rank() int { return r.rank }
+func (r *Rank) Rank() int { return int(r.rank) }
 
 // Node returns the compute node hosting this rank.
-func (r *Rank) Node() int { return r.node }
+func (r *Rank) Node() int { return int(r.node) }
 
 // N returns the total number of ranks.
 func (r *Rank) N() int { return len(r.rt.ranks) }
@@ -93,13 +97,14 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 // Sleep models local computation for d of virtual time.
 func (r *Rank) Sleep(d sim.Time) { r.proc.Sleep(d) }
 
-// Proc exposes the underlying simulated process.
+// Proc exposes the underlying simulated process. It is nil outside the
+// rank's body: call it from the body only.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
 // Local returns this rank's own slice of the named allocation. Like
 // Runtime.Memory it flattens the rank's memory of that allocation into one
 // slab, which every later access then uses.
-func (r *Rank) Local(alloc string) []byte { return r.rt.Memory(r.rank, alloc) }
+func (r *Rank) Local(alloc string) []byte { return r.rt.Memory(r.Rank(), alloc) }
 
 // Malloc collectively registers an allocation (idempotent) and synchronizes,
 // mirroring ARMCI_Malloc's collective contract.
@@ -124,7 +129,8 @@ func (r *Rank) track(h *Handle) *Handle {
 	case h.Done():
 		return h
 	case sc == nil:
-		r.outstanding = append(r.outstanding, h)
+		sc := r.scratch()
+		sc.outstanding = append(sc.outstanding, h)
 		return h
 	}
 	h.prev = sc.last
@@ -242,10 +248,14 @@ func (r *Rank) WaitAll(hs ...*Handle) {
 // Fence blocks until every operation this rank has issued so far is
 // remotely complete (ARMCI_AllFence restricted to the caller).
 func (r *Rank) Fence() {
-	for _, h := range r.outstanding {
+	sc := r.pool
+	if sc == nil {
+		return
+	}
+	for _, h := range sc.outstanding {
 		r.Wait(h)
 	}
-	r.outstanding = r.outstanding[:0]
+	sc.outstanding = sc.outstanding[:0]
 }
 
 // send injects one request chunk toward the target node through the virtual
@@ -257,7 +267,7 @@ func (r *Rank) send(req *request) {
 	// Crash-stop fast path: a crashed origin cannot inject, and a target
 	// this node's membership view has confirmed dead is not worth the full
 	// retry schedule. Both fail the chunk with *NodeFailedError.
-	if err := rt.deadRouteErr(r.node, targetNode); err != nil {
+	if err := rt.deadRouteErr(r.Node(), targetNode); err != nil {
 		rt.abortChunks(err, req)
 		return
 	}
@@ -265,8 +275,8 @@ func (r *Rank) send(req *request) {
 	// buffered earlier write could be applied after this request.
 	r.flushAgg(targetNode)
 	rt.armTimeout(req)
-	first := rt.nextHop(r.node, targetNode)
-	rt.egressTo(r.node, first).submitRank(r.proc, req)
+	first := rt.nextHop(r.Node(), targetNode)
+	rt.egressTo(r.Node(), first).submitRank(r.proc, req)
 }
 
 // localDelay models a shared-memory operation touching n payload bytes.
@@ -289,11 +299,11 @@ func (r *Rank) Put(dst int, alloc string, off int, data []byte) {
 
 func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	checkRange(a, off, len(data))
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(len(data))
 		a.write(dst, off, data)
 		return r.handle(0, 0, pooled)
@@ -301,7 +311,7 @@ func (r *Rank) put(dst int, alloc string, off int, data []byte, pooled bool) *Ha
 	sc := r.scratch()
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, len(data), func(o, ln int) {
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opPut, r, dst)
 		req.alloc, req.off = a, o
 		req.data = data[o-off : o-off+ln]
@@ -335,11 +345,11 @@ func (r *Rank) detach(h *Handle) []byte {
 
 func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	checkRange(a, off, n)
-	if r.nodeOf(src) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(src) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(n)
 		h := r.handle(0, n, pooled)
 		a.read(src, off, h.data)
@@ -348,7 +358,7 @@ func (r *Rank) get(src int, alloc string, off, n int, pooled bool) *Handle {
 	sc := r.scratch()
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkContig(off, n, func(o, ln int) {
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opGet, r, src)
 		req.alloc, req.off = a, o
 		req.getBytes, req.flatOff = int32(ln), o-off
@@ -376,12 +386,12 @@ func (r *Rank) Acc(dst int, alloc string, off int, scale float64, vals []float64
 
 func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	n := 8 * len(vals)
 	checkRange(a, off, n)
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(n)
 		for i, v := range vals {
 			a.accFloat64(dst, off+8*i, scale, v)
@@ -398,7 +408,7 @@ func (r *Rank) acc(dst int, alloc string, off int, scale float64, vals []float64
 		if ln > per {
 			ln = per
 		}
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opAcc, r, dst)
 		req.alloc, req.off = a, off+done
 		req.buf = appendFloat64s(rt.growBytes(req.buf, ln), vals[done/8:(done+ln)/8])
@@ -427,7 +437,7 @@ func (r *Rank) PutV(dst int, alloc string, segs []Seg, data []byte) {
 
 func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	total := segsBytes(segs)
 	if total != len(data) {
@@ -436,8 +446,8 @@ func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool)
 	for _, s := range segs {
 		checkRange(a, s.Off, s.Len)
 	}
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(total)
 		pos := 0
 		for _, s := range segs {
@@ -449,7 +459,7 @@ func (r *Rank) putV(dst int, alloc string, segs []Seg, data []byte, pooled bool)
 	sc := r.scratch()
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opPutV, r, dst)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
@@ -477,14 +487,14 @@ func (r *Rank) GetV(src int, alloc string, segs []Seg) []byte {
 
 func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	total := segsBytes(segs)
 	for _, s := range segs {
 		checkRange(a, s.Off, s.Len)
 	}
-	if r.nodeOf(src) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(src) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(total)
 		h := r.handle(0, total, pooled)
 		pos := 0
@@ -497,7 +507,7 @@ func (r *Rank) getV(src int, alloc string, segs []Seg, pooled bool) *Handle {
 	sc := r.scratch()
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 1, &sc.segs, func(group []Seg, payload, flatOff int) {
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opGetV, r, src)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy
@@ -563,11 +573,11 @@ func (r *Rank) FetchAdd(dst int, alloc string, off int, delta int64) int64 {
 
 func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	checkRange(a, off, 8)
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(8)
 		old := a.loadInt64(dst, off)
 		a.storeInt64(dst, off, old+delta)
@@ -575,7 +585,7 @@ func (r *Rank) fetchAdd(dst int, alloc string, off int, delta int64, pooled bool
 		h.old = old
 		return h
 	}
-	req := rt.getReq(r.node)
+	req := rt.getReq(r.Node())
 	req.setOp(opRmw, r, dst)
 	req.alloc, req.off, req.arg = a, off, uint64(delta)
 	req.wire = headerBytes + 8
@@ -598,23 +608,24 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	if m < 0 || m >= len(rt.mutexes) {
 		panic(fmt.Sprintf("armci: mutex %d out of range [0,%d)", m, len(rt.mutexes)))
 	}
-	if r.heldMutexes == nil {
-		r.heldMutexes = map[int]bool{}
+	sc := r.scratch()
+	if sc.heldMutexes == nil {
+		sc.heldMutexes = map[int]bool{}
 	}
 	switch kind {
 	case opLock:
-		if r.heldMutexes[m] {
-			panic(fmt.Sprintf("armci: rank %d re-locking mutex %d it already holds", r.rank, m))
+		if sc.heldMutexes[m] {
+			panic(fmt.Sprintf("armci: rank %d re-locking mutex %d it already holds", r.Rank(), m))
 		}
 	case opUnlock:
-		if !r.heldMutexes[m] {
-			panic(fmt.Sprintf("armci: rank %d unlocking mutex %d it does not hold", r.rank, m))
+		if !sc.heldMutexes[m] {
+			panic(fmt.Sprintf("armci: rank %d unlocking mutex %d it does not hold", r.Rank(), m))
 		}
 	}
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	ownerNode := m % rt.cfg.Nodes
 	ownerRank := ownerNode * rt.cfg.PPN
-	req := rt.getReq(r.node)
+	req := rt.getReq(r.Node())
 	req.setOp(kind, r, ownerRank)
 	req.arg, req.wire = uint64(m), headerBytes
 	h := r.handle(1, 0, true)
@@ -623,16 +634,16 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	// while a rank held it stays wedged for other contenders — lock state is
 	// volatile and dies with the owner (a documented limitation) — but a
 	// lock op issued toward a confirmed-dead owner fails fast here.
-	if err := rt.deadRouteErr(r.node, ownerNode); err != nil {
+	if err := rt.deadRouteErr(r.Node(), ownerNode); err != nil {
 		rt.abortChunks(err, req)
 		r.Wait(h)
 		r.release(h)
 		return
 	}
-	if ownerNode == r.node {
+	if ownerNode == r.Node() {
 		// Same-node mutex traffic still goes through the owner CHT (the
 		// authority for the mutex) but over shared memory: no credits.
-		rt.st(r.node).LocalOps++
+		rt.st(r.Node()).LocalOps++
 		req.up = nil
 		node := rt.node(ownerNode)
 		rt.eng.AfterOn(ownerNode, rt.cfg.LocalLatency, func() { node.enqueue(req) })
@@ -641,7 +652,7 @@ func (r *Rank) lockOp(m int, kind opKind) {
 	}
 	r.Wait(h)
 	r.release(h)
-	r.heldMutexes[m] = kind == opLock
+	sc.heldMutexes[m] = kind == opLock
 }
 
 // ---------- Collectives ----------

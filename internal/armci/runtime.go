@@ -41,7 +41,9 @@ type Runtime struct {
 
 	barrier barrierState
 	mutexes []mutexState
-	world   []int // all ranks, the member list of world collectives
+	// world is the member list of world collectives (all ranks), built on
+	// the first one (see worldMembers).
+	world []int
 
 	// nstats holds each node's Stats block, nil until the node's first
 	// counter write carves one from slabs.stats (see st). Every counter is
@@ -69,8 +71,10 @@ type Runtime struct {
 	cht0 int
 	// liveRanks counts rank processes still executing their body; the
 	// membership monitors stop re-arming when it reaches zero so the event
-	// queue can drain (the same termination rule sim.Watchdog uses).
+	// queue can drain (the same termination rule sim.Watchdog uses). A
+	// rank's exit decrements it in the global event exited.
 	liveRanks int
+	exited    sim.GlobalRun
 
 	// Preallocated event/delivery trampolines, bound once in New so the hot
 	// protocol paths schedule pooled records through fabric.SendArg and the
@@ -556,15 +560,13 @@ func New(eng *sim.Engine, cfg Config) (*Runtime, error) {
 	// touches no node and a 64k-node job whose traffic crosses a few hundred
 	// nodes pays for those alone.
 	rt.pages = make([]*nodePage, (cfg.Nodes+nodePageMask)>>nodePageBits)
+	// A rank's pointers are set when its body first runs (see Start), so
+	// New writes none and a collection that marks the array meanwhile finds
+	// nothing to follow in it.
 	rt.ranks = make([]Rank, cfg.Nodes*cfg.PPN)
-	rt.world = make([]int, len(rt.ranks))
 	for r := range rt.ranks {
-		// Field by field into the zeroed array: a composite-literal store
-		// would zero each record again, under a bulk write barrier over
-		// its pointer words whenever a GC cycle is marking.
 		rk := &rt.ranks[r]
-		rk.rt, rk.rank, rk.node = rt, r, r/cfg.PPN
-		rt.world[r] = r
+		rk.rank, rk.node = int32(r), int32(r/cfg.PPN)
 	}
 	rt.bindDispatch()
 	// Crash-stop semantics arm whenever the schedule contains node faults;
@@ -739,8 +741,18 @@ func (ns *nodeState) putPS(ps *pendingSend) {
 	ns.npsFree++
 }
 
-// worldMembers returns the member list of world collectives (all ranks).
-func (rt *Runtime) worldMembers() []int { return rt.world }
+// worldMembers returns the member list of world collectives (all ranks),
+// building it on the first call: a job that runs no world collective
+// never holds it.
+func (rt *Runtime) worldMembers() []int {
+	if rt.world == nil {
+		rt.world = make([]int, len(rt.ranks))
+		for r := range rt.world {
+			rt.world[r] = r
+		}
+	}
+	return rt.world
+}
 
 // MustNew is New but panics on error.
 func MustNew(eng *sim.Engine, cfg Config) *Runtime {
@@ -967,11 +979,14 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 	// callback every rank: a process's number is its node or rank, so
 	// spawning allocates no closure (a method value per node would).
 	//
+	// The CHTs and the ranks are two spawn bursts, each one entry in the
+	// event queue (CHT n is owned by node n, rank r by node r/PPN).
+	//
 	// A CHT's step on a node never carved parks on chtStub instead of its
-	// inbox, so its t=0 poll writes nothing; carving the node hands it to
-	// the inbox (see carvePage). The spawn events, and so every event key,
-	// are the same either way.
-	rt.eng.ReserveSpawns(rt.cfg.Nodes + len(rt.ranks))
+	// inbox, so its t=0 poll writes nothing and its process record goes
+	// back to the engine; carving the node hands it to the inbox (see
+	// carvePage). The spawn events, and so every event key, are the same
+	// either way.
 	chtStep := func(p *sim.Proc) {
 		if ns := rt.carved(p.Num()); ns != nil {
 			ns.chtStep(p)
@@ -979,28 +994,23 @@ func (rt *Runtime) Start(body func(r *Rank)) {
 		}
 		chtStub.Park(p)
 	}
-	for n := range rt.cfg.Nodes {
-		p := rt.eng.SpawnStepOn(n, "cht", n, chtStep)
-		if n == 0 {
-			rt.cht0 = p.ID()
-		}
-	}
+	rt.cht0 = rt.eng.SpawnStepBurst(rt.cfg.Nodes, 1, "cht", chtStep)
 	rt.liveRanks = len(rt.ranks)
-	exited := func() { rt.liveRanks-- }
+	rt.exited.Init(func() { rt.liveRanks-- })
 	rankBody := func(p *sim.Proc) {
 		r := &rt.ranks[p.Num()]
+		r.rt, r.proc = rt, p
 		body(r)
 		// Aggregated operations still buffered when the body returns
 		// would otherwise never be injected.
 		r.flushAllAgg()
 		// liveRanks is shared across nodes, so the decrement is a global
-		// event.
-		rt.eng.AtGlobal(exited)
+		// event; ranks that return at one instant, one per node, share its
+		// queue entry.
+		rt.eng.AtGlobalRun(&rt.exited)
+		r.proc = nil
 	}
-	for i := range rt.ranks {
-		r := &rt.ranks[i]
-		r.proc = rt.eng.SpawnNumberedOn(r.node, "rank", r.rank, rankBody)
-	}
+	rt.eng.SpawnBurst(len(rt.ranks), rt.cfg.PPN, "rank", rankBody)
 	if rt.healArmed {
 		for n := range rt.cfg.Nodes {
 			rt.eng.AfterOnArg(n, heartbeatInterval, rt.tickFn, rt.node(n))

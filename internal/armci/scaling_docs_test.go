@@ -84,7 +84,7 @@ func TestScalingDocsPinTheKnobs(t *testing.T) {
 	doc := readScalingDoc(t)
 	for _, want := range []string{
 		// The live-footprint gate and its ceilings.
-		"`TestScaleFootprint`", "22 MB", "75 MB",
+		"`TestScaleFootprint`", "12 MB", "20 MB",
 		// The allocation ceiling TestScaleAllocsCeiling enforces.
 		"6 allocs/op",
 		// The double-release guard the pooling contract promises.

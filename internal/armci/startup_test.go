@@ -15,12 +15,14 @@ import (
 // TestStartupAllocsFollowUse pins that New and Start allocate nothing per
 // node: node pages and counter blocks are carved on first touch (an idle
 // job carves none), the fabric's position records on first use, and the
-// spawn burst's process records, process table and queue storage are each
-// allocated once. A Hypercube-4096 job spawns 8 192 processes; its set-up
-// made 34 mallocs when measured (go1.24.0), 38 under the race detector, 39
-// and 42 while New still allocated every node's state and the fabric's
-// per-position arrays. The gate holds the race build's count: carving every
-// page in New already exceeds it.
+// CHTs and the ranks are two spawn bursts, one queue entry each, whose
+// process records are carved only as the processes run. A Hypercube-4096
+// job spawns 8 192 processes; its set-up made 34 mallocs when measured
+// (go1.24.0), 36 under the race detector (34 and 38 while Start reserved a
+// record for every process, 39 and 42 while New still allocated every
+// node's state and the fabric's per-position arrays). The gate holds the
+// race build's count at its earlier 38: carving every page in New already
+// exceeds it.
 func TestStartupAllocsFollowUse(t *testing.T) {
 	const nodes = 4096
 	cfg := DefaultConfig(nodes, 1)
@@ -277,4 +279,46 @@ func TestUncarvedNodesDigestAsFresh(t *testing.T) {
 		}
 		check(t, rt, true)
 	})
+}
+
+// TestIdleJobHoldsNoProcessRecords: a process holds a sim.Proc record only
+// while it lives. On an idle 64k-node Hypercube job every CHT parks on the
+// stub at t=0 and returns its record, and every rank returns at once and
+// returns its own, so the engine holds no record once the start burst has
+// run, and carves its records from one chunk of 16 that the processes take
+// in turn.
+func TestIdleJobHoldsNoProcessRecords(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 64k-node job")
+	}
+	const nodes = 65536
+	cfg := DefaultConfig(nodes, 1)
+	cfg.Topology = core.MustNew(core.Hypercube, nodes)
+	eng := sim.New()
+	rt := MustNew(eng, cfg)
+	defer rt.Shutdown()
+	rt.Start(func(r *Rank) {})
+	if got := eng.LiveRecords(); got != 0 {
+		t.Fatalf("%d process records before the job ran, want 0", got)
+	}
+	if err := eng.RunUntil(0); err == nil {
+		t.Fatal("RunUntil(0) drained the queue holding the ranks' exits")
+	}
+	if got := eng.LiveRecords(); got != 0 {
+		t.Errorf("%d process records live at t=0 with every CHT stubbed and every rank exited, want 0", got)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.LiveRecords(); got != 0 {
+		t.Errorf("%d process records live after the run, want 0", got)
+	}
+	// Carving a node adopts its parked CHT, which takes a record back.
+	rt.node(12345)
+	if p := eng.Proc(rt.cht0 + 12345); p == nil || p.BlockedOn() != "queue cht12345" {
+		t.Fatalf("adopted CHT record %+v", p)
+	}
+	if got := eng.LiveRecords(); got != 64 {
+		t.Errorf("%d process records live after carving one 64-node page, want its 64 CHTs'", got)
+	}
 }

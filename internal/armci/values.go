@@ -42,17 +42,17 @@ func (r *Rank) GetFloat64At(dst int, alloc string, off int) float64 {
 // and returns the previous value (ARMCI_SWAP).
 func (r *Rank) Swap(dst int, alloc string, off int, v int64) int64 {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	checkRange(a, off, 8)
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(8)
 		old := a.loadInt64(dst, off)
 		a.storeInt64(dst, off, v)
 		return old
 	}
-	req := rt.getReq(r.node)
+	req := rt.getReq(r.Node())
 	req.setOp(opSwap, r, dst)
 	req.alloc, req.off, req.arg = a, off, uint64(v)
 	req.wire = headerBytes + 8
@@ -83,7 +83,7 @@ func (r *Rank) AccS(dst int, alloc string, off, blockLen, stride, count int, sca
 
 func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []float64, pooled bool) *Handle {
 	rt := r.rt
-	rt.st(r.node).Ops++
+	rt.st(r.Node()).Ops++
 	a := rt.alloc(alloc)
 	total := segsBytes(segs)
 	if total != 8*len(vals) {
@@ -95,8 +95,8 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 		}
 		checkRange(a, s.Off, s.Len)
 	}
-	if r.nodeOf(dst) == r.node {
-		rt.st(r.node).LocalOps++
+	if r.nodeOf(dst) == r.Node() {
+		rt.st(r.Node()).LocalOps++
 		r.localDelay(total)
 		pos := 0
 		for _, s := range segs {
@@ -110,7 +110,7 @@ func (r *Rank) accV(dst int, alloc string, segs []Seg, scale float64, vals []flo
 	sc := r.scratch()
 	reqs := sc.reqs[:0]
 	rt.cfg.chunkSegs(segs, 8, &sc.segs, func(group []Seg, payload, flatOff int) {
-		req := rt.getReq(r.node)
+		req := rt.getReq(r.Node())
 		req.setOp(opAccV, r, dst)
 		req.alloc = a
 		req.segs = append(rt.growSegs(req.segs, len(group)), group...) // chunker reuses group: copy

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"armcivt/internal/sim"
 )
@@ -36,12 +37,23 @@ const DefaultTraceLimit = 1 << 20
 // instrumented code runs with tracing disabled. Like the Registry it is not
 // goroutine-safe; the simulation kernel's single-runner discipline is assumed.
 type Tracer struct {
-	events  []TraceEvent
-	meta    []TraceEvent
+	events []TraceEvent
+	// meta holds the metadata events in registration order; an entry with
+	// n > 0 stands for n thread names registered as one range (see
+	// ThreadNames), expanded only when the trace is written.
+	meta    []metaEntry
 	dropped uint64
 	// Limit caps buffered events (metadata excluded); 0 means
 	// DefaultTraceLimit.
 	Limit int
+}
+
+// metaEntry is one metadata event, or with n > 0 the thread names prefix+i
+// of tids tid0+i for i in [0, n) under ev's pid.
+type metaEntry struct {
+	ev     TraceEvent
+	n      int
+	prefix string
 }
 
 // NewTracer creates an empty tracer with the default event limit.
@@ -98,8 +110,8 @@ func (t *Tracer) ProcessName(pid int, name string) {
 	if t == nil {
 		return
 	}
-	t.meta = append(t.meta, TraceEvent{Name: "process_name", Ph: "M", PID: pid,
-		Args: map[string]any{"name": name}})
+	t.meta = append(t.meta, metaEntry{ev: TraceEvent{Name: "process_name", Ph: "M", PID: pid,
+		Args: map[string]any{"name": name}}})
 }
 
 // ThreadName attaches a human-readable name to (pid, tid); by convention tids
@@ -108,8 +120,21 @@ func (t *Tracer) ThreadName(pid, tid int, name string) {
 	if t == nil {
 		return
 	}
-	t.meta = append(t.meta, TraceEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-		Args: map[string]any{"name": name}})
+	t.meta = append(t.meta, metaEntry{ev: threadName(pid, tid, name)})
+}
+
+// ThreadNames is ThreadName(pid, tid0+i, prefix followed by i in decimal)
+// for every i in [0, n), registered as one entry that formats no name until
+// the trace is written: a 64k-node job names its CHTs in one call.
+func (t *Tracer) ThreadNames(pid, tid0, n int, prefix string) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.meta = append(t.meta, metaEntry{ev: TraceEvent{PID: pid, TID: tid0}, n: n, prefix: prefix})
+}
+
+func threadName(pid, tid int, name string) TraceEvent {
+	return TraceEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}}
 }
 
 // Len returns the number of buffered non-metadata events.
@@ -170,9 +195,17 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 				return err
 			}
 		}
-		for _, ev := range t.meta {
-			if err := writeEv(ev); err != nil {
-				return err
+		for _, m := range t.meta {
+			if m.n == 0 {
+				if err := writeEv(m.ev); err != nil {
+					return err
+				}
+				continue
+			}
+			for i := range m.n {
+				if err := writeEv(threadName(m.ev.PID, m.ev.TID+i, m.prefix+strconv.Itoa(i))); err != nil {
+					return err
+				}
 			}
 		}
 		for _, ev := range t.events {

@@ -134,3 +134,30 @@ func BenchmarkProcessPingPong(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSpawnBurst times a 64k-node job's start on the engine alone: a
+// burst of 65 536 step processes that each park on a QueueStub (a CHT whose
+// node is never touched) and a burst of 65 536 bodies that return at once
+// (idle ranks), each exit filing one global event as armci's ranks do. ns/op
+// divided by 131 072 is the cost per process; allocs/op is the whole start.
+func BenchmarkSpawnBurst(b *testing.B) {
+	const n = 65536
+	stub := NewQueueStub("cht")
+	b.ReportAllocs()
+	for range b.N {
+		e := New()
+		e.ConfigureOwners(n, 1)
+		var exited GlobalRun
+		live := n
+		exited.Init(func() { live-- })
+		e.SpawnStepBurst(n, 1, "cht", func(p *Proc) { stub.Park(p) })
+		e.SpawnBurst(n, 1, "rank", func(*Proc) { e.AtGlobalRun(&exited) })
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if live != 0 {
+			b.Fatalf("%d rank exits did not run", live)
+		}
+		e.Shutdown()
+	}
+}

@@ -47,22 +47,27 @@ func (e *Engine) CheckpointSection() []byte {
 	}
 	enc.U64(h)
 
+	// A process parked on a stub without its record digests as blocked, one
+	// not holding a record as not waiting for a wake-up.
 	enc.Str("procs")
-	enc.U32(uint32(len(e.procs)))
+	enc.U32(uint32(len(e.state)))
 	h = ckpt.MixInit
-	for _, p := range e.procs {
-		h = ckpt.Mix(h, uint64(p.id))
-		h = ckpt.Mix(h, uint64(p.state))
-		h = ckpt.Mix(h, uint64(uint32(int32(p.owner))))
+	e.eachProc(func(b *burst, id int, st procState, p *Proc) {
+		if st == procStubbed {
+			st = procBlocked
+		}
+		h = ckpt.Mix(h, uint64(id))
+		h = ckpt.Mix(h, uint64(st))
+		h = ckpt.Mix(h, uint64(uint32(int32(b.owner(id-b.id0)))))
 		var flags uint64
-		if p.daemon {
+		if b.daemon {
 			flags |= 1
 		}
-		if p.wakePending {
+		if p != nil && p.wakePending {
 			flags |= 2
 		}
 		h = ckpt.Mix(h, flags)
-	}
+	})
 	enc.U64(h)
 
 	enc.Str("rng")

@@ -164,15 +164,17 @@ func (s *QueueStub) blockLabel(num int64) string {
 
 // Park parks step process p on the stub, as Poll parks it on an empty
 // queue. Only Adopt, on the queue built for p, makes it wakeable: nothing
-// else ever resumes it.
-func (s *QueueStub) Park(p *Proc) { p.parkOn(s, int64(p.num)) }
+// else ever resumes it, so the engine takes p's record back until then
+// (Engine.Proc rebuilds it).
+func (s *QueueStub) Park(p *Proc) { p.parkOn(s, int64(p.Num())) }
 
 // Adopt makes p, if it is parked on stub s, the longest-waiting getter of q,
 // exactly as if p had polled q while q was empty, and reports whether it
-// did. A p that has not run yet, or waits on anything else, is left alone.
-// Call it on a freshly built queue, before its first Put.
+// did. A p that has not run yet (nil: Engine.Proc has no record of it), or
+// waits on anything else, is left alone. Call it on a freshly built queue,
+// before its first Put.
 func (q *Queue[T]) Adopt(s *QueueStub, p *Proc) bool {
-	if p.state != procBlocked || p.blockedAt != blocker(s) {
+	if p == nil || p.state != procBlocked || p.blockedAt != blocker(s) {
 		return false
 	}
 	if q.w0 == nil {

@@ -29,7 +29,13 @@ func (a eventKey) less(b eventKey) bool {
 }
 
 // payload is what a pending event runs: written once at push, read once at
-// pop. A free slab slot keeps only owner, as the free-list link.
+// pop. A free slab slot keeps only owner, as the free-list link. A resume
+// (evSwitch, evWake) keeps in owner the gen of the record it resumes (see
+// checkGen): its owner is the record's. A burst's payload (kind evBurst,
+// arg its *burst) stands for all its members not yet started and a global
+// run's (evRun, owner its last origin) for all its members left; each stays
+// in its slot until the last one pops. Four fields, so the compiler keeps a
+// popped payload in registers.
 type payload struct {
 	owner int32
 	kind  uint8
@@ -54,10 +60,10 @@ type keyLink struct {
 	next   int32
 }
 
-// chain is a FIFO list of parked keys, threaded through their links from
+// chain is a FIFO list of n parked keys, threaded through their links from
 // the head's slab slot to the tail's. It means nothing while the wheel slot
 // or bucket holding it is marked empty.
-type chain struct{ head, tail int32 }
+type chain struct{ head, tail, n int32 }
 
 // bucket is a chain of keys and its smallest key.
 type bucket struct {
@@ -89,10 +95,21 @@ type bucket struct {
 // tail's next; no storage grows with how many keys share a chain.
 //
 // now is a sorted run, popped from nowHead, while keys arrive in key order:
-// a job's spawn switches at t = 0 and its rank exits one global delay later
-// are such bursts, each key one append and one increment. The first key
-// below the run's tail turns the run into a binary heap on (seq, origin) —
-// a sorted slice already is one — which it stays until now empties.
+// a job's rank exits one global delay after its start are such a run, each
+// key one append and one increment. The first key below the run's tail
+// turns the run into a binary heap on (seq, origin) — a sorted slice
+// already is one — which it stays until now empties.
+//
+// A spawn burst of n members is one key, its next member's (t, s, origin),
+// and counts n in Len. Popping a member advances the key in place to
+// (t, s+1, origin), the least of the members left: at the head of a sorted
+// run that is one compare with the key after it, and if another key arrived
+// between members the run becomes a heap and the key sifts down.
+//
+// A global run (see AtGlobalRun) is one key too: members (t, s, o) for
+// consecutive origins o up to the last, which its payload's owner holds.
+// No key can lie between (t, s, o) and (t, s, o+1), so popping a member
+// advances the key's origin in place and it stays the least: no compare.
 //
 // head is a pure peek and never moves last, so a push may still land below
 // the head as long as it is not below the last pop.
@@ -116,8 +133,10 @@ type eventQueue struct {
 	// links is the parked keys' side of the slab: the link of slab slot s is
 	// links[s/linkChunk][s%linkChunk] while s's key waits in the wheel or a
 	// bucket. A chunk is carved the first time a key of one of its slots is
-	// parked (nil until then), and is recycled with those slots.
-	links []*[linkChunk]keyLink
+	// parked (nil until then), together with the next few, and is recycled
+	// with those slots; nlinks counts the chunks carved.
+	links  []*[linkChunk]keyLink
+	nlinks int
 	// freeHead is 1 + the first free slab slot (0: none); a free slot's
 	// owner field is 1 + the next free slot, so the free list needs no side
 	// array.
@@ -168,13 +187,17 @@ func (q *eventQueue) link(slot int32) *keyLink {
 	return &q.links[uint32(slot)>>linkShift][uint32(slot)&(linkChunk-1)]
 }
 
-// growSlab adds the chunks n more slots need, carved from one allocation,
-// and room in links for their link chunks (carved on use).
+// growSlab adds the chunks n more slots need, and at least an eighth of the
+// chunks the slab already has, carved from one allocation, and room in
+// links for their link chunks (carved on use): a slab that grows to k
+// chunks costs about 8 ln k allocations, not k, and holds at most an eighth
+// more slots than its high-water mark.
 func (q *eventQueue) growSlab(n int) {
 	k := (int(q.slots) + n - len(q.slab)*slabChunk + slabChunk - 1) >> slabShift
 	if k <= 0 {
 		return
 	}
+	k = max(k, len(q.slab)/8)
 	chunks := make([]payload, k*slabChunk)
 	q.slab = slices.Grow(q.slab, k)
 	for i := range k {
@@ -186,7 +209,7 @@ func (q *eventQueue) growSlab(n int) {
 // carveLinks carves the link chunks slab slots [lo, lo+n) lack, in one
 // allocation.
 func (q *eventQueue) carveLinks(lo int32, n int) {
-	first, end := int(lo)>>linkShift, (int(lo)+n-1)>>linkShift+1
+	first, end := int(lo)>>linkShift, min((int(lo)+n-1)>>linkShift+1, len(q.links))
 	k := 0
 	for _, c := range q.links[first:end] {
 		if c == nil {
@@ -196,6 +219,7 @@ func (q *eventQueue) carveLinks(lo int32, n int) {
 	if k == 0 {
 		return
 	}
+	q.nlinks += k
 	chunks := make([]keyLink, k*linkChunk)
 	for i := first; i < end; i++ {
 		if q.links[i] == nil {
@@ -236,10 +260,23 @@ func (q *eventQueue) key(slot int32) eventKey {
 // push files an event built whole.
 func (q *eventQueue) push(ev *event) { q.put(ev.eventKey, ev.owner, ev.kind, ev.afn, ev.arg) }
 
+// putBurst files burst b as one entry under its first member's key k.
+func (q *eventQueue) putBurst(k eventKey, b *burst) {
+	q.put(k, b.owner0, evBurst, nil, b)
+	q.n += int(b.n) - 1
+}
+
+// extendRun adds origin r.last to r's open entry, which must still hold
+// every member from its key's origin up to r.last-1.
+func (q *eventQueue) extendRun(r *GlobalRun) {
+	q.at(r.slot).owner = r.last
+	q.n++
+}
+
 // put files an event field by field: the payload fields go straight into a
 // free slab slot, the key (its slot set here) into now, the wheel or a
-// bucket.
-func (q *eventQueue) put(k eventKey, owner int32, kind uint8, afn func(any), arg any) {
+// bucket. It returns the slot.
+func (q *eventQueue) put(k eventKey, owner int32, kind uint8, afn func(any), arg any) int32 {
 	var p *payload
 	if q.freeHead > 0 {
 		k.slot = q.freeHead - 1
@@ -263,32 +300,18 @@ func (q *eventQueue) put(k eventKey, owner int32, kind uint8, afn func(any), arg
 	default:
 		panic(fmt.Sprintf("sim: event at t=%v pushed below the queue's last pop at %v", k.t, q.last))
 	}
-}
-
-// reserve makes room for n more events at time t: the payload slab gains
-// their chunks in one allocation; when t is the last pop's time the now run
-// grows once to hold them, so a burst of n pushes appends without a
-// doubling copy, and when t is later the links of the new slots are carved
-// in one allocation too (and the wheel, if t falls in it).
-func (q *eventQueue) reserve(n int, t Time) {
-	q.growSlab(n)
-	switch {
-	case t == q.last:
-		q.now = slices.Grow(q.now, n)
-	case t > q.last:
-		if t^q.last < wheelSlots && q.wheel == nil {
-			q.wheel = new(wheel)
-		}
-		q.carveLinks(q.slots, n)
-	}
+	return k.slot
 }
 
 // add parks k (t > last): it writes k's link, carving its chunk if it is
-// not there yet, and files it.
+// not there yet, and files it. The chunks after it that are still missing
+// are carved with it, a quarter as many as are carved so far (up to one
+// slab chunk's worth), so parking a queue's first keys carves one small
+// chunk and parking the 65 536 rank exits of a 64k-node job about 80.
 func (q *eventQueue) add(k eventKey) {
 	c := q.links[uint32(k.slot)>>linkShift]
 	if c == nil {
-		q.carveLinks(k.slot, 1)
+		q.carveLinks(k.slot&^(linkChunk-1), min(max(q.nlinks/4, 1), slabChunk/linkChunk)*linkChunk)
 		c = q.links[uint32(k.slot)>>linkShift]
 	}
 	c[uint32(k.slot)&(linkChunk-1)] = keyLink{t: k.t, seq: k.seq, origin: k.origin}
@@ -323,11 +346,12 @@ func (q *eventQueue) file(k eventKey) {
 		ch = &bk.chain
 	}
 	if empty {
-		ch.head = k.slot
+		ch.head, ch.n = k.slot, 0
 	} else {
 		q.link(ch.tail).next = k.slot
 	}
 	ch.tail = k.slot
+	ch.n++
 }
 
 // pushNow adds k (t == last) to now: appended while it keeps the run
@@ -335,6 +359,9 @@ func (q *eventQueue) file(k eventKey) {
 // at least half of it slides down instead of growing, so a long burst at
 // one instant holds memory for its pending keys, not for all it ever had.
 func (q *eventQueue) pushNow(k eventKey) {
+	if q.now == nil {
+		q.now = make([]eventKey, 0, 16)
+	}
 	now := q.now
 	if !q.nowHeap {
 		n := len(now)
@@ -376,6 +403,9 @@ func (q *eventQueue) refill() {
 		}
 		q.last = q.last&^(wheelSlots-1) | Time(s)
 		ch = w.chain[s]
+		// The whole chain moves into now: make room for it at once, as a
+		// job's 65 536 rank exits one global delay after its start arrive.
+		q.now = slices.Grow(q.now, int(ch.n))
 	} else {
 		b := bits.TrailingZeros64(q.mask)
 		q.last = q.buckets[b].min.t
@@ -398,67 +428,149 @@ func (q *eventQueue) refill() {
 
 // pop removes the smallest event and returns its time and payload. Its slab
 // slot is zeroed onto the free list, so the queue keeps no reference to the
-// popped closure or argument.
+// popped closure or argument — except for a burst or a global run with
+// members left, whose key advances to the next member and whose payload
+// stays (see member).
 func (q *eventQueue) pop() (Time, payload) {
 	if len(q.now) == 0 {
 		q.refill()
 	}
+	q.n--
 	var top eventKey
 	if q.nowHeap {
-		top = q.popHeap()
+		top = q.now[0]
 	} else {
 		top = q.now[q.nowHead]
-		if q.nowHead++; q.nowHead == len(q.now) {
-			q.now, q.nowHead = q.now[:0], 0
-		}
 	}
-	q.n--
 	sp := q.at(top.slot)
 	p := *sp
+	if p.kind >= evBurst && !q.member(top, &p) {
+		return top.t, p
+	}
+	if q.nowHeap {
+		q.popHeap()
+	} else if q.nowHead++; q.nowHead == len(q.now) {
+		q.now, q.nowHead = q.now[:0], 0
+	}
 	*sp = payload{owner: q.freeHead}
 	q.freeHead = top.slot + 1
 	return top.t, p
 }
 
-// popHeap removes the top of the now heap; an emptied heap is an empty run.
-func (q *eventQueue) popHeap() eventKey {
-	now := q.now
-	top := now[0]
-	n := len(now) - 1
-	if n > 0 {
-		tail := now[n]
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if c+1 < n && now[c+1].less(now[c]) {
-				c++
-			}
-			if !now[c].less(tail) {
-				break
-			}
-			now[i] = now[c]
-			i = c
+// member turns p, the payload of the burst or global run at now's head whose
+// member top is being popped, into what exec runs for that member — a
+// burst's with owner set to the member's index, a run's with the global
+// owner — and reports whether it was the entry's last. If it was not, the
+// key at now's head moves on to the next member.
+func (q *eventQueue) member(top eventKey, p *payload) (last bool) {
+	if p.kind == evBurst {
+		b := p.arg.(*burst)
+		i := top.seq - b.seq0
+		p.owner = int32(i)
+		if i == uint64(b.n)-1 {
+			return true
 		}
-		now[i] = tail
+		q.advanceBurst()
+		return false
+	}
+	last = top.origin == p.owner
+	p.owner = GlobalOwner
+	if !last {
+		if q.nowHeap {
+			q.now[0].origin++
+		} else {
+			q.now[q.nowHead].origin++
+		}
+	} else if r := p.arg.(*GlobalRun); r.slot == top.slot {
+		r.open = false
+	}
+	return last
+}
+
+// advanceBurst moves the burst key at now's head to its next member: seq
+// plus one. The key stays the least in now unless another arrived between
+// the members; then a sorted run turns into a heap, and the key sifts down.
+func (q *eventQueue) advanceBurst() {
+	now := q.now
+	if !q.nowHeap {
+		h := q.nowHead
+		now[h].seq++
+		if h+1 == len(now) || !now[h+1].less(now[h]) {
+			return
+		}
+		now, q.nowHead, q.nowHeap = now[:copy(now, now[h:])], 0, true
+		q.now = now
+	} else {
+		now[0].seq++
+	}
+	q.siftDown(now[0], len(now))
+}
+
+// popHeap removes the top of the now heap; an emptied heap is an empty run.
+func (q *eventQueue) popHeap() {
+	n := len(q.now) - 1
+	if n > 0 {
+		q.siftDown(q.now[n], n)
 	} else {
 		q.nowHeap = false
 	}
-	q.now = now[:n]
-	return top
+	q.now = q.now[:n]
+}
+
+// siftDown places k at the root of the heap now[:n] and sifts it down.
+func (q *eventQueue) siftDown(k eventKey, n int) {
+	now := q.now
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && now[c+1].less(now[c]) {
+			c++
+		}
+		if !now[c].less(k) {
+			break
+		}
+		now[i] = now[c]
+		i = c
+	}
+	now[i] = k
 }
 
 // appendPending appends every pending event, key and payload, in queue
-// (not key) order.
+// (not key) order. A burst counts as its members not yet started, each with
+// its own key and owner and the evSwitch kind its start would have had as a
+// single spawn; a global run as its members left, each the evFn event
+// AtGlobal would have filed; a resume with its record's owner.
 func (q *eventQueue) appendPending(dst []event) []event {
+	add := func(k eventKey) {
+		p := *q.at(k.slot)
+		switch p.kind {
+		case evBurst:
+			b := p.arg.(*burst)
+			for i := int(k.seq - b.seq0); i < int(b.n); i++ {
+				k.seq = b.seq0 + uint64(i)
+				dst = append(dst, event{k, payload{owner: int32(b.owner(i)), kind: evSwitch, arg: b}})
+			}
+		case evRun:
+			fn := p.arg.(*GlobalRun).fn
+			for last := p.owner; k.origin <= last; k.origin++ {
+				dst = append(dst, event{k, payload{owner: GlobalOwner, kind: evFn, arg: fn}})
+			}
+		case evSwitch, evWake:
+			p.owner = p.arg.(*Proc).owner
+			dst = append(dst, event{k, p})
+		default:
+			dst = append(dst, event{k, p})
+		}
+	}
 	for _, k := range q.now[q.nowHead:] {
-		dst = append(dst, event{k, *q.at(k.slot)})
+		add(k)
 	}
 	walk := func(ch chain) {
 		for slot := ch.head; ; slot = q.link(slot).next {
-			dst = append(dst, event{q.key(slot), *q.at(slot)})
+			add(q.key(slot))
 			if slot == ch.tail {
 				return
 			}

@@ -16,8 +16,9 @@ import (
 // chains keys whose time differs from last first at the bucket's bit —
 // never one the wheel stands in for — and its min is its smallest key; the
 // link chunks shadow the slab's; every key names a distinct live slab slot,
-// and every slot off the queue is on the free list with no payload left in
-// it.
+// a burst's key a member it has not started, and every slot off the queue
+// is on the free list with no payload left in it. Len counts a burst's
+// members left.
 func checkQueue(t *testing.T, q *eventQueue) {
 	t.Helper()
 	if q.nowHead < 0 || q.nowHead > len(q.now) || q.nowHead == len(q.now) && q.nowHead > 0 {
@@ -98,8 +99,25 @@ func checkQueue(t *testing.T, q *eventQueue) {
 		}
 		keys = append(keys, in...)
 	}
-	if len(keys) != q.n {
-		t.Fatalf("Len() = %d, but %d keys are filed", q.n, len(keys))
+	pending := 0
+	for _, k := range keys {
+		pending++
+		switch p := q.at(k.slot); p.kind {
+		case evBurst:
+			b := p.arg.(*burst)
+			if k.seq < b.seq0 || k.seq-b.seq0 >= uint64(b.n) {
+				t.Fatalf("burst key %+v names no member of seqs [%d, %d)", k, b.seq0, b.seq0+uint64(b.n))
+			}
+			pending += int(b.n) - 1 - int(k.seq-b.seq0)
+		case evRun:
+			if k.origin > p.owner {
+				t.Fatalf("run key %+v is past its last origin %d", k, p.owner)
+			}
+			pending += int(p.owner - k.origin)
+		}
+	}
+	if pending != q.n {
+		t.Fatalf("Len() = %d, but %d events are filed", q.n, pending)
 	}
 
 	live := make([]bool, q.slots)
@@ -146,14 +164,19 @@ func queueAt(class byte, i int, now Time) Time {
 
 // FuzzEventHeap drives random interleavings of push, pop and peek on the
 // event queue and checks every pop and peek against a reference: the
-// pending keys sorted by the ordering key. An op byte with the top bit set
-// pops; otherwise its low two bits pick one of four origins with per-origin
-// seq counters, as the engine assigns them (heavy ties on seq across
-// origins), and the next five bits pick a time class (queueAt) — except
-// class 31: peek the head, then push at a time at or after last but below
-// it. Random inputs keep the pending set
-// churning, so slab slots, their links and wheel slots are reused many
-// times; one seed first builds a deep queue, others cross wheel windows.
+// pending keys sorted by the ordering key, a spawn burst or global run
+// expanded into its members. An op byte from 0xF8 up files a burst of 2 to
+// 6 members from origin b&3, at last (bit 2 clear) or one nanosecond
+// later; one from 0xF0 to 0xF7 files a global run over origins 0 to b&3,
+// all at one seq past every origin's, at last or one nanosecond later, as
+// one entry extended member by member; any other byte with the top bit set
+// pops; otherwise its low two bits pick one of
+// four origins with per-origin seq counters, as the engine assigns them
+// (heavy ties on seq across origins), and the next five bits pick a time
+// class (queueAt) — except class 31: peek the head, then push at a time at
+// or after last but below it. Random inputs keep the pending set churning,
+// so slab slots, their links and wheel slots are reused many times; one
+// seed first builds a deep queue, others cross wheel windows.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0x80, 0x80, 0x80, 0x80, 0x80})
 	f.Add([]byte{4, 4, 4, 4, 4, 4, 4, 4, 0x80, 4, 0x80, 4, 0x80, 0x80})
@@ -167,7 +190,10 @@ func FuzzEventHeap(f *testing.F) {
 	}
 	deep := make([]byte, 2048) // 1024 pushes, then 1024 pops
 	for i := range deep {
-		deep[i] = byte(rng.Intn(128)) | byte(i/1024)<<7
+		deep[i] = byte(rng.Intn(128))
+		if i >= 1024 {
+			deep[i] = 0x80
+		}
 	}
 	f.Add(deep)
 	barrier := make([]byte, 1024) // far keys, then peek-and-push under them
@@ -185,21 +211,21 @@ func FuzzEventHeap(f *testing.F) {
 	// from its front, a key below its tail (the run becomes a heap), peeks
 	// and pops interleaved until it drains, then a same-instant push-push-pop
 	// stream that makes the run slide down over its popped prefix.
-	var burst []byte
+	var run []byte
 	for i := 0; i < 40; i++ {
-		burst = append(burst, 0)
+		run = append(run, 0)
 	}
-	burst = append(burst, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
+	run = append(run, 0x80, 0x80, 0x80, 0x80, 0x80, 1)
 	for i := 0; i < 20; i++ {
-		burst = append(burst, 0x80, 31<<2|byte(i%4))
+		run = append(run, 0x80, 31<<2|byte(i%4))
 	}
 	for i := 0; i < 60; i++ {
-		burst = append(burst, 0x80)
+		run = append(run, 0x80)
 	}
 	for i := 0; i < 200; i++ {
-		burst = append(burst, 2, 2, 0x80)
+		run = append(run, 2, 2, 0x80)
 	}
-	f.Add(burst)
+	f.Add(run)
 	// Keys one before, at and one after the next wheel window, from t = 0
 	// and again from a far time: the window's last slot pops first, then
 	// the bucket holding the next window cascades its later key into the
@@ -229,6 +255,29 @@ func FuzzEventHeap(f *testing.F) {
 		}
 	}
 	f.Add(under)
+	// Bursts with other keys between their members: a burst at last, keys
+	// from other origins whose seqs fall inside its members' (the sorted
+	// run turns into a heap and the burst key sifts down as it advances),
+	// two bursts back to back, a burst one nanosecond ahead that refills
+	// into a run already holding keys, and pops throughout.
+	var bursts []byte
+	for r := 0; r < 6; r++ {
+		bursts = append(bursts, 0xF8|byte(r%4), 1, 2, 3, 0x80, 0xF9, 0xFC|byte(r%4), 0, 0x80, 3, 0x80, 0x80)
+	}
+	for i := 0; i < 80; i++ {
+		bursts = append(bursts, 0x80, byte(i%4))
+	}
+	f.Add(bursts)
+	// Global runs among bursts and single keys, at last and one nanosecond
+	// later, popped partway before more keys arrive.
+	var runs []byte
+	for r := 0; r < 8; r++ {
+		runs = append(runs, 0xF3, byte(r%4), 0xF7, 0xF8|byte(r%4), 0x80, 0xF1|byte(r%2)<<2, 0x80, 0x80, 2)
+	}
+	for i := 0; i < 60; i++ {
+		runs = append(runs, 0x80)
+	}
+	f.Add(runs)
 	fn := func(any) {}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4096 {
@@ -236,10 +285,17 @@ func FuzzEventHeap(f *testing.F) {
 		}
 		var q eventQueue
 		var ref []eventKey         // the pending keys, kept sorted
-		ids := map[[2]uint64]int{} // (seq, origin) -> the id pushed as arg
+		ids := map[[2]uint64]any{} // (seq, origin) -> the id pushed as arg, or its burst
 		var seqs [4]uint64
 		var now Time
-		maxPending := 0
+		entries, maxEntries := 0, 0 // keys filed: a burst is one
+		runLast := map[*GlobalRun]int32{}
+		file := func(k eventKey) {
+			j := sort.Search(len(ref), func(j int) bool { return k.less(ref[j]) })
+			ref = append(ref, eventKey{})
+			copy(ref[j+1:], ref[j:])
+			ref[j] = k
+		}
 		peek := func() {
 			if got, want := q.head(), ref[0]; got.t != want.t || got.seq != want.seq || got.origin != want.origin {
 				t.Fatalf("head = %+v, want %+v", got, want)
@@ -251,13 +307,70 @@ func FuzzEventHeap(f *testing.F) {
 			ref = ref[1:]
 			gotT, p := q.pop()
 			id := ids[[2]uint64{want.seq, uint64(want.origin)}]
-			if gotT != want.t || p.arg != id || p.owner != want.origin || p.kind != evArg || p.afn == nil {
-				t.Fatalf("pop = t %v payload %+v, want key %+v with id %d", gotT, p, want, id)
+			if gotT != want.t || p.arg != id {
+				t.Fatalf("pop = t %v payload %+v, want key %+v with %v", gotT, p, want, id)
+			}
+			switch x := id.(type) {
+			case *burst:
+				if p.kind != evBurst || p.owner != int32(want.seq-x.seq0) {
+					t.Fatalf("burst member %+v popped as %+v, want member %d", want, p, want.seq-x.seq0)
+				}
+				if want.seq == x.seq0+uint64(x.n)-1 {
+					entries--
+				}
+			case *GlobalRun:
+				if p.kind != evRun || p.owner != GlobalOwner {
+					t.Fatalf("run member %+v popped as %+v", want, p)
+				}
+				if want.origin == runLast[x] {
+					entries--
+					if x.open {
+						t.Fatalf("run %+v still open after its last member popped", want)
+					}
+				}
+			default:
+				if p.owner != want.origin || p.kind != evArg || p.afn == nil {
+					t.Fatalf("pop = t %v payload %+v, want key %+v with id %v", gotT, p, want, id)
+				}
+				entries--
 			}
 			now = gotT
 		}
+		runFn := func() {}
 		for i, b := range ops {
-			if b&0x80 != 0 && len(ref) > 0 {
+			if b >= 0xF0 && b < 0xF8 {
+				s := max(seqs[0], seqs[1], seqs[2], seqs[3]) + 1
+				r := &GlobalRun{fn: runFn}
+				k := eventKey{t: now + Time(b>>2&1), seq: s}
+				for o := int32(0); o <= int32(b&3); o++ {
+					seqs[o] = s
+					k.origin = o
+					if o == 0 {
+						r.slot = q.put(k, o, evRun, nil, r)
+						r.open, r.t, r.seq, r.last = true, k.t, k.seq, o
+					} else {
+						r.last = o
+						q.extendRun(r)
+					}
+					ids[[2]uint64{k.seq, uint64(o)}] = r
+					runLast[r] = o
+					file(k)
+				}
+				entries++
+			} else if b >= 0xF8 {
+				origin := int32(b & 3)
+				n := 2 + i%5
+				k := eventKey{t: now + Time(b>>2&1), seq: seqs[origin] + 1, origin: origin}
+				seqs[origin] += uint64(n)
+				bu := &burst{seq0: k.seq, n: int32(n), owner0: origin, perOwner: 1}
+				q.putBurst(k, bu)
+				for m := 0; m < n; m++ {
+					ids[[2]uint64{k.seq, uint64(origin)}] = bu
+					file(k)
+					k.seq++
+				}
+				entries++
+			} else if b&0x80 != 0 && len(ref) > 0 {
 				pop()
 			} else {
 				origin := int32(b & 3)
@@ -273,12 +386,10 @@ func FuzzEventHeap(f *testing.F) {
 				k := eventKey{t: at, seq: seqs[origin], origin: origin}
 				ids[[2]uint64{k.seq, uint64(origin)}] = i
 				q.push(&event{k, payload{owner: origin, kind: evArg, afn: fn, arg: i}})
-				j := sort.Search(len(ref), func(j int) bool { return k.less(ref[j]) })
-				ref = append(ref, eventKey{})
-				copy(ref[j+1:], ref[j:])
-				ref[j] = k
-				maxPending = max(maxPending, len(ref))
+				file(k)
+				entries++
 			}
+			maxEntries = max(maxEntries, entries)
 			if len(ref) < 64 || i%64 == 0 {
 				checkQueue(t, &q)
 			}
@@ -287,8 +398,8 @@ func FuzzEventHeap(f *testing.F) {
 			pop()
 		}
 		checkQueue(t, &q)
-		if int(q.slots) != maxPending {
-			t.Fatalf("slab grew to %d slots for at most %d pending events", q.slots, maxPending)
+		if int(q.slots) != maxEntries {
+			t.Fatalf("slab grew to %d slots for at most %d pending entries", q.slots, maxEntries)
 		}
 	})
 }
@@ -331,51 +442,6 @@ func TestEventQueueEveryBucket(t *testing.T) {
 			t.Fatalf("pop at %v, want %v", got, w.t)
 		}
 		checkQueue(t, &q)
-	}
-}
-
-// queueFootprint is everything a push can allocate: payload slab chunks,
-// the link index and its carved chunks, the now run's capacity and the
-// wheel.
-type queueFootprint struct {
-	slab, links, carved, now int
-	wheel                    bool
-}
-
-func footprintOf(q *eventQueue) queueFootprint {
-	fp := queueFootprint{slab: len(q.slab), links: len(q.links), now: cap(q.now), wheel: q.wheel != nil}
-	for _, c := range q.links {
-		if c != nil {
-			fp.carved++
-		}
-	}
-	return fp
-}
-
-// TestReserveCoversBurst: after reserve, a burst of pushes at the reserved
-// instant grows none of the queue's storage, whether that instant is the
-// last pop's (the now run) or later in its wheel window (wheel and links),
-// and the burst pops in key order. It compares the queue's own storage, not
-// process-wide malloc counts, so no other goroutine can fail it.
-func TestReserveCoversBurst(t *testing.T) {
-	const n = 3000
-	for _, at := range []Time{100, 101, 100 + wheelSlots - 101} {
-		q := eventQueue{last: 100}
-		q.reserve(n, at)
-		before := footprintOf(&q)
-		for i := n; i > 0; i-- { // out of key order: a now burst turns into a heap
-			q.push(&event{eventKey{t: at, seq: uint64(i + 1)}, payload{kind: evFn}})
-		}
-		if after := footprintOf(&q); after != before {
-			t.Errorf("t=%v: a reserved burst of %d grew the queue: %+v -> %+v", at, n, before, after)
-		}
-		checkQueue(t, &q)
-		for i := 0; i < n; i++ {
-			if h := q.head(); h.t != at || h.seq != uint64(i+2) {
-				t.Fatalf("t=%v: pop %d: head %+v, want seq %d", at, i, h, i+2)
-			}
-			q.pop()
-		}
 	}
 }
 

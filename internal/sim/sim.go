@@ -24,7 +24,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,50 +82,72 @@ const (
 	evSwitch
 	// evWake is evSwitch plus clearing the process's wake-pending flag.
 	evWake
+	// evBurst starts the next member of the spawn burst in arg (see
+	// SpawnBurst); its key is that member's.
+	evBurst
+	// evRun runs the callback of the global run in arg for the member its
+	// key names (see AtGlobalRun).
+	evRun
 )
 
-// procState tracks the lifecycle of a simulated process.
-type procState int
+// procState tracks the lifecycle of a simulated process. A process's record
+// holds its state while it has one; the engine keeps one byte per process
+// (Engine.state) for the rest of its life.
+type procState uint8
 
 const (
 	procNew procState = iota
 	procRunning
 	procBlocked
 	procDone
+	// procStubbed is procBlocked on its burst's QueueStub with the record
+	// returned (see QueueStub.Park); it digests and reports as procBlocked.
+	procStubbed
+	// procLive is the engine's byte for a process that holds a record: the
+	// record's state is the process's.
+	procLive
 )
 
-// Proc is a simulated process. All methods must be called from within the
-// process's own body function; they are not safe to call from other
-// goroutines or from engine-context callbacks.
+// Proc is a simulated process's record. A process holds one only from its
+// first resume until it exits (or parks on a QueueStub): the engine carves
+// it from a free list when the process first runs and takes it back after,
+// so a job's processes cost records only while they live. What a process is
+// — its name, number, owner, daemon flag, body — belongs to the burst that
+// spawned it (see SpawnBurst); while it has no record, its lifecycle state
+// is one byte in the engine.
+//
+// All methods must be called from within the process's own body function;
+// they are not safe to call from other goroutines or from engine-context
+// callbacks. A *Proc must not be kept past the process's exit: the record
+// then belongs to another process.
 type Proc struct {
-	e  *Engine
-	id int
-	// name is the process's name, or with num >= 0 its prefix (see Name).
-	name string
-	// Exactly one of body and step is set. A body runs on the carrier co,
-	// borrowed at the first resume and returned when the body exits; a step
-	// function is called by the runner on every resume and returns at its
-	// next wait (see SpawnStepOn).
-	body  func(p *Proc)
-	step  func(p *Proc)
-	co    *carrier
-	state procState
+	e *Engine
+	b *burst // nil while the record is free
+	// next links a free record to the next one on the engine's free list.
+	next *Proc
+	// co is the carrier a body runs on, borrowed at the first resume and
+	// returned when the body exits; a step process has none.
+	co *carrier
 	// blockedOn is the static blocking-point label (cold paths); hot-path
 	// primitives park with a lazy blocker+blockArg pair instead, so a park
 	// formats no string unless a deadlock report or tracer reads one.
-	blockedOn   string
-	blockedAt   blocker
-	blockArg    int64
-	daemon      bool
-	wakePending bool
-	num         int
+	blockedOn string
+	blockedAt blocker
+	blockArg  int64
+	id        int32
 	// owner pins the process to a scheduling owner: its resume events carry
 	// this owner, which becomes the origin of the events it creates.
-	owner int
+	owner int32
+	// gen counts the record's releases. Every resume event carries the gen
+	// it was scheduled under, and exec refuses one whose record has been
+	// released since (see checkGen).
+	gen         uint16
+	state       procState
+	wakePending bool
 }
 
 // Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return numberedName(p.name, p.num) }
+func (p *Proc) Name() string { return p.b.name(int(p.id)) }
 
 // numberedName returns prefix followed by num in decimal, or prefix alone
 // when num < 0. A job's per-node processes and queues (cht17, rank4095) keep
@@ -140,13 +161,13 @@ func numberedName(prefix string, num int) string {
 	return prefix + strconv.Itoa(num)
 }
 
-// Num returns the number the process was spawned with by SpawnNumberedOn or
-// SpawnStepOn, or -1 when its name has none: a body shared by many
-// processes finds its own instance by it.
-func (p *Proc) Num() int { return p.num }
+// Num returns the number the process was spawned with (by SpawnBurst,
+// SpawnNumberedOn or SpawnStepOn), or -1 when its name has none: a body
+// shared by many processes finds its own instance by it.
+func (p *Proc) Num() int { return p.b.num(int(p.id)) }
 
 // ID returns the process's spawn-order identifier.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // Engine returns the engine this process runs under.
 func (p *Proc) Engine() *Engine { return p.e }
@@ -179,11 +200,18 @@ type Engine struct {
 	// seqs holds the per-origin event-creation counters that form the seq
 	// component of the ordering key; index is origin+1 so GlobalOwner maps
 	// to slot 0.
-	seqs  []uint64
-	procs []*Proc
-	// procSlab is the unused tail of the chunk spawned processes are carved
-	// from (see spawnAt).
-	procSlab []Proc
+	seqs []uint64
+	// bursts holds every spawn burst in id order, state one lifecycle byte
+	// per process: all the engine keeps of a process without a record.
+	bursts []*burst
+	state  []procState
+	// burstSlab is the unused tail of the chunk bursts are carved from.
+	burstSlab []burst
+	// recs holds the chunks process records are carved from, free the
+	// first of the records released for reuse, linked through next (see
+	// carveProc).
+	recs [][]Proc
+	free *Proc
 	// idle holds the carriers free for the run loop to borrow.
 	idle []*carrier
 	// ctxOwner is the owner of the event the run loop is currently
@@ -266,13 +294,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Proc returns the process whose spawn-order identifier is id (see
-// Proc.ID): processes spawned back to back have consecutive ids, so a
-// caller that spawned a run of them can find any one again from the first.
-func (e *Engine) Proc(id int) *Proc { return e.procs[id] }
-
-// exec dispatches one popped event by kind. It replaces direct fn() calls in
-// the run loop so the hot event kinds carry no closure.
+// exec dispatches one popped event by kind. It replaces direct fn() calls
+// in the run loop so the hot event kinds carry no closure. A burst's event
+// starts the member its popped owner field names (see eventQueue.pop).
 func (e *Engine) exec(p *payload) {
 	switch p.kind {
 	case evFn:
@@ -280,11 +304,34 @@ func (e *Engine) exec(p *payload) {
 	case evArg:
 		p.afn(p.arg)
 	case evSwitch:
-		e.switchTo(p.arg.(*Proc))
-	default: // evWake
 		pr := p.arg.(*Proc)
+		checkGen(pr, p.owner)
+		e.ctxOwner = int(pr.owner)
+		e.switchTo(pr)
+	case evWake:
+		pr := p.arg.(*Proc)
+		checkGen(pr, p.owner)
+		e.ctxOwner = int(pr.owner)
 		pr.wakePending = false
 		e.switchTo(pr)
+	case evBurst:
+		b := p.arg.(*burst)
+		i := int(p.owner)
+		e.ctxOwner = b.owner(i)
+		e.start(b, b.id0+i, e.ctxOwner)
+	default: // evRun
+		p.arg.(*GlobalRun).fn()
+	}
+}
+
+// checkGen panics when a resume event outlived its process: the record it
+// names has been released since the event was scheduled, and may belong to
+// another process now. The kernel releases a record only when no event or
+// waiter list can reach it, so this never fires; it is the guard that shows
+// it (TestReusedRecordIgnoresNoStaleResume).
+func checkGen(p *Proc, gen int32) {
+	if int32(p.gen) != gen {
+		panic(fmt.Sprintf("sim: stale resume of a released process record (gen %d, record at %d)", gen, p.gen))
 	}
 }
 
@@ -296,6 +343,18 @@ func (e *Engine) exec(p *payload) {
 // value is pointer-shaped, so an evFn event storing one in arg allocates
 // nothing.
 func (e *Engine) scheduleEv(owner int, t Time, kind uint8, afn func(any), arg any) {
+	e.events.put(e.nextKey(t, 1), int32(owner), kind, afn, arg)
+}
+
+// scheduleProc schedules a resume of p (kind evSwitch or evWake) at t, under
+// the record's current gen.
+func (e *Engine) scheduleProc(p *Proc, t Time, kind uint8) {
+	e.events.put(e.nextKey(t, 1), int32(p.gen), kind, nil, p)
+}
+
+// nextKey takes n seqs of the running context's origin for events at time
+// t, clamped to now, and returns the key of the first.
+func (e *Engine) nextKey(t Time, n int) eventKey {
 	if t < e.now {
 		t = e.now
 	}
@@ -305,8 +364,9 @@ func (e *Engine) scheduleEv(owner int, t Time, kind uint8, afn func(any), arg an
 		copy(grown, e.seqs)
 		e.seqs = grown
 	}
-	e.seqs[idx]++
-	e.events.put(eventKey{t: t, seq: e.seqs[idx], origin: int32(e.ctxOwner)}, int32(owner), kind, afn, arg)
+	s := e.seqs[idx] + 1
+	e.seqs[idx] += uint64(n)
+	return eventKey{t: t, seq: s, origin: int32(e.ctxOwner)}
 }
 
 // At schedules fn to run in engine context at absolute virtual time t, as
@@ -349,6 +409,39 @@ func (e *Engine) AtGlobalArg(fn func(any), arg any) {
 	e.AtOnArg(GlobalOwner, e.now+e.globalDelay, fn, arg)
 }
 
+// GlobalRun is a global event many processes schedule alike, as each of a
+// job's ranks schedules its exit: see AtGlobalRun.
+type GlobalRun struct {
+	fn func()
+	// The entry the next call may extend, while open: its slab slot, time,
+	// seq and last origin.
+	slot int32
+	last int32
+	t    Time
+	seq  uint64
+	open bool
+}
+
+// Init makes r a global run of fn, for a GlobalRun embedded by value in a
+// larger record. Call it before r's first use.
+func (r *GlobalRun) Init(fn func()) { *r = GlobalRun{fn: fn} }
+
+// AtGlobalRun is AtGlobal of r's callback: the same key, the same seq
+// taken, the same run order, count and digest. Calls whose events fall at
+// one instant under one seq from consecutive origins — a job's ranks, each
+// on its own node, returning one after another at t = 0 — share one queue
+// entry instead of each filing its own.
+func (e *Engine) AtGlobalRun(r *GlobalRun) {
+	k := e.nextKey(e.now+e.globalDelay, 1)
+	if r.open && k.t == r.t && k.seq == r.seq && k.origin == r.last+1 {
+		r.last = k.origin
+		e.events.extendRun(r)
+		return
+	}
+	r.slot = e.events.put(k, k.origin, evRun, nil, r)
+	r.open, r.t, r.seq, r.last = true, k.t, k.seq, k.origin
+}
+
 // ConfigureOwners sizes the per-origin seq counters for owners [0, owners)
 // in one allocation, instead of one growth copy per new origin, and sets the
 // delay AtGlobal adds (for the fabric, one link hop latency). Call it before
@@ -366,107 +459,82 @@ func (e *Engine) ConfigureOwners(owners int, globalDelay Time) {
 }
 
 // Spawn creates a simulated process that starts executing body at the current
-// virtual time, pinned to the creating context's owner. The returned Proc
-// handle is also passed to body.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, e.now, name, -1, body, false)
+// virtual time, pinned to the creating context's owner, and returns its id.
+// The process's record is passed to body.
+func (e *Engine) Spawn(name string, body func(p *Proc)) int {
+	return e.spawn(e.ctxOwner, e.now, name, -1, false, body, nil)
 }
 
 // SpawnOn is Spawn with an explicit owner pin: the process and all events it
 // creates belong to owner.
-func (e *Engine) SpawnOn(owner int, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, e.now, name, -1, body, false)
+func (e *Engine) SpawnOn(owner int, name string, body func(p *Proc)) int {
+	return e.spawn(owner, e.now, name, -1, false, body, nil)
 }
 
 // SpawnNumberedOn is SpawnOn for a process named prefix followed by num in
 // decimal ("rank", 7 names it rank7), formatted only when read.
-func (e *Engine) SpawnNumberedOn(owner int, prefix string, num int, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, e.now, prefix, num, body, false)
+func (e *Engine) SpawnNumberedOn(owner int, prefix string, num int, body func(p *Proc)) int {
+	return e.spawn(owner, e.now, prefix, num, false, body, nil)
 }
 
 // SpawnDaemon creates a process that does not keep the simulation alive: Run
 // returns successfully even if daemon processes are still blocked (e.g.
 // server loops waiting for requests that will never come).
-func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, e.now, name, -1, body, true)
+func (e *Engine) SpawnDaemon(name string, body func(p *Proc)) int {
+	return e.spawn(e.ctxOwner, e.now, name, -1, true, body, nil)
 }
 
 // SpawnDaemonOn is SpawnDaemon with an explicit owner pin.
-func (e *Engine) SpawnDaemonOn(owner int, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, e.now, name, -1, body, true)
+func (e *Engine) SpawnDaemonOn(owner int, name string, body func(p *Proc)) int {
+	return e.spawn(owner, e.now, name, -1, true, body, nil)
 }
 
 // GoAt schedules a process to start at absolute time t.
-func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(e.ctxOwner, t, name, -1, body, false)
+func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) int {
+	return e.spawn(e.ctxOwner, t, name, -1, false, body, nil)
 }
 
 // GoAtOn schedules a process pinned to owner to start at absolute time t.
-func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) *Proc {
-	return e.spawnAt(owner, t, name, -1, body, false)
+func (e *Engine) GoAtOn(owner int, t Time, name string, body func(p *Proc)) int {
+	return e.spawn(owner, t, name, -1, false, body, nil)
 }
 
 // SpawnStepOn creates a daemon process pinned to owner that owns no goroutine:
 // the runner calls step on every resume, and step runs to its next wait and
-// returns. It may wait once per call, through Sleep, Queue.Poll or Event.Poll,
-// which for a step process register the wake-up and return immediately; what
-// the blocking form would keep on its stack, step keeps in its own state.
-// The process is named prefix followed by num in decimal, or prefix alone
-// when num < 0, formatted only when read.
-func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Proc)) *Proc {
-	p := e.spawnAt(owner, e.now, prefix, num, nil, true)
-	p.step = step
-	return p
+// returns. It may wait once per call, through Sleep, Queue.Poll, Event.Poll
+// or QueueStub.Park, which for a step process register the wake-up and
+// return immediately; what the blocking form would keep on its stack, step
+// keeps in its own state. The process is named prefix followed by num in
+// decimal, or prefix alone when num < 0, formatted only when read.
+func (e *Engine) SpawnStepOn(owner int, prefix string, num int, step func(p *Proc)) int {
+	return e.spawn(owner, e.now, prefix, num, true, nil, step)
 }
 
-// ReserveSpawns tells the engine that n processes are about to be spawned at
-// the current instant, as a job's start spawns one per node and one per
-// rank. The process records, the process table and the event queue's
-// same-instant run are then each allocated once at their final size instead
-// of growing by doubling, and the queue's payload slab gains the burst's
-// chunks in one allocation. Reserving changes no event, key or order.
-func (e *Engine) ReserveSpawns(n int) {
-	if n <= 0 {
-		return
-	}
-	e.procs = slices.Grow(e.procs, n)
-	if len(e.procSlab) < n {
-		e.procSlab = make([]Proc, n)
-	}
-	e.events.reserve(n, e.now)
+// SpawnBurst spawns n processes running body at the current instant and
+// returns the first one's id; member i has that id plus i, is numbered i
+// (named prefix followed by i) and is owned by i/perOwner, so a job spawns
+// one process per node (perOwner 1) or PPN per node with no closure per
+// member. The burst takes n seqs of the calling context's origin, exactly
+// as n SpawnNumberedOn calls would, and traces each member's spawn in
+// order; the event queue holds it as one entry until its last member starts.
+func (e *Engine) SpawnBurst(n, perOwner int, prefix string, body func(p *Proc)) int {
+	b := e.newBurst(n, 0, perOwner, prefix, 0)
+	b.body = body
+	return e.spawnBurst(b, e.now)
 }
 
-// procChunk is the most processes one slab chunk holds.
-const procChunk = 1024
+// SpawnStepBurst is SpawnBurst for step daemons (see SpawnStepOn).
+func (e *Engine) SpawnStepBurst(n, perOwner int, prefix string, step func(p *Proc)) int {
+	b := e.newBurst(n, 0, perOwner, prefix, 0)
+	b.daemon, b.step = true, step
+	return e.spawnBurst(b, e.now)
+}
 
-// spawnAt creates a process and schedules its first resume at t. Its record
-// is carved from a slab whose chunks grow with the processes spawned so far,
-// from 16 up to procChunk, so a job spawning one process per rank and per
-// node allocates a chunk per thousand processes, not one record each (one
-// chunk in all after ReserveSpawns).
-func (e *Engine) spawnAt(owner int, t Time, name string, num int, body func(p *Proc), daemon bool) *Proc {
-	if len(e.procSlab) == 0 {
-		e.procSlab = make([]Proc, min(max(len(e.procs), 16), procChunk))
-	}
-	p := &e.procSlab[0]
-	e.procSlab = e.procSlab[1:]
-	*p = Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		num:    num,
-		body:   body,
-		state:  procNew,
-		daemon: daemon,
-		owner:  owner,
-	}
-	e.procs = append(e.procs, p)
-	if !daemon {
-		e.live++
-	}
-	e.trace(TraceSpawn, p, "")
-	e.scheduleEv(owner, t, evSwitch, nil, p)
-	return p
+// spawn starts a burst of one: every single-process spawn takes this path.
+func (e *Engine) spawn(owner int, t Time, name string, num int, daemon bool, body, step func(p *Proc)) int {
+	b := e.newBurst(1, owner, 1, name, num)
+	b.daemon, b.body, b.step = daemon, body, step
+	return e.spawnBurst(b, t)
 }
 
 // killSignal is panicked through a process's stack to unwind it during
@@ -485,20 +553,23 @@ func runBody(p *Proc) {
 			}
 		}
 	}()
-	p.body(p)
+	p.b.body(p)
 }
 
 func (p *Proc) exit() {
-	if !p.daemon && p.state != procDone {
-		p.e.live--
+	e := p.e
+	if !p.b.daemon && p.state != procDone {
+		e.live--
 	}
 	p.state = procDone
 	p.blockedOn, p.blockedAt = "", nil
-	p.e.trace(TraceExit, p, "")
+	e.trace(TraceExit, p, "")
 }
 
 // switchTo hands control to p and returns when p parks or finishes. It must
-// be invoked from the run loop (inside an event callback).
+// be invoked from the run loop (inside an event callback). A process that
+// exits returns its record, and so does a step process that parks on its
+// burst's QueueStub.
 func (e *Engine) switchTo(p *Proc) {
 	if p.state == procDone || p.state == procRunning {
 		return
@@ -507,13 +578,22 @@ func (e *Engine) switchTo(p *Proc) {
 	e.trace(TraceResume, p, "")
 	p.state = procRunning
 	p.blockedOn, p.blockedAt = "", nil
-	if p.step == nil {
-		p.resumeBody()
+	if step := p.b.step; step != nil {
+		step(p)
+		switch p.state {
+		case procRunning:
+			panic("sim: step function of " + p.Name() + " returned without waiting")
+		case procBlocked:
+			if s, ok := p.blockedAt.(*QueueStub); ok {
+				e.stubbed(p, s)
+			}
+		}
 		return
 	}
-	p.step(p)
-	if p.state == procRunning {
-		panic("sim: step function of " + p.Name() + " returned without waiting")
+	p.resumeBody()
+	if p.state == procDone && !p.wakePending {
+		e.state[p.id] = procDone
+		e.release(p)
 	}
 }
 
@@ -544,7 +624,7 @@ func (p *Proc) parkWait(traceLabel string) {
 	}
 	p.state = procBlocked
 	p.e.trace(TracePark, p, traceLabel)
-	if p.step != nil {
+	if p.co == nil {
 		return
 	}
 	if !p.co.yield(struct{}{}) {
@@ -563,7 +643,7 @@ func (p *Proc) wake() {
 		return
 	}
 	p.wakePending = true
-	p.e.scheduleEv(p.owner, p.e.now, evWake, nil, p)
+	p.e.scheduleProc(p, p.e.now, evWake)
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -573,7 +653,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.scheduleEv(p.owner, p.e.now+d, evSwitch, nil, p)
+	p.e.scheduleProc(p, p.e.now+d, evSwitch)
 	p.parkOn(sleepLabel{}, int64(d))
 }
 
@@ -667,15 +747,25 @@ func (e *Engine) horizon(limit Time) error {
 	return &TimeLimitError{Limit: limit, Pending: e.PendingEvents()}
 }
 
-func (e *Engine) blockedNonDaemons() []string {
-	var blocked []string
-	for _, p := range e.procs {
-		if p.state == procBlocked && !p.daemon {
-			blocked = append(blocked, fmt.Sprintf("%s: %s", p.Name(), p.BlockedOn()))
+func (e *Engine) blockedNonDaemons() []string { return e.blocked(false) }
+
+// blocked returns "name: blocked-on" for every parked process whose daemon
+// flag is daemon, sorted.
+func (e *Engine) blocked(daemon bool) []string {
+	var out []string
+	e.eachProc(func(b *burst, id int, st procState, p *Proc) {
+		if b.daemon != daemon {
+			return
 		}
-	}
-	sort.Strings(blocked)
-	return blocked
+		switch st {
+		case procBlocked:
+			out = append(out, fmt.Sprintf("%s: %s", p.Name(), p.BlockedOn()))
+		case procStubbed:
+			out = append(out, fmt.Sprintf("%s: %s", b.name(id), b.stub.blockLabel(int64(b.num(id)))))
+		}
+	})
+	sort.Strings(out)
+	return out
 }
 
 // Shutdown terminates every parked or not-yet-started process and stops the
@@ -687,16 +777,23 @@ func (e *Engine) Shutdown() {
 	if e.running {
 		panic("sim: Shutdown while engine is running")
 	}
-	for _, p := range e.procs {
-		if p.state != procBlocked && p.state != procNew {
-			continue
-		}
-		if p.co != nil {
+	e.eachProc(func(b *burst, id int, st procState, p *Proc) {
+		switch {
+		case st != procBlocked && st != procNew && st != procStubbed:
+		case p == nil: // not started, or parked on a stub: no record
+			if !b.daemon {
+				e.live--
+			}
+			e.state[id] = procDone
+			if e.tracer != nil {
+				e.traceName(TraceExit, b.name(id), "")
+			}
+		case p.co != nil:
 			p.co.stop() // parked mid-body: its yield reports false and the body unwinds
-		} else {
+		default:
 			p.exit()
 		}
-	}
+	})
 	for _, c := range e.idle {
 		c.stop()
 	}
@@ -728,13 +825,4 @@ func (e *Engine) liveNonDaemons() int { return e.live }
 // BlockedDaemons returns the blocking points of all parked daemon processes,
 // for diagnosing deadlocks that thread through server loops (e.g. CHTs
 // waiting on downstream buffer credits).
-func (e *Engine) BlockedDaemons() []string {
-	var out []string
-	for _, p := range e.procs {
-		if p.state == procBlocked && p.daemon {
-			out = append(out, fmt.Sprintf("%s: %s", p.Name(), p.BlockedOn()))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (e *Engine) BlockedDaemons() []string { return e.blocked(true) }

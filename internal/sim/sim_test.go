@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -438,11 +439,11 @@ func TestDeadlockDetection(t *testing.T) {
 // walkLive is the process-table walk the engine's live count replaces.
 func walkLive(e *Engine) int {
 	n := 0
-	for _, p := range e.procs {
-		if !p.daemon && p.state != procDone {
+	e.eachProc(func(b *burst, _ int, st procState, _ *Proc) {
+		if !b.daemon && st != procDone {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -668,7 +669,7 @@ func TestNumberedNames(t *testing.T) {
 	step := e.SpawnStepOn(0, "cht", 0, func(p *Proc) { p.Sleep(1) })
 	plain := e.SpawnStepOn(0, "idle", -1, func(p *Proc) { p.Sleep(1) })
 	_ = e.RunUntil(3)
-	if got := []string{rank.Name(), step.Name(), plain.Name()}; !reflect.DeepEqual(got, []string{"rank17", "cht0", "idle"}) {
+	if got := []string{e.Proc(rank).Name(), e.Proc(step).Name(), e.Proc(plain).Name()}; !reflect.DeepEqual(got, []string{"rank17", "cht0", "idle"}) {
 		t.Errorf("names = %q", got)
 	}
 	if !reflect.DeepEqual(traced, []string{"rank17", "cht0", "idle"}) {
@@ -904,16 +905,16 @@ func TestQueueStubAdoptMatchesPoll(t *testing.T) {
 		if !lazy {
 			build()
 		}
-		var p *Proc
+		var id int
 		for n := range 8 {
 			if pn := e.SpawnStepOn(n, "cht", n, step); n == 7 {
-				p = pn
+				id = pn
 			}
 		}
 		e.At(3, func() {
 			if lazy {
 				build()
-				if !q.Adopt(stub, p) {
+				if !q.Adopt(stub, e.Proc(id)) {
 					t.Error("Adopt refused the process parked on the stub")
 				}
 			}
@@ -940,17 +941,96 @@ func TestQueueStubAdoptMatchesPoll(t *testing.T) {
 	e := New()
 	var q Queue[int]
 	fresh := e.SpawnStepOn(0, "cht", 0, func(p *Proc) { stub.Park(p) })
-	if q.Adopt(stub, fresh) {
+	if q.Adopt(stub, e.Proc(fresh)) {
 		t.Error("Adopt took a process that has not run")
 	}
 	sleeper := e.SpawnStepOn(1, "cht", 1, func(p *Proc) { p.Sleep(10) })
 	if err := e.RunUntil(1); err == nil {
 		t.Fatal("RunUntil(1) drained a queue holding a sleeper's wake-up")
 	}
-	if q.Adopt(stub, sleeper) {
+	if q.Adopt(stub, e.Proc(sleeper)) {
 		t.Error("Adopt took a sleeping process")
 	}
-	if got := fresh.BlockedOn(); got != "queue cht0" {
+	if got := e.Proc(fresh).BlockedOn(); got != "queue cht0" {
 		t.Errorf("a process parked on the stub reads blocked on %q, want %q", got, "queue cht0")
+	}
+}
+
+// TestReusedRecordIgnoresNoStaleResume: a process record is reused once its
+// process exits, and a resume event that still names the record from before
+// (a stale reference, which the kernel never leaves behind) is refused by the
+// generation check instead of resuming the record's next holder early.
+func TestReusedRecordIgnoresNoStaleResume(t *testing.T) {
+	e := New()
+	var first *Proc
+	e.Spawn("a", func(p *Proc) {
+		first = p
+		e.scheduleProc(p, 5, evSwitch) // outlives a: stale once a exits
+	})
+	var woke Time
+	e.GoAt(1, "b", func(p *Proc) {
+		if p != first {
+			t.Errorf("b got a fresh record, want a's, released at its exit")
+		}
+		p.Sleep(9)
+		woke = p.Now()
+	})
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "stale resume") {
+			t.Fatalf("the stale resume ran (b woke at %v, want 10): recovered %v", woke, r)
+		}
+		if woke != 0 {
+			t.Fatalf("b woke at %v before the stale resume was refused", woke)
+		}
+	}()
+	_ = e.Run()
+}
+
+// TestRecordsFollowLife: a process holds a record from its first resume to
+// its exit, a step process parked on a QueueStub none, and Proc rebuilds a
+// stubbed one exactly; records are reused, so an idle burst of 4096 bodies
+// that exit at once carves one.
+func TestRecordsFollowLife(t *testing.T) {
+	e := New()
+	stub := NewQueueStub("cht")
+	e.SpawnStepBurst(4096, 1, "cht", func(p *Proc) { stub.Park(p) })
+	q := NewQueue[int](e, "q")
+	e.SpawnBurst(4096, 2, "rank", func(p *Proc) {
+		if p.Num() == 7 {
+			q.Get(p)
+		}
+	})
+	if got := e.LiveRecords(); got != 0 {
+		t.Fatalf("%d records before any process ran, want 0", got)
+	}
+	if _, ok := e.RunUntil(0).(*TimeLimitError); ok {
+		t.Fatal("time limit at 0")
+	}
+	if got := e.LiveRecords(); got != 1 {
+		t.Errorf("%d records live with one process blocked, want 1", got)
+	}
+	if n := len(e.recs); n != 1 || cap(e.recs[0]) != 16 {
+		t.Errorf("records carved in %d chunks (first of %d), want one chunk of 16", n, cap(e.recs[0]))
+	}
+	p := e.Proc(4096 + 7)
+	if p == nil || p.Name() != "rank7" || p.BlockedOn() != "queue q" || p.owner != 3 {
+		t.Fatalf("Proc(rank7) = %+v", p)
+	}
+	if e.Proc(4096+8) != nil || e.Proc(0) == nil {
+		t.Error("Proc gave a record to an exited process or none to a stubbed one")
+	}
+	if got := e.Proc(9).BlockedOn(); got != "queue cht9" {
+		t.Errorf("rebuilt stubbed record blocked on %q, want queue cht9", got)
+	}
+	if got := e.LiveRecords(); got != 3 {
+		t.Errorf("%d records live after rebuilding two stubbed ones, want 3", got)
+	}
+	q.Put(1)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.LiveRecords(); got != 2 {
+		t.Errorf("%d records live after rank7 exited, want the 2 rebuilt", got)
 	}
 }

@@ -61,6 +61,12 @@ func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
 func (e *Engine) trace(kind TraceKind, p *Proc, label string) {
 	if e.tracer != nil {
-		e.tracer.Trace(TraceRecord{T: e.now, Kind: kind, Proc: p.Name(), Label: label})
+		e.traceName(kind, p.Name(), label)
 	}
+}
+
+// traceName records a scheduling event of the process named name, for
+// callers that hold no record of it; a tracer must be installed.
+func (e *Engine) traceName(kind TraceKind, name, label string) {
+	e.tracer.Trace(TraceRecord{T: e.now, Kind: kind, Proc: name, Label: label})
 }
